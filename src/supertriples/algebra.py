@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConstraintViolation, DimensionMismatch
-from .matrices import f_rref, s_inv
+from .matrices import inv, rref, transpose
 
 __all__ = [
     "Grading", "SuperAlgebra", "AutomorphismFamily", "AutoBranch",
@@ -120,9 +120,6 @@ class SuperAlgebra:
     def superdim(self):
         n_odd = sum(self.parity)
         return (len(self.parity) - n_odd, n_odd)
-
-    def entry(self, i, j, k):
-        return self.F[i][j][k]
 
     def nonzero(self):
         if self._nz is None:
@@ -234,48 +231,32 @@ class SuperAlgebra:
 
     def transport(self, A):
         """Structure constants in the new basis X'_I = A_I^J X_J."""
-        d = self.dim
-        Ainv = s_inv(A)
-        zero = self.ctx.zero()
-        out = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
-        for (p, q, r, c) in self.nonzero():
-            for i in range(d):
-                aip = A[i][p]
-                if aip.is_zero():
-                    continue
-                for j in range(d):
-                    ajq = A[j][q]
-                    if ajq.is_zero():
-                        continue
-                    base = aip * ajq * c
-                    for s in range(d):
-                        ar = Ainv[r][s]
-                        if not ar.is_zero():
-                            out[i][j][s] = out[i][j][s] + base * ar
-        return self.copy_with(F=out)
+        return self._transport(A, inv(A))
 
     def transport_dual(self, A):
-        """Dual-side transport under (A^{-1})^T with back-substitution A^T:
-        F~'^{IJ}_S = D_I^P D_J^Q F~^{PQ}_R A_S^R, D = (A^{-1})^T."""
+        """Dual-side transport: transport in the basis D = (A^{-1})^T, whose
+        inverse is A^T, so F~'^{IJ}_S = D_I^P D_J^Q F~^{PQ}_R A_S^R."""
+        return self._transport(transpose(inv(A)), transpose(A))
+
+    def _transport(self, M, M_inv):
+        """F'_{IJ}^S = M_I^P M_J^Q F_{PQ}^R (M^{-1})_R^S."""
         d = self.dim
-        Ainv = s_inv(A)
-        D = [list(col) for col in zip(*Ainv)]
         zero = self.ctx.zero()
         out = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
         for (p, q, r, c) in self.nonzero():
             for i in range(d):
-                dip = D[i][p]
-                if dip.is_zero():
+                mip = M[i][p]
+                if mip.is_zero():
                     continue
                 for j in range(d):
-                    djq = D[j][q]
-                    if djq.is_zero():
+                    mjq = M[j][q]
+                    if mjq.is_zero():
                         continue
-                    base = dip * djq * c
+                    base = mip * mjq * c
                     for s in range(d):
-                        asr = A[s][r]
-                        if not asr.is_zero():
-                            out[i][j][s] = out[i][j][s] + base * asr
+                        mrs = M_inv[r][s]
+                        if not mrs.is_zero():
+                            out[i][j][s] = out[i][j][s] + base * mrs
         return self.copy_with(F=out)
 
     def tensor_equal(self, other):
@@ -356,32 +337,38 @@ def is_automorphism(A, algebra):
 
 
 def automorphism_residuals(A, algebra):
-    d = algebra.dim
-    zero = algebra.ctx.zero()
+    return _branch_failures(algebra.ctx, _bracket_residuals(A, algebra, algebra))
+
+
+def _bracket_residuals(C, source, target):
+    """((a, b, r), value) for each nonvanishing entry of
+    C_a^p C_b^q F_pq^r - F'_ab^k C_k^r, with F the source tensor and F' the
+    target tensor; sign branches are not split here."""
+    d = source.dim
+    zero = source.ctx.zero()
     lhs = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for (p, q, r, c) in algebra.nonzero():
-        for i in range(d):
-            aip = A[i][p]
-            if aip.is_zero():
+    for (p, q, r, c) in source.nonzero():
+        for a in range(d):
+            cap = C[a][p]
+            if cap.is_zero():
                 continue
-            for j in range(d):
-                ajq = A[j][q]
-                if ajq.is_zero():
-                    continue
-                lhs[i][j][r] = lhs[i][j][r] + aip * ajq * c
+            base = cap * c
+            for b in range(d):
+                if not C[b][q].is_zero():
+                    lhs[a][b][r] = lhs[a][b][r] + base * C[b][q]
+    rhs = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    for (a, b, k, c) in target.nonzero():
+        for r in range(d):
+            if not C[k][r].is_zero():
+                rhs[a][b][r] = rhs[a][b][r] + c * C[k][r]
     out = []
-    for i in range(d):
-        for j in range(d):
+    for a in range(d):
+        for b in range(d):
             for r in range(d):
-                rhs = zero
-                for k in range(d):
-                    c = algebra.F[i][j][k]
-                    if not c.is_zero() and not A[k][r].is_zero():
-                        rhs = rhs + c * A[k][r]
-                res = lhs[i][j][r] - rhs
+                res = lhs[a][b][r] - rhs[a][b][r]
                 if not res.is_zero():
-                    out.append(((i, j, r), res))
-    return _branch_failures(algebra.ctx, out)
+                    out.append(((a, b, r), res))
+    return out
 
 
 class AutoBranch:
@@ -430,13 +417,6 @@ class AutomorphismFamily:
     def __iter__(self):
         return iter(self.branches)
 
-    def sample_matrices(self, rng, count, algebra_bindings=None):
-        out = []
-        for i in range(count):
-            branch = self.branches[i % len(self.branches)]
-            out.append(branch.sample(rng, algebra_bindings))
-        return out
-
 
 class CommutantFingerprint:
     """Superdimensions of C1=[D,D], C2=[C1,C1], C3=[C2,C2]."""
@@ -474,12 +454,13 @@ def commutant_series(algebra, bindings=None, depth=3):
     d = A.dim
     par = A.parity
 
+    def span_basis(vectors):
+        rows, pivots = rref(vectors)
+        return rows[:len(pivots)]
+
     def span_dims(vectors):
-        even = [v for p, v in vectors if p == 0]
-        odd = [v for p, v in vectors if p == 1]
-        er, _ = f_rref(even) if even else ([], [])
-        orows, _ = f_rref(odd) if odd else ([], [])
-        return er, orows
+        return (span_basis([v for p, v in vectors if p == 0]),
+                span_basis([v for p, v in vectors if p == 1]))
 
     # C1 from basis brackets
     vectors = []

@@ -17,7 +17,7 @@ from .errors import ConstraintViolation, ParseError, UnknownId, UnknownName
 from .iso import IsoCertificate
 from .parsing import (AlgebraDecl, CertDecl, TripleDecl, build_context,
                       eval_ast, eval_generator_combo, parse_catalog)
-from .scalars import Scalar
+from .scalars import Scalar, exact_sqrt
 from .triples import ManinTriple, build_double
 
 __all__ = ["get_catalog", "catalog", "automorphisms", "catalog_triple",
@@ -127,10 +127,8 @@ class TripleEntry:
         return self.triple.substitute(bindings)
 
     def lift_triple(self, target_ctx, bindings):
-        mapper = self.ctx.bind_scalars(target_ctx, bindings)
-        S = self.triple.S.map_scalars(target_ctx, mapper)
-        Sd = self.triple.S_dual.map_scalars(target_ctx, mapper)
-        return ManinTriple(S, Sd, ident=self.id, label=self.label)
+        return self.triple.map_scalars(
+            target_ctx, self.ctx.bind_scalars(target_ctx, bindings))
 
 
 class CertEntry:
@@ -171,19 +169,10 @@ class CertEntry:
                 if q < 0:
                     raise ConstraintViolation(
                         "radicand of %s is negative at these bindings" % ctx.radical_name)
-                root = _exact_sqrt(q)
+                root = exact_sqrt(q)
                 if root is not None:
                     bindings[ctx.radical_name] = root
         return self.certificate.substitute(bindings)
-
-
-def _exact_sqrt(q):
-    from math import isqrt
-    rn = isqrt(q.numerator)
-    rd = isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
 
 
 class Catalog:

@@ -14,14 +14,14 @@ import random
 from fractions import Fraction
 
 from .algebra import SuperAlgebra, commutant_series
-from .catalog import get_catalog
+from .catalog import catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, UnknownId)
-from .iso import (Exhausted, IsoCertificate, search_iso, shear_certificate,
-                  verify_certificate)
-from .matrices import f_solve
-from .scalars import Domain, ParamContext
-from .triples import ManinTriple, build_double, check_compatibility
+from .iso import (Exhausted, IsoCertificate, from_automorphism, search_iso,
+                  shear_certificate, verify_certificate)
+from .matrices import f_solve, s_identity
+from .scalars import Domain, ParamContext, exact_sqrt, finite_branches
+from .triples import ManinTriple, build_double, check_compatibility, t_dual
 
 __all__ = ["DualAnsatz", "enumerate_duals", "reduce_orbits", "classify_doubles",
            "ClassificationReport", "report", "REPORT_TARGETS"]
@@ -32,6 +32,25 @@ ORBIT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(1, 3),
               Fraction(4), Fraction(1, 4), Fraction(0))
 DEFAULT_SEARCH_BUDGET = 1500
+
+
+class _UnionFind:
+    """Disjoint sets over 0..n-1; each root is the smallest index of its set."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +194,7 @@ def reduce_orbits(solutions, family, sampling=200, seed=0):
         return []
     ctx = solutions[0].ctx
     index = {sol.tensor_key(): i for i, sol in enumerate(solutions)}
-    parent = list(range(len(solutions)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    sets = _UnionFind(len(solutions))
 
     rng = random.Random(seed)
     matrices = []
@@ -217,11 +225,11 @@ def reduce_orbits(solutions, family, sampling=200, seed=0):
             moved = sol.transport_dual(lifted)
             j = index.get(moved.tensor_key())
             if j is not None:
-                union(i, j)
+                sets.union(i, j)
 
     orbits = {}
     for i in range(len(solutions)):
-        orbits.setdefault(find(i), []).append(i)
+        orbits.setdefault(sets.find(i), []).append(i)
     out = []
     for members in orbits.values():
         rep = min(members, key=lambda i: solutions[i].tensor_key())
@@ -234,14 +242,10 @@ def reduce_orbits(solutions, family, sampling=200, seed=0):
 # instances and the certificate route planner
 
 
-def _fmt_value(v):
-    return str(v)
-
-
 def _instance_ident(row_id, bindings):
     if not bindings:
         return row_id
-    inner = ",".join("%s=%s" % (k, _fmt_value(v))
+    inner = ",".join("%s=%s" % (k, v)
                      for k, v in sorted(bindings.items()))
     return "%s[%s]" % (row_id, inner)
 
@@ -273,13 +277,9 @@ def make_instances(specs):
             raise UnknownId(row_id)
         entry = cat.triples[row_id]
         ctx = entry.ctx
-        finite = [n for n in ctx.params if ctx.domains[n].is_finite
-                  and n not in bindings]
-        branches = [{}]
-        for name in finite:
-            branches = [dict(b, **{name: v}) for b in branches
-                        for v in ctx.domains[name].values]
-        for extra in branches:
+        for extra in finite_branches(ctx, [n for n in ctx.params
+                                           if ctx.domains[n].is_finite
+                                           and n not in bindings]):
             full = dict(bindings)
             full.update(extra)
             out.append(Instance(row_id, full, entry))
@@ -349,10 +349,8 @@ class _Node:
 
 def _identity_cert(src_double, tgt_double):
     ctx = src_double.ctx
-    d = src_double.dim
-    one, zero = ctx.one(), ctx.zero()
-    C = [[one if i == j else zero for j in range(d)] for i in range(d)]
-    return IsoCertificate(ctx, C, src_double, tgt_double, note="id")
+    return IsoCertificate(ctx, s_identity(ctx, src_double.dim), src_double,
+                          tgt_double, note="id")
 
 
 def _lift_cert(cert, target_ctx):
@@ -362,10 +360,7 @@ def _lift_cert(cert, target_ctx):
     matrix = [[mapper(x) for x in row] for row in cert.matrix]
 
     def lift_double(dd):
-        t = dd.triple
-        S = t.S.map_scalars(target_ctx, mapper)
-        Sd = t.S_dual.map_scalars(target_ctx, mapper)
-        return build_double(ManinTriple(S, Sd, ident=t.id, label=t.label))
+        return build_double(dd.triple.map_scalars(target_ctx, mapper))
 
     return IsoCertificate(target_ctx, matrix, lift_double(cert.source),
                           lift_double(cert.target), note=cert.note)
@@ -471,11 +466,7 @@ def _try_cert_between(nx, ny):
                     missing = [p for p in entry.ctx.params if p not in assignment]
                     if any(not entry.ctx.domains[p].is_finite for p in missing):
                         continue
-                    fills = [{}]
-                    for p in missing:
-                        fills = [dict(f, **{p: v}) for f in fills
-                                 for v in entry.ctx.domains[p].values]
-                    for fill in fills:
+                    for fill in finite_branches(entry.ctx, missing):
                         full = dict(assignment)
                         full.update(fill)
                         try:
@@ -525,12 +516,6 @@ class ClassificationReport:
         self.edges = edges            # (i, j, certificate)
         self.separations = separations  # (i, j, kind, detail)
         self.budget = budget
-
-    def group_of(self, idx):
-        for g, members in enumerate(self.groups):
-            if idx in members:
-                return g
-        raise ValueError(idx)
 
     def partition_idents(self):
         return sorted(tuple(sorted(self.instances[i].ident for i in g))
@@ -587,16 +572,8 @@ def classify_doubles(instance_specs, budget=DEFAULT_SEARCH_BUDGET, seed=0,
             raise ConstraintViolation("instance %s fails compatibility" % inst.ident)
 
     n = len(instances)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[max(find(i), find(j))] = min(find(i), find(j))
+    sets = _UnionFind(n)
+    find, union = sets.find, sets.union
 
     buckets = {}
     for i, inst in enumerate(instances):
@@ -997,26 +974,17 @@ def report(target, bindings=None, budget=DEFAULT_SEARCH_BUDGET, seed=0):
 def _scaling_triple_cert(triple, seed_name, d_squared):
     """Certificate induced by the seed automorphism diag-family member whose
     square is d_squared; works over Q(sqrt(d_squared)) when needed."""
-    from .iso import from_automorphism
     ctx = triple.ctx
     if d_squared <= 0:
         return None
-    from math import isqrt
-    root = None
-    num, den = d_squared.numerator, d_squared.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        root = Fraction(rn, rd)
+    root = exact_sqrt(d_squared)
     if root is not None:
         lift_ctx = ctx
         d = lift_ctx.const(root)
         t_lift = triple
     else:
         lift_ctx = ParamContext([], radicals=[("sq", {(): Fraction(d_squared)})])
-        mapper = ctx.bind_scalars(lift_ctx, {})
-        t_lift = ManinTriple(triple.S.map_scalars(lift_ctx, mapper),
-                             triple.S_dual.map_scalars(lift_ctx, mapper),
-                             ident=triple.id)
+        t_lift = _lift_triple(triple, lift_ctx)
         d = lift_ctx.radical()
     one, zero = lift_ctx.one(), lift_ctx.zero()
     dsq = lift_ctx.const(d_squared)
@@ -1038,8 +1006,6 @@ def match_22(seed_name, dual):
     Positive scalings that are not rational squares are certified in the
     quadratic extension.
     """
-    from .iso import verify_certificate as _vc
-    from .triples import t_dual as _td
     cat = get_catalog()
     ctx = dual.ctx
     seed = cat.algebras[seed_name].algebra
@@ -1051,7 +1017,6 @@ def match_22(seed_name, dual):
 
     def finish(label, target_triple, d_squared):
         if d_squared == 1:
-            from .iso import IsoCertificate
             src = build_double(triple)
             tgt = build_double(target_triple)
             if not triple.tensor_equal(target_triple):
@@ -1061,29 +1026,26 @@ def match_22(seed_name, dual):
         if cert is None:
             return None
         if not cert.target.triple.S_dual.tensor_equal(
-                _match_lift(target_triple, cert.ctx).S_dual):
+                _lift_triple(target_triple, cert.ctx).S_dual):
             return None
-        ok, _ = _vc(cert)
+        ok, _ = verify_certificate(cert)
         return (label, cert) if ok else None
 
     if seed_name == "A11":
         if s_val == 0 and t_val == 0:
-            return finish("MT22_1", catalog_triple_local("MT22_1"), Fraction(1))
+            return finish("MT22_1", catalog_triple("MT22_1"), Fraction(1))
         if t_val == 0 and s_val != 0:
             # (A|S~) = T-dual of row 3, up to a rational rescaling s -> 1
-            target = _td(catalog_triple_local("MT22_3"))
-            A_ctx = ctx
-            a = A_ctx.const(s_val)
-            one, zero = A_ctx.one(), A_ctx.zero()
-            from .iso import from_automorphism
+            target = t_dual(catalog_triple("MT22_3"))
+            a = ctx.const(s_val)
+            one, zero = ctx.one(), ctx.zero()
             cert = from_automorphism([[a, zero], [zero, one]], triple)
             if cert.target.triple.S_dual.tensor_equal(target.S_dual):
                 return "Tdual(MT22_3)", cert
             return None
         if s_val == 0 and t_val != 0:
             # (A|N~) = T-dual of row 2; a and d rescale t arbitrarily
-            target = _td(catalog_triple_local("MT22_2"))
-            from .iso import from_automorphism
+            target = t_dual(catalog_triple("MT22_2"))
             a = ctx.const(Fraction(1) / t_val)
             one, zero = ctx.one(), ctx.zero()
             cert = from_automorphism([[a, zero], [zero, one]], triple)
@@ -1094,21 +1056,21 @@ def match_22(seed_name, dual):
         if s_val != 0:
             return None
         if t_val == 0:
-            return finish("MT22_3", catalog_triple_local("MT22_3"), Fraction(1))
+            return finish("MT22_3", catalog_triple("MT22_3"), Fraction(1))
         if t_val > 0:
             return finish("MT22_4[eps=1]",
-                          catalog_triple_local("MT22_4", {"eps": 1}), t_val)
-        return finish("MT22_5", catalog_triple_local("MT22_5"), -t_val)
+                          catalog_triple("MT22_4", {"eps": 1}), t_val)
+        return finish("MT22_5", catalog_triple("MT22_5"), -t_val)
     if seed_name == "N11":
         if t_val != 0:
             return None
         if s_val == 0:
-            return finish("MT22_2", catalog_triple_local("MT22_2"), Fraction(1))
+            return finish("MT22_2", catalog_triple("MT22_2"), Fraction(1))
         if s_val > 0:
             return finish("Tdual(MT22_4[eps=1])",
-                          _td(catalog_triple_local("MT22_4", {"eps": 1})), s_val)
+                          t_dual(catalog_triple("MT22_4", {"eps": 1})), s_val)
         # T-dual of row 5 normalized to the N11 seed (b -> -b)
-        target = _td(catalog_triple_local("MT22_5"))
+        target = t_dual(catalog_triple("MT22_5"))
         mone, one, zero = ctx.const(-1), ctx.one(), ctx.zero()
         norm = [[mone, zero], [zero, one]]
         S_norm = target.S.transport(norm)
@@ -1118,16 +1080,8 @@ def match_22(seed_name, dual):
     return None
 
 
-def catalog_triple_local(ident, bindings=None):
-    from .catalog import catalog_triple as _ct
-    t = _ct(ident, bindings)
-    return t
-
-
-def _match_lift(triple, target_ctx):
+def _lift_triple(triple, target_ctx):
+    """The triple over target_ctx, each parameter kept by name."""
     if triple.ctx == target_ctx:
         return triple
-    mapper = triple.ctx.bind_scalars(target_ctx, {})
-    return ManinTriple(triple.S.map_scalars(target_ctx, mapper),
-                       triple.S_dual.map_scalars(target_ctx, mapper),
-                       ident=triple.id)
+    return triple.map_scalars(target_ctx, triple.ctx.bind_scalars(target_ctx, {}))

@@ -30,18 +30,22 @@ EXIT_CONSTRAINT = 3
 EXIT_BUDGET = 4
 
 
+def _rational(flag, text):
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ConstraintViolation("%s: %r is not an exact rational"
+                                  % (flag, text.strip()))
+
+
 def _parse_bindings(pairs):
     out = {}
     for item in pairs or ():
         if "=" not in item:
             raise ConstraintViolation("--bind expects name=value, got %r" % item)
         name, _, value = item.partition("=")
-        try:
-            parsed = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ConstraintViolation("--bind %s: %r is not an exact rational"
-                                      % (name.strip(), value.strip()))
-        out.setdefault(name.strip(), []).append(parsed)
+        out.setdefault(name.strip(), []).append(
+            _rational("--bind " + name.strip(), value))
     return out
 
 
@@ -88,8 +92,13 @@ def cmd_check(args):
                   % ("PASS" if not ad else "FAIL", len(ad)))
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.file:
-        with open(args.file) as fh:
-            text = fh.read()
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ParseError("cannot read %s: %s" % (args.file, exc.strerror))
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s is not UTF-8 text: %s" % (args.file, exc.reason))
         decls = parse_catalog(text)
         from .catalog import AlgebraEntry, TripleEntry, get_catalog
         from .parsing import AlgebraDecl, TripleDecl
@@ -168,7 +177,7 @@ def cmd_solve_r(args):
     H = odd_action_matrices(seed)[0]
     ctx = seed.ctx
     if args.g:
-        vals = [Fraction(x) for x in args.g.split(",")]
+        vals = [_rational("--g", x) for x in args.g.split(",")]
         if len(vals) != 3:
             raise ConstraintViolation("--g expects alpha,beta,gamma")
         a, b, c = (ctx.const(v) for v in vals)

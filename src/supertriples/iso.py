@@ -16,11 +16,12 @@ import itertools
 import random
 from fractions import Fraction
 
-from .algebra import automorphism_residuals, commutant_series
+from .algebra import (_bracket_residuals, _branch_failures,
+                      automorphism_residuals, commutant_series)
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from .forms import canonical_form
-from .matrices import (f_matmul, f_transpose, s_identity, s_inv, s_matmul,
-                       s_transpose)
+from .matrices import (dual_blockdiag, f_matmul, inv, rref, s_identity,
+                       s_matmul, transpose)
 from .triples import ManinTriple, build_double
 
 __all__ = ["IsoCertificate", "RSolution", "NoSolution", "Exhausted",
@@ -60,9 +61,6 @@ class IsoCertificate:
         ok, _ = verify_certificate(self)
         return ok
 
-    def residuals(self):
-        return verify_certificate(self)[1]
-
     def compose(self, first):
         """self o first: first maps D->D', self maps D'->D''."""
         if first.target.dim != self.source.dim:
@@ -72,7 +70,7 @@ class IsoCertificate:
                               note=_join_notes(self.note, first.note))
 
     def invert(self):
-        return IsoCertificate(self.ctx, s_inv(self.matrix), self.target,
+        return IsoCertificate(self.ctx, inv(self.matrix), self.target,
                               self.source,
                               note=None if self.note is None else "inv(%s)" % self.note)
 
@@ -98,7 +96,6 @@ def _join_notes(a, b):
 
 def verify_certificate(cert):
     """Both transport conditions with residual report; sign branches split."""
-    from .algebra import _branch_failures
     C = cert.matrix
     src, tgt = cert.source, cert.target
     d = src.dim
@@ -130,27 +127,8 @@ def verify_certificate(cert):
                 residuals.append(("form", (a, b), acc))
 
     # (ii) C C F = F' C
-    lhs = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for (p, q, r, c) in src.nonzero():
-        for a in range(d):
-            cap = C[a][p]
-            if cap.is_zero():
-                continue
-            base = cap * c
-            for b in range(d):
-                if not C[b][q].is_zero():
-                    lhs[a][b][r] = lhs[a][b][r] + base * C[b][q]
-    rhs = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for (a, b, k, c) in tgt.nonzero():
-        for r in range(d):
-            if not C[k][r].is_zero():
-                rhs[a][b][r] = rhs[a][b][r] + c * C[k][r]
-    for a in range(d):
-        for b in range(d):
-            for r in range(d):
-                res = lhs[a][b][r] - rhs[a][b][r]
-                if not res.is_zero():
-                    residuals.append(("bracket", (a, b, r), res))
+    residuals.extend(("bracket", key, res)
+                     for key, res in _bracket_residuals(C, src, tgt))
 
     failing = _branch_failures(cert.ctx, residuals)
     return (not failing), failing
@@ -181,22 +159,13 @@ def from_automorphism(A_inst, triple):
     if bad:
         raise NotAutomorphism("matrix does not preserve the structure tensor: %s"
                               % bad[:3])
-    h = triple.S.dim
-    ctx = triple.ctx
-    Ainv_t = s_transpose(s_inv(A_inst))
-    zero = ctx.zero()
-    d = 2 * h
-    C = [[zero for _ in range(d)] for _ in range(d)]
-    for i in range(h):
-        for j in range(h):
-            C[i][j] = A_inst[i][j]
-            C[h + i][h + j] = Ainv_t[i][j]
+    C = dual_blockdiag(A_inst)
     new_dual = triple.S_dual.transport_dual(A_inst)
     target = ManinTriple(triple.S, new_dual,
                          ident=None if triple.id is None else triple.id + "'",
                          label=triple.label)
-    return IsoCertificate(ctx, C, build_double(triple), build_double(target),
-                          note="auto")
+    return IsoCertificate(triple.ctx, C, build_double(triple),
+                          build_double(target), note="auto")
 
 
 # ---------------------------------------------------------------------------
@@ -264,57 +233,32 @@ def solve_shear(H_list, G_list):
     """Joint version over several boson directions: find symmetric R with
     R H_i + (R H_i)^T = G_i for every i.  Returns R or NoSolution."""
     n = len(H_list[0])
-    ctx = H_list[0][0][0].ctx
-    zero = ctx.zero()
+    zero = H_list[0][0][0].ctx.zero()
     unknowns = [(j, k) for j in range(n) for k in range(j, n)]
-    cols = list(reversed(range(len(unknowns))))  # scan order
     pos = {jk: idx for idx, jk in enumerate(unknowns)}
 
     rows = []
-    rhs = []
     for H, G in zip(H_list, G_list):
         for j in range(n):
             for k in range(j, n):
-                coeff = [zero] * len(unknowns)
-                # sum_l R^{jl} H_l^k + R^{kl} H_l^j
+                coeff = [zero] * (len(unknowns) + 1)
+                # sum_l R^{jl} H_l^k + R^{kl} H_l^j, then the right-hand side
                 for l in range(n):
                     a, b = min(j, l), max(j, l)
                     coeff[pos[(a, b)]] = coeff[pos[(a, b)]] + H[l][k]
                     a, b = min(k, l), max(k, l)
                     coeff[pos[(a, b)]] = coeff[pos[(a, b)]] + H[l][j]
+                coeff[-1] = G[j][k]
                 rows.append(coeff)
-                rhs.append(G[j][k])
 
-    # Gaussian elimination over the scalar field
-    r = 0
-    pivots = []
-    for c in cols:
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, len(rows)):
-        if all(x.is_zero() for x in rows[i]) and not rhs[i].is_zero():
-            return NoSolution(_monic(rhs[i]))
+    rows, pivots = rref(rows, reversed(range(len(unknowns))))
+    for row in rows[len(pivots):]:
+        if row[-1]:
+            return NoSolution(_monic(row[-1]))
 
     values = [zero] * len(unknowns)
-    for row_idx, c in pivots:
-        values[c] = rhs[row_idx]
+    for row, c in zip(rows, pivots):
+        values[c] = row[-1]
     R = [[zero for _ in range(n)] for _ in range(n)]
     for (j, k), idx in pos.items():
         R[j][k] = values[idx]
@@ -380,7 +324,6 @@ def _shear_to_certificate(R, src_triple, tgt_triple):
     h = m + n
     d = 2 * h
     C = s_identity(ctx, d)
-    C = [list(row) for row in C]
     for a in range(n):
         for b in range(n):
             C[h + m + a][m + b] = R[a][b]
@@ -446,7 +389,7 @@ def _numeric_tensor(double):
 def _cert_holds_numeric(C, Bmat, src_nz, tgt_nz, d):
     # condition (i)
     CB = f_matmul(C, Bmat)
-    CBCt = f_matmul(CB, f_transpose(C))
+    CBCt = f_matmul(CB, transpose(C))
     if CBCt != Bmat:
         return False
     # condition (ii)
@@ -550,8 +493,7 @@ def _even_grid(parity, d, grid):
                 yield C
 
 
-def _auto_candidates(families, rng, count, h, d):
-    from .matrices import f_inv
+def _auto_candidates(families, rng, count):
     for fam in families or ():
         for branch in fam:
             for _ in range(count):
@@ -563,14 +505,9 @@ def _auto_candidates(families, rng, count, h, d):
                     continue
                 A = [[x.as_fraction() for x in row] for row in mat]
                 try:
-                    Ainv_t = f_transpose(f_inv(A))
-                except Exception:
+                    C = dual_blockdiag(A)
+                except DimensionMismatch:
                     continue
-                C = [[Fraction(0)] * d for _ in range(d)]
-                for i in range(h):
-                    for j in range(h):
-                        C[i][j] = A[i][j]
-                        C[h + i][h + j] = Ainv_t[i][j]
                 yield C
 
 
@@ -615,7 +552,7 @@ def search_iso(src, tgt, strategy="auto", budget=4000, grid=DEFAULT_GRID,
             yield "duality", _partial_dualities(m, n, h, d, (1, -1))
             yield "shear", _shear_matrices(m, n, h, d, grid, lower=True)
             yield "shear_up", _shear_matrices(m, n, h, d, grid, lower=False)
-            yield "autos", _auto_candidates(auto_families, rng, 12, h, d)
+            yield "autos", _auto_candidates(auto_families, rng, 12)
 
             def composed():
                 duals = list(_partial_dualities(m, n, h, d, (1, -1)))
@@ -623,7 +560,7 @@ def search_iso(src, tgt, strategy="auto", budget=4000, grid=DEFAULT_GRID,
                     _shear_matrices(m, n, h, d, (Fraction(1), Fraction(-1),
                                                  Fraction(1, 2), Fraction(-1, 2), Fraction(0)),
                                     lower=True))
-                autos = list(_auto_candidates(auto_families, rng, 4, h, d))
+                autos = list(_auto_candidates(auto_families, rng, 4))
                 for Dm in duals:
                     for S in shears:
                         yield f_matmul(Dm, S)
@@ -636,7 +573,6 @@ def search_iso(src, tgt, strategy="auto", budget=4000, grid=DEFAULT_GRID,
             def seeded():
                 # P-block seeds solving condition (i) by construction:
                 # C = blockdiag(P,(P^-1)^T) . unit shear
-                from .matrices import f_inv
                 diag_seeds = []
                 for combo in itertools.product((1, -1, 2, Fraction(1, 2)), repeat=h):
                     P = [[Fraction(0)] * h for _ in range(h)]
@@ -646,12 +582,7 @@ def search_iso(src, tgt, strategy="auto", budget=4000, grid=DEFAULT_GRID,
                 shears = [identity] + list(
                     _shear_matrices(m, n, h, d, grid, lower=True))
                 for P in diag_seeds:
-                    Pit = f_transpose(f_inv(P))
-                    C0 = [[Fraction(0)] * d for _ in range(d)]
-                    for i in range(h):
-                        for j in range(h):
-                            C0[i][j] = P[i][j]
-                            C0[h + i][h + j] = Pit[i][j]
+                    C0 = dual_blockdiag(P)
                     for S in shears:
                         yield f_matmul(C0, S)
             yield "seeded", seeded()

@@ -1,4 +1,13 @@
-"""Small exact linear algebra helpers, over Fractions and over Scalars."""
+"""Small exact linear algebra over Fractions and over Scalars.
+
+Matrices are lists of rows.  ``rref``, ``inv``, ``transpose`` and
+``dual_blockdiag`` serve both entry types: zero tests go by truthiness and
+each pivot costs one reciprocal ``1 / pivot`` (a single ``Scalar.inv`` for
+Scalars).  ``rref`` is the only elimination loop; ``inv``, ``f_solve``, the
+commutant spans and the shear solver all run through it.  The ``f_`` and
+``s_`` routines take one entry type; ``f_matmul`` is the inner loop of the
+certificate search.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +16,72 @@ from fractions import Fraction
 from .errors import DimensionMismatch
 from .scalars import Scalar
 
+
+def _zero_one(x):
+    """The zero and the one of the entry type of x."""
+    if isinstance(x, Scalar):
+        return x.ctx.zero(), x.ctx.one()
+    return Fraction(0), Fraction(1)
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def rref(rows, cols=None):
+    """Gauss-Jordan elimination over the columns in `cols` (all columns, left
+    to right, by default), taken in that order.
+
+    Returns (all reduced rows, pivot columns); row i < len(pivots) carries the
+    pivot of column pivots[i], and the rows after them vanish on every scanned
+    column.
+    """
+    rows = [list(r) for r in rows]
+    if cols is None:
+        cols = range(len(rows[0]) if rows else 0)
+    pivots = []
+    r = 0
+    for c in cols:
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = 1 / rows[r][c]
+        rows[r] = [x * scale for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def inv(a):
+    """Inverse by rref of [A | I]; DimensionMismatch when A is singular."""
+    d = len(a)
+    zero, one = _zero_one(a[0][0])
+    rows, pivots = rref([list(a[i]) + [one if i == j else zero for j in range(d)]
+                         for i in range(d)], range(d))
+    if len(pivots) < d:
+        raise DimensionMismatch("singular matrix")
+    return [row[d:] for row in rows]
+
+
+def dual_blockdiag(a):
+    """blockdiag(A, (A^{-1})^T): A on one half of a double, extended so that
+    the canonical pairing is preserved.  DimensionMismatch when A is singular."""
+    h = len(a)
+    zero, _ = _zero_one(a[0][0])
+    ait = transpose(inv(a))
+    return ([list(a[i]) + [zero] * h for i in range(h)]
+            + [[zero] * h + ait[i] for i in range(h)])
+
+
 # ---------------------------------------------------------------------------
-# Fraction matrices (lists of lists)
-
-
-def f_identity(d):
-    return [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+# Fraction matrices
 
 
 def f_matmul(a, b):
@@ -34,88 +103,26 @@ def f_matmul(a, b):
     return out
 
 
-def f_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def f_rref(rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def f_rank(rows):
-    return len(f_rref(rows)[0])
-
-
-def f_inv(a):
-    d = len(a)
-    aug = [list(a[i]) + [Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    r = 0
-    for c in range(d):
-        pivot = None
-        for i in range(r, d):
-            if aug[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            raise DimensionMismatch("singular matrix")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(d):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return [row[d:] for row in aug]
-
-
 def f_solve(a, b):
     """Solve a x = b exactly; returns (particular solution, nullspace basis)
     or None when inconsistent.  a: list of rows, b: list of Fractions."""
     n = len(a)
     m = len(a[0]) if a else 0
-    aug = [list(a[i]) + [b[i]] for i in range(n)]
-    rows, pivots = f_rref(aug)
-    for row in rows:
-        if all(x == 0 for x in row[:m]) and row[m]:
-            return None
+    rows, pivots = rref([list(a[i]) + [b[i]] for i in range(n)])
+    rows = rows[:len(pivots)]
+    if m in pivots:
+        return None
     sol = [Fraction(0)] * m
-    pivot_cols = [c for c in pivots if c < m]
     for row, c in zip(rows, pivots):
-        if c < m:
-            sol[c] = row[m]
-    free_cols = [c for c in range(m) if c not in pivot_cols]
+        sol[c] = row[m]
     null = []
-    for fc in free_cols:
+    for fc in range(m):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * m
         vec[fc] = Fraction(1)
         for row, c in zip(rows, pivots):
-            if c < m:
-                vec[c] = -row[fc]
+            vec[c] = -row[fc]
         null.append(vec)
     return sol, null
 
@@ -127,11 +134,6 @@ def f_solve(a, b):
 def s_identity(ctx, d):
     one, zero = ctx.one(), ctx.zero()
     return [[one if i == j else zero for j in range(d)] for i in range(d)]
-
-
-def s_zero_matrix(ctx, rows, cols):
-    zero = ctx.zero()
-    return [[zero] * cols for _ in range(rows)]
 
 
 def s_matmul(a, b):
@@ -153,54 +155,3 @@ def s_matmul(a, b):
             row.append(acc if acc is not None else a[0][0].ctx.zero())
         out.append(row)
     return out
-
-
-def s_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def s_inv(a):
-    """Gauss-Jordan inverse over the scalar field."""
-    d = len(a)
-    ctx = a[0][0].ctx
-    aug = [list(a[i]) + list(s_identity(ctx, d)[i]) for i in range(d)]
-    r = 0
-    for c in range(d):
-        pivot = None
-        for i in range(r, d):
-            if not aug[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            raise DimensionMismatch("singular scalar matrix")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c].inv()
-        aug[r] = [x * pv for x in aug[r]]
-        for i in range(d):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return [row[d:] for row in aug]
-
-
-def s_map(a, fn):
-    return [[fn(x) for x in row] for row in a]
-
-
-def s_to_fractions(a):
-    return [[x.as_fraction() for x in row] for row in a]
-
-
-def s_from_fractions(ctx, a):
-    return [[ctx.const(x) for x in row] for row in a]
-
-
-def s_equal(a, b):
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        return False
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if not (x - y).is_zero():
-                return False
-    return True

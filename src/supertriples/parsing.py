@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .scalars import Domain, ParamContext, Scalar
+from .scalars import Domain, ParamContext, Scalar, exact_sqrt
 
 __all__ = ["parse_scalar", "parse_catalog", "Tokenizer"]
 
@@ -226,22 +226,11 @@ def eval_ast(ast, ctx, env=None):
             if (r * r - inner).is_zero():
                 return r
         if inner.is_constant():
-            v = inner.as_fraction()
-            num, den = v.numerator, v.denominator
-            rn = _isqrt_exact(num)
-            rd = _isqrt_exact(den)
-            if rn is not None and rd is not None:
-                return ctx.const(Fraction(rn, rd))
+            root = exact_sqrt(inner.as_fraction())
+            if root is not None:
+                return ctx.const(root)
         raise ParseError("sqrt(%s) does not match the context radical" % inner)
     raise ParseError("bad expression node %r" % (kind,))
-
-
-def _isqrt_exact(k):
-    if k < 0:
-        return None
-    from math import isqrt
-    r = isqrt(k)
-    return r if r * r == k else None
 
 
 def parse_scalar(ctx, text):

@@ -13,9 +13,9 @@ in declaration order) to nonzero Fractions.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import gcd as _igcd
+from math import isqrt
 
 from .errors import ConstraintViolation, DivisionByZero, InconsistentRadical, UnknownName
 
@@ -24,10 +24,6 @@ __all__ = ["Domain", "ParamContext", "Scalar", "arith", "is_zero", "substitute"]
 
 # ---------------------------------------------------------------------------
 # polynomial layer: dict[exponent tuple -> Fraction]
-
-def _p_zero():
-    return {}
-
 
 def _p_const(c, nv):
     c = Fraction(c)
@@ -91,12 +87,6 @@ def _p_mul(f, g):
                 else:
                     del out[m]
     return out
-
-
-def _p_nvars(f):
-    for m in f:
-        return len(m)
-    return 0  # zero polynomial carries no shape; callers pass nv explicitly
 
 
 def _p_is_const(f):
@@ -359,14 +349,6 @@ def _rf_mul(a, b, nv):
     return _rf_make(_p_mul(an, bn), _p_mul(ad, bd), nv)
 
 
-def _rf_div(a, b, nv):
-    bn, bd = b
-    if not bn:
-        raise DivisionByZero("division by zero scalar")
-    an, ad = a
-    return _rf_make(_p_mul(an, bd), _p_mul(ad, bn), nv)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -553,12 +535,6 @@ class ParamContext:
         return Scalar(self, ({}, _p_const(1, nv)),
                       (_p_const(1, nv), _p_const(1, nv)))
 
-    def names(self):
-        out = list(self.params)
-        if self.radical_name:
-            out.append(self.radical_name)
-        return out
-
     def parse(self, text):
         from .parsing import parse_scalar
         return parse_scalar(self, text)
@@ -593,26 +569,8 @@ class ParamContext:
     def sign_branches(self):
         """All assignments of the finite-domain parameters (each branch is a
         {name: Fraction} map; a single empty branch when there are none)."""
-        finite = [n for n in self.params if self.domains[n].is_finite]
-        branches = [{}]
-        for name in finite:
-            new = []
-            for values in branches:
-                for v in self.domains[name].values:
-                    b = dict(values)
-                    b[name] = v
-                    new.append(b)
-            branches = new
-        return branches
-
-    def sample_bindings(self, rng, include_finite=True):
-        out = {}
-        for name in self.params:
-            dom = self.domains[name]
-            if dom.is_finite and not include_finite:
-                continue
-            out[name] = dom.sample(rng)
-        return out
+        return finite_branches(self, [n for n in self.params
+                                      if self.domains[n].is_finite])
 
     # -- substitution -------------------------------------------------------
 
@@ -811,6 +769,8 @@ class Scalar:
         return self * other.inv()
 
     def __rtruediv__(self, other):
+        if type(other) is int and other == 1:
+            return self.inv()
         return self.inv() * other
 
     def inv(self):
@@ -920,9 +880,6 @@ class Scalar:
         return not self.is_zero()
 
 
-EMPTY_CONTEXT = ParamContext()
-
-
 # ---------------------------------------------------------------------------
 # spec surface helpers
 
@@ -942,6 +899,28 @@ def arith(a, b, op):
     if op == "inv":
         return a.inv()
     raise ValueError("unknown op %r" % op)
+
+
+def finite_branches(ctx, names):
+    """Every assignment of the finite-domain parameters `names` of ctx, as
+    {name: value} maps; the first name varies slowest."""
+    branches = [{}]
+    for name in names:
+        branches = [dict(b, **{name: v}) for b in branches
+                    for v in ctx.domains[name].values]
+    return branches
+
+
+def exact_sqrt(q):
+    """The nonnegative rational square root of q, or None when q is negative
+    or not the square of a rational."""
+    q = Fraction(q)
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
+        return None
+    return Fraction(rn, rd)
 
 
 def is_zero(s):

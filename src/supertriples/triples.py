@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .algebra import Grading, SuperAlgebra, check_jacobi
 from .errors import DimensionMismatch
-from .forms import canonical_form
 
 __all__ = ["ManinTriple", "DoubleAlgebra", "build_double",
            "check_compatibility", "t_dual"]
@@ -43,6 +42,12 @@ class ManinTriple:
                            self.S_dual.substitute(bindings, check_domains),
                            ident=self.id, label=self.label)
 
+    def map_scalars(self, new_ctx, fn):
+        """Both tensors with every scalar sent through fn into new_ctx."""
+        return ManinTriple(self.S.map_scalars(new_ctx, fn),
+                           self.S_dual.map_scalars(new_ctx, fn),
+                           ident=self.id, label=self.label)
+
     def tensor_equal(self, other):
         return (self.S.tensor_equal(other.S)
                 and self.S_dual.tensor_equal(other.S_dual))
@@ -62,13 +67,6 @@ class DoubleAlgebra(SuperAlgebra):
     def __init__(self, grading, ctx, F, parity, names, name, triple):
         super().__init__(grading, ctx, F, parity=parity, names=names, name=name)
         self.triple = triple
-
-    def half_grading(self):
-        return self.triple.grading
-
-    def canonical_b(self):
-        m, n = self.triple.superdim()
-        return canonical_form(m, n)
 
     def substitute(self, bindings, check_domains=True):
         return build_double(self.triple.substitute(bindings, check_domains))

@@ -161,7 +161,7 @@ def test_commutant_invariant_under_basis_change():
         lifted = [[D.ctx.const(x.as_fraction()) for x in row] for row in A]
         h = 3
         one, zero = D.ctx.one(), D.ctx.zero()
-        from supertriples.matrices import s_inv, s_transpose
+        from supertriples.matrices import inv as s_inv, transpose as s_transpose
         Ainv_t = s_transpose(s_inv(lifted))
         C = [[zero] * 6 for _ in range(6)]
         for i in range(3):

@@ -104,3 +104,23 @@ def test_catalog_search_path(tmp_path):
     assert r.returncode == 0
     r2 = run("check", "--algebra", "ZZ_test")
     assert r2.returncode == 3
+
+
+def _one_line_error(r, code):
+    assert r.returncode == code
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
+def test_check_file_unreadable_exits_parse(tmp_path):
+    _one_line_error(run("check", "--file", str(tmp_path / "missing.cat")), 2)
+    _one_line_error(run("check", "--file", str(tmp_path)), 2)
+    binary = tmp_path / "binary.cat"
+    binary.write_bytes(b"\xff\xfe algebra")
+    _one_line_error(run("check", "--file", str(binary)), 2)
+
+
+def test_solve_r_bad_g_exits_constraint():
+    _one_line_error(run("solve-r", "--algebra", "C2_p", "--g", "a,b,c"), 3)
+    _one_line_error(run("solve-r", "--algebra", "C2_p", "--g", "1,2,1/0"), 3)
+    _one_line_error(run("solve-r", "--algebra", "C2_p", "--g", "1,2"), 3)
