@@ -4,6 +4,11 @@ tensors, with axiom checks, automorphism families and commutant series.
 A superalgebra of superdimension (m, n) lives on the homogeneous basis
 b_1..b_m, f_1..f_n.  Doubles reuse the same class with the dual homogeneous
 layout (b, f, b~, f~); only the parity tuple matters to the checks.
+
+Every contraction of a structure tensor with a matrix (basis change, the
+automorphism and certificate conditions, the commutant series, and
+ad-invariance in ``forms``) runs through the two sparse kernels ``_pull``
+and ``_push``, for Fraction and Scalar entries alike.
 """
 
 from __future__ import annotations
@@ -133,29 +138,13 @@ class SuperAlgebra:
             self._nz = nz
         return self._nz
 
+    def numeric_nonzero(self):
+        """nonzero() with Fraction entries (numeric contexts)."""
+        return [(i, j, k, c.as_fraction()) for (i, j, k, c) in self.nonzero()]
+
     def bracket(self, i, j):
         return {k: self.F[i][j][k] for k in range(self.dim)
                 if not self.F[i][j][k].is_zero()}
-
-    def bracket_of_vectors(self, u, v):
-        """[u, v] for coefficient vectors over Fractions (numeric ctx)."""
-        d = self.dim
-        out = [Fraction(0)] * d
-        for a in range(d):
-            ca = u[a]
-            if not ca:
-                continue
-            Fa = self.F[a]
-            for b in range(d):
-                cb = v[b]
-                if not cb:
-                    continue
-                row = Fa[b]
-                for k in range(d):
-                    x = row[k]
-                    if not x.is_zero():
-                        out[k] += ca * cb * x.as_fraction()
-        return out
 
     def grading_violations(self):
         bad = []
@@ -239,24 +228,15 @@ class SuperAlgebra:
         return self._transport(transpose(inv(A)), transpose(A))
 
     def _transport(self, M, M_inv):
-        """F'_{IJ}^S = M_I^P M_J^Q F_{PQ}^R (M^{-1})_R^S."""
+        """F'_{IJ}^S = M_I^P M_J^Q F_{PQ}^R (M^{-1})_R^S: the pullback along M,
+        pushed forward along M^{-1}."""
         d = self.dim
         zero = self.ctx.zero()
-        out = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
-        for (p, q, r, c) in self.nonzero():
-            for i in range(d):
-                mip = M[i][p]
-                if mip.is_zero():
-                    continue
-                for j in range(d):
-                    mjq = M[j][q]
-                    if mjq.is_zero():
-                        continue
-                    base = mip * mjq * c
-                    for s in range(d):
-                        mrs = M_inv[r][s]
-                        if not mrs.is_zero():
-                            out[i][j][s] = out[i][j][s] + base * mrs
+        out = [[[zero] * d for _ in range(d)] for _ in range(d)]
+        pulled = _pull(self.nonzero(), M)
+        pushed = _push([key + (c,) for key, c in pulled.items() if c], M_inv)
+        for (i, j, s), c in pushed.items():
+            out[i][j][s] = c
         return self.copy_with(F=out)
 
     def tensor_equal(self, other):
@@ -332,43 +312,80 @@ def check_jacobi(algebra):
 
 
 def is_automorphism(A, algebra):
-    """A_I^P A_J^Q F_PQ^R == F_IJ^K A_K^R identically (branch-aware)."""
+    """A invertible and A_I^P A_J^Q F_PQ^R == F_IJ^K A_K^R identically
+    (branch-aware)."""
+    try:
+        inv(A)
+    except DimensionMismatch:
+        return False
     return not automorphism_residuals(A, algebra)
 
 
 def automorphism_residuals(A, algebra):
-    return _branch_failures(algebra.ctx, _bracket_residuals(A, algebra, algebra))
+    nz = algebra.nonzero()
+    return _branch_failures(algebra.ctx, _bracket_residuals(A, nz, nz))
 
 
-def _bracket_residuals(C, source, target):
+# ---------------------------------------------------------------------------
+# contraction kernels: each takes a nonzero list (p, q, r, T) with Fraction
+# or Scalar entries and returns {(a, b, r): value}; zero tests go by
+# truthiness and the first term of a key is stored, not added to a zero
+
+
+def _pull(nz, M):
+    """(a, b, r) -> M_a^p M_b^q T_pq^r, over the rows a, b of M."""
+    cols = {}
+    for a, row in enumerate(M):
+        for p, x in enumerate(row):
+            if x:
+                cols.setdefault(p, []).append((a, x))
+    out = {}
+    for (p, q, r, t) in nz:
+        col_q = cols.get(q)
+        if not col_q:
+            continue
+        for a, x in cols.get(p, ()):
+            base = x * t
+            for b, y in col_q:
+                key = (a, b, r)
+                term = base * y
+                out[key] = out[key] + term if key in out else term
+    return out
+
+
+def _push(nz, M):
+    """(a, b, s) -> T_ab^r M_r^s."""
+    out = {}
+    for (a, b, r, t) in nz:
+        for s, x in enumerate(M[r]):
+            if x:
+                key = (a, b, s)
+                term = t * x
+                out[key] = out[key] + term if key in out else term
+    return out
+
+
+def _difference(lhs, rhs):
+    """(key, lhs - rhs) for each nonvanishing entry, in key order."""
+    out = []
+    for key in sorted(lhs.keys() | rhs.keys()):
+        if key not in rhs:
+            res = lhs[key]
+        elif key not in lhs:
+            res = -rhs[key]
+        else:
+            res = lhs[key] - rhs[key]
+        if res:
+            out.append((key, res))
+    return out
+
+
+def _bracket_residuals(C, source_nz, target_nz):
     """((a, b, r), value) for each nonvanishing entry of
     C_a^p C_b^q F_pq^r - F'_ab^k C_k^r, with F the source tensor and F' the
-    target tensor; sign branches are not split here."""
-    d = source.dim
-    zero = source.ctx.zero()
-    lhs = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for (p, q, r, c) in source.nonzero():
-        for a in range(d):
-            cap = C[a][p]
-            if cap.is_zero():
-                continue
-            base = cap * c
-            for b in range(d):
-                if not C[b][q].is_zero():
-                    lhs[a][b][r] = lhs[a][b][r] + base * C[b][q]
-    rhs = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for (a, b, k, c) in target.nonzero():
-        for r in range(d):
-            if not C[k][r].is_zero():
-                rhs[a][b][r] = rhs[a][b][r] + c * C[k][r]
-    out = []
-    for a in range(d):
-        for b in range(d):
-            for r in range(d):
-                res = lhs[a][b][r] - rhs[a][b][r]
-                if not res.is_zero():
-                    out.append(((a, b, r), res))
-    return out
+    target tensor (given by their nonzero lists); sign branches are not
+    split here."""
+    return _difference(_pull(source_nz, C), _push(target_nz, C))
 
 
 class AutoBranch:
@@ -452,37 +469,26 @@ def commutant_series(algebra, bindings=None, depth=3):
         raise ConstraintViolation(
             "commutant series needs numeric bindings for %s" % (A.ctx.params,))
     d = A.dim
+    nz = A.numeric_nonzero()
+    # C1 brackets the identity rows, each later level its predecessor's basis
+    rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     par = A.parity
-
-    def span_basis(vectors):
-        rows, pivots = rref(vectors)
-        return rows[:len(pivots)]
-
-    def span_dims(vectors):
-        return (span_basis([v for p, v in vectors if p == 0]),
-                span_basis([v for p, v in vectors if p == 1]))
-
-    # C1 from basis brackets
-    vectors = []
-    for i in range(d):
-        for j in range(d):
-            br = A.bracket(i, j)
-            if br:
-                vec = [Fraction(0)] * d
-                for k, c in br.items():
-                    vec[k] = c.as_fraction()
-                vectors.append(((par[i] + par[j]) % 2, vec))
     dims = []
-    even, odd = span_dims(vectors)
-    dims.append((len(even), len(odd)))
-    for _ in range(depth - 1):
-        basis = [(0, v) for v in even] + [(1, v) for v in odd]
-        vectors = []
-        for pu, u in basis:
-            for pv, v in basis:
-                w = A.bracket_of_vectors(u, v)
-                if any(w):
-                    vectors.append(((pu + pv) % 2, w))
-        even, odd = span_dims(vectors)
+    for _ in range(depth):
+        vectors = {}
+        for (a, b, r), x in _pull(nz, rows).items():
+            if x:
+                vectors.setdefault((a, b), [Fraction(0)] * d)[r] = x
+        even = _span_basis([v for (a, b), v in vectors.items()
+                            if (par[a] + par[b]) % 2 == 0])
+        odd = _span_basis([v for (a, b), v in vectors.items()
+                           if (par[a] + par[b]) % 2])
         dims.append((len(even), len(odd)))
+        rows = even + odd
+        par = (0,) * len(even) + (1,) * len(odd)
     return CommutantFingerprint(dims)
+
+
+def _span_basis(vectors):
+    rows, pivots = rref(vectors)
+    return rows[:len(pivots)]

@@ -99,7 +99,7 @@ class TripleEntry:
         if side[0] == "ref":
             _, aname, bexprs = side
             if aname not in algebras:
-                raise UnknownName(aname)
+                raise UnknownName("unknown algebra %s" % aname)
             entry = algebras[aname]
             if entry.grading != self.grading:
                 raise ConstraintViolation("side %s has wrong superdimension" % aname)
@@ -202,22 +202,23 @@ class Catalog:
 _CATALOG = None
 
 
+def read_catalog_file(path):
+    """The text of one catalog file, read as UTF-8; ParseError naming the
+    file when it cannot be read or decoded."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError("cannot read %s: %s" % (path, exc.strerror))
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, exc.reason))
+
+
 def _catalog_texts():
-    texts = []
-    names = sorted(os.listdir(DATA_DIR))
-    for fn in names:
-        if fn.endswith(".cat"):
-            with open(os.path.join(DATA_DIR, fn), "r") as fh:
-                texts.append(fh.read())
-    extra = os.environ.get(ENV_PATH, "")
-    for d in filter(None, extra.split(os.pathsep)):
-        if not os.path.isdir(d):
-            continue
-        for fn in sorted(os.listdir(d)):
-            if fn.endswith(".cat"):
-                with open(os.path.join(d, fn), "r") as fh:
-                    texts.append(fh.read())
-    return texts
+    dirs = [DATA_DIR] + [d for d in os.environ.get(ENV_PATH, "").split(os.pathsep)
+                         if d and os.path.isdir(d)]
+    return [read_catalog_file(os.path.join(d, fn))
+            for d in dirs for fn in sorted(os.listdir(d)) if fn.endswith(".cat")]
 
 
 def get_catalog(refresh=False):
@@ -231,7 +232,7 @@ def catalog(name, bindings=None):
     """A catalog superalgebra, optionally at parameter bindings."""
     cat = get_catalog()
     if name not in cat.algebras:
-        raise UnknownName(name)
+        raise UnknownName("unknown algebra %s" % name)
     alg = cat.algebras[name].algebra
     if bindings:
         alg = alg.substitute(bindings)
@@ -241,21 +242,21 @@ def catalog(name, bindings=None):
 def automorphisms(name):
     cat = get_catalog()
     if name not in cat.algebras:
-        raise UnknownName(name)
+        raise UnknownName("unknown algebra %s" % name)
     return cat.algebras[name].automorphisms()
 
 
 def catalog_triple(ident, bindings=None):
     cat = get_catalog()
     if ident not in cat.triples:
-        raise UnknownId(ident)
+        raise UnknownId("unknown triple %s" % ident)
     return cat.triples[ident].build(bindings)
 
 
 def appendix_certificate(pair_id, bindings=None):
     cat = get_catalog()
     if pair_id not in cat.certs:
-        raise UnknownId(pair_id)
+        raise UnknownId("unknown certificate %s" % pair_id)
     return cat.certs[pair_id].build(bindings)
 
 

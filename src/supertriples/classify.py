@@ -219,9 +219,9 @@ def reduce_orbits(solutions, family, sampling=200, seed=0):
                 continue
             matrices.append(mat)
 
-    for i, sol in enumerate(solutions):
-        for mat in matrices:
-            lifted = [[ctx.const(x.as_fraction()) for x in row] for row in mat]
+    for mat in matrices:
+        lifted = [[ctx.const(x.as_fraction()) for x in row] for row in mat]
+        for i, sol in enumerate(solutions):
             moved = sol.transport_dual(lifted)
             j = index.get(moved.tensor_key())
             if j is not None:
@@ -274,7 +274,7 @@ def make_instances(specs):
     out = []
     for row_id, bindings in specs:
         if row_id not in cat.triples:
-            raise UnknownId(row_id)
+            raise UnknownId("unknown triple %s" % row_id)
         entry = cat.triples[row_id]
         ctx = entry.ctx
         for extra in finite_branches(ctx, [n for n in ctx.params
@@ -687,7 +687,7 @@ def _table5_expected(row_id, bindings):
         return (5, 3, 0), None
     if r == 14:
         return (5, 5, 5), None
-    raise UnknownId(row_id)
+    raise UnknownId("no expected class for row %s" % row_id)
 
 
 def _thm2_expected(row_id, bindings):
@@ -711,7 +711,7 @@ def _thm2_expected(row_id, bindings):
         return "VII"
     if r == 14:
         return "VIII_kappa=%s" % bindings["kappa"]
-    raise UnknownId(row_id)
+    raise UnknownId("no expected class for row %s" % row_id)
 
 
 def _thm3_expected(row_id, bindings, g):
@@ -741,7 +741,7 @@ def _thm3_expected(row_id, bindings, g):
         return "V_p=%s" % bindings["p"]
     if r in (30, 31):
         return "VIII" if a + c != 0 else "V_0"
-    raise UnknownId(row_id)
+    raise UnknownId("no expected class for row %s" % row_id)
 
 
 def _symbolic_row_suite(target, table):
@@ -897,21 +897,17 @@ def _report_thm3(bindings, budget, seed):
 
     # parameter spot checks: dual-family members at sampled (alpha,beta,gamma)
     fam_checks = [
-        ("FAM24_C21_G", {}, lambda a, b, c: "II_1", ("MT24_9", {})),
-        ("FAM24_C4_G", {}, lambda a, b, c: "IV", ("MT24_23", {})),
-        ("FAM24_C2p_G", {"p": p0}, lambda a, b, c: "II_p=%s" % abs(p0),
-         ("MT24_4", {"p": p0})),
-        ("FAM24_C5p_G", {"p": p0}, lambda a, b, c: "V_p=%s" % p0,
-         ("MT24_27", {"p": p0})),
-        ("FAM24_C20_G", {}, lambda a, b, c: "VI" if c else "II_0",
-         None),
-        ("FAM24_C3_G", {}, lambda a, b, c: "VII" if c else "III", None),
-        ("FAM24_C50_G", {}, lambda a, b, c: "V_0" if a + c == 0 else "VIII",
-         None),
+        ("FAM24_C21_G", {}, lambda a, b, c: "II_1"),
+        ("FAM24_C4_G", {}, lambda a, b, c: "IV"),
+        ("FAM24_C2p_G", {"p": p0}, lambda a, b, c: "II_p=%s" % abs(p0)),
+        ("FAM24_C5p_G", {"p": p0}, lambda a, b, c: "V_p=%s" % p0),
+        ("FAM24_C20_G", {}, lambda a, b, c: "VI" if c else "II_0"),
+        ("FAM24_C3_G", {}, lambda a, b, c: "VII" if c else "III"),
+        ("FAM24_C50_G", {}, lambda a, b, c: "V_0" if a + c == 0 else "VIII"),
         ("FAM24_A_G", {}, lambda a, b, c:
          ("I" if (a, b, c) == (0, 0, 0) else
           "IX" if a * c - b * b > 0 else
-          "X" if a * c == b * b else "III"), None),
+          "X" if a * c == b * b else "III")),
     ]
     base_of_label = {
         "II_1": ("MT24_9", {}), "IV": ("MT24_23", {}),
@@ -923,13 +919,16 @@ def _report_thm3(bindings, budget, seed):
         "V_0": ("MT24_30", {}), "VIII": ("MT24_31", {"kappa": 0}),
         "IX": ("MT24_3", {"eps": 1}), "X": ("MT24_2", {}), "I": ("MT24_1", {}),
     }
-    for fam_id, fam_fixed, label_fn, _base in fam_checks:
+    base_insts = {}   # one instance per label, so its route memo is reused
+    for fam_id, fam_fixed, label_fn in fam_checks:
         for (a, b, c) in THM3_SAMPLES:
             label = label_fn(a, b, c)
             fam_bnd = dict(fam_fixed)
             fam_bnd.update({"alpha": a, "beta": b, "gamma": c})
             inst = make_instances([(fam_id, fam_bnd)])[0]
-            base_inst = make_instances([base_of_label[label]])[0]
+            if label not in base_insts:
+                base_insts[label] = make_instances([base_of_label[label]])[0]
+            base_inst = base_insts[label]
             if inst.fingerprint != base_inst.fingerprint:
                 passed = False
                 lines.append("member family=%s sample=%s,%s,%s expected=%s "

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .algebra import check_antisymmetry, check_jacobi, commutant_series
 from .catalog import (appendix_certificate, automorphisms, catalog,
                       catalog_triple, get_catalog, list_algebras,
-                      list_certificates, table_rows)
+                      list_certificates, read_catalog_file, table_rows)
 from .classify import (DEFAULT_SEARCH_BUDGET, REPORT_TARGETS, classify_doubles,
                        enumerate_duals, match_22, reduce_orbits, report)
 from .errors import (BudgetExceeded, ConstraintViolation, InconsistentRadical,
@@ -92,14 +92,7 @@ def cmd_check(args):
                   % ("PASS" if not ad else "FAIL", len(ad)))
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.file:
-        try:
-            with open(args.file, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError("cannot read %s: %s" % (args.file, exc.strerror))
-        except UnicodeDecodeError as exc:
-            raise ParseError("%s is not UTF-8 text: %s" % (args.file, exc.reason))
-        decls = parse_catalog(text)
+        decls = parse_catalog(read_catalog_file(args.file))
         from .catalog import AlgebraEntry, TripleEntry, get_catalog
         from .parsing import AlgebraDecl, TripleDecl
         known = dict(get_catalog().algebras)
@@ -239,7 +232,7 @@ def cmd_classify(args):
         rid = rid.strip()
         entry = get_catalog().triples.get(rid)
         if entry is None:
-            raise UnknownId(rid)
+            raise UnknownId("unknown triple %s" % rid)
         sub = {k: v for k, v in bindings.items() if k in entry.ctx.params}
         specs.append((rid, sub))
     result = classify_doubles(specs, budget=args.budget,

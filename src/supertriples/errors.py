@@ -35,11 +35,11 @@ class NotAutomorphism(SuperTriplesError):
 
 
 class UnknownName(SuperTriplesError, KeyError):
-    pass
+    __str__ = BaseException.__str__    # the plain message, not KeyError's repr
 
 
 class UnknownId(SuperTriplesError, KeyError):
-    pass
+    __str__ = BaseException.__str__
 
 
 class BudgetExceeded(SuperTriplesError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConstraintViolation, DimensionMismatch
+from .matrices import transpose
 
 __all__ = ["BilinearForm", "canonical_form", "check_ad_invariance",
            "check_isotropic", "check_graded_symmetry"]
@@ -81,26 +82,15 @@ def check_ad_invariance(algebra, B):
         raise DimensionMismatch("algebra and form dimensions differ")
     if algebra.parity != B.parity:
         raise DimensionMismatch("algebra and form gradings differ")
-    from .algebra import _branch_failures
-    d = algebra.dim
-    residuals = []
-    for x in range(d):
-        for y in range(d):
-            sign = -1 if (algebra.parity[x] * algebra.parity[y]) % 2 else 1
-            for z in range(d):
-                acc = algebra.ctx.zero()
-                row = algebra.F[x][y]
-                for k in range(d):
-                    if not row[k].is_zero() and B.matrix[k][z]:
-                        acc = acc + row[k] * B.matrix[k][z]
-                row2 = algebra.F[x][z]
-                for k in range(d):
-                    if not row2[k].is_zero() and B.matrix[y][k]:
-                        term = row2[k] * B.matrix[y][k]
-                        acc = acc + term if sign == 1 else acc - term
-                if not acc.is_zero():
-                    residuals.append(((x, y, z), acc))
-    return _branch_failures(algebra.ctx, residuals)
+    from .algebra import _branch_failures, _difference, _push
+    nz = algebra.nonzero()
+    par = algebra.parity
+    # <[x,y],z> = F_xy^k B_kz and <y,[x,z]> = F_xz^k B_yk are pushforwards
+    # along B and B^T; `second` holds minus the signed second term
+    first = _push(nz, B.matrix)
+    second = {(x, y, z): (c if (par[x] * par[y]) % 2 else -c)
+              for (x, z, y), c in _push(nz, transpose(B.matrix)).items()}
+    return _branch_failures(algebra.ctx, _difference(first, second))
 
 
 def check_isotropic(B, span):

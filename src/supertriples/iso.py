@@ -16,8 +16,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from .algebra import (_bracket_residuals, _branch_failures,
-                      automorphism_residuals, commutant_series)
+from .algebra import (_bracket_residuals, _branch_failures, _difference,
+                      _pull, automorphism_residuals, commutant_series)
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from .forms import canonical_form
 from .matrices import (dual_blockdiag, f_matmul, inv, rref, s_identity,
@@ -98,40 +98,40 @@ def verify_certificate(cert):
     """Both transport conditions with residual report; sign branches split."""
     C = cert.matrix
     src, tgt = cert.source, cert.target
-    d = src.dim
     ctx = cert.ctx
-    zero = ctx.zero()
     m, n = src.triple.superdim() if hasattr(src, "triple") else _half(src)
-    B = canonical_form(m, n)
+    form = _form_tensor(m, n)
     if not ctx.params and ctx.radical_name is None:
         # numeric fast path; fall through for the report only on failure
         Cf = [[x.as_fraction() for x in row] for row in C]
-        if _cert_holds_numeric(Cf, B.matrix, _numeric_tensor(src),
-                               _numeric_tensor(tgt), d):
+        if _holds(Cf, form, src.numeric_nonzero(), tgt.numeric_nonzero()):
             return True, []
-    residuals = []
-
-    # (i) C B C^T = B
-    for a in range(d):
-        for b in range(d):
-            acc = zero
-            for p in range(d):
-                cap = C[a][p]
-                if cap.is_zero():
-                    continue
-                for q in range(d):
-                    if B.matrix[p][q] and not C[b][q].is_zero():
-                        acc = acc + cap * C[b][q] * B.matrix[p][q]
-            acc = acc - ctx.const(B.matrix[a][b])
-            if not acc.is_zero():
-                residuals.append(("form", (a, b), acc))
-
-    # (ii) C C F = F' C
-    residuals.extend(("bracket", key, res)
-                     for key, res in _bracket_residuals(C, src, tgt))
-
+    # Scalar form entries, so that every residual is a Scalar
+    form = [(p, q, r, ctx.const(x)) for (p, q, r, x) in form]
+    residuals = [("form", key[:2], res) for key, res in _form_residuals(C, form)]
+    residuals.extend(("bracket", key, res) for key, res in
+                     _bracket_residuals(C, src.nonzero(), tgt.nonzero()))
     failing = _branch_failures(cert.ctx, residuals)
     return (not failing), failing
+
+
+def _form_tensor(m, n):
+    """The canonical form B as a tensor with one trivial upper index: the
+    nonzero list (p, q, 0, B_pq)."""
+    return [(p, q, 0, x) for p, row in enumerate(canonical_form(m, n).matrix)
+            for q, x in enumerate(row) if x]
+
+
+def _form_residuals(C, form):
+    """Condition (i): C_a^p C_b^q B_pq - B_ab, keyed (a, b, 0)."""
+    return _difference(_pull(form, C), {(p, q, r): x for (p, q, r, x) in form})
+
+
+def _holds(C, form, src_nz, tgt_nz):
+    """Conditions (i) and (ii) for a Fraction matrix; (ii) is skipped when
+    (i) fails."""
+    return (not _form_residuals(C, form)
+            and not _bracket_residuals(C, src_nz, tgt_nz))
 
 
 def _half(double):
@@ -160,7 +160,11 @@ def from_automorphism(A_inst, triple):
         raise NotAutomorphism("matrix does not preserve the structure tensor: %s"
                               % bad[:3])
     C = dual_blockdiag(A_inst)
-    new_dual = triple.S_dual.transport_dual(A_inst)
+    # transport_dual(A) without a second inversion: (A^{-1})^T is C's
+    # lower-right block
+    h = len(A_inst)
+    new_dual = triple.S_dual._transport([row[h:] for row in C[h:]],
+                                        transpose(A_inst))
     target = ManinTriple(triple.S, new_dual,
                          ident=None if triple.id is None else triple.id + "'",
                          label=triple.label)
@@ -378,47 +382,6 @@ class Exhausted:
                                                        self.reason)
 
 
-def _numeric_tensor(double):
-    d = double.dim
-    nz = []
-    for (i, j, k, c) in double.nonzero():
-        nz.append((i, j, k, c.as_fraction()))
-    return nz
-
-
-def _cert_holds_numeric(C, Bmat, src_nz, tgt_nz, d):
-    # condition (i)
-    CB = f_matmul(C, Bmat)
-    CBCt = f_matmul(CB, transpose(C))
-    if CBCt != Bmat:
-        return False
-    # condition (ii)
-    lhs = {}
-    for (p, q, r, c) in src_nz:
-        for a in range(d):
-            cap = C[a][p]
-            if not cap:
-                continue
-            base = cap * c
-            for b in range(d):
-                if C[b][q]:
-                    key = (a, b, r)
-                    lhs[key] = lhs.get(key, Fraction(0)) + base * C[b][q]
-    rhs = {}
-    for (a, b, k, c) in tgt_nz:
-        for r in range(d):
-            if C[k][r]:
-                key = (a, b, r)
-                rhs[key] = rhs.get(key, Fraction(0)) + c * C[k][r]
-    for key, val in lhs.items():
-        if rhs.get(key, Fraction(0)) != val:
-            return False
-    for key, val in rhs.items():
-        if key not in lhs and val:
-            return False
-    return True
-
-
 def _shear_matrices(m, n, h, d, grid, lower=True):
     bos_slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
     ferm_slots = [(a, b) for a in range(n) for b in range(a, n)]
@@ -535,8 +498,9 @@ def search_iso(src, tgt, strategy="auto", budget=4000, grid=DEFAULT_GRID,
         return Exhausted(budget, 0, "fingerprint mismatch %s vs %s" % (fp_src, fp_tgt))
 
     Bmat = canonical_form(m, n).matrix
-    src_nz = _numeric_tensor(src)
-    tgt_nz = _numeric_tensor(tgt)
+    form = _form_tensor(m, n)
+    src_nz = src.numeric_nonzero()
+    tgt_nz = tgt.numeric_nonzero()
     rng = random.Random(seed)
 
     def wrap(C):
@@ -595,7 +559,7 @@ def search_iso(src, tgt, strategy="auto", budget=4000, grid=DEFAULT_GRID,
             if tried >= budget:
                 return Exhausted(budget, tried, "budget exhausted")
             tried += 1
-            if _cert_holds_numeric(C, Bmat, src_nz, tgt_nz, d):
+            if _holds(C, form, src_nz, tgt_nz):
                 try:
                     cert = wrap(C)
                 except ConstraintViolation:

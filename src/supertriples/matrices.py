@@ -5,8 +5,10 @@ Matrices are lists of rows.  ``rref``, ``inv``, ``transpose`` and
 each pivot costs one reciprocal ``1 / pivot`` (a single ``Scalar.inv`` for
 Scalars).  ``rref`` is the only elimination loop; ``inv``, ``f_solve``, the
 commutant spans and the shear solver all run through it.  The ``f_`` and
-``s_`` routines take one entry type; ``f_matmul`` is the inner loop of the
-certificate search.
+``s_`` routines take one entry type; ``f_matmul`` composes the candidate
+matrices of the certificate search.  Tensor contractions (transport, the
+certificate conditions, commutants) are not here: they are the pullback and
+pushforward kernels of ``algebra``.
 """
 
 from __future__ import annotations

@@ -524,7 +524,7 @@ class ParamContext:
         if name == self.radical_name:
             return self.radical()
         if name not in self._index:
-            raise UnknownName(name)
+            raise self._not_a_parameter(name)
         nv = self.nvars
         return Scalar(self, (_p_var(self._index[name], nv), _p_const(1, nv)), None)
 
@@ -558,10 +558,14 @@ class ParamContext:
                                            _p_str(self.radicand, self.params)))
         return "ParamContext{%s}" % "; ".join(bits)
 
+    def _not_a_parameter(self, name):
+        return UnknownName("%s is not a parameter here (parameters: %s)"
+                           % (name, ", ".join(self.params) or "none"))
+
     def check_binding(self, name, value):
         dom = self.domains.get(name)
         if dom is None:
-            raise UnknownName(name)
+            raise self._not_a_parameter(name)
         if not dom.allows(value):
             raise ConstraintViolation(
                 "%s = %s violates domain %s" % (name, value, dom.describe()))
@@ -587,7 +591,7 @@ class ParamContext:
             rad_value = bindings.pop(self.radical_name)
         for name, value in bindings.items():
             if name not in self._index:
-                raise UnknownName(name)
+                raise self._not_a_parameter(name)
             if check_domains:
                 self.check_binding(name, value)
 

@@ -66,6 +66,14 @@ def test_exit_code_constraint_violation():
     assert r.returncode == 3
     r = run("verify-iso", "--cert", "NOSUCH")
     assert r.returncode == 3
+    # unknown names and ids print a plain message, not a quoted key
+    assert r.stderr == "constraint violation: unknown certificate NOSUCH\n"
+    r = run("check", "--triple", "NOSUCH")
+    _one_line_error(r, 3)
+    assert "unknown triple NOSUCH" in r.stderr
+    r = run("verify-iso", "--cert", "DD42_V", "--bind", "p=0")
+    _one_line_error(r, 3)
+    assert "p is not a parameter" in r.stderr
 
 
 def test_exit_code_budget():
@@ -104,6 +112,10 @@ def test_catalog_search_path(tmp_path):
     assert r.returncode == 0
     r2 = run("check", "--algebra", "ZZ_test")
     assert r2.returncode == 3
+    (tmp_path / "binary.cat").write_bytes(b"\xff\xfe algebra")
+    env = {"SUPERTRIPLES_CATALOG_PATH": str(tmp_path)}
+    _one_line_error(run("list", env=env), 2)
+    _one_line_error(run("check", "--algebra", "ZZ_test", env=env), 2)
 
 
 def _one_line_error(r, code):
