@@ -5,6 +5,10 @@ A superalgebra of superdimension (m, n) lives on the homogeneous basis
 b_1..b_m, f_1..f_n.  Doubles reuse the same class with the dual homogeneous
 layout (b, f, b~, f~); only the parity tuple matters to the checks.
 
+A tensor is stored once, inside SuperAlgebra, as its sorted nonzero entries
+(i, j, k, F_{IJ}^K); the package's other modules read it through nonzero(),
+entries() and bracket(i, j), never through a dense array.
+
 Every contraction of a structure tensor with a matrix (basis change, the
 automorphism and certificate conditions, the commutant series, and
 ad-invariance in ``forms``) runs through the two sparse kernels ``_pull``
@@ -59,62 +63,62 @@ class Grading:
 
 
 class SuperAlgebra:
-    """Dense structure-constant tensor F_{IJ}^K over a parameter context.
+    """Structure-constant tensor F_{IJ}^K over a parameter context.
+
+    The tensor is stored once, as its nonzero entries (i, j, k, F_{IJ}^K)
+    sorted by (i, j, k): ``nonzero()`` returns that list, ``bracket(i, j)``
+    reads a row index built from it, and ``F`` is a read-only dense view
+    (nested tuples) for callers that want the d x d x d array.
 
     dual_role marks tensors whose indices are conceptually raised
     (F~^{IJ}_K of a dual subalgebra); the axioms take the identical form,
     so the flag is metadata for provenance and printing only.
     """
 
-    __slots__ = ("grading", "parity", "names", "ctx", "F", "name", "dual_role",
-                 "_nz")
+    __slots__ = ("grading", "parity", "names", "ctx", "name", "dual_role",
+                 "_nz", "_rows", "_dense")
 
-    def __init__(self, grading, ctx, F, parity=None, names=None, name=None,
-                 dual_role=False):
+    def __init__(self, grading, ctx, entries, parity=None, names=None,
+                 name=None, dual_role=False):
+        """entries: {(i, j, k): Scalar}; zero entries are dropped."""
         self.grading = grading
         self.ctx = ctx
-        self.F = F
         self.parity = tuple(parity) if parity is not None else grading.parities()
         self.names = tuple(names) if names is not None else grading.names(dual_role)
         self.name = name
         self.dual_role = dual_role
         d = len(self.parity)
-        if len(F) != d or any(len(Fi) != d for Fi in F):
-            raise DimensionMismatch("tensor shape does not match basis")
-        self._nz = None
+        if any(not 0 <= x < d for key in entries for x in key):
+            raise DimensionMismatch("tensor index outside the basis")
+        self._nz = [(i, j, k, c) for (i, j, k), c in sorted(entries.items())
+                    if not c.is_zero()]
+        self._rows = None
+        self._dense = None
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def from_brackets(cls, grading, ctx, brackets, name=None, dual_role=False,
-                      parity=None, names=None, complete=True):
+                      parity=None, names=None):
         """brackets: {(i, j): {k: Scalar}}; missing transposes are filled by
-        graded antisymmetry when complete=True."""
+        graded antisymmetry."""
         par = tuple(parity) if parity is not None else grading.parities()
-        d = len(par)
-        zero = ctx.zero()
-        F = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
+        entries = {}
         for (i, j), comps in brackets.items():
             for k, c in comps.items():
                 if (par[i] + par[j]) % 2 != par[k] and not c.is_zero():
                     raise ConstraintViolation(
                         "bracket [%d,%d] -> %d violates the grading" % (i, j, k))
-                F[i][j][k] = F[i][j][k] + c
-        if complete:
-            for (i, j) in list(brackets.keys()):
-                if i == j or (j, i) in brackets:
-                    continue
-                # [y,x] = -(-1)^{|x||y|}[x,y]
-                sign = 1 if (par[i] * par[j]) % 2 else -1
-                for k, c in brackets[(i, j)].items():
-                    F[j][i][k] = c if sign == 1 else -c
-        return cls(grading, ctx, F, parity=par, names=names, name=name,
+                entries[(i, j, k)] = c
+        for (i, j), comps in brackets.items():
+            if i == j or (j, i) in brackets:
+                continue
+            # [y,x] = -(-1)^{|x||y|}[x,y]
+            odd = (par[i] * par[j]) % 2
+            for k, c in comps.items():
+                entries[(j, i, k)] = c if odd else -c
+        return cls(grading, ctx, entries, parity=par, names=names, name=name,
                    dual_role=dual_role)
-
-    def copy_with(self, F=None, ctx=None, name=None):
-        return SuperAlgebra(self.grading, ctx or self.ctx, F or self.F,
-                            parity=self.parity, names=self.names,
-                            name=name or self.name, dual_role=self.dual_role)
 
     # -- views ------------------------------------------------------------
 
@@ -127,28 +131,47 @@ class SuperAlgebra:
         return (len(self.parity) - n_odd, n_odd)
 
     def nonzero(self):
-        if self._nz is None:
-            nz = []
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    row = self.F[i][j]
-                    for k in range(self.dim):
-                        if not row[k].is_zero():
-                            nz.append((i, j, k, row[k]))
-            self._nz = nz
+        """The stored entries (i, j, k, F_{IJ}^K), sorted by (i, j, k)."""
         return self._nz
+
+    def entries(self):
+        """{(i, j, k): F_{IJ}^K} over the nonzero entries; a fresh dict."""
+        return {(i, j, k): c for (i, j, k, c) in self._nz}
 
     def numeric_nonzero(self):
         """nonzero() with Fraction entries (numeric contexts)."""
-        return [(i, j, k, c.as_fraction()) for (i, j, k, c) in self.nonzero()]
+        return [(i, j, k, c.as_fraction()) for (i, j, k, c) in self._nz]
+
+    @property
+    def F(self):
+        """Dense read-only view: F[i][j][k] as nested tuples."""
+        if self._dense is None:
+            d = self.dim
+            zero = self.ctx.zero()
+            rows = self._row_index()
+            self._dense = tuple(
+                tuple(tuple(rows.get((i, j), {}).get(k, zero) for k in range(d))
+                      for j in range(d)) for i in range(d))
+        return self._dense
+
+    def _row_index(self):
+        """{(i, j): {k: F_{IJ}^K}}, each row in increasing k."""
+        if self._rows is None:
+            rows = {}
+            for (i, j, k, c) in self._nz:
+                rows.setdefault((i, j), {})[k] = c
+            self._rows = rows
+        return self._rows
 
     def bracket(self, i, j):
-        return {k: self.F[i][j][k] for k in range(self.dim)
-                if not self.F[i][j][k].is_zero()}
+        return dict(self._row_index().get((i, j), {}))
+
+    def brackets_dict(self):
+        return {key: dict(row) for key, row in self._row_index().items()}
 
     def grading_violations(self):
         bad = []
-        for (i, j, k, c) in self.nonzero():
+        for (i, j, k, c) in self._nz:
             if (self.parity[i] + self.parity[j]) % 2 != self.parity[k]:
                 bad.append((i, j, k))
         return bad
@@ -156,25 +179,23 @@ class SuperAlgebra:
     # -- axiom residuals ---------------------------------------------------
 
     def antisym_residuals(self):
-        """(i, j, k) -> F_{IJ}^K + (-1)^{|I||J|} F_{JI}^K for i <= j."""
-        out = []
-        d = self.dim
-        for i in range(d):
-            for j in range(i, d):
-                # residual = F[i][j][k] + (-1)^{|i||j|} F[j][i][k]
-                sign = -1 if (self.parity[i] * self.parity[j]) % 2 else 1
-                for k in range(d):
-                    a = self.F[i][j][k]
-                    b = self.F[j][i][k]
-                    res = a - b if sign == -1 else a + b
-                    if not res.is_zero():
-                        out.append(((i, j, k), res))
-        return out
+        """((i, j, k), F_{IJ}^K + (-1)^{|I||J|} F_{JI}^K) for i <= j, in key
+        order: the entries with i <= j minus -(-1)^{|I||J|} F_{JI}^K."""
+        par = self.parity
+        lhs, rhs = {}, {}
+        for (i, j, k, c) in self._nz:
+            if i <= j:
+                lhs[(i, j, k)] = c
+            if j <= i:
+                rhs[(j, i, k)] = c if (par[i] * par[j]) % 2 else -c
+        return _difference(lhs, rhs)
 
     def jacobi_residuals(self):
         """Graded Jacobi residuals, keyed ((x, y, z), k), for x <= y <= z."""
         d = self.dim
         par = self.parity
+        rows = self._row_index()
+        zero = self.ctx.zero()
         out = []
         for x in range(d):
             for y in range(x, d):
@@ -183,21 +204,11 @@ class SuperAlgebra:
                     for (u, v, w), (p, q) in (((x, y, z), (par[x], par[z])),
                                               ((y, z, x), (par[y], par[x])),
                                               ((z, x, y), (par[z], par[y]))):
-                        sign = -1 if (p * q) % 2 else 1
-                        inner = self.F[v][w]
-                        for l in range(d):
-                            c1 = inner[l]
-                            if c1.is_zero():
-                                continue
-                            outer = self.F[u][l]
-                            for k in range(d):
-                                c2 = outer[k]
-                                if c2.is_zero():
-                                    continue
+                        negate = (p * q) % 2
+                        for l, c1 in rows.get((v, w), {}).items():
+                            for k, c2 in rows.get((u, l), {}).items():
                                 term = c1 * c2
-                                if sign < 0:
-                                    term = -term
-                                acc[k] = acc.get(k, self.ctx.zero()) + term
+                                acc[k] = acc.get(k, zero) + (-term if negate else term)
                     for k, val in acc.items():
                         if not val.is_zero():
                             out.append(((x, y, z), k, val))
@@ -206,17 +217,15 @@ class SuperAlgebra:
     # -- transformations -----------------------------------------------------
 
     def substitute(self, bindings, check_domains=True):
-        new_ctx, mapper = self.ctx.bind(bindings, check_domains=check_domains)
-        F = [[[mapper(c) for c in row] for row in plane] for plane in self.F]
-        return SuperAlgebra(self.grading, new_ctx, F, parity=self.parity,
-                            names=self.names, name=self.name,
-                            dual_role=self.dual_role)
+        return self.map_scalars(*self.ctx.bind(bindings,
+                                               check_domains=check_domains))
 
     def map_scalars(self, new_ctx, fn):
-        F = [[[fn(c) for c in row] for row in plane] for plane in self.F]
-        return SuperAlgebra(self.grading, new_ctx, F, parity=self.parity,
-                            names=self.names, name=self.name,
-                            dual_role=self.dual_role)
+        """Every entry sent through fn (which maps zero to zero) into new_ctx."""
+        return SuperAlgebra(self.grading, new_ctx,
+                            {(i, j, k): fn(c) for (i, j, k, c) in self._nz},
+                            parity=self.parity, names=self.names,
+                            name=self.name, dual_role=self.dual_role)
 
     def transport(self, A):
         """Structure constants in the new basis X'_I = A_I^J X_J."""
@@ -230,46 +239,38 @@ class SuperAlgebra:
     def _transport(self, M, M_inv):
         """F'_{IJ}^S = M_I^P M_J^Q F_{PQ}^R (M^{-1})_R^S: the pullback along M,
         pushed forward along M^{-1}."""
-        d = self.dim
-        zero = self.ctx.zero()
-        out = [[[zero] * d for _ in range(d)] for _ in range(d)]
-        pulled = _pull(self.nonzero(), M)
+        pulled = _pull(self._nz, M)
         pushed = _push([key + (c,) for key, c in pulled.items() if c], M_inv)
-        for (i, j, s), c in pushed.items():
-            out[i][j][s] = c
-        return self.copy_with(F=out)
+        return SuperAlgebra(self.grading, self.ctx, pushed, parity=self.parity,
+                            names=self.names, name=self.name,
+                            dual_role=self.dual_role)
 
     def tensor_equal(self, other):
-        if self.dim != other.dim:
-            return False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if not (self.F[i][j][k] - other.F[i][j][k]).is_zero():
-                        return False
-        return True
+        """Same dimension, same nonzero keys and vanishing differences."""
+        return (self.dim == other.dim and len(self._nz) == len(other._nz)
+                and all(a[:3] == b[:3] and (a[3] - b[3]).is_zero()
+                        for a, b in zip(self._nz, other._nz)))
 
     def tensor_key(self):
-        """Canonical hashable key (numeric contexts)."""
-        return tuple(tuple(tuple(c.as_fraction() for c in row) for row in plane)
-                     for plane in self.F)
-
-    def brackets_dict(self):
-        out = {}
-        for (i, j, k, c) in self.nonzero():
-            out.setdefault((i, j), {})[k] = c
-        return out
+        """Canonical hashable key (numeric contexts): the dense entries as
+        Fractions, flattened in (i, j, k) order, so keys compare in dense
+        lexicographic order."""
+        d = self.dim
+        key = [Fraction(0)] * (d * d * d)
+        for (i, j, k, c) in self._nz:
+            key[(i * d + j) * d + k] = c.as_fraction()
+        return tuple(key)
 
     def describe_brackets(self):
         from .parsing import render_combo
         items = []
         seen = set()
-        for (i, j, k, c) in self.nonzero():
-            if (i, j) in seen or (j, i) in seen:
+        for (i, j), row in self._row_index().items():
+            if (j, i) in seen:
                 continue
             seen.add((i, j))
             items.append("[%s,%s] = %s" % (self.names[i], self.names[j],
-                                           render_combo(self.names, self.bracket(i, j))))
+                                           render_combo(self.names, row)))
         return "; ".join(items) if items else "(abelian)"
 
     def __repr__(self):
@@ -462,7 +463,7 @@ class CommutantFingerprint:
         return "CommutantFingerprint(%s)" % (self.dims,)
 
 
-def commutant_series(algebra, bindings=None, depth=3):
+def commutant_series(algebra, bindings=None):
     """Exact superdimensions of the iterated commutants at numeric bindings."""
     A = algebra.substitute(bindings) if bindings else algebra
     if A.ctx.params:
@@ -474,7 +475,7 @@ def commutant_series(algebra, bindings=None, depth=3):
     rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     par = A.parity
     dims = []
-    for _ in range(depth):
+    for _ in range(3):
         vectors = {}
         for (a, b, r), x in _pull(nz, rows).items():
             if x:

@@ -105,8 +105,8 @@ class TripleEntry:
                 raise ConstraintViolation("side %s has wrong superdimension" % aname)
             bindings = {n: eval_ast(ast, self.ctx) for n, ast in bexprs.items()}
             alg = entry.lift_algebra(self.ctx, bindings)
-            return SuperAlgebra(self.grading, self.ctx, alg.F, names=names,
-                                name=aname, dual_role=dual)
+            return SuperAlgebra(self.grading, self.ctx, alg.entries(),
+                                names=names, name=aname, dual_role=dual)
         _, bracket_decls = side
         genmap = {n: i for i, n in enumerate(names)}
         brackets = {}
@@ -176,13 +176,10 @@ class CertEntry:
 
 
 class Catalog:
-    def __init__(self, texts):
+    def __init__(self, decls):
         self.algebras = {}
         self.triples = {}
         self.certs = {}
-        decls = []
-        for text in texts:
-            decls.extend(parse_catalog(text))
         for decl in decls:
             if isinstance(decl, AlgebraDecl):
                 self.algebras[decl.name] = AlgebraEntry(decl)
@@ -202,29 +199,34 @@ class Catalog:
 _CATALOG = None
 
 
-def read_catalog_file(path):
-    """The text of one catalog file, read as UTF-8; ParseError naming the
-    file when it cannot be read or decoded."""
+def parse_catalog_file(path):
+    """The declarations of one catalog file, read as UTF-8; every ParseError
+    (unreadable, not UTF-8, bad syntax) names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc.strerror))
     except UnicodeDecodeError as exc:
         raise ParseError("%s is not UTF-8 text: %s" % (path, exc.reason))
+    try:
+        return parse_catalog(text)
+    except ParseError as exc:
+        raise ParseError("%s: %s" % (path, exc)) from None
 
 
-def _catalog_texts():
+def _catalog_decls():
     dirs = [DATA_DIR] + [d for d in os.environ.get(ENV_PATH, "").split(os.pathsep)
                          if d and os.path.isdir(d)]
-    return [read_catalog_file(os.path.join(d, fn))
-            for d in dirs for fn in sorted(os.listdir(d)) if fn.endswith(".cat")]
+    return [decl for d in dirs for fn in sorted(os.listdir(d))
+            if fn.endswith(".cat")
+            for decl in parse_catalog_file(os.path.join(d, fn))]
 
 
-def get_catalog(refresh=False):
+def get_catalog():
     global _CATALOG
-    if _CATALOG is None or refresh:
-        _CATALOG = Catalog(_catalog_texts())
+    if _CATALOG is None:
+        _CATALOG = Catalog(_catalog_decls())
     return _CATALOG
 
 

@@ -17,9 +17,9 @@ from .algebra import SuperAlgebra, commutant_series
 from .catalog import catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, UnknownId)
-from .iso import (Exhausted, IsoCertificate, from_automorphism, search_iso,
-                  shear_certificate, verify_certificate)
-from .matrices import f_solve, s_identity
+from .iso import (Exhausted, IsoCertificate, dual_g_blocks, from_automorphism,
+                  search_iso, shear_certificate, verify_certificate)
+from .matrices import f_solve, inv, s_identity, transpose
 from .scalars import Domain, ParamContext, exact_sqrt, finite_branches
 from .triples import ManinTriple, build_double, check_compatibility, t_dual
 
@@ -28,6 +28,7 @@ __all__ = ["DualAnsatz", "enumerate_duals", "reduce_orbits", "classify_doubles",
 
 ENUM_GRID = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
              Fraction(-2), Fraction(1, 2), Fraction(-1, 2))
+ORBIT_SAMPLES = 200
 ORBIT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(1, 3),
               Fraction(4), Fraction(1, 4), Fraction(0))
@@ -91,10 +92,10 @@ class DualAnsatz:
                 continue
             brackets.setdefault((i, j), {})[k] = v
         return SuperAlgebra.from_brackets(self.grading, ctx, brackets,
-                                          dual_role=True, complete=True)
+                                          dual_role=True)
 
 
-def enumerate_duals(seed, ansatz=None, grid=ENUM_GRID, budget=300000):
+def enumerate_duals(seed, budget=300000):
     """All dual tensors compatible with the (numerically bound) seed.
 
     Two tiers: the Jacobi residuals of the double that are linear in the
@@ -104,7 +105,7 @@ def enumerate_duals(seed, ansatz=None, grid=ENUM_GRID, budget=300000):
     """
     if seed.ctx.params:
         raise ConstraintViolation("enumerate_duals needs a numeric seed")
-    ansatz = ansatz or DualAnsatz(seed.grading)
+    ansatz = DualAnsatz(seed.grading)
     uctx = ansatz.context()
     u = [uctx.param("u%d" % i) for i in range(ansatz.unknown_count)]
     seed_l = seed.map_scalars(uctx, lambda s: uctx.const(s.as_fraction()))
@@ -146,13 +147,13 @@ def enumerate_duals(seed, ansatz=None, grid=ENUM_GRID, budget=300000):
             [[Fraction(int(i == j)) for j in range(nu)] for i in range(nu)]
 
     free = len(null)
-    if free and len(grid) ** free > budget:
+    if free and len(ENUM_GRID) ** free > budget:
         raise BudgetExceeded("grid %d^%d exceeds budget %d"
-                             % (len(grid), free, budget))
+                             % (len(ENUM_GRID), free, budget))
 
     out = []
     seen = set()
-    for combo in itertools.product(grid, repeat=free):
+    for combo in itertools.product(ENUM_GRID, repeat=free):
         point = list(particular)
         for s, vec in zip(combo, null):
             if s:
@@ -179,13 +180,15 @@ def enumerate_duals(seed, ansatz=None, grid=ENUM_GRID, budget=300000):
     return out
 
 
-def reduce_orbits(solutions, family, sampling=200, seed=0):
+def reduce_orbits(solutions, family):
     """Partition duals of one seed under the dual action (A^{-1})^T of the
     seed's automorphism family.
 
     Instantiations are drawn from a fixed rational grid (so transported
     tensors can land exactly on other solutions) topped up with random
-    rational samples to the requested count, all discrete branches included.
+    rational samples: up to ORBIT_SAMPLES grid points per family, split
+    evenly over its branches (discrete ones included), and half as many
+    random samples.
     Sound for merging, incomplete for separation: orbits may stay split,
     never wrongly merged.  Representatives are the lexicographically
     smallest tensors.
@@ -196,14 +199,15 @@ def reduce_orbits(solutions, family, sampling=200, seed=0):
     index = {sol.tensor_key(): i for i, sol in enumerate(solutions)}
     sets = _UnionFind(len(solutions))
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
+    per_branch = ORBIT_SAMPLES // max(1, len(family.branches))
     matrices = []
     for branch in family:
         names = branch.family_params
         grid_combos = itertools.product(ORBIT_GRID, repeat=len(names))
         taken = 0
         for combo in grid_combos:
-            if taken >= sampling // max(1, len(family.branches)):
+            if taken >= per_branch:
                 break
             bindings = dict(zip(names, combo))
             try:
@@ -212,7 +216,7 @@ def reduce_orbits(solutions, family, sampling=200, seed=0):
                 continue
             matrices.append(mat)
             taken += 1
-        for _ in range(max(0, sampling // (2 * max(1, len(family.branches))))):
+        for _ in range(per_branch // 2):
             try:
                 _, mat = branch.sample(rng)
             except ConstraintViolation:
@@ -221,8 +225,10 @@ def reduce_orbits(solutions, family, sampling=200, seed=0):
 
     for mat in matrices:
         lifted = [[ctx.const(x.as_fraction()) for x in row] for row in mat]
+        # transport_dual's basis (A^{-1})^T and its inverse A^T, once per A
+        D, D_inv = transpose(inv(lifted)), transpose(lifted)
         for i, sol in enumerate(solutions):
-            moved = sol.transport_dual(lifted)
+            moved = sol._transport(D, D_inv)
             j = index.get(moved.tensor_key())
             if j is not None:
                 sets.union(i, j)
@@ -286,17 +292,13 @@ def make_instances(specs):
     return out
 
 
-def _dual_g(inst):
-    """(G11, G12, G22, ...) of an N-type dual, or None."""
-    Sd = inst.triple.S_dual
-    m, n = Sd.superdim()
-    for (i, j, k, c) in Sd.nonzero():
-        if i < m or j < m or k >= m:
-            return None
-    if m != 1:
+def _dual_g(triple):
+    """(G11, G12, G22, ...) of an N-type dual over one boson, or None."""
+    G = dual_g_blocks(triple.S_dual)
+    if G is None or len(G) != 1:
         return None
-    return tuple(Sd.F[m + a][m + b][0].as_fraction()
-                 for a in range(n) for b in range(a, n))
+    n = len(G[0])
+    return tuple(G[0][a][b].as_fraction() for a in range(n) for b in range(a, n))
 
 
 def _resolve_aliases(triple, bindings_pool):
@@ -305,16 +307,10 @@ def _resolve_aliases(triple, bindings_pool):
     other parameters against the pool."""
     cat = get_catalog()
     aliases = []
-    m, n = triple.superdim()
-    g_entries = {}
-    Sd = triple.S_dual
-    if m == 1:
-        names = {(0, 0): "alpha", (0, 1): "beta", (1, 1): "gamma"}
-        for (a, b), name in names.items():
-            if a < n and b < n:
-                g_entries[name] = Sd.F[m + a][m + b][0].as_fraction()
+    dim = triple.grading.dim
+    g_entries = dict(zip(("alpha", "beta", "gamma"), _dual_g(triple) or ()))
     for tid, entry in cat.triples.items():
-        if entry.grading.dim != m + n:
+        if entry.grading.dim != dim:
             continue
         candidate = {}
         ok = True
@@ -402,8 +398,8 @@ def _shear_base(inst):
     Sd = t.S_dual
     if all(c.is_zero() for (_, _, _, c) in Sd.nonzero()):
         return None
-    abelian = SuperAlgebra.from_brackets(Sd.grading, t.ctx, {},
-                                         names=Sd.names, dual_role=True)
+    abelian = SuperAlgebra(Sd.grading, t.ctx, {}, names=Sd.names,
+                           dual_role=True)
     base = ManinTriple(t.S, abelian, ident=(t.id or "") + ":base")
     try:
         return shear_certificate(base, t)
@@ -532,6 +528,11 @@ class ClassificationReport:
             else:
                 out.append("class %d  fingerprint %s  members: %s"
                            % (g, fp, ", ".join(sorted(names))))
+        return out + self.evidence_lines(fmt)
+
+    def evidence_lines(self, fmt="text"):
+        """One line per merge edge, then one per separation."""
+        out = []
         for (i, j, cert) in self.edges:
             if fmt == "machine":
                 out.append("edge from=%s to=%s via=%s"
@@ -557,7 +558,7 @@ def _fp_str(fp):
     return ";".join("%d,%d" % mn for mn in fp.dims)
 
 
-def classify_doubles(instance_specs, budget=DEFAULT_SEARCH_BUDGET, seed=0,
+def classify_doubles(instance_specs, budget=DEFAULT_SEARCH_BUDGET,
                      strategy="auto"):
     """Group instances into double-isomorphism classes with evidence.
 
@@ -607,7 +608,7 @@ def classify_doubles(instance_specs, budget=DEFAULT_SEARCH_BUDGET, seed=0,
                         fams.append(cat.algebras[name].automorphisms())
                 res = search_iso(instances[i].double, instances[j].double,
                                  strategy=strategy, budget=budget,
-                                 auto_families=fams, seed=seed)
+                                 auto_families=fams)
                 if isinstance(res, Exhausted):
                     separations.append((i, j, "exhausted",
                                         "budget=%d tried=%d" % (res.budget, res.tried)))
@@ -802,12 +803,12 @@ def _report_table5(bindings=None):
     return Report("table5", passed, lines)
 
 
-def _grouping_report(target, specs, expected_fn, budget, seed):
-    result = classify_doubles(specs, budget=budget, seed=seed)
+def _grouping_report(target, specs, expected_fn, budget):
+    result = classify_doubles(specs, budget=budget)
     want = {}
     for i, inst in enumerate(result.instances):
         if expected_fn is _thm3_expected:
-            label = expected_fn(inst.row_id, inst.bindings, _dual_g(inst))
+            label = expected_fn(inst.row_id, inst.bindings, _dual_g(inst.triple))
         else:
             label = expected_fn(inst.row_id, inst.bindings)
         want.setdefault(label, set()).add(i)
@@ -826,24 +827,16 @@ def _grouping_report(target, specs, expected_fn, budget, seed):
         label = label_of_group.get(g, "UNEXPECTED")
         names = sorted(result.instances[i].ident for i in members)
         lines.append("class label=%s members=%s" % (label, "|".join(names)))
-    for (i, j, cert) in result.edges:
-        lines.append("edge from=%s to=%s via=%s"
-                     % (result.instances[i].ident, result.instances[j].ident,
-                        cert.note or "cert"))
-    for (i, j, kind, detail) in result.separations:
-        lines.append("separation a=%s b=%s kind=%s detail=%s"
-                     % (result.instances[i].ident, result.instances[j].ident,
-                        kind, detail.replace(" ", "_")))
+    lines += result.evidence_lines("machine")
     if not passed:
         lines.append("expected_partition %s" % (want_partition,))
-    return Report(target, passed, lines), result
+    return Report(target, passed, lines)
 
 
-def _report_thm1(budget, seed):
+def _report_thm1(budget):
     specs = [("MT22_1", {}), ("MT22_2", {}), ("MT22_3", {}),
              ("MT22_4", {"eps": 1}), ("MT22_5", {})]
-    rep, _ = _grouping_report("thm1", specs, _thm2_expected_22, budget, seed)
-    return rep
+    return _grouping_report("thm1", specs, _thm2_expected_22, budget)
 
 
 def _thm2_expected_22(row_id, bindings):
@@ -855,7 +848,7 @@ def _thm2_expected_22(row_id, bindings):
     return "III"
 
 
-def _report_thm2(bindings, budget, seed):
+def _report_thm2(bindings, budget):
     p0 = _values_of(bindings, "p", (Fraction(2),))[-1]
     k0 = _values_of(bindings, "kappa", (Fraction(1),))[-1]
     if p0 == 0 or k0 == 0:
@@ -867,11 +860,10 @@ def _report_thm2(bindings, budget, seed):
              ("MT42_8", {"p": p0}), ("MT42_8", {"p": 0}),
              ("MT42_9", {}), ("MT42_10", {"kappa": k0}), ("MT42_11", {}),
              ("MT42_12", {}), ("MT42_13", {}), ("MT42_14", {"kappa": k0})]
-    rep, _ = _grouping_report("thm2", specs, _thm2_expected, budget, seed)
-    return rep
+    return _grouping_report("thm2", specs, _thm2_expected, budget)
 
 
-def _report_thm3(bindings, budget, seed):
+def _report_thm3(bindings, budget):
     p0 = _values_of(bindings, "p", (Fraction(1, 2),))[-1]
     k0 = _values_of(bindings, "kappa", (Fraction(1),))[-1]
     if not 0 < p0 < 1:
@@ -891,7 +883,7 @@ def _report_thm3(bindings, budget, seed):
             extra["p"] = Fraction(0)
             specs.append((rid, extra))
     specs.append(("MT24_4", {"p": -p0}))
-    rep, result = _grouping_report("thm3", specs, _thm3_expected, budget, seed)
+    rep = _grouping_report("thm3", specs, _thm3_expected, budget)
     lines = list(rep._lines)
     passed = rep.passed
 
@@ -947,7 +939,7 @@ def _report_thm3(bindings, budget, seed):
     return Report("thm3", passed, lines)
 
 
-def report(target, bindings=None, budget=DEFAULT_SEARCH_BUDGET, seed=0):
+def report(target, bindings=None, budget=DEFAULT_SEARCH_BUDGET):
     """Machine-checkable reproduction of one table or theorem."""
     if target == "table2":
         return _symbolic_row_suite("table2", "22")
@@ -958,11 +950,11 @@ def report(target, bindings=None, budget=DEFAULT_SEARCH_BUDGET, seed=0):
     if target == "table5":
         return _report_table5(bindings)
     if target == "thm1":
-        return _report_thm1(budget, seed)
+        return _report_thm1(budget)
     if target == "thm2":
-        return _report_thm2(bindings, budget, seed)
+        return _report_thm2(bindings, budget)
     if target == "thm3":
-        return _report_thm3(bindings, budget, seed)
+        return _report_thm3(bindings, budget)
     raise UnknownId("unknown report target %r" % target)
 
 
@@ -1007,11 +999,13 @@ def match_22(seed_name, dual):
     """
     cat = get_catalog()
     ctx = dual.ctx
+    one, zero = ctx.one(), ctx.zero()
     seed = cat.algebras[seed_name].algebra
-    s_val = dual.F[0][1][1].as_fraction()  # [bt,ft] -> ft coefficient
-    t_val = dual.F[1][1][0].as_fraction()  # [ft,ft] -> bt coefficient
+    s_val = dual.bracket(0, 1).get(1, zero).as_fraction()  # [bt,ft] -> ft
+    t_val = dual.bracket(1, 1).get(0, zero).as_fraction()  # [ft,ft] -> bt
     triple = ManinTriple(
-        SuperAlgebra(seed.grading, ctx, seed.F, names=seed.names, name=seed_name),
+        SuperAlgebra(seed.grading, ctx, seed.entries(), names=seed.names,
+                     name=seed_name),
         dual)
 
     def finish(label, target_triple, d_squared):
@@ -1037,7 +1031,6 @@ def match_22(seed_name, dual):
             # (A|S~) = T-dual of row 3, up to a rational rescaling s -> 1
             target = t_dual(catalog_triple("MT22_3"))
             a = ctx.const(s_val)
-            one, zero = ctx.one(), ctx.zero()
             cert = from_automorphism([[a, zero], [zero, one]], triple)
             if cert.target.triple.S_dual.tensor_equal(target.S_dual):
                 return "Tdual(MT22_3)", cert
@@ -1046,7 +1039,6 @@ def match_22(seed_name, dual):
             # (A|N~) = T-dual of row 2; a and d rescale t arbitrarily
             target = t_dual(catalog_triple("MT22_2"))
             a = ctx.const(Fraction(1) / t_val)
-            one, zero = ctx.one(), ctx.zero()
             cert = from_automorphism([[a, zero], [zero, one]], triple)
             if cert.target.triple.S_dual.tensor_equal(target.S_dual):
                 return "Tdual(MT22_2)", cert
@@ -1070,8 +1062,7 @@ def match_22(seed_name, dual):
                           t_dual(catalog_triple("MT22_4", {"eps": 1})), s_val)
         # T-dual of row 5 normalized to the N11 seed (b -> -b)
         target = t_dual(catalog_triple("MT22_5"))
-        mone, one, zero = ctx.const(-1), ctx.one(), ctx.zero()
-        norm = [[mone, zero], [zero, one]]
+        norm = [[ctx.const(-1), zero], [zero, one]]
         S_norm = target.S.transport(norm)
         Sd_norm = target.S_dual.transport_dual(norm)
         target = ManinTriple(S_norm, Sd_norm, ident="Tdual(MT22_5)~")

@@ -13,14 +13,13 @@ from fractions import Fraction
 from .algebra import check_antisymmetry, check_jacobi, commutant_series
 from .catalog import (appendix_certificate, automorphisms, catalog,
                       catalog_triple, get_catalog, list_algebras,
-                      list_certificates, read_catalog_file, table_rows)
+                      list_certificates, parse_catalog_file, table_rows)
 from .classify import (DEFAULT_SEARCH_BUDGET, REPORT_TARGETS, classify_doubles,
                        enumerate_duals, match_22, reduce_orbits, report)
 from .errors import (BudgetExceeded, ConstraintViolation, InconsistentRadical,
                      ParseError, SuperTriplesError, UnknownId, UnknownName)
 from .forms import canonical_form, check_ad_invariance
 from .iso import NoSolution, odd_action_matrices, solve_r, verify_certificate
-from .parsing import parse_catalog
 from .triples import build_double, check_compatibility
 
 EXIT_OK = 0
@@ -92,7 +91,7 @@ def cmd_check(args):
                   % ("PASS" if not ad else "FAIL", len(ad)))
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.file:
-        decls = parse_catalog(read_catalog_file(args.file))
+        decls = parse_catalog_file(args.file)
         from .catalog import AlgebraEntry, TripleEntry, get_catalog
         from .parsing import AlgebraDecl, TripleDecl
         known = dict(get_catalog().algebras)

@@ -16,8 +16,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from .algebra import (_bracket_residuals, _branch_failures, _difference,
-                      _pull, automorphism_residuals, commutant_series)
+from .algebra import (SuperAlgebra, _bracket_residuals, _branch_failures,
+                      _difference, _pull, automorphism_residuals,
+                      commutant_series)
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from .forms import canonical_form
 from .matrices import (dual_blockdiag, f_matmul, inv, rref, s_identity,
@@ -28,7 +29,7 @@ __all__ = ["IsoCertificate", "RSolution", "NoSolution", "Exhausted",
            "verify_certificate", "from_automorphism", "solve_r",
            "solve_shear", "r_to_certificate", "search_iso", "t_dual_certificate"]
 
-DEFAULT_GRID = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+SEARCH_GRID = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
                 Fraction(-1, 2), Fraction(2), Fraction(-2))
 
 
@@ -273,14 +274,13 @@ def solve_shear(H_list, G_list):
 def odd_action_matrices(S):
     """H_i per boson: (H_i)_j^k = F_{b_i, f_j}^{f_k}; requires [f,f] = 0."""
     m, n = S.superdim()
-    for a in range(n):
-        for b in range(n):
-            if any(not c.is_zero() for c in S.F[m + a][m + b]):
-                raise ConstraintViolation("seed has odd-odd brackets; shear transport does not close")
-    out = []
-    for i in range(m):
-        H = [[S.F[i][m + j][m + k] for k in range(n)] for j in range(n)]
-        out.append(H)
+    zero = S.ctx.zero()
+    out = [[[zero] * n for _ in range(n)] for _ in range(m)]
+    for (i, j, k, c) in S.nonzero():
+        if i >= m and j >= m:
+            raise ConstraintViolation("seed has odd-odd brackets; shear transport does not close")
+        if i < m <= j and k >= m:
+            out[i][j - m][k - m] = c
     return out
 
 
@@ -288,12 +288,12 @@ def dual_g_blocks(S_dual):
     """G_i per boson from an N-type dual: [f~^j, f~^k] = G_i^{jk} b~^i.
     None when the dual has brackets outside that shape."""
     m, n = S_dual.superdim()
+    zero = S_dual.ctx.zero()
+    out = [[[zero] * n for _ in range(n)] for _ in range(m)]
     for (i, j, k, c) in S_dual.nonzero():
         if i < m or j < m or k >= m:
             return None
-    out = []
-    for i in range(m):
-        out.append([[S_dual.F[m + a][m + b][i] for b in range(n)] for a in range(n)])
+        out[k][i - m][j - m] = c
     return out
 
 
@@ -332,26 +332,16 @@ def _shear_to_certificate(R, src_triple, tgt_triple):
         for b in range(n):
             C[h + m + a][m + b] = R[a][b]
     src_double = build_double(src_triple)
-    transported = src_double.transport(C)
-    # read the halves off the transported tensor
-    zero = ctx.zero()
-    for i in range(h):
-        for j in range(h):
-            for k in range(h):
-                if not transported.F[h + i][h + j][k].is_zero():
-                    raise ConstraintViolation("shear image does not close on the dual half")
-    dual_brackets = {}
-    for i in range(h):
-        for j in range(h):
-            comps = {k: transported.F[h + i][h + j][h + k] for k in range(h)
-                     if not transported.F[h + i][h + j][h + k].is_zero()}
-            if comps:
-                dual_brackets[(i, j)] = comps
-    from .algebra import SuperAlgebra
-    new_dual = SuperAlgebra.from_brackets(
-        src_triple.S_dual.grading, ctx, dual_brackets,
-        name=(src_triple.S_dual.name or "") + "'", dual_role=True,
-        complete=False)
+    # read the dual half off the transported tensor
+    dual_entries = {}
+    for (i, j, k, c) in src_double.transport(C).nonzero():
+        if i >= h and j >= h:
+            if k < h:
+                raise ConstraintViolation("shear image does not close on the dual half")
+            dual_entries[(i - h, j - h, k - h)] = c
+    new_dual = SuperAlgebra(src_triple.S_dual.grading, ctx, dual_entries,
+                            name=(src_triple.S_dual.name or "") + "'",
+                            dual_role=True)
     if tgt_triple is None:
         tgt_triple = ManinTriple(src_triple.S, new_dual,
                                  ident=None if src_triple.id is None
@@ -438,13 +428,14 @@ def _partial_dualities(m, n, h, d, scales):
         yield C
 
 
-def _even_grid(parity, d, grid):
+def _even_grid(parity, d):
     """Generic even-matrix ansatz, enumerated outward from the identity by
-    the number of entries changed (lazy; eventually covers the whole grid)."""
+    the number of entries changed over SEARCH_GRID (lazy; eventually covers
+    the whole grid)."""
     slots = [(a, b) for a in range(d) for b in range(d)
              if (parity[a] + parity[b]) % 2 == 0]
     default = {(a, b): Fraction(int(a == b)) for (a, b) in slots}
-    alternatives = {s: [v for v in grid if v != default[s]] for s in slots}
+    alternatives = {s: [v for v in SEARCH_GRID if v != default[s]] for s in slots}
     identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     yield [row[:] for row in identity]
     for k in range(1, len(slots) + 1):
@@ -474,8 +465,7 @@ def _auto_candidates(families, rng, count):
                 yield C
 
 
-def search_iso(src, tgt, strategy="auto", budget=4000, grid=DEFAULT_GRID,
-               auto_families=None, seed=0):
+def search_iso(src, tgt, strategy="auto", budget=4000, auto_families=None):
     """Bounded certificate search between two numerically bound doubles.
 
     Returns a verified IsoCertificate or an Exhausted record; Exhausted is
@@ -501,7 +491,7 @@ def search_iso(src, tgt, strategy="auto", budget=4000, grid=DEFAULT_GRID,
     form = _form_tensor(m, n)
     src_nz = src.numeric_nonzero()
     tgt_nz = tgt.numeric_nonzero()
-    rng = random.Random(seed)
+    rng = random.Random(0)
 
     def wrap(C):
         ctx = src.ctx
@@ -514,8 +504,8 @@ def search_iso(src, tgt, strategy="auto", budget=4000, grid=DEFAULT_GRID,
         if strategy in ("auto", "sweep"):
             yield "basic", iter([identity, [row[:] for row in Bmat]])
             yield "duality", _partial_dualities(m, n, h, d, (1, -1))
-            yield "shear", _shear_matrices(m, n, h, d, grid, lower=True)
-            yield "shear_up", _shear_matrices(m, n, h, d, grid, lower=False)
+            yield "shear", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True)
+            yield "shear_up", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=False)
             yield "autos", _auto_candidates(auto_families, rng, 12)
 
             def composed():
@@ -544,14 +534,14 @@ def search_iso(src, tgt, strategy="auto", budget=4000, grid=DEFAULT_GRID,
                         P[i][i] = Fraction(v)
                     diag_seeds.append(P)
                 shears = [identity] + list(
-                    _shear_matrices(m, n, h, d, grid, lower=True))
+                    _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True))
                 for P in diag_seeds:
                     C0 = dual_blockdiag(P)
                     for S in shears:
                         yield f_matmul(C0, S)
             yield "seeded", seeded()
         if strategy in ("auto", "grid"):
-            yield "grid", _even_grid(src.parity, d, grid)
+            yield "grid", _even_grid(src.parity, d)
 
     tried = 0
     for name, gen in stages():

@@ -64,8 +64,9 @@ class DoubleAlgebra(SuperAlgebra):
 
     __slots__ = ("triple",)
 
-    def __init__(self, grading, ctx, F, parity, names, name, triple):
-        super().__init__(grading, ctx, F, parity=parity, names=names, name=name)
+    def __init__(self, grading, ctx, entries, parity, names, name, triple):
+        super().__init__(grading, ctx, entries, parity=parity, names=names,
+                         name=name)
         self.triple = triple
 
     def substitute(self, bindings, check_domains=True):
@@ -77,39 +78,18 @@ def build_double(triple):
     S, Sd = triple.S, triple.S_dual
     m, n = S.superdim()
     h = m + n
-    d = 2 * h
-    ctx = triple.ctx
-    zero = ctx.zero()
-    F = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
-
-    for (i, j, k, c) in S.nonzero():
-        F[i][j][k] = c
-    for (i, j, k, c) in Sd.nonzero():
-        F[h + i][h + j][h + k] = c
-
-    # mixed brackets per the double formula, then graded antisymmetry
     parity = S.parity + Sd.parity
-    for i in range(h):
-        for jj in range(h):
-            comps = {}
-            # F~^{JK}_I X_K
-            for k in range(h):
-                c = Sd.F[jj][k][i]
-                if not c.is_zero():
-                    comps[k] = comps.get(k, zero) + c
-            # F_{KI}^J X~^K
-            for k in range(h):
-                c = S.F[k][i][jj]
-                if not c.is_zero():
-                    comps[h + k] = comps.get(h + k, zero) + c
-            if comps:
-                sign = 1 if (parity[i] * parity[h + jj]) % 2 else -1
-                for k, c in comps.items():
-                    F[i][h + jj][k] = c
-                    F[h + jj][i][k] = c if sign == 1 else -c
-
+    entries = S.entries()
+    entries.update(((h + i, h + j, h + k), c) for (i, j, k, c) in Sd.nonzero())
+    # mixed brackets [X_I, X~^J] per the double formula, each entry read off
+    # one nonzero entry of F~ or F; [X~^J, X_I] by graded antisymmetry
+    mixed = [((i, h + j, k), c) for (j, k, i, c) in Sd.nonzero()]
+    mixed += [((i, h + j, h + k), c) for (k, i, j, c) in S.nonzero()]
+    for (i, hj, k), c in mixed:
+        entries[(i, hj, k)] = c
+        entries[(hj, i, k)] = c if (parity[i] * parity[hj]) % 2 else -c
     names = S.grading.names(False) + S.grading.names(True)
-    return DoubleAlgebra(Grading(2 * m, 2 * n), ctx, F, parity,
+    return DoubleAlgebra(Grading(2 * m, 2 * n), triple.ctx, entries, parity,
                          names, "DD(%s)" % (triple.id or "?"), triple)
 
 
@@ -126,11 +106,12 @@ def t_dual(triple):
     the T map cancels on grading-consistent entries), so only roles swap.
     The doubles are isomorphic via the certificate C = B.
     """
-    new_s = SuperAlgebra(triple.S_dual.grading, triple.ctx, triple.S_dual.F,
+    new_s = SuperAlgebra(triple.S_dual.grading, triple.ctx,
+                         triple.S_dual.entries(),
                          parity=triple.S_dual.parity,
                          names=triple.S.grading.names(False),
                          name=triple.S_dual.name, dual_role=False)
-    new_sd = SuperAlgebra(triple.S.grading, triple.ctx, triple.S.F,
+    new_sd = SuperAlgebra(triple.S.grading, triple.ctx, triple.S.entries(),
                           parity=triple.S.parity,
                           names=triple.S.grading.names(True),
                           name=triple.S.name, dual_role=True)

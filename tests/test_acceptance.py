@@ -158,9 +158,10 @@ def test_criterion_8_enumeration():
         got = {}
         for rep_, _members in orbits:
             matched = match_22(seed_name, rep_)
-            assert matched is not None, "orbit-distinct extra for %s" % seed_name
+            assert matched is not None, ("orbit-distinct extra for %s: %s"
+                                         % (seed_name, rep_.describe_brackets()))
             label, cert = matched
-            assert cert.verify()
+            assert cert.verify(), (seed_name, label)
             got[label] = got.get(label, 0) + 1
         assert got == want, (seed_name, got)
     elapsed = time.monotonic() - t0

@@ -22,7 +22,7 @@ def test_antisymmetry_examples():
     n11 = SuperAlgebra.from_brackets(g, EMPTY, {(1, 1): {0: EMPTY.one()}})
     assert check_antisymmetry(n11) == []
     # [b1, b1] = b1 violates antisymmetry on an even pair
-    bad = SuperAlgebra(Grading(1, 0), EMPTY, [[[EMPTY.one()]]])
+    bad = SuperAlgebra(Grading(1, 0), EMPTY, {(0, 0, 0): EMPTY.one()})
     assert check_antisymmetry(bad)
 
 

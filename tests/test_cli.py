@@ -116,6 +116,13 @@ def test_catalog_search_path(tmp_path):
     env = {"SUPERTRIPLES_CATALOG_PATH": str(tmp_path)}
     _one_line_error(run("list", env=env), 2)
     _one_line_error(run("check", "--algebra", "ZZ_test", env=env), 2)
+    # a syntax error names the file it is in
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "bad.cat").write_text("algebra ( nope\n")
+    r = run("list", env={"SUPERTRIPLES_CATALOG_PATH": str(broken)})
+    _one_line_error(r, 2)
+    assert str(broken / "bad.cat") in r.stderr
 
 
 def _one_line_error(r, code):

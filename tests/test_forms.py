@@ -63,10 +63,10 @@ def test_ad_invariance_detects_corruption():
     """Doubling the [f1, f~1] bracket of the (S11|A11) double breaks it."""
     t = catalog_triple("MT22_3")
     D = build_double(t)
-    F = [[[c for c in row] for row in plane] for plane in D.F]
+    F = D.entries()
     two = D.ctx.const(2)
-    F[1][3][2] = two   # [f1, ft1] = 2*bt1
-    F[3][1][2] = two   # symmetric odd-odd partner
+    F[(1, 3, 2)] = two   # [f1, ft1] = 2*bt1
+    F[(3, 1, 2)] = two   # symmetric odd-odd partner
     corrupt = SuperAlgebra(D.grading, D.ctx, F, parity=D.parity, names=D.names)
     assert check_ad_invariance(corrupt, canonical_form(1, 1))
 

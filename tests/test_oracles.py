@@ -109,9 +109,9 @@ def test_ad_invariance_oracle_64_triples():
     assert ad_invariance_oracle(D, B) == []
     assert check_ad_invariance(D, B) == []
     # corrupt one mixed bracket: both detectors must fire on the same triples
-    F = [[[c for c in row] for row in plane] for plane in D.F]
-    F[1][3][2] = D.ctx.const(2)
-    F[3][1][2] = D.ctx.const(2)
+    F = D.entries()
+    F[(1, 3, 2)] = D.ctx.const(2)
+    F[(3, 1, 2)] = D.ctx.const(2)
     corrupt = SuperAlgebra(D.grading, D.ctx, F, parity=D.parity, names=D.names)
     lib = {t3 for (t3, _) in check_ad_invariance(corrupt, B)}
     assert set(ad_invariance_oracle(corrupt, B)) == lib != set()

@@ -133,7 +133,7 @@ def test_t_duality_preserves_compatibility_both_ways():
         vals_s = [EMPTY.const(rng.choice(grid)) for _ in range(2)]
         vals_d = [EMPTY.const(rng.choice(grid)) for _ in range(2)]
         S = ansatz.dual_algebra(EMPTY, vals_s)
-        S = SuperAlgebra(S.grading, EMPTY, S.F)  # primal role
+        S = SuperAlgebra(S.grading, EMPTY, S.entries())  # primal role
         Sd = ansatz.dual_algebra(EMPTY, vals_d)
         if check_compatibility(ManinTriple(S, Sd)) is None:
             continue
