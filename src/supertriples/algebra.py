@@ -409,12 +409,11 @@ class AutoBranch:
                 raise ConstraintViolation("automorphism constraint %s vanishes" % c)
         return new_ctx, [[mapper(x) for x in row] for row in self.matrix]
 
-    def sample(self, rng, algebra_bindings=None):
+    def sample(self, rng):
         """Random valid instantiation; returns (ctx, matrix)."""
         for _ in range(200):
-            bindings = dict(algebra_bindings or {})
-            for name in self.family_params:
-                bindings[name] = self.ctx.domains[name].sample(rng)
+            bindings = {name: self.ctx.domains[name].sample(rng)
+                        for name in self.family_params}
             try:
                 return self.instantiate(bindings)
             except ConstraintViolation:

@@ -13,7 +13,8 @@ import os
 from fractions import Fraction
 
 from .algebra import AutoBranch, AutomorphismFamily, Grading, SuperAlgebra
-from .errors import ConstraintViolation, ParseError, UnknownId, UnknownName
+from .errors import (ConstraintViolation, ParseError, SuperTriplesError,
+                     UnknownId, UnknownName)
 from .iso import IsoCertificate
 from .parsing import (AlgebraDecl, CertDecl, TripleDecl, build_context,
                       eval_ast, eval_generator_combo, parse_catalog)
@@ -42,22 +43,29 @@ def _simple_expr(ast):
     return ("complex", ast)
 
 
+def _eval_brackets(bracket_decls, ctx, names, owner):
+    """{(i, j): {k: Scalar}} from declared brackets [a, b] = combination of
+    the generators `names`."""
+    genmap = {n: i for i, n in enumerate(names)}
+    brackets = {}
+    for (a, b, ast) in bracket_decls:
+        for g in (a, b):
+            if g not in genmap:
+                raise ParseError("unknown generator %r in %s" % (g, owner))
+        tgt = brackets.setdefault((genmap[a], genmap[b]), {})
+        for k, c in eval_generator_combo(ast, ctx, genmap).items():
+            tgt[k] = tgt.get(k, ctx.zero()) + c
+    return brackets
+
+
 class AlgebraEntry:
     def __init__(self, decl):
         self.decl = decl
         self.name = decl.name
         self.grading = Grading(decl.m, decl.n)
         self.ctx = decl.ctx
-        genmap = {n: i for i, n in enumerate(self.grading.names(False))}
-        brackets = {}
-        for (a, b, ast) in decl.brackets:
-            if a not in genmap or b not in genmap:
-                raise ParseError("unknown generator in %s" % decl.name)
-            comps = eval_generator_combo(ast, decl.ctx, genmap)
-            key = (genmap[a], genmap[b])
-            tgt = brackets.setdefault(key, {})
-            for k, c in comps.items():
-                tgt[k] = tgt.get(k, decl.ctx.zero()) + c
+        brackets = _eval_brackets(decl.brackets, decl.ctx,
+                                  self.grading.names(False), decl.name)
         self.algebra = SuperAlgebra.from_brackets(self.grading, decl.ctx,
                                                   brackets, name=decl.name)
         self._autos = None
@@ -107,17 +115,8 @@ class TripleEntry:
             alg = entry.lift_algebra(self.ctx, bindings)
             return SuperAlgebra(self.grading, self.ctx, alg.entries(),
                                 names=names, name=aname, dual_role=dual)
-        _, bracket_decls = side
-        genmap = {n: i for i, n in enumerate(names)}
-        brackets = {}
-        for (a, b, ast) in bracket_decls:
-            if a not in genmap or b not in genmap:
-                raise ParseError("unknown generator %r in triple %s" % (a, self.id))
-            comps = eval_generator_combo(ast, self.ctx, genmap)
-            key = (genmap[a], genmap[b])
-            tgt = brackets.setdefault(key, {})
-            for k, c in comps.items():
-                tgt[k] = tgt.get(k, self.ctx.zero()) + c
+        brackets = _eval_brackets(side[1], self.ctx, names,
+                                  "triple %s" % self.id)
         return SuperAlgebra.from_brackets(self.grading, self.ctx, brackets,
                                           names=names, dual_role=dual)
 
@@ -177,18 +176,27 @@ class CertEntry:
 
 class Catalog:
     def __init__(self, decls):
+        """decls: (path, declaration) pairs.  Algebras are built first, then
+        triples, then certificates; an error in building an entry is a
+        ParseError naming the declaring file."""
         self.algebras = {}
         self.triples = {}
         self.certs = {}
-        for decl in decls:
-            if isinstance(decl, AlgebraDecl):
-                self.algebras[decl.name] = AlgebraEntry(decl)
-        for decl in decls:
-            if isinstance(decl, TripleDecl):
-                self.triples[decl.id] = TripleEntry(decl, self.algebras)
-        for decl in decls:
-            if isinstance(decl, CertDecl):
-                self.certs[decl.id] = CertEntry(decl, self.triples)
+        for kind in (AlgebraDecl, TripleDecl, CertDecl):
+            for path, decl in decls:
+                if isinstance(decl, kind):
+                    try:
+                        self._add(decl)
+                    except SuperTriplesError as exc:
+                        raise ParseError("%s: %s" % (path, exc)) from None
+
+    def _add(self, decl):
+        if isinstance(decl, AlgebraDecl):
+            self.algebras[decl.name] = AlgebraEntry(decl)
+        elif isinstance(decl, TripleDecl):
+            self.triples[decl.id] = TripleEntry(decl, self.algebras)
+        else:
+            self.certs[decl.id] = CertEntry(decl, self.triples)
 
     def table_rows(self, table):
         prefix = "MT%s_" % table
@@ -218,9 +226,9 @@ def parse_catalog_file(path):
 def _catalog_decls():
     dirs = [DATA_DIR] + [d for d in os.environ.get(ENV_PATH, "").split(os.pathsep)
                          if d and os.path.isdir(d)]
-    return [decl for d in dirs for fn in sorted(os.listdir(d))
-            if fn.endswith(".cat")
-            for decl in parse_catalog_file(os.path.join(d, fn))]
+    paths = [os.path.join(d, fn) for d in dirs for fn in sorted(os.listdir(d))
+             if fn.endswith(".cat")]
+    return [(path, decl) for path in paths for decl in parse_catalog_file(path)]
 
 
 def get_catalog():

@@ -20,6 +20,7 @@ from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
 from .iso import (Exhausted, IsoCertificate, dual_g_blocks, from_automorphism,
                   search_iso, shear_certificate, verify_certificate)
 from .matrices import f_solve, inv, s_identity, transpose
+from .parsing import eval_ast
 from .scalars import Domain, ParamContext, exact_sqrt, finite_branches
 from .triples import ManinTriple, build_double, check_compatibility, t_dual
 
@@ -349,26 +350,13 @@ def _identity_cert(src_double, tgt_double):
                           tgt_double, note="id")
 
 
-def _lift_cert(cert, target_ctx):
-    if cert.ctx == target_ctx:
-        return cert
-    mapper = cert.ctx.bind_scalars(target_ctx, {})
-    matrix = [[mapper(x) for x in row] for row in cert.matrix]
-
-    def lift_double(dd):
-        return build_double(dd.triple.map_scalars(target_ctx, mapper))
-
-    return IsoCertificate(target_ctx, matrix, lift_double(cert.source),
-                          lift_double(cert.target), note=cert.note)
-
-
 def _compose(second, first):
-    """second o first with context alignment (at most one radical around)."""
-    if second.ctx != first.ctx:
-        if second.ctx.radical_name is not None:
-            first = _lift_cert(first, second.ctx)
-        else:
-            second = _lift_cert(second, first.ctx)
+    """second o first with context alignment (at most one radical around):
+    the certificate outside the other's context is mapped into it by name."""
+    ctx = second.ctx if second.ctx.radical_name is not None else first.ctx
+    second, first = (c if c.ctx == ctx
+                     else c.map_scalars(ctx, c.ctx.bind_scalars(ctx, {}))
+                     for c in (second, first))
     return second.compose(first)
 
 
@@ -691,8 +679,8 @@ def _table5_expected(row_id, bindings):
     raise UnknownId("no expected class for row %s" % row_id)
 
 
-def _thm2_expected(row_id, bindings):
-    r = _row_num(row_id)
+def _thm2_expected(inst):
+    r, bindings = _row_num(inst.row_id), inst.bindings
     if r == 1:
         return "I"
     if r == 2:
@@ -712,37 +700,38 @@ def _thm2_expected(row_id, bindings):
         return "VII"
     if r == 14:
         return "VIII_kappa=%s" % bindings["kappa"]
-    raise UnknownId("no expected class for row %s" % row_id)
+    raise UnknownId("no expected class for row %s" % inst.row_id)
 
 
-def _thm3_expected(row_id, bindings, g):
-    """g = (G11, G12, G22) of the dual, Fractions."""
-    r = _row_num(row_id)
-    a, b, c = (g or (Fraction(0),) * 3)[:3]
-    if r == 1:
-        return "I"
-    if r == 2:
-        return "X"
-    if r == 3:
-        return "IX" if bindings["eps"] == 1 else "III"
-    if 4 <= r <= 8:
-        p = bindings["p"]
-        if p == 0:
-            return "VI" if c != 0 else "II_0"
-        return "II_p=%s" % abs(p)
-    if 9 <= r <= 12:
+def _thm3_expected(inst):
+    """Theorem 3's class of a (2,4) instance, row or family member, from its
+    seed algebra, the seed's p and G = (G11, G12, G22) of the dual."""
+    a, b, c = (_dual_g(inst.triple) or (0, 0, 0))[:3]
+    seed = inst.seed_name
+    if seed == "A12":
+        det = a * c - b * b
+        return ("I" if (a, b, c) == (0, 0, 0) else
+                "IX" if det > 0 else "X" if det == 0 else "III")
+    if seed in ("C2_p", "C5_p"):
+        entry = get_catalog().triples[inst.row_id]
+        p = eval_ast(entry.left_ref[2]["p"], entry.ctx)
+        p = p.substitute(inst.bindings).as_fraction()
+        if seed == "C5_p":
+            return "V_p=%s" % p
+        if p != 0:
+            return "II_p=%s" % abs(p)
+        return "VI" if c != 0 else "II_0"
+    if seed == "C2_1":
         return "II_1"
-    if 13 <= r <= 17:
+    if seed == "C2_m1":
         return "IV" if b != 0 else "II_1"
-    if 18 <= r <= 22:
+    if seed == "C3":
         return "VII" if c != 0 else "III"
-    if 23 <= r <= 26:
+    if seed == "C4":
         return "IV"
-    if 27 <= r <= 29:
-        return "V_p=%s" % bindings["p"]
-    if r in (30, 31):
+    if seed == "C5_0":
         return "VIII" if a + c != 0 else "V_0"
-    raise UnknownId("no expected class for row %s" % row_id)
+    raise UnknownId("no expected class for %s" % inst.ident)
 
 
 def _symbolic_row_suite(target, table):
@@ -807,11 +796,7 @@ def _grouping_report(target, specs, expected_fn, budget):
     result = classify_doubles(specs, budget=budget)
     want = {}
     for i, inst in enumerate(result.instances):
-        if expected_fn is _thm3_expected:
-            label = expected_fn(inst.row_id, inst.bindings, _dual_g(inst.triple))
-        else:
-            label = expected_fn(inst.row_id, inst.bindings)
-        want.setdefault(label, set()).add(i)
+        want.setdefault(expected_fn(inst), set()).add(i)
     want_partition = sorted(tuple(sorted(result.instances[i].ident for i in s))
                             for s in want.values())
     got_partition = result.partition_idents()
@@ -839,8 +824,8 @@ def _report_thm1(budget):
     return _grouping_report("thm1", specs, _thm2_expected_22, budget)
 
 
-def _thm2_expected_22(row_id, bindings):
-    r = _row_num(row_id)
+def _thm2_expected_22(inst):
+    r = _row_num(inst.row_id)
     if r == 1:
         return "I"
     if r == 2:
@@ -878,7 +863,7 @@ def _report_thm3(bindings, budget):
         if "kappa" in params:
             base["kappa"] = k0
         specs.append((rid, base))
-        if "p" in params and _row_num(rid) <= 8:
+        if entry.left_ref[1] == "C2_p":
             extra = dict(base)
             extra["p"] = Fraction(0)
             specs.append((rid, extra))
@@ -888,19 +873,10 @@ def _report_thm3(bindings, budget):
     passed = rep.passed
 
     # parameter spot checks: dual-family members at sampled (alpha,beta,gamma)
-    fam_checks = [
-        ("FAM24_C21_G", {}, lambda a, b, c: "II_1"),
-        ("FAM24_C4_G", {}, lambda a, b, c: "IV"),
-        ("FAM24_C2p_G", {"p": p0}, lambda a, b, c: "II_p=%s" % abs(p0)),
-        ("FAM24_C5p_G", {"p": p0}, lambda a, b, c: "V_p=%s" % p0),
-        ("FAM24_C20_G", {}, lambda a, b, c: "VI" if c else "II_0"),
-        ("FAM24_C3_G", {}, lambda a, b, c: "VII" if c else "III"),
-        ("FAM24_C50_G", {}, lambda a, b, c: "V_0" if a + c == 0 else "VIII"),
-        ("FAM24_A_G", {}, lambda a, b, c:
-         ("I" if (a, b, c) == (0, 0, 0) else
-          "IX" if a * c - b * b > 0 else
-          "X" if a * c == b * b else "III")),
-    ]
+    families = [("FAM24_C21_G", {}), ("FAM24_C4_G", {}),
+                ("FAM24_C2p_G", {"p": p0}), ("FAM24_C5p_G", {"p": p0}),
+                ("FAM24_C20_G", {}), ("FAM24_C3_G", {}), ("FAM24_C50_G", {}),
+                ("FAM24_A_G", {})]
     base_of_label = {
         "II_1": ("MT24_9", {}), "IV": ("MT24_23", {}),
         "II_p=%s" % abs(p0): ("MT24_4", {"p": p0}),
@@ -912,12 +888,12 @@ def _report_thm3(bindings, budget):
         "IX": ("MT24_3", {"eps": 1}), "X": ("MT24_2", {}), "I": ("MT24_1", {}),
     }
     base_insts = {}   # one instance per label, so its route memo is reused
-    for fam_id, fam_fixed, label_fn in fam_checks:
+    for fam_id, fam_fixed in families:
         for (a, b, c) in THM3_SAMPLES:
-            label = label_fn(a, b, c)
             fam_bnd = dict(fam_fixed)
             fam_bnd.update({"alpha": a, "beta": b, "gamma": c})
             inst = make_instances([(fam_id, fam_bnd)])[0]
+            label = _thm3_expected(inst)
             if label not in base_insts:
                 base_insts[label] = make_instances([base_of_label[label]])[0]
             base_inst = base_insts[label]
@@ -975,7 +951,8 @@ def _scaling_triple_cert(triple, seed_name, d_squared):
         t_lift = triple
     else:
         lift_ctx = ParamContext([], radicals=[("sq", {(): Fraction(d_squared)})])
-        t_lift = _lift_triple(triple, lift_ctx)
+        t_lift = triple.map_scalars(lift_ctx,
+                                    triple.ctx.bind_scalars(lift_ctx, {}))
         d = lift_ctx.radical()
     one, zero = lift_ctx.one(), lift_ctx.zero()
     dsq = lift_ctx.const(d_squared)
@@ -1018,8 +995,9 @@ def match_22(seed_name, dual):
         cert = _scaling_triple_cert(triple, seed_name, d_squared)
         if cert is None:
             return None
-        if not cert.target.triple.S_dual.tensor_equal(
-                _lift_triple(target_triple, cert.ctx).S_dual):
+        lifted = target_triple.S_dual.map_scalars(
+            cert.ctx, target_triple.ctx.bind_scalars(cert.ctx, {}))
+        if not cert.target.triple.S_dual.tensor_equal(lifted):
             return None
         ok, _ = verify_certificate(cert)
         return (label, cert) if ok else None
@@ -1068,10 +1046,3 @@ def match_22(seed_name, dual):
         target = ManinTriple(S_norm, Sd_norm, ident="Tdual(MT22_5)~")
         return finish("Tdual(MT22_5)", target, -s_val)
     return None
-
-
-def _lift_triple(triple, target_ctx):
-    """The triple over target_ctx, each parameter kept by name."""
-    if triple.ctx == target_ctx:
-        return triple
-    return triple.map_scalars(target_ctx, triple.ctx.bind_scalars(target_ctx, {}))

@@ -52,10 +52,6 @@ def _single_bindings(multi):
     return {k: v[-1] for k, v in multi.items()}
 
 
-def _emit(args, text):
-    print(text)
-
-
 def cmd_check(args):
     status = EXIT_OK
     fmt = args.format
@@ -65,13 +61,13 @@ def cmd_check(args):
         jac = check_jacobi(A)
         ok = not anti and not jac
         if fmt == "machine":
-            _emit(args, "check algebra=%s antisymmetry=%s jacobi=%s"
+            print("check algebra=%s antisymmetry=%s jacobi=%s"
                   % (args.algebra, "pass" if not anti else "fail",
                      "pass" if not jac else "fail"))
         else:
-            _emit(args, "antisymmetry: %s (%d residuals)"
+            print("antisymmetry: %s (%d residuals)"
                   % ("PASS" if not anti else "FAIL", len(anti)))
-            _emit(args, "jacobi: %s (%d residuals)"
+            print("jacobi: %s (%d residuals)"
                   % ("PASS" if not jac else "FAIL", len(jac)))
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.triple:
@@ -81,13 +77,13 @@ def cmd_check(args):
         ad = check_ad_invariance(build_double(t), canonical_form(m, n))
         ok = not res and not ad
         if fmt == "machine":
-            _emit(args, "check triple=%s compatibility=%s ad_invariance=%s"
+            print("check triple=%s compatibility=%s ad_invariance=%s"
                   % (args.triple, "pass" if not res else "fail",
                      "pass" if not ad else "fail"))
         else:
-            _emit(args, "compatibility: %s (%d residuals)"
+            print("compatibility: %s (%d residuals)"
                   % ("PASS" if not res else "FAIL", len(res)))
-            _emit(args, "ad-invariance: %s (%d residuals)"
+            print("ad-invariance: %s (%d residuals)"
                   % ("PASS" if not ad else "FAIL", len(ad)))
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.file:
@@ -103,15 +99,15 @@ def cmd_check(args):
                 bad = (check_antisymmetry(entry.algebra)
                        or check_jacobi(entry.algebra))
                 ok = ok and not bad
-                _emit(args, "algebra %s: %s" % (decl.name,
-                                                "PASS" if not bad else "FAIL"))
+                print("algebra %s: %s" % (decl.name,
+                                          "PASS" if not bad else "FAIL"))
             elif isinstance(decl, TripleDecl):
                 t = TripleEntry(decl, known).triple
                 bad = check_compatibility(t)
                 ok = ok and not bad
-                _emit(args, "triple %s: %s" % (decl.id,
-                                               "PASS" if not bad else "FAIL"))
-        _emit(args, "parsed %d declarations" % len(decls))
+                print("triple %s: %s" % (decl.id,
+                                         "PASS" if not bad else "FAIL"))
+        print("parsed %d declarations" % len(decls))
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     raise ConstraintViolation("check needs --algebra, --triple or --file")
 
@@ -122,11 +118,11 @@ def cmd_double(args):
     if args.format == "machine":
         for (i, j, k, c) in D.nonzero():
             if i <= j:
-                _emit(args, "bracket i=%s j=%s k=%s coeff=%s"
+                print("bracket i=%s j=%s k=%s coeff=%s"
                       % (D.names[i], D.names[j], D.names[k],
                          str(c).replace(" ", "")))
     else:
-        _emit(args, D.describe_brackets())
+        print(D.describe_brackets())
     return EXIT_OK
 
 
@@ -135,11 +131,11 @@ def cmd_invariants(args):
     fp = commutant_series(build_double(t),
                           _single_bindings(_parse_bindings(args.bind)))
     if args.format == "machine":
-        _emit(args, "fingerprint triple=%s dims=%s totals=%s"
+        print("fingerprint triple=%s dims=%s totals=%s"
               % (args.triple, ";".join("%d,%d" % mn for mn in fp.dims),
                  ",".join(str(x) for x in fp.totals())))
     else:
-        _emit(args, "commutant superdimensions: %s  (totals %s)"
+        print("commutant superdimensions: %s  (totals %s)"
               % (fp, fp.totals()))
     return EXIT_OK
 
@@ -151,11 +147,11 @@ def cmd_verify_iso(args):
     form_fail = [r for r in residuals if r[0] == "form"]
     bracket_fail = [r for r in residuals if r[0] == "bracket"]
     if args.format == "machine":
-        _emit(args, "verify cert=%s form=%s transport=%s"
+        print("verify cert=%s form=%s transport=%s"
               % (args.cert, "pass" if not form_fail else "fail",
                  "pass" if not bracket_fail else "fail"))
     else:
-        _emit(args, "cpodm(i): %s, cpodm(ii): %s"
+        print("cpodm(i): %s, cpodm(ii): %s"
               % ("PASS" if not form_fail else "FAIL",
                  "PASS" if not bracket_fail else "FAIL"))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -185,17 +181,17 @@ def cmd_solve_r(args):
     res = solve_r(H, G)
     if isinstance(res, NoSolution):
         if args.format == "machine":
-            _emit(args, "solve_r algebra=%s status=nosolution witness=%s"
+            print("solve_r algebra=%s status=nosolution witness=%s"
                   % (args.algebra, str(res.witness).replace(" ", "")))
         else:
-            _emit(args, "NoSolution: requires %s = 0" % res.witness)
+            print("NoSolution: requires %s = 0" % res.witness)
         return EXIT_CHECK_FAILED
     if args.format == "machine":
         flat = ";".join(str(x).replace(" ", "") for row in res.R for x in row)
-        _emit(args, "solve_r algebra=%s status=ok R=%s" % (args.algebra, flat))
+        print("solve_r algebra=%s status=ok R=%s" % (args.algebra, flat))
     else:
         for row in res.R:
-            _emit(args, "  [ %s ]" % ", ".join(str(x) for x in row))
+            print("  [ %s ]" % ", ".join(str(x) for x in row))
     return EXIT_OK
 
 
@@ -206,10 +202,10 @@ def cmd_enumerate(args):
     fam = automorphisms(args.seed)
     orbits = reduce_orbits(sols, fam)
     if args.format == "machine":
-        _emit(args, "enumerate seed=%s solutions=%d orbits=%d"
+        print("enumerate seed=%s solutions=%d orbits=%d"
               % (args.seed, len(sols), len(orbits)))
     else:
-        _emit(args, "%d solutions, %d orbit representatives" % (len(sols), len(orbits)))
+        print("%d solutions, %d orbit representatives" % (len(sols), len(orbits)))
     for rep, members in orbits:
         label = ""
         if seed.superdim() == (1, 1) and args.seed in ("A11", "N11", "S11"):
@@ -220,7 +216,7 @@ def cmd_enumerate(args):
                 if args.format == "machine"
                 else "  rep %-28s members %d  %s"
                 % (rep.describe_brackets(), len(members), label))
-        _emit(args, line)
+        print(line)
     return EXIT_OK
 
 
@@ -237,7 +233,7 @@ def cmd_classify(args):
     result = classify_doubles(specs, budget=args.budget,
                               strategy=args.strategy)
     for line in result.lines(args.format):
-        _emit(args, line)
+        print(line)
     return EXIT_OK
 
 
@@ -247,15 +243,15 @@ def cmd_report(args):
     for k, v in bindings.items():
         flat[k] = v if len(v) > 1 else v[0]
     rep = report(args.target, flat or None, budget=args.budget)
-    _emit(args, rep.render(args.format))
+    print(rep.render(args.format))
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
 def cmd_list(args):
-    _emit(args, "algebras: %s" % ", ".join(list_algebras()))
+    print("algebras: %s" % ", ".join(list_algebras()))
     for table in ("22", "42", "24"):
-        _emit(args, "triples (%s): %s" % (table, ", ".join(table_rows(table))))
-    _emit(args, "certificates: %s" % ", ".join(list_certificates()))
+        print("triples (%s): %s" % (table, ", ".join(table_rows(table))))
+    print("certificates: %s" % ", ".join(list_certificates()))
     return EXIT_OK
 
 

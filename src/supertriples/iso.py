@@ -76,11 +76,15 @@ class IsoCertificate:
                               note=None if self.note is None else "inv(%s)" % self.note)
 
     def substitute(self, bindings, check_domains=True):
-        new_ctx, mapper = self.ctx.bind(bindings, check_domains=check_domains)
-        matrix = [[mapper(x) for x in row] for row in self.matrix]
-        return IsoCertificate(new_ctx, matrix,
-                              self.source.substitute(bindings, check_domains),
-                              self.target.substitute(bindings, check_domains),
+        return self.map_scalars(*self.ctx.bind(bindings, check_domains))
+
+    def map_scalars(self, new_ctx, fn):
+        """The matrix and both doubles with every scalar sent through fn
+        into new_ctx."""
+        return IsoCertificate(new_ctx,
+                              [[fn(x) for x in row] for row in self.matrix],
+                              self.source.map_scalars(new_ctx, fn),
+                              self.target.map_scalars(new_ctx, fn),
                               note=self.note)
 
     def __repr__(self):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .scalars import Domain, ParamContext, Scalar, exact_sqrt
+from .scalars import Domain, ParamContext, exact_sqrt
 
 __all__ = ["parse_scalar", "parse_catalog", "Tokenizer"]
 

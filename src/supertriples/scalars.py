@@ -9,6 +9,14 @@ plain structural equality.
 
 Polynomials are dicts mapping exponent tuples (one slot per context parameter,
 in declaration order) to nonzero Fractions.
+
+Every change of context goes through one map, ParamContext._mapper, built on
+one polynomial substitution, _p_compose.  Use ``bind`` to give some parameters
+rational values: domains are checked, and it returns the reduced context with
+the map into it.  Use ``bind_scalars`` to map into a given context, each
+parameter sent to a Scalar there (by name, or as bound, e.g. p = 1/q) and the
+radical to a bound value or to the target's own radical.  Objects change
+context once, by ``substitute`` (one bind) or by ``map_scalars(ctx, mapper)``.
 """
 
 from __future__ import annotations
@@ -238,24 +246,26 @@ def _p_prem(f, g, v):
     return r
 
 
-def _p_subs(f, nv_new, keep, values):
-    """Substitute values (dict old index -> Fraction) and reindex kept
-    variables via keep (dict old index -> new index)."""
+def _p_compose(f, images, nv):
+    """The one polynomial substitution: f with variable i replaced by the
+    term images[i] = (c, j), that is c * x_j over nv target variables (c None
+    for the coefficient 1, j None for the constant c).  Applied term by term;
+    several variables may share a target."""
     out = {}
-    for m, c in f.items():
-        coeff = c
-        e = [0] * nv_new
+    for m, coeff in f.items():
+        e = [0] * nv
         for i, exp in enumerate(m):
             if not exp:
                 continue
-            if i in values:
-                coeff = coeff * values[i] ** exp
-            else:
-                e[keep[i]] = exp
+            c, j = images[i]
+            if c is not None:
+                coeff = coeff * c ** exp
+            if j is not None:
+                e[j] += exp
         if not coeff:
             continue
         key = tuple(e)
-        s = out.get(key, Fraction(0)) + coeff
+        s = out.get(key, 0) + coeff
         if s:
             out[key] = s
         elif key in out:
@@ -263,17 +273,18 @@ def _p_subs(f, nv_new, keep, values):
     return out
 
 
-def _p_eval_scalar(f, value_of_var, one):
-    """Evaluate a polynomial with Scalar-valued variables. one is the target
-    context's unit Scalar."""
-    total = one * 0
-    for m, c in f.items():
-        term = one * c
-        for i, exp in enumerate(m):
-            for _ in range(exp):
-                term = term * value_of_var(i)
-        total = total + term
-    return total
+def _term_image(v):
+    """The term (c, j) of _p_compose when the Scalar v is a constant c or a
+    single parameter +-x_j, else v itself."""
+    num = v.re[0]
+    if v.rad is None and _rf_is_one_den(v.re):
+        if _p_is_const(num):
+            return (_p_const_value(num), None)
+        if len(num) == 1:
+            (m, c), = num.items()
+            if c in (1, -1) and sum(m) == 1:
+                return (None if c == 1 else c, m.index(1))
+    return v
 
 
 def _p_str(f, names):
@@ -595,14 +606,13 @@ class ParamContext:
             if check_domains:
                 self.check_binding(name, value)
 
-        values = {self._index[n]: v for n, v in bindings.items()}
         keep_names = [n for n in self.params if n not in bindings]
-        keep = {self._index[n]: i for i, n in enumerate(keep_names)}
-        nv_new = len(keep_names)
-
+        keep = {n: i for i, n in enumerate(keep_names)}
+        images = [(bindings[n], None) if n in bindings else (None, keep[n])
+                  for n in self.params]
         new_radicals = ()
         if self.radicand is not None:
-            new_radicand = _p_subs(self.radicand, nv_new, keep, values)
+            new_radicand = _p_compose(self.radicand, images, len(keep_names))
             if rad_value is not None:
                 if not _p_is_const(new_radicand):
                     raise InconsistentRadical(
@@ -616,76 +626,81 @@ class ParamContext:
                 new_radicals = ((self.radical_name, new_radicand),)
         new_ctx = ParamContext(
             [(n, self.domains[n]) for n in keep_names], new_radicals)
-
-        one_new = _p_const(1, nv_new)
-
-        def mapper(s):
-            if s.ctx is not self and s.ctx != self:
-                raise ConstraintViolation("scalar from foreign context")
-            num = _p_subs(s.re[0], nv_new, keep, values)
-            den = _p_subs(s.re[1], nv_new, keep, values)
-            re = _rf_make(num, den, nv_new)
-            if s.rad is None:
-                return Scalar(new_ctx, re, None)
-            rnum = _p_subs(s.rad[0], nv_new, keep, values)
-            rden = _p_subs(s.rad[1], nv_new, keep, values)
-            rad = _rf_make(rnum, rden, nv_new)
-            if rad_value is not None:
-                re = _rf_add(re, _rf_mul(rad, (_p_const(rad_value, nv_new), one_new),
-                                         nv_new), nv_new)
-                return Scalar(new_ctx, re, None)
-            if not rad[0]:
-                return Scalar(new_ctx, re, None)
-            return Scalar(new_ctx, re, rad)
-
-        return new_ctx, mapper
+        rad = new_ctx.const(rad_value) if rad_value is not None else (
+            new_ctx.radical() if new_radicals else None)
+        return new_ctx, self._mapper(new_ctx, images, rad)
 
     def bind_scalars(self, target_ctx, bindings):
         """Map this context's scalars into target_ctx, sending each parameter
         to a Scalar of target_ctx (given explicitly, or matched by name)."""
-        value_of = {}
+        images = []
         for name in self.params:
-            if name in bindings:
-                v = bindings[name]
-                if not isinstance(v, Scalar):
-                    v = target_ctx.const(v)
-                elif v.ctx is not target_ctx and v.ctx != target_ctx:
-                    raise ConstraintViolation("binding scalar from foreign context")
-                value_of[self._index[name]] = v
-            else:
-                value_of[self._index[name]] = target_ctx.param(name)
-        rad_image = None
+            v = bindings[name] if name in bindings else target_ctx.param(name)
+            if not isinstance(v, Scalar):
+                v = target_ctx.const(v)
+            elif v.ctx is not target_ctx and v.ctx != target_ctx:
+                raise ConstraintViolation("binding scalar from foreign context")
+            images.append(_term_image(v))
+        rad = None
         if self.radical_name is not None:
-            one = target_ctx.one()
-            radicand_image = _p_eval_scalar(self.radicand,
-                                            lambda i: value_of[i], one)
+            radicand = self._mapper(target_ctx, images, None)(
+                Scalar(self, (self.radicand, _p_const(1, self.nvars)), None))
             if self.radical_name in bindings:
-                rad_image = bindings[self.radical_name]
-                if not isinstance(rad_image, Scalar):
-                    rad_image = target_ctx.const(rad_image)
-                if not (rad_image * rad_image - radicand_image).is_zero():
+                rad = bindings[self.radical_name]
+                if not isinstance(rad, Scalar):
+                    rad = target_ctx.const(rad)
+                if not (rad * rad - radicand).is_zero():
                     raise InconsistentRadical("bound radical does not square to radicand")
             elif target_ctx.radical_name is not None:
                 target_radicand = Scalar(
                     target_ctx, (target_ctx.radicand, _p_const(1, target_ctx.nvars)), None)
-                if not (target_radicand - radicand_image).is_zero():
+                if not (target_radicand - radicand).is_zero():
                     raise InconsistentRadical("radicand does not match target context radical")
-                rad_image = target_ctx.radical()
+                rad = target_ctx.radical()
             else:
                 raise InconsistentRadical("target context lacks a radical for %r"
                                           % self.radical_name)
+        return self._mapper(target_ctx, images, rad)
 
-        one = target_ctx.one()
+    def _mapper(self, target, images, rad):
+        """The one map of this context's scalars into target, behind bind and
+        bind_scalars: parameter i goes to images[i], a _p_compose term or a
+        general Scalar of target, and the radical to the Scalar rad.  Term
+        images substitute term by term; each general image first becomes a
+        fresh variable of _p_compose, whose powers are then multiplied in as
+        Scalars."""
+        nv = target.nvars
+        general = [v for v in images if isinstance(v, Scalar)]
+        slots = iter(range(nv, nv + len(general)))
+        terms = [(None, next(slots)) if isinstance(v, Scalar) else v
+                 for v in images]
+        one = _p_const(1, nv)
+
+        def evaluate(f):
+            total = target.zero()
+            for m, c in _p_compose(f, terms, nv + len(general)).items():
+                term = Scalar(target, ({m[:nv]: c}, one), None)
+                for v, e in zip(general, m[nv:]):
+                    term = term * v ** e
+                total = total + term
+            return total
+
+        def image(rf):
+            if general:
+                den = evaluate(rf[1])
+                if not den:
+                    raise DivisionByZero("zero denominator")
+                return evaluate(rf[0]) / den
+            return Scalar(target, _rf_make(_p_compose(rf[0], terms, nv),
+                                           _p_compose(rf[1], terms, nv), nv), None)
 
         def mapper(s):
-            num = _p_eval_scalar(s.re[0], lambda i: value_of[i], one)
-            den = _p_eval_scalar(s.re[1], lambda i: value_of[i], one)
-            out = num / den
-            if s.rad is not None and s.rad[0]:
-                rnum = _p_eval_scalar(s.rad[0], lambda i: value_of[i], one)
-                rden = _p_eval_scalar(s.rad[1], lambda i: value_of[i], one)
-                out = out + (rnum / rden) * rad_image
-            return out
+            if s.ctx is not self and s.ctx != self:
+                raise ConstraintViolation("scalar from foreign context")
+            out = image(s.re)
+            if s.rad is None:
+                return out
+            return out + image(s.rad) * rad
 
         return mapper
 

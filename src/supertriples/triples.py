@@ -38,9 +38,7 @@ class ManinTriple:
         return self.S.superdim()
 
     def substitute(self, bindings, check_domains=True):
-        return ManinTriple(self.S.substitute(bindings, check_domains),
-                           self.S_dual.substitute(bindings, check_domains),
-                           ident=self.id, label=self.label)
+        return self.map_scalars(*self.ctx.bind(bindings, check_domains))
 
     def map_scalars(self, new_ctx, fn):
         """Both tensors with every scalar sent through fn into new_ctx."""
@@ -69,8 +67,10 @@ class DoubleAlgebra(SuperAlgebra):
                          name=name)
         self.triple = triple
 
-    def substitute(self, bindings, check_domains=True):
-        return build_double(self.triple.substitute(bindings, check_domains))
+    def map_scalars(self, new_ctx, fn):
+        """The double of the triple mapped by fn; substitute comes through
+        here too, so the triple is kept."""
+        return build_double(self.triple.map_scalars(new_ctx, fn))
 
 
 def build_double(triple):

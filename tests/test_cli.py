@@ -123,6 +123,18 @@ def test_catalog_search_path(tmp_path):
     r = run("list", env={"SUPERTRIPLES_CATALOG_PATH": str(broken)})
     _one_line_error(r, 2)
     assert str(broken / "bad.cat") in r.stderr
+    # so does an error found while building an entry: an unknown generator
+    # or an unknown algebra on the left of a triple
+    for name, text in (
+            ("gen", "algebra ZZ super_dim (1, 1) brackets { [b1, zz] = f1 }\n"),
+            ("alg", "triple ZT super_dim (1, 1)\n  left = NOPE()\n  right { }\n")):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "entry.cat").write_text(text)
+        for argv in (("list",), ("check", "--algebra", "F")):
+            r = run(*argv, env={"SUPERTRIPLES_CATALOG_PATH": str(d)})
+            _one_line_error(r, 2)
+            assert str(d / "entry.cat") in r.stderr
 
 
 def _one_line_error(r, code):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supertriples.catalog import appendix_certificate, catalog_triple
 from supertriples.errors import (ConstraintViolation, DivisionByZero,
                                  InconsistentRadical)
 from supertriples.scalars import (Domain, ParamContext, Scalar, arith, is_zero,
@@ -70,6 +71,23 @@ def test_substitute_radical_consistent():
     rho = ctx.param("rho")
     v = rho.substitute({"kappa": 5, "lam": 3, "gam": 3, "rho": 4})
     assert v == 4
+    # the same radical rules when mapping into another context
+    k, g = ctx.param("kappa"), ctx.param("gam")
+    s = (k + rho) / rho + rho * g
+    # a bound radical: with lam = 0 the radicand is kappa^2
+    plain = ParamContext([(n, Domain.free()) for n in ctx.params])
+    pk, pg = plain.param("kappa"), plain.param("gam")
+    assert ctx.bind_scalars(plain, {"lam": 0, "rho": pk})(s) == 2 + pk * pg
+    # the target's own radical, under a larger context
+    names = ("x",) + ctx.params
+    base = ParamContext([(n, Domain.free()) for n in names])
+    bk, bl, bg = (base.param(n) for n in ("kappa", "lam", "gam"))
+    big = ParamContext([(n, Domain.free()) for n in names],
+                       radicals=[("rho", (bk * bk - bl * bg).re[0])])
+    lifted = ctx.bind_scalars(big, {})(s)
+    brho, bk, bg = big.param("rho"), big.param("kappa"), big.param("gam")
+    assert lifted == (bk + brho) / brho + brho * bg
+    assert str(lifted) == str(s)
 
 
 def test_substitute_radical_inconsistent():
@@ -77,6 +95,17 @@ def test_substitute_radical_inconsistent():
     rho = ctx.param("rho")
     with pytest.raises(InconsistentRadical):
         rho.substitute({"kappa": 1, "lam": 1, "gam": 1, "rho": 1})
+    # the same radical rules when mapping into another context
+    target = ParamContext([(n, Domain.free()) for n in ctx.params])
+    k, g = target.param("kappa"), target.param("gam")
+    with pytest.raises(InconsistentRadical):   # bound to a wrong root
+        ctx.bind_scalars(target, {"lam": 0, "rho": g})
+    with pytest.raises(InconsistentRadical):   # target has no radical
+        ctx.bind_scalars(target, {})
+    other = ParamContext([(n, Domain.free()) for n in ctx.params],
+                         radicals=[("rho", k.re[0])])
+    with pytest.raises(InconsistentRadical):   # mismatched radicand
+        ctx.bind_scalars(other, {})
 
 
 def test_division_by_zero():
@@ -165,6 +194,49 @@ def test_field_axioms_at_sampled_points():
         assert expr.substitute(bind).is_zero()
 
 
+@given(st.integers(0, 10 ** 6), small_fraction, small_fraction)
+@settings(max_examples=60, deadline=None)
+def test_bind_and_bind_scalars_agree(seed, x, y):
+    """bind and bind_scalars are one map: numeric bindings, renaming into a
+    larger context, and a general image such as p = 1/q."""
+    rng = random.Random(seed)
+    ctx = ParamContext([("p", Domain.free()), ("q", Domain.free())])
+    s = random_scalar(ctx, rng, depth=3) / (random_scalar(ctx, rng) or 1)
+    everywhere = {"p": x, "q": y}
+    try:
+        value = s.substitute(everywhere)
+    except DivisionByZero:     # a denominator vanishes at (x, y)
+        return
+    for bind, rest in (({"p": x}, {"q": y}), (everywhere, {})):
+        reduced, mapper = ctx.bind(bind)
+        assert mapper(s) == ctx.bind_scalars(reduced, bind)(s)
+        assert mapper(s).substitute(rest) == value
+    big = ParamContext([("r", Domain.free()), ("q", Domain.free()),
+                        ("p", Domain.free())])
+    renamed = ctx.bind_scalars(big, {})(s)
+    assert renamed.substitute(dict(everywhere, r=0)) == value
+    try:
+        diagonal = s.substitute({"p": x, "q": x}) if x else None
+    except DivisionByZero:
+        diagonal = None
+    if diagonal is not None:
+        q = big.param("q")
+        inverted = ctx.bind_scalars(big, {"p": 1 / q, "q": 1 / q})(s)
+        assert inverted.substitute({"p": 0, "q": 1 / x, "r": 0}) == diagonal
+
+
+def test_bind_scalars_general_image():
+    ctx = ctx_p()
+    p = ctx.param("p")
+    qctx = ParamContext([("q", Domain.free())])
+    q = qctx.param("q")
+    mapper = ctx.bind_scalars(qctx, {"p": 1 / q})
+    assert mapper((p + 1) / (p - 1)) == (1 + q) / (1 - q)
+    assert mapper(p * p - 2) == 1 / (q * q) - 2
+    with pytest.raises(DivisionByZero):
+        ctx.bind_scalars(qctx, {"p": 1})(1 / (p - 1))
+
+
 @given(small_fraction, small_fraction)
 @settings(max_examples=60, deadline=None)
 def test_substitute_commutes_with_arith(x, y):
@@ -215,3 +287,27 @@ def test_fraction_normal_form_cancels_common_factors(seed):
     rhs = f / g
     assert lhs == rhs
     assert lhs.key() == rhs.key()  # canonical form, not just equal values
+
+
+def _contexts(*algebras):
+    out = [A.ctx for A in algebras]
+    for A in algebras:
+        out += [c.ctx for (_, _, _, c) in A.nonzero()]
+    return out
+
+
+def test_substitute_shares_one_context():
+    """A triple or a certificate changes context once: every part of the
+    result, every scalar included, holds the same context object."""
+    t = catalog_triple("MT24_4").substitute({"p": Fraction(1, 2)})
+    assert len({id(c) for c in [t.ctx] + _contexts(t.S, t.S_dual)}) == 1
+    cert = appendix_certificate("DD24_IIp_1").substitute(
+        {"p": Fraction(1, 2), "alpha": 1})
+    src, tgt = cert.source, cert.target
+    parts = ([cert.ctx, src.triple.ctx, tgt.triple.ctx]
+             + [x.ctx for row in cert.matrix for x in row]
+             + _contexts(src, tgt, src.triple.S, src.triple.S_dual,
+                         tgt.triple.S, tgt.triple.S_dual))
+    assert len({id(c) for c in parts}) == 1
+    assert cert.ctx.params == ("beta", "gamma")
+    assert cert.verify()
