@@ -12,7 +12,7 @@ entries() and bracket(i, j), never through a dense array.
 Every contraction of a structure tensor with a matrix (basis change, the
 automorphism and certificate conditions, the commutant series, and
 ad-invariance in ``forms``) runs through the two sparse kernels ``_pull``
-and ``_push``, for Fraction and Scalar entries alike.
+and ``_push``, for int, Fraction and Scalar entries alike.
 """
 
 from __future__ import annotations
@@ -328,9 +328,10 @@ def automorphism_residuals(A, algebra):
 
 
 # ---------------------------------------------------------------------------
-# contraction kernels: each takes a nonzero list (p, q, r, T) with Fraction
-# or Scalar entries and returns {(a, b, r): value}; zero tests go by
-# truthiness and the first term of a key is stored, not added to a zero
+# contraction kernels: each takes a nonzero list (p, q, r, T) and a matrix
+# with int, Fraction or Scalar entries and returns {(a, b, r): value}; zero
+# tests go by truthiness and the first term of a key is stored, not added
+# to a zero
 
 
 def _pull(nz, M):

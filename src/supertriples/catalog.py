@@ -68,21 +68,19 @@ class AlgebraEntry:
                                   self.grading.names(False), decl.name)
         self.algebra = SuperAlgebra.from_brackets(self.grading, decl.ctx,
                                                   brackets, name=decl.name)
-        self._autos = None
+        branches = []
+        for br in decl.autos:
+            params = [(n, self.ctx.domains[n]) for n in self.ctx.params]
+            params += br.params
+            ctx = build_context(params, br.radicals)
+            matrix = [[eval_ast(ast, ctx) for ast in row] for row in br.matrix]
+            constraints = [eval_ast(ast, ctx) for ast in br.constraints]
+            branches.append(AutoBranch(ctx, matrix, constraints,
+                                       [n for n, _ in br.params]))
+        self.family = AutomorphismFamily(self.name, self.grading, branches)
 
     def automorphisms(self):
-        if self._autos is None:
-            branches = []
-            for br in self.decl.autos:
-                params = [(n, self.ctx.domains[n]) for n in self.ctx.params]
-                params += br.params
-                ctx = build_context(params, br.radicals)
-                matrix = [[eval_ast(ast, ctx) for ast in row] for row in br.matrix]
-                constraints = [eval_ast(ast, ctx) for ast in br.constraints]
-                branches.append(AutoBranch(ctx, matrix, constraints,
-                                           [n for n, _ in br.params]))
-            self._autos = AutomorphismFamily(self.name, self.grading, branches)
-        return self._autos
+        return self.family
 
     def lift_algebra(self, target_ctx, bindings):
         """Algebra tensor mapped into target_ctx under param bindings."""
@@ -177,26 +175,29 @@ class CertEntry:
 class Catalog:
     def __init__(self, decls):
         """decls: (path, declaration) pairs.  Algebras are built first, then
-        triples, then certificates; an error in building an entry is a
-        ParseError naming the declaring file."""
+        triples, then certificates."""
         self.algebras = {}
         self.triples = {}
         self.certs = {}
         for kind in (AlgebraDecl, TripleDecl, CertDecl):
             for path, decl in decls:
                 if isinstance(decl, kind):
-                    try:
-                        self._add(decl)
-                    except SuperTriplesError as exc:
-                        raise ParseError("%s: %s" % (path, exc)) from None
+                    self.add(path, decl)
 
-    def _add(self, decl):
-        if isinstance(decl, AlgebraDecl):
-            self.algebras[decl.name] = AlgebraEntry(decl)
-        elif isinstance(decl, TripleDecl):
-            self.triples[decl.id] = TripleEntry(decl, self.algebras)
-        else:
-            self.certs[decl.id] = CertEntry(decl, self.triples)
+    def add(self, path, decl):
+        """Build and return the entry of one declaration from file `path`,
+        against the entries added so far; an error in building it is a
+        ParseError naming the file."""
+        try:
+            if isinstance(decl, AlgebraDecl):
+                entry = self.algebras[decl.name] = AlgebraEntry(decl)
+            elif isinstance(decl, TripleDecl):
+                entry = self.triples[decl.id] = TripleEntry(decl, self.algebras)
+            else:
+                entry = self.certs[decl.id] = CertEntry(decl, self.triples)
+        except SuperTriplesError as exc:
+            raise ParseError("%s: %s" % (path, exc)) from None
+        return entry
 
     def table_rows(self, table):
         prefix = "MT%s_" % table

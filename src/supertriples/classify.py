@@ -10,10 +10,11 @@ search record (evidence, not proof).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from .algebra import SuperAlgebra, commutant_series
+from .algebra import SuperAlgebra, _pull, _push, commutant_series
 from .catalog import catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, UnknownId)
@@ -192,17 +193,24 @@ def reduce_orbits(solutions, family):
     random samples.
     Sound for merging, incomplete for separation: orbits may stay split,
     never wrongly merged.  Representatives are the lexicographically
-    smallest tensors.
+    smallest tensors (``tensor_key``).
+
+    The transport runs on integers: each solution is scaled once to integer
+    entries over a denominator, and each sampled A is inverted once over
+    Fractions, with (A^{-1})^T and A^T scaled to integer matrices.  A moved
+    tensor is matched to a solution by ``_lowest_terms``, which is exact:
+    a rational tensor has exactly one lowest-terms form, whose denominator
+    is the least common denominator of its entries.
     """
     if not solutions:
         return []
-    ctx = solutions[0].ctx
-    index = {sol.tensor_key(): i for i, sol in enumerate(solutions)}
+    tensors = [_integer_tensor(sol.numeric_nonzero()) for sol in solutions]
+    index = {_lowest_terms(*t): i for i, t in enumerate(tensors)}
     sets = _UnionFind(len(solutions))
 
     rng = random.Random(0)
     per_branch = ORBIT_SAMPLES // max(1, len(family.branches))
-    matrices = []
+    actions = []
     for branch in family:
         names = branch.family_params
         grid_combos = itertools.product(ORBIT_GRID, repeat=len(names))
@@ -215,22 +223,18 @@ def reduce_orbits(solutions, family):
                 _, mat = branch.instantiate(bindings)
             except ConstraintViolation:
                 continue
-            matrices.append(mat)
+            actions.append(_dual_action(mat))
             taken += 1
         for _ in range(per_branch // 2):
             try:
                 _, mat = branch.sample(rng)
             except ConstraintViolation:
                 continue
-            matrices.append(mat)
+            actions.append(_dual_action(mat))
 
-    for mat in matrices:
-        lifted = [[ctx.const(x.as_fraction()) for x in row] for row in mat]
-        # transport_dual's basis (A^{-1})^T and its inverse A^T, once per A
-        D, D_inv = transpose(inv(lifted)), transpose(lifted)
-        for i, sol in enumerate(solutions):
-            moved = sol._transport(D, D_inv)
-            j = index.get(moved.tensor_key())
+    for action in actions:
+        for i, tensor in enumerate(tensors):
+            j = index.get(_moved_key(tensor, action))
             if j is not None:
                 sets.union(i, j)
 
@@ -243,6 +247,54 @@ def reduce_orbits(solutions, family):
         out.append((solutions[rep], [solutions[i] for i in members]))
     out.sort(key=lambda pair: pair[0].tensor_key())
     return out
+
+
+def _integer_tensor(nz):
+    """(integer nonzero list, den): the Fraction entries of nz times den,
+    the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for (_, _, _, c) in nz))
+    return [(i, j, k, c.numerator * (den // c.denominator))
+            for (i, j, k, c) in nz], den
+
+
+def _integer_matrix(M):
+    """(integer matrix, a): the Fraction matrix M times a, the lcm of the
+    denominators of its entries."""
+    a = math.lcm(*(x.denominator for row in M for x in row))
+    return [[x.numerator * (a // x.denominator) for x in row] for row in M], a
+
+
+def _lowest_terms(nz, den):
+    """Hashable key of the rational tensor nz / den (nz a sorted nonzero
+    list of integer entries, den > 0): nz and den divided by their common
+    gcd.  Unique: the key's denominator is the least common denominator of
+    the tensor's entries, so every scaling of one tensor gives one key (the
+    zero tensor's is ((), 1))."""
+    g = math.gcd(den, *(n for (_, _, _, n) in nz))
+    return tuple((i, j, k, n // g) for (i, j, k, n) in nz), den // g
+
+
+def _dual_action(mat):
+    """(D, B, s) for an invertible matrix A of numeric Scalars: the integer
+    matrices D = a (A^{-1})^T and B = b A^T, each scaled by the lcm of its
+    denominators, and s = a^2 b, the factor that pulling along D and
+    pushing along B put on a tensor.  A is inverted once, over Fractions."""
+    A = [[x.as_fraction() for x in row] for row in mat]
+    D, a = _integer_matrix(transpose(inv(A)))
+    B, b = _integer_matrix(transpose(A))
+    return D, B, a * a * b
+
+
+def _moved_key(tensor, action):
+    """``_lowest_terms`` key of the integer tensor (nz, den) moved by the
+    dual action (D, B, s) of ``_dual_action``: the entries
+    D_I^P D_J^Q N^{PQ}_R B_R^S over the denominator den * s."""
+    nz, den = tensor
+    D, B, scale = action
+    pulled = _pull(nz, D)
+    pushed = _push([key + (n,) for key, n in pulled.items() if n], B)
+    return _lowest_terms(sorted(key + (n,) for key, n in pushed.items() if n),
+                         den * scale)
 
 
 # ---------------------------------------------------------------------------

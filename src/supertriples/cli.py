@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import check_antisymmetry, check_jacobi, commutant_series
-from .catalog import (appendix_certificate, automorphisms, catalog,
+from .catalog import (Catalog, appendix_certificate, automorphisms, catalog,
                       catalog_triple, get_catalog, list_algebras,
                       list_certificates, parse_catalog_file, table_rows)
 from .classify import (DEFAULT_SEARCH_BUDGET, REPORT_TARGETS, classify_doubles,
@@ -20,6 +20,7 @@ from .errors import (BudgetExceeded, ConstraintViolation, InconsistentRadical,
                      ParseError, SuperTriplesError, UnknownId, UnknownName)
 from .forms import canonical_form, check_ad_invariance
 from .iso import NoSolution, odd_action_matrices, solve_r, verify_certificate
+from .parsing import AlgebraDecl, TripleDecl
 from .triples import build_double, check_compatibility
 
 EXIT_OK = 0
@@ -88,22 +89,20 @@ def cmd_check(args):
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.file:
         decls = parse_catalog_file(args.file)
-        from .catalog import AlgebraEntry, TripleEntry, get_catalog
-        from .parsing import AlgebraDecl, TripleDecl
-        known = dict(get_catalog().algebras)
+        # the file's entries are built on the catalog's algebras, which they
+        # may extend or override, without changing the catalog itself
+        local = Catalog([])
+        local.algebras.update(get_catalog().algebras)
         ok = True
         for decl in decls:
             if isinstance(decl, AlgebraDecl):
-                entry = AlgebraEntry(decl)
-                known[decl.name] = entry
-                bad = (check_antisymmetry(entry.algebra)
-                       or check_jacobi(entry.algebra))
+                algebra = local.add(args.file, decl).algebra
+                bad = check_antisymmetry(algebra) or check_jacobi(algebra)
                 ok = ok and not bad
                 print("algebra %s: %s" % (decl.name,
                                           "PASS" if not bad else "FAIL"))
             elif isinstance(decl, TripleDecl):
-                t = TripleEntry(decl, known).triple
-                bad = check_compatibility(t)
+                bad = check_compatibility(local.add(args.file, decl).triple)
                 ok = ok and not bad
                 print("triple %s: %s" % (decl.id,
                                          "PASS" if not bad else "FAIL"))

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supertriples.catalog import automorphisms, catalog, catalog_triple, get_catalog
-from supertriples.classify import (classify_doubles, enumerate_duals,
+from supertriples.classify import (_dual_action, _integer_tensor,
+                                   _lowest_terms, _moved_key,
+                                   classify_doubles, enumerate_duals,
                                    find_certificate, make_instances,
                                    reduce_orbits, report)
 from supertriples.errors import ConstraintViolation
@@ -128,3 +132,62 @@ def test_orbit_sign_split_preserved():
         if not t.is_zero():
             signs.add(t.as_fraction() > 0)
     assert signs == {True, False}
+
+
+@pytest.mark.parametrize("name, bindings, solutions, sizes", [
+    ("S21", {}, 13, [1, 1, 1, 2, 2, 6]),
+    ("F", {}, 41, [1, 1, 1, 1, 1, 1, 1, 2, 2, 5, 5, 5, 5, 5, 5]),
+    ("C1_p", {"p": 2}, 13, [1, 1, 1, 2, 2, 6]),
+])
+def test_orbits_of_21_seeds(name, bindings, solutions, sizes):
+    sols = enumerate_duals(catalog(name, bindings))
+    orbits = reduce_orbits(sols, automorphisms(name))
+    assert len(sols) == solutions
+    assert sorted(len(members) for _, members in orbits) == sizes
+    # representatives are the smallest tensors, listed in increasing order
+    keys = [rep.tensor_key() for rep, _ in orbits]
+    assert keys == sorted(keys)
+    for rep, members in orbits:
+        assert rep.tensor_key() == min(m.tensor_key() for m in members)
+
+
+def _scalar_path_key(sol, mat):
+    """The integer key of sol moved by mat through Scalar transport_dual."""
+    lifted = [[sol.ctx.const(x.as_fraction()) for x in row] for row in mat]
+    return _lowest_terms(*_integer_tensor(
+        sol.transport_dual(lifted).numeric_nonzero()))
+
+
+@pytest.mark.parametrize("name", ["F", "S21"])
+def test_integer_transport_matches_scalar_path(name):
+    sols = enumerate_duals(catalog(name))
+    rng = random.Random(8)
+    for branch in automorphisms(name):
+        for _ in range(3):
+            _, mat = branch.sample(rng)
+            action = _dual_action(mat)
+            for sol in sols:
+                moved = _moved_key(_integer_tensor(sol.numeric_nonzero()),
+                                   action)
+                assert moved == _scalar_path_key(sol, mat)
+
+
+index = st.integers(0, 2)
+
+
+@given(st.dictionaries(st.tuples(index, index, index),
+                       st.fractions(max_denominator=30).filter(bool),
+                       max_size=6),
+       st.integers(1, 50), st.integers(1, 50))
+@settings(max_examples=60, deadline=None)
+def test_lowest_terms_key_is_unique(tensor, s, t):
+    """One rational tensor, scaled to integers over two different
+    denominators, has one key; the zero tensor has the key ((), 1)."""
+    nz, den = _integer_tensor(sorted(k + (c,) for k, c in tensor.items()))
+    key = _lowest_terms(nz, den)
+    assert key == _lowest_terms([e[:3] + (e[3] * s,) for e in nz], den * s)
+    assert key == _lowest_terms([e[:3] + (e[3] * t,) for e in nz], den * t)
+    assert key[1] > 0
+    assert [Fraction(n, key[1]) for (_, _, _, n) in key[0]] == \
+        [tensor[e[:3]] for e in nz]
+    assert _lowest_terms([], s) == ((), 1)

@@ -137,6 +137,33 @@ def test_catalog_search_path(tmp_path):
             assert str(d / "entry.cat") in r.stderr
 
 
+def test_bad_automorphism_block_is_a_parse_error(tmp_path):
+    """An unknown name in an automorphism block fails when the catalog is
+    built, naming the file, not when the family is first used."""
+    (tmp_path / "zq.cat").write_text(
+        "algebra ZQ super_dim (1, 1)\n  brackets { }\n  automorphism {\n"
+        "    params { a : free \\ {0} }\n    matrix [[nope, 0], [0, a]]\n"
+        "    constraints { a }\n  }\n")
+    env = {"SUPERTRIPLES_CATALOG_PATH": str(tmp_path)}
+    for argv in (("list",), ("enumerate", "--seed", "ZQ")):
+        r = run(*argv, env=env)
+        _one_line_error(r, 2)
+        assert str(tmp_path / "zq.cat") in r.stderr
+    r = run("check", "--file", str(tmp_path / "zq.cat"))
+    _one_line_error(r, 2)
+    assert str(tmp_path / "zq.cat") in r.stderr
+
+
+def test_check_file_unknown_algebra_is_a_parse_error(tmp_path):
+    """check --file builds its entries as the catalog does: an unknown
+    algebra on the left of a triple is a parse error naming the file."""
+    path = tmp_path / "zt.cat"
+    path.write_text("triple ZT super_dim (1, 1)\n  left = NOPE()\n  right { }\n")
+    r = run("check", "--file", str(path))
+    _one_line_error(r, 2)
+    assert str(path) in r.stderr and "unknown algebra NOPE" in r.stderr
+
+
 def _one_line_error(r, code):
     assert r.returncode == code
     assert "Traceback" not in r.stderr
