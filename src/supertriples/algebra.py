@@ -13,10 +13,14 @@ Every contraction of a structure tensor with a matrix (basis change, the
 automorphism and certificate conditions, the commutant series, and
 ad-invariance in ``forms``) runs through the two sparse kernels ``_pull``
 and ``_push``, for int, Fraction and Scalar entries alike.
+``_integer_tensor`` and ``_integer_matrix`` clear the denominators of
+Fraction inputs once, so that the orbit reduction and the certificate search
+contract integers only.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ConstraintViolation, DimensionMismatch
@@ -239,7 +243,7 @@ class SuperAlgebra:
     def _transport(self, M, M_inv):
         """F'_{IJ}^S = M_I^P M_J^Q F_{PQ}^R (M^{-1})_R^S: the pullback along M,
         pushed forward along M^{-1}."""
-        pulled = _pull(self._nz, M)
+        pulled = _pull(self._nz, _columns(M))
         pushed = _push([key + (c,) for key, c in pulled.items() if c], M_inv)
         return SuperAlgebra(self.grading, self.ctx, pushed, parity=self.parity,
                             names=self.names, name=self.name,
@@ -329,18 +333,25 @@ def automorphism_residuals(A, algebra):
 
 # ---------------------------------------------------------------------------
 # contraction kernels: each takes a nonzero list (p, q, r, T) and a matrix
-# with int, Fraction or Scalar entries and returns {(a, b, r): value}; zero
-# tests go by truthiness and the first term of a key is stored, not added
-# to a zero
+# with int, Fraction or Scalar entries (``_pull`` takes the matrix's column
+# index) and returns {(a, b, r): value}; zero tests go by truthiness and the
+# first term of a key is stored, not added to a zero
 
 
-def _pull(nz, M):
-    """(a, b, r) -> M_a^p M_b^q T_pq^r, over the rows a, b of M."""
+def _columns(M):
+    """Column index of M for ``_pull``: {p: [(a, M_a^p), ...]} over the
+    nonzero entries, rows in increasing order.  Build it once per matrix."""
     cols = {}
     for a, row in enumerate(M):
         for p, x in enumerate(row):
             if x:
                 cols.setdefault(p, []).append((a, x))
+    return cols
+
+
+def _pull(nz, cols):
+    """(a, b, r) -> M_a^p M_b^q T_pq^r, over the rows a, b of the matrix M
+    whose column index ``_columns(M)`` is cols."""
     out = {}
     for (p, q, r, t) in nz:
         col_q = cols.get(q)
@@ -367,6 +378,21 @@ def _push(nz, M):
     return out
 
 
+def _integer_tensor(nz):
+    """(integer nonzero list, den): the Fraction entries of nz times den,
+    the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for (_, _, _, c) in nz))
+    return [(i, j, k, c.numerator * (den // c.denominator))
+            for (i, j, k, c) in nz], den
+
+
+def _integer_matrix(M):
+    """(integer matrix, a): the Fraction matrix M times a, the lcm of the
+    denominators of its entries."""
+    a = math.lcm(*(x.denominator for row in M for x in row))
+    return [[x.numerator * (a // x.denominator) for x in row] for row in M], a
+
+
 def _difference(lhs, rhs):
     """(key, lhs - rhs) for each nonvanishing entry, in key order."""
     out = []
@@ -387,7 +413,7 @@ def _bracket_residuals(C, source_nz, target_nz):
     C_a^p C_b^q F_pq^r - F'_ab^k C_k^r, with F the source tensor and F' the
     target tensor (given by their nonzero lists); sign branches are not
     split here."""
-    return _difference(_pull(source_nz, C), _push(target_nz, C))
+    return _difference(_pull(source_nz, _columns(C)), _push(target_nz, C))
 
 
 class AutoBranch:
@@ -477,7 +503,7 @@ def commutant_series(algebra, bindings=None):
     dims = []
     for _ in range(3):
         vectors = {}
-        for (a, b, r), x in _pull(nz, rows).items():
+        for (a, b, r), x in _pull(nz, _columns(rows)).items():
             if x:
                 vectors.setdefault((a, b), [Fraction(0)] * d)[r] = x
         even = _span_basis([v for (a, b), v in vectors.items()

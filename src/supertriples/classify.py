@@ -14,7 +14,8 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import SuperAlgebra, _pull, _push, commutant_series
+from .algebra import (SuperAlgebra, _columns, _integer_matrix,
+                      _integer_tensor, _pull, _push, commutant_series)
 from .catalog import catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, UnknownId)
@@ -249,21 +250,6 @@ def reduce_orbits(solutions, family):
     return out
 
 
-def _integer_tensor(nz):
-    """(integer nonzero list, den): the Fraction entries of nz times den,
-    the lcm of their denominators."""
-    den = math.lcm(*(c.denominator for (_, _, _, c) in nz))
-    return [(i, j, k, c.numerator * (den // c.denominator))
-            for (i, j, k, c) in nz], den
-
-
-def _integer_matrix(M):
-    """(integer matrix, a): the Fraction matrix M times a, the lcm of the
-    denominators of its entries."""
-    a = math.lcm(*(x.denominator for row in M for x in row))
-    return [[x.numerator * (a // x.denominator) for x in row] for row in M], a
-
-
 def _lowest_terms(nz, den):
     """Hashable key of the rational tensor nz / den (nz a sorted nonzero
     list of integer entries, den > 0): nz and den divided by their common
@@ -276,13 +262,14 @@ def _lowest_terms(nz, den):
 
 def _dual_action(mat):
     """(D, B, s) for an invertible matrix A of numeric Scalars: the integer
-    matrices D = a (A^{-1})^T and B = b A^T, each scaled by the lcm of its
-    denominators, and s = a^2 b, the factor that pulling along D and
-    pushing along B put on a tensor.  A is inverted once, over Fractions."""
+    matrices D = a (A^{-1})^T, held as its ``_columns`` index, and
+    B = b A^T, each scaled by the lcm of its denominators, and s = a^2 b,
+    the factor that pulling along D and pushing along B put on a tensor.
+    A is inverted once, over Fractions."""
     A = [[x.as_fraction() for x in row] for row in mat]
     D, a = _integer_matrix(transpose(inv(A)))
     B, b = _integer_matrix(transpose(A))
-    return D, B, a * a * b
+    return _columns(D), B, a * a * b
 
 
 def _moved_key(tensor, action):
@@ -290,8 +277,8 @@ def _moved_key(tensor, action):
     dual action (D, B, s) of ``_dual_action``: the entries
     D_I^P D_J^Q N^{PQ}_R B_R^S over the denominator den * s."""
     nz, den = tensor
-    D, B, scale = action
-    pulled = _pull(nz, D)
+    D_cols, B, scale = action
+    pulled = _pull(nz, D_cols)
     pushed = _push([key + (n,) for key, n in pulled.items() if n], B)
     return _lowest_terms(sorted(key + (n,) for key, n in pushed.items() if n),
                          den * scale)

@@ -17,8 +17,8 @@ import random
 from fractions import Fraction
 
 from .algebra import (SuperAlgebra, _bracket_residuals, _branch_failures,
-                      _difference, _pull, automorphism_residuals,
-                      commutant_series)
+                      _columns, _difference, _integer_matrix, _integer_tensor,
+                      _pull, _push, automorphism_residuals, commutant_series)
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from .forms import canonical_form
 from .matrices import (dual_blockdiag, f_matmul, inv, rref, s_identity,
@@ -29,8 +29,9 @@ __all__ = ["IsoCertificate", "RSolution", "NoSolution", "Exhausted",
            "verify_certificate", "from_automorphism", "solve_r",
            "solve_shear", "r_to_certificate", "search_iso", "t_dual_certificate"]
 
-SEARCH_GRID = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
-                Fraction(-1, 2), Fraction(2), Fraction(-2))
+# the search grid 0, 1, -1, 1/2, -1/2, 2, -2, scaled by GRID_DEN to integers
+GRID_DEN = 2
+SEARCH_GRID = (0, 2, -2, 1, -1, 4, -4)
 
 
 class IsoCertificate:
@@ -108,8 +109,9 @@ def verify_certificate(cert):
     form = _form_tensor(m, n)
     if not ctx.params and ctx.radical_name is None:
         # numeric fast path; fall through for the report only on failure
-        Cf = [[x.as_fraction() for x in row] for row in C]
-        if _holds(Cf, form, src.numeric_nonzero(), tgt.numeric_nonzero()):
+        M, c = _integer_matrix([[x.as_fraction() for x in row] for row in C])
+        if _holds(M, c, form, _integer_tensor(src.numeric_nonzero()),
+                  _integer_tensor(tgt.numeric_nonzero())):
             return True, []
     # Scalar form entries, so that every residual is a Scalar
     form = [(p, q, r, ctx.const(x)) for (p, q, r, x) in form]
@@ -122,21 +124,37 @@ def verify_certificate(cert):
 
 def _form_tensor(m, n):
     """The canonical form B as a tensor with one trivial upper index: the
-    nonzero list (p, q, 0, B_pq)."""
-    return [(p, q, 0, x) for p, row in enumerate(canonical_form(m, n).matrix)
+    nonzero list (p, q, 0, B_pq), with int entries."""
+    return [(p, q, 0, int(x))
+            for p, row in enumerate(canonical_form(m, n).matrix)
             for q, x in enumerate(row) if x]
 
 
 def _form_residuals(C, form):
     """Condition (i): C_a^p C_b^q B_pq - B_ab, keyed (a, b, 0)."""
-    return _difference(_pull(form, C), {(p, q, r): x for (p, q, r, x) in form})
+    return _difference(_pull(form, _columns(C)),
+                       {(p, q, r): x for (p, q, r, x) in form})
 
 
-def _holds(C, form, src_nz, tgt_nz):
-    """Conditions (i) and (ii) for a Fraction matrix; (ii) is skipped when
-    (i) fails."""
-    return (not _form_residuals(C, form)
-            and not _bracket_residuals(C, src_nz, tgt_nz))
+def _holds(M, c, form, source, target):
+    """Conditions (i) and (ii) for C = M / c, with M an integer matrix and c
+    a nonzero integer, on integer-scaled tensors: form is B's nonzero list
+    (``_form_tensor``), and source (N, s) and target (N', t) stand for
+    F = N / s and F' = N' / t.  Cleared of denominators, (i) and (ii) read
+
+        (i)   pull(B, M) = c^2 B
+        (ii)  t pull(N, M) = s c push(N', M)
+
+    over integers; (ii) is skipped when (i) fails."""
+    cols = _columns(M)
+    c2 = c * c
+    if ({key: x for key, x in _pull(form, cols).items() if x}
+            != {(p, q, r): c2 * x for (p, q, r, x) in form}):
+        return False
+    (N, s), (N2, t) = source, target
+    sc = s * c
+    return ({key: t * x for key, x in _pull(N, cols).items() if x}
+            == {key: sc * x for key, x in _push(N2, M).items() if x})
 
 
 def _half(double):
@@ -231,7 +249,6 @@ def solve_r(H, G):
     columns are scanned in reversed unknown order, which reproduces the
     particular solutions the certificate library uses.
     """
-    n = len(H)
     res = solve_shear([H], [G])
     if isinstance(res, NoSolution):
         return res
@@ -376,7 +393,17 @@ class Exhausted:
                                                        self.reason)
 
 
+# Every generator yields candidates (M, c), standing for C = M / c, with M an
+# integer matrix and c a positive integer.
+
+
+def _identity(d, c=1):
+    return [[c if i == j else 0 for j in range(d)] for i in range(d)]
+
+
 def _shear_matrices(m, n, h, d, grid, lower=True):
+    """Unit shears with off-diagonal values from grid, integers over
+    GRID_DEN."""
     bos_slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
     ferm_slots = [(a, b) for a in range(n) for b in range(a, n)]
     nslots = len(bos_slots) + len(ferm_slots)
@@ -385,7 +412,7 @@ def _shear_matrices(m, n, h, d, grid, lower=True):
     for combo in itertools.product(grid, repeat=nslots):
         if all(x == 0 for x in combo):
             continue
-        C = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+        C = _identity(d, GRID_DEN)
         vals = list(combo)
         for (i, j), v in zip(bos_slots, vals[:len(bos_slots)]):
             if lower:
@@ -401,17 +428,17 @@ def _shear_matrices(m, n, h, d, grid, lower=True):
             else:
                 C[m + a][h + m + b] = v
                 C[m + b][h + m + a] = v
-        yield C
+        yield C, GRID_DEN
 
 
-def _partial_dualities(m, n, h, d, scales):
+def _partial_dualities(m, n, h, d):
     """Swap X_i <-> X~^i on a subset of pair indices, with form-preserving
-    signs, and scale the untouched pairs."""
+    signs, and scale the untouched pairs by 1 or -1."""
     pair_count = m + n
     swap_choices = []
     for idx in range(pair_count):
         fermion = idx >= m
-        options = [("keep", s) for s in scales]
+        options = [("keep", s) for s in (1, -1)]
         if fermion:
             options += [("swap", (1, -1)), ("swap", (-1, 1))]
         else:
@@ -420,16 +447,17 @@ def _partial_dualities(m, n, h, d, scales):
     for assignment in itertools.product(*swap_choices):
         if all(kind == "keep" and s == 1 for kind, s in assignment):
             continue
-        C = [[Fraction(0)] * d for _ in range(d)]
+        C = [[0] * d for _ in range(d)]
         for idx, (kind, s) in enumerate(assignment):
             if kind == "keep":
-                C[idx][idx] = Fraction(s)
-                C[h + idx][h + idx] = Fraction(1) / Fraction(s)
+                # s = 1/s for s = 1, -1
+                C[idx][idx] = s
+                C[h + idx][h + idx] = s
             else:
                 s1, s2 = s
-                C[idx][h + idx] = Fraction(s1)
-                C[h + idx][idx] = Fraction(s2)
-        yield C
+                C[idx][h + idx] = s1
+                C[h + idx][idx] = s2
+        yield C, 1
 
 
 def _even_grid(parity, d):
@@ -438,17 +466,17 @@ def _even_grid(parity, d):
     the whole grid)."""
     slots = [(a, b) for a in range(d) for b in range(d)
              if (parity[a] + parity[b]) % 2 == 0]
-    default = {(a, b): Fraction(int(a == b)) for (a, b) in slots}
-    alternatives = {s: [v for v in SEARCH_GRID if v != default[s]] for s in slots}
-    identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    yield [row[:] for row in identity]
+    identity = _identity(d, GRID_DEN)
+    alternatives = {(a, b): [v for v in SEARCH_GRID if v != identity[a][b]]
+                    for (a, b) in slots}
+    yield [row[:] for row in identity], GRID_DEN
     for k in range(1, len(slots) + 1):
         for chosen in itertools.combinations(slots, k):
             for values in itertools.product(*(alternatives[s] for s in chosen)):
                 C = [row[:] for row in identity]
                 for (a, b), v in zip(chosen, values):
                     C[a][b] = v
-                yield C
+                yield C, GRID_DEN
 
 
 def _auto_candidates(families, rng, count):
@@ -466,7 +494,59 @@ def _auto_candidates(families, rng, count):
                     C = dual_blockdiag(A)
                 except DimensionMismatch:
                     continue
-                yield C
+                yield _integer_matrix(C)
+
+
+def _stages(double, strategy, auto_families):
+    """(stage name, candidate generator) pairs of the search pipeline for
+    candidates on the given double, in search order."""
+    d = double.dim
+    m2, n2 = double.superdim()
+    m, n = m2 // 2, n2 // 2
+    h = m + n
+    rng = random.Random(0)
+    identity = _identity(d)
+    if strategy in ("auto", "sweep"):
+        Bmat = [[int(x) for x in row] for row in canonical_form(m, n).matrix]
+        yield "basic", iter([(identity, 1), (Bmat, 1)])
+        yield "duality", _partial_dualities(m, n, h, d)
+        yield "shear", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True)
+        yield "shear_up", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=False)
+        yield "autos", _auto_candidates(auto_families, rng, 12)
+
+        def composed():
+            # dualities are integer matrices (c = 1)
+            duals = [D for D, _ in _partial_dualities(m, n, h, d)]
+            shears = [(identity, 1)] + list(
+                _shear_matrices(m, n, h, d, (2, -2, 1, -1, 0), lower=True))
+            autos = list(_auto_candidates(auto_families, rng, 4))
+            for Dm in duals:
+                for S, c in shears:
+                    yield f_matmul(Dm, S), c
+                    yield f_matmul(S, Dm), c
+                for A, c in autos:
+                    yield f_matmul(Dm, A), c
+                    yield f_matmul(A, Dm), c
+        yield "composed", composed()
+    if strategy in ("auto", "seeded"):
+        def seeded():
+            # P-block seeds solving condition (i) by construction:
+            # C = blockdiag(P,(P^-1)^T) . unit shear
+            diag_seeds = []
+            for combo in itertools.product((1, -1, 2, Fraction(1, 2)), repeat=h):
+                P = [[Fraction(0)] * h for _ in range(h)]
+                for i, v in enumerate(combo):
+                    P[i][i] = Fraction(v)
+                diag_seeds.append(P)
+            shears = [(identity, 1)] + list(
+                _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True))
+            for P in diag_seeds:
+                C0, a = _integer_matrix(dual_blockdiag(P))
+                for S, c in shears:
+                    yield f_matmul(C0, S), a * c
+        yield "seeded", seeded()
+    if strategy in ("auto", "grid"):
+        yield "grid", _even_grid(double.parity, d)
 
 
 def search_iso(src, tgt, strategy="auto", budget=4000, auto_families=None):
@@ -476,86 +556,40 @@ def search_iso(src, tgt, strategy="auto", budget=4000, auto_families=None):
     evidence, not proof, of nonisomorphism.  The default pipeline is
     fingerprint filter, T-duality/partial dualities, shears, automorphism
     sweep, composed pairs, then the generic even grid.
+
+    The candidate loop runs on integers.  Each candidate is a pair (M, c)
+    standing for C = M / c, with M an integer matrix and c a positive
+    integer; both tensors are scaled once to integers over their
+    denominators, and ``_holds`` tests (i) and (ii) cleared of all
+    denominators.  Only a candidate that passes is rebuilt as the Fraction
+    matrix M / c, wrapped and put through ``verify_certificate``.
     """
     if src.dim != tgt.dim:
         raise DimensionMismatch("doubles of different dimension")
     if src.ctx.params or tgt.ctx.params:
         raise ConstraintViolation("search needs numeric parameter bindings")
-    d = src.dim
     m2, n2 = src.superdim()
-    m, n = m2 // 2, n2 // 2
-    h = m + n
 
     fp_src = commutant_series(src)
     fp_tgt = commutant_series(tgt)
     if fp_src != fp_tgt:
         return Exhausted(budget, 0, "fingerprint mismatch %s vs %s" % (fp_src, fp_tgt))
 
-    Bmat = canonical_form(m, n).matrix
-    form = _form_tensor(m, n)
-    src_nz = src.numeric_nonzero()
-    tgt_nz = tgt.numeric_nonzero()
-    rng = random.Random(0)
-
-    def wrap(C):
-        ctx = src.ctx
-        matrix = [[ctx.const(x) for x in row] for row in C]
-        return IsoCertificate(ctx, matrix, src, tgt, note="search")
-
-    identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-
-    def stages():
-        if strategy in ("auto", "sweep"):
-            yield "basic", iter([identity, [row[:] for row in Bmat]])
-            yield "duality", _partial_dualities(m, n, h, d, (1, -1))
-            yield "shear", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True)
-            yield "shear_up", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=False)
-            yield "autos", _auto_candidates(auto_families, rng, 12)
-
-            def composed():
-                duals = list(_partial_dualities(m, n, h, d, (1, -1)))
-                shears = [identity] + list(
-                    _shear_matrices(m, n, h, d, (Fraction(1), Fraction(-1),
-                                                 Fraction(1, 2), Fraction(-1, 2), Fraction(0)),
-                                    lower=True))
-                autos = list(_auto_candidates(auto_families, rng, 4))
-                for Dm in duals:
-                    for S in shears:
-                        yield f_matmul(Dm, S)
-                        yield f_matmul(S, Dm)
-                    for A in autos:
-                        yield f_matmul(Dm, A)
-                        yield f_matmul(A, Dm)
-            yield "composed", composed()
-        if strategy in ("auto", "seeded"):
-            def seeded():
-                # P-block seeds solving condition (i) by construction:
-                # C = blockdiag(P,(P^-1)^T) . unit shear
-                diag_seeds = []
-                for combo in itertools.product((1, -1, 2, Fraction(1, 2)), repeat=h):
-                    P = [[Fraction(0)] * h for _ in range(h)]
-                    for i, v in enumerate(combo):
-                        P[i][i] = Fraction(v)
-                    diag_seeds.append(P)
-                shears = [identity] + list(
-                    _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True))
-                for P in diag_seeds:
-                    C0 = dual_blockdiag(P)
-                    for S in shears:
-                        yield f_matmul(C0, S)
-            yield "seeded", seeded()
-        if strategy in ("auto", "grid"):
-            yield "grid", _even_grid(src.parity, d)
+    form = _form_tensor(m2 // 2, n2 // 2)
+    source = _integer_tensor(src.numeric_nonzero())
+    target = _integer_tensor(tgt.numeric_nonzero())
+    ctx = src.ctx
 
     tried = 0
-    for name, gen in stages():
-        for C in gen:
+    for name, gen in _stages(src, strategy, auto_families):
+        for M, c in gen:
             if tried >= budget:
                 return Exhausted(budget, tried, "budget exhausted")
             tried += 1
-            if _holds(C, form, src_nz, tgt_nz):
+            if _holds(M, c, form, source, target):
+                matrix = [[ctx.const(Fraction(x, c)) for x in row] for row in M]
                 try:
-                    cert = wrap(C)
+                    cert = IsoCertificate(ctx, matrix, src, tgt, note="search")
                 except ConstraintViolation:
                     continue
                 ok, _ = verify_certificate(cert)

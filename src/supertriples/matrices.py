@@ -4,11 +4,12 @@ Matrices are lists of rows.  ``rref``, ``inv``, ``transpose`` and
 ``dual_blockdiag`` serve both entry types: zero tests go by truthiness and
 each pivot costs one reciprocal ``1 / pivot`` (a single ``Scalar.inv`` for
 Scalars).  ``rref`` is the only elimination loop; ``inv``, ``f_solve``, the
-commutant spans and the shear solver all run through it.  The ``f_`` and
-``s_`` routines take one entry type; ``f_matmul`` composes the candidate
-matrices of the certificate search.  Tensor contractions (transport, the
-certificate conditions, commutants) are not here: they are the pullback and
-pushforward kernels of ``algebra``.
+commutant spans and the shear solver all run through it.  ``f_solve`` and
+the ``s_`` routines take one entry type.  ``f_matmul`` is entry-generic
+for int and Fraction entries (an entry no product reaches stays the int 0);
+it composes the integer candidate matrices of the certificate search.
+Tensor contractions (transport, the certificate conditions, commutants) are
+not here: they are the pullback and pushforward kernels of ``algebra``.
 """
 
 from __future__ import annotations
@@ -83,14 +84,14 @@ def dual_blockdiag(a):
 
 
 # ---------------------------------------------------------------------------
-# Fraction matrices
+# int and Fraction matrices
 
 
 def f_matmul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
         raise DimensionMismatch("matmul %dx%d by %dx%d" % (n, len(a[0]), k, m))
-    out = [[Fraction(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]

@@ -1,14 +1,19 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from supertriples.algebra import commutant_series
+from supertriples.algebra import (_bracket_residuals, _integer_matrix,
+                                  _integer_tensor, commutant_series)
 from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
                                   catalog_triple, get_catalog, list_certificates)
 from supertriples.errors import (ConstraintViolation, DimensionMismatch,
                                  NotAutomorphism)
-from supertriples.iso import (Exhausted, IsoCertificate, from_automorphism,
+from supertriples.iso import (Exhausted, IsoCertificate, _form_residuals,
+                              _form_tensor, _holds, _stages, from_automorphism,
                               search_iso, t_dual_certificate,
                               verify_certificate)
 from supertriples.matrices import s_identity
@@ -148,6 +153,17 @@ def test_fingerprint_preserved_by_verified_certificates():
         assert commutant_series(cert.source) == commutant_series(cert.target), cid
 
 
+# The exact hits of the search: candidate order, stage names and the
+# generators' values are pinned, so any change to them shows here.
+SHEAR_22 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, Fraction(1, 2), 0, 1]]
+DUALITY_42 = [[-1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 1, 0, 0, 0],
+              [0, 0, 0, -1, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]]
+
+
+def _fractions(cert):
+    return [[x.as_fraction() for x in row] for row in cert.matrix]
+
+
 def test_search_rediscovers_shear():
     src = build_double(catalog_triple("MT22_3"))
     tgt = build_double(catalog_triple("MT22_4", {"eps": 1}))
@@ -155,9 +171,8 @@ def test_search_rediscovers_shear():
     assert isinstance(res, IsoCertificate)
     assert res.verify()
     # the found matrix is of the shear form: identity plus an ft-row entry
-    C = [[x.as_fraction() for x in row] for row in res.matrix]
-    assert C[0][0] == C[1][1] == C[2][2] == C[3][3] == 1
-    assert C[3][1] != 0
+    assert res.note == "search:shear"
+    assert _fractions(res) == SHEAR_22
 
 
 def test_search_finds_partial_duality_dd42v():
@@ -166,6 +181,8 @@ def test_search_finds_partial_duality_dd42v():
     res = search_iso(src, tgt, budget=4000)
     assert isinstance(res, IsoCertificate)
     assert res.verify()
+    assert res.note == "search:duality"
+    assert _fractions(res) == DUALITY_42
 
 
 def test_search_fingerprint_filter_dd42_iii_vs_iv0():
@@ -188,7 +205,8 @@ def test_exhausted_carries_budget():
     tgt = build_double(catalog_triple("MT24_9"))
     res = search_iso(src, tgt, budget=60)
     assert isinstance(res, Exhausted)
-    assert res.budget == 60 and res.tried <= 60
+    assert res.budget == 60 and res.tried == 60
+    assert res.reason == "budget exhausted"
 
 
 def test_search_strategy_sweep_standalone():
@@ -196,6 +214,8 @@ def test_search_strategy_sweep_standalone():
     tgt = build_double(catalog_triple("MT42_7", {"p": 0, "eps": -1}))
     res = search_iso(src, tgt, strategy="sweep", budget=2000)
     assert isinstance(res, IsoCertificate) and res.verify()
+    assert res.note == "search:duality"
+    assert _fractions(res) == DUALITY_42
 
 
 def test_search_strategy_seeded_standalone():
@@ -203,6 +223,8 @@ def test_search_strategy_seeded_standalone():
     tgt = build_double(catalog_triple("MT22_4", {"eps": 1}))
     res = search_iso(src, tgt, strategy="seeded", budget=3000)
     assert isinstance(res, IsoCertificate) and res.verify()
+    assert res.note == "search:seeded"
+    assert _fractions(res) == SHEAR_22
 
 
 def test_search_strategy_grid_standalone():
@@ -210,3 +232,122 @@ def test_search_strategy_grid_standalone():
     tgt = build_double(catalog_triple("MT22_4", {"eps": 1}))
     res = search_iso(src, tgt, strategy="grid", budget=5000)
     assert isinstance(res, IsoCertificate) and res.verify()
+    assert res.note == "search:grid"
+    assert _fractions(res) == SHEAR_22
+
+
+# ---------------------------------------------------------------------------
+# the integer candidate test against the Fraction route
+
+# (source, target, seed names of the automorphism families): hits in the
+# basic, duality, shear, seeded and grid stages, automorphisms of C3 on its
+# own double, and one of thm3's exhausted pairs
+SEARCH_PAIRS = [
+    (("MT22_3", None), ("MT22_4", {"eps": 1}), ()),
+    (("MT42_7", {"p": 0, "eps": 1}), ("MT42_7", {"p": 0, "eps": -1}), ("S21",)),
+    (("MT24_18", None), ("MT24_18", None), ("C3",)),
+    (("MT24_4", {"p": Fraction(1, 2)}), ("MT24_9", None), ("C2_p", "C2_1")),
+]
+PER_STAGE = 60
+
+
+def _integer_inputs(src, tgt):
+    """form, source and target as ``search_iso`` scales them."""
+    m, n = src.superdim()
+    return (_form_tensor(m // 2, n // 2),
+            _integer_tensor(src.numeric_nonzero()),
+            _integer_tensor(tgt.numeric_nonzero()))
+
+
+def _fraction_route(C, src, tgt):
+    m, n = src.superdim()
+    return (not _form_residuals(C, _form_tensor(m // 2, n // 2))
+            and not _bracket_residuals(C, src.numeric_nonzero(),
+                                       tgt.numeric_nonzero()))
+
+
+@functools.lru_cache(maxsize=None)
+def _candidate_samples():
+    """(src, tgt, stage, M, c): the first PER_STAGE candidates of every
+    stage of the default pipeline, for each pair of SEARCH_PAIRS."""
+    cat = get_catalog()
+    out = []
+    for (s, sb), (t, tb), seeds in SEARCH_PAIRS:
+        src = build_double(catalog_triple(s, sb))
+        tgt = build_double(catalog_triple(t, tb))
+        fams = [cat.algebras[name].automorphisms() for name in seeds]
+        for stage, gen in _stages(src, "auto", fams):
+            for M, c in itertools.islice(gen, PER_STAGE):
+                out.append((src, tgt, stage, M, c))
+    return out
+
+
+def test_candidate_samples_cover_every_stage_and_both_outcomes():
+    samples = _candidate_samples()
+    assert {stage for _, _, stage, _, _ in samples} == {
+        "basic", "duality", "shear", "shear_up", "autos", "composed",
+        "seeded", "grid"}
+    passing = {stage for src, tgt, stage, M, c in samples
+               if _holds(M, c, *_integer_inputs(src, tgt))}
+    assert {"basic", "duality", "shear", "autos", "seeded",
+            "grid"} <= passing
+    for _, _, _, M, c in samples:
+        assert c > 0 and all(type(x) is int for row in M for x in row)
+
+
+@given(st.data(), st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_integer_holds_matches_fraction_route(data, k):
+    """For any candidate (M, c) and any positive rescaling (k M, k c), the
+    integer test agrees with conditions (i) and (ii) on the Fraction matrix
+    M / c."""
+    samples = _candidate_samples()
+    src, tgt, _, M, c = samples[data.draw(st.integers(0, len(samples) - 1))]
+    C = [[Fraction(x, c) for x in row] for row in M]
+    scaled = [[k * x for x in row] for row in M]
+    assert (_holds(scaled, k * c, *_integer_inputs(src, tgt))
+            == _fraction_route(C, src, tgt))
+
+
+# a pool of small rationals to bind certificate parameters from; it holds
+# enough squares that every radicand becomes a square for some binding
+BIND_POOL = [Fraction(x) for x in (0, 1, -1, 2, -2, 3, -3, 4, -4)] + [
+    Fraction(1, 2), Fraction(-1, 2), Fraction(1, 4), Fraction(9, 4)]
+
+
+def _numeric_certificate(cid, rng):
+    """The shipped certificate cid bound at parameters drawn from BIND_POOL
+    within their catalog domains, with no parameter and no radical left."""
+    ctx = appendix_certificate(cid).ctx
+    for _ in range(300):
+        bindings = {name: rng.choice([v for v in BIND_POOL
+                                      if ctx.domains[name].allows(v)])
+                    for name in ctx.params}
+        try:
+            cert = appendix_certificate(cid, bindings)
+        except (ConstraintViolation, ZeroDivisionError):
+            continue
+        if not cert.ctx.params and cert.ctx.radical_name is None:
+            return cert
+    raise AssertionError("no numeric binding found for %s" % cid)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=10, deadline=None)
+def test_shipped_certificates_pass_the_integer_test(seed):
+    """Every shipped certificate, bound at numbers, passes ``_holds``; with
+    C[0][0] raised by one it fails.  The perturbation always breaks (i):
+    it moves <C X_0, C X_j> by C_j^h (twice that for j = 0), with h the
+    index of b~^1, and the column h of an invertible C is not zero."""
+    rng = random.Random(seed)
+    for cid in list_certificates():
+        cert = _numeric_certificate(cid, rng)
+        src, tgt = cert.source, cert.target
+        C = _fractions(cert)
+        M, c = _integer_matrix(C)
+        inputs = _integer_inputs(src, tgt)
+        assert _holds(M, c, *inputs), cid
+        M[0][0] += c
+        C[0][0] += 1
+        assert not _holds(M, c, *inputs), cid
+        assert not _fraction_route(C, src, tgt), cid
