@@ -19,8 +19,9 @@ from .algebra import (SuperAlgebra, _columns, _integer_matrix,
 from .catalog import catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, UnknownId)
-from .iso import (Exhausted, IsoCertificate, dual_g_blocks, from_automorphism,
-                  search_iso, shear_certificate, verify_certificate)
+from .iso import (DEFAULT_SEARCH_BUDGET, Exhausted, IsoCertificate,
+                  _check_budget, dual_g_blocks, from_automorphism, search_iso,
+                  shear_certificate, verify_certificate)
 from .matrices import f_solve, inv, s_identity, transpose
 from .parsing import eval_ast
 from .scalars import Domain, ParamContext, exact_sqrt, finite_branches
@@ -35,7 +36,6 @@ ORBIT_SAMPLES = 200
 ORBIT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(1, 3),
               Fraction(4), Fraction(1, 4), Fraction(0))
-DEFAULT_SEARCH_BUDGET = 1500
 
 
 class _UnionFind:
@@ -106,6 +106,7 @@ def enumerate_duals(seed, budget=300000):
     filtered over the rational grid on the free directions of the solution
     space.  Every returned dual re-passes the full compatibility check.
     """
+    _check_budget(budget)
     if seed.ctx.params:
         raise ConstraintViolation("enumerate_duals needs a numeric seed")
     ansatz = DualAnsatz(seed.grading)
@@ -533,12 +534,11 @@ def find_certificate(inst_a, inst_b):
 
 
 class ClassificationReport:
-    def __init__(self, instances, groups, edges, separations, budget):
+    def __init__(self, instances, groups, edges, separations):
         self.instances = instances
         self.groups = groups          # list of lists of instance indices
         self.edges = edges            # (i, j, certificate)
         self.separations = separations  # (i, j, kind, detail)
-        self.budget = budget
 
     def partition_idents(self):
         return sorted(tuple(sorted(self.instances[i].ident for i in g))
@@ -585,15 +585,15 @@ def _fp_str(fp):
     return ";".join("%d,%d" % mn for mn in fp.dims)
 
 
-def classify_doubles(instance_specs, budget=DEFAULT_SEARCH_BUDGET,
-                     strategy="auto"):
+def classify_doubles(instance_specs, budget=DEFAULT_SEARCH_BUDGET):
     """Group instances into double-isomorphism classes with evidence.
 
     instance_specs: list of (row_id, bindings).  All instances must pass
     compatibility.  Within a fingerprint bucket the route planner provides
-    merge certificates; leftover class pairs get a bounded search (of the
-    given strategy) whose Exhausted record becomes the separation evidence.
+    merge certificates; leftover class pairs get a bounded search whose
+    Exhausted record becomes the separation evidence.
     """
+    _check_budget(budget)
     instances = make_instances(instance_specs)
     for inst in instances:
         if check_compatibility(inst.triple):
@@ -621,21 +621,14 @@ def classify_doubles(instance_specs, budget=DEFAULT_SEARCH_BUDGET,
                     edges.append((i, j, cert))
 
     separations = []
-    cat = get_catalog()
     for key in sorted(buckets):
         members = buckets[key]
         reps = sorted({find(i) for i in members})
         for a_pos in range(len(reps)):
             for b_pos in range(a_pos + 1, len(reps)):
                 i, j = reps[a_pos], reps[b_pos]
-                fams = []
-                for idx in (i, j):
-                    name = instances[idx].seed_name
-                    if name and name in cat.algebras:
-                        fams.append(cat.algebras[name].automorphisms())
                 res = search_iso(instances[i].double, instances[j].double,
-                                 strategy=strategy, budget=budget,
-                                 auto_families=fams)
+                                 budget=budget)
                 if isinstance(res, Exhausted):
                     separations.append((i, j, "exhausted",
                                         "budget=%d tried=%d" % (res.budget, res.tried)))
@@ -656,7 +649,7 @@ def classify_doubles(instance_specs, budget=DEFAULT_SEARCH_BUDGET,
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     group_list = sorted(groups.values(), key=lambda g: instances[g[0]].ident)
-    return ClassificationReport(instances, group_list, edges, separations, budget)
+    return ClassificationReport(instances, group_list, edges, separations)
 
 
 # ---------------------------------------------------------------------------

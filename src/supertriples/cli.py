@@ -229,8 +229,7 @@ def cmd_classify(args):
             raise UnknownId("unknown triple %s" % rid)
         sub = {k: v for k, v in bindings.items() if k in entry.ctx.params}
         specs.append((rid, sub))
-    result = classify_doubles(specs, budget=args.budget,
-                              strategy=args.strategy)
+    result = classify_doubles(specs, budget=args.budget)
     for line in result.lines(args.format):
         print(line)
     return EXIT_OK
@@ -300,8 +299,6 @@ def build_parser():
     p.add_argument("--rows", required=True, help="comma separated triple ids")
     p.add_argument("--bind", action="append")
     p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--strategy", choices=("auto", "sweep", "seeded", "grid"),
-                   default="auto")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("report", help="reproduce a table or theorem")

@@ -8,12 +8,17 @@ branches split),
     (ii)  C_a^p C_b^q F_pq^r = F'_ab^c C_c^r
 
 with F the source tensor, F' the target tensor and B the canonical form.
+
+Certificates are built from T-duality (``t_dual_certificate``), from
+automorphisms (``from_automorphism``) and from exact shears
+(``solve_shear``), or found by ``search_iso``: a bounded search between
+numerically bound doubles over five finite candidate stages, ``basic``,
+``duality``, ``shear``, ``shear_up`` and ``composed``.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 from .algebra import (SuperAlgebra, _bracket_residuals, _branch_failures,
@@ -29,6 +34,8 @@ __all__ = ["IsoCertificate", "RSolution", "NoSolution", "Exhausted",
            "verify_certificate", "from_automorphism", "solve_r",
            "solve_shear", "r_to_certificate", "search_iso", "t_dual_certificate"]
 
+# the budget of every search that is given none
+DEFAULT_SEARCH_BUDGET = 1500
 # the search grid 0, 1, -1, 1/2, -1/2, 2, -2, scaled by GRID_DEN to integers
 GRID_DEN = 2
 SEARCH_GRID = (0, 2, -2, 1, -1, 4, -4)
@@ -460,102 +467,51 @@ def _partial_dualities(m, n, h, d):
         yield C, 1
 
 
-def _even_grid(parity, d):
-    """Generic even-matrix ansatz, enumerated outward from the identity by
-    the number of entries changed over SEARCH_GRID (lazy; eventually covers
-    the whole grid)."""
-    slots = [(a, b) for a in range(d) for b in range(d)
-             if (parity[a] + parity[b]) % 2 == 0]
-    identity = _identity(d, GRID_DEN)
-    alternatives = {(a, b): [v for v in SEARCH_GRID if v != identity[a][b]]
-                    for (a, b) in slots}
-    yield [row[:] for row in identity], GRID_DEN
-    for k in range(1, len(slots) + 1):
-        for chosen in itertools.combinations(slots, k):
-            for values in itertools.product(*(alternatives[s] for s in chosen)):
-                C = [row[:] for row in identity]
-                for (a, b), v in zip(chosen, values):
-                    C[a][b] = v
-                yield C, GRID_DEN
+def _composed(m, n, h, d):
+    """Each partial duality times each coarse lower shear (the identity
+    first), in both orders."""
+    # dualities are integer matrices (c = 1)
+    duals = [D for D, _ in _partial_dualities(m, n, h, d)]
+    shears = [(_identity(d), 1)] + list(
+        _shear_matrices(m, n, h, d, (2, -2, 1, -1, 0), lower=True))
+    for Dm in duals:
+        for S, c in shears:
+            yield f_matmul(Dm, S), c
+            yield f_matmul(S, Dm), c
 
 
-def _auto_candidates(families, rng, count):
-    for fam in families or ():
-        for branch in fam:
-            for _ in range(count):
-                try:
-                    ctx, mat = branch.sample(rng)
-                except ConstraintViolation:
-                    continue
-                if ctx.params:
-                    continue
-                A = [[x.as_fraction() for x in row] for row in mat]
-                try:
-                    C = dual_blockdiag(A)
-                except DimensionMismatch:
-                    continue
-                yield _integer_matrix(C)
-
-
-def _stages(double, strategy, auto_families):
-    """(stage name, candidate generator) pairs of the search pipeline for
-    candidates on the given double, in search order."""
+def _stages(double):
+    """(stage name, candidate generator) pairs of the search pipeline on the
+    given double, in search order; every stage is finite."""
     d = double.dim
     m2, n2 = double.superdim()
     m, n = m2 // 2, n2 // 2
     h = m + n
-    rng = random.Random(0)
-    identity = _identity(d)
-    if strategy in ("auto", "sweep"):
-        Bmat = [[int(x) for x in row] for row in canonical_form(m, n).matrix]
-        yield "basic", iter([(identity, 1), (Bmat, 1)])
-        yield "duality", _partial_dualities(m, n, h, d)
-        yield "shear", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True)
-        yield "shear_up", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=False)
-        yield "autos", _auto_candidates(auto_families, rng, 12)
-
-        def composed():
-            # dualities are integer matrices (c = 1)
-            duals = [D for D, _ in _partial_dualities(m, n, h, d)]
-            shears = [(identity, 1)] + list(
-                _shear_matrices(m, n, h, d, (2, -2, 1, -1, 0), lower=True))
-            autos = list(_auto_candidates(auto_families, rng, 4))
-            for Dm in duals:
-                for S, c in shears:
-                    yield f_matmul(Dm, S), c
-                    yield f_matmul(S, Dm), c
-                for A, c in autos:
-                    yield f_matmul(Dm, A), c
-                    yield f_matmul(A, Dm), c
-        yield "composed", composed()
-    if strategy in ("auto", "seeded"):
-        def seeded():
-            # P-block seeds solving condition (i) by construction:
-            # C = blockdiag(P,(P^-1)^T) . unit shear
-            diag_seeds = []
-            for combo in itertools.product((1, -1, 2, Fraction(1, 2)), repeat=h):
-                P = [[Fraction(0)] * h for _ in range(h)]
-                for i, v in enumerate(combo):
-                    P[i][i] = Fraction(v)
-                diag_seeds.append(P)
-            shears = [(identity, 1)] + list(
-                _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True))
-            for P in diag_seeds:
-                C0, a = _integer_matrix(dual_blockdiag(P))
-                for S, c in shears:
-                    yield f_matmul(C0, S), a * c
-        yield "seeded", seeded()
-    if strategy in ("auto", "grid"):
-        yield "grid", _even_grid(double.parity, d)
+    Bmat = [[int(x) for x in row] for row in canonical_form(m, n).matrix]
+    yield "basic", iter([(_identity(d), 1), (Bmat, 1)])
+    yield "duality", _partial_dualities(m, n, h, d)
+    yield "shear", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True)
+    yield "shear_up", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=False)
+    yield "composed", _composed(m, n, h, d)
 
 
-def search_iso(src, tgt, strategy="auto", budget=4000, auto_families=None):
+def _check_budget(budget):
+    """Reject a negative search or enumeration budget; 0 is legal."""
+    if budget < 0:
+        raise ConstraintViolation("budget must be at least 0, got %d" % budget)
+
+
+def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
     """Bounded certificate search between two numerically bound doubles.
 
     Returns a verified IsoCertificate or an Exhausted record; Exhausted is
-    evidence, not proof, of nonisomorphism.  The default pipeline is
-    fingerprint filter, T-duality/partial dualities, shears, automorphism
-    sweep, composed pairs, then the generic even grid.
+    evidence, not proof, of nonisomorphism.  After the fingerprint filter
+    the candidates come from five finite stages, in this order: ``basic``
+    (the identity and the T-duality B), ``duality`` (partial dualities),
+    ``shear`` and ``shear_up`` (lower and upper unit shears over
+    SEARCH_GRID), then ``composed`` (each partial duality times each coarse
+    lower shear, in both orders).  The record's reason is "candidates
+    exhausted" when all of them fail within the budget.
 
     The candidate loop runs on integers.  Each candidate is a pair (M, c)
     standing for C = M / c, with M an integer matrix and c a positive
@@ -564,6 +520,7 @@ def search_iso(src, tgt, strategy="auto", budget=4000, auto_families=None):
     denominators.  Only a candidate that passes is rebuilt as the Fraction
     matrix M / c, wrapped and put through ``verify_certificate``.
     """
+    _check_budget(budget)
     if src.dim != tgt.dim:
         raise DimensionMismatch("doubles of different dimension")
     if src.ctx.params or tgt.ctx.params:
@@ -581,7 +538,7 @@ def search_iso(src, tgt, strategy="auto", budget=4000, auto_families=None):
     ctx = src.ctx
 
     tried = 0
-    for name, gen in _stages(src, strategy, auto_families):
+    for name, gen in _stages(src):
         for M, c in gen:
             if tried >= budget:
                 return Exhausted(budget, tried, "budget exhausted")

@@ -81,6 +81,19 @@ def test_exit_code_budget():
     assert r.returncode == 4
 
 
+@pytest.mark.parametrize("args", [
+    ("classify", "--rows", "MT24_9,MT24_13,MT24_4", "--bind", "p=1/2",
+     "--budget", "-3"),
+    ("report", "--target", "thm3", "--budget", "-1"),
+    ("enumerate", "--seed", "S11", "--budget", "-1"),
+])
+def test_negative_budget_is_a_constraint_violation(args):
+    r = run(*args)
+    _one_line_error(r, 3)
+    assert "budget must be at least 0" in r.stderr
+    assert r.stdout == ""
+
+
 def test_enumerate_output_matches_classes():
     r = run("--format", "machine", "enumerate", "--seed", "S11")
     assert r.returncode == 0
@@ -95,6 +108,12 @@ def test_classify_command():
     assert r.returncode == 0
     assert "class index=0" in r.stdout
     assert "edge from=" in r.stdout
+
+
+def test_classify_has_no_strategy_option():
+    r = run("classify", "--rows", "MT22_3,MT22_4", "--strategy", "auto")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --strategy" in r.stderr
 
 
 def test_double_and_invariants():
