@@ -10,7 +10,6 @@ the shipped ones by id.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 
 from .algebra import AutoBranch, AutomorphismFamily, Grading, SuperAlgebra
 from .errors import (ConstraintViolation, ParseError, SuperTriplesError,
@@ -18,7 +17,7 @@ from .errors import (ConstraintViolation, ParseError, SuperTriplesError,
 from .iso import IsoCertificate
 from .parsing import (AlgebraDecl, CertDecl, TripleDecl, build_context,
                       eval_ast, eval_generator_combo, parse_catalog)
-from .scalars import Scalar, exact_sqrt
+from .scalars import Scalar, _term_image, exact_sqrt
 from .triples import ManinTriple, build_double
 
 __all__ = ["get_catalog", "catalog", "automorphisms", "catalog_triple",
@@ -29,18 +28,28 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 ENV_PATH = "SUPERTRIPLES_CATALOG_PATH"
 
 
-def _simple_expr(ast):
-    if ast[0] == "num":
-        return ("const", Fraction(ast[1]))
-    if ast[0] == "name":
-        return ("var", ast[1])
-    if ast[0] == "neg":
-        inner = _simple_expr(ast[1])
-        if inner[0] == "var":
-            return ("negvar", inner[1])
-        if inner[0] == "const":
-            return ("const", -inner[1])
-    return ("complex", ast)
+def _eval_bindings(ref, ref_ctx, exprs, ctx):
+    """{name: Scalar of ctx} for the bindings `exprs` of a reference to the
+    entry `ref`, each a name that entry declares (a parameter or its
+    radical)."""
+    undeclared = sorted(set(exprs) - set(ref_ctx.params) - {ref_ctx.radical_name})
+    if undeclared:
+        raise UnknownName("%s declares no parameter %s"
+                          % (ref, ", ".join(undeclared)))
+    return {n: eval_ast(ast, ctx) for n, ast in exprs.items()}
+
+
+def _endpoint_spec(value):
+    """How the route planner unifies one endpoint binding, a Scalar:
+    ("const", c) or ("var"/"negvar", name) when it is a constant or
+    +-one parameter, else ("complex", value), which never unifies."""
+    term = _term_image(value)
+    if isinstance(term, Scalar):
+        return ("complex", value)
+    c, j = term
+    if j is None:
+        return ("const", c)
+    return ("var" if c is None else "negvar", value.ctx.params[j])
 
 
 def _eval_brackets(bracket_decls, ctx, names, owner):
@@ -95,7 +104,9 @@ class TripleEntry:
         self.grading = Grading(decl.m, decl.n)
         self.ctx = decl.ctx
         self.label = decl.label
-        self.left_ref = decl.left if decl.left[0] == "ref" else None
+        # the left side's algebra and its bindings (Scalars of ctx), when it
+        # references a catalog algebra
+        self.seed_name, self.seed_bindings = None, {}
         S = self._build_side(decl.left, dual=False, algebras=algebras)
         Sd = self._build_side(decl.right, dual=True, algebras=algebras)
         self.triple = ManinTriple(S, Sd, ident=decl.id, label=decl.label)
@@ -109,7 +120,9 @@ class TripleEntry:
             entry = algebras[aname]
             if entry.grading != self.grading:
                 raise ConstraintViolation("side %s has wrong superdimension" % aname)
-            bindings = {n: eval_ast(ast, self.ctx) for n, ast in bexprs.items()}
+            bindings = _eval_bindings(aname, entry.ctx, bexprs, self.ctx)
+            if not dual:
+                self.seed_name, self.seed_bindings = aname, bindings
             alg = entry.lift_algebra(self.ctx, bindings)
             return SuperAlgebra(self.grading, self.ctx, alg.entries(),
                                 names=names, name=aname, dual_role=dual)
@@ -137,10 +150,12 @@ class CertEntry:
         self.target_id, tgt_exprs = decl.target
         if self.source_id not in triples or self.target_id not in triples:
             raise UnknownId("cert %s references unknown triples" % decl.id)
-        self.source_bindings = {n: _simple_expr(a) for n, a in src_exprs.items()}
-        self.target_bindings = {n: _simple_expr(a) for n, a in tgt_exprs.items()}
-        src_vals = {n: eval_ast(a, self.ctx) for n, a in src_exprs.items()}
-        tgt_vals = {n: eval_ast(a, self.ctx) for n, a in tgt_exprs.items()}
+        src_vals = _eval_bindings(self.source_id, triples[self.source_id].ctx,
+                                  src_exprs, self.ctx)
+        tgt_vals = _eval_bindings(self.target_id, triples[self.target_id].ctx,
+                                  tgt_exprs, self.ctx)
+        self.source_bindings = {n: _endpoint_spec(v) for n, v in src_vals.items()}
+        self.target_bindings = {n: _endpoint_spec(v) for n, v in tgt_vals.items()}
         src_triple = triples[self.source_id].lift_triple(self.ctx, src_vals)
         tgt_triple = triples[self.target_id].lift_triple(self.ctx, tgt_vals)
         matrix = [[eval_ast(ast, self.ctx) for ast in row] for row in decl.matrix]

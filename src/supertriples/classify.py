@@ -16,14 +16,13 @@ from fractions import Fraction
 
 from .algebra import (SuperAlgebra, _columns, _integer_matrix,
                       _integer_tensor, _pull, _push, commutant_series)
-from .catalog import catalog_triple, get_catalog
+from .catalog import automorphisms, catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, UnknownId)
 from .iso import (DEFAULT_SEARCH_BUDGET, Exhausted, IsoCertificate,
                   _check_budget, dual_g_blocks, from_automorphism, search_iso,
                   shear_certificate, verify_certificate)
 from .matrices import f_solve, inv, s_identity, transpose
-from .parsing import eval_ast
 from .scalars import Domain, ParamContext, exact_sqrt, finite_branches
 from .triples import ManinTriple, build_double, check_compatibility, t_dual
 
@@ -310,7 +309,7 @@ class Instance:
             raise ConstraintViolation("instance %s is not fully bound" % self.ident)
         self.double = build_double(self.triple)
         self.fingerprint = commutant_series(self.double)
-        self.seed_name = entry.left_ref[1] if entry.left_ref else None
+        self.seed_name = entry.seed_name
         self._nodes = None
 
 
@@ -684,31 +683,19 @@ def _row_num(row_id):
     return int(row_id.split("_")[1])
 
 
-def _table5_expected(row_id, bindings):
-    """(totals of dim C1,C2,C3, superdim of C1 when the refinement matters)."""
-    r = _row_num(row_id)
-    p = bindings.get("p")
-    if r == 1:
-        return (0, 0, 0), None
-    if r == 2:
-        return (2, 0, 0), None
-    if r in (3, 4, 5):
-        return (3, 1, 0), (1, 2)
-    if r == 6:
-        return ((3, 1, 0), (3, 0)) if p == 0 else ((5, 1, 0), None)
-    if r == 7:
-        return ((4, 1, 0), None) if p == 0 else ((5, 1, 0), None)
-    if r == 8:
-        return ((3, 1, 0), (3, 0)) if p == 0 else ((5, 1, 0), None)
-    if r == 9:
-        return (5, 3, 0), None
-    if r == 10:
-        return (3, 3, 3), None
-    if r in (11, 12, 13):
-        return (5, 3, 0), None
-    if r == 14:
-        return (5, 5, 5), None
-    raise UnknownId("no expected class for row %s" % row_id)
+# Table 5 by Theorem 2 class (``_thm2_expected`` up to its "="): totals of
+# dim C1, C2, C3, and the superdimension of C1 when the refinement matters
+TABLE5_EXPECTED = {
+    "I": ((0, 0, 0), None),
+    "II": ((2, 0, 0), None),
+    "III": ((3, 1, 0), (1, 2)),
+    "IV_0": ((3, 1, 0), (3, 0)),
+    "V": ((4, 1, 0), None),
+    "VI_p": ((5, 1, 0), None),
+    "VII": ((5, 3, 0), None),
+    "IV_kappa": ((3, 3, 3), None),
+    "VIII_kappa": ((5, 5, 5), None),
+}
 
 
 def _thm2_expected(inst):
@@ -745,9 +732,8 @@ def _thm3_expected(inst):
         return ("I" if (a, b, c) == (0, 0, 0) else
                 "IX" if det > 0 else "X" if det == 0 else "III")
     if seed in ("C2_p", "C5_p"):
-        entry = get_catalog().triples[inst.row_id]
-        p = eval_ast(entry.left_ref[2]["p"], entry.ctx)
-        p = p.substitute(inst.bindings).as_fraction()
+        seed_p = get_catalog().triples[inst.row_id].seed_bindings["p"]
+        p = seed_p.substitute(inst.bindings).as_fraction()
         if seed == "C5_p":
             return "V_p=%s" % p
         if p != 0:
@@ -809,7 +795,8 @@ def _report_table5(bindings=None):
             binding_sets = [{}]
         for bnd in binding_sets:
             for inst in make_instances([(rid, bnd)]):
-                want_tot, want_sd = _table5_expected(rid, inst.bindings)
+                want_tot, want_sd = TABLE5_EXPECTED[
+                    _thm2_expected(inst).split("=")[0]]
                 got_tot = inst.fingerprint.totals()
                 ok = got_tot == want_tot
                 if want_sd is not None:
@@ -895,7 +882,7 @@ def _report_thm3(bindings, budget):
         if "kappa" in params:
             base["kappa"] = k0
         specs.append((rid, base))
-        if entry.left_ref[1] == "C2_p":
+        if entry.seed_name == "C2_p":
             extra = dict(base)
             extra["p"] = Fraction(0)
             specs.append((rid, extra))
@@ -970,111 +957,80 @@ def report(target, bindings=None, budget=DEFAULT_SEARCH_BUDGET):
 # matching enumerated (1,1) duals against the (2,2) catalog
 
 
-def _scaling_triple_cert(triple, seed_name, d_squared):
-    """Certificate induced by the seed automorphism diag-family member whose
-    square is d_squared; works over Q(sqrt(d_squared)) when needed."""
-    ctx = triple.ctx
-    if d_squared <= 0:
-        return None
-    root = exact_sqrt(d_squared)
-    if root is not None:
-        lift_ctx = ctx
-        d = lift_ctx.const(root)
-        t_lift = triple
-    else:
-        lift_ctx = ParamContext([], radicals=[("sq", {(): Fraction(d_squared)})])
-        t_lift = triple.map_scalars(lift_ctx,
-                                    triple.ctx.bind_scalars(lift_ctx, {}))
-        d = lift_ctx.radical()
-    one, zero = lift_ctx.one(), lift_ctx.zero()
-    dsq = lift_ctx.const(d_squared)
-    if seed_name == "S11":
-        A = [[one, zero], [zero, d]]
-    elif seed_name == "N11":
-        A = [[dsq, zero], [zero, d]]
-    elif seed_name == "A11":
-        A = [[dsq, zero], [zero, d]]
-    else:
-        return None
-    return from_automorphism(A, t_lift)
+def _target_22(seed_name, s, t):
+    """The (2,2) row or T-dual that the dual [bt,ft] = s ft, [ft,ft] = t bt
+    of a (1,1) seed matches, by the signs of s and t: (label, target triple,
+    values of the seed family's parameters other than d, d^2), or None.
+
+    The seed automorphism the values and d = sqrt(d^2) pick out carries the
+    dual onto the target's; d^2 > 0 always."""
+    if seed_name == "A11" and not (s and t):
+        if t:  # (A|N~) = T-dual of row 2: a rescales t to 1
+            return ("Tdual(MT22_2)", t_dual(catalog_triple("MT22_2")),
+                    {"a": 1 / t}, 1)
+        if s:  # (A|S~) = T-dual of row 3: a rescales s to 1
+            return ("Tdual(MT22_3)", t_dual(catalog_triple("MT22_3")),
+                    {"a": s}, 1)
+        return "MT22_1", catalog_triple("MT22_1"), {"a": 1}, 1
+    if seed_name == "S11" and not s:
+        if not t:
+            return "MT22_3", catalog_triple("MT22_3"), {}, 1
+        if t > 0:
+            return ("MT22_4[eps=1]", catalog_triple("MT22_4", {"eps": 1}),
+                    {}, t)
+        return "MT22_5", catalog_triple("MT22_5"), {}, -t
+    if seed_name == "N11" and not t:
+        if not s:
+            return "MT22_2", catalog_triple("MT22_2"), {}, 1
+        if s > 0:
+            return ("Tdual(MT22_4[eps=1])",
+                    t_dual(catalog_triple("MT22_4", {"eps": 1})), {}, s)
+        # T-dual of row 5 normalized to the N11 seed by b -> -b, which is
+        # not an automorphism of N11
+        target = t_dual(catalog_triple("MT22_5"))
+        norm = [[target.ctx.const(-1), target.ctx.zero()],
+                [target.ctx.zero(), target.ctx.one()]]
+        target = ManinTriple(target.S.transport(norm),
+                             target.S_dual.transport_dual(norm),
+                             ident="Tdual(MT22_5)~")
+        return "Tdual(MT22_5)", target, {}, -s
+    return None
 
 
 def match_22(seed_name, dual):
     """Match an enumerated (1,1) dual of a Table-1 seed against a catalog
     (2,2) row or its T-dual; returns (label, verified certificate) or None.
 
-    Positive scalings that are not rational squares are certified in the
-    quadratic extension.
+    The certificate comes from a member of the seed's catalog automorphism
+    family, over Q(d) with d^2 from ``_target_22``: Q itself when d^2 is a
+    rational square, else the quadratic extension.
     """
-    cat = get_catalog()
     ctx = dual.ctx
-    one, zero = ctx.one(), ctx.zero()
-    seed = cat.algebras[seed_name].algebra
-    s_val = dual.bracket(0, 1).get(1, zero).as_fraction()  # [bt,ft] -> ft
-    t_val = dual.bracket(1, 1).get(0, zero).as_fraction()  # [ft,ft] -> bt
+    zero = ctx.zero()
+    s = dual.bracket(0, 1).get(1, zero).as_fraction()  # [bt,ft] -> ft
+    t = dual.bracket(1, 1).get(0, zero).as_fraction()  # [ft,ft] -> bt
+    found = _target_22(seed_name, s, t)
+    if found is None:
+        return None
+    label, target, values, d_squared = found
+    seed = get_catalog().algebras[seed_name].algebra
     triple = ManinTriple(
         SuperAlgebra(seed.grading, ctx, seed.entries(), names=seed.names,
                      name=seed_name),
         dual)
-
-    def finish(label, target_triple, d_squared):
-        if d_squared == 1:
-            src = build_double(triple)
-            tgt = build_double(target_triple)
-            if not triple.tensor_equal(target_triple):
-                return None
-            return label, _identity_cert(src, tgt)
-        cert = _scaling_triple_cert(triple, seed_name, d_squared)
-        if cert is None:
-            return None
-        lifted = target_triple.S_dual.map_scalars(
-            cert.ctx, target_triple.ctx.bind_scalars(cert.ctx, {}))
-        if not cert.target.triple.S_dual.tensor_equal(lifted):
-            return None
-        ok, _ = verify_certificate(cert)
-        return (label, cert) if ok else None
-
-    if seed_name == "A11":
-        if s_val == 0 and t_val == 0:
-            return finish("MT22_1", catalog_triple("MT22_1"), Fraction(1))
-        if t_val == 0 and s_val != 0:
-            # (A|S~) = T-dual of row 3, up to a rational rescaling s -> 1
-            target = t_dual(catalog_triple("MT22_3"))
-            a = ctx.const(s_val)
-            cert = from_automorphism([[a, zero], [zero, one]], triple)
-            if cert.target.triple.S_dual.tensor_equal(target.S_dual):
-                return "Tdual(MT22_3)", cert
-            return None
-        if s_val == 0 and t_val != 0:
-            # (A|N~) = T-dual of row 2; a and d rescale t arbitrarily
-            target = t_dual(catalog_triple("MT22_2"))
-            a = ctx.const(Fraction(1) / t_val)
-            cert = from_automorphism([[a, zero], [zero, one]], triple)
-            if cert.target.triple.S_dual.tensor_equal(target.S_dual):
-                return "Tdual(MT22_2)", cert
+    root = exact_sqrt(d_squared)
+    if root is None:
+        lift_ctx = ParamContext([], radicals=[("sq", d_squared)])
+        triple = triple.map_scalars(lift_ctx, ctx.bind_scalars(lift_ctx, {}))
+        d = lift_ctx.radical()
+    else:
+        lift_ctx, d = ctx, ctx.const(root)
+    branch = automorphisms(seed_name).branches[0]
+    member = branch.ctx.bind_scalars(lift_ctx, dict(values, d=d))
+    cert = from_automorphism([[member(x) for x in row] for row in branch.matrix],
+                             triple)
+    lifted = target.map_scalars(lift_ctx, target.ctx.bind_scalars(lift_ctx, {}))
+    if not cert.target.triple.tensor_equal(lifted):
         return None
-    if seed_name == "S11":
-        if s_val != 0:
-            return None
-        if t_val == 0:
-            return finish("MT22_3", catalog_triple("MT22_3"), Fraction(1))
-        if t_val > 0:
-            return finish("MT22_4[eps=1]",
-                          catalog_triple("MT22_4", {"eps": 1}), t_val)
-        return finish("MT22_5", catalog_triple("MT22_5"), -t_val)
-    if seed_name == "N11":
-        if t_val != 0:
-            return None
-        if s_val == 0:
-            return finish("MT22_2", catalog_triple("MT22_2"), Fraction(1))
-        if s_val > 0:
-            return finish("Tdual(MT22_4[eps=1])",
-                          t_dual(catalog_triple("MT22_4", {"eps": 1})), s_val)
-        # T-dual of row 5 normalized to the N11 seed (b -> -b)
-        target = t_dual(catalog_triple("MT22_5"))
-        norm = [[ctx.const(-1), zero], [zero, one]]
-        S_norm = target.S.transport(norm)
-        Sd_norm = target.S_dual.transport_dual(norm)
-        target = ManinTriple(S_norm, Sd_norm, ident="Tdual(MT22_5)~")
-        return finish("Tdual(MT22_5)", target, -s_val)
-    return None
+    ok, _ = verify_certificate(cert)
+    return (label, cert) if ok else None

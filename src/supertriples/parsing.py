@@ -196,31 +196,27 @@ def _atom(tz):
     raise ParseError("expected expression, got %r" % tok.value, tok.line, tok.col)
 
 
-def eval_ast(ast, ctx, env=None):
-    """Evaluate an expression AST to a Scalar of ctx.  env maps extra names
-    to Scalars (used for generator-free contexts like matrix bindings)."""
+def eval_ast(ast, ctx):
+    """Evaluate an expression AST to a Scalar of ctx."""
     kind = ast[0]
     if kind == "num":
         return ctx.const(ast[1])
     if kind == "name":
-        name = ast[1]
-        if env and name in env:
-            return env[name]
-        return ctx.param(name)
+        return ctx.param(ast[1])
     if kind == "add":
-        return eval_ast(ast[1], ctx, env) + eval_ast(ast[2], ctx, env)
+        return eval_ast(ast[1], ctx) + eval_ast(ast[2], ctx)
     if kind == "sub":
-        return eval_ast(ast[1], ctx, env) - eval_ast(ast[2], ctx, env)
+        return eval_ast(ast[1], ctx) - eval_ast(ast[2], ctx)
     if kind == "mul":
-        return eval_ast(ast[1], ctx, env) * eval_ast(ast[2], ctx, env)
+        return eval_ast(ast[1], ctx) * eval_ast(ast[2], ctx)
     if kind == "div":
-        return eval_ast(ast[1], ctx, env) / eval_ast(ast[2], ctx, env)
+        return eval_ast(ast[1], ctx) / eval_ast(ast[2], ctx)
     if kind == "neg":
-        return -eval_ast(ast[1], ctx, env)
+        return -eval_ast(ast[1], ctx)
     if kind == "pow":
-        return eval_ast(ast[1], ctx, env) ** ast[2]
+        return eval_ast(ast[1], ctx) ** ast[2]
     if kind == "sqrt":
-        inner = eval_ast(ast[1], ctx, env)
+        inner = eval_ast(ast[1], ctx)
         if ctx.radical_name is not None:
             r = ctx.radical()
             if (r * r - inner).is_zero():
@@ -316,7 +312,10 @@ def _parse_number(tz):
     tok = tz.expect("int")
     value = Fraction(tok.value)
     if tz.accept("/"):
-        value /= tz.expect("int").value
+        den = tz.expect("int")
+        if not den.value:
+            raise ParseError("zero denominator", den.line, den.col)
+        value /= den.value
     return -value if neg else value
 
 

@@ -201,3 +201,40 @@ def test_solve_r_bad_g_exits_constraint():
     _one_line_error(run("solve-r", "--algebra", "C2_p", "--g", "a,b,c"), 3)
     _one_line_error(run("solve-r", "--algebra", "C2_p", "--g", "1,2,1/0"), 3)
     _one_line_error(run("solve-r", "--algebra", "C2_p", "--g", "1,2"), 3)
+
+
+@pytest.mark.parametrize("domain", ["{1/0}", "(0, 1/0)", "free \\ {2/0}"])
+def test_zero_denominator_in_a_domain_is_a_parse_error(tmp_path, domain):
+    """A domain number with denominator 0 is a parse error naming the file,
+    on the catalog search path and in check --file alike."""
+    path = tmp_path / "zd.cat"
+    path.write_text("algebra ZD super_dim (1, 1)\n  params { p : %s }\n"
+                    "  brackets { [b1, f1] = p*f1 }\n" % domain)
+    for r in (run("list", env={"SUPERTRIPLES_CATALOG_PATH": str(tmp_path)}),
+              run("check", "--file", str(path))):
+        _one_line_error(r, 2)
+        assert str(path) in r.stderr and "zero denominator" in r.stderr
+
+
+@pytest.mark.parametrize("text, argvs", [
+    ("triple ZT super_dim (1, 1)\n  left = S11(p = 1)\n  right { }\n",
+     [("list",), ("check", "--triple", "ZT"), ("check", "--file", None)]),
+    ("cert ZC\n  from MT22_3(q = 5) to MT22_3()\n"
+     "  matrix [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]\n",
+     [("list",), ("verify-iso", "--cert", "ZC")]),
+    ("cert ZC\n  from MT22_3() to MT22_4(eps = 1, q = 5)\n"
+     "  matrix [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1/2, 0, 1]]\n",
+     [("list",), ("verify-iso", "--cert", "ZC")]),
+], ids=["triple-left", "cert-source", "cert-target"])
+def test_binding_an_undeclared_parameter_is_a_parse_error(tmp_path, text,
+                                                          argvs):
+    """A reference may bind only the parameters its entry declares (S11 and
+    MT22_3 have none, MT22_4 only eps): on the catalog search path and in
+    check --file, the file is then a parse error naming it."""
+    path = tmp_path / "ref.cat"
+    path.write_text(text)
+    env = {"SUPERTRIPLES_CATALOG_PATH": str(tmp_path)}
+    for argv in argvs:
+        r = run(*(str(path) if a is None else a for a in argv), env=env)
+        _one_line_error(r, 2)
+        assert str(path) in r.stderr and "declares no parameter" in r.stderr

@@ -5,8 +5,9 @@ import pytest
 
 from supertriples.algebra import Grading, SuperAlgebra, check_jacobi
 from supertriples.catalog import catalog
-from supertriples.classify import DualAnsatz, enumerate_duals
+from supertriples.classify import DualAnsatz, enumerate_duals, match_22
 from supertriples.errors import BudgetExceeded, ConstraintViolation
+from supertriples.iso import verify_certificate
 from supertriples.triples import ManinTriple, check_compatibility
 
 
@@ -74,3 +75,47 @@ def test_12_seed_duals_have_n_shape():
             for (i, j, k, c) in d.nonzero():
                 assert i >= m and j >= m and k < m, (name, i, j, k)
 
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("seed_name, s, t, label, radical", [
+    ("A11", F(0), F(0), "MT22_1", False),
+    ("A11", F(2), F(0), "Tdual(MT22_3)", False),
+    ("A11", F(-1, 2), F(0), "Tdual(MT22_3)", False),
+    ("A11", F(0), F(3), "Tdual(MT22_2)", False),
+    ("A11", F(0), F(-1), "Tdual(MT22_2)", False),
+    ("A11", F(1), F(1), None, False),
+    ("A11", F(-2), F(1, 2), None, False),
+    ("S11", F(0), F(0), "MT22_3", False),
+    ("S11", F(0), F(1, 4), "MT22_4[eps=1]", False),
+    ("S11", F(0), F(2), "MT22_4[eps=1]", True),
+    ("S11", F(0), F(-1), "MT22_5", False),
+    ("S11", F(0), F(-3), "MT22_5", True),
+    ("S11", F(1), F(0), None, False),
+    ("S11", F(-1), F(2), None, False),
+    ("N11", F(0), F(0), "MT22_2", False),
+    ("N11", F(4), F(0), "Tdual(MT22_4[eps=1])", False),
+    ("N11", F(3), F(0), "Tdual(MT22_4[eps=1])", True),
+    ("N11", F(-1, 9), F(0), "Tdual(MT22_5)", False),
+    ("N11", F(-2), F(0), "Tdual(MT22_5)", True),
+    ("N11", F(0), F(1), None, False),
+    ("N11", F(2), F(-1), None, False),
+])
+def test_match_22_sign_table(seed_name, s, t, label, radical):
+    """Every branch of the (1,1) match on the dual [bt,ft] = s ft,
+    [ft,ft] = t bt: the label, or None, and a certificate that verifies,
+    over Q(sqrt(|s| or |t|)) when that is not a rational square."""
+    seed = catalog(seed_name)
+    ansatz = DualAnsatz(seed.grading)
+    assert ansatz.slots == ((0, 1, 1), (1, 1, 0))
+    dual = ansatz.dual_algebra(seed.ctx, [seed.ctx.const(s), seed.ctx.const(t)])
+    matched = match_22(seed_name, dual)
+    if label is None:
+        assert matched is None
+        return
+    got, cert = matched
+    assert got == label
+    assert (cert.ctx.radical_name is not None) == radical
+    assert verify_certificate(cert) == (True, [])
