@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .errors import ConstraintViolation, DimensionMismatch
 from .matrices import inv, rref, transpose
+from .scalars import vanishes_on_branches
 
 __all__ = [
     "Grading", "SuperAlgebra", "AutomorphismFamily", "AutoBranch",
@@ -287,33 +288,20 @@ class SuperAlgebra:
 # axiom checks
 
 
-def _branch_failures(ctx, residuals):
+def _branch_failures(residuals):
     """Keep residuals that fail to vanish on some finite-domain branch."""
-    branches = ctx.sign_branches()
-    trivial = len(branches) == 1 and not branches[0]
-    out = []
-    for item in residuals:
-        s = item[-1]
-        if trivial:
-            if not s.is_zero():
-                out.append(item)
-            continue
-        for b in branches:
-            if not s.substitute(b).is_zero():
-                out.append(item)
-                break
-    return out
+    return [item for item in residuals if not vanishes_on_branches(item[-1])]
 
 
 def check_antisymmetry(algebra):
     """All (I, J, K) with F_{IJ}^K + (-1)^{|I||J|} F_{JI}^K != 0 on some
     sign branch; empty list means pass."""
-    return _branch_failures(algebra.ctx, algebra.antisym_residuals())
+    return _branch_failures(algebra.antisym_residuals())
 
 
 def check_jacobi(algebra):
     """Nonvanishing graded Jacobi residuals (sign branches split)."""
-    return _branch_failures(algebra.ctx, algebra.jacobi_residuals())
+    return _branch_failures(algebra.jacobi_residuals())
 
 
 def is_automorphism(A, algebra):
@@ -328,7 +316,7 @@ def is_automorphism(A, algebra):
 
 def automorphism_residuals(A, algebra):
     nz = algebra.nonzero()
-    return _branch_failures(algebra.ctx, _bracket_residuals(A, nz, nz))
+    return _branch_failures(_bracket_residuals(A, nz, nz))
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +416,21 @@ class AutoBranch:
         self.constraints = constraints
         self.family_params = tuple(family_params)
 
+    def substitute(self, bindings):
+        """This branch with some parameters bound to numbers."""
+        ctx, mapper = self.ctx.bind(bindings)
+        return AutoBranch(ctx, [[mapper(x) for x in row] for row in self.matrix],
+                          [mapper(c) for c in self.constraints],
+                          self.family_params)
+
     def instantiate(self, bindings):
-        new_ctx, mapper = self.ctx.bind(bindings)
-        for c in self.constraints:
-            val = mapper(c)
+        """(ctx, matrix) at the bindings; ConstraintViolation when a
+        constraint vanishes there."""
+        bound = self.substitute(bindings)
+        for c, val in zip(self.constraints, bound.constraints):
             if val.is_zero():
                 raise ConstraintViolation("automorphism constraint %s vanishes" % c)
-        return new_ctx, [[mapper(x) for x in row] for row in self.matrix]
+        return bound.ctx, bound.matrix
 
     def sample(self, rng):
         """Random valid instantiation; returns (ctx, matrix)."""

@@ -17,7 +17,7 @@ from .errors import (ConstraintViolation, ParseError, SuperTriplesError,
 from .iso import IsoCertificate
 from .parsing import (AlgebraDecl, CertDecl, TripleDecl, build_context,
                       eval_ast, eval_generator_combo, parse_catalog)
-from .scalars import Scalar, _term_image, exact_sqrt
+from .scalars import Scalar, exact_sqrt
 from .triples import ManinTriple, build_double
 
 __all__ = ["get_catalog", "catalog", "automorphisms", "catalog_triple",
@@ -37,19 +37,6 @@ def _eval_bindings(ref, ref_ctx, exprs, ctx):
         raise UnknownName("%s declares no parameter %s"
                           % (ref, ", ".join(undeclared)))
     return {n: eval_ast(ast, ctx) for n, ast in exprs.items()}
-
-
-def _endpoint_spec(value):
-    """How the route planner unifies one endpoint binding, a Scalar:
-    ("const", c) or ("var"/"negvar", name) when it is a constant or
-    +-one parameter, else ("complex", value), which never unifies."""
-    term = _term_image(value)
-    if isinstance(term, Scalar):
-        return ("complex", value)
-    c, j = term
-    if j is None:
-        return ("const", c)
-    return ("var" if c is None else "negvar", value.ctx.params[j])
 
 
 def _eval_brackets(bracket_decls, ctx, names, owner):
@@ -150,19 +137,18 @@ class CertEntry:
         self.target_id, tgt_exprs = decl.target
         if self.source_id not in triples or self.target_id not in triples:
             raise UnknownId("cert %s references unknown triples" % decl.id)
-        src_vals = _eval_bindings(self.source_id, triples[self.source_id].ctx,
-                                  src_exprs, self.ctx)
-        tgt_vals = _eval_bindings(self.target_id, triples[self.target_id].ctx,
-                                  tgt_exprs, self.ctx)
-        self.source_bindings = {n: _endpoint_spec(v) for n, v in src_vals.items()}
-        self.target_bindings = {n: _endpoint_spec(v) for n, v in tgt_vals.items()}
-        src_triple = triples[self.source_id].lift_triple(self.ctx, src_vals)
-        tgt_triple = triples[self.target_id].lift_triple(self.ctx, tgt_vals)
+        src, tgt = triples[self.source_id], triples[self.target_id]
+        # each endpoint's bindings, Scalars of ctx
+        self.source_values = _eval_bindings(self.source_id, src.ctx,
+                                            src_exprs, self.ctx)
+        self.target_values = _eval_bindings(self.target_id, tgt.ctx,
+                                            tgt_exprs, self.ctx)
         matrix = [[eval_ast(ast, self.ctx) for ast in row] for row in decl.matrix]
-        self.certificate = IsoCertificate(self.ctx, matrix,
-                                          build_double(src_triple),
-                                          build_double(tgt_triple),
-                                          note=decl.id)
+        self.certificate = IsoCertificate(
+            self.ctx, matrix,
+            build_double(src.lift_triple(self.ctx, self.source_values)),
+            build_double(tgt.lift_triple(self.ctx, self.target_values)),
+            note=decl.id)
 
     def build(self, bindings=None):
         """Instantiate at the given parameter bindings; when they turn the
@@ -188,16 +174,23 @@ class CertEntry:
 
 
 class Catalog:
-    def __init__(self, decls):
-        """decls: (path, declaration) pairs.  Algebras are built first, then
-        triples, then certificates."""
+    def __init__(self, decls=()):
+        """decls: (path, declaration) pairs, built by ``extend``."""
         self.algebras = {}
         self.triples = {}
         self.certs = {}
+        self.extend(decls)
+
+    def extend(self, decls):
+        """Build the entries of (path, declaration) pairs: algebras first,
+        then triples, then certificates.  Returns the entries in the order
+        of decls."""
+        entries = [None] * len(decls)
         for kind in (AlgebraDecl, TripleDecl, CertDecl):
-            for path, decl in decls:
+            for i, (path, decl) in enumerate(decls):
                 if isinstance(decl, kind):
-                    self.add(path, decl)
+                    entries[i] = self.add(path, decl)
+        return entries
 
     def add(self, path, decl):
         """Build and return the entry of one declaration from file `path`,
@@ -265,11 +258,17 @@ def catalog(name, bindings=None):
     return alg
 
 
-def automorphisms(name):
+def automorphisms(name, bindings=None):
+    """A catalog superalgebra's automorphism family, optionally with the
+    algebra's parameters bound as ``catalog(name, bindings)`` binds them."""
     cat = get_catalog()
     if name not in cat.algebras:
         raise UnknownName("unknown algebra %s" % name)
-    return cat.algebras[name].automorphisms()
+    family = cat.algebras[name].automorphisms()
+    if bindings:
+        family = AutomorphismFamily(name, family.grading,
+                                    [b.substitute(bindings) for b in family])
+    return family
 
 
 def catalog_triple(ident, bindings=None):

@@ -23,7 +23,8 @@ from .iso import (DEFAULT_SEARCH_BUDGET, Exhausted, IsoCertificate,
                   _check_budget, dual_g_blocks, from_automorphism, search_iso,
                   shear_certificate, verify_certificate)
 from .matrices import f_solve, inv, s_identity, transpose
-from .scalars import Domain, ParamContext, exact_sqrt, finite_branches
+from .scalars import (Domain, ParamContext, _term_image, exact_sqrt,
+                      finite_branches)
 from .triples import ManinTriple, build_double, check_compatibility, t_dual
 
 __all__ = ["DualAnsatz", "enumerate_duals", "reduce_orbits", "classify_doubles",
@@ -434,31 +435,31 @@ def _shear_base(inst):
         return None
 
 
-def _unify_side(spec_bindings, entry_ctx, inst_bindings, assignment):
+def _unify_side(values, entry_ctx, inst_bindings, assignment):
+    """Extend `assignment` (cert parameter -> Fraction) so that a cert
+    endpoint with bindings `values` (Scalars of the cert context) meets the
+    instance bindings of a row with context entry_ctx, else False.  A
+    constant must equal the instance value, +-x assigns the cert parameter
+    x, any other Scalar never unifies; an unbound name is the cert
+    parameter of the same name."""
     for pname in entry_ctx.params:
         if pname not in inst_bindings:
             return False
         value = inst_bindings[pname]
-        spec = spec_bindings.get(pname, ("var", pname))
-        kind = spec[0]
-        if kind == "const":
-            if spec[1] != value:
+        name = pname
+        if pname in values:
+            term = _term_image(values[pname])
+            if not isinstance(term, tuple):
                 return False
-        elif kind == "var":
-            name = spec[1]
-            if name in assignment:
-                if assignment[name] != value:
+            c, j = term
+            if j is None:
+                if c != value:
                     return False
-            else:
-                assignment[name] = value
-        elif kind == "negvar":
-            name = spec[1]
-            if name in assignment:
-                if assignment[name] != -value:
-                    return False
-            else:
-                assignment[name] = -value
-        else:
+                continue
+            name = values[pname].ctx.params[j]
+            if c is not None:
+                value = -value
+        if assignment.setdefault(name, value) != value:
             return False
     return True
 
@@ -468,11 +469,10 @@ def _try_cert_between(nx, ny):
     (or its inverse), unified against the nodes' aliases."""
     cat = get_catalog()
     for entry in cat.certs.values():
-        for inverted in (False, True):
-            a_id = entry.target_id if inverted else entry.source_id
-            b_id = entry.source_id if inverted else entry.target_id
-            a_spec = entry.target_bindings if inverted else entry.source_bindings
-            b_spec = entry.source_bindings if inverted else entry.target_bindings
+        ends = ((entry.source_id, entry.source_values),
+                (entry.target_id, entry.target_values))
+        for inverted, ((a_id, a_vals), (b_id, b_vals)) in ((False, ends),
+                                                           (True, ends[::-1])):
             for (idx, bx) in nx.aliases:
                 if idx != a_id:
                     continue
@@ -480,9 +480,9 @@ def _try_cert_between(nx, ny):
                     if idy != b_id:
                         continue
                     assignment = {}
-                    if not _unify_side(a_spec, cat.triples[a_id].ctx, bx, assignment):
+                    if not _unify_side(a_vals, cat.triples[a_id].ctx, bx, assignment):
                         continue
-                    if not _unify_side(b_spec, cat.triples[b_id].ctx, by, assignment):
+                    if not _unify_side(b_vals, cat.triples[b_id].ctx, by, assignment):
                         continue
                     # finite-domain cert parameters the endpoints leave free
                     # (e.g. a sign choice) are enumerated

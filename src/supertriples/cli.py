@@ -89,20 +89,22 @@ def cmd_check(args):
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.file:
         decls = parse_catalog_file(args.file)
-        # the file's entries are built on the catalog's algebras, which they
-        # may extend or override, without changing the catalog itself
-        local = Catalog([])
+        # built as on the catalog path, on top of the catalog's algebras and
+        # triples but without changing it; certificates are not verified
+        local = Catalog()
         local.algebras.update(get_catalog().algebras)
+        local.triples.update(get_catalog().triples)
+        entries = local.extend([(args.file, decl) for decl in decls])
         ok = True
-        for decl in decls:
+        for decl, entry in zip(decls, entries):
             if isinstance(decl, AlgebraDecl):
-                algebra = local.add(args.file, decl).algebra
-                bad = check_antisymmetry(algebra) or check_jacobi(algebra)
+                bad = (check_antisymmetry(entry.algebra)
+                       or check_jacobi(entry.algebra))
                 ok = ok and not bad
                 print("algebra %s: %s" % (decl.name,
                                           "PASS" if not bad else "FAIL"))
             elif isinstance(decl, TripleDecl):
-                bad = check_compatibility(local.add(args.file, decl).triple)
+                bad = check_compatibility(entry.triple)
                 ok = ok and not bad
                 print("triple %s: %s" % (decl.id,
                                          "PASS" if not bad else "FAIL"))
@@ -198,7 +200,7 @@ def cmd_enumerate(args):
     bindings = _single_bindings(_parse_bindings(args.bind))
     seed = catalog(args.seed, bindings)
     sols = enumerate_duals(seed, budget=args.budget)
-    fam = automorphisms(args.seed)
+    fam = automorphisms(args.seed, bindings)
     orbits = reduce_orbits(sols, fam)
     if args.format == "machine":
         print("enumerate seed=%s solutions=%d orbits=%d"

@@ -90,7 +90,7 @@ def check_ad_invariance(algebra, B):
     first = _push(nz, B.matrix)
     second = {(x, y, z): (c if (par[x] * par[y]) % 2 else -c)
               for (x, z, y), c in _push(nz, transpose(B.matrix)).items()}
-    return _branch_failures(algebra.ctx, _difference(first, second))
+    return _branch_failures(_difference(first, second))
 
 
 def check_isotropic(B, span):

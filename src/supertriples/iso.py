@@ -125,7 +125,7 @@ def verify_certificate(cert):
     residuals = [("form", key[:2], res) for key, res in _form_residuals(C, form)]
     residuals.extend(("bracket", key, res) for key, res in
                      _bracket_residuals(C, src.nonzero(), tgt.nonzero()))
-    failing = _branch_failures(cert.ctx, residuals)
+    failing = _branch_failures(residuals)
     return (not failing), failing
 
 

@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supertriples.algebra import SuperAlgebra
 from supertriples.catalog import automorphisms, catalog, catalog_triple, get_catalog
-from supertriples.classify import (_dual_action, _integer_tensor,
-                                   _lowest_terms, _moved_key,
+from supertriples.classify import (ORBIT_GRID, _dual_action, _integer_tensor,
+                                   _lowest_terms, _moved_key, _unify_side,
                                    classify_doubles, enumerate_duals,
                                    find_certificate, make_instances,
                                    reduce_orbits, report)
 from supertriples.errors import ConstraintViolation
 from supertriples.iso import verify_certificate
+from supertriples.matrices import inv
+from supertriples.scalars import Domain, ParamContext
 from supertriples.triples import build_double
 
 
@@ -149,6 +152,99 @@ def test_orbits_of_21_seeds(name, bindings, solutions, sizes):
     assert keys == sorted(keys)
     for rep, members in orbits:
         assert rep.tensor_key() == min(m.tensor_key() for m in members)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_n12_eps_family_is_bound_at_the_seed(eps):
+    """automorphisms(name, bindings) binds the seed's own parameter in the
+    matrices and the constraints, so reduce_orbits runs on the bound seed's
+    duals and every member the constraints accept is invertible (at eps = -1
+    the unbound constraint d^2 + eps*c^2 would let c = d through)."""
+    seed = catalog("N12_eps", {"eps": eps})
+    family = automorphisms("N12_eps", {"eps": eps})
+    one = seed.ctx.one()
+    duals = [SuperAlgebra.from_brackets(seed.grading, seed.ctx, brackets,
+                                        dual_role=True)
+             for brackets in ({}, {(0, 1): {1: one}}, {(0, 2): {2: one}},
+                              {(0, 1): {1: one}, (0, 2): {2: one}})]
+    orbits = reduce_orbits(duals, family)
+    assert sorted(len(m) for _, m in orbits) == ([1, 1, 2] if eps == 1
+                                                 else [1, 1, 1, 1])
+    accepted = 0
+    for branch in family:
+        assert set(branch.ctx.params) == {"c", "d"}
+        for c in ORBIT_GRID:
+            for d in ORBIT_GRID:
+                try:
+                    _, mat = branch.instantiate({"c": c, "d": d})
+                except ConstraintViolation:
+                    continue
+                inv([[x.as_fraction() for x in row] for row in mat])
+                accepted += 1
+    assert accepted
+
+
+def _unify(value, x, assignment):
+    row_ctx = ParamContext([("x", Domain.free())])
+    return _unify_side({"x": value}, row_ctx, {"x": Fraction(x)}, assignment)
+
+
+def test_unify_side_reads_scalar_endpoint_values():
+    """A constant must equal the instance's value, +-p assigns p, anything
+    else never unifies; one assignment is shared by both endpoints."""
+    ctx = ParamContext([("p", Domain.free())])
+    p = ctx.param("p")
+    assignment = {}
+    assert _unify(ctx.const(2), 2, assignment) and assignment == {}
+    assert not _unify(ctx.const(2), 3, {})
+    assert _unify(p, 3, assignment) and assignment == {"p": 3}
+    assert _unify(-p, -3, assignment) and assignment == {"p": 3}
+    assert not _unify(-p, 3, assignment)
+    fresh = {}
+    assert _unify(-p, 3, fresh) and fresh == {"p": -3}
+    assert not _unify(2 * p, 6, {})
+    assert not _unify(p + 1, 4, {})
+    # a parameter the endpoint leaves unbound is the cert parameter of the
+    # same name; an instance missing it never unifies
+    row_ctx = ParamContext([("p", Domain.free())])
+    fresh = {}
+    assert _unify_side({}, row_ctx, {"p": Fraction(5)}, fresh)
+    assert fresh == {"p": 5}
+    assert not _unify_side({}, row_ctx, {}, {})
+
+
+BIND_POOL = [Fraction(x) for x in
+             ("1/2", "-1/2", "1/3", "2", "-2", "3", "1", "-1", "0", "4")]
+
+
+@pytest.mark.parametrize("cid", sorted(get_catalog().certs))
+def test_unifying_shipped_endpoints_rebuilds_the_certificate(cid):
+    """Instances built from each endpoint's bindings at a domain point unify
+    back to that point, and the certificate built there verifies."""
+    cat = get_catalog()
+    entry = cat.certs[cid]
+    ctx = entry.ctx
+    rng = random.Random(cid)
+    for _ in range(50):
+        point = {n: rng.choice([v for v in BIND_POOL if ctx.domains[n].allows(v)])
+                 for n in ctx.params}
+        assignment = {}
+        for tid, values in ((entry.source_id, entry.source_values),
+                            (entry.target_id, entry.target_values)):
+            row_ctx = cat.triples[tid].ctx
+            inst = {n: (values[n].substitute(point).as_fraction()
+                        if n in values else point[n]) for n in row_ctx.params}
+            assert _unify_side(values, row_ctx, inst, assignment)
+        assert all(point[n] == v for n, v in assignment.items())
+        missing = [n for n in ctx.params if n not in assignment]
+        assert all(ctx.domains[n].is_finite for n in missing)
+        try:
+            cert = entry.build(dict(point, **assignment))
+        except ConstraintViolation:
+            continue
+        assert verify_certificate(cert)[0]
+        return
+    raise AssertionError("no domain point builds %s" % cid)
 
 
 def _scalar_path_key(sol, mat):

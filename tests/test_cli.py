@@ -183,6 +183,33 @@ def test_check_file_unknown_algebra_is_a_parse_error(tmp_path):
     assert str(path) in r.stderr and "unknown algebra NOPE" in r.stderr
 
 
+def test_check_file_builds_in_catalog_order(tmp_path):
+    """check --file builds a file's algebras before its triples, as the
+    catalog path does, and prints its lines in file order."""
+    path = tmp_path / "order.cat"
+    path.write_text("triple ZT super_dim (1, 1)\n  left = ZZ()\n  right { }\n"
+                    "algebra ZZ super_dim (1, 1) brackets { [b1, f1] = f1 }\n")
+    r = run("check", "--file", str(path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["triple ZT: PASS", "algebra ZZ: PASS",
+                                     "parsed 2 declarations"]
+    assert run("list", env={"SUPERTRIPLES_CATALOG_PATH": str(tmp_path)}
+               ).returncode == 0
+
+
+def test_check_file_builds_certificates(tmp_path):
+    """A cert on an unknown triple is a parse error naming the file, in
+    check --file as on the catalog path."""
+    path = tmp_path / "cert.cat"
+    path.write_text("cert CX\n  from NOPE() to MT22_3()\n"
+                    "  matrix [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],"
+                    " [0, 0, 0, 1]]\n")
+    for r in (run("check", "--file", str(path)),
+              run("list", env={"SUPERTRIPLES_CATALOG_PATH": str(tmp_path)})):
+        _one_line_error(r, 2)
+        assert str(path) in r.stderr and "unknown triples" in r.stderr
+
+
 def _one_line_error(r, code):
     assert r.returncode == code
     assert "Traceback" not in r.stderr
@@ -221,10 +248,10 @@ def test_zero_denominator_in_a_domain_is_a_parse_error(tmp_path, domain):
      [("list",), ("check", "--triple", "ZT"), ("check", "--file", None)]),
     ("cert ZC\n  from MT22_3(q = 5) to MT22_3()\n"
      "  matrix [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]\n",
-     [("list",), ("verify-iso", "--cert", "ZC")]),
+     [("list",), ("verify-iso", "--cert", "ZC"), ("check", "--file", None)]),
     ("cert ZC\n  from MT22_3() to MT22_4(eps = 1, q = 5)\n"
      "  matrix [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1/2, 0, 1]]\n",
-     [("list",), ("verify-iso", "--cert", "ZC")]),
+     [("list",), ("verify-iso", "--cert", "ZC"), ("check", "--file", None)]),
 ], ids=["triple-left", "cert-source", "cert-target"])
 def test_binding_an_undeclared_parameter_is_a_parse_error(tmp_path, text,
                                                           argvs):
