@@ -221,9 +221,8 @@ class SuperAlgebra:
 
     # -- transformations -----------------------------------------------------
 
-    def substitute(self, bindings, check_domains=True):
-        return self.map_scalars(*self.ctx.bind(bindings,
-                                               check_domains=check_domains))
+    def substitute(self, bindings):
+        return self.map_scalars(*self.ctx.bind(bindings))
 
     def map_scalars(self, new_ctx, fn):
         """Every entry sent through fn (which maps zero to zero) into new_ctx."""

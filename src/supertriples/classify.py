@@ -162,15 +162,10 @@ def enumerate_duals(seed, budget=300000):
         for s, vec in zip(combo, null):
             if s:
                 point = [x + s * y for x, y in zip(point, vec)]
-        ok = True
         if higher:
-            bind = {"u%d" % i: point[i] for i in range(nu)}
-            for r in higher:
-                if not r.substitute(bind).is_zero():
-                    ok = False
-                    break
-        if not ok:
-            continue
+            _, at = uctx.bind({"u%d" % i: point[i] for i in range(nu)})
+            if any(at(r) for r in higher):
+                continue
         values = [seed.ctx.const(x) for x in point]
         cand = ansatz.dual_algebra(seed.ctx, values)
         key = cand.tensor_key()

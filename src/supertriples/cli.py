@@ -16,8 +16,9 @@ from .catalog import (Catalog, appendix_certificate, automorphisms, catalog,
                       list_certificates, parse_catalog_file, table_rows)
 from .classify import (DEFAULT_SEARCH_BUDGET, REPORT_TARGETS, classify_doubles,
                        enumerate_duals, match_22, reduce_orbits, report)
-from .errors import (BudgetExceeded, ConstraintViolation, InconsistentRadical,
-                     ParseError, SuperTriplesError, UnknownId, UnknownName)
+from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
+                     InconsistentRadical, ParseError, SuperTriplesError,
+                     UnknownId, UnknownName)
 from .forms import canonical_form, check_ad_invariance
 from .iso import NoSolution, odd_action_matrices, solve_r, verify_certificate
 from .parsing import AlgebraDecl, TripleDecl
@@ -41,11 +42,11 @@ def _rational(flag, text):
 def _parse_bindings(pairs):
     out = {}
     for item in pairs or ():
-        if "=" not in item:
+        name, eq, value = item.partition("=")
+        name = name.strip()
+        if not eq or not name:
             raise ConstraintViolation("--bind expects name=value, got %r" % item)
-        name, _, value = item.partition("=")
-        out.setdefault(name.strip(), []).append(
-            _rational("--bind " + name.strip(), value))
+        out.setdefault(name, []).append(_rational("--bind " + name, value))
     return out
 
 
@@ -238,11 +239,8 @@ def cmd_classify(args):
 
 
 def cmd_report(args):
-    bindings = _parse_bindings(args.bind)
-    flat = {}
-    for k, v in bindings.items():
-        flat[k] = v if len(v) > 1 else v[0]
-    rep = report(args.target, flat or None, budget=args.budget)
+    rep = report(args.target, _parse_bindings(args.bind) or None,
+                 budget=args.budget)
     print(rep.render(args.format))
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
@@ -325,8 +323,8 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except (ConstraintViolation, InconsistentRadical, UnknownId,
-            UnknownName) as exc:
+    except (ConstraintViolation, DivisionByZero, InconsistentRadical,
+            UnknownId, UnknownName) as exc:
         print("constraint violation: %s" % exc, file=sys.stderr)
         return EXIT_CONSTRAINT
     except SuperTriplesError as exc:

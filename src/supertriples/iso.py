@@ -83,8 +83,8 @@ class IsoCertificate:
                               self.source,
                               note=None if self.note is None else "inv(%s)" % self.note)
 
-    def substitute(self, bindings, check_domains=True):
-        return self.map_scalars(*self.ctx.bind(bindings, check_domains))
+    def substitute(self, bindings):
+        return self.map_scalars(*self.ctx.bind(bindings))
 
     def map_scalars(self, new_ctx, fn):
         """The matrix and both doubles with every scalar sent through fn

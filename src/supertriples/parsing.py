@@ -15,7 +15,8 @@ Catalog declarations:
 
     cert ID params {...} from TRIPLE_ID(p = p) to TRIPLE_ID(...) matrix [[...], ...]
 
-'#' starts a comment.  Semicolons between items are optional separators.
+The clauses after a declaration's head may come in any order.  '#' starts
+a comment.  Semicolons between items are optional separators.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ class Token:
     def __repr__(self):
         return "Token(%s, %r)" % (self.kind, self.value)
 
+    def shown(self):
+        """The token as error messages quote it."""
+        return "end of input" if self.kind == "eof" else repr(self.value)
+
 
 class Tokenizer:
     def __init__(self, text):
@@ -61,8 +66,11 @@ class Tokenizer:
                 col += 1
                 continue
             if ch == "#":
-                while i < n and text[i] != "\n":
-                    i += 1
+                j = i
+                while j < n and text[j] != "\n":
+                    j += 1
+                col += j - i
+                i = j
                 continue
             if ch == '"':
                 j = i + 1
@@ -96,12 +104,13 @@ class Tokenizer:
                 col += 1
                 continue
             raise ParseError("unexpected character %r" % ch, line, col)
+        self.eof = Token("eof", None, line, col)   # just past the last character
         self.pos = 0
 
     def peek(self, k=0):
         if self.pos + k < len(self.tokens):
             return self.tokens[self.pos + k]
-        return Token("eof", None, -1, -1)
+        return self.eof
 
     def next(self):
         tok = self.peek()
@@ -111,9 +120,9 @@ class Tokenizer:
     def expect(self, kind, value=None):
         tok = self.next()
         if tok.kind != kind or (value is not None and tok.value != value):
-            raise ParseError("expected %s%s, got %r"
+            raise ParseError("expected %s%s, got %s"
                              % (kind, "" if value is None else " %r" % value,
-                                tok.value), tok.line, tok.col)
+                                tok.shown()), tok.line, tok.col)
         return tok
 
     def accept(self, kind, value=None):
@@ -133,10 +142,6 @@ class Tokenizer:
 
 
 def parse_expr(tz):
-    return _expr(tz)
-
-
-def _expr(tz):
     node = _term(tz)
     while True:
         if tz.accept("+"):
@@ -184,49 +189,75 @@ def _atom(tz):
         tz.next()
         if tok.value == "sqrt":
             tz.expect("(")
-            inner = _expr(tz)
+            inner = parse_expr(tz)
             tz.expect(")")
             return ("sqrt", inner)
         return ("name", tok.value)
     if tok.kind == "(":
         tz.next()
-        node = _expr(tz)
+        node = parse_expr(tz)
         tz.expect(")")
         return node
-    raise ParseError("expected expression, got %r" % tok.value, tok.line, tok.col)
+    raise ParseError("expected expression, got %s" % tok.shown(),
+                     tok.line, tok.col)
 
 
-def eval_ast(ast, ctx):
-    """Evaluate an expression AST to a Scalar of ctx."""
+def _eval(ast, ctx, genmap):
+    """The one walker of expression ASTs: the value as a linear combination
+    {None: scalar part, index: coefficient}, where the names in genmap stand
+    for the generators of those basis indices.  An absent part is zero."""
     kind = ast[0]
     if kind == "num":
-        return ctx.const(ast[1])
+        return {None: ctx.const(ast[1])}
     if kind == "name":
-        return ctx.param(ast[1])
-    if kind == "add":
-        return eval_ast(ast[1], ctx) + eval_ast(ast[2], ctx)
-    if kind == "sub":
-        return eval_ast(ast[1], ctx) - eval_ast(ast[2], ctx)
-    if kind == "mul":
-        return eval_ast(ast[1], ctx) * eval_ast(ast[2], ctx)
-    if kind == "div":
-        return eval_ast(ast[1], ctx) / eval_ast(ast[2], ctx)
-    if kind == "neg":
-        return -eval_ast(ast[1], ctx)
-    if kind == "pow":
-        return eval_ast(ast[1], ctx) ** ast[2]
-    if kind == "sqrt":
+        if ast[1] in genmap:
+            return {genmap[ast[1]]: ctx.one()}
+        return {None: ctx.param(ast[1])}
+    if kind == "sqrt":      # the context radical, or an exact rational root
         inner = eval_ast(ast[1], ctx)
         if ctx.radical_name is not None:
             r = ctx.radical()
             if (r * r - inner).is_zero():
-                return r
+                return {None: r}
         if inner.is_constant():
             root = exact_sqrt(inner.as_fraction())
             if root is not None:
-                return ctx.const(root)
+                return {None: ctx.const(root)}
         raise ParseError("sqrt(%s) does not match the context radical" % inner)
-    raise ParseError("bad expression node %r" % (kind,))
+    a = _eval(ast[1], ctx, genmap)
+    if kind == "neg":
+        return {k: -c for k, c in a.items()}
+    if kind == "pow":
+        if _has_generators(a):
+            raise ParseError("power of a generator")
+        return {None: a[None] ** ast[2]}
+    b = _eval(ast[2], ctx, genmap)
+    if kind in ("add", "sub"):
+        out = dict(a)
+        for k, c in b.items():
+            if kind == "sub":
+                c = -c
+            out[k] = out[k] + c if k in out else c
+        return out
+    if kind == "mul":
+        if _has_generators(b):
+            if _has_generators(a):
+                raise ParseError("product of generators in a bracket value")
+            s = a.get(None, ctx.zero())
+            return {k: s * c for k, c in b.items()}
+        return {k: c * b[None] for k, c in a.items()}
+    if _has_generators(b):
+        raise ParseError("division by a generator")
+    return {k: c / b[None] for k, c in a.items()}
+
+
+def _has_generators(combo):
+    return len(combo) > 1 or None not in combo
+
+
+def eval_ast(ast, ctx):
+    """Evaluate an expression AST to a Scalar of ctx."""
+    return _eval(ast, ctx, {})[None]
 
 
 def parse_scalar(ctx, text):
@@ -244,63 +275,11 @@ def eval_generator_combo(ast, ctx, genmap):
     genmap maps generator names to basis indices.  Returns {index: Scalar}.
     A pure scalar value is only allowed when it is zero.
     """
-    scal, vec = _eval_combo(ast, ctx, genmap)
+    combo = _eval(ast, ctx, genmap)
+    scal = combo.pop(None, None)
     if scal is not None and not scal.is_zero():
         raise ParseError("bracket value has a non-generator term %s" % scal)
-    return {k: v for k, v in vec.items() if not v.is_zero()}
-
-
-def _eval_combo(ast, ctx, genmap):
-    """Returns (scalar_part or None, {gen_index: Scalar})."""
-    kind = ast[0]
-    if kind == "name" and ast[1] in genmap:
-        return None, {genmap[ast[1]]: ctx.one()}
-    if kind in ("num", "name", "sqrt"):
-        return eval_ast(ast, ctx), {}
-    if kind in ("add", "sub"):
-        s1, v1 = _eval_combo(ast[1], ctx, genmap)
-        s2, v2 = _eval_combo(ast[2], ctx, genmap)
-        sign = 1 if kind == "add" else -1
-        out = dict(v1)
-        for k, c in v2.items():
-            out[k] = out.get(k, ctx.zero()) + sign * c
-        if s1 is None and s2 is None:
-            s = None
-        else:
-            s = (s1 if s1 is not None else ctx.zero()) \
-                + sign * (s2 if s2 is not None else ctx.zero())
-        return s, out
-    if kind == "neg":
-        s, v = _eval_combo(ast[1], ctx, genmap)
-        return (None if s is None else -s), {k: -c for k, c in v.items()}
-    if kind == "mul":
-        s1, v1 = _eval_combo(ast[1], ctx, genmap)
-        s2, v2 = _eval_combo(ast[2], ctx, genmap)
-        if v1 and v2:
-            raise ParseError("product of generators in a bracket value")
-        if v1:
-            if s2 is None:
-                s2 = ctx.zero()
-            return (None if s1 is None else s1 * s2), {k: c * s2 for k, c in v1.items()}
-        if v2:
-            if s1 is None:
-                s1 = ctx.zero()
-            return (None if s2 is None else s1 * s2), {k: s1 * c for k, c in v2.items()}
-        return eval_ast(ast, ctx), {}
-    if kind == "div":
-        s1, v1 = _eval_combo(ast[1], ctx, genmap)
-        s2, v2 = _eval_combo(ast[2], ctx, genmap)
-        if v2:
-            raise ParseError("division by a generator")
-        if s2 is None:
-            s2 = ctx.zero()
-        return (None if s1 is None else s1 / s2), {k: c / s2 for k, c in v1.items()}
-    if kind == "pow":
-        s, v = _eval_combo(ast[1], ctx, genmap)
-        if v:
-            raise ParseError("power of a generator")
-        return eval_ast(ast, ctx), {}
-    raise ParseError("bad expression node %r" % (kind,))
+    return {k: v for k, v in combo.items() if not v.is_zero()}
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +309,18 @@ def _parse_bound(tz):
     return _parse_number(tz)
 
 
-def _parse_exclusions(tz):
-    if not tz.accept("\\"):
-        return ()
+def _parse_numbers(tz):
+    """{n, n, ...}: a finite domain or a list of exclusions."""
     tz.expect("{")
     out = [_parse_number(tz)]
     while tz.accept(","):
         out.append(_parse_number(tz))
     tz.expect("}")
     return tuple(out)
+
+
+def _parse_exclusions(tz):
+    return _parse_numbers(tz) if tz.accept("\\") else ()
 
 
 def _parse_domain(tz):
@@ -356,12 +338,7 @@ def _parse_domain(tz):
         tz.expect(")")
         return ("radical", ast)
     if tz.at("{"):
-        tz.next()
-        values = [_parse_number(tz)]
-        while tz.accept(","):
-            values.append(_parse_number(tz))
-        tz.expect("}")
-        return Domain.finite(values)
+        return Domain.finite(_parse_numbers(tz))
     open_tok = tz.next()
     if open_tok.kind not in ("(", "["):
         raise ParseError("expected a domain", open_tok.line, open_tok.col)
@@ -477,7 +454,7 @@ def _parse_brackets_block(tz):
 
 
 def _parse_matrix(tz):
-    tz.expect("name", "matrix")
+    """[[expr, ...], ...], after the keyword matrix."""
     tz.expect("[")
     rows = []
     while True:
@@ -515,87 +492,83 @@ def _parse_side(tz):
     return ("inline", _parse_brackets_block(tz))
 
 
+def _parse_automorphism(tz):
+    tz.expect("{")
+    params, radicals = [], []
+    if tz.accept("name", "params"):
+        params, radicals = _parse_params_block(tz)
+    tz.expect("name", "matrix")
+    matrix = _parse_matrix(tz)
+    constraints = []
+    if tz.accept("name", "constraints"):
+        tz.expect("{")
+        while not tz.accept("}"):
+            constraints.append(parse_expr(tz))
+            tz.accept(";")
+    tz.expect("}")
+    return AutoBranchDecl(params, radicals, matrix, constraints)
+
+
+def _parse_string(tz):
+    return tz.expect("string").value
+
+
+def _parse_clauses(tz, handlers):
+    """Keyword clauses in any order, each read by handlers[keyword]:
+    {keyword: value}, the last value of a repeated clause, except that
+    automorphism blocks are collected in a list."""
+    out = {}
+    while tz.at("name") and tz.peek().value in handlers:
+        keyword = tz.next().value
+        value = handlers[keyword](tz)
+        if keyword == "automorphism":
+            out.setdefault(keyword, []).append(value)
+        else:
+            out[keyword] = value
+    return out
+
+
+def _clause_context(clauses):
+    return build_context(*clauses.get("params", ([], [])))
+
+
 def _parse_algebra(tz):
     name = tz.expect("name").value
     m, n = _parse_superdim(tz)
-    params, radicals = [], []
-    brackets = []
-    autos = []
-    comment = None
-    while True:
-        if tz.accept("name", "params"):
-            params, radicals = _parse_params_block(tz)
-        elif tz.accept("name", "brackets"):
-            brackets = _parse_brackets_block(tz)
-        elif tz.accept("name", "comment"):
-            comment = tz.expect("string").value
-        elif tz.accept("name", "automorphism"):
-            tz.expect("{")
-            a_params, a_radicals = [], []
-            if tz.accept("name", "params"):
-                a_params, a_radicals = _parse_params_block(tz)
-            matrix = _parse_matrix(tz)
-            constraints = []
-            if tz.accept("name", "constraints"):
-                tz.expect("{")
-                while not tz.accept("}"):
-                    constraints.append(parse_expr(tz))
-                    tz.accept(";")
-            tz.expect("}")
-            autos.append(AutoBranchDecl(a_params, a_radicals, matrix, constraints))
-        else:
-            break
-    ctx = build_context(params, radicals)
-    return AlgebraDecl(name, m, n, ctx, brackets, autos, comment)
+    clauses = _parse_clauses(tz, {"params": _parse_params_block,
+                                  "brackets": _parse_brackets_block,
+                                  "comment": _parse_string,
+                                  "automorphism": _parse_automorphism})
+    return AlgebraDecl(name, m, n, _clause_context(clauses),
+                       clauses.get("brackets", []),
+                       clauses.get("automorphism", []), clauses.get("comment"))
 
 
 def _parse_triple(tz):
     ident = tz.expect("name").value
     m, n = _parse_superdim(tz)
-    params, radicals = [], []
-    label = None
-    left = right = None
-    while True:
-        if tz.accept("name", "params"):
-            params, radicals = _parse_params_block(tz)
-        elif tz.accept("name", "label"):
-            label = tz.expect("string").value
-        elif tz.accept("name", "left"):
-            left = _parse_side(tz)
-        elif tz.accept("name", "right"):
-            right = _parse_side(tz)
-        else:
-            break
-    if left is None or right is None:
+    clauses = _parse_clauses(tz, {"params": _parse_params_block,
+                                  "label": _parse_string,
+                                  "left": _parse_side, "right": _parse_side})
+    if "left" not in clauses or "right" not in clauses:
         tok = tz.peek()
         raise ParseError("triple %s needs left and right sides" % ident,
                          tok.line, tok.col)
-    ctx = build_context(params, radicals)
-    return TripleDecl(ident, m, n, ctx, left, right, label)
+    return TripleDecl(ident, m, n, _clause_context(clauses), clauses["left"],
+                      clauses["right"], clauses.get("label"))
 
 
 def _parse_cert(tz):
     ident = tz.expect("name").value
-    params, radicals = [], []
-    source = target = None
-    matrix = None
-    while True:
-        if tz.accept("name", "params"):
-            params, radicals = _parse_params_block(tz)
-        elif tz.accept("name", "from"):
-            source = _parse_ref(tz)
-        elif tz.accept("name", "to"):
-            target = _parse_ref(tz)
-        elif tz.at("name", "matrix"):
-            matrix = _parse_matrix(tz)
-        else:
-            break
-    if source is None or target is None or matrix is None:
+    clauses = _parse_clauses(tz, {"params": _parse_params_block,
+                                  "from": _parse_ref, "to": _parse_ref,
+                                  "matrix": _parse_matrix})
+    if not {"from", "to", "matrix"} <= clauses.keys():
         tok = tz.peek()
         raise ParseError("cert %s needs from, to and matrix" % ident,
                          tok.line, tok.col)
-    ctx = build_context(params, radicals)
-    return CertDecl(ident, ctx, source, target, matrix)
+    return CertDecl(ident, _clause_context(clauses), clauses["from"],
+                    clauses["to"], clauses["matrix"])
 
 
 def parse_catalog(text):

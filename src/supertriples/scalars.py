@@ -589,7 +589,7 @@ class ParamContext:
 
     # -- substitution -------------------------------------------------------
 
-    def bind(self, bindings, check_domains=True):
+    def bind(self, bindings):
         """Substitute rational values for a subset of the parameters.
 
         Returns (new_ctx, mapper) where mapper sends scalars of this context
@@ -601,10 +601,7 @@ class ParamContext:
         if self.radical_name is not None and self.radical_name in bindings:
             rad_value = bindings.pop(self.radical_name)
         for name, value in bindings.items():
-            if name not in self._index:
-                raise self._not_a_parameter(name)
-            if check_domains:
-                self.check_binding(name, value)
+            self.check_binding(name, value)
 
         keep_names = [n for n in self.params if n not in bindings]
         keep = {n: i for i, n in enumerate(keep_names)}
@@ -856,8 +853,8 @@ class Scalar:
 
     # -- substitution -------------------------------------------------------
 
-    def substitute(self, bindings, check_domains=True):
-        _, mapper = self.ctx.bind(bindings, check_domains=check_domains)
+    def substitute(self, bindings):
+        _, mapper = self.ctx.bind(bindings)
         return mapper(self)
 
     # -- display ------------------------------------------------------------

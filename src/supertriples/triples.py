@@ -37,8 +37,8 @@ class ManinTriple:
     def superdim(self):
         return self.S.superdim()
 
-    def substitute(self, bindings, check_domains=True):
-        return self.map_scalars(*self.ctx.bind(bindings, check_domains))
+    def substitute(self, bindings):
+        return self.map_scalars(*self.ctx.bind(bindings))
 
     def map_scalars(self, new_ctx, fn):
         """Both tensors with every scalar sent through fn into new_ctx."""

@@ -47,7 +47,7 @@ def test_classify_table5_equality_claim():
     identity certificate discharges the table's '=' claim."""
     a = catalog_triple("MT42_6", {"p": 0})
     entry = get_catalog().triples["MT42_10"]
-    b = entry.triple.substitute({"kappa": 0}, check_domains=False)
+    b = entry.lift_triple(a.ctx, {"kappa": 0})  # kappa = 0 is outside the domain
     assert a.S.tensor_equal(b.S) and a.S_dual.tensor_equal(b.S_dual)
 
 

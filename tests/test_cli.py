@@ -265,3 +265,20 @@ def test_binding_an_undeclared_parameter_is_a_parse_error(tmp_path, text,
         r = run(*(str(path) if a is None else a for a in argv), env=env)
         _one_line_error(r, 2)
         assert str(path) in r.stderr and "declares no parameter" in r.stderr
+
+
+def test_zero_denominator_at_a_binding_is_a_constraint_violation():
+    """Inside DD24_III_2's domain the radicand vanishes at these bindings, so
+    rho = 0 and the matrix divides by it."""
+    r = run("verify-iso", "--cert", "DD24_III_2", "--bind", "kappa=1",
+            "--bind", "lambda=1", "--bind", "gamma=1")
+    _one_line_error(r, 3)
+    assert r.stderr == "constraint violation: zero denominator\n"
+
+
+@pytest.mark.parametrize("bind", ["=1", " =1", "p"])
+def test_bind_needs_a_name_and_a_value(bind):
+    r = run("check", "--triple", "MT22_4", "--bind", bind)
+    _one_line_error(r, 3)
+    assert r.stderr == ("constraint violation: --bind expects name=value, "
+                        "got %r\n" % bind)

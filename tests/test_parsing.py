@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from supertriples.catalog import get_catalog
-from supertriples.errors import ParseError
-from supertriples.parsing import (Tokenizer, eval_ast, parse_catalog,
-                                  parse_expr, parse_scalar, render_brackets,
+from supertriples.catalog import AlgebraEntry, get_catalog
+from supertriples.errors import ParseError, UnknownName
+from supertriples.parsing import (Tokenizer, eval_generator_combo,
+                                  parse_catalog, parse_expr, parse_scalar,
+                                  render_brackets, render_combo,
                                   render_params)
-from supertriples.scalars import Domain, ParamContext
+from supertriples.scalars import Domain, ParamContext, random_scalar
 
 
 def test_expression_basics():
@@ -46,7 +49,7 @@ def test_domain_forms():
     text = """
     algebra T super_dim (1, 2)
       params { eps : sign; delta : {0, 1}; p : (-1, 1); q : [0, inf);
-               k : free \\ {0, -1} }
+               k : free \\ {0, -1}; r : {-1/2, 3}; t : (0, 1) \\ {1/2, 1/3} }
       brackets { }
     """
     decl = parse_catalog(text)[0]
@@ -56,16 +59,27 @@ def test_domain_forms():
     assert not ctx.domains["p"].allows(1)
     assert ctx.domains["q"].allows(0) and not ctx.domains["q"].allows(-1)
     assert not ctx.domains["k"].allows(0) and not ctx.domains["k"].allows(-1)
+    assert ctx.domains["r"].values == (Fraction(-1, 2), Fraction(3))
+    assert not ctx.domains["t"].allows(Fraction(1, 3))
+    assert ctx.domains["t"].allows(Fraction(1, 4))
+
+
+def _algebra(brackets):
+    return AlgebraEntry(parse_catalog(
+        "algebra X super_dim (1, 2) params { a : free } brackets { %s }"
+        % brackets)[0])
 
 
 def test_bracket_combos():
-    text = """
-    algebra T super_dim (1, 2)
-      params { a : free }
-      brackets { [b1, f1] = a*f1 - f2; [f1, f2] = (a/2)*b1 }
-    """
-    decl = parse_catalog(text)[0]
-    assert len(decl.brackets) == 2
+    """A bracket value is a linear combination of generators."""
+    alg = _algebra("[b1, f1] = -a*f1 - (f2 - f1)/a + (a - a);"
+                   " [b1, f2] = 2*sqrt(9/4)*f2 - 3*f2 + 0*f1;"
+                   " [f1, f2] = (a/2)*b1")
+    a = alg.ctx.param("a")
+    brackets = alg.algebra.brackets_dict()
+    assert brackets[(0, 1)] == {1: (1 - a * a) / a, 2: -1 / a}
+    assert (0, 2) not in brackets      # 3*f2 - 3*f2 + 0*f1 vanishes
+    assert brackets[(1, 2)] == {0: a / 2}
 
 
 def test_shipped_catalogs_roundtrip():
@@ -144,3 +158,112 @@ def test_comments_and_strings():
 def test_tokenizer_unterminated_string():
     with pytest.raises(ParseError):
         Tokenizer('label "oops')
+
+
+@pytest.mark.parametrize("parse, where, message", [
+    (lambda: parse_catalog("algebra X super_dim (1, "), "line 1, col 25",
+     "expected int, got end of input"),
+    (lambda: parse_catalog("triple T super_dim (2, 2)\n  left = A11()\n"),
+     "line 3, col 1", "triple T needs left and right sides"),
+    (lambda: parse_scalar(ParamContext(), "1 +"), "line 1, col 4",
+     "expected expression, got end of input"),
+    (lambda: parse_catalog("algebra X super_dim (1, # two"), "line 1, col 30",
+     "expected int, got end of input"),
+], ids=["superdim", "triple-sides", "scalar", "after-comment"])
+def test_end_of_input_has_a_position(parse, where, message):
+    """Errors at the end of the input point just past its last character."""
+    with pytest.raises(ParseError) as err:
+        parse()
+    assert str(err.value) == "%s: %s" % (where, message)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("f1*f2", "product of generators in a bracket value"),
+    ("(a*f1)*(f2 - f2)", "product of generators in a bracket value"),
+    ("f1/f2", "division by a generator"),
+    ("0/f1", "division by a generator"),
+    ("f1^2", "power of a generator"),
+    ("f1 + a", "bracket value has a non-generator term a"),
+    ("sqrt(f1)", "f1 is not a parameter here (parameters: a)"),
+    ("f7", "f7 is not a parameter here (parameters: a)"),
+])
+def test_bracket_value_errors(value, message):
+    with pytest.raises((ParseError, UnknownName)) as err:
+        _algebra("[b1, f1] = %s" % value)
+    assert str(err.value) == message
+
+
+def test_clauses_in_any_order():
+    """brackets may precede params; a repeated clause keeps its last value;
+    every automorphism block is kept."""
+    decl = parse_catalog("""
+    algebra X super_dim (1, 2)
+      brackets { [b1, f1] = a*f1; [b1, f2] = a*f2 }
+      automorphism { params { s : free \\ {0} } matrix [[1, 0, 0], [0, s, 0], [0, 0, s]] }
+      params { q : free }
+      comment "first"
+      params { a : {1, -1, 2/3} }
+      automorphism { matrix [[1, 0, 0], [0, 0, 1], [0, 1, 0]] constraints { } }
+      comment "last"
+    triple T super_dim (2, 2) label "x" right = A11() params { } left = A11()
+    cert Z matrix [[1]] to T() from T()
+    """)
+    alg, triple, cert = decl
+    assert alg.ctx.params == ("a",)
+    assert alg.ctx.domains["a"].values == (1, -1, Fraction(2, 3))
+    assert alg.comment == "last"
+    assert len(alg.brackets) == 2
+    assert [len(b.params) for b in alg.autos] == [1, 0]
+    assert triple.left == triple.right == ("ref", "A11", {})
+    assert cert.source == cert.target == ("T", {})
+    entry = AlgebraEntry(alg)
+    assert len(entry.automorphisms().branches) == 2
+
+
+def test_cert_needs_from_to_and_matrix():
+    with pytest.raises(ParseError) as err:
+        parse_catalog("cert Z from T() to T()\nalgebra Y super_dim (1, 0)")
+    assert str(err.value) == "line 2, col 1: cert Z needs from, to and matrix"
+
+
+@pytest.mark.parametrize("domain, message", [
+    ("{1, , 2}", "line 1, col 45: expected int, got ','"),
+    ("free \\ {}", "line 1, col 49: expected int, got '}'"),
+    ("(0, 1) \\ {1/2, 1", "line 1, col 57: expected }, got end of input"),
+])
+def test_number_lists_malformed(domain, message):
+    with pytest.raises(ParseError) as err:
+        parse_catalog("algebra X super_dim (1, 2) params { a : %s" % domain)
+    assert str(err.value) == message
+
+
+_P = ParamContext([("p", Domain.free())])
+_ROUNDTRIP_CONTEXTS = [
+    ParamContext([("p", Domain.free()), ("q", Domain.free())]),
+    ParamContext([("p", Domain.free())], radicals=[("s", _P.param("p").re[0])]),
+]
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(_ROUNDTRIP_CONTEXTS),
+       st.sets(st.integers(0, 3), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_render_combo_roundtrip(seed, ctx, indices):
+    """A combination {index: Scalar} rendered by render_combo reads back as
+    the same combination."""
+    rng = random.Random(seed)
+    combo = {}
+    for k in indices:
+        c = random_scalar(ctx, rng)
+        if ctx.radical_name is not None:
+            c = c + random_scalar(ctx, rng) * ctx.radical()
+        if rng.random() < 0.3:
+            d = random_scalar(ctx, rng)
+            if not d.is_zero():
+                c = c / d
+        if not c.is_zero():
+            combo[k] = c
+    names = ["b1", "b2", "f1", "f2"]
+    text = render_combo(names, combo)
+    ast = parse_expr(Tokenizer(text))
+    back = eval_generator_combo(ast, ctx, {n: i for i, n in enumerate(names)})
+    assert back == combo, text
