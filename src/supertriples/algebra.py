@@ -422,6 +422,13 @@ class AutoBranch:
                           [mapper(c) for c in self.constraints],
                           self.family_params)
 
+    def unbound_params(self):
+        """The parameters other than the family's own that the matrix or the
+        constraints depend on: the algebra's, when they are left unbound."""
+        scalars = [x for row in self.matrix for x in row] + list(self.constraints)
+        used = set().union(*(x.used_params() for x in scalars))
+        return used.difference(self.family_params)
+
     def instantiate(self, bindings):
         """(ctx, matrix) at the bindings; ConstraintViolation when a
         constraint vanishes there."""

@@ -198,7 +198,16 @@ def reduce_orbits(solutions, family):
     tensor is matched to a solution by ``_lowest_terms``, which is exact:
     a rational tensor has exactly one lowest-terms form, whose denominator
     is the least common denominator of its entries.
+
+    The family must not depend on the seed's parameters: bind them with
+    ``automorphisms(name, bindings)``, as the seed was bound.
     """
+    unbound = sorted(set().union(*(b.unbound_params() for b in family)))
+    if unbound:
+        raise ConstraintViolation(
+            "automorphism family of %s depends on unbound parameter(s) %s; "
+            "bind them with automorphisms(name, bindings)"
+            % (family.algebra_name, ", ".join(unbound)))
     if not solutions:
         return []
     tensors = [_integer_tensor(sol.numeric_nonzero()) for sol in solutions]

@@ -18,6 +18,7 @@ numerically bound doubles over five finite candidate stages, ``basic``,
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -143,6 +144,21 @@ def _form_residuals(C, form):
                        {(p, q, r): x for (p, q, r, x) in form})
 
 
+@functools.lru_cache(maxsize=None)
+def _weights(d):
+    """The weight vectors (u, v, z) of ``_holds``'s projection for dimension
+    d: the first 3d primes, in three consecutive runs of d.  u and v must
+    differ, since the even-even brackets are antisymmetric and cancel under
+    u = v."""
+    primes = []
+    k = 2
+    while len(primes) < 3 * d:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return tuple(primes[:d]), tuple(primes[d:2 * d]), tuple(primes[2 * d:])
+
+
 def _holds(M, c, form, source, target):
     """Conditions (i) and (ii) for C = M / c, with M an integer matrix and c
     a nonzero integer, on integer-scaled tensors: form is B's nonzero list
@@ -152,14 +168,38 @@ def _holds(M, c, form, source, target):
         (i)   pull(B, M) = c^2 B
         (ii)  t pull(N, M) = s c push(N', M)
 
-    over integers; (ii) is skipped when (i) fails."""
+    over integers.  Both sides of (ii) are tensors T_ab^r; evaluating them
+    on the fixed weights (u, v, z) of ``_weights``, T -> T(u, v, z), is a
+    linear map to the integers, so if (ii) holds the two evaluations are
+    equal.  They are computed without building either tensor:
+
+        t  sum over N  of x (uM)_p (vM)_q z_r      (x = N_pq^r)
+        sc sum over N' of x u_a v_b (Mz)_r         (x = N'_ab^r)
+
+    A mismatch is therefore a proof that (ii) fails, and the candidate is
+    rejected at once.  Equal evaluations prove nothing (the difference may
+    lie in the kernel), so then (i) and (ii) are tested in full, and the
+    result is exactly that of the full test for every input."""
+    (N, s), (N2, t) = source, target
+    d = len(M)
+    u, v, z = _weights(d)
+    uM, vM, Mz = [0] * d, [0] * d, [0] * d
+    for a, row in enumerate(M):
+        ua, va = u[a], v[a]
+        for p, x in enumerate(row):
+            if x:
+                uM[p] += ua * x
+                vM[p] += va * x
+                Mz[a] += x * z[p]
+    sc = s * c
+    if (t * sum(x * uM[p] * vM[q] * z[r] for (p, q, r, x) in N)
+            != sc * sum(x * u[a] * v[b] * Mz[r] for (a, b, r, x) in N2)):
+        return False
     cols = _columns(M)
     c2 = c * c
     if ({key: x for key, x in _pull(form, cols).items() if x}
             != {(p, q, r): c2 * x for (p, q, r, x) in form}):
         return False
-    (N, s), (N2, t) = source, target
-    sc = s * c
     return ({key: t * x for key, x in _pull(N, cols).items() if x}
             == {key: sc * x for key, x in _push(N2, M).items() if x})
 
@@ -517,8 +557,11 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
     standing for C = M / c, with M an integer matrix and c a positive
     integer; both tensors are scaled once to integers over their
     denominators, and ``_holds`` tests (i) and (ii) cleared of all
-    denominators.  Only a candidate that passes is rebuilt as the Fraction
-    matrix M / c, wrapped and put through ``verify_certificate``.
+    denominators.  It first compares one integer projection of the two
+    sides of (ii), which rejects a failing candidate without building
+    either side, and builds the full contraction only when the projections
+    agree.  Only a candidate that passes is rebuilt as the Fraction matrix
+    M / c, wrapped and put through ``verify_certificate``.
     """
     _check_budget(budget)
     if src.dim != tgt.dim:

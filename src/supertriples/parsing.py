@@ -78,8 +78,13 @@ class Tokenizer:
                     j += 1
                 if j >= n:
                     raise ParseError("unterminated string", line, col)
-                self.tokens.append(Token("string", text[i + 1:j], line, col))
-                col += j - i + 1
+                body = text[i + 1:j]
+                self.tokens.append(Token("string", body, line, col))
+                if "\n" in body:
+                    line += body.count("\n")
+                    col = len(body) - body.rindex("\n") + 1
+                else:
+                    col += j - i + 1
                 i = j + 1
                 continue
             if ch.isdigit():

@@ -844,6 +844,16 @@ class Scalar:
         ok = _p_is_const(self.re[0]) and _p_is_const(self.re[1])
         return ok and self._rad_is_zero()
 
+    def used_params(self):
+        """Names of the parameters this scalar depends on; a nonzero radical
+        part depends on the radicand's parameters too."""
+        polys = list(self.re)
+        if not self._rad_is_zero():
+            polys.extend(self.rad)
+            polys.append(self.ctx.radicand)
+        return {self.ctx.params[i] for f in polys for m in f
+                for i, e in enumerate(m) if e}
+
     def as_fraction(self):
         if not self.is_constant():
             raise ConstraintViolation("scalar %s is not numeric" % self)

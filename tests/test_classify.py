@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supertriples.algebra import SuperAlgebra
+from supertriples.algebra import AutoBranch, SuperAlgebra
 from supertriples.catalog import automorphisms, catalog, catalog_triple, get_catalog
 from supertriples.classify import (ORBIT_GRID, _dual_action, _integer_tensor,
                                    _lowest_terms, _moved_key, _unify_side,
@@ -182,6 +182,28 @@ def test_n12_eps_family_is_bound_at_the_seed(eps):
                 inv([[x.as_fraction() for x in row] for row in mat])
                 accepted += 1
     assert accepted
+
+
+def test_reduce_orbits_refuses_a_family_that_uses_unbound_parameters(monkeypatch):
+    """N12_eps's family uses eps in its matrices: left unbound, it is refused
+    before any member is drawn.  C1_p's family carries p but never uses it,
+    so it needs no binding (``test_orbits_of_21_seeds`` pins its orbits)."""
+    seed = catalog("N12_eps", {"eps": 1})
+    duals = [SuperAlgebra.from_brackets(seed.grading, seed.ctx, {},
+                                        dual_role=True)]
+
+    def draw(*args):
+        raise AssertionError("a family member was drawn")
+
+    monkeypatch.setattr(AutoBranch, "instantiate", draw)
+    monkeypatch.setattr(AutoBranch, "sample", draw)
+    with pytest.raises(ConstraintViolation) as err:
+        reduce_orbits(duals, automorphisms("N12_eps"))
+    assert str(err.value) == (
+        "automorphism family of N12_eps depends on unbound parameter(s) eps; "
+        "bind them with automorphisms(name, bindings)")
+    for branch in automorphisms("C1_p"):
+        assert "p" in branch.ctx.params and not branch.unbound_params()
 
 
 def _unify(value, x, assignment):

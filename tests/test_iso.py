@@ -13,7 +13,8 @@ from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
 from supertriples.errors import (ConstraintViolation, DimensionMismatch,
                                  NotAutomorphism)
 from supertriples.iso import (Exhausted, IsoCertificate, _form_residuals,
-                              _form_tensor, _holds, _stages, from_automorphism,
+                              _form_tensor, _holds, _stages, _weights,
+                              from_automorphism,
                               search_iso, t_dual_certificate,
                               verify_certificate)
 from supertriples.matrices import s_identity
@@ -342,3 +343,31 @@ def test_shipped_certificates_pass_the_integer_test(seed):
         C[0][0] += 1
         assert not _holds(M, c, *inputs), cid
         assert not _fraction_route(C, src, tgt), cid
+
+
+def _identity_matrix(d, k=1):
+    return [[k if a == b else 0 for b in range(d)] for a in range(d)]
+
+
+def test_holds_runs_the_full_test_when_the_projection_agrees():
+    """A target that differs from the source only by two entries that cancel
+    under the weights: the projected sides of (ii) agree, so the rejection
+    comes from the full test."""
+    u, v, z = _weights(4)
+    N = [(0, 1, 1, 1), (1, 0, 1, -1)]
+    extra = [(0, 1, 2, u[2] * v[3] * z[0]), (2, 3, 0, -u[0] * v[1] * z[2])]
+    N2 = sorted(N + extra)
+    assert sum(x * u[a] * v[b] * z[r] for (a, b, r, x) in extra) == 0
+    form = _form_tensor(1, 1)
+    M = _identity_matrix(4)
+    assert _holds(M, 1, form, (N, 1), (N, 1))
+    assert not _holds(M, 1, form, (N, 1), (N2, 1))
+
+
+def test_holds_checks_the_form_condition():
+    """With no brackets (ii) holds for every matrix; (i) alone decides."""
+    form = _form_tensor(1, 1)
+    empty = ([], 1)
+    assert not _holds(_identity_matrix(4, 2), 1, form, empty, empty)
+    assert _holds(_identity_matrix(4), 1, form, empty, empty)
+    assert _holds(_identity_matrix(4, 2), 2, form, empty, empty)

@@ -177,6 +177,17 @@ def test_end_of_input_has_a_position(parse, where, message):
     assert str(err.value) == "%s: %s" % (where, message)
 
 
+@pytest.mark.parametrize("text, where", [
+    ('algebra X super_dim (1, 0) comment "a\nb"\n  brackets { ? }',
+     "line 3, col 14"),
+    ('algebra X super_dim (1, 0) comment "a\nb" ?', "line 2, col 4"),
+], ids=["next-line", "same-line"])
+def test_positions_count_newlines_inside_strings(text, where):
+    with pytest.raises(ParseError) as err:
+        parse_catalog(text)
+    assert str(err.value) == "%s: unexpected character '?'" % where
+
+
 @pytest.mark.parametrize("value, message", [
     ("f1*f2", "product of generators in a bracket value"),
     ("(a*f1)*(f2 - f2)", "product of generators in a bracket value"),

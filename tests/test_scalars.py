@@ -39,6 +39,17 @@ def test_radical_square_is_radicand():
     assert rho * rho == k * k - l * g
 
 
+def test_used_params():
+    """Parameters in the numerator or the denominator count; a nonzero
+    radical part brings in the radicand's parameters."""
+    ctx = ctx_rho()
+    k, l, rho = (ctx.param(n) for n in ("kappa", "lam", "rho"))
+    assert ctx.const(3).used_params() == set()
+    assert (2 / (k + 1)).used_params() == {"kappa"}
+    assert (l * rho).used_params() == {"kappa", "lam", "gam"}
+    assert (rho * rho - k * k).used_params() == {"lam", "gam"}
+
+
 def test_field_inverse_of_monomial():
     ctx = ctx_p()
     p = ctx.param("p")
