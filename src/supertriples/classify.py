@@ -19,9 +19,8 @@ from .algebra import (SuperAlgebra, _columns, _integer_matrix,
 from .catalog import automorphisms, catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, UnknownId)
-from .iso import (DEFAULT_SEARCH_BUDGET, Exhausted, IsoCertificate,
-                  _check_budget, dual_g_blocks, from_automorphism, search_iso,
-                  shear_certificate, verify_certificate)
+from .iso import (Exhausted, IsoCertificate, dual_g_blocks, from_automorphism,
+                  search_iso, shear_certificate, verify_certificate)
 from .matrices import f_solve, inv, s_identity, transpose
 from .scalars import (Domain, ParamContext, _term_image, exact_sqrt,
                       finite_branches)
@@ -32,6 +31,8 @@ __all__ = ["DualAnsatz", "enumerate_duals", "reduce_orbits", "classify_doubles",
 
 ENUM_GRID = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
              Fraction(-2), Fraction(1, 2), Fraction(-1, 2))
+# the most grid points enumerate_duals will try
+ENUM_BUDGET = 300000
 ORBIT_SAMPLES = 200
 ORBIT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(1, 3),
@@ -98,15 +99,16 @@ class DualAnsatz:
                                           dual_role=True)
 
 
-def enumerate_duals(seed, budget=300000):
+def enumerate_duals(seed):
     """All dual tensors compatible with the (numerically bound) seed.
 
     Two tiers: the Jacobi residuals of the double that are linear in the
     unknowns are solved exactly; the remaining polynomial conditions are
     filtered over the rational grid on the free directions of the solution
     space.  Every returned dual re-passes the full compatibility check.
+    Raises BudgetExceeded when that grid has more than ENUM_BUDGET points
+    (A12's 7^7 does).
     """
-    _check_budget(budget)
     if seed.ctx.params:
         raise ConstraintViolation("enumerate_duals needs a numeric seed")
     ansatz = DualAnsatz(seed.grading)
@@ -151,9 +153,9 @@ def enumerate_duals(seed, budget=300000):
             [[Fraction(int(i == j)) for j in range(nu)] for i in range(nu)]
 
     free = len(null)
-    if free and len(ENUM_GRID) ** free > budget:
+    if free and len(ENUM_GRID) ** free > ENUM_BUDGET:
         raise BudgetExceeded("grid %d^%d exceeds budget %d"
-                             % (len(ENUM_GRID), free, budget))
+                             % (len(ENUM_GRID), free, ENUM_BUDGET))
 
     out = []
     seen = set()
@@ -468,9 +470,10 @@ def _unify_side(values, entry_ctx, inst_bindings, assignment):
     return True
 
 
-def _try_cert_between(nx, ny):
-    """A verified certificate nx.double -> ny.double via one catalog entry
-    (or its inverse), unified against the nodes' aliases."""
+def _certs_between(nx, ny):
+    """Certificates nx.double -> ny.double, one catalog entry (or its
+    inverse) each, unified against the nodes' aliases; built, not
+    verified."""
     cat = get_catalog()
     for entry in cat.certs.values():
         ends = ((entry.source_id, entry.source_values),
@@ -501,34 +504,28 @@ def _try_cert_between(nx, ny):
                         except (ConstraintViolation, InconsistentRadical,
                                 DivisionByZero):
                             continue
-                        if inverted:
-                            cert = cert.invert()
-                        ok, _ = verify_certificate(cert)
-                        if ok:
-                            return cert
-    return None
+                        yield cert.invert() if inverted else cert
 
 
 def find_certificate(inst_a, inst_b):
     """Route planner: identity, shear normalization, one catalog certificate
-    and their compositions.  Returns a verified certificate or None."""
+    and their compositions.  Only each route's composite, the certificate
+    that is merged and printed, is verified; the first that passes is
+    returned, None when none does."""
     for nx in _expand(inst_a):
         for ny in _expand(inst_b):
-            middle = None
             if nx.triple.tensor_equal(ny.triple):
-                middle = _identity_cert(nx.double, ny.double)
+                middles = [_identity_cert(nx.double, ny.double)]
             else:
-                middle = _try_cert_between(nx, ny)
-            if middle is None:
-                continue
-            cert = middle
-            if nx.chain is not None:
-                cert = _compose(cert, nx.chain)
-            if ny.chain is not None:
-                cert = _compose(ny.chain.invert(), cert)
-            ok, _ = verify_certificate(cert)
-            if ok:
-                return cert
+                middles = _certs_between(nx, ny)
+            for cert in middles:
+                if nx.chain is not None:
+                    cert = _compose(cert, nx.chain)
+                if ny.chain is not None:
+                    cert = _compose(ny.chain.invert(), cert)
+                ok, _ = verify_certificate(cert)
+                if ok:
+                    return cert
     return None
 
 
@@ -588,15 +585,14 @@ def _fp_str(fp):
     return ";".join("%d,%d" % mn for mn in fp.dims)
 
 
-def classify_doubles(instance_specs, budget=DEFAULT_SEARCH_BUDGET):
+def classify_doubles(instance_specs):
     """Group instances into double-isomorphism classes with evidence.
 
     instance_specs: list of (row_id, bindings).  All instances must pass
     compatibility.  Within a fingerprint bucket the route planner provides
-    merge certificates; leftover class pairs get a bounded search whose
-    Exhausted record becomes the separation evidence.
+    merge certificates; leftover class pairs get a ``search_iso`` at its
+    default budget, whose Exhausted record becomes the separation evidence.
     """
-    _check_budget(budget)
     instances = make_instances(instance_specs)
     for inst in instances:
         if check_compatibility(inst.triple):
@@ -630,8 +626,7 @@ def classify_doubles(instance_specs, budget=DEFAULT_SEARCH_BUDGET):
         for a_pos in range(len(reps)):
             for b_pos in range(a_pos + 1, len(reps)):
                 i, j = reps[a_pos], reps[b_pos]
-                res = search_iso(instances[i].double, instances[j].double,
-                                 budget=budget)
+                res = search_iso(instances[i].double, instances[j].double)
                 if isinstance(res, Exhausted):
                     separations.append((i, j, "exhausted",
                                         "budget=%d tried=%d" % (res.budget, res.tried)))
@@ -791,10 +786,12 @@ def _report_table5(bindings=None):
     for rid in cat.table_rows("42"):
         entry = cat.triples[rid]
         params = set(entry.ctx.params)
+        # dict.fromkeys drops repeated values, keeping the first of each
         if "p" in params:
-            binding_sets = [{"p": p} for p in p_values] + [{"p": Fraction(0)}]
+            binding_sets = [{"p": p} for p in
+                            dict.fromkeys(p_values + (Fraction(0),))]
         elif "kappa" in params:
-            binding_sets = [{"kappa": k} for k in k_values]
+            binding_sets = [{"kappa": k} for k in dict.fromkeys(k_values)]
         else:
             binding_sets = [{}]
         for bnd in binding_sets:
@@ -815,8 +812,8 @@ def _report_table5(bindings=None):
     return Report("table5", passed, lines)
 
 
-def _grouping_report(target, specs, expected_fn, budget):
-    result = classify_doubles(specs, budget=budget)
+def _grouping_report(target, specs, expected_fn):
+    result = classify_doubles(specs)
     want = {}
     for i, inst in enumerate(result.instances):
         want.setdefault(expected_fn(inst), set()).add(i)
@@ -841,10 +838,10 @@ def _grouping_report(target, specs, expected_fn, budget):
     return Report(target, passed, lines)
 
 
-def _report_thm1(budget):
+def _report_thm1():
     specs = [("MT22_1", {}), ("MT22_2", {}), ("MT22_3", {}),
              ("MT22_4", {"eps": 1}), ("MT22_5", {})]
-    return _grouping_report("thm1", specs, _thm2_expected_22, budget)
+    return _grouping_report("thm1", specs, _thm2_expected_22)
 
 
 def _thm2_expected_22(inst):
@@ -856,7 +853,7 @@ def _thm2_expected_22(inst):
     return "III"
 
 
-def _report_thm2(bindings, budget):
+def _report_thm2(bindings):
     p0 = _values_of(bindings, "p", (Fraction(2),))[-1]
     k0 = _values_of(bindings, "kappa", (Fraction(1),))[-1]
     if p0 == 0 or k0 == 0:
@@ -868,10 +865,10 @@ def _report_thm2(bindings, budget):
              ("MT42_8", {"p": p0}), ("MT42_8", {"p": 0}),
              ("MT42_9", {}), ("MT42_10", {"kappa": k0}), ("MT42_11", {}),
              ("MT42_12", {}), ("MT42_13", {}), ("MT42_14", {"kappa": k0})]
-    return _grouping_report("thm2", specs, _thm2_expected, budget)
+    return _grouping_report("thm2", specs, _thm2_expected)
 
 
-def _report_thm3(bindings, budget):
+def _report_thm3(bindings):
     p0 = _values_of(bindings, "p", (Fraction(1, 2),))[-1]
     k0 = _values_of(bindings, "kappa", (Fraction(1),))[-1]
     if not 0 < p0 < 1:
@@ -891,7 +888,7 @@ def _report_thm3(bindings, budget):
             extra["p"] = Fraction(0)
             specs.append((rid, extra))
     specs.append(("MT24_4", {"p": -p0}))
-    rep = _grouping_report("thm3", specs, _thm3_expected, budget)
+    rep = _grouping_report("thm3", specs, _thm3_expected)
     lines = list(rep._lines)
     passed = rep.passed
 
@@ -938,7 +935,7 @@ def _report_thm3(bindings, budget):
     return Report("thm3", passed, lines)
 
 
-def report(target, bindings=None, budget=DEFAULT_SEARCH_BUDGET):
+def report(target, bindings=None):
     """Machine-checkable reproduction of one table or theorem."""
     if target == "table2":
         return _symbolic_row_suite("table2", "22")
@@ -949,11 +946,11 @@ def report(target, bindings=None, budget=DEFAULT_SEARCH_BUDGET):
     if target == "table5":
         return _report_table5(bindings)
     if target == "thm1":
-        return _report_thm1(budget)
+        return _report_thm1()
     if target == "thm2":
-        return _report_thm2(bindings, budget)
+        return _report_thm2(bindings)
     if target == "thm3":
-        return _report_thm3(bindings, budget)
+        return _report_thm3(bindings)
     raise UnknownId("unknown report target %r" % target)
 
 

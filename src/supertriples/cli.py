@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 parse error,
-3 constraint violation, 4 budget exhausted.
+Exit codes: 0 all checks pass, 1 a check failed, 2 parse error (and
+argparse's usage errors), 3 constraint violation, 4 budget exhausted: an
+``enumerate`` grid larger than its fixed bound ``classify.ENUM_BUDGET``.
+The search and enumeration budgets are fixed; no option sets them.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from .algebra import check_antisymmetry, check_jacobi, commutant_series
 from .catalog import (Catalog, appendix_certificate, automorphisms, catalog,
                       catalog_triple, get_catalog, list_algebras,
                       list_certificates, parse_catalog_file, table_rows)
-from .classify import (DEFAULT_SEARCH_BUDGET, REPORT_TARGETS, classify_doubles,
-                       enumerate_duals, match_22, reduce_orbits, report)
+from .classify import (REPORT_TARGETS, classify_doubles, enumerate_duals,
+                       match_22, reduce_orbits, report)
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, ParseError, SuperTriplesError,
                      UnknownId, UnknownName)
@@ -200,7 +202,7 @@ def cmd_solve_r(args):
 def cmd_enumerate(args):
     bindings = _single_bindings(_parse_bindings(args.bind))
     seed = catalog(args.seed, bindings)
-    sols = enumerate_duals(seed, budget=args.budget)
+    sols = enumerate_duals(seed)
     fam = automorphisms(args.seed, bindings)
     orbits = reduce_orbits(sols, fam)
     if args.format == "machine":
@@ -232,15 +234,14 @@ def cmd_classify(args):
             raise UnknownId("unknown triple %s" % rid)
         sub = {k: v for k, v in bindings.items() if k in entry.ctx.params}
         specs.append((rid, sub))
-    result = classify_doubles(specs, budget=args.budget)
+    result = classify_doubles(specs)
     for line in result.lines(args.format):
         print(line)
     return EXIT_OK
 
 
 def cmd_report(args):
-    rep = report(args.target, _parse_bindings(args.bind) or None,
-                 budget=args.budget)
+    rep = report(args.target, _parse_bindings(args.bind) or None)
     print(rep.render(args.format))
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
@@ -292,19 +293,16 @@ def build_parser():
     p = sub.add_parser("enumerate", help="enumerate dual algebras for a seed")
     p.add_argument("--seed", required=True)
     p.add_argument("--bind", action="append")
-    p.add_argument("--budget", type=int, default=300000)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="group triples into double classes")
     p.add_argument("--rows", required=True, help="comma separated triple ids")
     p.add_argument("--bind", action="append")
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("report", help="reproduce a table or theorem")
     p.add_argument("--target", required=True, choices=REPORT_TARGETS)
     p.add_argument("--bind", action="append")
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("list", help="list catalog contents")

@@ -113,8 +113,7 @@ def verify_certificate(cert):
     C = cert.matrix
     src, tgt = cert.source, cert.target
     ctx = cert.ctx
-    m, n = src.triple.superdim() if hasattr(src, "triple") else _half(src)
-    form = _form_tensor(m, n)
+    form = _form_tensor(*_half(src))
     if not ctx.params and ctx.radical_name is None:
         # numeric fast path; fall through for the report only on failure
         M, c = _integer_matrix([[x.as_fraction() for x in row] for row in C])
@@ -535,12 +534,6 @@ def _stages(double):
     yield "composed", _composed(m, n, h, d)
 
 
-def _check_budget(budget):
-    """Reject a negative search or enumeration budget; 0 is legal."""
-    if budget < 0:
-        raise ConstraintViolation("budget must be at least 0, got %d" % budget)
-
-
 def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
     """Bounded certificate search between two numerically bound doubles.
 
@@ -563,7 +556,8 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
     agree.  Only a candidate that passes is rebuilt as the Fraction matrix
     M / c, wrapped and put through ``verify_certificate``.
     """
-    _check_budget(budget)
+    if budget < 0:
+        raise ConstraintViolation("budget must be at least 0, got %d" % budget)
     if src.dim != tgt.dim:
         raise DimensionMismatch("doubles of different dimension")
     if src.ctx.params or tgt.ctx.params:

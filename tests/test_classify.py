@@ -1,9 +1,11 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supertriples import classify
 from supertriples.algebra import AutoBranch, SuperAlgebra
 from supertriples.catalog import automorphisms, catalog, catalog_triple, get_catalog
 from supertriples.classify import (ORBIT_GRID, _dual_action, _integer_tensor,
@@ -87,6 +89,37 @@ def test_report_table5():
     lines = rep.render("machine").splitlines()
     assert any("id=MT42_6[p=0]" in ln and "c1_superdim=3,0" in ln for ln in lines)
     assert any("id=MT42_3 " in ln and "c1_superdim=1,2" in ln for ln in lines)
+
+
+def test_report_table5_drops_repeated_bindings():
+    """p=0 is always added to the bound p values, and --bind may repeat a
+    value; each binding set is reported once."""
+    rep = report("table5", {"p": [Fraction(0)],
+                            "kappa": [Fraction(1), Fraction(1)]})
+    assert rep.passed
+    idents = [ln.split()[1] for ln in rep.render("machine").splitlines()[1:]]
+    assert "id=MT42_6[p=0]" in idents and "id=MT42_10[kappa=1]" in idents
+    assert len(idents) == len(set(idents))
+
+
+@pytest.mark.parametrize("target, merges", [("thm1", 2), ("thm2", 14)])
+def test_each_merge_is_verified_once(monkeypatch, target, merges):
+    """The route planner verifies each planned route's composite once: one
+    verify_certificate call per merge edge, and the report is unchanged."""
+    calls = []
+
+    def counted(cert):
+        calls.append(cert)
+        return verify_certificate(cert)
+
+    monkeypatch.setattr(classify, "verify_certificate", counted)
+    rendered = report(target).render("machine")
+    assert rendered.count("\nedge ") == merges
+    assert len(calls) == merges
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        "report_%s.txt" % target)
+    with open(path) as fh:
+        assert fh.read() == rendered + "\n"
 
 
 def test_report_tables_symbolic():

@@ -58,9 +58,10 @@ def test_s11_duals_include_deformed_n_types():
 
 
 def test_budget_exceeded():
+    """A12 leaves seven free directions: 7^7 grid points exceed ENUM_BUDGET."""
     seed = catalog("A12")
     with pytest.raises(BudgetExceeded):
-        enumerate_duals(seed, budget=100)
+        enumerate_duals(seed)
 
 
 def test_12_seed_duals_have_n_shape():

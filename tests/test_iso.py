@@ -201,6 +201,12 @@ def test_search_requires_numeric():
         search_iso(src, src, budget=10)
 
 
+def test_search_rejects_a_negative_budget():
+    src = build_double(catalog_triple("MT42_3"))
+    with pytest.raises(ConstraintViolation, match="budget must be at least 0"):
+        search_iso(src, src, budget=-1)
+
+
 def test_exhausted_carries_budget():
     src = build_double(catalog_triple("MT24_4", {"p": Fraction(1, 2)}))
     tgt = build_double(catalog_triple("MT24_9"))
