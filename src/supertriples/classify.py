@@ -23,7 +23,7 @@ from .iso import (Exhausted, IsoCertificate, dual_g_blocks, from_automorphism,
                   search_iso, shear_certificate, verify_certificate)
 from .matrices import f_solve, inv, s_identity, transpose
 from .scalars import (Domain, ParamContext, _term_image, exact_sqrt,
-                      finite_branches)
+                      finite_branches, not_a_parameter)
 from .triples import ManinTriple, build_double, check_compatibility, t_dual
 
 __all__ = ["DualAnsatz", "enumerate_duals", "reduce_orbits", "classify_doubles",
@@ -309,7 +309,7 @@ class Instance:
 
     def __init__(self, row_id, bindings, entry):
         self.row_id = row_id
-        self.bindings = {k: Fraction(v) for k, v in bindings.items()}
+        self.bindings = bindings    # {name: Fraction}
         self.ident = _instance_ident(row_id, self.bindings)
         self.triple = entry.build(self.bindings)
         if self.triple.ctx.params:
@@ -322,9 +322,10 @@ class Instance:
 
 def make_instances(specs):
     """specs: iterable of (row_id, bindings) with continuous parameters bound;
-    finite-domain parameters are expanded into all branches."""
+    finite-domain parameters are expanded into all branches.  Each instance
+    is listed once, at its first occurrence."""
     cat = get_catalog()
-    out = []
+    out = {}
     for row_id, bindings in specs:
         if row_id not in cat.triples:
             raise UnknownId("unknown triple %s" % row_id)
@@ -333,10 +334,12 @@ def make_instances(specs):
         for extra in finite_branches(ctx, [n for n in ctx.params
                                            if ctx.domains[n].is_finite
                                            and n not in bindings]):
-            full = dict(bindings)
+            full = {k: Fraction(v) for k, v in bindings.items()}
             full.update(extra)
-            out.append(Instance(row_id, full, entry))
-    return out
+            ident = _instance_ident(row_id, full)
+            if ident not in out:
+                out[ident] = Instance(row_id, full, entry)
+    return list(out.values())
 
 
 def _dual_g(triple):
@@ -349,34 +352,28 @@ def _dual_g(triple):
 
 
 def _resolve_aliases(triple, bindings_pool):
-    """Catalog (id, bindings) pairs whose built tensor equals the given
-    numeric triple.  alpha/beta/gamma are matched against the dual tensor,
-    other parameters against the pool."""
+    """{row id: bindings} of the catalog rows that some certificate names
+    and whose built tensor equals the given numeric triple.  alpha/beta/gamma
+    are matched against the dual tensor, other parameters against the pool."""
     cat = get_catalog()
-    aliases = []
+    named = {rid for c in cat.certs.values()
+             for rid in (c.source_id, c.target_id)}
     dim = triple.grading.dim
-    g_entries = dict(zip(("alpha", "beta", "gamma"), _dual_g(triple) or ()))
+    pool = dict(bindings_pool,
+                **dict(zip(("alpha", "beta", "gamma"), _dual_g(triple) or ())))
+    aliases = {}
     for tid, entry in cat.triples.items():
-        if entry.grading.dim != dim:
+        if tid not in named or entry.grading.dim != dim:
             continue
-        candidate = {}
-        ok = True
-        for pname in entry.ctx.params:
-            if pname in ("alpha", "beta", "gamma") and pname in g_entries:
-                candidate[pname] = g_entries[pname]
-            elif pname in bindings_pool:
-                candidate[pname] = bindings_pool[pname]
-            else:
-                ok = False
-                break
-        if not ok:
+        if any(pname not in pool for pname in entry.ctx.params):
             continue
+        candidate = {pname: pool[pname] for pname in entry.ctx.params}
         try:
             built = entry.build(candidate)
         except (ConstraintViolation, InconsistentRadical):
             continue
         if built.tensor_equal(triple):
-            aliases.append((tid, candidate))
+            aliases[tid] = candidate
     return aliases
 
 
@@ -409,11 +406,9 @@ def _compose(second, first):
 def _expand(inst):
     if inst._nodes is not None:
         return inst._nodes
-    nodes = [_Node(inst.triple, inst.double,
-                   [(inst.row_id, inst.bindings)]
-                   + [a for a in _resolve_aliases(inst.triple, inst.bindings)
-                      if a[0] != inst.row_id],
-                   None)]
+    aliases = _resolve_aliases(inst.triple, inst.bindings)
+    aliases[inst.row_id] = inst.bindings
+    nodes = [_Node(inst.triple, inst.double, aliases, None)]
     # shear-normalize to the semiabelian (S|A) base point when possible
     base_cert = _shear_base(inst)
     if base_cert is not None:
@@ -430,7 +425,7 @@ def _shear_base(inst):
     the shear system solves."""
     t = inst.triple
     Sd = t.S_dual
-    if all(c.is_zero() for (_, _, _, c) in Sd.nonzero()):
+    if not Sd.nonzero():
         return None
     abelian = SuperAlgebra(Sd.grading, t.ctx, {}, names=Sd.names,
                            dual_role=True)
@@ -480,31 +475,29 @@ def _certs_between(nx, ny):
                 (entry.target_id, entry.target_values))
         for inverted, ((a_id, a_vals), (b_id, b_vals)) in ((False, ends),
                                                            (True, ends[::-1])):
-            for (idx, bx) in nx.aliases:
-                if idx != a_id:
+            if a_id not in nx.aliases or b_id not in ny.aliases:
+                continue
+            assignment = {}
+            if not _unify_side(a_vals, cat.triples[a_id].ctx,
+                               nx.aliases[a_id], assignment):
+                continue
+            if not _unify_side(b_vals, cat.triples[b_id].ctx,
+                               ny.aliases[b_id], assignment):
+                continue
+            # finite-domain cert parameters the endpoints leave free
+            # (e.g. a sign choice) are enumerated
+            missing = [p for p in entry.ctx.params if p not in assignment]
+            if any(not entry.ctx.domains[p].is_finite for p in missing):
+                continue
+            for fill in finite_branches(entry.ctx, missing):
+                full = dict(assignment)
+                full.update(fill)
+                try:
+                    cert = entry.build(full)
+                except (ConstraintViolation, InconsistentRadical,
+                        DivisionByZero):
                     continue
-                for (idy, by) in ny.aliases:
-                    if idy != b_id:
-                        continue
-                    assignment = {}
-                    if not _unify_side(a_vals, cat.triples[a_id].ctx, bx, assignment):
-                        continue
-                    if not _unify_side(b_vals, cat.triples[b_id].ctx, by, assignment):
-                        continue
-                    # finite-domain cert parameters the endpoints leave free
-                    # (e.g. a sign choice) are enumerated
-                    missing = [p for p in entry.ctx.params if p not in assignment]
-                    if any(not entry.ctx.domains[p].is_finite for p in missing):
-                        continue
-                    for fill in finite_branches(entry.ctx, missing):
-                        full = dict(assignment)
-                        full.update(fill)
-                        try:
-                            cert = entry.build(full)
-                        except (ConstraintViolation, InconsistentRadical,
-                                DivisionByZero):
-                            continue
-                        yield cert.invert() if inverted else cert
+                yield cert.invert() if inverted else cert
 
 
 def find_certificate(inst_a, inst_b):
@@ -935,8 +928,20 @@ def _report_thm3(bindings):
     return Report("thm3", passed, lines)
 
 
+# the binding names each report target reads; the others read none
+REPORT_PARAMS = {"table5": ("p", "kappa"), "thm2": ("p", "kappa"),
+                 "thm3": ("p", "kappa")}
+
+
 def report(target, bindings=None):
-    """Machine-checkable reproduction of one table or theorem."""
+    """Machine-checkable reproduction of one table or theorem.  bindings
+    may name only the parameters in ``REPORT_PARAMS`` for the target."""
+    if target not in REPORT_TARGETS:
+        raise UnknownId("unknown report target %r" % target)
+    reads = REPORT_PARAMS.get(target, ())
+    for name in bindings or ():
+        if name not in reads:
+            raise not_a_parameter(name, reads)
     if target == "table2":
         return _symbolic_row_suite("table2", "22")
     if target == "table4":
@@ -949,9 +954,7 @@ def report(target, bindings=None):
         return _report_thm1()
     if target == "thm2":
         return _report_thm2(bindings)
-    if target == "thm3":
-        return _report_thm3(bindings)
-    raise UnknownId("unknown report target %r" % target)
+    return _report_thm3(bindings)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
 from .forms import canonical_form, check_ad_invariance
 from .iso import NoSolution, odd_action_matrices, solve_r, verify_certificate
 from .parsing import AlgebraDecl, TripleDecl
+from .scalars import not_a_parameter
 from .triples import build_double, check_compatibility
 
 EXIT_OK = 0
@@ -226,14 +227,20 @@ def cmd_enumerate(args):
 
 def cmd_classify(args):
     bindings = _single_bindings(_parse_bindings(args.bind))
-    specs = []
+    rows = []
     for rid in args.rows.split(","):
         rid = rid.strip()
         entry = get_catalog().triples.get(rid)
         if entry is None:
             raise UnknownId("unknown triple %s" % rid)
-        sub = {k: v for k, v in bindings.items() if k in entry.ctx.params}
-        specs.append((rid, sub))
+        rows.append((rid, entry))
+    # a name must be declared by at least one listed row
+    declared = tuple(dict.fromkeys(n for _, e in rows for n in e.ctx.params))
+    for name in bindings:
+        if name not in declared:
+            raise not_a_parameter(name, declared)
+    specs = [(rid, {k: v for k, v in bindings.items() if k in e.ctx.params})
+             for rid, e in rows]
     result = classify_doubles(specs)
     for line in result.lines(args.format):
         print(line)

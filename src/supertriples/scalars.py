@@ -535,7 +535,7 @@ class ParamContext:
         if name == self.radical_name:
             return self.radical()
         if name not in self._index:
-            raise self._not_a_parameter(name)
+            raise not_a_parameter(name, self.params)
         nv = self.nvars
         return Scalar(self, (_p_var(self._index[name], nv), _p_const(1, nv)), None)
 
@@ -569,14 +569,10 @@ class ParamContext:
                                            _p_str(self.radicand, self.params)))
         return "ParamContext{%s}" % "; ".join(bits)
 
-    def _not_a_parameter(self, name):
-        return UnknownName("%s is not a parameter here (parameters: %s)"
-                           % (name, ", ".join(self.params) or "none"))
-
     def check_binding(self, name, value):
         dom = self.domains.get(name)
         if dom is None:
-            raise self._not_a_parameter(name)
+            raise not_a_parameter(name, self.params)
         if not dom.allows(value):
             raise ConstraintViolation(
                 "%s = %s violates domain %s" % (name, value, dom.describe()))
@@ -925,6 +921,13 @@ def arith(a, b, op):
     if op == "inv":
         return a.inv()
     raise ValueError("unknown op %r" % op)
+
+
+def not_a_parameter(name, params):
+    """The UnknownName error for a binding of `name` where only `params`
+    may be bound."""
+    return UnknownName("%s is not a parameter here (parameters: %s)"
+                       % (name, ", ".join(params) or "none"))
 
 
 def finite_branches(ctx, names):

@@ -13,7 +13,7 @@ from supertriples.classify import (ORBIT_GRID, _dual_action, _integer_tensor,
                                    classify_doubles, enumerate_duals,
                                    find_certificate, make_instances,
                                    reduce_orbits, report)
-from supertriples.errors import ConstraintViolation
+from supertriples.errors import ConstraintViolation, UnknownName
 from supertriples.iso import verify_certificate
 from supertriples.matrices import inv
 from supertriples.scalars import Domain, ParamContext
@@ -120,6 +120,58 @@ def test_each_merge_is_verified_once(monkeypatch, target, merges):
                         "report_%s.txt" % target)
     with open(path) as fh:
         assert fh.read() == rendered + "\n"
+
+
+def test_aliases_build_only_rows_a_certificate_names(monkeypatch):
+    """While the route planner resolves the aliases of the thm2 and thm3
+    instances, it builds at bindings only catalog rows that some
+    certificate names as an endpoint; the reports are unchanged."""
+    from supertriples.catalog import TripleEntry
+    cat = get_catalog()
+    named = {rid for c in cat.certs.values()
+             for rid in (c.source_id, c.target_id)}
+    built, resolving = [], []
+    plain_build, plain_resolve = TripleEntry.build, classify._resolve_aliases
+
+    def build(entry, bindings=None):
+        if resolving and bindings:
+            built.append(entry.id)
+        return plain_build(entry, bindings)
+
+    def resolve(triple, pool):
+        resolving.append(triple)
+        try:
+            return plain_resolve(triple, pool)
+        finally:
+            resolving.pop()
+
+    monkeypatch.setattr(TripleEntry, "build", build)
+    monkeypatch.setattr(classify, "_resolve_aliases", resolve)
+    for target in ("thm2", "thm3"):
+        path = os.path.join(os.path.dirname(__file__), "golden",
+                            "report_%s.txt" % target)
+        with open(path) as fh:
+            assert fh.read() == report(target).render("machine") + "\n"
+    assert built
+    assert set(built) <= named, sorted(set(built) - named)
+
+
+def test_repeated_spec_is_one_instance():
+    """A repeated (row, bindings) spec, or a finite branch already listed,
+    is classified once, at its first position."""
+    result = classify_doubles([("MT22_1", {}), ("MT22_1", {}),
+                               ("MT22_4", {"eps": 1}), ("MT22_4", {})])
+    idents = [inst.ident for inst in result.instances]
+    assert idents == ["MT22_1", "MT22_4[eps=1]", "MT22_4[eps=-1]"]
+    assert all(i != j for (i, j, _) in result.edges)
+
+
+@pytest.mark.parametrize("target, name", [
+    ("thm2", "kapa"), ("thm3", "q"), ("table5", "eps"), ("thm1", "p"),
+    ("table2", "p"), ("table4", "kappa"), ("table7", "p")])
+def test_report_refuses_a_binding_it_never_reads(target, name):
+    with pytest.raises(UnknownName, match="%s is not a parameter" % name):
+        report(target, {name: Fraction(1)})
 
 
 def test_report_tables_symbolic():

@@ -125,6 +125,48 @@ def test_classify_command():
     assert "edge from=" in r.stdout
 
 
+@pytest.mark.parametrize("args, message", [
+    (("report", "--target", "thm2", "--bind", "kapa=2"),
+     "kapa is not a parameter here (parameters: p, kappa)"),
+    (("report", "--target", "thm3", "--bind", "eps=1"),
+     "eps is not a parameter here (parameters: p, kappa)"),
+    (("report", "--target", "table5", "--bind", "p=2", "--bind", "q=1"),
+     "q is not a parameter here (parameters: p, kappa)"),
+    (("report", "--target", "thm1", "--bind", "p=1"),
+     "p is not a parameter here (parameters: none)"),
+    (("report", "--target", "table2", "--bind", "kappa=1"),
+     "kappa is not a parameter here (parameters: none)"),
+    (("report", "--target", "table4", "--bind", "p=1"),
+     "p is not a parameter here (parameters: none)"),
+    (("report", "--target", "table7", "--bind", "p=1"),
+     "p is not a parameter here (parameters: none)"),
+    (("classify", "--rows", "MT22_1", "--bind", "p=5"),
+     "p is not a parameter here (parameters: none)"),
+    (("classify", "--rows", "MT22_1,MT22_4", "--bind", "kappa=1"),
+     "kappa is not a parameter here (parameters: eps)"),
+])
+def test_unread_bind_names_are_refused(args, message):
+    """report and classify refuse a --bind name they would never read, as
+    every other subcommand does."""
+    r = run(*args)
+    _one_line_error(r, 3)
+    assert message in r.stderr
+    assert r.stdout == ""
+
+
+def test_classify_binds_a_name_one_listed_row_declares():
+    r = run("--format", "machine", "classify", "--rows", "MT22_1,MT22_4",
+            "--bind", "eps=1")
+    assert r.returncode == 0
+    assert "members=MT22_4[eps=1]" in r.stdout
+
+
+def test_classify_lists_a_repeated_row_once():
+    r = run("--format", "machine", "classify", "--rows", "MT22_1,MT22_1")
+    assert r.returncode == 0
+    assert r.stdout == "class index=0 fingerprint=0,0;0,0;0,0 members=MT22_1\n"
+
+
 def test_classify_has_no_strategy_option():
     r = run("classify", "--rows", "MT22_3,MT22_4", "--strategy", "auto")
     assert r.returncode == 2
