@@ -250,7 +250,10 @@ class SuperAlgebra:
                             dual_role=self.dual_role)
 
     def tensor_equal(self, other):
-        """Same dimension, same nonzero keys and vanishing differences."""
+        """Same dimension, same nonzero keys and vanishing differences; no
+        parity.  Route nodes match certificate rows on demand by this and the
+        total dimension, so (4,2) can match (2,4): ROADMAP item 11 step 2,
+        pinned by the `report thm2 --bind p=1/2` digests in queries.json."""
         return (self.dim == other.dim and len(self._nz) == len(other._nz)
                 and all(a[:3] == b[:3] and (a[3] - b[3]).is_zero()
                         for a, b in zip(self._nz, other._nz)))

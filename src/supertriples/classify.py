@@ -351,40 +351,39 @@ def _dual_g(triple):
     return tuple(G[0][a][b].as_fraction() for a in range(n) for b in range(a, n))
 
 
-def _resolve_aliases(triple, bindings_pool):
-    """{row id: bindings} of the catalog rows that some certificate names
-    and whose built tensor equals the given numeric triple.  alpha/beta/gamma
-    are matched against the dual tensor, other parameters against the pool."""
-    cat = get_catalog()
-    named = {rid for c in cat.certs.values()
-             for rid in (c.source_id, c.target_id)}
-    dim = triple.grading.dim
-    pool = dict(bindings_pool,
-                **dict(zip(("alpha", "beta", "gamma"), _dual_g(triple) or ())))
-    aliases = {}
-    for tid, entry in cat.triples.items():
-        if tid not in named or entry.grading.dim != dim:
-            continue
-        if any(pname not in pool for pname in entry.ctx.params):
-            continue
-        candidate = {pname: pool[pname] for pname in entry.ctx.params}
+class _Node:
+    """A double the route planner reaches from an instance, with the
+    catalog rows that certificate endpoints have asked about so far."""
+    __slots__ = ("double", "chain", "pool", "rows")
+
+    def __init__(self, double, chain, bindings, rows):
+        self.double = double
+        self.chain = chain  # certificate instance.double -> self.double, or None
+        # alpha/beta/gamma are read off the dual, the rest off the instance
+        self.pool = dict(bindings, **dict(zip(("alpha", "beta", "gamma"),
+                                              _dual_g(double.triple) or ())))
+        self.rows = rows    # {row id: bindings, or None where no match}
+
+    def match(self, row_id):
+        """Bindings at which catalog row row_id, built from the pool, has
+        this node's tensor, else None; computed once per row.  Rows are
+        kept by total dimension, and tensor_equal compares no parity."""
+        if row_id in self.rows:
+            return self.rows[row_id]
+        self.rows[row_id] = None
+        entry = get_catalog().triples[row_id]
+        triple = self.double.triple
+        if (entry.grading.dim != triple.grading.dim
+                or any(p not in self.pool for p in entry.ctx.params)):
+            return None
+        candidate = {p: self.pool[p] for p in entry.ctx.params}
         try:
             built = entry.build(candidate)
         except (ConstraintViolation, InconsistentRadical):
-            continue
+            return None
         if built.tensor_equal(triple):
-            aliases[tid] = candidate
-    return aliases
-
-
-class _Node:
-    __slots__ = ("triple", "double", "aliases", "chain")
-
-    def __init__(self, triple, double, aliases, chain):
-        self.triple = triple
-        self.double = double
-        self.aliases = aliases
-        self.chain = chain  # certificate instance.double -> self.double, or None
+            self.rows[row_id] = candidate
+        return self.rows[row_id]
 
 
 def _identity_cert(src_double, tgt_double):
@@ -406,16 +405,13 @@ def _compose(second, first):
 def _expand(inst):
     if inst._nodes is not None:
         return inst._nodes
-    aliases = _resolve_aliases(inst.triple, inst.bindings)
-    aliases[inst.row_id] = inst.bindings
-    nodes = [_Node(inst.triple, inst.double, aliases, None)]
+    nodes = [_Node(inst.double, None, inst.bindings,
+                   {inst.row_id: inst.bindings})]
     # shear-normalize to the semiabelian (S|A) base point when possible
     base_cert = _shear_base(inst)
     if base_cert is not None:
-        base_triple = base_cert.source.triple
-        aliases = _resolve_aliases(base_triple, inst.bindings)
-        nodes.append(_Node(base_triple, base_cert.source, aliases,
-                           base_cert.invert()))
+        nodes.append(_Node(base_cert.source, base_cert.invert(),
+                           inst.bindings, {}))
     inst._nodes = nodes
     return nodes
 
@@ -439,10 +435,12 @@ def _shear_base(inst):
 def _unify_side(values, entry_ctx, inst_bindings, assignment):
     """Extend `assignment` (cert parameter -> Fraction) so that a cert
     endpoint with bindings `values` (Scalars of the cert context) meets the
-    instance bindings of a row with context entry_ctx, else False.  A
-    constant must equal the instance value, +-x assigns the cert parameter
-    x, any other Scalar never unifies; an unbound name is the cert
-    parameter of the same name."""
+    instance bindings of a row with context entry_ctx, else False (also
+    when they are None: the row does not match).  A constant must equal the
+    instance value, +-x assigns the cert parameter x, any other Scalar never
+    unifies; an unbound name is the cert parameter of the same name."""
+    if inst_bindings is None:
+        return False
     for pname in entry_ctx.params:
         if pname not in inst_bindings:
             return False
@@ -467,22 +465,19 @@ def _unify_side(values, entry_ctx, inst_bindings, assignment):
 
 def _certs_between(nx, ny):
     """Certificates nx.double -> ny.double, one catalog entry (or its
-    inverse) each, unified against the nodes' aliases; built, not
-    verified."""
+    inverse) each, unified against the nodes' matches of its endpoint rows;
+    built, not verified."""
     cat = get_catalog()
     for entry in cat.certs.values():
         ends = ((entry.source_id, entry.source_values),
                 (entry.target_id, entry.target_values))
         for inverted, ((a_id, a_vals), (b_id, b_vals)) in ((False, ends),
                                                            (True, ends[::-1])):
-            if a_id not in nx.aliases or b_id not in ny.aliases:
-                continue
             assignment = {}
-            if not _unify_side(a_vals, cat.triples[a_id].ctx,
-                               nx.aliases[a_id], assignment):
-                continue
-            if not _unify_side(b_vals, cat.triples[b_id].ctx,
-                               ny.aliases[b_id], assignment):
+            if not (_unify_side(a_vals, cat.triples[a_id].ctx,
+                                nx.match(a_id), assignment)
+                    and _unify_side(b_vals, cat.triples[b_id].ctx,
+                                    ny.match(b_id), assignment)):
                 continue
             # finite-domain cert parameters the endpoints leave free
             # (e.g. a sign choice) are enumerated
@@ -507,7 +502,7 @@ def find_certificate(inst_a, inst_b):
     returned, None when none does."""
     for nx in _expand(inst_a):
         for ny in _expand(inst_b):
-            if nx.triple.tensor_equal(ny.triple):
+            if nx.double.triple.tensor_equal(ny.double.triple):
                 middles = [_identity_cert(nx.double, ny.double)]
             else:
                 middles = _certs_between(nx, ny)
@@ -770,6 +765,14 @@ def _values_of(bindings, name, default):
     return tuple(v) if isinstance(v, (tuple, list)) else (Fraction(v),)
 
 
+def _value_of(bindings, name, default):
+    """The one value bound to name, else default; more than one is refused."""
+    values = _values_of(bindings, name, (default,))
+    if len(values) > 1:
+        raise ConstraintViolation("%s is bound more than once" % name)
+    return values[0]
+
+
 def _report_table5(bindings=None):
     cat = get_catalog()
     p_values = _values_of(bindings, "p", TABLE5_GENERIC_P)
@@ -834,21 +837,12 @@ def _grouping_report(target, specs, expected_fn):
 def _report_thm1():
     specs = [("MT22_1", {}), ("MT22_2", {}), ("MT22_3", {}),
              ("MT22_4", {"eps": 1}), ("MT22_5", {})]
-    return _grouping_report("thm1", specs, _thm2_expected_22)
-
-
-def _thm2_expected_22(inst):
-    r = _row_num(inst.row_id)
-    if r == 1:
-        return "I"
-    if r == 2:
-        return "II"
-    return "III"
+    return _grouping_report("thm1", specs, _thm2_expected)
 
 
 def _report_thm2(bindings):
-    p0 = _values_of(bindings, "p", (Fraction(2),))[-1]
-    k0 = _values_of(bindings, "kappa", (Fraction(1),))[-1]
+    p0 = _value_of(bindings, "p", Fraction(2))
+    k0 = _value_of(bindings, "kappa", Fraction(1))
     if p0 == 0 or k0 == 0:
         raise ConstraintViolation("thm2 needs generic p and kappa bindings")
     specs = [("MT42_1", {}), ("MT42_2", {}), ("MT42_3", {}), ("MT42_4", {}),
@@ -862,8 +856,8 @@ def _report_thm2(bindings):
 
 
 def _report_thm3(bindings):
-    p0 = _values_of(bindings, "p", (Fraction(1, 2),))[-1]
-    k0 = _values_of(bindings, "kappa", (Fraction(1),))[-1]
+    p0 = _value_of(bindings, "p", Fraction(1, 2))
+    k0 = _value_of(bindings, "kappa", Fraction(1))
     if not 0 < p0 < 1:
         raise ConstraintViolation("thm3 binding p must satisfy 0 < p < 1")
     specs = []

@@ -16,8 +16,8 @@ from .algebra import check_antisymmetry, check_jacobi, commutant_series
 from .catalog import (Catalog, appendix_certificate, automorphisms, catalog,
                       catalog_triple, get_catalog, list_algebras,
                       list_certificates, parse_catalog_file, table_rows)
-from .classify import (REPORT_TARGETS, classify_doubles, enumerate_duals,
-                       match_22, reduce_orbits, report)
+from .classify import (REPORT_TARGETS, _value_of, classify_doubles,
+                       enumerate_duals, match_22, reduce_orbits, report)
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, ParseError, SuperTriplesError,
                      UnknownId, UnknownName)
@@ -54,7 +54,7 @@ def _parse_bindings(pairs):
 
 
 def _single_bindings(multi):
-    return {k: v[-1] for k, v in multi.items()}
+    return {k: _value_of(multi, k, None) for k in multi}
 
 
 def cmd_check(args):

@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -123,37 +124,37 @@ def test_each_merge_is_verified_once(monkeypatch, target, merges):
 
 
 def test_aliases_build_only_rows_a_certificate_names(monkeypatch):
-    """While the route planner resolves the aliases of the thm2 and thm3
-    instances, it builds at bindings only catalog rows that some
-    certificate names as an endpoint; the reports are unchanged."""
+    """The route planner builds a catalog row at bindings only when a
+    certificate endpoint names that row, once per route node; the thm2 and
+    thm3 reports are unchanged, and the builds with bindings (instances
+    included) are pinned."""
     from supertriples.catalog import TripleEntry
     cat = get_catalog()
     named = {rid for c in cat.certs.values()
              for rid in (c.source_id, c.target_id)}
-    built, resolving = [], []
-    plain_build, plain_resolve = TripleEntry.build, classify._resolve_aliases
+    plain_build = TripleEntry.build
+    matcher = classify._Node.match.__code__
+    built, matched = [], []
 
     def build(entry, bindings=None):
-        if resolving and bindings:
+        if bindings:
             built.append(entry.id)
+            if sys._getframe(1).f_code is matcher:
+                matched.append(entry.id)
         return plain_build(entry, bindings)
 
-    def resolve(triple, pool):
-        resolving.append(triple)
-        try:
-            return plain_resolve(triple, pool)
-        finally:
-            resolving.pop()
-
     monkeypatch.setattr(TripleEntry, "build", build)
-    monkeypatch.setattr(classify, "_resolve_aliases", resolve)
+    counts = {}
     for target in ("thm2", "thm3"):
+        del built[:]
         path = os.path.join(os.path.dirname(__file__), "golden",
                             "report_%s.txt" % target)
         with open(path) as fh:
             assert fh.read() == report(target).render("machine") + "\n"
-    assert built
-    assert set(built) <= named, sorted(set(built) - named)
+        counts[target] = len(built)
+    assert matched
+    assert set(matched) <= named, sorted(set(matched) - named)
+    assert counts == {"thm2": 33, "thm3": 1274}
 
 
 def test_repeated_spec_is_one_instance():

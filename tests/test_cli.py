@@ -154,6 +154,32 @@ def test_unread_bind_names_are_refused(args, message):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("args, name", [
+    (("classify", "--rows", "MT22_4", "--bind", "eps=1", "--bind", "eps=-1"),
+     "eps"),
+    (("invariants", "--triple", "MT42_14", "--bind", "kappa=1",
+      "--bind", "kappa=2"), "kappa"),
+    (("report", "--target", "thm2", "--bind", "p=2", "--bind", "p=3"), "p"),
+    (("report", "--target", "thm3", "--bind", "kappa=1", "--bind", "p=1/3",
+      "--bind", "kappa=1"), "kappa"),
+])
+def test_a_name_bound_twice_is_refused(args, name):
+    """A command that reads one value per name refuses a name bound more
+    than once, even to the same value, instead of keeping the last."""
+    r = run(*args)
+    _one_line_error(r, 3)
+    assert r.stderr == ("constraint violation: %s is bound more than once\n"
+                        % name)
+    assert r.stdout == ""
+
+
+def test_table5_reads_every_value_of_a_name():
+    r = run("--format", "machine", "report", "--target", "table5",
+            "--bind", "p=2", "--bind", "p=3")
+    assert r.returncode == 0
+    assert "id=MT42_6[p=2]" in r.stdout and "id=MT42_6[p=3]" in r.stdout
+
+
 def test_classify_binds_a_name_one_listed_row_declares():
     r = run("--format", "machine", "classify", "--rows", "MT22_1,MT22_4",
             "--bind", "eps=1")
