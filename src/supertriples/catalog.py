@@ -9,7 +9,10 @@ the shipped ones by id.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import os
+from fractions import Fraction
 
 from .algebra import AutoBranch, AutomorphismFamily, Grading, SuperAlgebra
 from .errors import (ConstraintViolation, ParseError, SuperTriplesError,
@@ -26,6 +29,47 @@ __all__ = ["get_catalog", "catalog", "automorphisms", "catalog_triple",
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 ENV_PATH = "SUPERTRIPLES_CATALOG_PATH"
+
+
+# {(entry, sorted bindings): built triple or certificate} while a
+# ``shared_builds()`` block runs, else None
+_BUILDS = contextvars.ContextVar("supertriples_builds", default=None)
+
+
+@contextlib.contextmanager
+def shared_builds():
+    """Within the block, ``TripleEntry.build`` and ``CertEntry.build`` with
+    bindings construct each (entry, bindings) once and hand every later
+    caller the same object; a build that raises is not remembered.  A nested
+    block shares the outermost one's memo, which is dropped when that block
+    exits, so nothing built survives it.  Usable as a decorator.
+
+    Sharing is safe because nothing mutates a built triple or certificate:
+    the route planner, ``Instance`` and the reports only read them or derive
+    new objects (``build_double``, ``tensor_equal``, ``invert``,
+    ``compose``, ``map_scalars``), and the lazy indexes ``SuperAlgebra``
+    fills on first use depend on the tensor alone."""
+    if _BUILDS.get() is not None:
+        yield
+        return
+    token = _BUILDS.set({})
+    try:
+        yield
+    finally:
+        _BUILDS.reset(token)
+
+
+def _build_once(entry, bindings, construct):
+    """construct(bindings), or inside a ``shared_builds()`` block the object
+    it returned for the same entry and bindings."""
+    memo = _BUILDS.get()
+    if memo is None:
+        return construct(bindings)
+    key = (entry, tuple(sorted((n, Fraction(v)) for n, v in bindings.items())))
+    built = memo.get(key)
+    if built is None:
+        built = memo[key] = construct(bindings)
+    return built
 
 
 def _eval_bindings(ref, ref_ctx, exprs, ctx):
@@ -119,9 +163,12 @@ class TripleEntry:
                                           names=names, dual_role=dual)
 
     def build(self, bindings=None):
+        """The triple at parameter bindings ({name: rational}), the catalog's
+        own without them; constructed once per bindings inside a
+        ``shared_builds()`` block."""
         if not bindings:
             return self.triple
-        return self.triple.substitute(bindings)
+        return _build_once(self, bindings, self.triple.substitute)
 
     def lift_triple(self, target_ctx, bindings):
         return self.triple.map_scalars(
@@ -153,9 +200,13 @@ class CertEntry:
     def build(self, bindings=None):
         """Instantiate at the given parameter bindings; when they turn the
         radicand into a perfect rational square, the radical is bound to the
-        positive root automatically."""
+        positive root automatically.  Constructed once per bindings inside a
+        ``shared_builds()`` block."""
         if not bindings:
             return self.certificate
+        return _build_once(self, bindings, self._instantiate)
+
+    def _instantiate(self, bindings):
         bindings = dict(bindings)
         ctx = self.ctx
         if ctx.radical_name is not None and ctx.radical_name not in bindings:

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .algebra import (SuperAlgebra, _columns, _integer_matrix,
                       _integer_tensor, _pull, _push, commutant_series)
-from .catalog import automorphisms, catalog_triple, get_catalog
+from .catalog import (automorphisms, catalog_triple, get_catalog,
+                      shared_builds)
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, UnknownId)
 from .iso import (Exhausted, IsoCertificate, dual_g_blocks, from_automorphism,
@@ -353,8 +354,9 @@ def _dual_g(triple):
 
 class _Node:
     """A double the route planner reaches from an instance, with the
-    catalog rows that certificate endpoints have asked about so far."""
-    __slots__ = ("double", "chain", "pool", "rows")
+    catalog rows that certificate endpoints have asked about so far, and
+    every certificate orientation whose first endpoint it matches."""
+    __slots__ = ("double", "chain", "pool", "rows", "_starts")
 
     def __init__(self, double, chain, bindings, rows):
         self.double = double
@@ -363,6 +365,27 @@ class _Node:
         self.pool = dict(bindings, **dict(zip(("alpha", "beta", "gamma"),
                                               _dual_g(double.triple) or ())))
         self.rows = rows    # {row id: bindings, or None where no match}
+        self._starts = None
+
+    def starts(self):
+        """(cert entry, inverted, assignment, second endpoint) for every
+        catalog certificate orientation whose first endpoint this node
+        matches, in catalog order, the assignment unifying that endpoint;
+        computed in full on first use."""
+        if self._starts is None:
+            cat = get_catalog()
+            self._starts = []
+            for entry in cat.certs.values():
+                ends = ((entry.source_id, entry.source_values),
+                        (entry.target_id, entry.target_values))
+                for inverted, ((a_id, a_vals), second) in ((False, ends),
+                                                           (True, ends[::-1])):
+                    assignment = {}
+                    if _unify_side(a_vals, cat.triples[a_id].ctx,
+                                   self.match(a_id), assignment):
+                        self._starts.append((entry, inverted, assignment,
+                                             second))
+        return self._starts
 
     def match(self, row_id):
         """Bindings at which catalog row row_id, built from the pool, has
@@ -465,34 +488,29 @@ def _unify_side(values, entry_ctx, inst_bindings, assignment):
 
 def _certs_between(nx, ny):
     """Certificates nx.double -> ny.double, one catalog entry (or its
-    inverse) each, unified against the nodes' matches of its endpoint rows;
-    built, not verified."""
+    inverse) each, in the order of ``nx.starts()``: only the second
+    endpoint is unified here, against ny's match of its row; built, not
+    verified."""
     cat = get_catalog()
-    for entry in cat.certs.values():
-        ends = ((entry.source_id, entry.source_values),
-                (entry.target_id, entry.target_values))
-        for inverted, ((a_id, a_vals), (b_id, b_vals)) in ((False, ends),
-                                                           (True, ends[::-1])):
-            assignment = {}
-            if not (_unify_side(a_vals, cat.triples[a_id].ctx,
-                                nx.match(a_id), assignment)
-                    and _unify_side(b_vals, cat.triples[b_id].ctx,
-                                    ny.match(b_id), assignment)):
+    for entry, inverted, first, (b_id, b_vals) in nx.starts():
+        assignment = dict(first)
+        if not _unify_side(b_vals, cat.triples[b_id].ctx, ny.match(b_id),
+                           assignment):
+            continue
+        # finite-domain cert parameters the endpoints leave free
+        # (e.g. a sign choice) are enumerated
+        missing = [p for p in entry.ctx.params if p not in assignment]
+        if any(not entry.ctx.domains[p].is_finite for p in missing):
+            continue
+        for fill in finite_branches(entry.ctx, missing):
+            full = dict(assignment)
+            full.update(fill)
+            try:
+                cert = entry.build(full)
+            except (ConstraintViolation, InconsistentRadical,
+                    DivisionByZero):
                 continue
-            # finite-domain cert parameters the endpoints leave free
-            # (e.g. a sign choice) are enumerated
-            missing = [p for p in entry.ctx.params if p not in assignment]
-            if any(not entry.ctx.domains[p].is_finite for p in missing):
-                continue
-            for fill in finite_branches(entry.ctx, missing):
-                full = dict(assignment)
-                full.update(fill)
-                try:
-                    cert = entry.build(full)
-                except (ConstraintViolation, InconsistentRadical,
-                        DivisionByZero):
-                    continue
-                yield cert.invert() if inverted else cert
+            yield cert.invert() if inverted else cert
 
 
 def find_certificate(inst_a, inst_b):
@@ -573,6 +591,7 @@ def _fp_str(fp):
     return ";".join("%d,%d" % mn for mn in fp.dims)
 
 
+@shared_builds()
 def classify_doubles(instance_specs):
     """Group instances into double-isomorphism classes with evidence.
 
@@ -927,6 +946,7 @@ REPORT_PARAMS = {"table5": ("p", "kappa"), "thm2": ("p", "kappa"),
                  "thm3": ("p", "kappa")}
 
 
+@shared_builds()
 def report(target, bindings=None):
     """Machine-checkable reproduction of one table or theorem.  bindings
     may name only the parameters in ``REPORT_PARAMS`` for the target."""

@@ -230,6 +230,9 @@ def cmd_classify(args):
     rows = []
     for rid in args.rows.split(","):
         rid = rid.strip()
+        if not rid:
+            raise ConstraintViolation(
+                "--rows expects comma separated triple ids, got %r" % args.rows)
         entry = get_catalog().triples.get(rid)
         if entry is None:
             raise UnknownId("unknown triple %s" % rid)

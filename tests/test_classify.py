@@ -123,38 +123,82 @@ def test_each_merge_is_verified_once(monkeypatch, target, merges):
         assert fh.read() == rendered + "\n"
 
 
+def _snapshot(obj):
+    """What a reader of a built triple or certificate sees."""
+    if hasattr(obj, "matrix"):
+        return (obj.note, [list(row) for row in obj.matrix],
+                _snapshot(obj.source.triple), _snapshot(obj.target.triple))
+    return obj.id, obj.label, list(obj.S.nonzero()), list(obj.S_dual.nonzero())
+
+
+def _count_constructions(monkeypatch):
+    """({"triples": n, "certs": m}, built): the calls of ManinTriple.substitute
+    and IsoCertificate.substitute, which only catalog builds make, each a
+    miss of the build memo; built holds (object, ``_snapshot``) for each."""
+    from supertriples.iso import IsoCertificate
+    from supertriples.triples import ManinTriple
+    counts = {"triples": 0, "certs": 0}
+    built = []
+    for cls, key in ((ManinTriple, "triples"), (IsoCertificate, "certs")):
+        def substitute(obj, bindings, plain=cls.substitute, key=key):
+            counts[key] += 1
+            out = plain(obj, bindings)
+            built.append((out, _snapshot(out)))
+            return out
+        monkeypatch.setattr(cls, "substitute", substitute)
+    return counts, built
+
+
 def test_aliases_build_only_rows_a_certificate_names(monkeypatch):
     """The route planner builds a catalog row at bindings only when a
-    certificate endpoint names that row, once per route node; the thm2 and
-    thm3 reports are unchanged, and the builds with bindings (instances
-    included) are pinned."""
+    certificate endpoint names that row; the thm2 and thm3 reports are
+    unchanged, and the constructions with bindings (instances included) are
+    pinned: one per (entry, bindings) in a report, however many nodes ask."""
     from supertriples.catalog import TripleEntry
     cat = get_catalog()
     named = {rid for c in cat.certs.values()
              for rid in (c.source_id, c.target_id)}
     plain_build = TripleEntry.build
     matcher = classify._Node.match.__code__
-    built, matched = [], []
+    matched = []
 
     def build(entry, bindings=None):
-        if bindings:
-            built.append(entry.id)
-            if sys._getframe(1).f_code is matcher:
-                matched.append(entry.id)
+        if bindings and sys._getframe(1).f_code is matcher:
+            matched.append(entry.id)
         return plain_build(entry, bindings)
 
     monkeypatch.setattr(TripleEntry, "build", build)
-    counts = {}
+    counts, _ = _count_constructions(monkeypatch)
+    made = {}
     for target in ("thm2", "thm3"):
-        del built[:]
+        counts.update(triples=0, certs=0)
         path = os.path.join(os.path.dirname(__file__), "golden",
                             "report_%s.txt" % target)
         with open(path) as fh:
             assert fh.read() == report(target).render("machine") + "\n"
-        counts[target] = len(built)
+        made[target] = dict(counts)
     assert matched
     assert set(matched) <= named, sorted(set(matched) - named)
-    assert counts == {"thm2": 33, "thm3": 1274}
+    assert made == {"thm2": {"triples": 22, "certs": 10},
+                    "thm3": {"triples": 292, "certs": 107}}
+
+
+def test_build_memo_lives_for_one_report(monkeypatch):
+    """A report's builds are shared only within that report: a second thm3
+    in the same process constructs as much as the first, and nothing built
+    stays reachable from the catalog module.  No reader in the report
+    changes a shared triple or certificate."""
+    from supertriples.catalog import _BUILDS
+    counts, built = _count_constructions(monkeypatch)
+    report("thm3")
+    first, made = dict(counts), len(built)
+    assert _BUILDS.get() is None
+    counts.update(triples=0, certs=0)
+    report("thm3")
+    assert counts == first and len(built) == 2 * made
+    assert _BUILDS.get() is None
+    for obj, seen in built:
+        assert _snapshot(obj) == seen
 
 
 def test_repeated_spec_is_one_instance():

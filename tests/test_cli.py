@@ -56,6 +56,7 @@ def test_machine_determinism():
 
 @pytest.mark.parametrize("args", [
     ("report", "--target", "thm1"),
+    ("report", "--target", "thm2"),
     ("enumerate", "--seed", "S21"),
 ])
 def test_machine_output_ignores_hash_seed(args):
@@ -365,3 +366,11 @@ def test_bind_needs_a_name_and_a_value(bind):
     _one_line_error(r, 3)
     assert r.stderr == ("constraint violation: --bind expects name=value, "
                         "got %r\n" % bind)
+
+
+@pytest.mark.parametrize("rows", ["MT22_1,", ",", "MT22_1,,MT22_2"])
+def test_rows_refuses_an_empty_id(rows):
+    r = run("classify", "--rows", rows)
+    _one_line_error(r, 3)
+    assert r.stderr == ("constraint violation: --rows expects comma "
+                        "separated triple ids, got %r\n" % rows)
