@@ -9,8 +9,6 @@ the shipped ones by id.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import os
 from fractions import Fraction
 
@@ -18,6 +16,7 @@ from .algebra import AutoBranch, AutomorphismFamily, Grading, SuperAlgebra
 from .errors import (ConstraintViolation, ParseError, SuperTriplesError,
                      UnknownId, UnknownName)
 from .iso import IsoCertificate
+from .memo import memoized
 from .parsing import (AlgebraDecl, CertDecl, TripleDecl, build_context,
                       eval_ast, eval_generator_combo, parse_catalog)
 from .scalars import Scalar, exact_sqrt
@@ -31,45 +30,11 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 ENV_PATH = "SUPERTRIPLES_CATALOG_PATH"
 
 
-# {(entry, sorted bindings): built triple or certificate} while a
-# ``shared_builds()`` block runs, else None
-_BUILDS = contextvars.ContextVar("supertriples_builds", default=None)
-
-
-@contextlib.contextmanager
-def shared_builds():
-    """Within the block, ``TripleEntry.build`` and ``CertEntry.build`` with
-    bindings construct each (entry, bindings) once and hand every later
-    caller the same object; a build that raises is not remembered.  A nested
-    block shares the outermost one's memo, which is dropped when that block
-    exits, so nothing built survives it.  Usable as a decorator.
-
-    Sharing is safe because nothing mutates a built triple or certificate:
-    the route planner, ``Instance`` and the reports only read them or derive
-    new objects (``build_double``, ``tensor_equal``, ``invert``,
-    ``compose``, ``map_scalars``), and the lazy indexes ``SuperAlgebra``
-    fills on first use depend on the tensor alone."""
-    if _BUILDS.get() is not None:
-        yield
-        return
-    token = _BUILDS.set({})
-    try:
-        yield
-    finally:
-        _BUILDS.reset(token)
-
-
 def _build_once(entry, bindings, construct):
-    """construct(bindings), or inside a ``shared_builds()`` block the object
-    it returned for the same entry and bindings."""
-    memo = _BUILDS.get()
-    if memo is None:
-        return construct(bindings)
+    """construct(bindings), or inside a ``report_memo()`` block the object
+    (or the failure) it gave for the same entry and bindings."""
     key = (entry, tuple(sorted((n, Fraction(v)) for n, v in bindings.items())))
-    built = memo.get(key)
-    if built is None:
-        built = memo[key] = construct(bindings)
-    return built
+    return memoized(key, lambda: construct(bindings))
 
 
 def _eval_bindings(ref, ref_ctx, exprs, ctx):
@@ -165,7 +130,7 @@ class TripleEntry:
     def build(self, bindings=None):
         """The triple at parameter bindings ({name: rational}), the catalog's
         own without them; constructed once per bindings inside a
-        ``shared_builds()`` block."""
+        ``report_memo()`` block."""
         if not bindings:
             return self.triple
         return _build_once(self, bindings, self.triple.substitute)
@@ -201,7 +166,7 @@ class CertEntry:
         """Instantiate at the given parameter bindings; when they turn the
         radicand into a perfect rational square, the radical is bound to the
         positive root automatically.  Constructed once per bindings inside a
-        ``shared_builds()`` block."""
+        ``report_memo()`` block."""
         if not bindings:
             return self.certificate
         return _build_once(self, bindings, self._instantiate)

@@ -16,13 +16,13 @@ from fractions import Fraction
 
 from .algebra import (SuperAlgebra, _columns, _integer_matrix,
                       _integer_tensor, _pull, _push, commutant_series)
-from .catalog import (automorphisms, catalog_triple, get_catalog,
-                      shared_builds)
+from .catalog import automorphisms, catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, UnknownId)
 from .iso import (Exhausted, IsoCertificate, dual_g_blocks, from_automorphism,
                   search_iso, shear_certificate, verify_certificate)
 from .matrices import f_solve, inv, s_identity, transpose
+from .memo import report_memo
 from .scalars import (Domain, ParamContext, _term_image, exact_sqrt,
                       finite_branches, not_a_parameter)
 from .triples import ManinTriple, build_double, check_compatibility, t_dual
@@ -591,7 +591,7 @@ def _fp_str(fp):
     return ";".join("%d,%d" % mn for mn in fp.dims)
 
 
-@shared_builds()
+@report_memo()
 def classify_doubles(instance_specs):
     """Group instances into double-isomorphism classes with evidence.
 
@@ -946,7 +946,7 @@ REPORT_PARAMS = {"table5": ("p", "kappa"), "thm2": ("p", "kappa"),
                  "thm3": ("p", "kappa")}
 
 
-@shared_builds()
+@report_memo()
 def report(target, bindings=None):
     """Machine-checkable reproduction of one table or theorem.  bindings
     may name only the parameters in ``REPORT_PARAMS`` for the target."""

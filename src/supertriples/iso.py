@@ -13,7 +13,12 @@ Certificates are built from T-duality (``t_dual_certificate``), from
 automorphisms (``from_automorphism``) and from exact shears
 (``solve_shear``), or found by ``search_iso``: a bounded search between
 numerically bound doubles over five finite candidate stages, ``basic``,
-``duality``, ``shear``, ``shear_up`` and ``composed``.
+``duality``, ``shear``, ``shear_up`` and ``composed``.  The candidates
+depend only on the doubles' superdimension; a ``_CandidateTable`` holds
+them with their integer projections, and one ``report`` or
+``classify_doubles`` call keeps one table per superdimension in its report
+memo (``memo.report_memo``), so its searches walk that table instead of
+generating the stages again.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from .forms import canonical_form
 from .matrices import (dual_blockdiag, f_matmul, inv, rref, s_identity,
                        s_matmul, transpose)
+from .memo import memoized
 from .triples import ManinTriple, build_double
 
 __all__ = ["IsoCertificate", "RSolution", "NoSolution", "Exhausted",
@@ -158,6 +164,48 @@ def _weights(d):
     return tuple(primes[:d]), tuple(primes[d:2 * d]), tuple(primes[2 * d:])
 
 
+def _projections(M):
+    """P = uM + vM + Mz: the weight vectors (u, v, z) of
+    ``_weights(len(M))`` moved through the integer matrix M, concatenated
+    into one tuple of 3d integers."""
+    d = len(M)
+    u, v, z = _weights(d)
+    uM, vM, Mz = [0] * d, [0] * d, [0] * d
+    for a, row in enumerate(M):
+        ua, va = u[a], v[a]
+        for p, x in enumerate(row):
+            if x:
+                uM[p] += ua * x
+                vM[p] += va * x
+                Mz[a] += x * z[p]
+    return tuple(uM + vM + Mz)
+
+
+def _projected_sides(source, target, d):
+    """(terms, W): the tensor halves of ``_holds``'s projected test of (ii)
+    in dimension d, with source (N, s) and target (N', t), indexed into
+    ``_projections``' P.  terms lists (p, d + q, k), k = t sum over r of
+    N_pq^r z_r; W lists (2d + r, w), w = s sum over a, b of
+    N'_ab^r u_a v_b; zeros are dropped."""
+    (N, s), (N2, t) = source, target
+    u, v, z = _weights(d)
+    terms, W = {}, {}
+    for (p, q, r, x) in N:
+        terms[p, d + q] = terms.get((p, d + q), 0) + t * x * z[r]
+    for (a, b, r, x) in N2:
+        W[2 * d + r] = W.get(2 * d + r, 0) + s * x * u[a] * v[b]
+    return ([(p, q, k) for (p, q), k in terms.items() if k],
+            [(r, w) for r, w in W.items() if w])
+
+
+def _projection_agrees(P, c, sides):
+    """Whether the two projected sides of (ii) are equal, for C = M / c with
+    ``_projections`` P and ``_projected_sides`` sides."""
+    terms, W = sides
+    return (sum(k * P[p] * P[q] for (p, q, k) in terms)
+            == c * sum(w * P[r] for (r, w) in W))
+
+
 def _holds(M, c, form, source, target):
     """Conditions (i) and (ii) for C = M / c, with M an integer matrix and c
     a nonzero integer, on integer-scaled tensors: form is B's nonzero list
@@ -170,7 +218,9 @@ def _holds(M, c, form, source, target):
     over integers.  Both sides of (ii) are tensors T_ab^r; evaluating them
     on the fixed weights (u, v, z) of ``_weights``, T -> T(u, v, z), is a
     linear map to the integers, so if (ii) holds the two evaluations are
-    equal.  They are computed without building either tensor:
+    equal.  They are computed without building either tensor, from the
+    projections of M (``_projections``) and of the tensors
+    (``_projected_sides``):
 
         t  sum over N  of x (uM)_p (vM)_q z_r      (x = N_pq^r)
         sc sum over N' of x u_a v_b (Mz)_r         (x = N'_ab^r)
@@ -180,25 +230,15 @@ def _holds(M, c, form, source, target):
     lie in the kernel), so then (i) and (ii) are tested in full, and the
     result is exactly that of the full test for every input."""
     (N, s), (N2, t) = source, target
-    d = len(M)
-    u, v, z = _weights(d)
-    uM, vM, Mz = [0] * d, [0] * d, [0] * d
-    for a, row in enumerate(M):
-        ua, va = u[a], v[a]
-        for p, x in enumerate(row):
-            if x:
-                uM[p] += ua * x
-                vM[p] += va * x
-                Mz[a] += x * z[p]
-    sc = s * c
-    if (t * sum(x * uM[p] * vM[q] * z[r] for (p, q, r, x) in N)
-            != sc * sum(x * u[a] * v[b] * Mz[r] for (a, b, r, x) in N2)):
+    if not _projection_agrees(_projections(M), c,
+                              _projected_sides(source, target, len(M))):
         return False
     cols = _columns(M)
     c2 = c * c
     if ({key: x for key, x in _pull(form, cols).items() if x}
             != {(p, q, r): c2 * x for (p, q, r, x) in form}):
         return False
+    sc = s * c
     return ({key: t * x for key, x in _pull(N, cols).items() if x}
             == {key: sc * x for key, x in _push(N2, M).items() if x})
 
@@ -519,19 +559,40 @@ def _composed(m, n, h, d):
             yield f_matmul(S, Dm), c
 
 
-def _stages(double):
+def _stages(m, n):
     """(stage name, candidate generator) pairs of the search pipeline on the
-    given double, in search order; every stage is finite."""
-    d = double.dim
-    m2, n2 = double.superdim()
-    m, n = m2 // 2, n2 // 2
+    doubles of superdimension (2m, 2n), in search order; every stage is
+    finite."""
     h = m + n
+    d = 2 * h
     Bmat = [[int(x) for x in row] for row in canonical_form(m, n).matrix]
     yield "basic", iter([(_identity(d), 1), (Bmat, 1)])
     yield "duality", _partial_dualities(m, n, h, d)
     yield "shear", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True)
     yield "shear_up", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=False)
     yield "composed", _composed(m, n, h, d)
+
+
+class _CandidateTable:
+    """The candidates of ``_stages(m, n)`` as flat rows (stage name, M, c,
+    P): M is the integer matrix as one tuple, row after row, and P its
+    ``_projections``.  Rows are made lazily, the first time a search
+    reaches them, and kept for the next search on the same shape."""
+
+    __slots__ = ("rows", "_stream")
+
+    def __init__(self, m, n):
+        self.rows = []
+        self._stream = ((name, M, c) for name, gen in _stages(m, n)
+                        for M, c in gen)
+
+    def prefix(self, k):
+        """The first k rows, or all of them when there are fewer."""
+        rows = self.rows
+        for name, M, c in itertools.islice(self._stream, max(0, k - len(rows))):
+            rows.append((name, tuple(itertools.chain.from_iterable(M)), c,
+                         _projections(M)))
+        return rows[:k]
 
 
 def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
@@ -546,15 +607,22 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
     lower shear, in both orders).  The record's reason is "candidates
     exhausted" when all of them fail within the budget.
 
+    The candidates depend only on the shape of the doubles, so they are
+    read from the shape's ``_CandidateTable``, which one ``report`` or
+    ``classify_doubles`` call builds once for all its searches.  The search
+    asks it for budget + 1 rows: a row beyond the budget is what tells
+    "budget exhausted" from "candidates exhausted".
+
     The candidate loop runs on integers.  Each candidate is a pair (M, c)
     standing for C = M / c, with M an integer matrix and c a positive
     integer; both tensors are scaled once to integers over their
-    denominators, and ``_holds`` tests (i) and (ii) cleared of all
-    denominators.  It first compares one integer projection of the two
-    sides of (ii), which rejects a failing candidate without building
-    either side, and builds the full contraction only when the projections
-    agree.  Only a candidate that passes is rebuilt as the Fraction matrix
-    M / c, wrapped and put through ``verify_certificate``.
+    denominators, and their projected sides (``_projected_sides``) are
+    computed once per search.  Against the row's projections of M, one
+    comparison of the projected sides of (ii) rejects a failing candidate
+    without building either side.  A candidate whose projections agree goes
+    through ``_holds``, which tests (i) and (ii) in full, and only one that
+    passes is rebuilt as the Fraction matrix M / c, wrapped and put through
+    ``verify_certificate``.
     """
     if budget < 0:
         raise ConstraintViolation("budget must be at least 0, got %d" % budget)
@@ -562,32 +630,37 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
         raise DimensionMismatch("doubles of different dimension")
     if src.ctx.params or tgt.ctx.params:
         raise ConstraintViolation("search needs numeric parameter bindings")
-    m2, n2 = src.superdim()
+    m, n = _half(src)
 
     fp_src = commutant_series(src)
     fp_tgt = commutant_series(tgt)
     if fp_src != fp_tgt:
         return Exhausted(budget, 0, "fingerprint mismatch %s vs %s" % (fp_src, fp_tgt))
 
-    form = _form_tensor(m2 // 2, n2 // 2)
+    d = src.dim
+    form = _form_tensor(m, n)
     source = _integer_tensor(src.numeric_nonzero())
     target = _integer_tensor(tgt.numeric_nonzero())
+    sides = _projected_sides(source, target, d)
     ctx = src.ctx
 
-    tried = 0
-    for name, gen in _stages(src):
-        for M, c in gen:
-            if tried >= budget:
-                return Exhausted(budget, tried, "budget exhausted")
-            tried += 1
-            if _holds(M, c, form, source, target):
-                matrix = [[ctx.const(Fraction(x, c)) for x in row] for row in M]
-                try:
-                    cert = IsoCertificate(ctx, matrix, src, tgt, note="search")
-                except ConstraintViolation:
-                    continue
-                ok, _ = verify_certificate(cert)
-                if ok:
-                    cert.note = "search:" + name
-                    return cert
-    return Exhausted(budget, tried, "candidates exhausted")
+    # the report's table inside a ``report_memo()`` block, else a new one
+    table = memoized((_CandidateTable, m, n), lambda: _CandidateTable(m, n))
+    rows = table.prefix(budget + 1)
+    for tried, (name, flat, c, P) in enumerate(rows):
+        if tried == budget:
+            return Exhausted(budget, tried, "budget exhausted")
+        if not _projection_agrees(P, c, sides):
+            continue
+        M = [flat[a:a + d] for a in range(0, d * d, d)]
+        if _holds(M, c, form, source, target):
+            matrix = [[ctx.const(Fraction(x, c)) for x in row] for row in M]
+            try:
+                cert = IsoCertificate(ctx, matrix, src, tgt, note="search")
+            except ConstraintViolation:
+                continue
+            ok, _ = verify_certificate(cert)
+            if ok:
+                cert.note = "search:" + name
+                return cert
+    return Exhausted(budget, len(rows), "candidates exhausted")

@@ -152,8 +152,9 @@ def _count_constructions(monkeypatch):
 def test_aliases_build_only_rows_a_certificate_names(monkeypatch):
     """The route planner builds a catalog row at bindings only when a
     certificate endpoint names that row; the thm2 and thm3 reports are
-    unchanged, and the constructions with bindings (instances included) are
-    pinned: one per (entry, bindings) in a report, however many nodes ask."""
+    unchanged, and the constructions with bindings (instances and failed
+    builds included) are pinned: one per (entry, bindings) in a report,
+    however many nodes ask."""
     from supertriples.catalog import TripleEntry
     cat = get_catalog()
     named = {rid for c in cat.certs.values()
@@ -179,8 +180,8 @@ def test_aliases_build_only_rows_a_certificate_names(monkeypatch):
         made[target] = dict(counts)
     assert matched
     assert set(matched) <= named, sorted(set(matched) - named)
-    assert made == {"thm2": {"triples": 22, "certs": 10},
-                    "thm3": {"triples": 292, "certs": 107}}
+    assert made == {"thm2": {"triples": 21, "certs": 10},
+                    "thm3": {"triples": 284, "certs": 75}}
 
 
 def test_build_memo_lives_for_one_report(monkeypatch):
@@ -188,17 +189,44 @@ def test_build_memo_lives_for_one_report(monkeypatch):
     in the same process constructs as much as the first, and nothing built
     stays reachable from the catalog module.  No reader in the report
     changes a shared triple or certificate."""
-    from supertriples.catalog import _BUILDS
+    from supertriples.memo import _MEMO
     counts, built = _count_constructions(monkeypatch)
     report("thm3")
     first, made = dict(counts), len(built)
-    assert _BUILDS.get() is None
+    assert _MEMO.get() is None
     counts.update(triples=0, certs=0)
     report("thm3")
     assert counts == first and len(built) == 2 * made
-    assert _BUILDS.get() is None
+    assert _MEMO.get() is None
     for obj, seen in built:
         assert _snapshot(obj) == seen
+
+
+def test_a_failed_build_is_tried_once_per_report(monkeypatch):
+    """Inside a report memo a build that raised raises again on a repeat,
+    as a fresh exception of the same class and message, without being
+    constructed again; the memo keeps no exception object.  Outside a memo
+    every call constructs."""
+    from supertriples.memo import _MEMO, report_memo
+    counts, _ = _count_constructions(monkeypatch)
+    entry = get_catalog().certs["DD24_IV_2"]
+    bindings = {"alpha": 0, "gamma": 0, "kappa": 0}
+    with report_memo():
+        raised = []
+        for _ in range(3):
+            with pytest.raises(ConstraintViolation) as info:
+                entry.build(bindings)
+            raised.append(info.value)
+        kept = list(_MEMO.get().values())
+    assert counts["certs"] == 1
+    assert len({id(exc) for exc in raised}) == 3
+    assert {(type(exc), str(exc)) for exc in raised} == {
+        (ConstraintViolation, "kappa = 0 violates domain free \\ {0}")}
+    assert not any(isinstance(v, BaseException) for v in kept)
+    assert _MEMO.get() is None
+    with pytest.raises(ConstraintViolation):
+        entry.build(bindings)
+    assert counts["certs"] == 2
 
 
 def test_repeated_spec_is_one_instance():

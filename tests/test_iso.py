@@ -6,19 +6,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supertriples.algebra import (_bracket_residuals, _integer_matrix,
-                                  _integer_tensor, commutant_series)
+from supertriples.algebra import (SuperAlgebra, _bracket_residuals,
+                                  _integer_matrix, _integer_tensor,
+                                  commutant_series)
 from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
                                   catalog_triple, get_catalog, list_certificates)
 from supertriples.errors import (ConstraintViolation, DimensionMismatch,
                                  NotAutomorphism)
+from supertriples import iso
+from supertriples.classify import report
 from supertriples.iso import (Exhausted, IsoCertificate, _form_residuals,
-                              _form_tensor, _holds, _stages, _weights,
+                              _form_tensor, _half, _holds, _stages, _weights,
                               from_automorphism,
                               search_iso, t_dual_certificate,
                               verify_certificate)
 from supertriples.matrices import s_identity
-from supertriples.triples import build_double, t_dual
+from supertriples.memo import _MEMO, report_memo
+from supertriples.triples import ManinTriple, build_double, t_dual
 
 
 def test_identity_certificate():
@@ -234,7 +238,8 @@ def test_search_exhausts_every_candidate():
 ])
 def test_stage_sizes(row, bindings, sizes):
     double = build_double(catalog_triple(row, bindings))
-    stages = [(name, sum(1 for _ in gen)) for name, gen in _stages(double)]
+    stages = [(name, sum(1 for _ in gen))
+              for name, gen in _stages(*_half(double))]
     assert stages == list(zip(
         ("basic", "duality", "shear", "shear_up", "composed"), sizes))
 
@@ -276,7 +281,7 @@ def _candidate_samples():
     for (s, sb), (t, tb) in SEARCH_PAIRS:
         src = build_double(catalog_triple(s, sb))
         tgt = build_double(catalog_triple(t, tb))
-        for stage, gen in _stages(src):
+        for stage, gen in _stages(*_half(src)):
             for M, c in itertools.islice(gen, PER_STAGE):
                 out.append((src, tgt, stage, M, c))
     return out
@@ -377,3 +382,122 @@ def test_holds_checks_the_form_condition():
     assert not _holds(_identity_matrix(4, 2), 1, form, empty, empty)
     assert _holds(_identity_matrix(4), 1, form, empty, empty)
     assert _holds(_identity_matrix(4, 2), 2, form, empty, empty)
+
+
+# ---------------------------------------------------------------------------
+# the candidate table against the candidate stream
+
+
+def _stream_search(src, tgt, budget):
+    """``search_iso`` as a walk of the ``_stages`` stream that runs
+    ``_holds`` on every candidate: the loop the candidate table replaced."""
+    fp_src, fp_tgt = commutant_series(src), commutant_series(tgt)
+    if fp_src != fp_tgt:
+        return Exhausted(budget, 0, "fingerprint mismatch %s vs %s"
+                         % (fp_src, fp_tgt))
+    inputs = _integer_inputs(src, tgt)
+    ctx = src.ctx
+    tried = 0
+    for name, gen in _stages(*_half(src)):
+        for M, c in gen:
+            if tried >= budget:
+                return Exhausted(budget, tried, "budget exhausted")
+            tried += 1
+            if _holds(M, c, *inputs):
+                matrix = [[ctx.const(Fraction(x, c)) for x in row] for row in M]
+                try:
+                    cert = IsoCertificate(ctx, matrix, src, tgt, note="search")
+                except ConstraintViolation:
+                    continue
+                ok, _ = verify_certificate(cert)
+                if ok:
+                    cert.note = "search:" + name
+                    return cert
+    return Exhausted(budget, tried, "candidates exhausted")
+
+
+def _outcome(res):
+    if isinstance(res, Exhausted):
+        return Exhausted, res.budget, res.tried, res.reason
+    return IsoCertificate, res.note, _fractions(res)
+
+
+def _budgets(double):
+    """0, 1, the last candidate of each stage and the first of the next,
+    and the default budget."""
+    out, end = {0, 1, 1500}, 0
+    for _, gen in _stages(*_half(double)):
+        end += sum(1 for _ in gen)
+        out.update((end, end + 1))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("pair", SEARCH_PAIRS)
+def test_table_search_equals_the_stream_search(pair):
+    """At every budget the table search returns what the stream search
+    returns: the same type, tried, reason, note and Fraction matrix, both
+    with a throwaway table per call and with one table shared by all calls
+    in a report memo."""
+    (s, sb), (t, tb) = pair
+    src = build_double(catalog_triple(s, sb))
+    tgt = build_double(catalog_triple(t, tb))
+    expected = {b: _outcome(_stream_search(src, tgt, b)) for b in _budgets(src)}
+    assert {b: _outcome(search_iso(src, tgt, b)) for b in expected} == expected
+    with report_memo():
+        shared = {b: _outcome(search_iso(src, tgt, b)) for b in expected}
+    assert shared == expected
+
+
+def _a11_double(k):
+    """The double of the abelian (1,1) seed A11 with the dual
+    [b~, f~] = k f~."""
+    seed = catalog("A11")
+    dual = SuperAlgebra.from_brackets(seed.grading, seed.ctx,
+                                      {(0, 1): {1: seed.ctx.const(k)}},
+                                      dual_role=True)
+    return build_double(ManinTriple(seed, dual))
+
+
+def test_budget_boundary_on_a_short_stream():
+    """Two doubles of the (1,1) shape with one fingerprint between which
+    none of the shape's 179 candidates is a certificate: a budget of 179
+    runs out of candidates, a budget of 178 runs out of budget, in either
+    order and whether or not a report memo shares the table."""
+    src, tgt = _a11_double(1), _a11_double(2)
+    assert commutant_series(src) == commutant_series(tgt)
+    expected = {179: (Exhausted, 179, 179, "candidates exhausted"),
+                178: (Exhausted, 178, 178, "budget exhausted")}
+    for order in ((179, 178), (178, 179)):
+        assert {b: _outcome(search_iso(src, tgt, b)) for b in order} == expected
+        with report_memo():
+            assert {b: _outcome(search_iso(src, tgt, b))
+                    for b in order} == expected
+
+
+def test_candidate_table_lives_for_one_report(monkeypatch):
+    """thm3's 17 searches share one (2,4) table per report: its 752
+    ``composed`` rows are the report's only ``f_matmul`` products, in the
+    second report of the process as in the first, and the memo is unset
+    after each.  A search outside a report builds a table of its own and
+    leaves nothing behind."""
+    calls = [0]
+    plain = iso.f_matmul
+
+    def counting(A, B):
+        calls[0] += 1
+        return plain(A, B)
+
+    monkeypatch.setattr(iso, "f_matmul", counting)
+    for _ in range(2):
+        calls[0] = 0
+        report("thm3")
+        assert calls[0] == 752
+        assert _MEMO.get() is None
+    src = build_double(catalog_triple("MT24_4", {"p": Fraction(1, 2)}))
+    tgt = build_double(catalog_triple("MT24_9"))
+    for _ in range(2):
+        calls[0] = 0
+        assert _outcome(search_iso(src, tgt)) == (
+            Exhausted, 1500, 1500, "budget exhausted")
+        assert calls[0] == 752
+        assert _MEMO.get() is None
