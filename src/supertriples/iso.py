@@ -8,6 +8,9 @@ branches split),
     (ii)  C_a^p C_b^q F_pq^r = F'_ab^c C_c^r
 
 with F the source tensor, F' the target tensor and B the canonical form.
+B is a signed permutation, so (i) makes C^-1 = B C^T B^T a signed transpose
+of C: ``IsoCertificate.invert`` reads it off ``canonical_form`` and a shear
+I + E transports with I - E, both without an elimination.
 
 Certificates are built from T-duality (``t_dual_certificate``), from
 automorphisms (``from_automorphism``) and from exact shears
@@ -32,8 +35,8 @@ from .algebra import (SuperAlgebra, _bracket_residuals, _branch_failures,
                       _pull, _push, automorphism_residuals, commutant_series)
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from .forms import canonical_form
-from .matrices import (dual_blockdiag, f_matmul, inv, rref, s_identity,
-                       s_matmul, transpose)
+from .matrices import (dual_blockdiag, f_matmul, rref, s_identity, s_matmul,
+                       transpose)
 from .memo import memoized
 from .triples import ManinTriple, build_double
 
@@ -86,9 +89,25 @@ class IsoCertificate:
                               note=_join_notes(self.note, first.note))
 
     def invert(self):
-        return IsoCertificate(self.ctx, inv(self.matrix), self.target,
-                              self.source,
-                              note=None if self.note is None else "inv(%s)" % self.note)
+        """The certificate target -> source with the signed transpose
+        B C^T B^T of C, no division: (C^-1)_ij = s(i) s(j) C_{p(j) p(i)},
+        where B_{i p(i)} = s(i) is the canonical form (``_pairing``).
+
+        Condition (i) reads C B C^T = B, and B^-1 = B^T for the signed
+        permutation B, so the result is C^-1 at every point of the
+        certificate's domain.  With a sign parameter left unbound it may
+        differ from the rational function C^-1 by multiples of eps^2 - 1,
+        which vanish on eps = +-1.  For a certificate that breaks (i) the
+        result is not C^-1, and that is safe: the route planner verifies
+        every composite it merges on both conditions, so a wrong inverse
+        can only make a composite fail to verify, never a false merge."""
+        C = self.matrix
+        pairing = _pairing(*_half(self.source))
+        return IsoCertificate(
+            self.ctx, [[C[q][p] if s == t else -C[q][p] for (q, t) in pairing]
+                       for (p, s) in pairing],
+            self.target, self.source,
+            note=None if self.note is None else "inv(%s)" % self.note)
 
     def substitute(self, bindings):
         return self.map_scalars(*self.ctx.bind(bindings))
@@ -246,6 +265,14 @@ def _holds(M, c, form, source, target):
 def _half(double):
     m, n = double.superdim()
     return m // 2, n // 2
+
+
+@functools.lru_cache(maxsize=None)
+def _pairing(m, n):
+    """((p(i), s(i)) for each i): the one nonzero entry B_{i p(i)} = s(i) of
+    each row of the signed permutation ``canonical_form(m, n)``."""
+    return tuple(next((q, int(x)) for q, x in enumerate(row) if x)
+                 for row in canonical_form(m, n).matrix)
 
 
 def t_dual_certificate(triple):
@@ -434,14 +461,17 @@ def _shear_to_certificate(R, src_triple, tgt_triple):
     m, n = src_triple.superdim()
     h = m + n
     d = 2 * h
-    C = s_identity(ctx, d)
+    # C = I + E with E mapping the f~ rows onto the f columns, so E^2 = 0
+    # and C^-1 = I - E
+    C, C_inv = s_identity(ctx, d), s_identity(ctx, d)
     for a in range(n):
         for b in range(n):
             C[h + m + a][m + b] = R[a][b]
+            C_inv[h + m + a][m + b] = -R[a][b]
     src_double = build_double(src_triple)
     # read the dual half off the transported tensor
     dual_entries = {}
-    for (i, j, k, c) in src_double.transport(C).nonzero():
+    for (i, j, k, c) in src_double._transport(C, C_inv).nonzero():
         if i >= h and j >= h:
             if k < h:
                 raise ConstraintViolation("shear image does not close on the dual half")

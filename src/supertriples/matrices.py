@@ -4,7 +4,11 @@ Matrices are lists of rows.  ``rref``, ``inv``, ``transpose`` and
 ``dual_blockdiag`` serve both entry types: zero tests go by truthiness and
 each pivot costs one reciprocal ``1 / pivot`` (a single ``Scalar.inv`` for
 Scalars).  ``rref`` is the only elimination loop; ``inv``, ``f_solve``, the
-commutant spans and the shear solver all run through it.  ``f_solve`` and
+commutant spans and the shear solver all run through it.  ``inv`` serves
+``SuperAlgebra.transport`` and ``transport_dual``, ``dual_blockdiag``, the
+automorphism check and the orbit reduction's dual action; a certificate is
+never inverted here, since ``IsoCertificate.invert`` reads its inverse off
+the canonical form without division.  ``f_solve`` and
 the ``s_`` routines take one entry type.  ``f_matmul`` is entry-generic
 for int and Fraction entries (an entry no product reaches stays the int 0);
 it composes the integer candidate matrices of the certificate search.

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supertriples import classify
+from supertriples import classify, iso
 from supertriples.algebra import AutoBranch, SuperAlgebra
 from supertriples.catalog import automorphisms, catalog, catalog_triple, get_catalog
 from supertriples.classify import (ORBIT_GRID, _dual_action, _integer_tensor,
@@ -17,7 +17,7 @@ from supertriples.classify import (ORBIT_GRID, _dual_action, _integer_tensor,
 from supertriples.errors import ConstraintViolation, UnknownName
 from supertriples.iso import verify_certificate
 from supertriples.matrices import inv
-from supertriples.scalars import Domain, ParamContext
+from supertriples.scalars import Domain, ParamContext, Scalar
 from supertriples.triples import build_double
 
 
@@ -121,6 +121,26 @@ def test_each_merge_is_verified_once(monkeypatch, target, merges):
                         "report_%s.txt" % target)
     with open(path) as fh:
         assert fh.read() == rendered + "\n"
+
+
+@pytest.mark.parametrize("target, inversions", [("thm2", 8), ("thm3", 250)])
+def test_scalar_inversions_per_report(monkeypatch, target, inversions):
+    """Exact Scalar.inv calls of one report, the catalog parsed beforehand.
+    Certificates are inverted by their signed transpose and shears
+    transported with I - E, so every inversion left is a pivot or a
+    normalisation of iso.solve_shear's elimination."""
+    get_catalog()
+    calls = [0]
+    real = Scalar.inv
+
+    def counted(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(Scalar, "inv", counted)
+    assert report(target).passed
+    assert calls[0] == inversions
+    assert not hasattr(iso, "inv")
 
 
 def _snapshot(obj):

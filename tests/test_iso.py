@@ -20,7 +20,7 @@ from supertriples.iso import (Exhausted, IsoCertificate, _form_residuals,
                               from_automorphism,
                               search_iso, t_dual_certificate,
                               verify_certificate)
-from supertriples.matrices import s_identity
+from supertriples.matrices import inv, s_identity
 from supertriples.memo import _MEMO, report_memo
 from supertriples.triples import ManinTriple, build_double, t_dual
 
@@ -89,6 +89,94 @@ def test_composition_dimension_mismatch():
     c2 = appendix_certificate("DD42_III_1", {"eps": 1})
     with pytest.raises(DimensionMismatch):
         c2.compose(c1)
+
+
+# the certificates of criteria 9a and 9b, at their bindings
+CRITERION_9_SAMPLES = [
+    ("DD42_III_1", {"eps": 1}), ("DD42_III_2", {}),
+    ("DD42_VI_2", {"p": 2, "eps": -1}), ("DD42_VI_3", {"p": 2}),
+    ("DD24_IIp_1", {"p": Fraction(1, 2), "alpha": 1, "beta": 2, "gamma": 3}),
+    ("DD24_IIp_2", {"p": Fraction(1, 2)}), ("TFN11", {"eps": 1}),
+    ("DD42_VII_2", {"eps": -1}), ("DD42_VI_1", {"p": 3}),
+    ("DD24_IV_2", {"alpha": 2, "kappa": 1, "gamma": -3}),
+    ("DD24_VII", {"alpha": 1, "beta": 1, "gamma": 2})]
+
+
+def _same_entries(a, b):
+    return all((x - y).is_zero() for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_invert_is_the_inverse_matrix(data):
+    """The signed transpose B C^T B^T of a shipped certificate, at the
+    criterion 9 bindings or at values from its parameters' domains (signs
+    at +-1), is inv(C), entry by entry, and verifies."""
+    if data.draw(st.booleans()):
+        cid, bindings = data.draw(st.sampled_from(CRITERION_9_SAMPLES))
+        cert = appendix_certificate(cid, bindings)
+    else:
+        cid = data.draw(st.sampled_from(list_certificates()))
+        cert = _numeric_certificate(
+            cid, random.Random(data.draw(st.integers(0, 2 ** 32))))
+    back = cert.invert()
+    assert _same_entries(back.matrix, inv(cert.matrix)), cid
+    assert back.verify(), cid
+
+
+@pytest.mark.parametrize("cid, differing", [
+    ("DD42_VII_2", 6), ("DD42_VII_3", 9), ("DD24_VIII", 5)])
+def test_invert_with_the_sign_unbound(cid, differing):
+    """With eps unbound the signed transpose and the rational function
+    inv(C) differ in some entries, yet the signed transpose verifies, and
+    at eps = +-1, the whole domain, the two are equal."""
+    cert = appendix_certificate(cid)
+    back = cert.invert()
+    assert back.verify()
+    ref = inv(cert.matrix)
+    assert sum(not (x - y).is_zero() for ra, rb in zip(back.matrix, ref)
+               for x, y in zip(ra, rb)) == differing
+    for eps in (1, -1):
+        bound = cert.substitute({"eps": eps})
+        assert _same_entries(back.substitute({"eps": eps}).matrix,
+                             inv(bound.matrix))
+        assert _same_entries(bound.invert().matrix, inv(bound.matrix))
+
+
+# rows whose seed has no odd-odd bracket, so that any symmetric R shears
+# their semiabelian base point onto an N-type dual
+SHEAR_ROWS = ("MT22_3", "MT42_3", "MT42_9", "MT24_9", "MT24_13", "MT24_30")
+
+
+@given(st.sampled_from(SHEAR_ROWS), st.data())
+@settings(max_examples=30, deadline=None)
+def test_shear_transport_inverts_by_i_minus_e(rid, data):
+    """A shear C = I + E from a random symmetric rational R is transported
+    with I - E, which is inv(C) and the signed transpose of C."""
+    t = catalog_triple(rid)
+    base = ManinTriple(t.S, SuperAlgebra(t.S_dual.grading, t.ctx, {},
+                                         names=t.S_dual.names,
+                                         dual_role=True))
+    n = t.superdim()[1]
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    R = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            R[a][b] = R[b][a] = t.ctx.const(data.draw(entry))
+    calls = []
+    real = SuperAlgebra._transport
+
+    def spy(self, M, M_inv):
+        calls.append((M, M_inv))
+        return real(self, M, M_inv)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SuperAlgebra, "_transport", spy)
+        cert = iso.r_to_certificate(R, base)
+    (M_inv,) = [M_inv for M, M_inv in calls if M is cert.matrix]
+    assert _same_entries(M_inv, inv(cert.matrix))
+    assert _same_entries(cert.invert().matrix, M_inv)
+    assert cert.verify()
 
 
 def test_certificate_evenness_enforced():
