@@ -14,8 +14,9 @@ automorphism and certificate conditions, the commutant series, and
 ad-invariance in ``forms``) runs through the two sparse kernels ``_pull``
 and ``_push``, for int, Fraction and Scalar entries alike.
 ``_integer_tensor`` and ``_integer_matrix`` clear the denominators of
-Fraction inputs once, so that the orbit reduction and the certificate search
-contract integers only.
+Fraction inputs once, so that the orbit reduction, the certificate search
+and the commutant series contract integers only.  The commutant spans are
+kept by ``_echelon_add``, a fraction-free echelon of sparse integer rows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import ConstraintViolation, DimensionMismatch
-from .matrices import inv, rref, transpose
+from .matrices import inv, transpose
 from .scalars import vanishes_on_branches
 
 __all__ = [
@@ -495,32 +496,58 @@ class CommutantFingerprint:
 
 
 def commutant_series(algebra, bindings=None):
-    """Exact superdimensions of the iterated commutants at numeric bindings."""
+    """Exact superdimensions of the iterated commutants at numeric bindings.
+
+    The brackets are taken on the integer tensor ``_integer_tensor`` makes:
+    scaling every structure constant by one common denominator scales every
+    bracket vector by it, so no span changes.  Each level keeps one basis of
+    its span, as primitive integer rows; any basis gives the same next level,
+    since the bracket is bilinear.  Every pair (a, b) is bracketed, the
+    diagonal included, so an odd row with [x, x] != 0 counts."""
     A = algebra.substitute(bindings) if bindings else algebra
     if A.ctx.params:
         raise ConstraintViolation(
             "commutant series needs numeric bindings for %s" % (A.ctx.params,))
-    d = A.dim
-    nz = A.numeric_nonzero()
+    nz, _ = _integer_tensor(A.numeric_nonzero())
     # C1 brackets the identity rows, each later level its predecessor's basis
-    rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    rows = [{i: 1} for i in range(A.dim)]
     par = A.parity
     dims = []
     for _ in range(3):
+        cols = {}
+        for a, row in enumerate(rows):
+            for p, x in row.items():
+                cols.setdefault(p, []).append((a, x))
         vectors = {}
-        for (a, b, r), x in _pull(nz, _columns(rows)).items():
+        for (a, b, r), x in _pull(nz, cols).items():
             if x:
-                vectors.setdefault((a, b), [Fraction(0)] * d)[r] = x
-        even = _span_basis([v for (a, b), v in vectors.items()
-                            if (par[a] + par[b]) % 2 == 0])
-        odd = _span_basis([v for (a, b), v in vectors.items()
-                           if (par[a] + par[b]) % 2])
+                vectors.setdefault((a, b), {})[r] = x
+        even, odd = {}, {}
+        for (a, b), v in vectors.items():
+            _echelon_add(odd if (par[a] + par[b]) % 2 else even, v)
         dims.append((len(even), len(odd)))
-        rows = even + odd
+        rows = list(even.values()) + list(odd.values())
         par = (0,) * len(even) + (1,) * len(odd)
     return CommutantFingerprint(dims)
 
 
-def _span_basis(vectors):
-    rows, pivots = rref(vectors)
-    return rows[:len(pivots)]
+def _echelon_add(basis, v):
+    """Add the sparse integer vector v ({col: int} without zero entries;
+    empty is zero) to the echelon basis {pivot: row} of primitive integer
+    rows, each keyed by its lowest column.  v is reduced fraction-free,
+    v <- y v - x row, against the pivots in increasing order: a row's other
+    columns lie above its pivot, so a column once cleared stays clear.  What
+    survives is divided by its gcd and kept under its lowest column, which
+    no pivot shares."""
+    for p in sorted(basis):
+        x = v.get(p)
+        if x:
+            row = basis[p]
+            y = row[p]
+            out = {c: y * w for c, w in v.items()}
+            for c, w in row.items():
+                out[c] = out.get(c, 0) - x * w
+            v = {c: w for c, w in out.items() if w}
+    if v:
+        g = math.gcd(*v.values())
+        basis[min(v)] = {c: w // g for c, w in v.items()}

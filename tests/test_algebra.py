@@ -1,15 +1,22 @@
+import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from supertriples.algebra import (Grading, SuperAlgebra, check_antisymmetry,
-                                  check_jacobi, commutant_series,
-                                  is_automorphism)
-from supertriples.catalog import automorphisms, catalog, catalog_triple, get_catalog
-from supertriples.errors import ConstraintViolation, UnknownName
+from supertriples import classify
+from supertriples.algebra import (CommutantFingerprint, Grading, SuperAlgebra,
+                                  _columns, _echelon_add, _pull,
+                                  check_antisymmetry, check_jacobi,
+                                  commutant_series, is_automorphism)
+from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
+                                  catalog_triple, get_catalog)
+from supertriples.errors import ConstraintViolation, DivisionByZero, UnknownName
+from supertriples.matrices import rref
 from supertriples.scalars import Domain, ParamContext
-from supertriples.triples import build_double
+from supertriples.triples import build_double, t_dual
 
 
 EMPTY = ParamContext()
@@ -174,7 +181,175 @@ def test_commutant_invariant_under_basis_change():
         assert commutant_series(moved) == fp
 
 
+def test_readme_library_sketch(capsys):
+    """The README's "Library sketch" runs as written, and its commutant
+    series prints what the comment beside it says."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        readme = fh.read()
+    sketch = readme.split("## Library sketch", 1)[1]
+    block = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+    call = 'print(commutant_series(D, {"eps": 1}))'
+    line, = [ln for ln in block.splitlines() if ln.startswith(call)]
+    assert line.split("#", 1)[1].strip() == "(3,2) (2,1) (0,0)"
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "(3,2) (2,1) (0,0)"
+
+
 def test_fingerprint_monotone_invariant():
     from supertriples.algebra import CommutantFingerprint
     with pytest.raises(ConstraintViolation):
         CommutantFingerprint([(1, 0), (2, 0), (0, 0)])
+
+
+# ---------------------------------------------------------------------------
+# the integer echelon of the commutant spans, and the Fraction loop it replaced
+
+
+@st.composite
+def _integer_vectors(draw):
+    """Small integer vectors of one length: fresh ones (negative and zero
+    entries included), zero vectors, repeats and integer combinations of
+    earlier vectors."""
+    d = draw(st.integers(1, 6))
+    vectors = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combination")))
+        if kind == "zero":
+            v = [0] * d
+        elif kind == "repeat" and vectors:
+            v = list(draw(st.sampled_from(vectors)))
+        elif kind == "combination" and vectors:
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(vectors),
+                                   max_size=len(vectors)))
+            v = [sum(c * w[i] for c, w in zip(coeffs, vectors))
+                 for i in range(d)]
+        else:
+            v = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+        vectors.append(v)
+    return vectors
+
+
+def _reduced(basis, v):
+    """The nonzero entries left of v after Fraction elimination by each row
+    of basis at its lowest column, those columns taken in increasing order."""
+    v = {c: Fraction(x) for c, x in enumerate(v) if x}
+    for row in sorted(basis.values(), key=min):
+        p = min(row)
+        f = v.get(p, 0) / row[p]
+        if f:
+            for c, w in row.items():
+                v[c] = v.get(c, 0) - f * w
+    return {c: x for c, x in v.items() if x}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_vectors())
+def test_echelon_basis_spans_the_vectors(vectors):
+    """The echelon basis has the rank of the vectors over Q, every vector
+    reduces to zero against it, and its rows are primitive with distinct
+    pivots (lowest columns), each row kept under its pivot."""
+    basis = {}
+    for v in vectors:
+        _echelon_add(basis, {c: x for c, x in enumerate(v) if x})
+    _, pivots = rref([[Fraction(x) for x in v] for v in vectors])
+    assert len(basis) == len(pivots)
+    for v in vectors:
+        assert _reduced(basis, v) == {}
+    lowest = [min(row) for row in basis.values()]
+    assert len(set(lowest)) == len(lowest)
+    for p, row in basis.items():
+        assert p == min(row)
+        assert all(row.values()) and math.gcd(*row.values()) == 1
+
+
+def _reference_commutant_series(A):
+    """``commutant_series`` of a numeric algebra as Fraction Gauss-Jordan
+    elimination of each level's dense bracket vectors: the loop the integer
+    echelon replaced."""
+    d = A.dim
+    nz = A.numeric_nonzero()
+    rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    par = A.parity
+    dims = []
+    for _ in range(3):
+        vectors = {}
+        for (a, b, r), x in _pull(nz, _columns(rows)).items():
+            if x:
+                vectors.setdefault((a, b), [Fraction(0)] * d)[r] = x
+        bases = []
+        for parity in (0, 1):
+            span, pivots = rref([v for (a, b), v in vectors.items()
+                                 if (par[a] + par[b]) % 2 == parity])
+            bases.append(span[:len(pivots)])
+        even, odd = bases
+        dims.append((len(even), len(odd)))
+        rows = even + odd
+        par = (0,) * len(even) + (1,) * len(odd)
+    return CommutantFingerprint(dims)
+
+
+def _report_instances(monkeypatch):
+    """(row id, bindings) of every instance table5, thm1, thm2 and thm3
+    fingerprint, at their default bindings."""
+    seen = {}
+    real = classify.make_instances
+
+    def recorded(specs):
+        out = real(specs)
+        for inst in out:
+            seen[inst.ident] = (inst.row_id, inst.bindings)
+        return out
+
+    monkeypatch.setattr(classify, "make_instances", recorded)
+    for target in ("table5", "thm1", "thm2", "thm3"):
+        assert classify.report(target).passed
+    return sorted(seen.values(), key=repr)
+
+
+def test_commutant_series_equals_reference_on_report_instances(monkeypatch):
+    """Every catalog triple's double and its T-dual's, at the bindings the
+    fingerprinting reports use."""
+    instances = _report_instances(monkeypatch)
+    cat = get_catalog()
+    assert {rid for rid, _ in instances}.issuperset(
+        cat.table_rows("22") + cat.table_rows("42") + cat.table_rows("24"))
+    for rid, bindings in instances:
+        t = catalog_triple(rid, bindings)
+        for D in (build_double(t), build_double(t_dual(t))):
+            assert commutant_series(D) == _reference_commutant_series(D), rid
+
+
+def test_commutant_series_equals_reference_across_certificates():
+    """Both ends of every appendix certificate, at random bindings where it
+    verifies."""
+    rng = random.Random(22)
+    cat = get_catalog()
+    checked = 0
+    for cid in sorted(cat.certs):
+        ctx = cat.certs[cid].ctx
+        for _ in range(2):
+            bindings = {p: ctx.domains[p].sample(rng) for p in ctx.params}
+            try:
+                cert = appendix_certificate(cid, bindings)
+            except (ConstraintViolation, DivisionByZero):
+                continue
+            assert cert.verify(), (cid, bindings)
+            fp = _reference_commutant_series(cert.source)
+            assert commutant_series(cert.source) == fp, cid
+            assert commutant_series(cert.target) == fp, cid
+            checked += 1
+    assert checked >= 2 * len(cat.certs) - 4
+
+
+def test_commutant_series_counts_the_odd_diagonal():
+    """[b1, b2] = b2, [b1, f] = f/2, [f, f] = b2: C2 = [C1, C1] is spanned by
+    [f, f] alone, so the diagonal pair (f, f) must be bracketed."""
+    one, half = EMPTY.one(), EMPTY.const(Fraction(1, 2))
+    A = SuperAlgebra.from_brackets(
+        Grading(2, 1), EMPTY, {(0, 1): {1: one}, (0, 2): {2: half},
+                               (2, 2): {1: one}})
+    assert check_antisymmetry(A) == [] and check_jacobi(A) == []
+    fp = commutant_series(A)
+    assert fp.dims == ((1, 1), (1, 0), (0, 0))
+    assert fp == _reference_commutant_series(A)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supertriples import classify, iso
+from supertriples import algebra, classify, iso, matrices
 from supertriples.algebra import AutoBranch, SuperAlgebra
 from supertriples.catalog import automorphisms, catalog, catalog_triple, get_catalog
 from supertriples.classify import (ORBIT_GRID, _dual_action, _integer_tensor,
@@ -141,6 +141,28 @@ def test_scalar_inversions_per_report(monkeypatch, target, inversions):
     assert report(target).passed
     assert calls[0] == inversions
     assert not hasattr(iso, "inv")
+
+
+@pytest.mark.parametrize("target, eliminations", [
+    ("table2", 0), ("table4", 0), ("table5", 0), ("table7", 0), ("thm1", 2),
+    ("thm2", 7), ("thm3", 89)])
+def test_eliminations_per_report(monkeypatch, target, eliminations):
+    """Exact matrices.rref calls of one report, the catalog parsed beforehand.
+    The commutant spans run on the integer echelon of algebra, so every
+    elimination left is an inv, an f_solve or iso.solve_shear's."""
+    get_catalog()
+    calls = [0]
+    real = matrices.rref
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(matrices, "rref", counted)
+    monkeypatch.setattr(iso, "rref", counted)
+    assert report(target).passed
+    assert calls[0] == eliminations
+    assert not hasattr(algebra, "rref")
 
 
 def _snapshot(obj):
