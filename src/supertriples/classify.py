@@ -431,28 +431,12 @@ def _expand(inst):
     nodes = [_Node(inst.double, None, inst.bindings,
                    {inst.row_id: inst.bindings})]
     # shear-normalize to the semiabelian (S|A) base point when possible
-    base_cert = _shear_base(inst)
+    base_cert = shear_certificate(inst.triple, inst.double)
     if base_cert is not None:
         nodes.append(_Node(base_cert.source, base_cert.invert(),
                            inst.bindings, {}))
     inst._nodes = nodes
     return nodes
-
-
-def _shear_base(inst):
-    """Certificate (S|A) -> instance when the dual is N-type, nonabelian and
-    the shear system solves."""
-    t = inst.triple
-    Sd = t.S_dual
-    if not Sd.nonzero():
-        return None
-    abelian = SuperAlgebra(Sd.grading, t.ctx, {}, names=Sd.names,
-                           dual_role=True)
-    base = ManinTriple(t.S, abelian, ident=(t.id or "") + ":base")
-    try:
-        return shear_certificate(base, t)
-    except ConstraintViolation:
-        return None
 
 
 def _unify_side(values, entry_ctx, inst_bindings, assignment):

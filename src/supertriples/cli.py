@@ -33,6 +33,10 @@ EXIT_PARSE = 2
 EXIT_CONSTRAINT = 3
 EXIT_BUDGET = 4
 
+# solve-r's G entries per odd dimension of the seed: the symmetric G's upper
+# triangle, row by row
+G_NAMES = {1: ("alpha",), 2: ("alpha", "beta", "gamma")}
+
 
 def _rational(flag, text):
     try:
@@ -165,24 +169,26 @@ def cmd_verify_iso(args):
 def cmd_solve_r(args):
     bindings = _single_bindings(_parse_bindings(args.bind))
     seed = catalog(args.algebra, bindings)
-    if seed.superdim()[0] != 1:
-        raise ConstraintViolation("solve-r needs a (1,n) seed algebra")
+    m, n = seed.superdim()
+    if m != 1 or n not in G_NAMES:
+        raise ConstraintViolation("solve-r needs a (1,1) or (1,2) seed algebra")
+    names = G_NAMES[n]
     H = odd_action_matrices(seed)[0]
     ctx = seed.ctx
     if args.g:
         vals = [_rational("--g", x) for x in args.g.split(",")]
-        if len(vals) != 3:
-            raise ConstraintViolation("--g expects alpha,beta,gamma")
-        a, b, c = (ctx.const(v) for v in vals)
+        if len(vals) != len(names):
+            raise ConstraintViolation("--g expects %s for a (1,%d) seed"
+                                      % (",".join(names), n))
+        g = [ctx.const(v) for v in vals]
     else:
         from .scalars import Domain, ParamContext
-        gctx = ParamContext([(n, Domain.free()) for n in
-                             tuple(ctx.params) + ("alpha", "beta", "gamma")])
+        gctx = ParamContext([(name, Domain.free()) for name in
+                             tuple(ctx.params) + names])
         mapper = ctx.bind_scalars(gctx, {})
         H = [[mapper(x) for x in row] for row in H]
-        ctx = gctx
-        a, b, c = (gctx.param(n) for n in ("alpha", "beta", "gamma"))
-    G = [[a, b], [b, c]]
+        g = [gctx.param(name) for name in names]
+    G = [[g[0]]] if n == 1 else [[g[0], g[1]], [g[1], g[2]]]
     res = solve_r(H, G)
     if isinstance(res, NoSolution):
         if args.format == "machine":
@@ -294,9 +300,10 @@ def build_parser():
     p.add_argument("--bind", action="append")
     p.set_defaults(func=cmd_verify_iso)
 
-    p = sub.add_parser("solve-r", help="solve the shear equation for a (1,n) seed")
+    p = sub.add_parser("solve-r", help="solve the shear equation for a (1,1) or (1,2) seed")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--g", help="numeric alpha,beta,gamma (default: symbolic)")
+    p.add_argument("--g", help="numeric G entries: alpha for a (1,1) seed, "
+                   "alpha,beta,gamma for a (1,2) seed (default: symbolic)")
     p.add_argument("--bind", action="append")
     p.set_defaults(func=cmd_solve_r)
 

@@ -9,8 +9,8 @@ branches split),
 
 with F the source tensor, F' the target tensor and B the canonical form.
 B is a signed permutation, so (i) makes C^-1 = B C^T B^T a signed transpose
-of C: ``IsoCertificate.invert`` reads it off ``canonical_form`` and a shear
-I + E transports with I - E, both without an elimination.
+of C: ``IsoCertificate.invert`` reads it off ``canonical_form`` without an
+elimination, and ``r_to_certificate`` transports its shear I + E with I - E.
 
 Certificates are built from T-duality (``t_dual_certificate``), from
 automorphisms (``from_automorphism``) and from exact shears
@@ -431,44 +431,39 @@ def dual_g_blocks(S_dual):
     return out
 
 
-def shear_certificate(src_triple, tgt_triple):
-    """(S|N_G1) -> (S|N_G2) by f~ -> f~ + R f, when the stacked R-system is
-    solvable; both triples must share the seed tensor."""
-    if not src_triple.S.tensor_equal(tgt_triple.S):
+def shear_certificate(triple, double):
+    """(S|A) -> (S|N_G) by f~ -> f~ + R f with R H + (R H)^T = G, mapping the
+    double of the semiabelian (S|A) onto `double`, the double of `triple`.
+    None when the dual is abelian or not N-type, the seed has odd-odd
+    brackets or the R-system has no solution.  The image is not computed:
+    a caller that merges on the certificate verifies it."""
+    Sd = triple.S_dual
+    G_list = dual_g_blocks(Sd) if Sd.nonzero() else None
+    if G_list is None:
         return None
-    H_list = odd_action_matrices(src_triple.S)
-    G1 = dual_g_blocks(src_triple.S_dual)
-    G2 = dual_g_blocks(tgt_triple.S_dual)
-    if G1 is None or G2 is None:
+    try:
+        R = solve_shear(odd_action_matrices(triple.S), G_list)
+    except ConstraintViolation:
         return None
-    diff = [[[G2[i][a][b] - G1[i][a][b] for b in range(len(G2[i]))]
-             for a in range(len(G2[i]))] for i in range(len(G2))]
-    R = solve_shear(H_list, diff)
     if isinstance(R, NoSolution):
         return None
-    return _shear_to_certificate(R, src_triple, tgt_triple)
+    abelian = SuperAlgebra(Sd.grading, triple.ctx, {}, names=Sd.names,
+                           dual_role=True)
+    base = ManinTriple(triple.S, abelian, ident=(triple.id or "") + ":base")
+    return IsoCertificate(triple.ctx, _shear_matrix(R, triple),
+                          build_double(base), double, note="shear")
 
 
 def r_to_certificate(r, triple):
     """Certificate from the semiabelian (C|A) triple to (C|N_G) built from an
-    R-solution: f~^j -> f~^j + R^{jk} f_k."""
+    R-solution: f~^j -> f~^j + R^{jk} f_k.  The image is read off the
+    transported double: C = I + E has E^2 = 0, so C^-1 = I - E."""
     R = r.R if isinstance(r, RSolution) else r
-    return _shear_to_certificate(R, triple, None)
-
-
-def _shear_to_certificate(R, src_triple, tgt_triple):
-    ctx = src_triple.ctx
-    m, n = src_triple.superdim()
-    h = m + n
-    d = 2 * h
-    # C = I + E with E mapping the f~ rows onto the f columns, so E^2 = 0
-    # and C^-1 = I - E
-    C, C_inv = s_identity(ctx, d), s_identity(ctx, d)
-    for a in range(n):
-        for b in range(n):
-            C[h + m + a][m + b] = R[a][b]
-            C_inv[h + m + a][m + b] = -R[a][b]
-    src_double = build_double(src_triple)
+    ctx = triple.ctx
+    h = sum(triple.superdim())
+    C = _shear_matrix(R, triple)
+    C_inv = _shear_matrix([[-x for x in row] for row in R], triple)
+    src_double = build_double(triple)
     # read the dual half off the transported tensor
     dual_entries = {}
     for (i, j, k, c) in src_double._transport(C, C_inv).nonzero():
@@ -476,18 +471,24 @@ def _shear_to_certificate(R, src_triple, tgt_triple):
             if k < h:
                 raise ConstraintViolation("shear image does not close on the dual half")
             dual_entries[(i - h, j - h, k - h)] = c
-    new_dual = SuperAlgebra(src_triple.S_dual.grading, ctx, dual_entries,
-                            name=(src_triple.S_dual.name or "") + "'",
+    new_dual = SuperAlgebra(triple.S_dual.grading, ctx, dual_entries,
+                            name=(triple.S_dual.name or "") + "'",
                             dual_role=True)
-    if tgt_triple is None:
-        tgt_triple = ManinTriple(src_triple.S, new_dual,
-                                 ident=None if src_triple.id is None
-                                 else src_triple.id + "+shear")
-    else:
-        if not new_dual.tensor_equal(tgt_triple.S_dual):
-            raise ConstraintViolation("shear image does not match the stated target")
-    return IsoCertificate(ctx, C, src_double, build_double(tgt_triple),
+    target = ManinTriple(triple.S, new_dual,
+                         ident=None if triple.id is None else triple.id + "+shear")
+    return IsoCertificate(ctx, C, src_double, build_double(target),
                           note="shear")
+
+
+def _shear_matrix(R, triple):
+    """C = I + E with E mapping the f~ rows onto the f columns by R."""
+    m, n = triple.superdim()
+    h = m + n
+    C = s_identity(triple.ctx, 2 * h)
+    for a in range(n):
+        for b in range(n):
+            C[h + m + a][m + b] = R[a][b]
+    return C
 
 
 # ---------------------------------------------------------------------------

@@ -126,9 +126,9 @@ def test_each_merge_is_verified_once(monkeypatch, target, merges):
 @pytest.mark.parametrize("target, inversions", [("thm2", 8), ("thm3", 250)])
 def test_scalar_inversions_per_report(monkeypatch, target, inversions):
     """Exact Scalar.inv calls of one report, the catalog parsed beforehand.
-    Certificates are inverted by their signed transpose and shears
-    transported with I - E, so every inversion left is a pivot or a
-    normalisation of iso.solve_shear's elimination."""
+    Certificates are inverted by their signed transpose and shear base
+    points built without a transport, so every inversion left is a pivot or
+    a normalisation of iso.solve_shear's elimination."""
     get_catalog()
     calls = [0]
     real = Scalar.inv
@@ -163,6 +163,68 @@ def test_eliminations_per_report(monkeypatch, target, eliminations):
     assert report(target).passed
     assert calls[0] == eliminations
     assert not hasattr(algebra, "rref")
+
+
+@pytest.mark.parametrize("target", ["table2", "table4", "table5", "table7",
+                                    "thm1", "thm2", "thm3"])
+def test_no_transport_per_report(monkeypatch, target):
+    """A report transports no double: the shear base point is stated as the
+    instance's own double, not read off a transported copy."""
+    get_catalog()
+    calls = [0]
+    real = SuperAlgebra._transport
+
+    def counted(self, M, M_inv):
+        calls[0] += 1
+        return real(self, M, M_inv)
+
+    monkeypatch.setattr(SuperAlgebra, "_transport", counted)
+    assert report(target).passed
+    assert calls[0] == 0
+
+
+def _base_certificates(monkeypatch):
+    """Every certificate iso.shear_certificate returns during report thm1,
+    thm2 and thm3, and whether each verifies."""
+    certs = []
+    real = classify.shear_certificate
+
+    def recorded(triple, double):
+        cert = real(triple, double)
+        if cert is not None:
+            assert cert.target is double and cert.note == "shear"
+            certs.append(cert)
+        return cert
+
+    monkeypatch.setattr(classify, "shear_certificate", recorded)
+    for target in ("thm1", "thm2", "thm3"):
+        report(target)
+    return [verify_certificate(cert)[0] for cert in certs]
+
+
+def test_base_certificates_verify(monkeypatch):
+    """The planner no longer compares a shear's image with the instance's
+    dual; each base certificate still maps onto the instance's double."""
+    verdicts = _base_certificates(monkeypatch)
+    assert len(verdicts) == 60
+    assert all(verdicts)
+
+
+def test_base_certificates_check_sees_a_wrong_shear(monkeypatch):
+    """Mutation check of test_base_certificates_verify: with R[0][0] off by
+    one, most base certificates fail verification."""
+    real = iso.solve_shear
+
+    def off_by_one(H_list, G_list):
+        R = real(H_list, G_list)
+        if not isinstance(R, iso.NoSolution):
+            R[0][0] = R[0][0] + R[0][0].ctx.one()
+        return R
+
+    monkeypatch.setattr(iso, "solve_shear", off_by_one)
+    verdicts = _base_certificates(monkeypatch)
+    assert len(verdicts) == 60
+    assert verdicts.count(False) == 57
 
 
 def _snapshot(obj):

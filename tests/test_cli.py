@@ -312,6 +312,10 @@ def test_solve_r_bad_g_exits_constraint():
     _one_line_error(run("solve-r", "--algebra", "C2_p", "--g", "a,b,c"), 3)
     _one_line_error(run("solve-r", "--algebra", "C2_p", "--g", "1,2,1/0"), 3)
     _one_line_error(run("solve-r", "--algebra", "C2_p", "--g", "1,2"), 3)
+    _one_line_error(run("solve-r", "--algebra", "S11", "--g", "1,2,3"), 3)
+    r = run("--format", "machine", "solve-r", "--algebra", "S11", "--g", "2")
+    assert r.returncode == 0
+    assert "R=1" in r.stdout.split()
 
 
 @pytest.mark.parametrize("domain", ["{1/0}", "(0, 1/0)", "free \\ {2/0}"])
