@@ -28,7 +28,7 @@ from .scalars import (Domain, ParamContext, _term_image, exact_sqrt,
 from .triples import ManinTriple, build_double, check_compatibility, t_dual
 
 __all__ = ["DualAnsatz", "enumerate_duals", "reduce_orbits", "classify_doubles",
-           "ClassificationReport", "report", "REPORT_TARGETS"]
+           "ClassificationReport", "report", "REPORTS"]
 
 ENUM_GRID = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
              Fraction(-2), Fraction(1, 2), Fraction(-1, 2))
@@ -645,8 +645,6 @@ def classify_doubles(instance_specs):
 # reproduction targets: catalog tables and theorem groupings
 
 
-REPORT_TARGETS = ("table2", "table4", "table5", "table7", "thm1", "thm2", "thm3")
-
 TABLE5_GENERIC_P = (Fraction(2), Fraction(3), Fraction(5, 2))
 TABLE5_GENERIC_KAPPA = (Fraction(1), Fraction(2), Fraction(-3))
 THM3_SAMPLES = ((Fraction(1), Fraction(0), Fraction(-1)),
@@ -925,34 +923,30 @@ def _report_thm3(bindings):
     return Report("thm3", passed, lines)
 
 
-# the binding names each report target reads; the others read none
-REPORT_PARAMS = {"table5": ("p", "kappa"), "thm2": ("p", "kappa"),
-                 "thm3": ("p", "kappa")}
+# each report target, in the order the CLI lists them: the binding names it
+# reads and its builder, called with the bindings
+REPORTS = {
+    "table2": ((), lambda bindings: _symbolic_row_suite("table2", "22")),
+    "table4": ((), lambda bindings: _symbolic_row_suite("table4", "42")),
+    "table5": (("p", "kappa"), _report_table5),
+    "table7": ((), lambda bindings: _symbolic_row_suite("table7", "24")),
+    "thm1": ((), lambda bindings: _report_thm1()),
+    "thm2": (("p", "kappa"), _report_thm2),
+    "thm3": (("p", "kappa"), _report_thm3),
+}
 
 
 @report_memo()
 def report(target, bindings=None):
     """Machine-checkable reproduction of one table or theorem.  bindings
-    may name only the parameters in ``REPORT_PARAMS`` for the target."""
-    if target not in REPORT_TARGETS:
+    may name only the parameters ``REPORTS`` lists for the target."""
+    if target not in REPORTS:
         raise UnknownId("unknown report target %r" % target)
-    reads = REPORT_PARAMS.get(target, ())
+    reads, build = REPORTS[target]
     for name in bindings or ():
         if name not in reads:
             raise not_a_parameter(name, reads)
-    if target == "table2":
-        return _symbolic_row_suite("table2", "22")
-    if target == "table4":
-        return _symbolic_row_suite("table4", "42")
-    if target == "table7":
-        return _symbolic_row_suite("table7", "24")
-    if target == "table5":
-        return _report_table5(bindings)
-    if target == "thm1":
-        return _report_thm1()
-    if target == "thm2":
-        return _report_thm2(bindings)
-    return _report_thm3(bindings)
+    return build(bindings)
 
 
 # ---------------------------------------------------------------------------

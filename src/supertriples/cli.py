@@ -16,7 +16,7 @@ from .algebra import check_antisymmetry, check_jacobi, commutant_series
 from .catalog import (Catalog, appendix_certificate, automorphisms, catalog,
                       catalog_triple, get_catalog, list_algebras,
                       list_certificates, parse_catalog_file, table_rows)
-from .classify import (REPORT_TARGETS, _value_of, classify_doubles,
+from .classify import (REPORTS, _value_of, classify_doubles,
                        enumerate_duals, match_22, reduce_orbits, report)
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, ParseError, SuperTriplesError,
@@ -318,7 +318,7 @@ def build_parser():
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("report", help="reproduce a table or theorem")
-    p.add_argument("--target", required=True, choices=REPORT_TARGETS)
+    p.add_argument("--target", required=True, choices=REPORTS)
     p.add_argument("--bind", action="append")
     p.set_defaults(func=cmd_report)
 

@@ -23,13 +23,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, UnknownName
 from .scalars import Domain, ParamContext, exact_sqrt
 
 __all__ = ["parse_scalar", "parse_catalog", "Tokenizer"]
 
 _PUNCT = ("(", ")", "[", "]", "{", "}", ",", ";", ":", "=", "+", "-", "*", "/",
           "^", "\\")
+# parse_expr recurses once per open parenthesis; deeper text is refused
+MAX_PAREN_DEPTH = 64
 
 
 class Token:
@@ -54,6 +56,7 @@ class Tokenizer:
         self.tokens = []
         line, col = 1, 1
         i, n = 0, len(text)
+        depth = 0
         while i < n:
             ch = text[i]
             if ch == "\n":
@@ -87,9 +90,9 @@ class Tokenizer:
                     col += j - i + 1
                 i = j + 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 self.tokens.append(Token("int", int(text[i:j]), line, col))
                 col += j - i
@@ -104,6 +107,13 @@ class Tokenizer:
                 i = j
                 continue
             if ch in _PUNCT:
+                if ch == "(":
+                    depth += 1
+                    if depth > MAX_PAREN_DEPTH:
+                        raise ParseError("parentheses nested deeper than %d"
+                                         % MAX_PAREN_DEPTH, line, col)
+                elif ch == ")" and depth:
+                    depth -= 1
                 self.tokens.append(Token(ch, ch, line, col))
                 i += 1
                 col += 1
@@ -169,11 +179,13 @@ def _term(tz):
 
 
 def _factor(tz):
-    if tz.accept("-"):
-        return ("neg", _factor(tz))
-    if tz.accept("+"):
-        return _factor(tz)
-    return _power(tz)
+    negs = 0
+    while tz.at("-") or tz.at("+"):   # a loop: sign chains must not recurse
+        negs += tz.next().kind == "-"
+    node = _power(tz)
+    for _ in range(negs):
+        node = ("neg", node)
+    return node
 
 
 def _power(tz):
@@ -360,33 +372,43 @@ def _parse_domain(tz):
 
 
 def _parse_params_block(tz):
-    """params { name : domain ; ... } -> (param list, radical list with ASTs)."""
+    """params { name : domain ; ... } -> (param list, radical list of at most
+    one (name token, radicand AST)); a name declared twice or a second
+    radical is a ParseError at its name."""
     params = []
     radicals = []
+    seen = set()
     tz.expect("{")
     while not tz.accept("}"):
-        name = tz.expect("name").value
+        tok = tz.expect("name")
+        if tok.value in seen:
+            raise ParseError("duplicate parameter %r" % tok.value, tok.line, tok.col)
+        seen.add(tok.value)
         tz.expect(":")
         dom = _parse_domain(tz)
         if isinstance(dom, tuple) and dom[0] == "radical":
-            radicals.append((name, dom[1]))
+            if radicals:
+                raise ParseError("at most one radical per context", tok.line, tok.col)
+            radicals.append((tok, dom[1]))
         else:
-            params.append((name, dom))
+            params.append((tok.value, dom))
         tz.accept(";")
     return params, radicals
 
 
 def build_context(params, radicals):
-    """Assemble a ParamContext; radical radicands are expression ASTs in the
-    declared parameters."""
+    """Assemble a ParamContext; a radical's radicand AST may name only the
+    declared parameters, else it is a ParseError at the radical's name."""
     base = ParamContext(params)
     if not radicals:
         return base
-    built = []
-    for name, ast in radicals:
+    (tok, ast), = radicals
+    try:
         radicand = eval_ast(ast, base)
-        built.append((name, radicand))
-    return ParamContext(params, built)
+    except UnknownName as exc:
+        raise ParseError("radicand of %s: %s" % (tok.value, exc),
+                         tok.line, tok.col) from None
+    return ParamContext(params, [(tok.value, radicand)])
 
 
 # ---------------------------------------------------------------------------

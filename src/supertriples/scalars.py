@@ -10,12 +10,12 @@ plain structural equality.
 Polynomials are dicts mapping exponent tuples (one slot per context parameter,
 in declaration order) to nonzero Fractions.
 
-Every change of context goes through one map, ParamContext._mapper, built on
-one polynomial substitution, _p_compose.  Use ``bind`` to give some parameters
-rational values: domains are checked, and it returns the reduced context with
-the map into it.  Use ``bind_scalars`` to map into a given context, each
-parameter sent to a Scalar there (by name, or as bound, e.g. p = 1/q) and the
-radical to a bound value or to the target's own radical.  Objects change
+Every change of context goes through one map, ParamContext.bind_scalars, built
+on one polynomial substitution, _p_compose: each parameter goes to a rational,
+to a Scalar of the target (e.g. p = 1/q) or, unbound, to the target parameter
+of its name; the radical to a bound value or the target's own radical, either
+of which must square to the radicand's image.  ``bind`` checks the domains of
+rational values, builds the reduced context and maps into it.  Objects change
 context once, by ``substitute`` (one bind) or by ``map_scalars(ctx, mapper)``.
 """
 
@@ -586,93 +586,54 @@ class ParamContext:
     # -- substitution -------------------------------------------------------
 
     def bind(self, bindings):
-        """Substitute rational values for a subset of the parameters.
-
-        Returns (new_ctx, mapper) where mapper sends scalars of this context
-        to scalars of new_ctx.  The radical may be bound too (its radicand
-        must then become fully numeric and match the bound value squared).
-        """
+        """Substitute rational values for some parameters, and for the
+        radical once its radicand is numeric: (reduced context, bind_scalars
+        into it).  An unbound radical keeps its radicand, composed."""
         bindings = {k: Fraction(v) for k, v in bindings.items()}
-        rad_value = None
-        if self.radical_name is not None and self.radical_name in bindings:
-            rad_value = bindings.pop(self.radical_name)
         for name, value in bindings.items():
-            self.check_binding(name, value)
-
-        keep_names = [n for n in self.params if n not in bindings]
-        keep = {n: i for i, n in enumerate(keep_names)}
-        images = [(bindings[n], None) if n in bindings else (None, keep[n])
-                  for n in self.params]
-        new_radicals = ()
-        if self.radicand is not None:
-            new_radicand = _p_compose(self.radicand, images, len(keep_names))
-            if rad_value is not None:
-                if not _p_is_const(new_radicand):
-                    raise InconsistentRadical(
-                        "cannot bind radical before its radicand is numeric")
-                want = _p_const_value(new_radicand)
-                if rad_value * rad_value != want:
-                    raise InconsistentRadical(
-                        "%s^2 = %s but radicand evaluates to %s"
-                        % (self.radical_name, rad_value * rad_value, want))
-            else:
-                new_radicals = ((self.radical_name, new_radicand),)
-        new_ctx = ParamContext(
-            [(n, self.domains[n]) for n in keep_names], new_radicals)
-        rad = new_ctx.const(rad_value) if rad_value is not None else (
-            new_ctx.radical() if new_radicals else None)
-        return new_ctx, self._mapper(new_ctx, images, rad)
+            if name != self.radical_name:
+                self.check_binding(name, value)
+        keep = [n for n in self.params if n not in bindings]
+        radicals = ()
+        if self.radicand is not None and self.radical_name not in bindings:
+            index = {n: i for i, n in enumerate(keep)}
+            terms = [(bindings.get(n), index.get(n)) for n in self.params]
+            radicals = ((self.radical_name,
+                         _p_compose(self.radicand, terms, len(keep))),)
+        new_ctx = ParamContext([(n, self.domains[n]) for n in keep], radicals)
+        return new_ctx, self.bind_scalars(new_ctx, bindings)
 
     def bind_scalars(self, target_ctx, bindings):
-        """Map this context's scalars into target_ctx, sending each parameter
-        to a Scalar of target_ctx (given explicitly, or matched by name)."""
-        images = []
+        """The one map of this context's scalars into target_ctx: each
+        parameter to its binding (a rational or a Scalar of target_ctx) or
+        the target parameter of its name, the radical to its binding or the
+        target's radical, which must square to the radicand's image.  A
+        rational or a Scalar +-x_j substitutes term by term (_p_compose);
+        any other Scalar becomes a fresh variable whose powers are then
+        multiplied in as Scalars."""
+        nv = target_ctx.nvars
+        terms, general = [], []
         for name in self.params:
+            if name not in bindings and name in target_ctx._index:
+                terms.append((None, target_ctx._index[name]))
+                continue
             v = bindings[name] if name in bindings else target_ctx.param(name)
             if not isinstance(v, Scalar):
-                v = target_ctx.const(v)
-            elif v.ctx is not target_ctx and v.ctx != target_ctx:
+                terms.append((Fraction(v), None))
+                continue
+            if v.ctx is not target_ctx and v.ctx != target_ctx:
                 raise ConstraintViolation("binding scalar from foreign context")
-            images.append(_term_image(v))
-        rad = None
-        if self.radical_name is not None:
-            radicand = self._mapper(target_ctx, images, None)(
-                Scalar(self, (self.radicand, _p_const(1, self.nvars)), None))
-            if self.radical_name in bindings:
-                rad = bindings[self.radical_name]
-                if not isinstance(rad, Scalar):
-                    rad = target_ctx.const(rad)
-                if not (rad * rad - radicand).is_zero():
-                    raise InconsistentRadical("bound radical does not square to radicand")
-            elif target_ctx.radical_name is not None:
-                target_radicand = Scalar(
-                    target_ctx, (target_ctx.radicand, _p_const(1, target_ctx.nvars)), None)
-                if not (target_radicand - radicand).is_zero():
-                    raise InconsistentRadical("radicand does not match target context radical")
-                rad = target_ctx.radical()
-            else:
-                raise InconsistentRadical("target context lacks a radical for %r"
-                                          % self.radical_name)
-        return self._mapper(target_ctx, images, rad)
-
-    def _mapper(self, target, images, rad):
-        """The one map of this context's scalars into target, behind bind and
-        bind_scalars: parameter i goes to images[i], a _p_compose term or a
-        general Scalar of target, and the radical to the Scalar rad.  Term
-        images substitute term by term; each general image first becomes a
-        fresh variable of _p_compose, whose powers are then multiplied in as
-        Scalars."""
-        nv = target.nvars
-        general = [v for v in images if isinstance(v, Scalar)]
-        slots = iter(range(nv, nv + len(general)))
-        terms = [(None, next(slots)) if isinstance(v, Scalar) else v
-                 for v in images]
+            term = _term_image(v)
+            if isinstance(term, Scalar):
+                general.append(term)
+                term = (None, nv + len(general) - 1)
+            terms.append(term)
         one = _p_const(1, nv)
 
         def evaluate(f):
-            total = target.zero()
+            total = target_ctx.zero()
             for m, c in _p_compose(f, terms, nv + len(general)).items():
-                term = Scalar(target, ({m[:nv]: c}, one), None)
+                term = Scalar(target_ctx, ({m[:nv]: c}, one), None)
                 for v, e in zip(general, m[nv:]):
                     term = term * v ** e
                 total = total + term
@@ -684,8 +645,26 @@ class ParamContext:
                 if not den:
                     raise DivisionByZero("zero denominator")
                 return evaluate(rf[0]) / den
-            return Scalar(target, _rf_make(_p_compose(rf[0], terms, nv),
-                                           _p_compose(rf[1], terms, nv), nv), None)
+            return Scalar(target_ctx, _rf_make(_p_compose(rf[0], terms, nv),
+                                               _p_compose(rf[1], terms, nv), nv),
+                          None)
+
+        rad = None
+        if self.radical_name is not None:
+            if self.radical_name in bindings:
+                rad, whose = bindings[self.radical_name], "bound radical"
+                if not isinstance(rad, Scalar):
+                    rad = target_ctx.const(rad)
+                square = rad * rad
+            elif target_ctx.radical_name is not None:
+                rad, whose = target_ctx.radical(), "target context radical"
+                square = Scalar(target_ctx, (target_ctx.radicand, one), None)
+            else:
+                raise InconsistentRadical("target context lacks a radical for %r"
+                                          % self.radical_name)
+            radicand = image((self.radicand, _p_const(1, self.nvars)))
+            if square.key() != radicand.key():     # canonical forms
+                raise InconsistentRadical("%s does not square to radicand" % whose)
 
         def mapper(s):
             if s.ctx is not self and s.ctx != self:

@@ -1,10 +1,14 @@
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+from supertriples.cli import main
+
 CLI = [sys.executable, "-m", "supertriples.cli"]
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(*args, env=None):
@@ -353,6 +357,59 @@ def test_binding_an_undeclared_parameter_is_a_parse_error(tmp_path, text,
         r = run(*(str(path) if a is None else a for a in argv), env=env)
         _one_line_error(r, 2)
         assert str(path) in r.stderr and "declares no parameter" in r.stderr
+
+
+def test_superscript_digit_is_a_parse_error(tmp_path):
+    """A superscript digit in a bracket value is a parse error naming the
+    file, not a ValueError traceback from int()."""
+    path = tmp_path / "sup.cat"
+    path.write_text("algebra SUP super_dim (1, 1)\n"
+                    "  brackets { [b1, f1] = 2\u2075*f1 }\n", encoding="utf-8")
+    r = run("check", "--file", str(path))
+    _one_line_error(r, 2)
+    assert str(path) in r.stderr
+    assert "line 2, col 26: unexpected character" in r.stderr
+
+
+@pytest.mark.parametrize("params, message", [
+    ("p : free; p : sign", "line 2, col 22: duplicate parameter 'p'"),
+    ("p : free; r : sqrt(p); s : sqrt(p + 1)",
+     "line 2, col 35: at most one radical per context"),
+    ("p : free; r : sqrt(q)", "line 2, col 22: radicand of r: q is not a "
+     "parameter here (parameters: p)"),
+], ids=["duplicate", "second-radical", "undeclared-radicand"])
+def test_params_block_errors_are_parse_errors(tmp_path, params, message):
+    """A faulty params block is a parse error at its position naming the
+    file, on the catalog search path and in check --file alike."""
+    path = tmp_path / "pb.cat"
+    path.write_text("algebra PB super_dim (1, 1)\n  params { %s }\n"
+                    "  brackets { [b1, f1] = p*f1 }\n" % params)
+    for r in (run("list", env={"SUPERTRIPLES_CATALOG_PATH": str(tmp_path)}),
+              run("check", "--file", str(path))):
+        _one_line_error(r, 2)
+        assert r.stderr == "parse error: %s: %s\n" % (path, message)
+
+
+def _readme_cli_commands():
+    """The commands of the README's CLI block, as argument lists."""
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.strip()]
+    assert all(c[0] == "supertriples" for c in commands)
+    return [c[1:] for c in commands]
+
+
+# the README commands that do not exit 0: a shear equation with no
+# solution, and a dual grid over the enumeration budget
+README_EXITS = {"solve-r --algebra C3": 1, "enumerate --seed A12": 4}
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_cli_commands(argv):
+    """Every command of the README's CLI block runs and exits as documented."""
+    assert main(argv) == README_EXITS.get(" ".join(argv), 0)
 
 
 def test_zero_denominator_at_a_binding_is_a_constraint_violation():

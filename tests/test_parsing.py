@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supertriples.catalog import AlgebraEntry, get_catalog
 from supertriples.errors import ParseError, UnknownName
-from supertriples.parsing import (Tokenizer, eval_generator_combo,
-                                  parse_catalog, parse_expr, parse_scalar,
+from supertriples.parsing import (MAX_PAREN_DEPTH, Tokenizer,
+                                  eval_generator_combo, parse_catalog, parse_expr, parse_scalar,
                                   render_brackets, render_combo,
                                   render_params)
 from supertriples.scalars import Domain, ParamContext, random_scalar
@@ -158,6 +158,50 @@ def test_comments_and_strings():
 def test_tokenizer_unterminated_string():
     with pytest.raises(ParseError):
         Tokenizer('label "oops')
+
+
+def test_superscript_digits_are_not_numbers():
+    """str.isdigit accepts superscripts that int() refuses; a number is read
+    from decimal digits only, so '2⁵' is 2 followed by a stray character."""
+    for text, where, ch in (("2⁵", "line 1, col 2", "⁵"),
+                            ("²", "line 1, col 1", "²")):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(ParamContext(), text)
+        assert str(err.value) == "%s: unexpected character %r" % (where, ch)
+
+
+def test_parentheses_nest_at_most_max_paren_depth():
+    """parse_expr recurses once per open parenthesis, so deeper nesting is a
+    ParseError at the first parenthesis past the bound, not a RecursionError."""
+    deepest = "(" * MAX_PAREN_DEPTH + "1" + ")" * MAX_PAREN_DEPTH
+    assert parse_scalar(ParamContext(), deepest) == 1
+    with pytest.raises(ParseError) as err:
+        parse_scalar(ParamContext(), "(" + deepest + ")")
+    assert str(err.value) == ("line 1, col %d: parentheses nested deeper than %d"
+                              % (MAX_PAREN_DEPTH + 1, MAX_PAREN_DEPTH))
+
+
+_EXPR_CHARS = "0123456789pq_()+-*/^,; \n#\"²⁵٣"
+
+
+@given(st.one_of(st.text(), st.text(alphabet=_EXPR_CHARS),
+                 st.lists(st.sampled_from(["sqrt(", "(", ")", "-", "+", "1",
+                                           "p", "^", "*"])).map("".join)))
+@example("(" * (MAX_PAREN_DEPTH + 1) + "1")
+@example("sqrt(" * (MAX_PAREN_DEPTH + 1))
+@example("-" * 5000 + "1")
+@example("2⁵")
+@settings(max_examples=300, deadline=None)
+def test_tokenizer_and_parse_expr_raise_only_parse_errors(text):
+    """For any text the tokenizer and parse_expr give tokens and an AST or
+    raise ParseError.  Nothing is evaluated: Scalar powers take time linear
+    in the exponent, so a value such as 2^99999999 would not finish."""
+    try:
+        tz = Tokenizer(text)
+        while not tz.at("eof"):
+            parse_expr(tz)
+    except ParseError:
+        pass
 
 
 @pytest.mark.parametrize("parse, where, message", [
