@@ -19,7 +19,6 @@ from .iso import IsoCertificate
 from .memo import memoized
 from .parsing import (AlgebraDecl, CertDecl, TripleDecl, build_context,
                       eval_ast, eval_generator_combo, parse_catalog)
-from .scalars import Scalar, exact_sqrt
 from .triples import ManinTriple, build_double
 
 __all__ = ["get_catalog", "catalog", "automorphisms", "catalog_triple",
@@ -30,11 +29,15 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 ENV_PATH = "SUPERTRIPLES_CATALOG_PATH"
 
 
-def _build_once(entry, bindings, construct):
-    """construct(bindings), or inside a ``report_memo()`` block the object
-    (or the failure) it gave for the same entry and bindings."""
+def _build(entry, value, bindings):
+    """The entry's value at parameter bindings ({name: rational}), its own
+    without them: ``value.substitute(bindings)``, or inside a
+    ``report_memo()`` block the object (or the failure) that gave for the
+    same entry and bindings."""
+    if not bindings:
+        return value
     key = (entry, tuple(sorted((n, Fraction(v)) for n, v in bindings.items())))
-    return memoized(key, lambda: construct(bindings))
+    return memoized(key, lambda: value.substitute(bindings))
 
 
 def _eval_bindings(ref, ref_ctx, exprs, ctx):
@@ -128,12 +131,7 @@ class TripleEntry:
                                           names=names, dual_role=dual)
 
     def build(self, bindings=None):
-        """The triple at parameter bindings ({name: rational}), the catalog's
-        own without them; constructed once per bindings inside a
-        ``report_memo()`` block."""
-        if not bindings:
-            return self.triple
-        return _build_once(self, bindings, self.triple.substitute)
+        return _build(self, self.triple, bindings)
 
     def lift_triple(self, target_ctx, bindings):
         return self.triple.map_scalars(
@@ -163,30 +161,11 @@ class CertEntry:
             note=decl.id)
 
     def build(self, bindings=None):
-        """Instantiate at the given parameter bindings; when they turn the
-        radicand into a perfect rational square, the radical is bound to the
-        positive root automatically.  Constructed once per bindings inside a
-        ``report_memo()`` block."""
-        if not bindings:
-            return self.certificate
-        return _build_once(self, bindings, self._instantiate)
-
-    def _instantiate(self, bindings):
-        bindings = dict(bindings)
-        ctx = self.ctx
-        if ctx.radical_name is not None and ctx.radical_name not in bindings:
-            shadow = Scalar(ctx, (ctx.radicand, ctx.one().re[1]), None)
-            partial = {k: v for k, v in bindings.items() if k in ctx.params}
-            value = shadow.substitute(partial)
-            if value.is_constant():
-                q = value.as_fraction()
-                if q < 0:
-                    raise ConstraintViolation(
-                        "radicand of %s is negative at these bindings" % ctx.radical_name)
-                root = exact_sqrt(q)
-                if root is not None:
-                    bindings[ctx.radical_name] = root
-        return self.certificate.substitute(bindings)
+        """The certificate at parameter bindings, built as a triple is: a
+        radical whose radicand they make a rational square is bound to its
+        nonnegative root, and a negative one is refused
+        (``ParamContext.bind``)."""
+        return _build(self, self.certificate, bindings)
 
 
 class Catalog:

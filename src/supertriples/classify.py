@@ -23,8 +23,8 @@ from .iso import (Exhausted, IsoCertificate, dual_g_blocks, from_automorphism,
                   search_iso, shear_certificate, verify_certificate)
 from .matrices import f_solve, inv, s_identity, transpose
 from .memo import report_memo
-from .scalars import (Domain, ParamContext, _term_image, exact_sqrt,
-                      finite_branches, not_a_parameter)
+from .scalars import (Domain, ParamContext, _term_image, finite_branches,
+                      not_a_parameter)
 from .triples import ManinTriple, build_double, check_compatibility, t_dual
 
 __all__ = ["DualAnsatz", "enumerate_duals", "reduce_orbits", "classify_doubles",
@@ -115,7 +115,7 @@ def enumerate_duals(seed):
     ansatz = DualAnsatz(seed.grading)
     uctx = ansatz.context()
     u = [uctx.param("u%d" % i) for i in range(ansatz.unknown_count)]
-    seed_l = seed.map_scalars(uctx, lambda s: uctx.const(s.as_fraction()))
+    seed_l = seed.map_scalars(uctx, seed.ctx.bind_scalars(uctx, {}))
     dual = ansatz.dual_algebra(uctx, u)
     residuals = [r for (_, _, r) in
                  build_double(ManinTriple(seed_l, dual)).jacobi_residuals()]
@@ -998,8 +998,9 @@ def match_22(seed_name, dual):
     (2,2) row or its T-dual; returns (label, verified certificate) or None.
 
     The certificate comes from a member of the seed's catalog automorphism
-    family, over Q(d) with d^2 from ``_target_22``: Q itself when d^2 is a
-    rational square, else the quadratic extension.
+    family, over Q(d) with d^2 from ``_target_22``: the context
+    sq = sqrt(d^2) bound by ``ParamContext.bind``, which is Q itself when
+    d^2 is a rational square.
     """
     ctx = dual.ctx
     zero = ctx.zero()
@@ -1014,17 +1015,14 @@ def match_22(seed_name, dual):
         SuperAlgebra(seed.grading, ctx, seed.entries(), names=seed.names,
                      name=seed_name),
         dual)
-    root = exact_sqrt(d_squared)
-    if root is None:
-        lift_ctx = ParamContext([], radicals=[("sq", d_squared)])
-        triple = triple.map_scalars(lift_ctx, ctx.bind_scalars(lift_ctx, {}))
-        d = lift_ctx.radical()
-    else:
-        lift_ctx, d = ctx, ctx.const(root)
+    sq_ctx = ParamContext([], radicals=[("sq", d_squared)])
+    lift_ctx, lift = sq_ctx.bind({})
     branch = automorphisms(seed_name).branches[0]
-    member = branch.ctx.bind_scalars(lift_ctx, dict(values, d=d))
-    cert = from_automorphism([[member(x) for x in row] for row in branch.matrix],
-                             triple)
+    member = branch.ctx.bind_scalars(lift_ctx,
+                                     dict(values, d=lift(sq_ctx.radical())))
+    cert = from_automorphism(
+        [[member(x) for x in row] for row in branch.matrix],
+        triple.map_scalars(lift_ctx, ctx.bind_scalars(lift_ctx, {})))
     lifted = target.map_scalars(lift_ctx, target.ctx.bind_scalars(lift_ctx, {}))
     if not cert.target.triple.tensor_equal(lifted):
         return None

@@ -30,8 +30,13 @@ __all__ = ["parse_scalar", "parse_catalog", "Tokenizer"]
 
 _PUNCT = ("(", ")", "[", "]", "{", "}", ",", ";", ":", "=", "+", "-", "*", "/",
           "^", "\\")
-# parse_expr recurses once per open parenthesis; deeper text is refused
+# parse_expr and _eval recurse once per open parenthesis; deeper text is
+# refused
 MAX_PAREN_DEPTH = 64
+# the largest |k| of a power x^k; Scalar powers multiply once per unit of k
+MAX_EXPONENT = 64
+# the longest number literal, well inside every Python's int-string limit
+MAX_DIGITS = 1000
 
 
 class Token:
@@ -94,6 +99,9 @@ class Tokenizer:
                 j = i
                 while j < n and text[j].isdecimal():
                     j += 1
+                if j - i > MAX_DIGITS:
+                    raise ParseError("number longer than %d digits" % MAX_DIGITS,
+                                     line, col)
                 self.tokens.append(Token("int", int(text[i:j]), line, col))
                 col += j - i
                 i = j
@@ -183,16 +191,18 @@ def _factor(tz):
     while tz.at("-") or tz.at("+"):   # a loop: sign chains must not recurse
         negs += tz.next().kind == "-"
     node = _power(tz)
-    for _ in range(negs):
-        node = ("neg", node)
-    return node
+    return ("neg", node) if negs % 2 else node
 
 
 def _power(tz):
     base = _atom(tz)
     if tz.accept("^"):
+        start = tz.peek()
         neg = bool(tz.accept("-"))
         tok = tz.expect("int")
+        if tok.value > MAX_EXPONENT:
+            raise ParseError("exponent larger than %d" % MAX_EXPONENT,
+                             start.line, start.col)
         return ("pow", base, -tok.value if neg else tok.value)
     return base
 
@@ -222,7 +232,21 @@ def _atom(tz):
 def _eval(ast, ctx, genmap):
     """The one walker of expression ASTs: the value as a linear combination
     {None: scalar part, index: coefficient}, where the names in genmap stand
-    for the generators of those basis indices.  An absent part is zero."""
+    for the generators of those basis indices.  An absent part is zero.
+    The left spine of a + - * / chain is walked in a loop, so the recursion
+    goes only into right operands and through parentheses and sqrt(."""
+    spine = []
+    while ast[0] in ("add", "sub", "mul", "div"):
+        spine.append(ast)
+        ast = ast[1]
+    a = _eval_operand(ast, ctx, genmap)
+    for kind, _, right in reversed(spine):
+        a = _binary(kind, a, _eval(right, ctx, genmap), ctx)
+    return a
+
+
+def _eval_operand(ast, ctx, genmap):
+    """_eval of a number, name, sqrt(, negation or power."""
     kind = ast[0]
     if kind == "num":
         return {None: ctx.const(ast[1])}
@@ -244,11 +268,13 @@ def _eval(ast, ctx, genmap):
     a = _eval(ast[1], ctx, genmap)
     if kind == "neg":
         return {k: -c for k, c in a.items()}
-    if kind == "pow":
-        if _has_generators(a):
-            raise ParseError("power of a generator")
-        return {None: a[None] ** ast[2]}
-    b = _eval(ast[2], ctx, genmap)
+    if _has_generators(a):
+        raise ParseError("power of a generator")
+    return {None: a[None] ** ast[2]}
+
+
+def _binary(kind, a, b, ctx):
+    """The combination a + b, a - b, a * b or a / b."""
     if kind in ("add", "sub"):
         out = dict(a)
         for k, c in b.items():

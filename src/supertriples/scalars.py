@@ -15,7 +15,10 @@ on one polynomial substitution, _p_compose: each parameter goes to a rational,
 to a Scalar of the target (e.g. p = 1/q) or, unbound, to the target parameter
 of its name; the radical to a bound value or the target's own radical, either
 of which must square to the radicand's image.  ``bind`` checks the domains of
-rational values, builds the reduced context and maps into it.  Objects change
+rational values, builds the reduced context and maps into it; it holds the
+one rule that settles a radical: once the bindings make the radicand a
+rational q, a square q binds the radical to its nonnegative root and a
+negative q is a ConstraintViolation (the scalars are real).  Objects change
 context once, by ``substitute`` (one bind) or by ``map_scalars(ctx, mapper)``.
 """
 
@@ -588,7 +591,10 @@ class ParamContext:
     def bind(self, bindings):
         """Substitute rational values for some parameters, and for the
         radical once its radicand is numeric: (reduced context, bind_scalars
-        into it).  An unbound radical keeps its radicand, composed."""
+        into it).  The one radical rule: when the bindings make the radicand
+        a rational q, the radical is bound to q's nonnegative root if q is a
+        square, and a negative q is a ConstraintViolation; otherwise an
+        unbound radical stays, its radicand composed."""
         bindings = {k: Fraction(v) for k, v in bindings.items()}
         for name, value in bindings.items():
             if name != self.radical_name:
@@ -598,8 +604,16 @@ class ParamContext:
         if self.radicand is not None and self.radical_name not in bindings:
             index = {n: i for i, n in enumerate(keep)}
             terms = [(bindings.get(n), index.get(n)) for n in self.params]
-            radicals = ((self.radical_name,
-                         _p_compose(self.radicand, terms, len(keep))),)
+            radicand = _p_compose(self.radicand, terms, len(keep))
+            q = _p_const_value(radicand) if _p_is_const(radicand) else None
+            if q is not None and q < 0:
+                raise ConstraintViolation("radicand of %s is negative at these "
+                                          "bindings" % self.radical_name)
+            root = None if q is None else exact_sqrt(q)
+            if root is None:
+                radicals = ((self.radical_name, radicand),)
+            else:
+                bindings[self.radical_name] = root
         new_ctx = ParamContext([(n, self.domains[n]) for n in keep], radicals)
         return new_ctx, self.bind_scalars(new_ctx, bindings)
 

@@ -11,12 +11,12 @@ CLI = [sys.executable, "-m", "supertriples.cli"]
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
-def run(*args, env=None):
+def run(*args, env=None, timeout=None):
     e = dict(os.environ)
     if env:
         e.update(env)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=e)
+                          env=e, timeout=timeout)
 
 
 def test_check_algebra_pass():
@@ -371,6 +371,37 @@ def test_superscript_digit_is_a_parse_error(tmp_path):
     assert "line 2, col 26: unexpected character" in r.stderr
 
 
+def _check_bracket_value(tmp_path, value, timeout=None):
+    """check --file on a (1,1) algebra whose one bracket is [b1, f1] = value."""
+    path = tmp_path / "value.cat"
+    path.write_text("algebra VAL super_dim (1, 1)\n"
+                    "  brackets { [b1, f1] = %s }\n" % value)
+    return path, run("check", "--file", str(path), timeout=timeout)
+
+
+@pytest.mark.parametrize("value", ["(" + "+".join(["1"] * 1500) + ")*f1",
+                                   "-" * 1500 + "1*f1"],
+                         ids=["sum", "signs"])
+def test_long_chains_in_a_bracket_value_check(tmp_path, value):
+    """A 1500-term sum and a run of 1500 signs evaluate in a loop, not with
+    a RecursionError."""
+    _, r = _check_bracket_value(tmp_path, value)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "algebra VAL: PASS\nparsed 1 declarations\n"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("9" * 5000 + "*f1", "line 2, col 25: number longer than 1000 digits"),
+    ("2^99999999*f1", "line 2, col 27: exponent larger than 64"),
+], ids=["digits", "exponent"])
+def test_oversized_numbers_are_parse_errors(tmp_path, value, message):
+    """A literal past Python's int-string limit and an exponent that would
+    take ages to multiply out are parse errors naming the file, at once."""
+    path, r = _check_bracket_value(tmp_path, value, timeout=60)
+    _one_line_error(r, 2)
+    assert r.stderr == "parse error: %s: %s\n" % (path, message)
+
+
 @pytest.mark.parametrize("params, message", [
     ("p : free; p : sign", "line 2, col 22: duplicate parameter 'p'"),
     ("p : free; r : sqrt(p); s : sqrt(p + 1)",
@@ -435,3 +466,18 @@ def test_rows_refuses_an_empty_id(rows):
     _one_line_error(r, 3)
     assert r.stderr == ("constraint violation: --rows expects comma "
                         "separated triple ids, got %r\n" % rows)
+
+
+def test_a_sign_branch_with_a_negative_radicand_is_a_constraint_violation():
+    """DD24_VIII's s^2 = eps*(alpha + gamma) is -2 on the eps = -1 branch
+    at alpha = gamma = 1, so that branch leaves the reals; binding eps = 1
+    keeps only the real one."""
+    argv = ["verify-iso", "--cert", "DD24_VIII", "--bind", "alpha=1",
+            "--bind", "gamma=1"]
+    r = run(*argv)
+    _one_line_error(r, 3)
+    assert r.stderr == ("constraint violation: radicand of s is negative at "
+                        "these bindings\n")
+    r = run(*argv, "--bind", "eps=1")
+    assert r.returncode == 0
+    assert r.stdout == "cpodm(i): PASS, cpodm(ii): PASS\n"

@@ -12,7 +12,7 @@ from supertriples.algebra import (SuperAlgebra, _bracket_residuals,
 from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
                                   catalog_triple, get_catalog, list_certificates)
 from supertriples.errors import (ConstraintViolation, DimensionMismatch,
-                                 NotAutomorphism)
+                                 NotAutomorphism, SuperTriplesError)
 from supertriples import iso
 from supertriples.classify import report
 from supertriples.iso import (Exhausted, IsoCertificate, _form_residuals,
@@ -64,6 +64,48 @@ def test_appendix_b_sign_split_radical():
     assert cert.ctx.radical_name == "s"
     ok, _ = verify_certificate(cert)
     assert ok
+
+
+def _built_or_error(build):
+    try:
+        return build()
+    except SuperTriplesError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("cid", [c for c in list_certificates()
+                                 if appendix_certificate(c).ctx.radical_name])
+def test_radical_certificates_build_as_they_substitute(cid):
+    """A catalog certificate at bindings is its substitution: a radicand
+    made a rational square binds the radical to its root, a negative one
+    is a ConstraintViolation, in both ways alike."""
+    cert = appendix_certificate(cid)
+    rng = random.Random(cid)
+    grid = [Fraction(x) for x in (0, 1, -1, 2, -2, 4, Fraction(1, 4),
+                                  Fraction(-1, 2), 3)]
+    outcomes = set()
+    for _ in range(60):
+        bindings = {p: rng.choice([x for x in grid if dom.allows(x)])
+                    for p, dom in cert.ctx.domains.items()}
+        built = _built_or_error(lambda: appendix_certificate(cid, bindings))
+        substituted = _built_or_error(lambda: cert.substitute(bindings))
+        if isinstance(built, type):
+            assert substituted is built, (bindings, built)
+            outcomes.add(built.__name__)
+            continue
+        assert not isinstance(substituted, type), (bindings, substituted)
+        assert substituted.ctx == built.ctx, bindings
+        assert substituted.matrix == built.matrix, bindings
+        outcomes.add(built.ctx.radical_name or "bound")
+    assert "bound" in outcomes, outcomes
+
+
+def test_negative_radicand_is_refused_by_substitute():
+    """rho^2 = kappa^2 - lambda*gamma = -1 leaves the reals."""
+    cert = appendix_certificate("DD24_III_2")
+    with pytest.raises(ConstraintViolation) as err:
+        cert.substitute({"lambda": 1, "kappa": 0, "gamma": 1})
+    assert str(err.value) == "radicand of rho is negative at these bindings"
 
 
 def test_all_appendix_certificates_symbolic():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from supertriples.catalog import AlgebraEntry, get_catalog
-from supertriples.errors import ParseError, UnknownName
-from supertriples.parsing import (MAX_PAREN_DEPTH, Tokenizer,
+from supertriples.errors import DivisionByZero, ParseError, UnknownName
+from supertriples.parsing import (MAX_DIGITS, MAX_EXPONENT, MAX_PAREN_DEPTH,
+                                  Tokenizer,
                                   eval_generator_combo, parse_catalog, parse_expr, parse_scalar,
                                   render_brackets, render_combo,
                                   render_params)
@@ -182,11 +183,13 @@ def test_parentheses_nest_at_most_max_paren_depth():
 
 
 _EXPR_CHARS = "0123456789pq_()+-*/^,; \n#\"²⁵٣"
+_EXPR_TEXTS = st.one_of(st.text(), st.text(alphabet=_EXPR_CHARS),
+                        st.lists(st.sampled_from(["sqrt(", "(", ")", "-", "+",
+                                                  "1", "p", "^", "*"])
+                                 ).map("".join))
 
 
-@given(st.one_of(st.text(), st.text(alphabet=_EXPR_CHARS),
-                 st.lists(st.sampled_from(["sqrt(", "(", ")", "-", "+", "1",
-                                           "p", "^", "*"])).map("".join)))
+@given(_EXPR_TEXTS)
 @example("(" * (MAX_PAREN_DEPTH + 1) + "1")
 @example("sqrt(" * (MAX_PAREN_DEPTH + 1))
 @example("-" * 5000 + "1")
@@ -194,14 +197,66 @@ _EXPR_CHARS = "0123456789pq_()+-*/^,; \n#\"²⁵٣"
 @settings(max_examples=300, deadline=None)
 def test_tokenizer_and_parse_expr_raise_only_parse_errors(text):
     """For any text the tokenizer and parse_expr give tokens and an AST or
-    raise ParseError.  Nothing is evaluated: Scalar powers take time linear
-    in the exponent, so a value such as 2^99999999 would not finish."""
+    raise ParseError.  Nothing is evaluated here."""
     try:
         tz = Tokenizer(text)
         while not tz.at("eof"):
             parse_expr(tz)
     except ParseError:
         pass
+
+
+@given(_EXPR_TEXTS.map(lambda text: text.replace("^", "")))
+@example("(" + "+".join(["1"] * 5000) + ")")
+@example("-" * 5001 + "p")
+@example("1/(p - p)")
+@example("q")
+@example("sqrt(p)")
+@settings(max_examples=300, deadline=None)
+def test_parse_scalar_raises_only_input_errors(text):
+    """For any text parse_scalar gives a Scalar or raises ParseError,
+    UnknownName or DivisionByZero.  Powers are left out: each is bounded by
+    MAX_EXPONENT, but nested ones multiply their exponents."""
+    ctx = ParamContext([("p", Domain.free())])
+    try:
+        assert parse_scalar(ctx, text).ctx is ctx
+    except (ParseError, UnknownName, DivisionByZero):
+        pass
+
+
+def test_long_chains_evaluate_in_a_loop():
+    """A 1500-term sum and a run of 1500 signs evaluate without recursing
+    once per operator; a sign run is at most one negation."""
+    ctx = ParamContext()
+    assert parse_scalar(ctx, "(" + "+".join(["1"] * 1500) + ")") == 1500
+    assert parse_scalar(ctx, "-" * 1500 + "1") == 1
+    assert parse_expr(Tokenizer("-" * 1501 + "1")) == ("neg", ("num", 1))
+    assert parse_expr(Tokenizer("+-+-1")) == ("num", 1)
+
+
+def test_exponents_are_at_most_max_exponent():
+    """A power multiplies once per unit of its exponent, so |k| is bounded;
+    the error points at the exponent."""
+    ctx = ParamContext()
+    assert parse_scalar(ctx, "2^%d" % MAX_EXPONENT) == 2 ** MAX_EXPONENT
+    assert parse_scalar(ctx, "2^-%d" % MAX_EXPONENT) == Fraction(1, 2 ** MAX_EXPONENT)
+    for text, col in (("2^%d" % (MAX_EXPONENT + 1), 3),
+                      ("1 + 2^-99999999", 7)):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(ctx, text)
+        assert str(err.value) == ("line 1, col %d: exponent larger than %d"
+                                  % (col, MAX_EXPONENT))
+
+
+def test_number_literals_are_at_most_max_digits():
+    """Python refuses to read an int of more than 4300 digits (from 3.11);
+    a fixed, lower bound makes a longer literal a ParseError everywhere."""
+    ctx = ParamContext()
+    assert parse_scalar(ctx, "9" * MAX_DIGITS) == 10 ** MAX_DIGITS - 1
+    with pytest.raises(ParseError) as err:
+        parse_scalar(ctx, "1 + " + "9" * 5000)
+    assert str(err.value) == ("line 1, col 5: number longer than %d digits"
+                              % MAX_DIGITS)
 
 
 @pytest.mark.parametrize("parse, where, message", [
