@@ -12,11 +12,14 @@ entries() and bracket(i, j), never through a dense array.
 Every contraction of a structure tensor with a matrix (basis change, the
 automorphism and certificate conditions, the commutant series, and
 ad-invariance in ``forms``) runs through the two sparse kernels ``_pull``
-and ``_push``, for int, Fraction and Scalar entries alike.
-``_integer_tensor`` and ``_integer_matrix`` clear the denominators of
-Fraction inputs once, so that the orbit reduction, the certificate search
-and the commutant series contract integers only.  The commutant spans are
-kept by ``_echelon_add``, a fraction-free echelon of sparse integer rows.
+and ``_push``, for int, Fraction, Scalar and ``scalars.Cleared`` entries
+alike.  ``_integer_tensor`` and ``_integer_matrix`` clear the denominators
+of Fraction inputs once, so that the orbit reduction, the certificate
+search and the commutant series contract integers only;
+``scalars.clear_denominators`` does the same for Scalar inputs, so that
+parametric certificates are verified on polynomial pairs with no gcd.
+The commutant spans are kept by ``_echelon_add``, a fraction-free echelon
+of sparse integer rows.
 """
 
 from __future__ import annotations
@@ -324,9 +327,9 @@ def automorphism_residuals(A, algebra):
 
 # ---------------------------------------------------------------------------
 # contraction kernels: each takes a nonzero list (p, q, r, T) and a matrix
-# with int, Fraction or Scalar entries (``_pull`` takes the matrix's column
-# index) and returns {(a, b, r): value}; zero tests go by truthiness and the
-# first term of a key is stored, not added to a zero
+# with int, Fraction, Scalar or Cleared entries (``_pull`` takes the
+# matrix's column index) and returns {(a, b, r): value}; zero tests go by
+# truthiness and the first term of a key is stored, not added to a zero
 
 
 def _columns(M):

@@ -23,7 +23,7 @@ from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      UnknownId, UnknownName)
 from .forms import canonical_form, check_ad_invariance
 from .iso import NoSolution, odd_action_matrices, solve_r, verify_certificate
-from .parsing import AlgebraDecl, TripleDecl
+from .parsing import MAX_DIGITS, AlgebraDecl, TripleDecl
 from .scalars import not_a_parameter
 from .triples import build_double, check_compatibility
 
@@ -39,11 +39,21 @@ G_NAMES = {1: ("alpha",), 2: ("alpha", "beta", "gamma")}
 
 
 def _rational(flag, text):
+    """The Fraction of an option value, its digits and any decimal exponent
+    bounded by ``MAX_DIGITS`` as catalog literals are."""
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        if sum(ch.isdecimal() for ch in text) > MAX_DIGITS:
+            raise ConstraintViolation("%s: number longer than %d digits"
+                                      % (flag, MAX_DIGITS))
+        _, e, exponent = text.lower().partition("e")
+        if e and abs(int(exponent)) > MAX_DIGITS:
+            raise ConstraintViolation("%s: exponent larger than %d"
+                                      % (flag, MAX_DIGITS))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ConstraintViolation("%s: %r is not an exact rational"
-                                  % (flag, text.strip()))
+                                  % (flag, text))
 
 
 def _parse_bindings(pairs):

@@ -12,6 +12,13 @@ B is a signed permutation, so (i) makes C^-1 = B C^T B^T a signed transpose
 of C: ``IsoCertificate.invert`` reads it off ``canonical_form`` without an
 elimination, and ``r_to_certificate`` transports its shear I + E with I - E.
 
+``verify_certificate`` tests (i) and (ii) without division: on integers
+for a numeric certificate (``_holds``), and otherwise on the numerators of
+C, F and F' cleared once over polynomial denominators, as polynomial
+identities branch by branch (``_holds_identically``).  Scalar residuals
+are computed only when neither proves both conditions; they make the
+report.
+
 Certificates are built from T-duality (``t_dual_certificate``), from
 automorphisms (``from_automorphism``) and from exact shears
 (``solve_shear``), or found by ``search_iso``: a bounded search between
@@ -38,6 +45,7 @@ from .forms import canonical_form
 from .matrices import (dual_blockdiag, f_matmul, rref, s_identity, s_matmul,
                        transpose)
 from .memo import memoized
+from .scalars import clear_denominators, cleared_vanish_on_branches
 from .triples import ManinTriple, build_double
 
 __all__ = ["IsoCertificate", "RSolution", "NoSolution", "Exhausted",
@@ -134,22 +142,33 @@ def _join_notes(a, b):
 
 
 def verify_certificate(cert):
-    """Both transport conditions with residual report; sign branches split."""
-    C = cert.matrix
-    src, tgt = cert.source, cert.target
+    """Both transport conditions with residual report; sign branches split.
+    A numeric certificate is tested on integers (``_holds``), any other
+    fraction-free (``_holds_identically``); either falls through to the
+    Scalar residuals, which make the report, unless it proves both."""
     ctx = cert.ctx
-    form = _form_tensor(*_half(src))
+    form = _form_tensor(*_half(cert.source))
     if not ctx.params and ctx.radical_name is None:
-        # numeric fast path; fall through for the report only on failure
-        M, c = _integer_matrix([[x.as_fraction() for x in row] for row in C])
-        if _holds(M, c, form, _integer_tensor(src.numeric_nonzero()),
-                  _integer_tensor(tgt.numeric_nonzero())):
+        M, c = _integer_matrix([[x.as_fraction() for x in row]
+                                for row in cert.matrix])
+        if _holds(M, c, form, _integer_tensor(cert.source.numeric_nonzero()),
+                  _integer_tensor(cert.target.numeric_nonzero())):
             return True, []
+    elif _holds_identically(cert, form):
+        return True, []
+    return _residual_verdict(cert, form)
+
+
+def _residual_verdict(cert, form):
+    """(ok, failing residuals) of both conditions in Scalar arithmetic, sign
+    branches split."""
+    C, ctx = cert.matrix, cert.ctx
     # Scalar form entries, so that every residual is a Scalar
     form = [(p, q, r, ctx.const(x)) for (p, q, r, x) in form]
     residuals = [("form", key[:2], res) for key, res in _form_residuals(C, form)]
     residuals.extend(("bracket", key, res) for key, res in
-                     _bracket_residuals(C, src.nonzero(), tgt.nonzero()))
+                     _bracket_residuals(C, cert.source.nonzero(),
+                                        cert.target.nonzero()))
     failing = _branch_failures(residuals)
     return (not failing), failing
 
@@ -260,6 +279,40 @@ def _holds(M, c, form, source, target):
     sc = s * c
     return ({key: t * x for key, x in _pull(N, cols).items() if x}
             == {key: sc * x for key, x in _push(N2, M).items() if x})
+
+
+def _holds_identically(cert, form):
+    """Conditions (i) and (ii) as polynomial identities, for a certificate
+    over parameters or a radical: the parametric twin of ``_holds``, with
+    no gcd.  C, F and F' are cleared once (``clear_denominators``) to M / c,
+    N / s and N' / t, with numerators in Q[params][r]/(r^2 - q) and c, s, t
+    polynomials, and
+
+        (i)   pull(B, M) - c^2 B
+        (ii)  t pull(N, M) - s c push(N', M)
+
+    must vanish on every sign branch (``cleared_vanish_on_branches``).
+    True holds only where the Scalar residuals vanish too; False proves
+    nothing."""
+    ctx, d = cert.ctx, cert.dim
+    flat, c = clear_denominators(ctx, [x for row in cert.matrix for x in row])
+    M = [flat[a:a + d] for a in range(0, d * d, d)]
+    N, s = _cleared_tensor(ctx, cert.source.nonzero())
+    N2, t = _cleared_tensor(ctx, cert.target.nonzero())
+    cols = _columns(M)
+    c2, sc = c * c, s * c
+    residuals = _difference(_pull(form, cols),
+                            {(p, q, r): c2 * x for (p, q, r, x) in form})
+    residuals += _difference({key: t * x for key, x in _pull(N, cols).items()},
+                             {key: sc * x for key, x in _push(N2, M).items()})
+    return cleared_vanish_on_branches(ctx, [res for _, res in residuals],
+                                      (c, s, t))
+
+
+def _cleared_tensor(ctx, nz):
+    """(cleared nonzero list, den) of a Scalar nonzero list."""
+    values, den = clear_denominators(ctx, [x for (_, _, _, x) in nz])
+    return [key[:3] + (v,) for key, v in zip(nz, values)], den
 
 
 def _half(double):

@@ -37,6 +37,9 @@ MAX_PAREN_DEPTH = 64
 MAX_EXPONENT = 64
 # the longest number literal, well inside every Python's int-string limit
 MAX_DIGITS = 1000
+# a power is refused before it is computed when its coefficients could
+# outgrow a MAX_DIGITS-digit number or its degree MAX_EXPONENT
+MAX_BITS = (10 ** MAX_DIGITS).bit_length()
 
 
 class Token:
@@ -203,7 +206,8 @@ def _power(tz):
         if tok.value > MAX_EXPONENT:
             raise ParseError("exponent larger than %d" % MAX_EXPONENT,
                              start.line, start.col)
-        return ("pow", base, -tok.value if neg else tok.value)
+        return ("pow", base, -tok.value if neg else tok.value, start.line,
+                start.col)
     return base
 
 
@@ -270,7 +274,15 @@ def _eval_operand(ast, ctx, genmap):
         return {k: -c for k, c in a.items()}
     if _has_generators(a):
         raise ParseError("power of a generator")
-    return {None: a[None] ** ast[2]}
+    _, _, k, line, col = ast
+    bits, degree = a[None].size()
+    if bits * abs(k) > MAX_BITS:
+        raise ParseError("power of more than %d digits" % MAX_DIGITS,
+                         line, col)
+    if degree * abs(k) > MAX_EXPONENT:
+        raise ParseError("power of degree more than %d" % MAX_EXPONENT,
+                         line, col)
+    return {None: a[None] ** k}
 
 
 def _binary(kind, a, b, ctx):

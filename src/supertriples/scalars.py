@@ -20,6 +20,11 @@ one rule that settles a radical: once the bindings make the radicand a
 rational q, a square q binds the radical to its nonnegative root and a
 negative q is a ConstraintViolation (the scalars are real).  Objects change
 context once, by ``substitute`` (one bind) or by ``map_scalars(ctx, mapper)``.
+
+For identity tests with no gcd, ``clear_denominators`` writes Scalars as
+Cleared numerators, elements of Q[params][r]/(r^2 - q), over one product of
+their distinct denominators; ``cleared_vanish_on_branches`` tests such
+numerators for zero on every sign branch.
 """
 
 from __future__ import annotations
@@ -602,9 +607,7 @@ class ParamContext:
         keep = [n for n in self.params if n not in bindings]
         radicals = ()
         if self.radicand is not None and self.radical_name not in bindings:
-            index = {n: i for i, n in enumerate(keep)}
-            terms = [(bindings.get(n), index.get(n)) for n in self.params]
-            radicand = _p_compose(self.radicand, terms, len(keep))
+            radicand = _p_compose(self.radicand, *self._terms(bindings))
             q = _p_const_value(radicand) if _p_is_const(radicand) else None
             if q is not None and q < 0:
                 raise ConstraintViolation("radicand of %s is negative at these "
@@ -616,6 +619,13 @@ class ParamContext:
                 bindings[self.radical_name] = root
         new_ctx = ParamContext([(n, self.domains[n]) for n in keep], radicals)
         return new_ctx, self.bind_scalars(new_ctx, bindings)
+
+    def _terms(self, bindings):
+        """(terms, nv): the images _p_compose takes for rational bindings of
+        some parameters, the unbound ones renumbered in declaration order."""
+        keep = [n for n in self.params if n not in bindings]
+        index = {n: i for i, n in enumerate(keep)}
+        return [(bindings.get(n), index.get(n)) for n in self.params], len(keep)
 
     def bind_scalars(self, target_ctx, bindings):
         """The one map of this context's scalars into target_ctx: each
@@ -843,6 +853,19 @@ class Scalar:
         return {self.ctx.params[i] for f in polys for m in f
                 for i, e in enumerate(m) if e}
 
+    def size(self):
+        """(bits, degree): the largest bit length of a coefficient's
+        numerator or denominator and the largest total degree over this
+        scalar's polynomials, the radicand's too when the radical part is
+        nonzero.  A power s ** k has at most about k times each."""
+        polys = list(self.re)
+        if not self._rad_is_zero():
+            polys.extend(self.rad)
+            polys.append(self.ctx.radicand)
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                   for f in polys for c in f.values())
+        return bits, max(sum(m) for f in polys for m in f)
+
     def as_fraction(self):
         if not self.is_constant():
             raise ConstraintViolation("scalar %s is not numeric" % self)
@@ -960,6 +983,110 @@ def vanishes_on_branches(s):
     if len(branches) == 1 and not branches[0]:
         return s.is_zero()
     return all(s.substitute(b).is_zero() for b in branches)
+
+
+# ---------------------------------------------------------------------------
+# cleared elements: fraction-free identity tests
+
+
+class Cleared:
+    """Element a + b*r of Q[params][r]/(r^2 - q): the pair (a, b) of dict
+    polynomials, with the radicand q (None without a radical).  Only ring
+    operations, so no gcd; ``clear_denominators`` makes them from Scalars,
+    and the contraction kernels take them like any other entry."""
+
+    __slots__ = ("re", "rad", "q")
+
+    def __init__(self, re, rad, q):
+        self.re = re
+        self.rad = rad
+        self.q = q
+
+    def __add__(self, other):
+        return Cleared(_p_add(self.re, other.re), _p_add(self.rad, other.rad),
+                       self.q)
+
+    def __neg__(self):
+        return Cleared(_p_neg(self.re), _p_neg(self.rad), self.q)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Cleared(_p_scale(self.re, other), _p_scale(self.rad, other),
+                           self.q)
+        a, b, c, d = self.re, self.rad, other.re, other.rad
+        re = _p_mul(a, c)
+        if b and d:
+            re = _p_add(re, _p_mul(_p_mul(b, d), self.q))
+        return Cleared(re, _p_add(_p_mul(a, d), _p_mul(b, c)), self.q)
+
+    def __bool__(self):
+        return bool(self.re or self.rad)
+
+    def vanishes_at(self, terms, nv):
+        """Whether both parts vanish under _p_compose(., terms, nv)."""
+        return not (_p_compose(self.re, terms, nv)
+                    or _p_compose(self.rad, terms, nv))
+
+
+def clear_denominators(ctx, values):
+    """(numerators, den) with each Scalar x of values equal to numerator /
+    den: den is the product of the distinct denominators of the values'
+    parts, and each part's numerator is multiplied by the product of the
+    other denominators, its cofactor, so no gcd, lcm or division is taken.
+    den is a Cleared with no radical part.  A nonzero value from another
+    context is a ConstraintViolation, as in Scalar arithmetic."""
+    one = _p_const(1, ctx.nvars)
+    dens = {}
+    for x in values:
+        if x.ctx is not ctx and x.ctx != ctx and x:
+            raise ConstraintViolation("scalar context mismatch")
+        for rf in (x.re, x.rad):
+            if rf is not None and rf[1] != one:
+                dens.setdefault(frozenset(rf[1].items()), rf[1])
+    # each cofactor is the product of the dens before it times that of the
+    # dens after it
+    before = [one]
+    for den in dens.values():
+        before.append(_p_mul(before[-1], den))
+    den = before.pop()
+    cofactor, after = {frozenset(one.items()): den}, one
+    for (key, d), prefix in zip(reversed(dens.items()), reversed(before)):
+        cofactor[key] = _p_mul(prefix, after)
+        after = _p_mul(after, d)
+
+    def numerator(rf):
+        if rf is None:
+            return {}
+        return _p_mul(rf[0], cofactor[frozenset(rf[1].items())])
+
+    q = ctx.radicand
+    return ([Cleared(numerator(x.re), numerator(x.rad), q) for x in values],
+            Cleared(den, {}, q))
+
+
+def cleared_vanish_on_branches(ctx, values, dens):
+    """Whether every Cleared value vanishes on every finite-domain branch of
+    ctx (one branch, the identity, when there are none); the values are
+    numerators over the Cleared denominators dens.  False proves nothing:
+    it is also the answer when a branch needs the rules of
+    ``ParamContext.bind`` or of Scalar division, that is when a den
+    vanishes there or the radicand becomes a rational there."""
+    values = [v for v in values if v]
+    if not values:
+        return True
+    for branch in ctx.sign_branches():
+        terms, nv = ctx._terms(branch)
+        if (ctx.radicand is not None
+                and _p_is_const(_p_compose(ctx.radicand, terms, nv))):
+            return False
+        if any(d.vanishes_at(terms, nv) for d in dens):
+            return False
+        if not all(v.vanishes_at(terms, nv) for v in values):
+            return False
+    return True
 
 
 def random_scalar(ctx, rng, depth=2):

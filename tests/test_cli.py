@@ -1,9 +1,12 @@
+import contextlib
+import io
 import os
 import shlex
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supertriples.cli import main
 
@@ -481,3 +484,47 @@ def test_a_sign_branch_with_a_negative_radicand_is_a_constraint_violation():
     r = run(*argv, "--bind", "eps=1")
     assert r.returncode == 0
     assert r.stdout == "cpodm(i): PASS, cpodm(ii): PASS\n"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1e100000", "--bind eps: exponent larger than 1000"),
+    ("1e-1001", "--bind eps: exponent larger than 1000"),
+    ("9" * 1001, "--bind eps: number longer than 1000 digits"),
+    ("1/" + "3" * 1001, "--bind eps: number longer than 1000 digits"),
+], ids=["exponent", "negative-exponent", "digits", "denominator"])
+def test_oversized_bind_values_are_constraint_violations(value, message):
+    """A --bind value is bounded as a catalog literal is, before Fraction
+    reads it: a huge exponent would otherwise be multiplied out and its
+    digits then refused by Python's int-string limit."""
+    r = run("check", "--triple", "MT22_4", "--bind", "eps=" + value,
+            timeout=60)
+    _one_line_error(r, 3)
+    assert r.stderr == "constraint violation: %s\n" % message
+
+
+# each triple with the names its check may be given: its own parameters
+# (sign, interval, free and excluded domains) and one it does not have
+_BIND_TRIPLES = {"MT22_4": ("eps", "p"), "MT24_28": ("p", "kappa", "eps"),
+                 "MT42_14": ("kappa",), "MT24_16": ("kappa",),
+                 "FAM24_C5p_G": ("p", "alpha", "gamma")}
+_BIND_VALUES = st.one_of(
+    st.fractions(max_denominator=12).map(str),
+    st.sampled_from(["0", "1", "-1", "inf", "nan", "1/0", "0.5", "-1e0",
+                     "1e-3", "+2", "1_000", " 3 / 4 "]),
+    st.integers(990, 1010).map(lambda k: "9" * k),
+    st.integers(-10 ** 6, 10 ** 6).map(lambda e: "1e%d" % e),
+    st.text(max_size=12))
+
+
+@given(st.sampled_from(sorted(_BIND_TRIPLES)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_bind_values_never_crash_check(triple, data):
+    """Random, huge and malformed --bind values on check --triple exit 0, 1
+    or 3 (domain edges and excluded points included), never a traceback."""
+    argv = ["check", "--triple", triple]
+    for name in data.draw(st.lists(st.sampled_from(_BIND_TRIPLES[triple]),
+                                   unique=True, min_size=1)):
+        argv += ["--bind", "%s=%s" % (name, data.draw(_BIND_VALUES))]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 3)

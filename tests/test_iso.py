@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from supertriples.algebra import (SuperAlgebra, _bracket_residuals,
                                   _integer_matrix, _integer_tensor,
@@ -12,8 +12,9 @@ from supertriples.algebra import (SuperAlgebra, _bracket_residuals,
 from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
                                   catalog_triple, get_catalog, list_certificates)
 from supertriples.errors import (ConstraintViolation, DimensionMismatch,
+                                 DivisionByZero,
                                  NotAutomorphism, SuperTriplesError)
-from supertriples import iso
+from supertriples import iso, scalars
 from supertriples.classify import report
 from supertriples.iso import (Exhausted, IsoCertificate, _form_residuals,
                               _form_tensor, _half, _holds, _stages, _weights,
@@ -631,3 +632,79 @@ def test_candidate_table_lives_for_one_report(monkeypatch):
             Exhausted, 1500, 1500, "budget exhausted")
         assert calls[0] == 752
         assert _MEMO.get() is None
+
+
+# ---------------------------------------------------------------------------
+# fraction-free verification of parametric certificates
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_certificate(cid):
+    return appendix_certificate(cid)
+
+
+def _both_verdicts(cert):
+    """(fraction-free verdict, Scalar verdict); a Scalar path that refuses
+    the certificate gives the exception's type."""
+    form = _form_tensor(*_half(cert.source))
+    try:
+        scalar = iso._residual_verdict(cert, form)[0]
+    except (ConstraintViolation, DivisionByZero) as exc:
+        scalar = type(exc)
+    return iso._holds_identically(cert, form), scalar
+
+
+@given(st.sampled_from(list_certificates()),
+       st.sampled_from(["shipped", "perturbed", "bound"]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_fraction_free_test_agrees_with_scalar_residuals(cid, how, data):
+    """On every shipped certificate, on one with an entry moved by a random
+    rational and on random rational bindings of its non-finite parameters,
+    the fraction-free test accepts exactly when the Scalar residuals do."""
+    cert = _shipped_certificate(cid)
+    if how == "perturbed":
+        par = cert.source.parity
+        a, b = data.draw(st.sampled_from(
+            [(a, b) for a in range(cert.dim) for b in range(cert.dim)
+             if par[a] == par[b]]))
+        delta = data.draw(st.fractions(-5, 5, max_denominator=7).filter(bool))
+        matrix = [list(row) for row in cert.matrix]
+        matrix[a][b] = matrix[a][b] + delta
+        cert = IsoCertificate(cert.ctx, matrix, cert.source, cert.target)
+    elif how == "bound":
+        ctx = cert.ctx
+        bindings = {}
+        for name in ctx.params:
+            if not ctx.domains[name].is_finite and data.draw(st.booleans()):
+                bindings[name] = data.draw(st.fractions(-6, 6, max_denominator=6))
+        assume(all(ctx.domains[n].allows(v) for n, v in bindings.items()))
+        try:
+            cert = cert.substitute(bindings)
+        except (ConstraintViolation, DivisionByZero):
+            assume(False)
+    fraction_free, scalar = _both_verdicts(cert)
+    assert fraction_free == (scalar is True)
+
+
+def test_shipped_certificates_verify_without_a_polynomial_gcd(monkeypatch):
+    """The accept path of a parametric or radical certificate makes no
+    polynomial gcd: all shipped certificates verify with _p_gcd raising."""
+    certs = [appendix_certificate(cid) for cid in list_certificates()]
+
+    def no_gcd(f, g):
+        raise AssertionError("polynomial gcd while verifying")
+
+    monkeypatch.setattr(scalars, "_p_gcd", no_gcd)
+    for cert in certs:
+        assert verify_certificate(cert) == (True, []), cert
+
+
+def test_a_branch_with_a_rational_radicand_falls_through():
+    """At alpha = gamma = 1 DD24_VIII's radicand eps*(alpha + gamma) is -2 on
+    the eps = -1 branch.  Its cleared residuals vanish there with s kept
+    formal, but that branch is left to the Scalar path, which refuses it."""
+    cert = appendix_certificate("DD24_VIII", {"alpha": 1, "gamma": 1})
+    assert not iso._holds_identically(cert, _form_tensor(*_half(cert.source)))
+    with pytest.raises(ConstraintViolation,
+                       match="radicand of s is negative at these bindings"):
+        verify_certificate(cert)

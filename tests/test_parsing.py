@@ -206,17 +206,21 @@ def test_tokenizer_and_parse_expr_raise_only_parse_errors(text):
         pass
 
 
-@given(_EXPR_TEXTS.map(lambda text: text.replace("^", "")))
+@given(_EXPR_TEXTS)
 @example("(" + "+".join(["1"] * 5000) + ")")
 @example("-" * 5001 + "p")
 @example("1/(p - p)")
 @example("q")
 @example("sqrt(p)")
+@example("(((((2^64)^64)^64)^64)^64)")
+@example("((((p + 1)^8)^8)^8)")
+@example("(0^-1)")
 @settings(max_examples=300, deadline=None)
 def test_parse_scalar_raises_only_input_errors(text):
     """For any text parse_scalar gives a Scalar or raises ParseError,
-    UnknownName or DivisionByZero.  Powers are left out: each is bounded by
-    MAX_EXPONENT, but nested ones multiply their exponents."""
+    UnknownName or DivisionByZero.  Nested powers multiply their exponents,
+    and a power is refused before it is computed when its size would pass
+    MAX_DIGITS digits or degree MAX_EXPONENT."""
     ctx = ParamContext([("p", Domain.free())])
     try:
         assert parse_scalar(ctx, text).ctx is ctx
@@ -246,6 +250,25 @@ def test_exponents_are_at_most_max_exponent():
             parse_scalar(ctx, text)
         assert str(err.value) == ("line 1, col %d: exponent larger than %d"
                                   % (col, MAX_EXPONENT))
+
+
+def test_powers_are_bounded_in_evaluated_size():
+    """A power whose coefficients could pass MAX_DIGITS digits or whose
+    degree could pass MAX_EXPONENT is a ParseError at its exponent, raised
+    before the power is multiplied out."""
+    ctx = ParamContext([("p", Domain.free())])
+    assert parse_scalar(ctx, "((2^64)^51)") == 2 ** (64 * 51)
+    assert parse_scalar(ctx, "((p^8)^8)") == ctx.param("p") ** 64
+    assert parse_scalar(ctx, "((1/2)^64)^-51") == 2 ** (64 * 51)
+    for text, col, message in (
+            ("((2^64)^52)", 9, "power of more than %d digits" % MAX_DIGITS),
+            ("(((((2^64)^64)^64)^64)^64)", 12,
+             "power of more than %d digits" % MAX_DIGITS),
+            ("1 + ((p^8)^9)", 12, "power of degree more than %d" % MAX_EXPONENT),
+            ("(p/(p+1))^-65", 11, "exponent larger than %d" % MAX_EXPONENT)):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(ctx, text)
+        assert str(err.value) == "line 1, col %d: %s" % (col, message)
 
 
 def test_number_literals_are_at_most_max_digits():

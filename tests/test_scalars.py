@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from supertriples.catalog import appendix_certificate, catalog_triple
 from supertriples.errors import (ConstraintViolation, DivisionByZero,
                                  InconsistentRadical)
-from supertriples.scalars import (Domain, ParamContext, Scalar, arith, is_zero,
+from supertriples.scalars import (Domain, ParamContext, Scalar, arith,
+                                  clear_denominators,
+                                  cleared_vanish_on_branches, is_zero,
                                   random_scalar, substitute,
                                   vanishes_on_branches)
 
@@ -322,3 +324,48 @@ def test_substitute_shares_one_context():
     assert len({id(c) for c in parts}) == 1
     assert cert.ctx.params == ("beta", "gamma")
     assert cert.verify()
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_cleared_arithmetic_matches_scalar_arithmetic(seed):
+    """Clearing commutes with the ring operations: x = X / c and y = Y / c'
+    give x * y = X Y / (c c') and x + y = (X c' + Y c) / (c c'), checked by
+    clearing the Scalar results over the same denominators."""
+    rng = random.Random(seed)
+    ctx = ctx_rho()
+    rho = ctx.radical()
+    k, l, g = (ctx.param(n) for n in ("kappa", "lam", "gam"))
+    x = (random_scalar(ctx, rng) / (k * k + rng.randint(1, 5))
+         + rho * random_scalar(ctx, rng, 1))
+    y = (random_scalar(ctx, rng) * rho / (g * g + 1)
+         + random_scalar(ctx, rng, 1) / (l * l + 2))
+    (X,), c = clear_denominators(ctx, [x])
+    (Y,), d = clear_denominators(ctx, [y])
+    (P, S), e = clear_denominators(ctx, [x * y, x + y])
+    # P / e = X Y / (c d) and S / e = (X d + Y c) / (c d)
+    assert not (P * c * d - X * Y * e)
+    assert not (S * c * d - (X * d + Y * c) * e)
+    assert bool(X) == bool(x) and not X - X
+
+
+def test_cleared_vanishing_leaves_rational_radicands_and_zero_dens_out():
+    """A cleared value vanishing on every sign branch is accepted only when
+    no branch needs bind's radical rule or a zero denominator: those
+    branches are left to the Scalar path."""
+    ctx = ParamContext([("p", Domain.free()), ("eps", Domain.sign())])
+    p, eps = ctx.param("p"), ctx.param("eps")
+    (v, one), _ = clear_denominators(ctx, [p * (eps * eps - 1), ctx.one()])
+    (den_ok, den_zero), _ = clear_denominators(ctx, [eps + 2, eps + 1])
+    assert v and cleared_vanish_on_branches(ctx, [v], (den_ok,))
+    assert not cleared_vanish_on_branches(ctx, [v], (den_zero,))
+    assert not cleared_vanish_on_branches(ctx, [v, one], (den_ok,))
+    assert cleared_vanish_on_branches(ctx, [v - v], (den_zero,))
+    rad = ParamContext([("p", Domain.free()), ("eps", Domain.sign())],
+                       radicals=[("s", (p * p + eps).re[0])])
+    const = ParamContext([("p", Domain.free()), ("eps", Domain.sign())],
+                         radicals=[("s", (2 * eps).re[0])])
+    for ctx2, expected in ((rad, True), (const, False)):
+        p2, eps2 = ctx2.param("p"), ctx2.param("eps")
+        (w,), den = clear_denominators(ctx2, [p2 * (eps2 * eps2 - 1)])
+        assert cleared_vanish_on_branches(ctx2, [w], (den,)) is expected
