@@ -9,15 +9,13 @@ A tensor is stored once, inside SuperAlgebra, as its sorted nonzero entries
 (i, j, k, F_{IJ}^K); the package's other modules read it through nonzero(),
 entries() and bracket(i, j), never through a dense array.
 
-Every contraction of a structure tensor with a matrix (basis change, the
-automorphism and certificate conditions, the commutant series, and
-ad-invariance in ``forms``) runs through the two sparse kernels ``_pull``
-and ``_push``, for int, Fraction, Scalar and ``scalars.Cleared`` entries
-alike.  ``_integer_tensor`` and ``_integer_matrix`` clear the denominators
-of Fraction inputs once, so that the orbit reduction, the certificate
-search and the commutant series contract integers only;
-``scalars.clear_denominators`` does the same for Scalar inputs, so that
-parametric certificates are verified on polynomial pairs with no gcd.
+The graded Jacobi identity runs through one kernel, ``_jacobi``, and every
+contraction of a tensor with a matrix (basis change, the automorphism and
+certificate conditions, the orbit join, the commutant series and
+ad-invariance in ``forms``) through ``_pull`` and ``_push``, for int,
+Fraction, Scalar and ``scalars.Cleared`` entries alike.  ``_integer_tensor``
+and ``_integer_matrix`` clear Fraction denominators once, so numeric work
+runs on integers; ``scalars.clear_denominators`` does the same for Scalars.
 The commutant spans are kept by ``_echelon_add``, a fraction-free echelon
 of sparse integer rows.
 """
@@ -201,27 +199,7 @@ class SuperAlgebra:
 
     def jacobi_residuals(self):
         """Graded Jacobi residuals, keyed ((x, y, z), k), for x <= y <= z."""
-        d = self.dim
-        par = self.parity
-        rows = self._row_index()
-        zero = self.ctx.zero()
-        out = []
-        for x in range(d):
-            for y in range(x, d):
-                for z in range(y, d):
-                    acc = {}
-                    for (u, v, w), (p, q) in (((x, y, z), (par[x], par[z])),
-                                              ((y, z, x), (par[y], par[x])),
-                                              ((z, x, y), (par[z], par[y]))):
-                        negate = (p * q) % 2
-                        for l, c1 in rows.get((v, w), {}).items():
-                            for k, c2 in rows.get((u, l), {}).items():
-                                term = c1 * c2
-                                acc[k] = acc.get(k, zero) + (-term if negate else term)
-                    for k, val in acc.items():
-                        if not val.is_zero():
-                            out.append(((x, y, z), k, val))
-        return out
+        return _jacobi(self._nz, self.parity)
 
     # -- transformations -----------------------------------------------------
 
@@ -306,7 +284,13 @@ def check_antisymmetry(algebra):
 
 
 def check_jacobi(algebra):
-    """Nonvanishing graded Jacobi residuals (sign branches split)."""
+    """Nonvanishing graded Jacobi residuals (sign branches split).  A numeric
+    algebra is tested first on its ``_integer_tensor``: the identity is
+    homogeneous quadratic, so the denominator d scales each residual by d^2."""
+    ctx = algebra.ctx
+    if not ctx.params and ctx.radical_name is None and not _jacobi(
+            _integer_tensor(algebra.numeric_nonzero())[0], algebra.parity):
+        return []
     return _branch_failures(algebra.jacobi_residuals())
 
 
@@ -326,10 +310,35 @@ def automorphism_residuals(A, algebra):
 
 
 # ---------------------------------------------------------------------------
-# contraction kernels: each takes a nonzero list (p, q, r, T) and a matrix
-# with int, Fraction, Scalar or Cleared entries (``_pull`` takes the
-# matrix's column index) and returns {(a, b, r): value}; zero tests go by
-# truthiness and the first term of a key is stored, not added to a zero
+# kernels: each takes a nonzero list (p, q, r, T) with int, Fraction, Scalar
+# or Cleared entries; the contractions also take a matrix (``_pull`` its
+# column index) and return {(a, b, r): value}; zero tests go by truthiness
+# and the first term of a key is stored, not added to a zero
+
+
+def _jacobi(nz, par):
+    """((x, y, z), k, residual) for each nonvanishing graded Jacobi residual,
+    x <= y <= z, of the tensor nz with parities par."""
+    rows = {}
+    for (i, j, k, t) in nz:
+        rows.setdefault((i, j), {})[k] = t
+    d = len(par)
+    out = []
+    for x in range(d):
+        for y in range(x, d):
+            for z in range(y, d):
+                acc = {}
+                for (u, v, w), negate in (((x, y, z), par[x] & par[z]),
+                                          ((y, z, x), par[y] & par[x]),
+                                          ((z, x, y), par[z] & par[y])):
+                    for l, c1 in rows.get((v, w), {}).items():
+                        for k, c2 in rows.get((u, l), {}).items():
+                            term = -(c1 * c2) if negate else c1 * c2
+                            acc[k] = acc[k] + term if k in acc else term
+                for k, val in acc.items():
+                    if val:
+                        out.append(((x, y, z), k, val))
+    return out
 
 
 def _columns(M):

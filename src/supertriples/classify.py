@@ -14,14 +14,15 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import (SuperAlgebra, _columns, _integer_matrix,
-                      _integer_tensor, _pull, _push, commutant_series)
+from .algebra import (SuperAlgebra, _echelon_add, _integer_matrix,
+                      _integer_tensor, commutant_series)
 from .catalog import automorphisms, catalog_triple, get_catalog
-from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
-                     InconsistentRadical, UnknownId)
-from .iso import (Exhausted, IsoCertificate, dual_g_blocks, from_automorphism,
-                  search_iso, shear_certificate, verify_certificate)
-from .matrices import f_solve, inv, s_identity, transpose
+from .errors import (BudgetExceeded, ConstraintViolation, DimensionMismatch,
+                     DivisionByZero, InconsistentRadical, UnknownId)
+from .iso import (Exhausted, IsoCertificate, _condition_ii, _projected_sides,
+                  _projections, dual_g_blocks, from_automorphism, search_iso,
+                  shear_certificate, verify_certificate)
+from .matrices import f_solve, s_identity
 from .memo import report_memo
 from .scalars import (Domain, ParamContext, _term_image, finite_branches,
                       not_a_parameter)
@@ -186,110 +187,99 @@ def reduce_orbits(solutions, family):
     """Partition duals of one seed under the dual action (A^{-1})^T of the
     seed's automorphism family.
 
-    Instantiations are drawn from a fixed rational grid (so transported
-    tensors can land exactly on other solutions) topped up with random
-    rational samples: up to ORBIT_SAMPLES grid points per family, split
-    evenly over its branches (discrete ones included), and half as many
-    random samples.
-    Sound for merging, incomplete for separation: orbits may stay split,
-    never wrongly merged.  Representatives are the lexicographically
-    smallest tensors (``tensor_key``).
+    Members are drawn from a fixed rational grid, so that moved tensors can
+    land exactly on other solutions, then as random rational samples: up to
+    ORBIT_SAMPLES grid points per family, split evenly over its branches
+    (discrete ones included), and half as many samples.  Sound for merging,
+    incomplete for separation: orbits may stay split, never wrongly merged.
+    Representatives are the smallest tensors (``tensor_key``).
 
-    The transport runs on integers: each solution is scaled once to integer
-    entries over a denominator, and each sampled A is inverted once over
-    Fractions, with (A^{-1})^T and A^T scaled to integer matrices.  A moved
-    tensor is matched to a solution by ``_lowest_terms``, which is exact:
-    a rational tensor has exactly one lowest-terms form, whose denominator
-    is the least common denominator of its entries.
-
-    The family must not depend on the seed's parameters: bind them with
-    ``automorphisms(name, bindings)``, as the seed was bound.
+    No member is inverted and no tensor moved: the solutions are scaled once
+    to integer tensors N_i over one denominator, and each member, drawn one
+    at a time, to M = c A^T (``_members``).  Pulling back along A^T undoes
+    the pullback along (A^T)^{-1}, so for an invertible A solution i moves
+    onto solution j exactly when pull(N_j, M) = c push(N_i, M), condition
+    (ii) of ``iso._holds`` with s = t = 1; a singular A is refused.  Equal
+    tensors project equally (``iso._projected_sides``), so a pair is tested
+    in full only when the projection of pull(N_j, M) lands in the bucket of
+    c push(N_i, M), and only when i and j are in different sets: a union
+    inside one set changes nothing, so the partition is the all-pairs one.
+    The family must have a branch and must not use the seed's parameters:
+    bind them with ``automorphisms(name, bindings)``.
     """
+    _check_family(family)
+    if not solutions:
+        return []
+    d = solutions[0].dim
+    scaled = [_integer_tensor(sol.numeric_nonzero()) for sol in solutions]
+    den = math.lcm(*(t for _, t in scaled))
+    tensors = [[(i, j, k, n * (den // t)) for (i, j, k, n) in nz]
+               for nz, t in scaled]
+    sides = [_projected_sides((N, 1), (N, 1), d) for N in tensors]
+    sets = _UnionFind(len(solutions))
+    for M, c in _members(family):
+        P = _projections(M)
+        buckets = {}
+        for i, (_, W) in enumerate(sides):
+            buckets.setdefault(c * sum(w * P[r] for (r, w) in W), []).append(i)
+        for j, (terms, _) in enumerate(sides):
+            for i in buckets.get(sum(k * P[p] * P[q] for (p, q, k) in terms), ()):
+                if (sets.find(i) != sets.find(j) and _condition_ii(
+                        M, tensors[j], 1, tensors[i], c)):
+                    sets.union(i, j)
+
+    orbits = {}
+    for i, sol in enumerate(solutions):
+        orbits.setdefault(sets.find(i), []).append(sol)
+    return sorted(((min(members, key=SuperAlgebra.tensor_key), members)
+                   for members in orbits.values()),
+                  key=lambda pair: pair[0].tensor_key())
+
+
+def _check_family(family):
+    """Refuse a family ``reduce_orbits`` cannot apply: one with no branch
+    (every dual would stay its own orbit) or one using unbound parameters."""
+    if not family.branches:
+        raise ConstraintViolation("%s has no automorphism family to reduce its "
+                                  "duals by" % family.algebra_name)
     unbound = sorted(set().union(*(b.unbound_params() for b in family)))
     if unbound:
         raise ConstraintViolation(
             "automorphism family of %s depends on unbound parameter(s) %s; "
             "bind them with automorphisms(name, bindings)"
             % (family.algebra_name, ", ".join(unbound)))
-    if not solutions:
-        return []
-    tensors = [_integer_tensor(sol.numeric_nonzero()) for sol in solutions]
-    index = {_lowest_terms(*t): i for i, t in enumerate(tensors)}
-    sets = _UnionFind(len(solutions))
 
+
+def _members(family):
+    """The members A of ``reduce_orbits`` in order, one at a time, as (M, c)
+    with M = c A^T an integer matrix; a singular one is a DimensionMismatch."""
     rng = random.Random(0)
     per_branch = ORBIT_SAMPLES // max(1, len(family.branches))
-    actions = []
     for branch in family:
         names = branch.family_params
-        grid_combos = itertools.product(ORBIT_GRID, repeat=len(names))
-        taken = 0
-        for combo in grid_combos:
-            if taken >= per_branch:
-                break
-            bindings = dict(zip(names, combo))
-            try:
-                _, mat = branch.instantiate(bindings)
-            except ConstraintViolation:
-                continue
-            actions.append(_dual_action(mat))
-            taken += 1
-        for _ in range(per_branch // 2):
-            try:
-                _, mat = branch.sample(rng)
-            except ConstraintViolation:
-                continue
-            actions.append(_dual_action(mat))
-
-    for action in actions:
-        for i, tensor in enumerate(tensors):
-            j = index.get(_moved_key(tensor, action))
-            if j is not None:
-                sets.union(i, j)
-
-    orbits = {}
-    for i in range(len(solutions)):
-        orbits.setdefault(sets.find(i), []).append(i)
-    out = []
-    for members in orbits.values():
-        rep = min(members, key=lambda i: solutions[i].tensor_key())
-        out.append((solutions[rep], [solutions[i] for i in members]))
-    out.sort(key=lambda pair: pair[0].tensor_key())
-    return out
+        grid = (dict(zip(names, combo)) for combo in
+                itertools.product(ORBIT_GRID, repeat=len(names)))
+        for mat in itertools.chain(
+                itertools.islice(_valid(branch.instantiate, grid), per_branch),
+                _valid(branch.sample, itertools.repeat(rng, per_branch // 2))):
+            M, c = _integer_matrix([[x.as_fraction() for x in col]
+                                    for col in zip(*mat)])
+            basis = {}
+            for row in M:
+                _echelon_add(basis, {p: x for p, x in enumerate(row) if x})
+            if len(basis) < len(M):
+                raise DimensionMismatch("singular member of the automorphism "
+                                        "family of %s" % family.algebra_name)
+            yield M, c
 
 
-def _lowest_terms(nz, den):
-    """Hashable key of the rational tensor nz / den (nz a sorted nonzero
-    list of integer entries, den > 0): nz and den divided by their common
-    gcd.  Unique: the key's denominator is the least common denominator of
-    the tensor's entries, so every scaling of one tensor gives one key (the
-    zero tensor's is ((), 1))."""
-    g = math.gcd(den, *(n for (_, _, _, n) in nz))
-    return tuple((i, j, k, n // g) for (i, j, k, n) in nz), den // g
-
-
-def _dual_action(mat):
-    """(D, B, s) for an invertible matrix A of numeric Scalars: the integer
-    matrices D = a (A^{-1})^T, held as its ``_columns`` index, and
-    B = b A^T, each scaled by the lcm of its denominators, and s = a^2 b,
-    the factor that pulling along D and pushing along B put on a tensor.
-    A is inverted once, over Fractions."""
-    A = [[x.as_fraction() for x in row] for row in mat]
-    D, a = _integer_matrix(transpose(inv(A)))
-    B, b = _integer_matrix(transpose(A))
-    return _columns(D), B, a * a * b
-
-
-def _moved_key(tensor, action):
-    """``_lowest_terms`` key of the integer tensor (nz, den) moved by the
-    dual action (D, B, s) of ``_dual_action``: the entries
-    D_I^P D_J^Q N^{PQ}_R B_R^S over the denominator den * s."""
-    nz, den = tensor
-    D_cols, B, scale = action
-    pulled = _pull(nz, D_cols)
-    pushed = _push([key + (n,) for key, n in pulled.items() if n], B)
-    return _lowest_terms(sorted(key + (n,) for key, n in pushed.items() if n),
-                         den * scale)
+def _valid(draw, args):
+    """The matrices of draw(arg) over args, skipping a ConstraintViolation."""
+    for arg in args:
+        try:
+            yield draw(arg)[1]
+        except ConstraintViolation:
+            continue
 
 
 # ---------------------------------------------------------------------------

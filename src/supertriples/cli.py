@@ -16,7 +16,7 @@ from .algebra import check_antisymmetry, check_jacobi, commutant_series
 from .catalog import (Catalog, appendix_certificate, automorphisms, catalog,
                       catalog_triple, get_catalog, list_algebras,
                       list_certificates, parse_catalog_file, table_rows)
-from .classify import (REPORTS, _value_of, classify_doubles,
+from .classify import (REPORTS, _check_family, _value_of, classify_doubles,
                        enumerate_duals, match_22, reduce_orbits, report)
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, ParseError, SuperTriplesError,
@@ -219,8 +219,9 @@ def cmd_solve_r(args):
 def cmd_enumerate(args):
     bindings = _single_bindings(_parse_bindings(args.bind))
     seed = catalog(args.seed, bindings)
-    sols = enumerate_duals(seed)
     fam = automorphisms(args.seed, bindings)
+    _check_family(fam)  # before the enumeration, not after it
+    sols = enumerate_duals(seed)
     orbits = reduce_orbits(sols, fam)
     if args.format == "machine":
         print("enumerate seed=%s solutions=%d orbits=%d"

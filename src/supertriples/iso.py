@@ -253,19 +253,17 @@ def _holds(M, c, form, source, target):
         (i)   pull(B, M) = c^2 B
         (ii)  t pull(N, M) = s c push(N', M)
 
-    over integers.  Both sides of (ii) are tensors T_ab^r; evaluating them
-    on the fixed weights (u, v, z) of ``_weights``, T -> T(u, v, z), is a
-    linear map to the integers, so if (ii) holds the two evaluations are
-    equal.  They are computed without building either tensor, from the
+    over integers.  Evaluating a tensor T_ab^r on the fixed weights
+    (u, v, z) of ``_weights`` is a linear map to the integers, so where (ii)
+    holds its two sides evaluate equally.  The evaluations are read off the
     projections of M (``_projections``) and of the tensors
-    (``_projected_sides``):
+    (``_projected_sides``), without building either side:
 
         t  sum over N  of x (uM)_p (vM)_q z_r      (x = N_pq^r)
         sc sum over N' of x u_a v_b (Mz)_r         (x = N'_ab^r)
 
-    A mismatch is therefore a proof that (ii) fails, and the candidate is
-    rejected at once.  Equal evaluations prove nothing (the difference may
-    lie in the kernel), so then (i) and (ii) are tested in full, and the
+    A mismatch proves that (ii) fails.  Equal evaluations prove nothing, so
+    then (i) and (ii) are tested in full, (ii) by ``_condition_ii``, and the
     result is exactly that of the full test for every input."""
     (N, s), (N2, t) = source, target
     if not _projection_agrees(_projections(M), c,
@@ -276,9 +274,13 @@ def _holds(M, c, form, source, target):
     if ({key: x for key, x in _pull(form, cols).items() if x}
             != {(p, q, r): c2 * x for (p, q, r, x) in form}):
         return False
-    sc = s * c
-    return ({key: t * x for key, x in _pull(N, cols).items() if x}
-            == {key: sc * x for key, x in _push(N2, M).items() if x})
+    return _condition_ii(M, N, t, N2, s * c, cols)
+
+
+def _condition_ii(M, N, t, N2, sc, cols=None):
+    """Whether t pull(N, M) = sc push(N2, M) in full (cols: M's ``_columns``)."""
+    return ({key: t * x for key, x in _pull(N, cols or _columns(M)).items()
+             if x} == {key: sc * x for key, x in _push(N2, M).items() if x})
 
 
 def _holds_identically(cert, form):

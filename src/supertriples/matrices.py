@@ -3,19 +3,15 @@
 Matrices are lists of rows.  ``rref``, ``inv``, ``transpose`` and
 ``dual_blockdiag`` serve both entry types: zero tests go by truthiness and
 each pivot costs one reciprocal ``1 / pivot`` (a single ``Scalar.inv`` for
-Scalars).  ``rref`` is the one elimination loop for Fractions and Scalars;
-``inv``, ``f_solve`` and the shear solver run through it.  The commutant
-spans are not eliminated here: they run fraction-free on integer vectors,
-in ``algebra``.  ``inv`` serves ``SuperAlgebra.transport`` and
-``transport_dual``, ``dual_blockdiag``, the automorphism check and the orbit
-reduction's dual action; a certificate is never inverted here, since
-``IsoCertificate.invert`` reads its inverse off the canonical form without
-division.  ``f_solve`` and the ``s_`` routines take one entry type.
-``f_matmul`` is entry-generic for int and Fraction entries (an entry no
-product reaches stays the int 0); it composes the integer candidate matrices
-of the certificate search.
-Tensor contractions (transport, the certificate conditions, commutants) are
-not here: they are the pullback and pushforward kernels of ``algebra``.
+Scalars).  ``rref`` is the one elimination loop; ``inv``, ``f_solve`` and
+the shear solver run through it.  ``inv`` serves ``SuperAlgebra.transport``
+and ``transport_dual``, ``dual_blockdiag`` and the automorphism check; no
+certificate is inverted here (``IsoCertificate.invert`` reads its inverse
+off the canonical form).  The tensor contractions, and the fraction-free
+ranks of the commutant spans and of the orbit members, are in ``algebra``.
+``f_solve`` and the ``s_`` routines take one entry type.  ``f_matmul`` is
+entry-generic for int and Fraction entries (an entry no product reaches
+stays the int 0); it composes the integer candidate matrices of the search.
 """
 
 from __future__ import annotations

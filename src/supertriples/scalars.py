@@ -273,7 +273,7 @@ def _p_compose(f, images, nv):
         if not coeff:
             continue
         key = tuple(e)
-        s = out.get(key, 0) + coeff
+        s = out[key] + coeff if key in out else coeff
         if s:
             out[key] = s
         elif key in out:
@@ -652,7 +652,7 @@ class ParamContext:
                 general.append(term)
                 term = (None, nv + len(general) - 1)
             terms.append(term)
-        one = _p_const(1, nv)
+        one, unit = _p_const(1, nv), _p_const(1, self.nvars)
 
         def evaluate(f):
             total = target_ctx.zero()
@@ -664,14 +664,17 @@ class ParamContext:
             return total
 
         def image(rf):
+            if not rf[0]:
+                return target_ctx.zero()  # denominator 1: nothing to divide
             if general:
                 den = evaluate(rf[1])
                 if not den:
                     raise DivisionByZero("zero denominator")
                 return evaluate(rf[0]) / den
-            return Scalar(target_ctx, _rf_make(_p_compose(rf[0], terms, nv),
-                                               _p_compose(rf[1], terms, nv), nv),
-                          None)
+            num, den = _p_compose(rf[0], terms, nv), one
+            if rf[1] != unit:  # a polynomial over 1 stays in lowest terms
+                num, den = _rf_make(num, _p_compose(rf[1], terms, nv), nv)
+            return Scalar(target_ctx, (num, den), None)
 
         rad = None
         if self.radical_name is not None:
@@ -869,9 +872,8 @@ class Scalar:
     def as_fraction(self):
         if not self.is_constant():
             raise ConstraintViolation("scalar %s is not numeric" % self)
-        if not self.re[0]:
-            return Fraction(0)
-        return _p_const_value(self.re[0]) / _p_const_value(self.re[1])
+        num, den = map(_p_const_value, self.re)
+        return num if den == 1 else num / den
 
     # -- substitution -------------------------------------------------------
 

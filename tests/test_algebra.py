@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from supertriples import classify
 from supertriples.algebra import (CommutantFingerprint, Grading, SuperAlgebra,
-                                  _columns, _echelon_add, _pull,
-                                  check_antisymmetry, check_jacobi,
+                                  _branch_failures, _columns, _echelon_add,
+                                  _pull, check_antisymmetry, check_jacobi,
                                   commutant_series, is_automorphism)
 from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
                                   catalog_triple, get_catalog)
@@ -44,6 +44,44 @@ def test_jacobi_f_mutant_residual():
     (triple_idx, k, val), = res
     assert triple_idx == (0, 2, 2) and k == 1 and val == -1
     assert check_jacobi(catalog("F")) == []
+
+
+NUMERIC_SEEDS = ("N11", "S11", "N21", "S21", "F", "N12_0", "C2_1", "C3", "C4",
+                 "C5_0")
+
+
+@st.composite
+def graded_tensors(draw):
+    """A numeric tensor that respects the grading: random sparse entries,
+    or a catalog algebra scaled by a rational (still a Lie superalgebra),
+    either one with up to two entries overwritten."""
+    if draw(st.booleans()):
+        A = catalog(draw(st.sampled_from(NUMERIC_SEEDS)))
+        scale = draw(st.fractions(max_denominator=6).filter(bool))
+        grading, par = A.grading, A.parity
+        entries = {(i, j, k): c.as_fraction() * scale
+                   for (i, j, k, c) in A.nonzero()}
+    else:
+        grading = Grading(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+        par, entries = grading.parities(), {}
+    d = grading.dim
+    keys = [(i, j, k) for i in range(d) for j in range(d) for k in range(d)
+            if (par[i] + par[j]) % 2 == par[k]]
+    size = st.integers(0, 2 if entries else 5)
+    for _ in range(draw(size)):
+        entries[draw(st.sampled_from(keys))] = draw(
+            st.fractions(max_denominator=4, min_value=-3, max_value=3))
+    return SuperAlgebra(grading, EMPTY, {key: EMPTY.const(x)
+                                         for key, x in entries.items()})
+
+
+@given(graded_tensors())
+@settings(max_examples=120, deadline=None)
+def test_integer_jacobi_check_agrees_with_scalar_residuals(A):
+    """check_jacobi's integer path returns [] exactly when the Scalar
+    residuals all vanish, and a failing algebra keeps its Scalar residual
+    list, in order."""
+    assert check_jacobi(A) == _branch_failures(A.jacobi_residuals())
 
 
 def test_abelian_always_lie():

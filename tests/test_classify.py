@@ -1,20 +1,21 @@
+import itertools
+import math
 import os
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from supertriples import algebra, classify, iso, matrices
+from supertriples import algebra, classify, cli, iso, matrices
 from supertriples.algebra import AutoBranch, SuperAlgebra
 from supertriples.catalog import automorphisms, catalog, catalog_triple, get_catalog
-from supertriples.classify import (ORBIT_GRID, _dual_action, _integer_tensor,
-                                   _lowest_terms, _moved_key, _unify_side,
-                                   classify_doubles, enumerate_duals,
-                                   find_certificate, make_instances,
-                                   reduce_orbits, report)
-from supertriples.errors import ConstraintViolation, UnknownName
+from supertriples.classify import (ORBIT_GRID, _integer_tensor, _members,
+                                   _unify_side, classify_doubles,
+                                   enumerate_duals, find_certificate,
+                                   make_instances, reduce_orbits, report)
+from supertriples.errors import (ConstraintViolation, DimensionMismatch,
+                                 UnknownName)
 from supertriples.iso import verify_certificate
 from supertriples.matrices import inv
 from supertriples.scalars import Domain, ParamContext, Scalar
@@ -357,7 +358,18 @@ def test_report_tables_symbolic():
         assert rep.passed, target
 
 
-def test_orbit_scaling_merge_example():
+@pytest.fixture
+def no_inv(monkeypatch):
+    """matrices.inv, under each name it is imported by, raises: the orbit
+    reduction inverts no matrix."""
+    def refuse(a):
+        raise AssertionError("a matrix was inverted")
+
+    monkeypatch.setattr(matrices, "inv", refuse)
+    monkeypatch.setattr(algebra, "inv", refuse)
+
+
+def test_orbit_scaling_merge_example(no_inv):
     """Duals [ft,ft]=bt and [ft,ft]=4bt of the abelian seed share an orbit."""
     seed = catalog("A11")
     sols = enumerate_duals(seed)
@@ -378,7 +390,7 @@ def test_orbit_scaling_merge_example():
     assert one_orbit is not None and one_orbit == two_orbit == minus_orbit
 
 
-def test_orbit_single_solution():
+def test_orbit_single_solution(no_inv):
     seed = catalog("S11")
     sols = enumerate_duals(seed)
     abelian = [s for s in sols if not s.nonzero()]
@@ -386,7 +398,7 @@ def test_orbit_single_solution():
     assert len(orbits) == 1 and len(orbits[0][1]) == 1
 
 
-def test_orbit_sign_split_preserved():
+def test_orbit_sign_split_preserved(no_inv):
     """eps = +1 and eps = -1 N-type duals of S11 stay in distinct orbits."""
     seed = catalog("S11")
     sols = enumerate_duals(seed)
@@ -404,7 +416,7 @@ def test_orbit_sign_split_preserved():
     ("F", {}, 41, [1, 1, 1, 1, 1, 1, 1, 2, 2, 5, 5, 5, 5, 5, 5]),
     ("C1_p", {"p": 2}, 13, [1, 1, 1, 2, 2, 6]),
 ])
-def test_orbits_of_21_seeds(name, bindings, solutions, sizes):
+def test_orbits_of_21_seeds(name, bindings, solutions, sizes, no_inv):
     sols = enumerate_duals(catalog(name, bindings))
     orbits = reduce_orbits(sols, automorphisms(name))
     assert len(sols) == solutions
@@ -531,43 +543,68 @@ def test_unifying_shipped_endpoints_rebuilds_the_certificate(cid):
     raise AssertionError("no domain point builds %s" % cid)
 
 
-def _scalar_path_key(sol, mat):
-    """The integer key of sol moved by mat through Scalar transport_dual."""
-    lifted = [[sol.ctx.const(x.as_fraction()) for x in row] for row in mat]
-    return _lowest_terms(*_integer_tensor(
-        sol.transport_dual(lifted).numeric_nonzero()))
-
-
 @pytest.mark.parametrize("name", ["F", "S21"])
-def test_integer_transport_matches_scalar_path(name):
+def test_join_full_test_matches_scalar_transport(name):
+    """For members of the family (grid ones from ``_members`` and random
+    samples), the join's full test says solution i moves onto solution j
+    exactly when Scalar ``transport_dual`` takes sol_i to sol_j, and then
+    the projected lookup finds j in i's bucket."""
     sols = enumerate_duals(catalog(name))
+    scaled = [_integer_tensor(sol.numeric_nonzero()) for sol in sols]
+    den = math.lcm(*(t for _, t in scaled))
+    tensors = [[e[:3] + (e[3] * (den // t),) for e in nz] for nz, t in scaled]
+    sides = [iso._projected_sides((N, 1), (N, 1), sols[0].dim) for N in tensors]
+    members = list(itertools.islice(_members(automorphisms(name)), 6))
     rng = random.Random(8)
     for branch in automorphisms(name):
         for _ in range(3):
-            _, mat = branch.sample(rng)
-            action = _dual_action(mat)
-            for sol in sols:
-                moved = _moved_key(_integer_tensor(sol.numeric_nonzero()),
-                                   action)
-                assert moved == _scalar_path_key(sol, mat)
+            mat = branch.sample(rng)[1]
+            members.append(classify._integer_matrix(
+                [[x.as_fraction() for x in col] for col in zip(*mat)]))
+    ctx = sols[0].ctx
+    moves = 0
+    for M, c in members:
+        A = [[ctx.const(Fraction(x, c)) for x in col] for col in zip(*M)]
+        for i, sol in enumerate(sols):
+            moved = sol.transport_dual(A)
+            for j, target in enumerate(sols):
+                joined = iso._condition_ii(M, tensors[j], 1, tensors[i], c)
+                assert joined == moved.tensor_equal(target), (M, c, i, j)
+                assert not joined or iso._projection_agrees(
+                    iso._projections(M), c, (sides[j][0], sides[i][1]))
+                moves += joined and i != j
+    assert moves
 
 
-index = st.integers(0, 2)
+def test_reduce_orbits_refuses_a_singular_member(monkeypatch):
+    """A member that is not invertible could join tensors in different
+    orbits, so it is refused, as inverting it would be."""
+    seed = catalog("A11")
+    sols = enumerate_duals(seed)
+    zero, one = seed.ctx.zero(), seed.ctx.one()
+    monkeypatch.setattr(AutoBranch, "instantiate",
+                        lambda self, bindings: (seed.ctx, [[one, zero],
+                                                           [one, zero]]))
+    with pytest.raises(DimensionMismatch, match="singular member .* A11"):
+        reduce_orbits(sols, automorphisms("A11"))
 
 
-@given(st.dictionaries(st.tuples(index, index, index),
-                       st.fractions(max_denominator=30).filter(bool),
-                       max_size=6),
-       st.integers(1, 50), st.integers(1, 50))
-@settings(max_examples=60, deadline=None)
-def test_lowest_terms_key_is_unique(tensor, s, t):
-    """One rational tensor, scaled to integers over two different
-    denominators, has one key; the zero tensor has the key ((), 1)."""
-    nz, den = _integer_tensor(sorted(k + (c,) for k, c in tensor.items()))
-    key = _lowest_terms(nz, den)
-    assert key == _lowest_terms([e[:3] + (e[3] * s,) for e in nz], den * s)
-    assert key == _lowest_terms([e[:3] + (e[3] * t,) for e in nz], den * t)
-    assert key[1] > 0
-    assert [Fraction(n, key[1]) for (_, _, _, n) in key[0]] == \
-        [tensor[e[:3]] for e in nz]
-    assert _lowest_terms([], s) == ((), 1)
+def test_reduce_orbits_refuses_a_family_with_no_branch(monkeypatch):
+    """N12_abg has no automorphism block: applying no member would report
+    every dual as its own orbit, so the family is refused, and ``enumerate``
+    refuses it before enumerating."""
+    bindings = {"alpha": 1, "beta": 0, "gamma": 1}
+    seed = catalog("N12_abg", bindings)
+    duals = [SuperAlgebra.from_brackets(seed.grading, seed.ctx, {},
+                                        dual_role=True)]
+    with pytest.raises(ConstraintViolation) as err:
+        reduce_orbits(duals, automorphisms("N12_abg", bindings))
+    assert str(err.value) == ("N12_abg has no automorphism family to reduce "
+                              "its duals by")
+
+    def enumerate_refused(seed):
+        raise AssertionError("the duals were enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_duals", enumerate_refused)
+    assert cli.main(["enumerate", "--seed", "N12_abg", "--bind", "alpha=1",
+                     "--bind", "beta=0", "--bind", "gamma=1"]) == 3

@@ -436,8 +436,10 @@ def _readme_cli_commands():
 
 
 # the README commands that do not exit 0: a shear equation with no
-# solution, and a dual grid over the enumeration budget
-README_EXITS = {"solve-r --algebra C3": 1, "enumerate --seed A12": 4}
+# solution, a dual grid over the enumeration budget and a seed with no
+# automorphism family
+README_EXITS = {"solve-r --algebra C3": 1, "enumerate --seed A12": 4,
+                "enumerate --seed N12_abg": 3}
 
 
 @pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
