@@ -10,8 +10,8 @@ from .forms import (BilinearForm, canonical_form, check_ad_invariance,
 from .triples import (DoubleAlgebra, ManinTriple, build_double,
                       check_compatibility, t_dual)
 from .iso import (Exhausted, IsoCertificate, NoSolution, RSolution,
-                  from_automorphism, r_to_certificate, search_iso, solve_r,
-                  t_dual_certificate, verify_certificate)
+                  from_automorphism, search_iso, solve_r, t_dual_certificate,
+                  verify_certificate)
 from .catalog import (appendix_certificate, automorphisms, catalog,
                       catalog_triple, table_rows)
 from .classify import (DualAnsatz, classify_doubles, enumerate_duals,

@@ -1,6 +1,8 @@
 """Shipped catalogs: the superalgebras of superdimension (1,1), (2,1) and
 (1,2) with their automorphism families, the triple lists of superdimension
-(2,2), (4,2) and (2,4), and the certificate library.
+(2,2), (4,2) and (2,4), and the certificate library.  A certificate lists
+its matrix, or is a ``shear`` whose matrix ``iso.shear_matrix`` derives
+from its two endpoint triples.
 
 Extra catalog directories can be supplied through the environment variable
 SUPERTRIPLES_CATALOG_PATH (colon separated); their files extend or override
@@ -15,7 +17,7 @@ from fractions import Fraction
 from .algebra import AutoBranch, AutomorphismFamily, Grading, SuperAlgebra
 from .errors import (ConstraintViolation, ParseError, SuperTriplesError,
                      UnknownId, UnknownName)
-from .iso import IsoCertificate
+from .iso import IsoCertificate, shear_matrix
 from .memo import memoized
 from .parsing import (AlgebraDecl, CertDecl, TripleDecl, build_context,
                       eval_ast, eval_generator_combo, parse_catalog)
@@ -153,12 +155,15 @@ class CertEntry:
                                             src_exprs, self.ctx)
         self.target_values = _eval_bindings(self.target_id, tgt.ctx,
                                             tgt_exprs, self.ctx)
-        matrix = [[eval_ast(ast, self.ctx) for ast in row] for row in decl.matrix]
-        self.certificate = IsoCertificate(
-            self.ctx, matrix,
-            build_double(src.lift_triple(self.ctx, self.source_values)),
-            build_double(tgt.lift_triple(self.ctx, self.target_values)),
-            note=decl.id)
+        source = src.lift_triple(self.ctx, self.source_values)
+        target = tgt.lift_triple(self.ctx, self.target_values)
+        if decl.matrix is None:
+            matrix = shear_matrix(source, target)
+        else:
+            matrix = [[eval_ast(ast, self.ctx) for ast in row]
+                      for row in decl.matrix]
+        self.certificate = IsoCertificate(self.ctx, matrix, build_double(source),
+                                          build_double(target), note=decl.id)
 
     def build(self, bindings=None):
         """The certificate at parameter bindings, built as a triple is: a

@@ -10,7 +10,7 @@ branches split),
 with F the source tensor, F' the target tensor and B the canonical form.
 B is a signed permutation, so (i) makes C^-1 = B C^T B^T a signed transpose
 of C: ``IsoCertificate.invert`` reads it off ``canonical_form`` without an
-elimination, and ``r_to_certificate`` transports its shear I + E with I - E.
+elimination.
 
 ``verify_certificate`` tests (i) and (ii) without division: on integers
 for a numeric certificate (``_holds``), and otherwise on the numerators of
@@ -20,15 +20,16 @@ are computed only when neither proves both conditions; they make the
 report.
 
 Certificates are built from T-duality (``t_dual_certificate``), from
-automorphisms (``from_automorphism``) and from exact shears
-(``solve_shear``), or found by ``search_iso``: a bounded search between
-numerically bound doubles over five finite candidate stages, ``basic``,
-``duality``, ``shear``, ``shear_up`` and ``composed``.  The candidates
-depend only on the doubles' superdimension; a ``_CandidateTable`` holds
-them with their integer projections, and one ``report`` or
-``classify_doubles`` call keeps one table per superdimension in its report
-memo (``memo.report_memo``), so its searches walk that table instead of
-generating the stages again.
+automorphisms (``from_automorphism``) and from exact shears I + E
+(``shear_matrix``, the one constructor, behind both the planner's
+``shear_certificate`` and the catalog's ``shear`` certificates), or found
+by ``search_iso``: a bounded search between numerically bound doubles
+over five finite candidate stages, ``basic``, ``duality``, ``shear``,
+``shear_up`` and ``composed``.  The candidates depend only on the doubles'
+superdimension; a ``_CandidateTable`` holds them with their integer
+projections, and one ``report`` or ``classify_doubles`` call keeps one
+table per superdimension in its report memo (``memo.report_memo``), so its
+searches walk that table instead of generating the stages again.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .triples import ManinTriple, build_double
 
 __all__ = ["IsoCertificate", "RSolution", "NoSolution", "Exhausted",
            "verify_certificate", "from_automorphism", "solve_r",
-           "solve_shear", "r_to_certificate", "search_iso", "t_dual_certificate"]
+           "solve_shear", "shear_matrix", "search_iso", "t_dual_certificate"]
 
 # the budget of every search that is given none
 DEFAULT_SEARCH_BUDGET = 1500
@@ -414,8 +415,9 @@ def solve_r(H, G):
     """Exact symmetric solution of R^{jl} H_l^k + R^{kl} H_l^j = G^{jk}.
 
     Free components of underdetermined systems are pinned to zero; pivot
-    columns are scanned in reversed unknown order, which reproduces the
-    particular solutions the certificate library uses.
+    columns are scanned in reversed unknown order.  That order fixes the
+    particular solution, and so the matrix of every ``shear`` certificate
+    in the catalog, which ``shear_matrix`` derives from it.
     """
     res = solve_shear([H], [G])
     if isinstance(res, NoSolution):
@@ -487,59 +489,48 @@ def dual_g_blocks(S_dual):
 
 
 def shear_certificate(triple, double):
-    """(S|A) -> (S|N_G) by f~ -> f~ + R f with R H + (R H)^T = G, mapping the
-    double of the semiabelian (S|A) onto `double`, the double of `triple`.
-    None when the dual is abelian or not N-type, the seed has odd-odd
-    brackets or the R-system has no solution.  The image is not computed:
-    a caller that merges on the certificate verifies it."""
+    """(S|A) -> (S|N_G) by ``shear_matrix``, mapping the double of the
+    semiabelian (S|A) onto `double`, the double of `triple`.  None when the
+    dual is abelian or ``shear_matrix`` finds no shear.  The image is not
+    computed: a caller that merges on the certificate verifies it."""
     Sd = triple.S_dual
-    G_list = dual_g_blocks(Sd) if Sd.nonzero() else None
-    if G_list is None:
-        return None
-    try:
-        R = solve_shear(odd_action_matrices(triple.S), G_list)
-    except ConstraintViolation:
-        return None
-    if isinstance(R, NoSolution):
+    if not Sd.nonzero():
         return None
     abelian = SuperAlgebra(Sd.grading, triple.ctx, {}, names=Sd.names,
                            dual_role=True)
     base = ManinTriple(triple.S, abelian, ident=(triple.id or "") + ":base")
-    return IsoCertificate(triple.ctx, _shear_matrix(R, triple),
-                          build_double(base), double, note="shear")
-
-
-def r_to_certificate(r, triple):
-    """Certificate from the semiabelian (C|A) triple to (C|N_G) built from an
-    R-solution: f~^j -> f~^j + R^{jk} f_k.  The image is read off the
-    transported double: C = I + E has E^2 = 0, so C^-1 = I - E."""
-    R = r.R if isinstance(r, RSolution) else r
-    ctx = triple.ctx
-    h = sum(triple.superdim())
-    C = _shear_matrix(R, triple)
-    C_inv = _shear_matrix([[-x for x in row] for row in R], triple)
-    src_double = build_double(triple)
-    # read the dual half off the transported tensor
-    dual_entries = {}
-    for (i, j, k, c) in src_double._transport(C, C_inv).nonzero():
-        if i >= h and j >= h:
-            if k < h:
-                raise ConstraintViolation("shear image does not close on the dual half")
-            dual_entries[(i - h, j - h, k - h)] = c
-    new_dual = SuperAlgebra(triple.S_dual.grading, ctx, dual_entries,
-                            name=(triple.S_dual.name or "") + "'",
-                            dual_role=True)
-    target = ManinTriple(triple.S, new_dual,
-                         ident=None if triple.id is None else triple.id + "+shear")
-    return IsoCertificate(ctx, C, src_double, build_double(target),
+    try:
+        matrix = shear_matrix(base, triple)
+    except ConstraintViolation:
+        return None
+    return IsoCertificate(triple.ctx, matrix, build_double(base), double,
                           note="shear")
 
 
-def _shear_matrix(R, triple):
-    """C = I + E with E mapping the f~ rows onto the f columns by R."""
-    m, n = triple.superdim()
+def shear_matrix(source, target):
+    """C = I + E, the shear f~ -> f~ + R f from the double of `source` to
+    that of `target`, two triples over one seed S: E maps the f~ rows onto
+    the f columns by the R of ``solve_shear``, with H_i the seed's odd
+    action and G_i the blocks of the target's N-type dual.  Raises
+    ConstraintViolation when the source's dual is not abelian, the seeds
+    differ, the target's dual is not N-type, the seed has odd-odd brackets
+    or the R-system has no solution."""
+    S = source.S
+    if source.S_dual.nonzero():
+        raise ConstraintViolation("shear source dual is not abelian")
+    if target.S is not S and (S.grading != target.S.grading
+                              or not S.tensor_equal(target.S)):
+        raise ConstraintViolation("shear source and target have different seeds")
+    G_list = dual_g_blocks(target.S_dual)
+    if G_list is None:
+        raise ConstraintViolation("shear target dual is not N-type")
+    R = solve_shear(odd_action_matrices(S), G_list)
+    if isinstance(R, NoSolution):
+        raise ConstraintViolation("shear R-system has no solution: %s != 0"
+                                  % R.witness)
+    m, n = S.superdim()
     h = m + n
-    C = s_identity(triple.ctx, 2 * h)
+    C = s_identity(source.ctx, 2 * h)
     for a in range(n):
         for b in range(n):
             C[h + m + a][m + b] = R[a][b]

@@ -14,6 +14,7 @@ Catalog declarations:
       right { [ft1, ft1] = eps*bt1; ... }
 
     cert ID params {...} from TRIPLE_ID(p = p) to TRIPLE_ID(...) matrix [[...], ...]
+    cert ID params {...} from TRIPLE_ID(...) to TRIPLE_ID(...) shear
 
 The clauses after a declaration's head may come in any order.  '#' starts
 a comment.  Semicolons between items are optional separators.
@@ -489,7 +490,7 @@ class CertDecl:
         self.ctx = ctx
         self.source = source  # (triple_id, {param: ast})
         self.target = target
-        self.matrix = matrix
+        self.matrix = matrix  # [[ast]], or None for a shear
 
 
 def _parse_superdim(tz):
@@ -627,13 +628,15 @@ def _parse_cert(tz):
     ident = tz.expect("name").value
     clauses = _parse_clauses(tz, {"params": _parse_params_block,
                                   "from": _parse_ref, "to": _parse_ref,
-                                  "matrix": _parse_matrix})
-    if not {"from", "to", "matrix"} <= clauses.keys():
+                                  "matrix": _parse_matrix,
+                                  "shear": lambda tz: None})
+    if (not {"from", "to"} <= clauses.keys()
+            or ("matrix" in clauses) == ("shear" in clauses)):
         tok = tz.peek()
-        raise ParseError("cert %s needs from, to and matrix" % ident,
-                         tok.line, tok.col)
+        raise ParseError("cert %s needs from, to and one of matrix or shear"
+                         % ident, tok.line, tok.col)
     return CertDecl(ident, _clause_context(clauses), clauses["from"],
-                    clauses["to"], clauses["matrix"])
+                    clauses["to"], clauses.get("matrix"))
 
 
 def parse_catalog(text):

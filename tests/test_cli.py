@@ -301,6 +301,31 @@ def test_check_file_builds_certificates(tmp_path):
         assert str(path) in r.stderr and "unknown triples" in r.stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    ("cert ZS\n  from MT22_4(eps = 1) to MT22_4(eps = 1)\n  shear\n",
+     "shear source dual is not abelian"),
+    ("cert ZS\n  from MT24_18() to FAM24_A_G(alpha = 1, beta = 0, gamma = 1)\n"
+     "  shear\n", "shear source and target have different seeds"),
+    ("triple ZN super_dim (1, 1)\n  left = S11()\n  right { [bt1, ft1] = ft1 }\n"
+     "cert ZS\n  from MT22_3() to ZN()\n  shear\n",
+     "shear target dual is not N-type"),
+    ("triple ZF super_dim (2, 1)\n  left = F()\n  right { }\n"
+     "cert ZS\n  from ZF() to ZF()\n  shear\n", "seed has odd-odd brackets"),
+    ("cert ZS\n  params { alpha : free; beta : free; gamma : free }\n"
+     "  from MT24_18() to FAM24_C3_G(alpha = alpha, beta = beta, gamma = gamma)\n"
+     "  shear\n", "shear R-system has no solution: gamma != 0"),
+], ids=["source-dual", "seeds", "target-dual", "odd-odd", "no-solution"])
+def test_a_shear_with_no_derivation_is_a_parse_error(tmp_path, text, message):
+    """A shear certificate whose matrix cannot be derived is a parse error
+    naming the file, in check --file and on the catalog search path."""
+    path = tmp_path / "shear.cat"
+    path.write_text(text)
+    for r in (run("check", "--file", str(path)),
+              run("list", env={"SUPERTRIPLES_CATALOG_PATH": str(tmp_path)})):
+        _one_line_error(r, 2)
+        assert str(path) in r.stderr and message in r.stderr
+
+
 def _one_line_error(r, code):
     assert r.returncode == code
     assert "Traceback" not in r.stderr

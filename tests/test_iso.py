@@ -21,7 +21,7 @@ from supertriples.iso import (Exhausted, IsoCertificate, _form_residuals,
                               from_automorphism,
                               search_iso, t_dual_certificate,
                               verify_certificate)
-from supertriples.matrices import inv, s_identity
+from supertriples.matrices import inv, s_identity, s_matmul
 from supertriples.memo import _MEMO, report_memo
 from supertriples.triples import ManinTriple, build_double, t_dual
 
@@ -194,32 +194,36 @@ SHEAR_ROWS = ("MT22_3", "MT42_3", "MT42_9", "MT24_9", "MT24_13", "MT24_30")
 @given(st.sampled_from(SHEAR_ROWS), st.data())
 @settings(max_examples=30, deadline=None)
 def test_shear_transport_inverts_by_i_minus_e(rid, data):
-    """A shear C = I + E from a random symmetric rational R is transported
-    with I - E, which is inv(C) and the signed transpose of C."""
+    """The shear C = I + E onto the N-type dual G_i = R H_i + (R H_i)^T of
+    a random symmetric rational R verifies, and its signed transpose is
+    inv(C), which is I - E."""
     t = catalog_triple(rid)
-    base = ManinTriple(t.S, SuperAlgebra(t.S_dual.grading, t.ctx, {},
-                                         names=t.S_dual.names,
-                                         dual_role=True))
-    n = t.superdim()[1]
+    m, n = t.superdim()
     entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
     R = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
             R[a][b] = R[b][a] = t.ctx.const(data.draw(entry))
-    calls = []
-    real = SuperAlgebra._transport
-
-    def spy(self, M, M_inv):
-        calls.append((M, M_inv))
-        return real(self, M, M_inv)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SuperAlgebra, "_transport", spy)
-        cert = iso.r_to_certificate(R, base)
-    (M_inv,) = [M_inv for M, M_inv in calls if M is cert.matrix]
-    assert _same_entries(M_inv, inv(cert.matrix))
-    assert _same_entries(cert.invert().matrix, M_inv)
+    dual = {}
+    for i, H in enumerate(iso.odd_action_matrices(t.S)):
+        RH = s_matmul(R, H)
+        for j in range(n):
+            for k in range(n):
+                g = RH[j][k] + RH[k][j]
+                if not g.is_zero():
+                    dual[m + j, m + k, i] = g
+    assume(dual)
+    target = ManinTriple(t.S, SuperAlgebra(t.S_dual.grading, t.ctx, dual,
+                                           names=t.S_dual.names,
+                                           dual_role=True))
+    cert = iso.shear_certificate(target, build_double(target))
     assert cert.verify()
+    C = cert.matrix
+    assert _same_entries(cert.invert().matrix, inv(C))
+    h = m + n
+    assert _same_entries(inv(C), [[-x if (a >= h + m and m <= b < h) else x
+                                   for b, x in enumerate(row)]
+                                  for a, row in enumerate(C)])
 
 
 def test_certificate_evenness_enforced():

@@ -354,9 +354,18 @@ def test_clauses_in_any_order():
 
 
 def test_cert_needs_from_to_and_matrix():
+    """A cert's body is exactly one of matrix or shear: neither or both is
+    an error at its end, and shear leaves the matrix to the catalog."""
     with pytest.raises(ParseError) as err:
         parse_catalog("cert Z from T() to T()\nalgebra Y super_dim (1, 0)")
-    assert str(err.value) == "line 2, col 1: cert Z needs from, to and matrix"
+    assert str(err.value) == ("line 2, col 1: cert Z needs from, to and one "
+                              "of matrix or shear")
+    with pytest.raises(ParseError) as err:
+        parse_catalog("cert Z from T() to T() shear matrix [[1]]")
+    assert str(err.value) == ("line 1, col 42: cert Z needs from, to and one "
+                              "of matrix or shear")
+    (decl,) = parse_catalog("cert Z shear from T() to T()")
+    assert decl.matrix is None and decl.source == decl.target == ("T", {})
 
 
 @pytest.mark.parametrize("domain, message", [

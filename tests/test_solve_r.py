@@ -1,18 +1,130 @@
-"""The shear solver against the certificate library's lower-left blocks.
+"""The shear solver against independently typed blocks.
 
-The expected values are read off the shipped appendix matrices rather than
-retyped, so the solver is checked against the independently entered data.
+Ten catalog certificates are ``shear`` bodies: the catalog derives their
+matrices I + E from ``solve_shear`` (``iso.shear_matrix``), so they cannot
+serve as expected values for it.  The R blocks below are typed in as
+literals, copied from the matrices these certificates shipped with before
+they were derived, and ``PRE_SHEAR_CERTS`` keeps those ten declarations
+verbatim: each derived certificate must equal its old matrix entry by
+entry, and a solver that moves R must break them.
 """
-
-from fractions import Fraction
 
 import pytest
 
-from supertriples.catalog import appendix_certificate, catalog, catalog_triple, get_catalog
+from supertriples import iso
+from supertriples.catalog import (Catalog, _catalog_decls, appendix_certificate,
+                                  catalog, catalog_triple, get_catalog)
 from supertriples.errors import ConstraintViolation
 from supertriples.iso import (NoSolution, RSolution, odd_action_matrices,
-                              r_to_certificate, solve_r, verify_certificate)
+                              shear_certificate, shear_matrix, solve_r,
+                              solve_shear, verify_certificate)
+from supertriples.parsing import (CertDecl, eval_ast, parse_catalog,
+                                  parse_scalar)
 from supertriples.scalars import Domain, ParamContext
+from supertriples.triples import build_double
+
+# the ten shear certificates as the catalog declared them with a matrix
+PRE_SHEAR_CERTS = r"""
+cert TFN11
+  params { eps : sign }
+  from MT22_3() to MT22_4(eps = eps)
+  matrix [[1, 0, 0, 0],
+          [0, 1, 0, 0],
+          [0, 0, 1, 0],
+          [0, eps/2, 0, 1]]
+
+cert DD24_IIp_1
+  params { p : (-1, 1) \ {0}; alpha : free; beta : free; gamma : free }
+  from MT24_4(p = p) to FAM24_C2p_G(p = p, alpha = alpha, beta = beta, gamma = gamma)
+  matrix [[1, 0, 0, 0, 0, 0],
+          [0, 1, 0, 0, 0, 0],
+          [0, 0, 1, 0, 0, 0],
+          [0, 0, 0, 1, 0, 0],
+          [0, alpha/2, beta/(p + 1), 0, 1, 0],
+          [0, beta/(p + 1), gamma/(2*p), 0, 0, 1]]
+
+cert DD24_II1_1
+  params { alpha : free; beta : free; gamma : free }
+  from MT24_9() to FAM24_C21_G(alpha = alpha, beta = beta, gamma = gamma)
+  matrix [[1, 0, 0, 0, 0, 0],
+          [0, 1, 0, 0, 0, 0],
+          [0, 0, 1, 0, 0, 0],
+          [0, 0, 0, 1, 0, 0],
+          [0, alpha/2, beta/2, 0, 1, 0],
+          [0, beta/2, gamma/2, 0, 0, 1]]
+
+cert DD24_II0
+  params { alpha : free; beta : free }
+  from MT24_4(p = 0) to FAM24_C20_G(alpha = alpha, beta = beta, gamma = 0)
+  matrix [[1, 0, 0, 0, 0, 0],
+          [0, 1, 0, 0, 0, 0],
+          [0, 0, 1, 0, 0, 0],
+          [0, 0, 0, 1, 0, 0],
+          [0, alpha/2, beta, 0, 1, 0],
+          [0, beta, 0, 0, 0, 1]]
+
+cert DD24_III_1
+  params { alpha : free; beta : free }
+  from MT24_18() to FAM24_C3_G(alpha = alpha, beta = beta, gamma = 0)
+  matrix [[1, 0, 0, 0, 0, 0],
+          [0, 1, 0, 0, 0, 0],
+          [0, 0, 1, 0, 0, 0],
+          [0, 0, 0, 1, 0, 0],
+          [0, 0, alpha/2, 0, 1, 0],
+          [0, alpha/2, beta, 0, 0, 1]]
+
+cert DD24_IV_1
+  params { alpha : free; beta : free; gamma : free }
+  from MT24_23() to FAM24_C4_G(alpha = alpha, beta = beta, gamma = gamma)
+  matrix [[1, 0, 0, 0, 0, 0],
+          [0, 1, 0, 0, 0, 0],
+          [0, 0, 1, 0, 0, 0],
+          [0, 0, 0, 1, 0, 0],
+          [0, alpha/2 - beta/2 + gamma/4, beta/2 - gamma/4, 0, 1, 0],
+          [0, beta/2 - gamma/4, gamma/2, 0, 0, 1]]
+
+cert DD24_Vp
+  params { p : (0, inf); alpha : free; beta : free; gamma : free }
+  from MT24_27(p = p) to FAM24_C5p_G(p = p, alpha = alpha, beta = beta, gamma = gamma)
+  matrix [[1, 0, 0, 0, 0, 0],
+          [0, 1, 0, 0, 0, 0],
+          [0, 0, 1, 0, 0, 0],
+          [0, 0, 0, 1, 0, 0],
+          [0, (2*alpha*p^2 - 2*beta*p + alpha + gamma)/(4*(p^3 + p)), (alpha + 2*p*beta - gamma)/(4*p^2 + 4), 0, 1, 0],
+          [0, (alpha + 2*p*beta - gamma)/(4*p^2 + 4), (2*gamma*p^2 + 2*beta*p + alpha + gamma)/(4*(p^3 + p)), 0, 0, 1]]
+
+cert DD24_V0
+  params { alpha : free; beta : free }
+  from MT24_30() to FAM24_C50_G(alpha = alpha, beta = beta, gamma = -alpha)
+  matrix [[1, 0, 0, 0, 0, 0],
+          [0, 1, 0, 0, 0, 0],
+          [0, 0, 1, 0, 0, 0],
+          [0, 0, 0, 1, 0, 0],
+          [0, 0, alpha/2, 0, 1, 0],
+          [0, alpha/2, beta, 0, 0, 1]]
+
+cert DD42_III_1
+  params { eps : sign }
+  from MT42_3() to MT42_4(eps = eps)
+  matrix [[1, 0, 0, 0, 0, 0],
+          [0, 1, 0, 0, 0, 0],
+          [0, 0, 1, 0, 0, 0],
+          [0, 0, 0, 1, 0, 0],
+          [0, 0, 0, 0, 1, 0],
+          [0, 0, eps/2, 0, 0, 1]]
+
+cert DD42_VI_2
+  params { p : free \ {0}; eps : sign }
+  from MT42_6(p = p) to MT42_7(p = p, eps = eps)
+  matrix [[1, 0, 0, 0, 0, 0],
+          [0, 1, 0, 0, 0, 0],
+          [0, 0, 1, 0, 0, 0],
+          [0, 0, 0, 1, 0, 0],
+          [0, 0, 0, 0, 1, 0],
+          [0, 0, eps/(2*p), 0, 0, 1]]
+"""
+PRE_SHEAR_DECLS = parse_catalog(PRE_SHEAR_CERTS)
+SHEAR_IDS = [decl.id for decl in PRE_SHEAR_DECLS]
 
 
 def _symbolic_setup(seed_name, seed_params=(), seed_bind=None):
@@ -25,29 +137,30 @@ def _symbolic_setup(seed_name, seed_params=(), seed_bind=None):
     return ctx, seed, H, [[a, b], [b, g]]
 
 
-def _appendix_block(cert_id, ctx):
-    """Rows 5,6 x columns 2,3 of an appendix matrix, mapped into ctx."""
-    cert = appendix_certificate(cert_id)
-    mapper = cert.ctx.bind_scalars(ctx, {})
-    return [[mapper(cert.matrix[4][1]), mapper(cert.matrix[4][2])],
-            [mapper(cert.matrix[5][1]), mapper(cert.matrix[5][2])]]
+def _literal(ctx, rows):
+    """A typed block: each entry parsed as a Scalar of ctx."""
+    return [[parse_scalar(ctx, x) for x in row] for row in rows]
 
 
 def _eq_matrix(A, B):
-    return all((x - y).is_zero() for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+    return (len(A) == len(B)
+            and all((x - y).is_zero() for ra, rb in zip(A, B)
+                    for x, y in zip(ra, rb)))
 
 
 def test_block_II_p():
     ctx, _, H, G = _symbolic_setup("C2_p", ("p",))
     r = solve_r(H, G)
     assert isinstance(r, RSolution) and r.check()
-    assert _eq_matrix(r.R, _appendix_block("DD24_IIp_1", ctx))
+    assert _eq_matrix(r.R, _literal(ctx, [["alpha/2", "beta/(p + 1)"],
+                                          ["beta/(p + 1)", "gamma/(2*p)"]]))
 
 
 def test_block_II_1():
     ctx, _, H, G = _symbolic_setup("C2_1")
     r = solve_r(H, G)
-    assert _eq_matrix(r.R, _appendix_block("DD24_II1_1", ctx))
+    assert _eq_matrix(r.R, _literal(ctx, [["alpha/2", "beta/2"],
+                                          ["beta/2", "gamma/2"]]))
     # H = identity: the equation degenerates to 2R = G
     two_r = [[x * 2 for x in row] for row in r.R]
     assert _eq_matrix(two_r, G)
@@ -57,34 +170,110 @@ def test_block_II_0():
     ctx, _, H, G = _symbolic_setup("C2_p", seed_bind={"p": 0})
     G0 = [[G[0][0], G[0][1]], [G[1][0], ctx.zero()]]
     r = solve_r(H, G0)
-    expected = _appendix_block("DD24_II0", ctx)
-    assert _eq_matrix(r.R, expected)
+    assert _eq_matrix(r.R, _literal(ctx, [["alpha/2", "beta"], ["beta", "0"]]))
 
 
 def test_block_III():
     ctx, _, H, G = _symbolic_setup("C3")
     G0 = [[G[0][0], G[0][1]], [G[1][0], ctx.zero()]]
     r = solve_r(H, G0)
-    assert _eq_matrix(r.R, _appendix_block("DD24_III_1", ctx))
+    assert _eq_matrix(r.R, _literal(ctx, [["0", "alpha/2"],
+                                          ["alpha/2", "beta"]]))
 
 
 def test_block_IV():
     ctx, _, H, G = _symbolic_setup("C4")
     r = solve_r(H, G)
-    assert _eq_matrix(r.R, _appendix_block("DD24_IV_1", ctx))
+    assert _eq_matrix(r.R, _literal(
+        ctx, [["alpha/2 - beta/2 + gamma/4", "beta/2 - gamma/4"],
+              ["beta/2 - gamma/4", "gamma/2"]]))
 
 
 def test_block_V_p():
     ctx, _, H, G = _symbolic_setup("C5_p", ("p",))
     r = solve_r(H, G)
-    assert _eq_matrix(r.R, _appendix_block("DD24_Vp", ctx))
+    off = "(alpha + 2*p*beta - gamma)/(4*p^2 + 4)"
+    assert _eq_matrix(r.R, _literal(
+        ctx, [["(2*alpha*p^2 - 2*beta*p + alpha + gamma)/(4*(p^3 + p))", off],
+              [off, "(2*gamma*p^2 + 2*beta*p + alpha + gamma)/(4*(p^3 + p))"]]))
 
 
 def test_block_V_0():
     ctx, _, H, G = _symbolic_setup("C5_0")
     G0 = [[G[0][0], G[0][1]], [G[1][0], -G[0][0]]]
     r = solve_r(H, G0)
-    assert _eq_matrix(r.R, _appendix_block("DD24_V0", ctx))
+    assert _eq_matrix(r.R, _literal(ctx, [["0", "alpha/2"],
+                                          ["alpha/2", "beta"]]))
+
+
+@pytest.mark.parametrize("seed_name, seed_params, expected", [
+    ("S11", (), "eps/2"),
+    ("S21", (), "eps/2"),
+    ("C1_p", ("p",), "eps/(2*p)"),
+], ids=["TFN11", "DD42_III_1", "DD42_VI_2"])
+def test_block_one_odd_generator(seed_name, seed_params, expected):
+    """The 1 x 1 blocks onto the N^eps duals [ft1, ft1] = eps*bt1: the
+    first boson's G is eps, any other boson's is 0."""
+    ctx = ParamContext([(n, Domain.free()) for n in seed_params]
+                       + [("eps", Domain.sign())])
+    seed = get_catalog().algebras[seed_name].lift_algebra(ctx, {})
+    Hs = odd_action_matrices(seed)
+    Gs = [[[ctx.param("eps") if i == 0 else ctx.zero()]]
+          for i in range(len(Hs))]
+    assert _eq_matrix(solve_shear(Hs, Gs), _literal(ctx, [[expected]]))
+
+
+@pytest.mark.parametrize("decl", PRE_SHEAR_DECLS, ids=SHEAR_IDS)
+def test_derived_shear_matches_pre_shear_matrix(decl):
+    """Each derived certificate equals, entry by entry, the matrix its
+    declaration shipped with, and verifies."""
+    cert = appendix_certificate(decl.id)
+    assert _eq_matrix(cert.matrix, [[eval_ast(ast, cert.ctx) for ast in row]
+                                    for row in decl.matrix])
+    assert cert.verify()
+
+
+def test_shipped_shears_are_exactly_the_ten():
+    """No shear certificate keeps a matrix block, and no other certificate
+    is a shear."""
+    shears = sorted(decl.id for _, decl in _catalog_decls()
+                    if isinstance(decl, CertDecl) and decl.matrix is None)
+    assert shears == sorted(SHEAR_IDS)
+
+
+def _verdicts_with_r_moved(monkeypatch, a):
+    """{id: verifies} of the ten shears in a fresh catalog whose solve_shear
+    adds 1 to R[a][a] (get_catalog() is cached, so it is not used)."""
+    real = iso.solve_shear
+
+    def moved(H_list, G_list):
+        R = real(H_list, G_list)
+        if a < len(R):
+            R[a][a] = R[a][a] + 1
+        return R
+
+    with monkeypatch.context() as mp:
+        mp.setattr(iso, "solve_shear", moved)
+        certs = Catalog(_catalog_decls()).certs
+    out = {}
+    for cid in SHEAR_IDS:
+        cert = certs[cid].certificate
+        assert cert.ctx.params, cid
+        out[cid], _ = verify_certificate(cert)
+    return out
+
+
+def test_moving_r_breaks_the_derived_shears(monkeypatch):
+    """With R[0][0] moved by 1, every derived shear fails verification
+    symbolically but DD24_III_1: C3's odd action has a zero first row, so
+    R[0][0] is a free component of its R-system (pinned to 0), and the moved
+    shear is another isomorphism.  Moving R[1][1] breaks it."""
+    assert _verdicts_with_r_moved(monkeypatch, 0) == {
+        cid: cid == "DD24_III_1" for cid in SHEAR_IDS}
+    ctx, _, H, _ = _symbolic_setup("C3")
+    one, zero = ctx.one(), ctx.zero()
+    assert RSolution(H, [[zero] * 2] * 2, [[one, zero], [zero, zero]]).check()
+    assert not _verdicts_with_r_moved(monkeypatch, 1)["DD24_III_1"]
 
 
 def test_exceptional_witnesses():
@@ -118,55 +307,25 @@ def test_numeric_exceptional_example():
     assert res.witness.is_one()
 
 
-def test_r_to_certificate_zero_is_identity():
+def test_shear_matrix_zero_is_identity():
+    """Onto an abelian dual G = 0, so R = 0 and the shear is the identity;
+    shear_certificate declines it."""
     t = catalog_triple("MT24_23")
-    ctx = t.ctx
-    H = odd_action_matrices(t.S)[0]
-    zero_G = [[ctx.zero()] * 2 for _ in range(2)]
-    r = solve_r(H, zero_G)
-    cert = r_to_certificate(r, t)
-    d = 6
-    for i in range(d):
-        for j in range(d):
-            want = 1 if i == j else 0
-            assert (cert.matrix[i][j] - want).is_zero()
-    assert cert.verify()
-
-
-def test_r_to_certificate_c4_matches_appendix():
-    ctx, _, H, G = _symbolic_setup("C4")
-    t = get_catalog().triples["MT24_23"].lift_triple(ctx, {})
-    cert = r_to_certificate(solve_r(H, G), t)
-    ref = appendix_certificate("DD24_IV_1")
-    mapper = ref.ctx.bind_scalars(ctx, {})
-    for i in range(6):
-        for j in range(6):
-            assert (cert.matrix[i][j] - mapper(ref.matrix[i][j])).is_zero()
-    assert cert.verify()
-    assert cert.target.triple.S_dual.tensor_equal(
-        get_catalog().triples["FAM24_C4_G"].lift_triple(ctx, {}).S_dual)
-
-
-def test_r_to_certificate_c5p_matches_appendix():
-    ctx, _, H, G = _symbolic_setup("C5_p", ("p",))
-    t = get_catalog().triples["MT24_27"].lift_triple(ctx, {})
-    cert = r_to_certificate(solve_r(H, G), t)
-    ref = appendix_certificate("DD24_Vp")
-    mapper = ref.ctx.bind_scalars(ctx, {})
-    for i in range(6):
-        for j in range(6):
-            assert (cert.matrix[i][j] - mapper(ref.matrix[i][j])).is_zero()
+    C = shear_matrix(t, t)
+    assert _eq_matrix(C, [[t.ctx.const(int(i == j)) for j in range(6)]
+                          for i in range(6)])
+    assert shear_certificate(t, build_double(t)) is None
 
 
 def test_solve_then_certify_satisfies_cpodm():
-    """Generic-H seeds: solve_r output pushed through r_to_certificate
-    verifies symbolically."""
-    seeds = (("C2_p", ("p",), "MT24_4"), ("C4", (), "MT24_23"),
-             ("C5_p", ("p",), "MT24_27"), ("C2_1", (), "MT24_9"))
+    """Generic-H seeds: shear_certificate onto the N-type dual with generic
+    G = (alpha, beta; beta, gamma) verifies symbolically."""
+    seeds = (("C2_p", ("p",), "FAM24_C2p_G"), ("C4", (), "FAM24_C4_G"),
+             ("C5_p", ("p",), "FAM24_C5p_G"), ("C2_1", (), "FAM24_C21_G"))
     for name, ps, rid in seeds:
-        ctx, _, H, G = _symbolic_setup(name, ps)
+        ctx, _, _, _ = _symbolic_setup(name, ps)
         t = get_catalog().triples[rid].lift_triple(ctx, {})
-        cert = r_to_certificate(solve_r(H, G), t)
+        cert = shear_certificate(t, build_double(t))
         ok, rep = verify_certificate(cert)
         assert ok, (name, rep[:2])
 
