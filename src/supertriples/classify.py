@@ -24,6 +24,7 @@ from .iso import (Exhausted, IsoCertificate, _condition_ii, _projected_sides,
                   shear_certificate, verify_certificate)
 from .matrices import f_solve, s_identity
 from .memo import report_memo
+from .polys import _p_compose
 from .scalars import (Domain, ParamContext, _term_image, finite_branches,
                       not_a_parameter)
 from .triples import ManinTriple, build_double, check_compatibility, t_dual
@@ -105,9 +106,9 @@ def enumerate_duals(seed):
     """All dual tensors compatible with the (numerically bound) seed.
 
     Two tiers: the Jacobi residuals of the double that are linear in the
-    unknowns are solved exactly; the remaining polynomial conditions are
-    filtered over the rational grid on the free directions of the solution
-    space.  Every returned dual re-passes the full compatibility check.
+    unknowns are solved exactly; the others, polynomials, are tested by
+    their numerators on the rational grid over the free directions of the
+    solution space.  Every returned dual re-passes the compatibility check.
     Raises BudgetExceeded when that grid has more than ENUM_BUDGET points
     (A12's 7^7 does).
     """
@@ -126,7 +127,7 @@ def enumerate_duals(seed):
         return max((sum(mn) for mn in num), default=0)
 
     linear = [r for r in residuals if degree(r) <= 1]
-    higher = [r for r in residuals if degree(r) > 1]
+    higher = [r.re[0] for r in residuals if degree(r) > 1]
 
     # exact linear solve over Q
     nu = ansatz.unknown_count
@@ -166,10 +167,9 @@ def enumerate_duals(seed):
         for s, vec in zip(combo, null):
             if s:
                 point = [x + s * y for x, y in zip(point, vec)]
-        if higher:
-            _, at = uctx.bind({"u%d" % i: point[i] for i in range(nu)})
-            if any(at(r) for r in higher):
-                continue
+        images = [(x, None) for x in point]
+        if any(_p_compose(f, images, 0) for f in higher):
+            continue
         values = [seed.ctx.const(x) for x in point]
         cand = ansatz.dual_algebra(seed.ctx, values)
         key = cand.tensor_key()

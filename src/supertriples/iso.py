@@ -383,7 +383,7 @@ class RSolution:
         n = len(self.R)
         for j in range(n):
             for k in range(n):
-                if not (RH[j][k] + RH[k][j] - self.G[j][k]).is_zero():
+                if RH[j][k] + RH[k][j] != self.G[j][k]:
                     return False
         return True
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, UnknownName
+from .polys import _p_str
 from .scalars import Domain, ParamContext, exact_sqrt
 
 __all__ = ["parse_scalar", "parse_catalog", "Tokenizer"]
@@ -38,8 +39,9 @@ MAX_PAREN_DEPTH = 64
 MAX_EXPONENT = 64
 # the longest number literal, well inside every Python's int-string limit
 MAX_DIGITS = 1000
-# a power is refused before it is computed when its coefficients could
-# outgrow a MAX_DIGITS-digit number or its degree MAX_EXPONENT
+# a power is refused before it is computed, and the result of + - * / after,
+# when its coefficients could outgrow a MAX_DIGITS-digit number or its
+# degree MAX_EXPONENT
 MAX_BITS = (10 ** MAX_DIGITS).bit_length()
 
 
@@ -168,26 +170,26 @@ class Tokenizer:
 # expression ASTs
 
 
+# the AST kind of each binary operator, also the name of its result in errors
+_BINARY = {"+": "sum", "-": "difference", "*": "product", "/": "quotient"}
+
+
 def parse_expr(tz):
     node = _term(tz)
     while True:
-        if tz.accept("+"):
-            node = ("add", node, _term(tz))
-        elif tz.accept("-"):
-            node = ("sub", node, _term(tz))
-        else:
+        tok = tz.accept("+") or tz.accept("-")
+        if tok is None:
             return node
+        node = (_BINARY[tok.kind], node, _term(tz), tok.line, tok.col)
 
 
 def _term(tz):
     node = _factor(tz)
     while True:
-        if tz.accept("*"):
-            node = ("mul", node, _factor(tz))
-        elif tz.accept("/"):
-            node = ("div", node, _factor(tz))
-        else:
+        tok = tz.accept("*") or tz.accept("/")
+        if tok is None:
             return node
+        node = (_BINARY[tok.kind], node, _factor(tz), tok.line, tok.col)
 
 
 def _factor(tz):
@@ -241,12 +243,14 @@ def _eval(ast, ctx, genmap):
     The left spine of a + - * / chain is walked in a loop, so the recursion
     goes only into right operands and through parentheses and sqrt(."""
     spine = []
-    while ast[0] in ("add", "sub", "mul", "div"):
+    while ast[0] in _BINARY.values():
         spine.append(ast)
         ast = ast[1]
     a = _eval_operand(ast, ctx, genmap)
-    for kind, _, right in reversed(spine):
+    for kind, _, right, line, col in reversed(spine):
         a = _binary(kind, a, _eval(right, ctx, genmap), ctx)
+        for c in a.values():
+            _check_size(c, 1, kind, line, col)
     return a
 
 
@@ -263,7 +267,7 @@ def _eval_operand(ast, ctx, genmap):
         inner = eval_ast(ast[1], ctx)
         if ctx.radical_name is not None:
             r = ctx.radical()
-            if (r * r - inner).is_zero():
+            if r * r == inner:
                 return {None: r}
         if inner.is_constant():
             root = exact_sqrt(inner.as_fraction())
@@ -276,26 +280,33 @@ def _eval_operand(ast, ctx, genmap):
     if _has_generators(a):
         raise ParseError("power of a generator")
     _, _, k, line, col = ast
-    bits, degree = a[None].size()
-    if bits * abs(k) > MAX_BITS:
-        raise ParseError("power of more than %d digits" % MAX_DIGITS,
-                         line, col)
-    if degree * abs(k) > MAX_EXPONENT:
-        raise ParseError("power of degree more than %d" % MAX_EXPONENT,
-                         line, col)
+    _check_size(a[None], abs(k), "power", line, col)
     return {None: a[None] ** k}
+
+
+def _check_size(value, k, what, line, col):
+    """Refuse value ** k when its coefficients could outgrow MAX_DIGITS
+    digits or its degree MAX_EXPONENT: a power before it is multiplied out,
+    the result of + - * / (k = 1) once it is computed."""
+    bits, degree = value.size()
+    if bits * k > MAX_BITS:
+        raise ParseError("%s of more than %d digits" % (what, MAX_DIGITS),
+                         line, col)
+    if degree * k > MAX_EXPONENT:
+        raise ParseError("%s of degree more than %d" % (what, MAX_EXPONENT),
+                         line, col)
 
 
 def _binary(kind, a, b, ctx):
     """The combination a + b, a - b, a * b or a / b."""
-    if kind in ("add", "sub"):
+    if kind in ("sum", "difference"):
         out = dict(a)
         for k, c in b.items():
-            if kind == "sub":
+            if kind == "difference":
                 c = -c
             out[k] = out[k] + c if k in out else c
         return out
-    if kind == "mul":
+    if kind == "product":
         if _has_generators(b):
             if _has_generators(a):
                 raise ParseError("product of generators in a bracket value")
@@ -666,7 +677,6 @@ def render_params(ctx):
     for name in ctx.params:
         bits.append("%s : %s" % (name, ctx.domains[name].describe()))
     if ctx.radical_name is not None:
-        from .scalars import _p_str
         bits.append("%s : sqrt(%s)" % (ctx.radical_name,
                                        _p_str(ctx.radicand, ctx.params)))
     return "params { %s }" % "; ".join(bits)

@@ -2,13 +2,10 @@
 
 The tower is Q -> Q[params] -> Q(params) -> Q(params)[r]/(r^2 - q): multivariate
 polynomials over the rationals in the context's named parameters, their fraction
-field, and at most one quadratic extension generator per context.  Everything is
-kept in a canonical form (expanded monomials, gcd-reduced fractions, denominator
-integer-primitive with positive leading coefficient), so equality of scalars is
-plain structural equality.
-
-Polynomials are dicts mapping exponent tuples (one slot per context parameter,
-in declaration order) to nonzero Fractions.
+field, and at most one quadratic extension generator per context.  The
+polynomials are the dicts of ``polys``, one slot per context parameter in
+declaration order, and both parts of a Scalar are kept in that module's
+canonical form, so ``==`` compares canonical forms and subtracts nothing.
 
 Every change of context goes through one map, ParamContext.bind_scalars, built
 on one polynomial substitution, _p_compose: each parameter goes to a rational,
@@ -30,297 +27,14 @@ numerators for zero on every sign branch.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd
 from math import isqrt
 
 from .errors import ConstraintViolation, DivisionByZero, InconsistentRadical, UnknownName
+from .polys import (_p_add, _p_compose, _p_const, _p_const_value, _p_content_signed,
+                    _p_divexact, _p_gcd, _p_is_const, _p_mul, _p_neg, _p_scale,
+                    _p_str, _p_var)
 
 __all__ = ["Domain", "ParamContext", "Scalar", "arith", "is_zero", "substitute"]
-
-
-# ---------------------------------------------------------------------------
-# polynomial layer: dict[exponent tuple -> Fraction]
-
-def _p_const(c, nv):
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {(0,) * nv: c}
-
-
-def _p_var(i, nv):
-    e = [0] * nv
-    e[i] = 1
-    return {tuple(e): Fraction(1)}
-
-
-def _p_add(f, g):
-    out = dict(f)
-    for m, c in g.items():
-        s = out.get(m)
-        if s is None:
-            out[m] = c
-        else:
-            s = s + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
-
-
-def _p_neg(f):
-    return {m: -c for m, c in f.items()}
-
-
-def _p_sub(f, g):
-    return _p_add(f, _p_neg(g))
-
-
-def _p_scale(f, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {m: c * k for m, k in f.items()}
-
-
-def _p_mul(f, g):
-    if not f or not g:
-        return {}
-    if len(f) > len(g):
-        f, g = g, f
-    out = {}
-    for mf, cf in f.items():
-        for mg, cg in g.items():
-            m = tuple(a + b for a, b in zip(mf, mg))
-            s = out.get(m)
-            if s is None:
-                out[m] = cf * cg
-            else:
-                s = s + cf * cg
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-    return out
-
-
-def _p_is_const(f):
-    return all(all(e == 0 for e in m) for m in f)
-
-
-def _p_const_value(f):
-    if not f:
-        return Fraction(0)
-    (m, c), = f.items()
-    return c
-
-
-def _p_lead(f):
-    return max(f)
-
-
-def _p_content_signed(f):
-    """Fraction c so that f/c has coprime integer coefficients and positive
-    leading (lex-largest monomial) coefficient."""
-    num = 0
-    den = 1
-    for c in f.values():
-        num = _igcd(num, abs(c.numerator))
-        den = den * c.denominator // _igcd(den, c.denominator)
-    c = Fraction(num, den)
-    if f[_p_lead(f)] < 0:
-        c = -c
-    return c
-
-
-def _p_max_var(f):
-    """Largest variable index with a positive exponent, or -1."""
-    best = -1
-    for m in f:
-        for i in range(len(m) - 1, best, -1):
-            if m[i]:
-                best = i
-                break
-    return best
-
-
-def _p_uni(f, v):
-    """View f as univariate in variable v: dict degree -> coefficient poly."""
-    out = {}
-    for m, c in f.items():
-        d = m[v]
-        key = list(m)
-        key[v] = 0
-        key = tuple(key)
-        coeff = out.setdefault(d, {})
-        coeff[key] = coeff.get(key, Fraction(0)) + c
-    return {d: {m: c for m, c in coeff.items() if c} for d, coeff in out.items() if coeff}
-
-
-def _p_shift(f, v, k):
-    out = {}
-    for m, c in f.items():
-        e = list(m)
-        e[v] += k
-        out[tuple(e)] = c
-    return out
-
-
-def _p_divexact(f, g):
-    """Exact multivariate division; g must divide f."""
-    if not f:
-        return {}
-    q = {}
-    r = dict(f)
-    lg = _p_lead(g)
-    cg = g[lg]
-    while r:
-        lr = _p_lead(r)
-        if any(a < b for a, b in zip(lr, lg)):
-            raise ArithmeticError("inexact polynomial division")
-        m = tuple(a - b for a, b in zip(lr, lg))
-        c = r[lr] / cg
-        q[m] = c
-        r = _p_sub(r, _p_mul({m: c}, g))
-    return q
-
-
-def _p_primitive(f):
-    if not f:
-        return f
-    return _p_scale(f, 1 / _p_content_signed(f))
-
-
-def _p_gcd(f, g):
-    """Primitive multivariate gcd with positive leading coefficient."""
-    if not f:
-        return _p_primitive(g)
-    if not g:
-        return _p_primitive(f)
-    f = _p_primitive(f)
-    g = _p_primitive(g)
-    if f == g:
-        return f
-    v = max(_p_max_var(f), _p_max_var(g))
-    if v < 0:
-        return _p_const(1, len(next(iter(f))))
-    cont_f = _p_list_gcd(list(_p_uni(f, v).values()))
-    cont_g = _p_list_gcd(list(_p_uni(g, v).values()))
-    cont = _p_gcd(cont_f, cont_g)
-    fp = _p_divexact(f, cont_f)
-    gp = _p_divexact(g, cont_g)
-    # primitive pseudo-remainder sequence in the top variable
-    if _p_deg(fp, v) < _p_deg(gp, v):
-        fp, gp = gp, fp
-    while gp:
-        r = _p_prem(fp, gp, v)
-        fp, gp = gp, _p_primitive(r)
-    fp = _p_divexact(fp, _p_list_gcd(list(_p_uni(fp, v).values())))
-    return _p_primitive(_p_mul(cont, fp))
-
-
-def _p_list_gcd(polys):
-    out = {}
-    for p in polys:
-        out = _p_gcd(out, p)
-        if _p_is_const(out) and out:
-            break
-    return out
-
-
-def _p_deg(f, v):
-    return max((m[v] for m in f), default=-1)
-
-
-def _p_prem(f, g, v):
-    """Pseudo-remainder of f by g with respect to variable v."""
-    df = _p_deg(f, v)
-    dg = _p_deg(g, v)
-    gu = _p_uni(g, v)
-    lg = gu[dg]
-    r = dict(f)
-    e = df - dg + 1
-    while r:
-        dr = _p_deg(r, v)
-        if dr < dg:
-            break
-        ru = _p_uni(r, v)
-        lr = ru[dr]
-        r = _p_sub(_p_mul(r, lg), _p_mul(_p_shift(lr, v, dr - dg), g))
-        e -= 1
-    for _ in range(e):
-        r = _p_mul(r, lg)
-    return r
-
-
-def _p_compose(f, images, nv):
-    """The one polynomial substitution: f with variable i replaced by the
-    term images[i] = (c, j), that is c * x_j over nv target variables (c None
-    for the coefficient 1, j None for the constant c).  Applied term by term;
-    several variables may share a target."""
-    out = {}
-    for m, coeff in f.items():
-        e = [0] * nv
-        for i, exp in enumerate(m):
-            if not exp:
-                continue
-            c, j = images[i]
-            if c is not None:
-                coeff = coeff * c ** exp
-            if j is not None:
-                e[j] += exp
-        if not coeff:
-            continue
-        key = tuple(e)
-        s = out[key] + coeff if key in out else coeff
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
-
-
-def _term_image(v):
-    """The term (c, j) of _p_compose when the Scalar v is a constant c or a
-    single parameter +-x_j, else v itself."""
-    num = v.re[0]
-    if v.rad is None and _rf_is_one_den(v.re):
-        if _p_is_const(num):
-            return (_p_const_value(num), None)
-        if len(num) == 1:
-            (m, c), = num.items()
-            if c in (1, -1) and sum(m) == 1:
-                return (None if c == 1 else c, m.index(1))
-    return v
-
-
-def _p_str(f, names):
-    if not f:
-        return "0"
-    parts = []
-    for m in sorted(f, reverse=True):
-        c = f[m]
-        factors = []
-        for i, e in enumerate(m):
-            if e == 1:
-                factors.append(names[i])
-            elif e > 1:
-                factors.append("%s^%d" % (names[i], e))
-        if not factors:
-            body = str(abs(c))
-        else:
-            body = "*".join(factors)
-            a = abs(c)
-            if a != 1:
-                body = "%s*%s" % (a, body)
-        parts.append(("- " if c < 0 else "+ ") + body)
-    s = " ".join(parts)
-    if s.startswith("+ "):
-        s = s[2:]
-    elif s.startswith("- "):
-        s = "-" + s[2:]
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +80,20 @@ def _rf_mul(a, b, nv):
     if not an or not bn:
         return ({}, _p_const(1, nv))
     return _rf_make(_p_mul(an, bn), _p_mul(ad, bd), nv)
+
+
+def _term_image(v):
+    """The term (c, j) of _p_compose when the Scalar v is a constant c or a
+    single parameter +-x_j, else v itself."""
+    num = v.re[0]
+    if v.rad is None and _rf_is_one_den(v.re):
+        if _p_is_const(num):
+            return (_p_const_value(num), None)
+        if len(num) == 1:
+            (m, c), = num.items()
+            if c in (1, -1) and sum(m) == 1:
+                return (None if c == 1 else c, m.index(1))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +418,7 @@ class ParamContext:
                 raise InconsistentRadical("target context lacks a radical for %r"
                                           % self.radical_name)
             radicand = image((self.radicand, _p_const(1, self.nvars)))
-            if square.key() != radicand.key():     # canonical forms
+            if square != radicand:
                 raise InconsistentRadical("%s does not square to radicand" % whose)
 
         def mapper(s):
@@ -829,9 +557,8 @@ class Scalar:
             other = self.ctx.const(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            return False
-        return (self - other).is_zero()
+        return ((self.ctx is other.ctx or self.ctx == other.ctx)
+                and self.re == other.re and self.rad == other.rad)
 
     def __hash__(self):
         return hash(self.key())

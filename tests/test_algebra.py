@@ -22,6 +22,43 @@ from supertriples.triples import build_double, t_dual
 EMPTY = ParamContext()
 
 
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_tensor_equal_compares_contexts_once_then_canonical_forms(seed):
+    """tensor_equal holds for the same tensor over equal but distinct
+    context objects, fails when one entry differs, and is False, not a
+    ConstraintViolation, across unequal contexts."""
+    from supertriples.scalars import random_scalar
+    rng = random.Random(seed)
+
+    def context(domain):
+        return ParamContext([("p", domain), ("q", Domain.free())])
+
+    ctx, twin = context(Domain.free()), context(Domain.free())
+    other = context(Domain.free(excluded=[0]))
+    g = Grading(2, 2)
+    entries = {}
+    while not entries:
+        for key in rng.sample([(i, j, k) for i in range(4) for j in range(4)
+                               for k in range(4)], 6):
+            c = random_scalar(ctx, rng)
+            if c:
+                entries[key] = c
+    a = SuperAlgebra(g, ctx, entries)
+    same = SuperAlgebra(g, twin, {k: ctx.bind_scalars(twin, {})(c)
+                                  for k, c in entries.items()})
+    shifted = same.entries()
+    key = next(iter(shifted))
+    shifted[key] = shifted[key] + 1
+    moved = SuperAlgebra(g, twin, shifted)
+    foreign = SuperAlgebra(g, other, {k: ctx.bind_scalars(other, {})(c)
+                                      for k, c in entries.items()})
+    assert twin is not ctx and twin == ctx and other != ctx
+    assert a.tensor_equal(same) and same.tensor_equal(a)
+    assert not a.tensor_equal(moved) and not moved.tensor_equal(a)
+    assert not a.tensor_equal(foreign) and not foreign.tensor_equal(a)
+
+
 def test_antisymmetry_examples():
     g = Grading(1, 1)
     abelian = SuperAlgebra.from_brackets(g, EMPTY, {})

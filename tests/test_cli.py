@@ -430,6 +430,26 @@ def test_oversized_numbers_are_parse_errors(tmp_path, value, message):
     assert r.stderr == "parse error: %s: %s\n" % (path, message)
 
 
+def test_an_oversized_product_is_a_parse_error_through_both_routes(tmp_path):
+    """A product of 80 factors 10^60 once passed check --file and ended
+    double --triple in a ValueError traceback, when its 4 800-digit
+    coefficient was printed.  The product is refused at the '*' where it
+    passes MAX_DIGITS digits, the 16th, by check --file and by a catalog
+    read from SUPERTRIPLES_CATALOG_PATH alike."""
+    path = tmp_path / "big.cat"
+    path.write_text("triple BIG_1 super_dim (1, 1)\n"
+                    "  left = A11()\n"
+                    "  right { [ft1, ft1] = %s*bt1 }\n"
+                    % "*".join(["(10^60)"] * 80))
+    message = ("parse error: %s: line 3, col 151: product of more than 1000 "
+               "digits\n" % path)
+    for r in (run("check", "--file", str(path)),
+              run("double", "--triple", "BIG_1",
+                  env={"SUPERTRIPLES_CATALOG_PATH": str(tmp_path)})):
+        _one_line_error(r, 2)
+        assert r.stderr == message
+
+
 @pytest.mark.parametrize("params, message", [
     ("p : free; p : sign", "line 2, col 22: duplicate parameter 'p'"),
     ("p : free; r : sqrt(p); s : sqrt(p + 1)",

@@ -14,7 +14,7 @@ from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
 from supertriples.errors import (ConstraintViolation, DimensionMismatch,
                                  DivisionByZero,
                                  NotAutomorphism, SuperTriplesError)
-from supertriples import iso, scalars
+from supertriples import iso, polys, scalars
 from supertriples.classify import report
 from supertriples.iso import (Exhausted, IsoCertificate, _form_residuals,
                               _form_tensor, _half, _holds, _stages, _weights,
@@ -692,12 +692,14 @@ def test_fraction_free_test_agrees_with_scalar_residuals(cid, how, data):
 
 def test_shipped_certificates_verify_without_a_polynomial_gcd(monkeypatch):
     """The accept path of a parametric or radical certificate makes no
-    polynomial gcd: all shipped certificates verify with _p_gcd raising."""
+    polynomial gcd: all shipped certificates verify with _p_gcd raising,
+    both in polys and where scalars imports it."""
     certs = [appendix_certificate(cid) for cid in list_certificates()]
 
     def no_gcd(f, g):
         raise AssertionError("polynomial gcd while verifying")
 
+    monkeypatch.setattr(polys, "_p_gcd", no_gcd)
     monkeypatch.setattr(scalars, "_p_gcd", no_gcd)
     for cert in certs:
         assert verify_certificate(cert) == (True, []), cert

@@ -206,6 +206,21 @@ def test_tokenizer_and_parse_expr_raise_only_parse_errors(text):
         pass
 
 
+def _primes(count):
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+# 1/2 + 1/3 + 1/5 + ...: each term grows the denominator, so the sum passes
+# MAX_DIGITS digits well before its 600th term
+_PRIME_SUM = " + ".join("1/%d" % p for p in _primes(600))
+
+
 @given(_EXPR_TEXTS)
 @example("(" + "+".join(["1"] * 5000) + ")")
 @example("-" * 5001 + "p")
@@ -215,6 +230,7 @@ def test_tokenizer_and_parse_expr_raise_only_parse_errors(text):
 @example("(((((2^64)^64)^64)^64)^64)")
 @example("((((p + 1)^8)^8)^8)")
 @example("(0^-1)")
+@example(_PRIME_SUM)
 @settings(max_examples=300, deadline=None)
 def test_parse_scalar_raises_only_input_errors(text):
     """For any text parse_scalar gives a Scalar or raises ParseError,
@@ -255,17 +271,34 @@ def test_exponents_are_at_most_max_exponent():
 def test_powers_are_bounded_in_evaluated_size():
     """A power whose coefficients could pass MAX_DIGITS digits or whose
     degree could pass MAX_EXPONENT is a ParseError at its exponent, raised
-    before the power is multiplied out."""
+    before the power is multiplied out.  A sum, difference, product or
+    quotient past either bound is one at its operator, once computed."""
     ctx = ParamContext([("p", Domain.free())])
+    big = "9" * MAX_DIGITS
     assert parse_scalar(ctx, "((2^64)^51)") == 2 ** (64 * 51)
     assert parse_scalar(ctx, "((p^8)^8)") == ctx.param("p") ** 64
     assert parse_scalar(ctx, "((1/2)^64)^-51") == 2 ** (64 * 51)
+    assert parse_scalar(ctx, big + " - 1") == 10 ** MAX_DIGITS - 2
+    assert parse_scalar(ctx, "(1/" + big + ")*p^63*p") == ctx.param("p") ** 64 / int(big)
     for text, col, message in (
             ("((2^64)^52)", 9, "power of more than %d digits" % MAX_DIGITS),
             ("(((((2^64)^64)^64)^64)^64)", 12,
              "power of more than %d digits" % MAX_DIGITS),
             ("1 + ((p^8)^9)", 12, "power of degree more than %d" % MAX_EXPONENT),
-            ("(p/(p+1))^-65", 11, "exponent larger than %d" % MAX_EXPONENT)):
+            ("(p/(p+1))^-65", 11, "exponent larger than %d" % MAX_EXPONENT),
+            (big + "*" + big, MAX_DIGITS + 1,
+             "product of more than %d digits" % MAX_DIGITS),
+            ("1 - " + big + "*10", MAX_DIGITS + 5,
+             "product of more than %d digits" % MAX_DIGITS),
+            ("p - (1/" + big + ")/" + big, MAX_DIGITS + 9,
+             "quotient of more than %d digits" % MAX_DIGITS),
+            ("1/" + big + " - 1/" + big[:-1] + "7", MAX_DIGITS + 4,
+             "difference of more than %d digits" % MAX_DIGITS),
+            # the partial sums pass 1 000 digits when 1/2371, the 351st
+            # prime, is added
+            (_PRIME_SUM, _PRIME_SUM.index(" + 1/2371") + 2,
+             "sum of more than %d digits" % MAX_DIGITS),
+            ("p^64 - p^32*p^33", 12, "product of degree more than %d" % MAX_EXPONENT)):
         with pytest.raises(ParseError) as err:
             parse_scalar(ctx, text)
         assert str(err.value) == "line 1, col %d: %s" % (col, message)

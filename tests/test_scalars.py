@@ -1,9 +1,12 @@
+import ast
+import os
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import supertriples
 from supertriples.catalog import appendix_certificate, catalog_triple
 from supertriples.errors import (ConstraintViolation, DivisionByZero,
                                  InconsistentRadical)
@@ -12,6 +15,28 @@ from supertriples.scalars import (Domain, ParamContext, Scalar, arith,
                                   cleared_vanish_on_branches, is_zero,
                                   random_scalar, substitute,
                                   vanishes_on_branches)
+
+
+def test_polys_is_the_only_polynomial_module():
+    """Only polys.py defines _p_* functions, and polys imports nothing from
+    the package: the ring sits below the scalar tower."""
+    package = os.path.dirname(supertriples.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        defined = [node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name.startswith("_p_")]
+        assert bool(defined) == (name == "polys.py"), (name, defined)
+        if name == "polys.py":
+            inside = [ast.dump(node) for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      and (node.level or node.module.startswith("supertriples"))
+                      or isinstance(node, ast.Import)
+                      and any(a.name.startswith("supertriples") for a in node.names)]
+            assert not inside, inside
 
 
 def ctx_p():
@@ -193,6 +218,41 @@ def test_field_axioms_random(seed):
     assert (a * b) * c == a * (b * c)
     if not a.is_zero():
         assert (a * a.inv()).is_one()
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(["params", "radical"]))
+@settings(max_examples=80, deadline=None)
+def test_equality_is_equality_of_canonical_forms(seed, which):
+    """== compares canonical forms and subtracts nothing: it agrees with
+    (a - b).is_zero() and equal scalars hash alike, over parameters and over
+    a radical, for b drawn at random or rebuilt from a in another order, and
+    for a copy of a in an equal but distinct context object."""
+    rng = random.Random(seed)
+
+    def make():
+        if which == "radical":
+            return ctx_rho()
+        return ParamContext([("p", Domain.free()), ("q", Domain.free())])
+
+    ctx = make()
+
+    def draw():
+        x = random_scalar(ctx, rng)
+        if ctx.radical_name is not None:
+            x = x + random_scalar(ctx, rng, 1) * ctx.radical()
+        return x
+
+    a, c = draw(), draw()
+    twin = make()
+    copy = ctx.bind_scalars(twin, {})(a)
+    assert twin is not ctx and copy.ctx is twin
+    for b in (draw(), c, a + c - c, c + a - c, (a * c) / c if c else -(-a),
+              a * 1, copy):
+        assert (a == b) == (a - b).is_zero() == (b == a)
+        if a == b:
+            assert hash(a) == hash(b)
+    assert a == copy and a == a + c - c
+    assert (a == 0) == a.is_zero() and (a == 1) == a.is_one()
 
 
 def test_field_axioms_at_sampled_points():
