@@ -13,11 +13,14 @@ The graded Jacobi identity runs through one kernel, ``_jacobi``, and every
 contraction of a tensor with a matrix (basis change, the automorphism and
 certificate conditions, the orbit join, the commutant series and
 ad-invariance in ``forms``) through ``_pull`` and ``_push``, for int,
-Fraction, Scalar and ``scalars.Cleared`` entries alike.  ``_integer_tensor``
-and ``_integer_matrix`` clear Fraction denominators once, so numeric work
-runs on integers; ``scalars.clear_denominators`` does the same for Scalars.
-The commutant spans are kept by ``_echelon_add``, a fraction-free echelon
-of sparse integer rows.
+Fraction, Scalar and ``scalars.Cleared`` entries alike.  The condition that
+a matrix carries one tensor onto another, which is an automorphism's, a
+certificate's condition (ii) and the orbit join's, is stated once, by
+``_transport_residuals``.  ``SuperAlgebra.integer_tensor`` and
+``_integer_matrix`` clear Fraction denominators once, so numeric work runs
+on integers; ``scalars.clear_denominators`` does the same for Scalars.  The
+commutant spans are kept by ``_echelon_add``, a fraction-free echelon of
+sparse integer rows.
 """
 
 from __future__ import annotations
@@ -74,8 +77,8 @@ class SuperAlgebra:
 
     The tensor is stored once, as its nonzero entries (i, j, k, F_{IJ}^K)
     sorted by (i, j, k): ``nonzero()`` returns that list, ``bracket(i, j)``
-    reads a row index built from it, and ``F`` is a read-only dense view
-    (nested tuples) for callers that want the d x d x d array.
+    reads a row index built from it, and ``integer_tensor()`` scales it to
+    integers.
 
     dual_role marks tensors whose indices are conceptually raised
     (F~^{IJ}_K of a dual subalgebra); the axioms take the identical form,
@@ -83,7 +86,7 @@ class SuperAlgebra:
     """
 
     __slots__ = ("grading", "parity", "names", "ctx", "name", "dual_role",
-                 "_nz", "_rows", "_dense")
+                 "_nz", "_rows")
 
     def __init__(self, grading, ctx, entries, parity=None, names=None,
                  name=None, dual_role=False):
@@ -100,7 +103,6 @@ class SuperAlgebra:
         self._nz = [(i, j, k, c) for (i, j, k), c in sorted(entries.items())
                     if not c.is_zero()]
         self._rows = None
-        self._dense = None
 
     # -- construction ---------------------------------------------------
 
@@ -145,21 +147,27 @@ class SuperAlgebra:
         """{(i, j, k): F_{IJ}^K} over the nonzero entries; a fresh dict."""
         return {(i, j, k): c for (i, j, k, c) in self._nz}
 
-    def numeric_nonzero(self):
-        """nonzero() with Fraction entries (numeric contexts)."""
-        return [(i, j, k, c.as_fraction()) for (i, j, k, c) in self._nz]
+    def integer_tensor(self):
+        """(N, den): the nonzero entries as integers N = den F, in order,
+        with den the lcm of their denominators; ConstraintViolation on an
+        entry that is not rational.  Not kept: the seven reports convert 448
+        algebras 550 times, so a cache would save a hundred conversions."""
+        nz = [(i, j, k, c.as_fraction()) for (i, j, k, c) in self._nz]
+        den = math.lcm(*(c.denominator for (_, _, _, c) in nz))
+        return [(i, j, k, c.numerator * (den // c.denominator))
+                for (i, j, k, c) in nz], den
 
     @property
     def F(self):
-        """Dense read-only view: F[i][j][k] as nested tuples."""
-        if self._dense is None:
-            d = self.dim
-            zero = self.ctx.zero()
-            rows = self._row_index()
-            self._dense = tuple(
-                tuple(tuple(rows.get((i, j), {}).get(k, zero) for k in range(d))
-                      for j in range(d)) for i in range(d))
-        return self._dense
+        """Dense view F[i][j][k] as nested tuples, built on each read.  The
+        package reads ``bracket(i, j)``; bench/record_reference.py reads
+        this."""
+        d = self.dim
+        zero = self.ctx.zero()
+        rows = self._row_index()
+        return tuple(tuple(tuple(rows.get((i, j), {}).get(k, zero)
+                                 for k in range(d)) for j in range(d))
+                     for i in range(d))
 
     def _row_index(self):
         """{(i, j): {k: F_{IJ}^K}}, each row in increasing k."""
@@ -286,11 +294,11 @@ def check_antisymmetry(algebra):
 
 def check_jacobi(algebra):
     """Nonvanishing graded Jacobi residuals (sign branches split).  A numeric
-    algebra is tested first on its ``_integer_tensor``: the identity is
+    algebra is tested first on its ``integer_tensor``: the identity is
     homogeneous quadratic, so the denominator d scales each residual by d^2."""
     ctx = algebra.ctx
     if not ctx.params and ctx.radical_name is None and not _jacobi(
-            _integer_tensor(algebra.numeric_nonzero())[0], algebra.parity):
+            algebra.integer_tensor()[0], algebra.parity):
         return []
     return _branch_failures(algebra.jacobi_residuals())
 
@@ -307,7 +315,7 @@ def is_automorphism(A, algebra):
 
 def automorphism_residuals(A, algebra):
     nz = algebra.nonzero()
-    return _branch_failures(_bracket_residuals(A, nz, nz))
+    return _branch_failures(_transport_residuals(A, nz, nz))
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +390,6 @@ def _push(nz, M):
     return out
 
 
-def _integer_tensor(nz):
-    """(integer nonzero list, den): the Fraction entries of nz times den,
-    the lcm of their denominators."""
-    den = math.lcm(*(c.denominator for (_, _, _, c) in nz))
-    return [(i, j, k, c.numerator * (den // c.denominator))
-            for (i, j, k, c) in nz], den
-
-
 def _integer_matrix(M):
     """(integer matrix, a): the Fraction matrix M times a, the lcm of the
     denominators of its entries."""
@@ -412,12 +412,16 @@ def _difference(lhs, rhs):
     return out
 
 
-def _bracket_residuals(C, source_nz, target_nz):
+def _transport_residuals(M, source, target, t=None, sc=None):
     """((a, b, r), value) for each nonvanishing entry of
-    C_a^p C_b^q F_pq^r - F'_ab^k C_k^r, with F the source tensor and F' the
-    target tensor (given by their nonzero lists); sign branches are not
-    split here."""
-    return _difference(_pull(source_nz, _columns(C)), _push(target_nz, C))
+    t M_a^p M_b^q F_pq^r - sc F'_ab^k M_k^r (t = sc = 1 when not given), in
+    key order, with F and F' the source and target nonzero lists: none
+    when M carries F onto F'.  Sign branches are not split here."""
+    lhs, rhs = _pull(source, _columns(M)), _push(target, M)
+    if t is not None:
+        lhs = {key: t * x for key, x in lhs.items()}
+        rhs = {key: sc * x for key, x in rhs.items()}
+    return _difference(lhs, rhs)
 
 
 class AutoBranch:
@@ -511,7 +515,7 @@ class CommutantFingerprint:
 def commutant_series(algebra, bindings=None):
     """Exact superdimensions of the iterated commutants at numeric bindings.
 
-    The brackets are taken on the integer tensor ``_integer_tensor`` makes:
+    The brackets are taken on the algebra's ``integer_tensor``:
     scaling every structure constant by one common denominator scales every
     bracket vector by it, so no span changes.  Each level keeps one basis of
     its span, as primitive integer rows; any basis gives the same next level,
@@ -521,7 +525,7 @@ def commutant_series(algebra, bindings=None):
     if A.ctx.params:
         raise ConstraintViolation(
             "commutant series needs numeric bindings for %s" % (A.ctx.params,))
-    nz, _ = _integer_tensor(A.numeric_nonzero())
+    nz, _ = A.integer_tensor()
     # C1 brackets the identity rows, each later level its predecessor's basis
     rows = [{i: 1} for i in range(A.dim)]
     par = A.parity

@@ -15,11 +15,11 @@ import random
 from fractions import Fraction
 
 from .algebra import (SuperAlgebra, _echelon_add, _integer_matrix,
-                      _integer_tensor, commutant_series)
+                      _transport_residuals, commutant_series)
 from .catalog import automorphisms, catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DimensionMismatch,
                      DivisionByZero, InconsistentRadical, UnknownId)
-from .iso import (Exhausted, IsoCertificate, _condition_ii, _projected_sides,
+from .iso import (Exhausted, IsoCertificate, _evaluations, _projected_sides,
                   _projections, dual_g_blocks, from_automorphism, search_iso,
                   shear_certificate, verify_certificate)
 from .matrices import f_solve, s_identity
@@ -199,11 +199,12 @@ def reduce_orbits(solutions, family):
     at a time, to M = c A^T (``_members``).  Pulling back along A^T undoes
     the pullback along (A^T)^{-1}, so for an invertible A solution i moves
     onto solution j exactly when pull(N_j, M) = c push(N_i, M), condition
-    (ii) of ``iso._holds`` with s = t = 1; a singular A is refused.  Equal
-    tensors project equally (``iso._projected_sides``), so a pair is tested
-    in full only when the projection of pull(N_j, M) lands in the bucket of
-    c push(N_i, M), and only when i and j are in different sets: a union
-    inside one set changes nothing, so the partition is the all-pairs one.
+    (ii) of ``iso._holds`` with s = t = 1 (``_transport_residuals``); a
+    singular A is refused.  Equal tensors project equally
+    (``iso._evaluations``), so a pair is tested in full only when the
+    projection of pull(N_j, M) lands in the bucket of c push(N_i, M), and
+    only when i and j are in different sets: a union inside one set changes
+    nothing, so the partition is the all-pairs one.
     The family must have a branch and must not use the seed's parameters:
     bind them with ``automorphisms(name, bindings)``.
     """
@@ -211,7 +212,7 @@ def reduce_orbits(solutions, family):
     if not solutions:
         return []
     d = solutions[0].dim
-    scaled = [_integer_tensor(sol.numeric_nonzero()) for sol in solutions]
+    scaled = [sol.integer_tensor() for sol in solutions]
     den = math.lcm(*(t for _, t in scaled))
     tensors = [[(i, j, k, n * (den // t)) for (i, j, k, n) in nz]
                for nz, t in scaled]
@@ -219,13 +220,14 @@ def reduce_orbits(solutions, family):
     sets = _UnionFind(len(solutions))
     for M, c in _members(family):
         P = _projections(M)
+        values = [_evaluations(P, c, s) for s in sides]
         buckets = {}
-        for i, (_, W) in enumerate(sides):
-            buckets.setdefault(c * sum(w * P[r] for (r, w) in W), []).append(i)
-        for j, (terms, _) in enumerate(sides):
-            for i in buckets.get(sum(k * P[p] * P[q] for (p, q, k) in terms), ()):
-                if (sets.find(i) != sets.find(j) and _condition_ii(
-                        M, tensors[j], 1, tensors[i], c)):
+        for i, (_, pushed) in enumerate(values):
+            buckets.setdefault(pushed, []).append(i)
+        for j, (pulled, _) in enumerate(values):
+            for i in buckets.get(pulled, ()):
+                if (sets.find(i) != sets.find(j) and not _transport_residuals(
+                        M, tensors[j], tensors[i], 1, c)):
                     sets.union(i, j)
 
     orbits = {}

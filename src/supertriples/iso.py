@@ -12,12 +12,13 @@ B is a signed permutation, so (i) makes C^-1 = B C^T B^T a signed transpose
 of C: ``IsoCertificate.invert`` reads it off ``canonical_form`` without an
 elimination.
 
-``verify_certificate`` tests (i) and (ii) without division: on integers
-for a numeric certificate (``_holds``), and otherwise on the numerators of
-C, F and F' cleared once over polynomial denominators, as polynomial
-identities branch by branch (``_holds_identically``).  Scalar residuals
-are computed only when neither proves both conditions; they make the
-report.
+(i) is computed by ``_form_residuals`` and (ii) by
+``algebra._transport_residuals`` alone, on any entries.
+``verify_certificate`` tests them without division: on integers for a
+numeric certificate (``_holds``), and otherwise on the numerators of C, F
+and F' cleared once over polynomial denominators, as polynomial identities
+branch by branch (``_holds_identically``).  Scalar residuals are computed
+only when neither proves both conditions; they make the report.
 
 Certificates are built from T-duality (``t_dual_certificate``), from
 automorphisms (``from_automorphism``) and from exact shears I + E
@@ -38,9 +39,9 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .algebra import (SuperAlgebra, _bracket_residuals, _branch_failures,
-                      _columns, _difference, _integer_matrix, _integer_tensor,
-                      _pull, _push, automorphism_residuals, commutant_series)
+from .algebra import (SuperAlgebra, _branch_failures, _columns, _difference,
+                      _integer_matrix, _pull, _transport_residuals,
+                      automorphism_residuals, commutant_series)
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from .forms import canonical_form
 from .matrices import (dual_blockdiag, f_matmul, rref, s_identity, s_matmul,
@@ -152,8 +153,8 @@ def verify_certificate(cert):
     if not ctx.params and ctx.radical_name is None:
         M, c = _integer_matrix([[x.as_fraction() for x in row]
                                 for row in cert.matrix])
-        if _holds(M, c, form, _integer_tensor(cert.source.numeric_nonzero()),
-                  _integer_tensor(cert.target.numeric_nonzero())):
+        if _holds(M, c, form, cert.source.integer_tensor(),
+                  cert.target.integer_tensor()):
             return True, []
     elif _holds_identically(cert, form):
         return True, []
@@ -168,8 +169,8 @@ def _residual_verdict(cert, form):
     form = [(p, q, r, ctx.const(x)) for (p, q, r, x) in form]
     residuals = [("form", key[:2], res) for key, res in _form_residuals(C, form)]
     residuals.extend(("bracket", key, res) for key, res in
-                     _bracket_residuals(C, cert.source.nonzero(),
-                                        cert.target.nonzero()))
+                     _transport_residuals(C, cert.source.nonzero(),
+                                          cert.target.nonzero()))
     failing = _branch_failures(residuals)
     return (not failing), failing
 
@@ -182,15 +183,18 @@ def _form_tensor(m, n):
             for q, x in enumerate(row) if x]
 
 
-def _form_residuals(C, form):
-    """Condition (i): C_a^p C_b^q B_pq - B_ab, keyed (a, b, 0)."""
-    return _difference(_pull(form, _columns(C)),
-                       {(p, q, r): x for (p, q, r, x) in form})
+def _form_residuals(M, form, c2=None):
+    """Condition (i) for C = M / c: ((a, b, 0), value) for each nonvanishing
+    entry of M_a^p M_b^q B_pq - c2 B_ab, in key order, with c2 = c^2 and B's
+    nonzero list form; without c2, B unscaled."""
+    return _difference(_pull(form, _columns(M)),
+                       {(p, q, r): x if c2 is None else c2 * x
+                        for (p, q, r, x) in form})
 
 
 @functools.lru_cache(maxsize=None)
 def _weights(d):
-    """The weight vectors (u, v, z) of ``_holds``'s projection for dimension
+    """The weight vectors (u, v, z) of the projection of (ii) for dimension
     d: the first 3d primes, in three consecutive runs of d.  u and v must
     differ, since the even-even brackets are antisymmetric and cancel under
     u = v."""
@@ -221,11 +225,24 @@ def _projections(M):
 
 
 def _projected_sides(source, target, d):
-    """(terms, W): the tensor halves of ``_holds``'s projected test of (ii)
-    in dimension d, with source (N, s) and target (N', t), indexed into
+    """(terms, W): the tensor halves of the projected test of (ii) in
+    dimension d, with source (N, s) and target (N', t), indexed into
     ``_projections``' P.  terms lists (p, d + q, k), k = t sum over r of
     N_pq^r z_r; W lists (2d + r, w), w = s sum over a, b of
-    N'_ab^r u_a v_b; zeros are dropped."""
+    N'_ab^r u_a v_b; zeros are dropped.
+
+    Cleared of denominators, (ii) for C = M / c reads
+    t pull(N, M) = s c push(N', M) (``_holds``).  Evaluating a tensor
+    T_ab^r on the fixed weights (u, v, z) of ``_weights`` is a linear map to
+    the integers, so where (ii) holds its two sides evaluate equally.  The
+    evaluations are read off P and the sides, without building either side
+    of (ii):
+
+        t  sum over N  of x (uM)_p (vM)_q z_r      (x = N_pq^r)
+        sc sum over N' of x u_a v_b (Mz)_r         (x = N'_ab^r)
+
+    (``_evaluations``).  Unequal evaluations prove that (ii) fails; equal
+    ones prove nothing."""
     (N, s), (N2, t) = source, target
     u, v, z = _weights(d)
     terms, W = {}, {}
@@ -237,12 +254,12 @@ def _projected_sides(source, target, d):
             [(r, w) for r, w in W.items() if w])
 
 
-def _projection_agrees(P, c, sides):
-    """Whether the two projected sides of (ii) are equal, for C = M / c with
-    ``_projections`` P and ``_projected_sides`` sides."""
+def _evaluations(P, c, sides):
+    """The evaluations of t pull(N, M) and s c push(N', M), for C = M / c
+    with ``_projections`` P and ``_projected_sides`` sides."""
     terms, W = sides
-    return (sum(k * P[p] * P[q] for (p, q, k) in terms)
-            == c * sum(w * P[r] for (r, w) in W))
+    return (sum(k * P[p] * P[q] for (p, q, k) in terms),
+            c * sum(w * P[r] for (r, w) in W))
 
 
 def _holds(M, c, form, source, target):
@@ -254,34 +271,10 @@ def _holds(M, c, form, source, target):
         (i)   pull(B, M) = c^2 B
         (ii)  t pull(N, M) = s c push(N', M)
 
-    over integers.  Evaluating a tensor T_ab^r on the fixed weights
-    (u, v, z) of ``_weights`` is a linear map to the integers, so where (ii)
-    holds its two sides evaluate equally.  The evaluations are read off the
-    projections of M (``_projections``) and of the tensors
-    (``_projected_sides``), without building either side:
-
-        t  sum over N  of x (uM)_p (vM)_q z_r      (x = N_pq^r)
-        sc sum over N' of x u_a v_b (Mz)_r         (x = N'_ab^r)
-
-    A mismatch proves that (ii) fails.  Equal evaluations prove nothing, so
-    then (i) and (ii) are tested in full, (ii) by ``_condition_ii``, and the
-    result is exactly that of the full test for every input."""
+    over integers."""
     (N, s), (N2, t) = source, target
-    if not _projection_agrees(_projections(M), c,
-                              _projected_sides(source, target, len(M))):
-        return False
-    cols = _columns(M)
-    c2 = c * c
-    if ({key: x for key, x in _pull(form, cols).items() if x}
-            != {(p, q, r): c2 * x for (p, q, r, x) in form}):
-        return False
-    return _condition_ii(M, N, t, N2, s * c, cols)
-
-
-def _condition_ii(M, N, t, N2, sc, cols=None):
-    """Whether t pull(N, M) = sc push(N2, M) in full (cols: M's ``_columns``)."""
-    return ({key: t * x for key, x in _pull(N, cols or _columns(M)).items()
-             if x} == {key: sc * x for key, x in _push(N2, M).items() if x})
+    return (not _form_residuals(M, form, c * c)
+            and not _transport_residuals(M, N, N2, t, s * c))
 
 
 def _holds_identically(cert, form):
@@ -289,25 +282,16 @@ def _holds_identically(cert, form):
     over parameters or a radical: the parametric twin of ``_holds``, with
     no gcd.  C, F and F' are cleared once (``clear_denominators``) to M / c,
     N / s and N' / t, with numerators in Q[params][r]/(r^2 - q) and c, s, t
-    polynomials, and
-
-        (i)   pull(B, M) - c^2 B
-        (ii)  t pull(N, M) - s c push(N', M)
-
-    must vanish on every sign branch (``cleared_vanish_on_branches``).
-    True holds only where the Scalar residuals vanish too; False proves
-    nothing."""
+    polynomials, and the residuals of ``_holds``' (i) and (ii) must vanish
+    on every sign branch (``cleared_vanish_on_branches``).  True holds only
+    where the Scalar residuals vanish too; False proves nothing."""
     ctx, d = cert.ctx, cert.dim
     flat, c = clear_denominators(ctx, [x for row in cert.matrix for x in row])
     M = [flat[a:a + d] for a in range(0, d * d, d)]
     N, s = _cleared_tensor(ctx, cert.source.nonzero())
     N2, t = _cleared_tensor(ctx, cert.target.nonzero())
-    cols = _columns(M)
-    c2, sc = c * c, s * c
-    residuals = _difference(_pull(form, cols),
-                            {(p, q, r): c2 * x for (p, q, r, x) in form})
-    residuals += _difference({key: t * x for key, x in _pull(N, cols).items()},
-                             {key: sc * x for key, x in _push(N2, M).items()})
+    residuals = (_form_residuals(M, form, c * c)
+                 + _transport_residuals(M, N, N2, t, s * c))
     return cleared_vanish_on_branches(ctx, [res for _, res in residuals],
                                       (c, s, t))
 
@@ -693,13 +677,13 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
     The candidate loop runs on integers.  Each candidate is a pair (M, c)
     standing for C = M / c, with M an integer matrix and c a positive
     integer; both tensors are scaled once to integers over their
-    denominators, and their projected sides (``_projected_sides``) are
-    computed once per search.  Against the row's projections of M, one
-    comparison of the projected sides of (ii) rejects a failing candidate
-    without building either side.  A candidate whose projections agree goes
-    through ``_holds``, which tests (i) and (ii) in full, and only one that
-    passes is rebuilt as the Fraction matrix M / c, wrapped and put through
-    ``verify_certificate``.
+    denominators (``SuperAlgebra.integer_tensor``), and their projected
+    sides (``_projected_sides``) are computed once per search.  Against the
+    row's projections of M, one comparison of the projected sides of (ii)
+    rejects a failing candidate without building either side.  A candidate
+    whose projections agree goes through ``_holds``, which tests (i) and
+    (ii) in full, and only one that passes is rebuilt as the Fraction matrix
+    M / c, wrapped and put through ``verify_certificate``.
     """
     if budget < 0:
         raise ConstraintViolation("budget must be at least 0, got %d" % budget)
@@ -716,8 +700,8 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
 
     d = src.dim
     form = _form_tensor(m, n)
-    source = _integer_tensor(src.numeric_nonzero())
-    target = _integer_tensor(tgt.numeric_nonzero())
+    source = src.integer_tensor()
+    target = tgt.integer_tensor()
     sides = _projected_sides(source, target, d)
     ctx = src.ctx
 
@@ -727,7 +711,8 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
     for tried, (name, flat, c, P) in enumerate(rows):
         if tried == budget:
             return Exhausted(budget, tried, "budget exhausted")
-        if not _projection_agrees(P, c, sides):
+        pulled, pushed = _evaluations(P, c, sides)
+        if pulled != pushed:
             continue
         M = [flat[a:a + d] for a in range(0, d * d, d)]
         if _holds(M, c, form, source, target):

@@ -3,7 +3,8 @@ otherwise build more than once, kept until the outermost such call returns.
 
 It has two users: ``catalog`` keeps each catalog triple and certificate
 built at bindings, and ``iso`` keeps the search's candidate table of each
-double shape.
+double shape.  Nothing else is kept: ``SuperAlgebra.integer_tensor``, for
+one, converts anew on each call.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ def report_memo():
     Sharing is safe because no caller mutates what it gets: the route
     planner, ``Instance`` and the reports only read built triples and
     certificates or derive new objects (``build_double``, ``tensor_equal``,
-    ``invert``, ``compose``, ``map_scalars``), the lazy indexes
-    ``SuperAlgebra`` fills on first use depend on the tensor alone, and a
+    ``invert``, ``compose``, ``map_scalars``), the row index
+    ``SuperAlgebra`` fills on first use depends on the tensor alone, and a
     candidate table only grows by rows that do not depend on the caller."""
     if _MEMO.get() is not None:
         yield

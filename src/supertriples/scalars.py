@@ -561,6 +561,9 @@ class Scalar:
                 and self.re == other.re and self.rad == other.rad)
 
     def __hash__(self):
+        # a constant equals its Fraction value (__eq__), so it hashes as one
+        if self.is_constant():
+            return hash(self.as_fraction())
         return hash(self.key())
 
     def key(self):

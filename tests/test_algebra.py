@@ -343,7 +343,7 @@ def _reference_commutant_series(A):
     elimination of each level's dense bracket vectors: the loop the integer
     echelon replaced."""
     d = A.dim
-    nz = A.numeric_nonzero()
+    nz = [(i, j, k, c.as_fraction()) for (i, j, k, c) in A.nonzero()]
     rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     par = A.parity
     dims = []

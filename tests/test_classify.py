@@ -10,7 +10,7 @@ import pytest
 from supertriples import algebra, classify, cli, iso, matrices
 from supertriples.algebra import AutoBranch, SuperAlgebra
 from supertriples.catalog import automorphisms, catalog, catalog_triple, get_catalog
-from supertriples.classify import (ORBIT_GRID, _integer_tensor, _members,
+from supertriples.classify import (ORBIT_GRID, _members,
                                    _unify_side, classify_doubles,
                                    enumerate_duals, find_certificate,
                                    make_instances, reduce_orbits, report)
@@ -375,11 +375,13 @@ def test_orbit_scaling_merge_example(no_inv):
     sols = enumerate_duals(seed)
     fam = automorphisms("A11")
     orbits = reduce_orbits(sols, fam)
+    zero = seed.ctx.zero()
 
     def orbit_of(value):
         for idx, (repr_, members) in enumerate(orbits):
             for mem in members:
-                if mem.F[1][1][0] == value and mem.F[0][1][1].is_zero():
+                if (mem.bracket(1, 1).get(0, zero) == value
+                        and mem.bracket(0, 1).get(1, zero).is_zero()):
                     return idx
         return None
 
@@ -405,7 +407,7 @@ def test_orbit_sign_split_preserved(no_inv):
     orbits = reduce_orbits(sols, automorphisms("S11"))
     signs = set()
     for rep_, members in orbits:
-        t = rep_.F[1][1][0]
+        t = rep_.bracket(1, 1).get(0, rep_.ctx.zero())
         if not t.is_zero():
             signs.add(t.as_fraction() > 0)
     assert signs == {True, False}
@@ -550,7 +552,7 @@ def test_join_full_test_matches_scalar_transport(name):
     exactly when Scalar ``transport_dual`` takes sol_i to sol_j, and then
     the projected lookup finds j in i's bucket."""
     sols = enumerate_duals(catalog(name))
-    scaled = [_integer_tensor(sol.numeric_nonzero()) for sol in sols]
+    scaled = [sol.integer_tensor() for sol in sols]
     den = math.lcm(*(t for _, t in scaled))
     tensors = [[e[:3] + (e[3] * (den // t),) for e in nz] for nz, t in scaled]
     sides = [iso._projected_sides((N, 1), (N, 1), sols[0].dim) for N in tensors]
@@ -565,13 +567,15 @@ def test_join_full_test_matches_scalar_transport(name):
     moves = 0
     for M, c in members:
         A = [[ctx.const(Fraction(x, c)) for x in col] for col in zip(*M)]
+        P = iso._projections(M)
         for i, sol in enumerate(sols):
             moved = sol.transport_dual(A)
             for j, target in enumerate(sols):
-                joined = iso._condition_ii(M, tensors[j], 1, tensors[i], c)
+                joined = not algebra._transport_residuals(
+                    M, tensors[j], tensors[i], 1, c)
                 assert joined == moved.tensor_equal(target), (M, c, i, j)
-                assert not joined or iso._projection_agrees(
-                    iso._projections(M), c, (sides[j][0], sides[i][1]))
+                assert not joined or (iso._evaluations(P, c, sides[j])[0]
+                                      == iso._evaluations(P, c, sides[i])[1])
                 moves += joined and i != j
     assert moves
 

@@ -51,10 +51,11 @@ def test_abelian_seed_gets_every_self_consistent_dual():
 def test_s11_duals_include_deformed_n_types():
     seed = catalog("S11")
     duals = enumerate_duals(seed)
-    coeffs = {d.F[1][1][0].as_fraction() for d in duals}
+    zero = seed.ctx.zero()
+    coeffs = {d.bracket(1, 1).get(0, zero).as_fraction() for d in duals}
     assert Fraction(1) in coeffs and Fraction(-1) in coeffs
     # [bt, ft] brackets are killed by the mixed conditions
-    assert all(d.F[0][1][1].is_zero() for d in duals)
+    assert all(d.bracket(0, 1).get(1, zero).is_zero() for d in duals)
 
 
 def test_budget_exceeded():

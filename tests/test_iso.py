@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from supertriples.algebra import (SuperAlgebra, _bracket_residuals,
-                                  _integer_matrix, _integer_tensor,
+from supertriples.algebra import (SuperAlgebra, _integer_matrix,
                                   commutant_series)
 from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
                                   catalog_triple, get_catalog, list_certificates)
@@ -16,8 +15,9 @@ from supertriples.errors import (ConstraintViolation, DimensionMismatch,
                                  NotAutomorphism, SuperTriplesError)
 from supertriples import iso, polys, scalars
 from supertriples.classify import report
-from supertriples.iso import (Exhausted, IsoCertificate, _form_residuals,
-                              _form_tensor, _half, _holds, _stages, _weights,
+from supertriples.forms import canonical_form
+from supertriples.iso import (Exhausted, IsoCertificate, _form_tensor, _half,
+                              _holds, _stages, _weights,
                               from_automorphism,
                               search_iso, t_dual_certificate,
                               verify_certificate)
@@ -396,16 +396,43 @@ PER_STAGE = 60
 def _integer_inputs(src, tgt):
     """form, source and target as ``search_iso`` scales them."""
     m, n = src.superdim()
-    return (_form_tensor(m // 2, n // 2),
-            _integer_tensor(src.numeric_nonzero()),
-            _integer_tensor(tgt.numeric_nonzero()))
+    return (_form_tensor(m // 2, n // 2), src.integer_tensor(),
+            tgt.integer_tensor())
+
+
+def _dense(algebra):
+    """F[p][q][r] as Fractions."""
+    d = algebra.dim
+    F = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for (p, q, r, x) in algebra.nonzero():
+        F[p][q][r] = x.as_fraction()
+    return F
 
 
 def _fraction_route(C, src, tgt):
+    """Conditions (i) and (ii) for the Fraction matrix C from src to tgt, as
+    dense loops over every index: C_a^p C_b^q B_pq = B_ab, and
+    C_a^p C_b^q F_pq^r = F'_ab^k C_k^r, contracted one index at a time."""
+    d = len(C)
     m, n = src.superdim()
-    return (not _form_residuals(C, _form_tensor(m // 2, n // 2))
-            and not _bracket_residuals(C, src.numeric_nonzero(),
-                                       tgt.numeric_nonzero()))
+    B = canonical_form(m // 2, n // 2).matrix
+    F, F2 = _dense(src), _dense(tgt)
+    idx = range(d)
+    for a in idx:
+        CB = [sum(C[a][p] * B[p][q] for p in idx) for q in idx]
+        for b in idx:
+            if sum(CB[q] * C[b][q] for q in idx) != B[a][b]:
+                return False
+    for a in idx:
+        # CF[q][r] = C_a^p F_pq^r
+        CF = [[sum(C[a][p] * F[p][q][r] for p in idx if C[a][p]) for r in idx]
+              for q in idx]
+        for b in idx:
+            for r in idx:
+                if (sum(C[b][q] * CF[q][r] for q in idx)
+                        != sum(F2[a][b][k] * C[k][r] for k in idx)):
+                    return False
+    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -438,13 +465,20 @@ def test_candidate_samples_cover_every_stage_and_both_outcomes():
 def test_integer_holds_matches_fraction_route(data, k):
     """For any candidate (M, c) and any positive rescaling (k M, k c), the
     integer test agrees with conditions (i) and (ii) on the Fraction matrix
-    M / c."""
+    M / c, and so do the Scalar residuals and the cleared numerators of the
+    certificate M / c."""
     samples = _candidate_samples()
     src, tgt, _, M, c = samples[data.draw(st.integers(0, len(samples) - 1))]
     C = [[Fraction(x, c) for x in row] for row in M]
     scaled = [[k * x for x in row] for row in M]
-    assert (_holds(scaled, k * c, *_integer_inputs(src, tgt))
-            == _fraction_route(C, src, tgt))
+    expected = _fraction_route(C, src, tgt)
+    assert _holds(scaled, k * c, *_integer_inputs(src, tgt)) == expected
+    ctx = src.ctx
+    cert = IsoCertificate(ctx, [[ctx.const(x) for x in row] for row in C],
+                          src, tgt)
+    form = _form_tensor(*_half(src))
+    assert iso._residual_verdict(cert, form)[0] == expected
+    assert iso._holds_identically(cert, form) == expected
 
 
 # a pool of small rationals to bind certificate parameters from; it holds

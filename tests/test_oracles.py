@@ -22,6 +22,7 @@ EMPTY = ParamContext()
 def _bracket_fn(algebra):
     """[u, v] on plain Fraction coefficient vectors."""
     d = algebra.dim
+    zero = algebra.ctx.zero()
 
     def br(u, v):
         out = [Fraction(0)] * d
@@ -32,7 +33,7 @@ def _bracket_fn(algebra):
                 if not v[b]:
                     continue
                 for k in range(d):
-                    c = algebra.F[a][b][k]
+                    c = algebra.bracket(a, b).get(k, zero)
                     if not c.is_zero():
                         out[k] += u[a] * v[b] * c.as_fraction()
         return out
@@ -123,16 +124,18 @@ def test_double_brackets_match_semiabelian_formula():
     for name, bind in (("C2_p", {"p": Fraction(1, 3)}), ("C3", None),
                        ("C4", None), ("C5_p", {"p": 2}), ("C5_0", None)):
         seed = catalog(name, bind)
-        H = [[seed.F[0][1 + j][1 + k].as_fraction() for k in range(2)]
-             for j in range(2)]
+        zero = seed.ctx.zero()
+        H = [[seed.bracket(0, 1 + j).get(1 + k, zero).as_fraction()
+              for k in range(2)] for j in range(2)]
         dual = SuperAlgebra.from_brackets(seed.grading, seed.ctx, {},
                                           dual_role=True)
         D = build_double(ManinTriple(seed, dual))
         for j in range(2):
             for k in range(2):
-                assert D.F[1 + j][4 + k][3].as_fraction() == H[j][k]  # [f_j, f~^k]
-                assert D.F[0][4 + k][4 + j].as_fraction() == -H[j][k]  # [b1, f~^k]
-                assert D.F[0][1 + j][1 + k].as_fraction() == H[j][k]
+                # [f_j, f~^k], [b1, f~^k] and [b1, f_j]
+                assert D.bracket(1 + j, 4 + k).get(3, zero).as_fraction() == H[j][k]
+                assert D.bracket(0, 4 + k).get(4 + j, zero).as_fraction() == -H[j][k]
+                assert D.bracket(0, 1 + j).get(1 + k, zero).as_fraction() == H[j][k]
 
 
 def test_radical_certificates_at_sampled_bindings():

@@ -255,6 +255,34 @@ def test_equality_is_equality_of_canonical_forms(seed, which):
     assert (a == 0) == a.is_zero() and (a == 1) == a.is_one()
 
 
+@given(st.lists(st.tuples(st.sampled_from(["int", "fraction", "numeric",
+                                           "parametric"]), small_fraction),
+                min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_equal_numbers_hash_alike(drawn):
+    """Ints, Fractions and constant Scalars, of a numeric context and of one
+    with a parameter, hash alike whenever they are equal, so a set or a dict
+    key treats a constant and its number as one."""
+    contexts = {"numeric": ParamContext(),
+                "parametric": ParamContext([("p", Domain.free())])}
+
+    def make(kind, q):
+        if kind == "int":
+            return q.numerator
+        if kind == "fraction":
+            return q
+        return contexts[kind].const(q)
+
+    values = [make(kind, q) for kind, q in drawn]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+                assert {a: True}.get(b), (a, b)
+    one = contexts["numeric"].const(1)
+    assert len({one, 1, Fraction(1)}) == 1
+
+
 def test_field_axioms_at_sampled_points():
     rng = random.Random(0)
     ctx = ParamContext([("p", Domain.free()), ("q", Domain.free())])

@@ -50,14 +50,16 @@ def test_double_superdim_and_restriction():
             m, n = t.superdim()
             assert D.superdim() == (2 * m, 2 * n)
             h = m + n
+            zero = t.ctx.zero()
             for i in range(h):
                 for j in range(h):
                     for k in range(h):
-                        assert (D.F[i][j][k] - t.S.F[i][j][k]).is_zero()
-                        assert (D.F[h + i][h + j][h + k]
-                                - t.S_dual.F[i][j][k]).is_zero()
-                        assert D.F[i][j][h + k].is_zero()
-                        assert D.F[h + i][h + j][k].is_zero()
+                        assert (D.bracket(i, j).get(k, zero)
+                                - t.S.bracket(i, j).get(k, zero)).is_zero()
+                        assert (D.bracket(h + i, h + j).get(h + k, zero)
+                                - t.S_dual.bracket(i, j).get(k, zero)).is_zero()
+                        assert D.bracket(i, j).get(h + k, zero).is_zero()
+                        assert D.bracket(h + i, h + j).get(k, zero).is_zero()
 
 
 def test_compatibility_sign_branches():
