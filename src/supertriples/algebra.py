@@ -18,9 +18,10 @@ a matrix carries one tensor onto another, which is an automorphism's, a
 certificate's condition (ii) and the orbit join's, is stated once, by
 ``_transport_residuals``.  ``SuperAlgebra.integer_tensor`` and
 ``_integer_matrix`` clear Fraction denominators once, so numeric work runs
-on integers; ``scalars.clear_denominators`` does the same for Scalars.  The
-commutant spans are kept by ``_echelon_add``, a fraction-free echelon of
-sparse integer rows.
+on integers.  The commutant spans are kept by ``_echelon_add``, a
+fraction-free echelon of sparse integer rows.  Every check runs its kernel
+on inputs cleared once by ``scalars.clear_denominators``, and
+``scalars.failing_on_branches`` alone decides it (``_failures``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .errors import ConstraintViolation, DimensionMismatch
 from .matrices import inv, transpose
-from .scalars import vanishes_on_branches
+from .scalars import clear_denominators, failing_on_branches
 
 __all__ = [
     "Grading", "SuperAlgebra", "AutomorphismFamily", "AutoBranch",
@@ -77,8 +78,8 @@ class SuperAlgebra:
 
     The tensor is stored once, as its nonzero entries (i, j, k, F_{IJ}^K)
     sorted by (i, j, k): ``nonzero()`` returns that list, ``bracket(i, j)``
-    reads a row index built from it, and ``integer_tensor()`` scales it to
-    integers.
+    reads a row index built from it, and ``integer_tensor()`` and
+    ``cleared_tensor()`` clear it of denominators.
 
     dual_role marks tensors whose indices are conceptually raised
     (F~^{IJ}_K of a dual subalgebra); the axioms take the identical form,
@@ -157,6 +158,12 @@ class SuperAlgebra:
         return [(i, j, k, c.numerator * (den // c.denominator))
                 for (i, j, k, c) in nz], den
 
+    def cleared_tensor(self):
+        """(N, den): the nonzero entries as N = den F, in order, by
+        ``scalars.clear_denominators``."""
+        values, den = clear_denominators(self.ctx, [c for (_, _, _, c) in self._nz])
+        return [(i, j, k, v) for (i, j, k, _), v in zip(self._nz, values)], den
+
     @property
     def F(self):
         """Dense view F[i][j][k] as nested tuples, built on each read.  The
@@ -192,18 +199,6 @@ class SuperAlgebra:
         return bad
 
     # -- axiom residuals ---------------------------------------------------
-
-    def antisym_residuals(self):
-        """((i, j, k), F_{IJ}^K + (-1)^{|I||J|} F_{JI}^K) for i <= j, in key
-        order: the entries with i <= j minus -(-1)^{|I||J|} F_{JI}^K."""
-        par = self.parity
-        lhs, rhs = {}, {}
-        for (i, j, k, c) in self._nz:
-            if i <= j:
-                lhs[(i, j, k)] = c
-            if j <= i:
-                rhs[(j, i, k)] = c if (par[i] * par[j]) % 2 else -c
-        return _difference(lhs, rhs)
 
     def jacobi_residuals(self):
         """Graded Jacobi residuals, keyed ((x, y, z), k), for x <= y <= z."""
@@ -242,8 +237,8 @@ class SuperAlgebra:
     def tensor_equal(self, other):
         """Same dimension, equal contexts, equal nonzero entries by canonical
         form; no parity.  Route nodes match certificate rows on demand by this
-        and the total dimension, so (4,2) can match (2,4): ROADMAP item 11
-        step 2, pinned by the `report thm2 --bind p=1/2` digests in queries.json."""
+        and the total dimension, so (4,2) can match (2,4): ROADMAP item 11,
+        pinned by the `report thm2 --bind p=1/2` digests in queries.json."""
         return (self.dim == other.dim and len(self._nz) == len(other._nz)
                 and (self.ctx is other.ctx or self.ctx == other.ctx)
                 and all(a[:3] == b[:3] and a[3].re == b[3].re and a[3].rad == b[3].rad
@@ -281,26 +276,33 @@ class SuperAlgebra:
 # axiom checks
 
 
-def _branch_failures(residuals):
-    """Keep residuals that fail to vanish on some finite-domain branch."""
-    return [item for item in residuals if not vanishes_on_branches(item[-1])]
+def _failures(ctx, kernel, cleared, scalar, dens):
+    """The items of kernel(*scalar) that fail on some sign branch of ctx, in
+    order, decided by ``scalars.failing_on_branches`` on kernel(*cleared):
+    the inputs cleared over dens, so each item is a nonzero multiple of its
+    Scalar twin.  kernel(*scalar) runs only to word a failure."""
+    items = kernel(*cleared)
+    bad = {items[i][:-1] for i in
+           failing_on_branches(ctx, [item[-1] for item in items], dens)}
+    return [item for item in kernel(*scalar) if item[:-1] in bad] if bad else []
 
 
 def check_antisymmetry(algebra):
-    """All (I, J, K) with F_{IJ}^K + (-1)^{|I||J|} F_{JI}^K != 0 on some
-    sign branch; empty list means pass."""
-    return _branch_failures(algebra.antisym_residuals())
+    """All ((I, J, K), F_{IJ}^K + (-1)^{|I||J|} F_{JI}^K) that are nonzero on
+    some sign branch; empty list means pass."""
+    N, den = algebra.cleared_tensor()
+    par = algebra.parity
+    return _failures(algebra.ctx, _antisymmetry, (N, par),
+                     (algebra.nonzero(), par), (den,))
 
 
 def check_jacobi(algebra):
-    """Nonvanishing graded Jacobi residuals (sign branches split).  A numeric
-    algebra is tested first on its ``integer_tensor``: the identity is
-    homogeneous quadratic, so the denominator d scales each residual by d^2."""
-    ctx = algebra.ctx
-    if not ctx.params and ctx.radical_name is None and not _jacobi(
-            algebra.integer_tensor()[0], algebra.parity):
-        return []
-    return _branch_failures(algebra.jacobi_residuals())
+    """Nonvanishing graded Jacobi residuals (sign branches split); N = den F
+    scales each by den^2."""
+    N, den = algebra.cleared_tensor()
+    par = algebra.parity
+    return _failures(algebra.ctx, _jacobi, (N, par), (algebra.nonzero(), par),
+                     (den,))
 
 
 def is_automorphism(A, algebra):
@@ -314,8 +316,14 @@ def is_automorphism(A, algebra):
 
 
 def automorphism_residuals(A, algebra):
+    """((a, b, r), residual) for each entry of A_a^p A_b^q F_pq^r -
+    F_ab^k A_k^r failing on some sign branch; for A = M / c and F = N / s
+    the residuals of pull(N, M) = c push(N, M) are s c^2 times these."""
+    M, c = _cleared_matrix(algebra.ctx, A)
+    N, s = algebra.cleared_tensor()
     nz = algebra.nonzero()
-    return _branch_failures(_transport_residuals(A, nz, nz))
+    return _failures(algebra.ctx, _transport_residuals, (M, N, N, None, c),
+                     (A, nz, nz), (c, s))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +331,19 @@ def automorphism_residuals(A, algebra):
 # or Cleared entries; the contractions also take a matrix (``_pull`` its
 # column index) and return {(a, b, r): value}; zero tests go by truthiness
 # and the first term of a key is stored, not added to a zero
+
+
+def _antisymmetry(nz, par):
+    """((i, j, k), T_ij^k + (-1)^{|i||j|} T_ji^k) for each nonvanishing one,
+    i <= j, in key order: the entries with i <= j minus
+    -(-1)^{|i||j|} T_ji^k."""
+    lhs, rhs = {}, {}
+    for (i, j, k, t) in nz:
+        if i <= j:
+            lhs[(i, j, k)] = t
+        if j <= i:
+            rhs[(j, i, k)] = t if (par[i] * par[j]) % 2 else -t
+    return _difference(lhs, rhs)
 
 
 def _jacobi(nz, par):
@@ -390,6 +411,13 @@ def _push(nz, M):
     return out
 
 
+def _cleared_matrix(ctx, A):
+    """(M, c): the Scalar matrix A = M / c, by ``scalars.clear_denominators``."""
+    d = len(A)
+    flat, c = clear_denominators(ctx, [x for row in A for x in row])
+    return [flat[a:a + d] for a in range(0, d * d, d)], c
+
+
 def _integer_matrix(M):
     """(integer matrix, a): the Fraction matrix M times a, the lcm of the
     denominators of its entries."""
@@ -414,13 +442,14 @@ def _difference(lhs, rhs):
 
 def _transport_residuals(M, source, target, t=None, sc=None):
     """((a, b, r), value) for each nonvanishing entry of
-    t M_a^p M_b^q F_pq^r - sc F'_ab^k M_k^r (t = sc = 1 when not given), in
+    t M_a^p M_b^q F_pq^r - sc F'_ab^k M_k^r (t or sc 1 when not given), in
     key order, with F and F' the source and target nonzero lists: none
     when M carries F onto F'.  Sign branches are not split here."""
     lhs, rhs = _pull(source, _columns(M)), _push(target, M)
     if t is not None:
-        lhs = {key: t * x for key, x in lhs.items()}
-        rhs = {key: sc * x for key, x in rhs.items()}
+        lhs = {key: x * t for key, x in lhs.items()}
+    if sc is not None:
+        rhs = {key: x * sc for key, x in rhs.items()}
     return _difference(lhs, rhs)
 
 

@@ -199,7 +199,7 @@ def reduce_orbits(solutions, family):
     at a time, to M = c A^T (``_members``).  Pulling back along A^T undoes
     the pullback along (A^T)^{-1}, so for an invertible A solution i moves
     onto solution j exactly when pull(N_j, M) = c push(N_i, M), condition
-    (ii) of ``iso._holds`` with s = t = 1 (``_transport_residuals``); a
+    (ii) of ``iso._conditions`` with s = t = 1 (``_transport_residuals``); a
     singular A is refused.  Equal tensors project equally
     (``iso._evaluations``), so a pair is tested in full only when the
     projection of pull(N_j, M) lands in the bucket of c push(N_i, M), and

@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 parse error (and
-argparse's usage errors), 3 constraint violation, 4 budget exhausted: an
-``enumerate`` grid larger than its fixed bound ``classify.ENUM_BUDGET``.
+Exit codes: 0 all checks pass, 1 a check failed or stdout was closed early
+(``| head``), 2 parse error (and argparse's usage errors), 3 constraint
+violation, 4 budget exhausted: an ``enumerate`` grid larger than its fixed
+bound ``classify.ENUM_BUDGET``.
 The search and enumeration budgets are fixed; no option sets them.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -32,6 +34,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_CONSTRAINT = 3
 EXIT_BUDGET = 4
+EXIT_PIPE_CLOSED = 1  # stdout closed early, as Python's own exit on EPIPE
 
 # solve-r's G entries per odd dimension of the seed: the symmetric G's upper
 # triangle, row by row
@@ -71,40 +74,31 @@ def _single_bindings(multi):
     return {k: _value_of(multi, k, None) for k in multi}
 
 
+def _report_checks(args, kind, checks):
+    """Print the checks [(machine key, text label, failing residuals)] of
+    the algebra or triple args.<kind>; exit 0 when none fails."""
+    if args.format == "machine":
+        print("check %s=%s %s" % (kind, getattr(args, kind), " ".join(
+            "%s=%s" % (key, "fail" if bad else "pass") for key, _, bad in checks)))
+    else:
+        for _, label, bad in checks:
+            print("%s: %s (%d residuals)"
+                  % (label, "FAIL" if bad else "PASS", len(bad)))
+    return EXIT_CHECK_FAILED if any(bad for _, _, bad in checks) else EXIT_OK
+
+
 def cmd_check(args):
-    status = EXIT_OK
-    fmt = args.format
     if args.algebra:
         A = catalog(args.algebra, _single_bindings(_parse_bindings(args.bind)))
-        anti = check_antisymmetry(A)
-        jac = check_jacobi(A)
-        ok = not anti and not jac
-        if fmt == "machine":
-            print("check algebra=%s antisymmetry=%s jacobi=%s"
-                  % (args.algebra, "pass" if not anti else "fail",
-                     "pass" if not jac else "fail"))
-        else:
-            print("antisymmetry: %s (%d residuals)"
-                  % ("PASS" if not anti else "FAIL", len(anti)))
-            print("jacobi: %s (%d residuals)"
-                  % ("PASS" if not jac else "FAIL", len(jac)))
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
+        return _report_checks(args, "algebra", [
+            ("antisymmetry", "antisymmetry", check_antisymmetry(A)),
+            ("jacobi", "jacobi", check_jacobi(A))])
     if args.triple:
         t = catalog_triple(args.triple, _single_bindings(_parse_bindings(args.bind)))
-        res = check_compatibility(t)
-        m, n = t.superdim()
-        ad = check_ad_invariance(build_double(t), canonical_form(m, n))
-        ok = not res and not ad
-        if fmt == "machine":
-            print("check triple=%s compatibility=%s ad_invariance=%s"
-                  % (args.triple, "pass" if not res else "fail",
-                     "pass" if not ad else "fail"))
-        else:
-            print("compatibility: %s (%d residuals)"
-                  % ("PASS" if not res else "FAIL", len(res)))
-            print("ad-invariance: %s (%d residuals)"
-                  % ("PASS" if not ad else "FAIL", len(ad)))
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
+        return _report_checks(args, "triple", [
+            ("compatibility", "compatibility", check_compatibility(t)),
+            ("ad_invariance", "ad-invariance",
+             check_ad_invariance(build_double(t), canonical_form(*t.superdim())))])
     if args.file:
         decls = parse_catalog_file(args.file)
         # built as on the catalog path, on top of the catalog's algebras and
@@ -342,7 +336,14 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # as the SIGPIPE note of the Python documentation advises: point
+        # stdout at devnull, so the interpreter's final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .algebra import _difference, _failures, _integer_matrix, _push
 from .errors import ConstraintViolation, DimensionMismatch
 from .matrices import transpose
 
@@ -76,21 +77,28 @@ def check_graded_symmetry(B):
 
 
 def check_ad_invariance(algebra, B):
-    """Residuals <[x,y],z> + (-1)^{|x||y|} <y,[x,z]> over all basis triples,
-    filtered through the sign-branch splitter; empty means invariant."""
+    """((x, y, z), <[x,y],z> + (-1)^{|x||y|} <y,[x,z]>) for each residual
+    nonzero on some sign branch; empty means invariant."""
     if algebra.dim != B.dim:
         raise DimensionMismatch("algebra and form dimensions differ")
     if algebra.parity != B.parity:
         raise DimensionMismatch("algebra and form gradings differ")
-    from .algebra import _branch_failures, _difference, _push
-    nz = algebra.nonzero()
+    N, s = algebra.cleared_tensor()
     par = algebra.parity
+    return _failures(algebra.ctx, _ad_residuals,
+                     (N, _integer_matrix(B.matrix)[0], par),
+                     (algebra.nonzero(), B.matrix, par), (s,))
+
+
+def _ad_residuals(nz, B, par):
+    """The ad-invariance residuals of the tensor nz under the form matrix B,
+    in key order."""
     # <[x,y],z> = F_xy^k B_kz and <y,[x,z]> = F_xz^k B_yk are pushforwards
     # along B and B^T; `second` holds minus the signed second term
-    first = _push(nz, B.matrix)
+    first = _push(nz, B)
     second = {(x, y, z): (c if (par[x] * par[y]) % 2 else -c)
-              for (x, z, y), c in _push(nz, transpose(B.matrix)).items()}
-    return _branch_failures(_difference(first, second))
+              for (x, z, y), c in _push(nz, transpose(B)).items()}
+    return _difference(first, second)
 
 
 def check_isotropic(B, span):

@@ -14,11 +14,10 @@ elimination.
 
 (i) is computed by ``_form_residuals`` and (ii) by
 ``algebra._transport_residuals`` alone, on any entries.
-``verify_certificate`` tests them without division: on integers for a
-numeric certificate (``_holds``), and otherwise on the numerators of C, F
-and F' cleared once over polynomial denominators, as polynomial identities
-branch by branch (``_holds_identically``).  Scalar residuals are computed
-only when neither proves both conditions; they make the report.
+``verify_certificate`` computes both (``_conditions``) on C, F and F'
+cleared of denominators once and leaves the verdict to
+``scalars.failing_on_branches``; Scalar residuals, computed only after a
+failure, make the report.
 
 Certificates are built from T-duality (``t_dual_certificate``), from
 automorphisms (``from_automorphism``) and from exact shears I + E
@@ -39,15 +38,14 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .algebra import (SuperAlgebra, _branch_failures, _columns, _difference,
-                      _integer_matrix, _pull, _transport_residuals,
+from .algebra import (SuperAlgebra, _cleared_matrix, _columns, _difference,
+                      _failures, _pull, _transport_residuals,
                       automorphism_residuals, commutant_series)
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from .forms import canonical_form
 from .matrices import (dual_blockdiag, f_matmul, rref, s_identity, s_matmul,
                        transpose)
 from .memo import memoized
-from .scalars import clear_denominators, cleared_vanish_on_branches
 from .triples import ManinTriple, build_double
 
 __all__ = ["IsoCertificate", "RSolution", "NoSolution", "Exhausted",
@@ -144,35 +142,31 @@ def _join_notes(a, b):
 
 
 def verify_certificate(cert):
-    """Both transport conditions with residual report; sign branches split.
-    A numeric certificate is tested on integers (``_holds``), any other
-    fraction-free (``_holds_identically``); either falls through to the
-    Scalar residuals, which make the report, unless it proves both."""
+    """(ok, failing residuals) of both conditions, sign branches split: on
+    C, F and F' cleared once to M / c, N / s and N' / t (``_conditions``)."""
     ctx = cert.ctx
     form = _form_tensor(*_half(cert.source))
-    if not ctx.params and ctx.radical_name is None:
-        M, c = _integer_matrix([[x.as_fraction() for x in row]
-                                for row in cert.matrix])
-        if _holds(M, c, form, cert.source.integer_tensor(),
-                  cert.target.integer_tensor()):
-            return True, []
-    elif _holds_identically(cert, form):
-        return True, []
-    return _residual_verdict(cert, form)
+    M, c = _cleared_matrix(ctx, cert.matrix)
+    (N, s), (N2, t) = cert.source.cleared_tensor(), cert.target.cleared_tensor()
+    # Scalar form entries, so that every Scalar residual is a Scalar
+    scalar = (cert.matrix, [(p, q, r, ctx.const(x)) for (p, q, r, x) in form],
+              cert.source.nonzero(), cert.target.nonzero())
+    failing = _failures(ctx, _conditions, (M, form, N, N2, c, s, t), scalar,
+                        (c, s, t))
+    return not failing, failing
 
 
-def _residual_verdict(cert, form):
-    """(ok, failing residuals) of both conditions in Scalar arithmetic, sign
-    branches split."""
-    C, ctx = cert.matrix, cert.ctx
-    # Scalar form entries, so that every residual is a Scalar
-    form = [(p, q, r, ctx.const(x)) for (p, q, r, x) in form]
-    residuals = [("form", key[:2], res) for key, res in _form_residuals(C, form)]
-    residuals.extend(("bracket", key, res) for key, res in
-                     _transport_residuals(C, cert.source.nonzero(),
-                                          cert.target.nonzero()))
-    failing = _branch_failures(residuals)
-    return (not failing), failing
+def _conditions(M, form, source, target, c=1, s=1, t=1):
+    """("form", (a, b), value) and ("bracket", (a, b, r), value) for each
+    nonvanishing residual of (i) and then (ii) for C = M / c, F = N / s and
+    F' = N' / t, with form B's nonzero list (``_form_tensor``) and source N
+    and target N'.  Cleared of denominators, (i) and (ii) read
+
+        (i)   pull(B, M) = c^2 B
+        (ii)  t pull(N, M) = s c push(N', M)"""
+    return ([("form", key[:2], res) for key, res in _form_residuals(M, form, c * c)]
+            + [("bracket", key, res) for key, res in
+               _transport_residuals(M, source, target, t, s * c)])
 
 
 def _form_tensor(m, n):
@@ -183,13 +177,12 @@ def _form_tensor(m, n):
             for q, x in enumerate(row) if x]
 
 
-def _form_residuals(M, form, c2=None):
+def _form_residuals(M, form, c2):
     """Condition (i) for C = M / c: ((a, b, 0), value) for each nonvanishing
     entry of M_a^p M_b^q B_pq - c2 B_ab, in key order, with c2 = c^2 and B's
-    nonzero list form; without c2, B unscaled."""
+    nonzero list form."""
     return _difference(_pull(form, _columns(M)),
-                       {(p, q, r): x if c2 is None else c2 * x
-                        for (p, q, r, x) in form})
+                       {(p, q, r): c2 * x for (p, q, r, x) in form})
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,7 +225,7 @@ def _projected_sides(source, target, d):
     N'_ab^r u_a v_b; zeros are dropped.
 
     Cleared of denominators, (ii) for C = M / c reads
-    t pull(N, M) = s c push(N', M) (``_holds``).  Evaluating a tensor
+    t pull(N, M) = s c push(N', M) (``_conditions``).  Evaluating a tensor
     T_ab^r on the fixed weights (u, v, z) of ``_weights`` is a linear map to
     the integers, so where (ii) holds its two sides evaluate equally.  The
     evaluations are read off P and the sides, without building either side
@@ -263,43 +256,11 @@ def _evaluations(P, c, sides):
 
 
 def _holds(M, c, form, source, target):
-    """Conditions (i) and (ii) for C = M / c, with M an integer matrix and c
-    a nonzero integer, on integer-scaled tensors: form is B's nonzero list
-    (``_form_tensor``), and source (N, s) and target (N', t) stand for
-    F = N / s and F' = N' / t.  Cleared of denominators, (i) and (ii) read
-
-        (i)   pull(B, M) = c^2 B
-        (ii)  t pull(N, M) = s c push(N', M)
-
-    over integers."""
+    """Whether (i) and (ii) hold for C = M / c, with M an integer matrix and
+    c a nonzero integer, on the integer-scaled tensors source (N, s) and
+    target (N', t) (``_conditions``)."""
     (N, s), (N2, t) = source, target
-    return (not _form_residuals(M, form, c * c)
-            and not _transport_residuals(M, N, N2, t, s * c))
-
-
-def _holds_identically(cert, form):
-    """Conditions (i) and (ii) as polynomial identities, for a certificate
-    over parameters or a radical: the parametric twin of ``_holds``, with
-    no gcd.  C, F and F' are cleared once (``clear_denominators``) to M / c,
-    N / s and N' / t, with numerators in Q[params][r]/(r^2 - q) and c, s, t
-    polynomials, and the residuals of ``_holds``' (i) and (ii) must vanish
-    on every sign branch (``cleared_vanish_on_branches``).  True holds only
-    where the Scalar residuals vanish too; False proves nothing."""
-    ctx, d = cert.ctx, cert.dim
-    flat, c = clear_denominators(ctx, [x for row in cert.matrix for x in row])
-    M = [flat[a:a + d] for a in range(0, d * d, d)]
-    N, s = _cleared_tensor(ctx, cert.source.nonzero())
-    N2, t = _cleared_tensor(ctx, cert.target.nonzero())
-    residuals = (_form_residuals(M, form, c * c)
-                 + _transport_residuals(M, N, N2, t, s * c))
-    return cleared_vanish_on_branches(ctx, [res for _, res in residuals],
-                                      (c, s, t))
-
-
-def _cleared_tensor(ctx, nz):
-    """(cleared nonzero list, den) of a Scalar nonzero list."""
-    values, den = clear_denominators(ctx, [x for (_, _, _, x) in nz])
-    return [key[:3] + (v,) for key, v in zip(nz, values)], den
+    return not _conditions(M, form, N, N2, c, s, t)
 
 
 def _half(double):

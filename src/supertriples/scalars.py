@@ -12,22 +12,21 @@ on one polynomial substitution, _p_compose: each parameter goes to a rational,
 to a Scalar of the target (e.g. p = 1/q) or, unbound, to the target parameter
 of its name; the radical to a bound value or the target's own radical, either
 of which must square to the radicand's image.  ``bind`` checks the domains of
-rational values, builds the reduced context and maps into it; it holds the
-one rule that settles a radical: once the bindings make the radicand a
+rational values, builds the reduced context and maps into it.  One rule
+settles a radical, ``_settle_radical``: once the bindings make the radicand a
 rational q, a square q binds the radical to its nonnegative root and a
 negative q is a ConstraintViolation (the scalars are real).  Objects change
 context once, by ``substitute`` (one bind) or by ``map_scalars(ctx, mapper)``.
 
-For identity tests with no gcd, ``clear_denominators`` writes Scalars as
-Cleared numerators, elements of Q[params][r]/(r^2 - q), over one product of
-their distinct denominators; ``cleared_vanish_on_branches`` tests such
-numerators for zero on every sign branch.
+``clear_denominators`` writes a check's inputs once as integers or as Cleared
+numerators in Q[params][r]/(r^2 - q), so its residuals take no gcd, and
+``failing_on_branches`` alone decides which of them vanish on every sign branch.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import ConstraintViolation, DivisionByZero, InconsistentRadical, UnknownName
 from .polys import (_p_add, _p_compose, _p_const, _p_const_value, _p_content_signed,
@@ -335,18 +334,26 @@ class ParamContext:
         keep = [n for n in self.params if n not in bindings]
         radicals = ()
         if self.radicand is not None and self.radical_name not in bindings:
-            radicand = _p_compose(self.radicand, *self._terms(bindings))
-            q = _p_const_value(radicand) if _p_is_const(radicand) else None
-            if q is not None and q < 0:
-                raise ConstraintViolation("radicand of %s is negative at these "
-                                          "bindings" % self.radical_name)
-            root = None if q is None else exact_sqrt(q)
+            radicand, root = self._settle_radical(*self._terms(bindings))
             if root is None:
                 radicals = ((self.radical_name, radicand),)
             else:
                 bindings[self.radical_name] = root
         new_ctx = ParamContext([(n, self.domains[n]) for n in keep], radicals)
         return new_ctx, self.bind_scalars(new_ctx, bindings)
+
+    def _settle_radical(self, terms, nv):
+        """(radicand, root): the radicand under _p_compose(., terms, nv) and
+        the root of a square rational one (else None); a negative rational
+        one is a ConstraintViolation, as the scalars are real."""
+        radicand = _p_compose(self.radicand, terms, nv)
+        if not _p_is_const(radicand):
+            return radicand, None
+        q = _p_const_value(radicand)
+        if q < 0:
+            raise ConstraintViolation("radicand of %s is negative at these "
+                                      "bindings" % self.radical_name)
+        return radicand, exact_sqrt(q)
 
     def _terms(self, bindings):
         """(terms, nv): the images _p_compose takes for rational bindings of
@@ -708,15 +715,6 @@ def substitute(s, bindings):
     return s.substitute(bindings)
 
 
-def vanishes_on_branches(s):
-    """True iff s is identically zero on every finite-domain branch of its
-    context (sign parameters etc. substituted exhaustively)."""
-    branches = s.ctx.sign_branches()
-    if len(branches) == 1 and not branches[0]:
-        return s.is_zero()
-    return all(s.substitute(b).is_zero() for b in branches)
-
-
 # ---------------------------------------------------------------------------
 # cleared elements: fraction-free identity tests
 
@@ -757,24 +755,31 @@ class Cleared:
     def __bool__(self):
         return bool(self.re or self.rad)
 
-    def vanishes_at(self, terms, nv):
-        """Whether both parts vanish under _p_compose(., terms, nv)."""
-        return not (_p_compose(self.re, terms, nv)
-                    or _p_compose(self.rad, terms, nv))
+    def vanishes_at(self, terms, nv, root=None):
+        """Whether self vanishes under _p_compose(., terms, nv), with the
+        radical bound to root when one is given: else both parts must."""
+        re, rad = _p_compose(self.re, terms, nv), _p_compose(self.rad, terms, nv)
+        return not (re or rad) if root is None else not _p_add(re, _p_scale(rad, root))
 
 
 def clear_denominators(ctx, values):
     """(numerators, den) with each Scalar x of values equal to numerator /
-    den: den is the product of the distinct denominators of the values'
-    parts, and each part's numerator is multiplied by the product of the
-    other denominators, its cofactor, so no gcd, lcm or division is taken.
-    den is a Cleared with no radical part.  A nonzero value from another
-    context is a ConstraintViolation, as in Scalar arithmetic."""
-    one = _p_const(1, ctx.nvars)
-    dens = {}
+    den: integers over the lcm of the denominators with no parameter and no
+    radical (the degree-0 case), else Cleared numerators over den, the
+    product of the distinct denominators of the values' parts, each part's
+    numerator multiplied by the other denominators, its cofactor, so no gcd
+    or division is taken.  A nonzero value from another context is a
+    ConstraintViolation, as in Scalar arithmetic."""
     for x in values:
         if x.ctx is not ctx and x.ctx != ctx and x:
             raise ConstraintViolation("scalar context mismatch")
+    if not ctx.params and ctx.radicand is None:
+        fracs = [x.as_fraction() for x in values]
+        den = lcm(*(x.denominator for x in fracs))
+        return [x.numerator * (den // x.denominator) for x in fracs], den
+    one = _p_const(1, ctx.nvars)
+    dens = {}
+    for x in values:
         for rf in (x.re, x.rad):
             if rf is not None and rf[1] != one:
                 dens.setdefault(frozenset(rf[1].items()), rf[1])
@@ -799,39 +804,28 @@ def clear_denominators(ctx, values):
             Cleared(den, {}, q))
 
 
-def cleared_vanish_on_branches(ctx, values, dens):
-    """Whether every Cleared value vanishes on every finite-domain branch of
-    ctx (one branch, the identity, when there are none); the values are
-    numerators over the Cleared denominators dens.  False proves nothing:
-    it is also the answer when a branch needs the rules of
-    ``ParamContext.bind`` or of Scalar division, that is when a den
-    vanishes there or the radicand becomes a rational there."""
-    values = [v for v in values if v]
-    if not values:
-        return True
-    for branch in ctx.sign_branches():
+def failing_on_branches(ctx, values, dens):
+    """The positions, in order, of the values (``clear_denominators``
+    numerators over dens) that fail to vanish on some finite-domain branch
+    of ctx: the one test of every vanishing claim.  Without such branches,
+    as for integers, a value fails when it is nonzero.  A branch settles the
+    radical as ``bind`` does (``_settle_radical``), and one where a den
+    vanishes leaves an input undefined, a DivisionByZero.  Like a
+    value-by-value substitution, a branch is reached only while some value
+    has vanished on every branch before it."""
+    nonzero = [i for i, v in enumerate(values) if v]
+    branches = ctx.sign_branches() if nonzero else [{}]
+    if branches == [{}]:
+        return nonzero
+    alive = set(nonzero)
+    for branch in branches:
+        if not alive:
+            break
         terms, nv = ctx._terms(branch)
-        if (ctx.radicand is not None
-                and _p_is_const(_p_compose(ctx.radicand, terms, nv))):
-            return False
+        root = None if ctx.radicand is None else ctx._settle_radical(terms, nv)[1]
         if any(d.vanishes_at(terms, nv) for d in dens):
-            return False
-        if not all(v.vanishes_at(terms, nv) for v in values):
-            return False
-    return True
+            raise DivisionByZero("a denominator vanishes at %s" % ", ".join(
+                "%s = %s" % item for item in branch.items()))
+        alive = {i for i in alive if values[i].vanishes_at(terms, nv, root)}
+    return [i for i in nonzero if i not in alive]
 
-
-def random_scalar(ctx, rng, depth=2):
-    """Small random scalar for property tests."""
-    if depth == 0 or not ctx.params:
-        return ctx.const(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-    op = rng.randint(0, 3)
-    if op == 0:
-        return ctx.param(rng.choice(ctx.params))
-    a = random_scalar(ctx, rng, depth - 1)
-    b = random_scalar(ctx, rng, depth - 1)
-    if op == 1:
-        return a + b
-    if op == 2:
-        return a * b
-    return a - b

@@ -1,22 +1,27 @@
+import functools
 import math
 import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from supertriples import classify
+from supertriples import classify, polys, scalars
 from supertriples.algebra import (CommutantFingerprint, Grading, SuperAlgebra,
-                                  _branch_failures, _columns, _echelon_add,
-                                  _pull, check_antisymmetry, check_jacobi,
-                                  commutant_series, is_automorphism)
+                                  _columns, _echelon_add, _pull,
+                                  automorphism_residuals, check_antisymmetry,
+                                  check_jacobi, commutant_series,
+                                  is_automorphism)
 from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
                                   catalog_triple, get_catalog)
 from supertriples.errors import ConstraintViolation, DivisionByZero, UnknownName
+from supertriples.forms import canonical_form, check_ad_invariance
 from supertriples.matrices import rref
 from supertriples.scalars import Domain, ParamContext
 from supertriples.triples import build_double, t_dual
+from test_scalars import (perturbations, random_scalar, scalar_branch_failures,
+                          scalar_verdict)
 
 
 EMPTY = ParamContext()
@@ -28,7 +33,6 @@ def test_tensor_equal_compares_contexts_once_then_canonical_forms(seed):
     """tensor_equal holds for the same tensor over equal but distinct
     context objects, fails when one entry differs, and is False, not a
     ConstraintViolation, across unequal contexts."""
-    from supertriples.scalars import random_scalar
     rng = random.Random(seed)
 
     def context(domain):
@@ -115,10 +119,10 @@ def graded_tensors(draw):
 @given(graded_tensors())
 @settings(max_examples=120, deadline=None)
 def test_integer_jacobi_check_agrees_with_scalar_residuals(A):
-    """check_jacobi's integer path returns [] exactly when the Scalar
-    residuals all vanish, and a failing algebra keeps its Scalar residual
-    list, in order."""
-    assert check_jacobi(A) == _branch_failures(A.jacobi_residuals())
+    """check_jacobi, deciding on the integer tensor, returns [] exactly when
+    the Scalar residuals all vanish, and a failing algebra keeps its Scalar
+    residual list, in order."""
+    assert check_jacobi(A) == scalar_branch_failures(A.jacobi_residuals())
 
 
 def test_abelian_always_lie():
@@ -134,6 +138,46 @@ def test_catalog_axiom_suite():
         assert check_antisymmetry(A) == [], name
         assert check_jacobi(A) == [], name
         assert A.grading_violations() == [], name
+
+
+def _rescaled(A):
+    """A with every structure constant divided by x^2 + 1, x its first
+    parameter; A itself when it has none.  A rescaling keeps the graded
+    antisymmetry, Jacobi and ad-invariance of A, and gives every entry a
+    polynomial denominator."""
+    if not A.ctx.params:
+        return A
+    x = A.ctx.param(A.ctx.params[0])
+    return SuperAlgebra(A.grading, A.ctx,
+                        {key: c / (x * x + 1) for key, c in A.entries().items()},
+                        parity=A.parity, names=A.names, name=A.name)
+
+
+def test_symbolic_checks_accept_without_a_polynomial_gcd(monkeypatch):
+    """The accept path of check_antisymmetry, check_jacobi and
+    check_ad_invariance makes no polynomial gcd: every catalog algebra and
+    the double of every catalog triple, as shipped and rescaled so that
+    its entries have denominators, built first, pass with _p_gcd raising,
+    both in polys and where scalars imports it."""
+    cat = get_catalog()
+    algebras = [catalog(name) for name in sorted(cat.algebras)]
+    doubles = []
+    for rid in sorted(cat.triples):
+        t = catalog_triple(rid)
+        doubles.append((build_double(t), canonical_form(*t.superdim())))
+    algebras += [_rescaled(A) for A in algebras]
+    doubles += [(_rescaled(D), B) for D, B in doubles]
+
+    def no_gcd(f, g):
+        raise AssertionError("polynomial gcd while checking")
+
+    monkeypatch.setattr(polys, "_p_gcd", no_gcd)
+    monkeypatch.setattr(scalars, "_p_gcd", no_gcd)
+    for A in algebras:
+        assert check_antisymmetry(A) == [] and check_jacobi(A) == [], A.name
+    for D, B in doubles:
+        assert check_antisymmetry(D) == [] and check_jacobi(D) == [], D.name
+        assert check_ad_invariance(D, B) == [], D.name
 
 
 def test_catalog_errors():
@@ -164,6 +208,67 @@ def test_automorphism_families_symbolic():
         for branch in fam:
             lifted = entry.lift_algebra(branch.ctx, {})
             assert is_automorphism(branch.matrix, lifted), name
+
+
+@functools.lru_cache(maxsize=None)
+def _branches():
+    """(algebra name, branch index) of every printed automorphism branch."""
+    return [(name, index)
+            for name, entry in sorted(get_catalog().algebras.items())
+            if entry.decl.autos
+            for index in range(len(entry.automorphisms().branches))]
+
+
+def _scalar_transport_residuals(A, algebra):
+    """((a, b, r), A_a^p A_b^q F_pq^r - F_ab^k A_k^r) for each nonzero one,
+    in key order, summed in Scalar arithmetic term by term."""
+    zero, d = algebra.ctx.zero(), algebra.dim
+    out = {}
+    for (p, q, r, c) in algebra.nonzero():
+        for a in range(d):
+            for b in range(d):
+                if A[a][p] and A[b][q]:
+                    out[a, b, r] = out.get((a, b, r), zero) + A[a][p] * A[b][q] * c
+    for (a, b, k, c) in algebra.nonzero():
+        for r in range(d):
+            if A[k][r]:
+                out[a, b, r] = out.get((a, b, r), zero) - c * A[k][r]
+    return [(key, out[key]) for key in sorted(out) if out[key]]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_automorphism_decider_agrees_with_scalar_residuals(data):
+    """On a printed automorphism branch, symbolic or instantiated at sampled
+    parameters, with one even entry moved by a perturbation,
+    automorphism_residuals fails at exactly the residuals, and refuses with
+    exactly the exception, of the Scalar reference."""
+    name, index = data.draw(st.sampled_from(_branches()))
+    entry = get_catalog().algebras[name]
+    branch = entry.automorphisms().branches[index]
+    if data.draw(st.booleans()):
+        ctx, matrix = branch.ctx, branch.matrix
+        algebra = entry.lift_algebra(ctx, {})
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        try:
+            bindings = {n: branch.ctx.domains[n].sample(rng)
+                        for n in branch.ctx.params}
+            ctx, matrix = branch.instantiate(bindings)
+        except ConstraintViolation:
+            assume(False)
+        algebra = entry.lift_algebra(ctx, {n: bindings[n]
+                                           for n in entry.ctx.params})
+    par = algebra.parity
+    a, b = data.draw(st.sampled_from([(a, b) for a in range(algebra.dim)
+                                      for b in range(algebra.dim)
+                                      if par[a] == par[b]]))
+    matrix = [list(row) for row in matrix]
+    matrix[a][b] = matrix[a][b] + data.draw(perturbations(ctx))
+    expected = scalar_verdict(lambda: scalar_branch_failures(
+        _scalar_transport_residuals(matrix, algebra)))
+    assert scalar_verdict(
+        lambda: automorphism_residuals(matrix, algebra)) == expected
 
 
 def test_automorphism_sampled_instantiations():

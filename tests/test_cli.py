@@ -10,6 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from supertriples.cli import main
 
+try:
+    import fcntl
+except ImportError:  # not POSIX
+    fcntl = None
+
 CLI = [sys.executable, "-m", "supertriples.cli"]
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -575,3 +580,26 @@ def test_random_bind_values_never_crash_check(triple, data):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1, 3)
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"),
+                    reason="needs a pipe whose capacity can be set")
+def test_a_pipe_closed_after_one_line_ends_quietly():
+    """`enumerate --seed C4 | head -1`: the reader takes one line and closes
+    the pipe.  The pipe holds one page, so the 9 895 bytes of output cannot
+    all be written before the close; the run still ends with an empty
+    stderr, no traceback, and the documented exit code 1."""
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(CLI + ["--format", "machine", "enumerate",
+                                   "--seed", "C4"],
+                            stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
+    line = b""
+    while not line.endswith(b"\n"):
+        line += os.read(read_end, 1)
+    os.close(read_end)
+    assert proc.wait(timeout=120) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert line == b"enumerate seed=C4 solutions=343 orbits=133\n"

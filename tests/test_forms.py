@@ -1,13 +1,16 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from supertriples.catalog import catalog_triple
+from supertriples.catalog import catalog_triple, get_catalog
 from supertriples.errors import ConstraintViolation, DimensionMismatch
 from supertriples.algebra import SuperAlgebra
 from supertriples.forms import (canonical_form, check_ad_invariance,
                                 check_graded_symmetry, check_isotropic)
 from supertriples.triples import ManinTriple, build_double
+from test_scalars import perturbations, scalar_branch_failures, scalar_verdict
 
 
 def test_canonical_form_11():
@@ -90,3 +93,51 @@ def test_compatibility_implies_ad_invariance_cross_module():
         t = catalog_triple(rid)
         m, n = t.superdim()
         assert check_ad_invariance(build_double(t), canonical_form(m, n)) == [], rid
+
+
+@functools.lru_cache(maxsize=None)
+def _symbolic_doubles():
+    """(double, canonical form) of every catalog triple over parameters."""
+    out = []
+    for rid in sorted(get_catalog().triples):
+        t = catalog_triple(rid)
+        if t.ctx.params:
+            out.append((build_double(t), canonical_form(*t.superdim())))
+    return out
+
+
+def _scalar_ad_residuals(A, B):
+    """((x, y, z), <[x,y],z> + (-1)^{|x||y|} <y,[x,z]>) for each nonzero
+    one, in key order, summed in Scalar arithmetic term by term."""
+    par, zero = A.parity, A.ctx.zero()
+    out = {}
+    for (x, y, k, c) in A.nonzero():
+        for z in range(A.dim):
+            if B[k, z]:
+                out[x, y, z] = out.get((x, y, z), zero) + c * B[k, z]
+    for (x, z, k, c) in A.nonzero():
+        for y in range(A.dim):
+            if B[y, k]:
+                sign = -1 if par[x] * par[y] else 1
+                out[x, y, z] = out.get((x, y, z), zero) + sign * c * B[y, k]
+    return [(key, out[key]) for key in sorted(out) if out[key]]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_ad_invariance_decider_agrees_with_scalar_residuals(data):
+    """On a symbolic catalog double with one or two entries moved by a
+    perturbation, check_ad_invariance fails at exactly the residuals, and
+    refuses with exactly the exception, of the Scalar reference."""
+    D, B = data.draw(st.sampled_from(_symbolic_doubles()))
+    ctx, par, d = D.ctx, D.parity, D.dim
+    keys = [(i, j, k) for i in range(d) for j in range(d) for k in range(d)
+            if (par[i] + par[j]) % 2 == par[k]]
+    entries = D.entries()
+    for _ in range(data.draw(st.integers(1, 2))):
+        key = data.draw(st.sampled_from(keys))
+        entries[key] = entries.get(key, ctx.zero()) + data.draw(perturbations(ctx))
+    P = SuperAlgebra(D.grading, ctx, entries, parity=par, names=D.names)
+    expected = scalar_verdict(
+        lambda: scalar_branch_failures(_scalar_ad_residuals(P, B)))
+    assert scalar_verdict(lambda: check_ad_invariance(P, B)) == expected

@@ -24,6 +24,7 @@ from supertriples.iso import (Exhausted, IsoCertificate, _form_tensor, _half,
 from supertriples.matrices import inv, s_identity, s_matmul
 from supertriples.memo import _MEMO, report_memo
 from supertriples.triples import ManinTriple, build_double, t_dual
+from test_scalars import scalar_branch_failures
 
 
 def test_identity_certificate():
@@ -465,7 +466,7 @@ def test_candidate_samples_cover_every_stage_and_both_outcomes():
 def test_integer_holds_matches_fraction_route(data, k):
     """For any candidate (M, c) and any positive rescaling (k M, k c), the
     integer test agrees with conditions (i) and (ii) on the Fraction matrix
-    M / c, and so do the Scalar residuals and the cleared numerators of the
+    M / c, and so do the Scalar residuals and verify_certificate on the
     certificate M / c."""
     samples = _candidate_samples()
     src, tgt, _, M, c = samples[data.draw(st.integers(0, len(samples) - 1))]
@@ -476,9 +477,8 @@ def test_integer_holds_matches_fraction_route(data, k):
     ctx = src.ctx
     cert = IsoCertificate(ctx, [[ctx.const(x) for x in row] for row in C],
                           src, tgt)
-    form = _form_tensor(*_half(src))
-    assert iso._residual_verdict(cert, form)[0] == expected
-    assert iso._holds_identically(cert, form) == expected
+    assert (not _scalar_failures(cert)) == expected
+    assert verify_certificate(cert) == (expected, _scalar_failures(cert))
 
 
 # a pool of small rationals to bind certificate parameters from; it holds
@@ -681,15 +681,28 @@ def _shipped_certificate(cid):
     return appendix_certificate(cid)
 
 
+def _scalar_failures(cert):
+    """The Scalar reference for verify_certificate: the residuals of (i) and
+    (ii) computed on C, F and F' themselves, kept where they fail on some
+    sign branch (``scalar_branch_failures``)."""
+    ctx = cert.ctx
+    form = [(p, q, r, ctx.const(x))
+            for (p, q, r, x) in _form_tensor(*_half(cert.source))]
+    return scalar_branch_failures(iso._conditions(
+        cert.matrix, form, cert.source.nonzero(), cert.target.nonzero()))
+
+
 def _both_verdicts(cert):
-    """(fraction-free verdict, Scalar verdict); a Scalar path that refuses
-    the certificate gives the exception's type."""
-    form = _form_tensor(*_half(cert.source))
-    try:
-        scalar = iso._residual_verdict(cert, form)[0]
-    except (ConstraintViolation, DivisionByZero) as exc:
-        scalar = type(exc)
-    return iso._holds_identically(cert, form), scalar
+    """(verify_certificate's verdict, the Scalar reference's verdict); a
+    route that refuses the certificate gives the exception's type."""
+    verdicts = []
+    for verdict in (lambda: verify_certificate(cert)[0],
+                    lambda: not _scalar_failures(cert)):
+        try:
+            verdicts.append(verdict())
+        except (ConstraintViolation, DivisionByZero) as exc:
+            verdicts.append(type(exc))
+    return tuple(verdicts)
 
 
 @given(st.sampled_from(list_certificates()),
@@ -698,7 +711,8 @@ def _both_verdicts(cert):
 def test_fraction_free_test_agrees_with_scalar_residuals(cid, how, data):
     """On every shipped certificate, on one with an entry moved by a random
     rational and on random rational bindings of its non-finite parameters,
-    the fraction-free test accepts exactly when the Scalar residuals do."""
+    the fraction-free test accepts exactly when the Scalar residuals do, and
+    refuses a binding with the Scalar residuals' exception."""
     cert = _shipped_certificate(cid)
     if how == "perturbed":
         par = cert.source.parity
@@ -721,7 +735,7 @@ def test_fraction_free_test_agrees_with_scalar_residuals(cid, how, data):
         except (ConstraintViolation, DivisionByZero):
             assume(False)
     fraction_free, scalar = _both_verdicts(cert)
-    assert fraction_free == (scalar is True)
+    assert fraction_free == scalar
 
 
 def test_shipped_certificates_verify_without_a_polynomial_gcd(monkeypatch):
@@ -739,12 +753,13 @@ def test_shipped_certificates_verify_without_a_polynomial_gcd(monkeypatch):
         assert verify_certificate(cert) == (True, []), cert
 
 
-def test_a_branch_with_a_rational_radicand_falls_through():
+def test_a_branch_with_a_negative_radicand_is_refused_by_the_decider():
     """At alpha = gamma = 1 DD24_VIII's radicand eps*(alpha + gamma) is -2 on
     the eps = -1 branch.  Its cleared residuals vanish there with s kept
-    formal, but that branch is left to the Scalar path, which refuses it."""
+    formal, but the decider settles the branch by bind's radical rule and
+    refuses it, as the Scalar reference does."""
     cert = appendix_certificate("DD24_VIII", {"alpha": 1, "gamma": 1})
-    assert not iso._holds_identically(cert, _form_tensor(*_half(cert.source)))
-    with pytest.raises(ConstraintViolation,
-                       match="radicand of s is negative at these bindings"):
-        verify_certificate(cert)
+    for verdict in (verify_certificate, _scalar_failures):
+        with pytest.raises(ConstraintViolation,
+                           match="radicand of s is negative at these bindings"):
+            verdict(cert)

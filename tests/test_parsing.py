@@ -11,7 +11,8 @@ from supertriples.parsing import (MAX_DIGITS, MAX_EXPONENT, MAX_PAREN_DEPTH,
                                   eval_generator_combo, parse_catalog, parse_expr, parse_scalar,
                                   render_brackets, render_combo,
                                   render_params)
-from supertriples.scalars import Domain, ParamContext, random_scalar
+from supertriples.scalars import Domain, ParamContext
+from test_scalars import random_scalar
 
 
 def test_expression_basics():

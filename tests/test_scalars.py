@@ -11,10 +11,68 @@ from supertriples.catalog import appendix_certificate, catalog_triple
 from supertriples.errors import (ConstraintViolation, DivisionByZero,
                                  InconsistentRadical)
 from supertriples.scalars import (Domain, ParamContext, Scalar, arith,
-                                  clear_denominators,
-                                  cleared_vanish_on_branches, is_zero,
-                                  random_scalar, substitute,
-                                  vanishes_on_branches)
+                                  clear_denominators, failing_on_branches,
+                                  is_zero, substitute)
+
+
+def random_scalar(ctx, rng, depth=2):
+    """Small random scalar for property tests."""
+    if depth == 0 or not ctx.params:
+        return ctx.const(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    op = rng.randint(0, 3)
+    if op == 0:
+        return ctx.param(rng.choice(ctx.params))
+    a = random_scalar(ctx, rng, depth - 1)
+    b = random_scalar(ctx, rng, depth - 1)
+    if op == 1:
+        return a + b
+    if op == 2:
+        return a * b
+    return a - b
+
+
+def scalar_vanishes_on_branches(s):
+    """The Scalar reference: s is zero on every finite-domain branch of its
+    context, each branch substituted by ``bind`` (no substitution when
+    there are none)."""
+    branches = s.ctx.sign_branches()
+    if len(branches) == 1 and not branches[0]:
+        return s.is_zero()
+    return all(s.substitute(b).is_zero() for b in branches)
+
+
+def scalar_branch_failures(residuals):
+    """The items of residuals whose last entry, a Scalar, fails to vanish
+    on some branch (``scalar_vanishes_on_branches``): the independent
+    oracle for the checks that ``failing_on_branches`` decides."""
+    return [item for item in residuals
+            if not scalar_vanishes_on_branches(item[-1])]
+
+
+def scalar_verdict(check):
+    """check() or, when it refuses its input, the exception's type."""
+    try:
+        return check()
+    except (ConstraintViolation, DivisionByZero) as exc:
+        return type(exc)
+
+
+def perturbations(ctx):
+    """Nonzero Scalars of ctx to perturb an input by: a rational times 1, a
+    parameter or the product of x - v over the values v of a finite
+    parameter x (zero on every branch, though not as a Scalar), divided by
+    1 or by x^2 + 1 for a parameter x, which vanishes on no branch."""
+    factors = [ctx.one()] + [ctx.param(name) for name in ctx.params]
+    for name in ctx.params:
+        if ctx.domains[name].is_finite:
+            factor = ctx.one()
+            for v in ctx.domains[name].values:
+                factor = factor * (ctx.param(name) - v)
+            factors.append(factor)
+    dens = [ctx.one()] + [ctx.param(name) ** 2 + 1 for name in ctx.params]
+    return st.builds(lambda delta, factor, den: delta * factor / den,
+                     st.fractions(-5, 5, max_denominator=7).filter(bool),
+                     st.sampled_from(factors), st.sampled_from(dens))
 
 
 def test_polys_is_the_only_polynomial_module():
@@ -173,11 +231,23 @@ def test_gcd_cancellation():
 
 
 def test_vanishes_on_branches():
+    """eps^2 - 1 is not zero but vanishes on both sign branches, eps x and
+    a nonzero integer do not; the decider and the Scalar reference agree,
+    on cleared Scalars and on integers, the degree-0 case."""
     ctx = ParamContext([("eps", Domain.sign()), ("x", Domain.free())])
     eps, x = ctx.param("eps"), ctx.param("x")
-    assert not (eps * eps - 1).is_zero()
-    assert vanishes_on_branches(eps * eps - 1)
-    assert not vanishes_on_branches(eps * x)
+    values = [eps * eps - 1, eps * x, ctx.zero(), (eps * eps - 1) / (x * x + 1)]
+    assert not values[0].is_zero()
+    assert scalar_vanishes_on_branches(values[0])
+    assert not scalar_vanishes_on_branches(values[1])
+    cleared, den = clear_denominators(ctx, values)
+    assert failing_on_branches(ctx, cleared, (den,)) == [1]
+    assert scalar_branch_failures([(v,) for v in values]) == [(values[1],)]
+    numeric = ParamContext()
+    ints, one = clear_denominators(numeric, [numeric.const(Fraction(3, 2)),
+                                             numeric.zero(), numeric.const(-1)])
+    assert (ints, one) == ([3, 0, -2], 2)
+    assert failing_on_branches(numeric, ints, (one,)) == [0, 2]
 
 
 def test_finite_domain_branches():
@@ -437,23 +507,48 @@ def test_cleared_arithmetic_matches_scalar_arithmetic(seed):
     assert bool(X) == bool(x) and not X - X
 
 
-def test_cleared_vanishing_leaves_rational_radicands_and_zero_dens_out():
-    """A cleared value vanishing on every sign branch is accepted only when
-    no branch needs bind's radical rule or a zero denominator: those
-    branches are left to the Scalar path."""
+def test_cleared_vanishing_settles_rational_radicands_and_zero_dens():
+    """A branch on which an input denominator vanishes leaves that input
+    undefined: DivisionByZero, unless every value has already failed.  A
+    branch that makes the radicand a rational q settles the radical by
+    bind's rule: a square q binds it to its root, a negative q is a
+    ConstraintViolation, any other q keeps it, so both parts must vanish."""
     ctx = ParamContext([("p", Domain.free()), ("eps", Domain.sign())])
     p, eps = ctx.param("p"), ctx.param("eps")
     (v, one), _ = clear_denominators(ctx, [p * (eps * eps - 1), ctx.one()])
     (den_ok, den_zero), _ = clear_denominators(ctx, [eps + 2, eps + 1])
-    assert v and cleared_vanish_on_branches(ctx, [v], (den_ok,))
-    assert not cleared_vanish_on_branches(ctx, [v], (den_zero,))
-    assert not cleared_vanish_on_branches(ctx, [v, one], (den_ok,))
-    assert cleared_vanish_on_branches(ctx, [v - v], (den_zero,))
-    rad = ParamContext([("p", Domain.free()), ("eps", Domain.sign())],
-                       radicals=[("s", (p * p + eps).re[0])])
-    const = ParamContext([("p", Domain.free()), ("eps", Domain.sign())],
-                         radicals=[("s", (2 * eps).re[0])])
-    for ctx2, expected in ((rad, True), (const, False)):
-        p2, eps2 = ctx2.param("p"), ctx2.param("eps")
-        (w,), den = clear_denominators(ctx2, [p2 * (eps2 * eps2 - 1)])
-        assert cleared_vanish_on_branches(ctx2, [w], (den,)) is expected
+    assert v and failing_on_branches(ctx, [v], (den_ok,)) == []
+    with pytest.raises(DivisionByZero):
+        failing_on_branches(ctx, [v], (den_zero,))
+    assert failing_on_branches(ctx, [v, one], (den_ok,)) == [1]
+    assert failing_on_branches(ctx, [one], (den_zero,)) == [0]
+    assert failing_on_branches(ctx, [v - v], (den_zero,)) == []
+
+    def context(radicand):
+        base = ParamContext([("p", Domain.free()), ("eps", Domain.sign())])
+        return ParamContext([("p", Domain.free()), ("eps", Domain.sign())],
+                            radicals=[("s", radicand(base).re[0])])
+
+    # s^2 = p^2 + eps stays formal; s^2 = 4 eps is negative on eps = -1;
+    # s^2 = 2 + eps keeps s on eps = 1 (q = 3) and binds s = 1 on eps = -1
+    for radicand, value, expected in (
+            (lambda c: c.param("p") ** 2 + c.param("eps"),
+             lambda c: c.param("p") * (c.param("eps") ** 2 - 1), []),
+            (lambda c: 4 * c.param("eps"),
+             lambda c: c.param("p") * (c.param("eps") ** 2 - 1),
+             ConstraintViolation),
+            (lambda c: 2 + c.param("eps"),
+             lambda c: (c.radical() - 1) * (c.param("eps") - 1), []),
+            (lambda c: 2 + c.param("eps"),
+             lambda c: c.radical() - 1, [0])):
+        ctx2 = context(radicand)
+        w = value(ctx2)
+        (cleared,), den = clear_denominators(ctx2, [w])
+        if expected is ConstraintViolation:
+            with pytest.raises(ConstraintViolation, match="radicand of s is negative"):
+                failing_on_branches(ctx2, [cleared], (den,))
+            with pytest.raises(ConstraintViolation, match="radicand of s is negative"):
+                scalar_branch_failures([(w,)])
+        else:
+            assert failing_on_branches(ctx2, [cleared], (den,)) == expected
+            assert scalar_branch_failures([(w,)]) == [(w,)] * len(expected)
