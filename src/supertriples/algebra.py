@@ -488,17 +488,6 @@ class AutoBranch:
                 raise ConstraintViolation("automorphism constraint %s vanishes" % c)
         return bound.ctx, bound.matrix
 
-    def sample(self, rng):
-        """Random valid instantiation; returns (ctx, matrix)."""
-        for _ in range(200):
-            bindings = {name: self.ctx.domains[name].sample(rng)
-                        for name in self.family_params}
-            try:
-                return self.instantiate(bindings)
-            except ConstraintViolation:
-                continue
-        raise ConstraintViolation("could not sample automorphism family")
-
 
 class AutomorphismFamily:
     """All printed branches of one algebra's automorphism group."""

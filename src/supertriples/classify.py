@@ -14,8 +14,8 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import (SuperAlgebra, _echelon_add, _integer_matrix,
-                      _transport_residuals, commutant_series)
+from .algebra import (SuperAlgebra, _echelon_add, _transport_residuals,
+                      check_jacobi, commutant_series)
 from .catalog import automorphisms, catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DimensionMismatch,
                      DivisionByZero, InconsistentRadical, UnknownId)
@@ -24,9 +24,9 @@ from .iso import (Exhausted, IsoCertificate, _evaluations, _projected_sides,
                   shear_certificate, verify_certificate)
 from .matrices import f_solve, s_identity
 from .memo import report_memo
-from .polys import _p_compose
-from .scalars import (Domain, ParamContext, _term_image, finite_branches,
-                      not_a_parameter)
+from .polys import _p_const, _p_int_forms, _p_int_value
+from .scalars import (Domain, ParamContext, _term_image, exact_sqrt,
+                      finite_branches, not_a_parameter)
 from .triples import ManinTriple, build_double, check_compatibility, t_dual
 
 __all__ = ["DualAnsatz", "enumerate_duals", "reduce_orbits", "classify_doubles",
@@ -37,6 +37,8 @@ ENUM_GRID = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
 # the most grid points enumerate_duals will try
 ENUM_BUDGET = 300000
 ORBIT_SAMPLES = 200
+# the draws ``_BranchDraw.samples`` makes for one sample before giving it up
+SAMPLE_TRIES = 200
 ORBIT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(1, 3),
               Fraction(4), Fraction(1, 4), Fraction(0))
@@ -108,13 +110,48 @@ def enumerate_duals(seed):
     Two tiers: the Jacobi residuals of the double that are linear in the
     unknowns are solved exactly; the others, polynomials, are tested by
     their numerators on the rational grid over the free directions of the
-    solution space.  Every returned dual re-passes the compatibility check.
-    Raises BudgetExceeded when that grid has more than ENUM_BUDGET points
-    (A12's 7^7 does).
+    solution space.  That test runs on integers (``_grid_solutions``): each
+    numerator is cleared once to integer coefficients and each grid point
+    scaled to integers over one denominator, and only a point where every
+    numerator vanishes is made of Fractions and becomes a candidate dual.
+    Every returned dual re-passes the compatibility check.  Raises
+    BudgetExceeded when that grid has more than ENUM_BUDGET points (A12's
+    7^7 does).
     """
     if seed.ctx.params:
         raise ConstraintViolation("enumerate_duals needs a numeric seed")
     ansatz = DualAnsatz(seed.grading)
+    system = _dual_system(seed, ansatz)
+    if system is None:
+        return []
+    particular, null, higher = system
+    free = len(null)
+    if free and len(ENUM_GRID) ** free > ENUM_BUDGET:
+        raise BudgetExceeded("grid %d^%d exceeds budget %d"
+                             % (len(ENUM_GRID), free, ENUM_BUDGET))
+
+    out = []
+    seen = set()
+    for point in _grid_solutions(particular, null, higher):
+        values = [seed.ctx.const(x) for x in point]
+        cand = ansatz.dual_algebra(seed.ctx, values)
+        key = cand.tensor_key()
+        if key in seen:
+            continue
+        seen.add(key)
+        if check_compatibility(ManinTriple(seed, cand)):
+            continue  # soundness re-check; linear tier cannot misfire, grid can
+        out.append(cand)
+    out.sort(key=lambda a: a.tensor_key())
+    return out
+
+
+def _dual_system(seed, ansatz):
+    """(particular, null, higher) for the compatible duals of a numeric
+    seed: the unknowns solving the linear Jacobi residuals of the double are
+    particular + a combination of the null vectors (Fractions), and higher
+    lists the numerators of the other residuals, dict polynomials in the
+    unknowns; None when the linear residuals have no solution."""
     uctx = ansatz.context()
     u = [uctx.param("u%d" % i) for i in range(ansatz.unknown_count)]
     seed_l = seed.map_scalars(uctx, seed.ctx.bind_scalars(uctx, {}))
@@ -146,41 +183,49 @@ def enumerate_duals(seed):
                 row[var] += coeff * scale
         rows.append(row)
         rhs.append(-const)
-    if rows:
-        solved = f_solve(rows, rhs)
-        if solved is None:
-            return []
-        particular, null = solved
-    else:
-        particular, null = [Fraction(0)] * nu, \
-            [[Fraction(int(i == j)) for j in range(nu)] for i in range(nu)]
+    if not rows:
+        return ([Fraction(0)] * nu,
+                [[Fraction(int(i == j)) for j in range(nu)] for i in range(nu)],
+                higher)
+    solved = f_solve(rows, rhs)
+    return None if solved is None else solved + (higher,)
 
-    free = len(null)
-    if free and len(ENUM_GRID) ** free > ENUM_BUDGET:
-        raise BudgetExceeded("grid %d^%d exceeds budget %d"
-                             % (len(ENUM_GRID), free, ENUM_BUDGET))
 
-    out = []
-    seen = set()
-    for combo in itertools.product(ENUM_GRID, repeat=free):
-        point = list(particular)
-        for s, vec in zip(combo, null):
-            if s:
-                point = [x + s * y for x, y in zip(point, vec)]
-        images = [(x, None) for x in point]
-        if any(_p_compose(f, images, 0) for f in higher):
-            continue
-        values = [seed.ctx.const(x) for x in point]
-        cand = ansatz.dual_algebra(seed.ctx, values)
-        key = cand.tensor_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        if check_compatibility(ManinTriple(seed, cand)):
-            continue  # soundness re-check; linear tier cannot misfire, grid can
-        out.append(cand)
-    out.sort(key=lambda a: a.tensor_key())
-    return out
+def _grid_solutions(particular, null, higher):
+    """The points particular + sum s_i null_i, s in ``ENUM_GRID``^len(null)
+    in ``itertools.product`` order, at which every polynomial of higher
+    vanishes, as lists of Fractions.
+
+    Filtered on integers: with e the lcm of the grid's denominators times
+    that of the vectors' entries, each point is P/e for an integer vector P,
+    and f(P/e) = 0 exactly when the integer form of f (``_p_int_forms``:
+    sum k_m P^m e^(deg - |m|)) is 0.  Only a surviving point is made of
+    Fractions."""
+    grid_den = math.lcm(*(s.denominator for s in ENUM_GRID))
+    vec_den = math.lcm(*(x.denominator for vec in [particular] + null
+                         for x in vec))
+    e = grid_den * vec_den
+    # integer points carry e last; steps[i][g] is e times the grid's g-th
+    # value times null vector i
+    base = [x.numerator * (e // x.denominator) for x in particular] + [e]
+    steps = [[[s.numerator * (grid_den // s.denominator)
+               * y.numerator * (vec_den // y.denominator) for y in vec] + [0]
+              for s in ENUM_GRID] for vec in null]
+    forms = [form for f in higher
+             for form in _p_int_forms([f], len(particular))]
+    # the sums over the first and the last null vectors, each in product
+    # order, so each point costs one vector sum
+    half = len(null) // 2
+    heads, tails = [base], [[0] * len(base)]
+    for vec_steps in steps[:half]:
+        heads = [[x + y for x, y in zip(p, s)] for p in heads for s in vec_steps]
+    for vec_steps in steps[half:]:
+        tails = [[x + y for x, y in zip(p, s)] for p in tails for s in vec_steps]
+    for head in heads:
+        for tail in tails:
+            point = [x + y for x, y in zip(head, tail)]
+            if not any(_p_int_value(f, point) for f in forms):
+                yield [Fraction(x, e) for x in point[:-1]]
 
 
 def reduce_orbits(solutions, family):
@@ -196,15 +241,18 @@ def reduce_orbits(solutions, family):
 
     No member is inverted and no tensor moved: the solutions are scaled once
     to integer tensors N_i over one denominator, and each member, drawn one
-    at a time, to M = c A^T (``_members``).  Pulling back along A^T undoes
-    the pullback along (A^T)^{-1}, so for an invertible A solution i moves
-    onto solution j exactly when pull(N_j, M) = c push(N_i, M), condition
-    (ii) of ``iso._conditions`` with s = t = 1 (``_transport_residuals``); a
-    singular A is refused.  Equal tensors project equally
-    (``iso._evaluations``), so a pair is tested in full only when the
-    projection of pull(N_j, M) lands in the bucket of c push(N_i, M), and
-    only when i and j are in different sets: a union inside one set changes
-    nothing, so the partition is the all-pairs one.
+    at a time, is evaluated on integers as M = c A^T (``_members``: each
+    branch is compiled once per call into integer forms of its entries and
+    constraints, so a draw binds no context and makes no Scalar).  Pulling
+    back along A^T undoes the pullback along (A^T)^{-1}, so for an
+    invertible A solution i moves onto solution j exactly when
+    pull(N_j, M) = c push(N_i, M), condition (ii) of ``iso._conditions``
+    with s = t = 1 (``_transport_residuals``); a singular A is refused.
+    Equal tensors project equally (``iso._evaluations``), so a pair is
+    tested in full only when the projection of pull(N_j, M) lands in the
+    bucket of c push(N_i, M), and only when i and j are in different sets:
+    a union inside one set changes nothing, so the partition is the
+    all-pairs one.
     The family must have a branch and must not use the seed's parameters:
     bind them with ``automorphisms(name, bindings)``.
     """
@@ -254,18 +302,17 @@ def _check_family(family):
 
 def _members(family):
     """The members A of ``reduce_orbits`` in order, one at a time, as (M, c)
-    with M = c A^T an integer matrix; a singular one is a DimensionMismatch."""
+    with M = c A^T an integer matrix; a singular one is a DimensionMismatch.
+
+    Each branch is compiled once per call (``_BranchDraw``) and every member
+    is evaluated on integers: first the ``ORBIT_GRID`` points the branch
+    accepts, then random samples.  Nothing compiled outlives the call."""
     rng = random.Random(0)
     per_branch = ORBIT_SAMPLES // max(1, len(family.branches))
     for branch in family:
-        names = branch.family_params
-        grid = (dict(zip(names, combo)) for combo in
-                itertools.product(ORBIT_GRID, repeat=len(names)))
-        for mat in itertools.chain(
-                itertools.islice(_valid(branch.instantiate, grid), per_branch),
-                _valid(branch.sample, itertools.repeat(rng, per_branch // 2))):
-            M, c = _integer_matrix([[x.as_fraction() for x in col]
-                                    for col in zip(*mat)])
+        draw = _BranchDraw(branch)
+        for M, c in itertools.chain(itertools.islice(draw.grid(), per_branch),
+                                    draw.samples(rng, per_branch // 2)):
             basis = {}
             for row in M:
                 _echelon_add(basis, {p: x for p, x in enumerate(row) if x})
@@ -275,13 +322,144 @@ def _members(family):
             yield M, c
 
 
-def _valid(draw, args):
-    """The matrices of draw(arg) over args, skipping a ConstraintViolation."""
-    for arg in args:
-        try:
-            yield draw(arg)[1]
-        except ConstraintViolation:
-            continue
+class _BranchDraw:
+    """An ``AutoBranch`` compiled for drawing members on integers.
+
+    Each part (rational or radical) of a matrix entry or constraint, and
+    the radicand, becomes a numerator and a denominator form
+    (``polys._p_int_forms``) over the branch's parameters, each distinct
+    form kept once.  A member at rational values of
+    the family parameters is evaluated at the integers they make over one
+    common denominator, with no context bound and no Scalar made; it is
+    what ``instantiate`` followed by ``as_fraction`` gives, as M = c A^T
+    over the lcm c of the entries' denominators (``_integer_matrix``).
+    Refused, so None, are exactly the values ``instantiate`` refuses: one
+    outside its parameter's domain, a negative radicand, a vanishing
+    constraint.  A vanishing denominator is a DivisionByZero and an entry
+    left irrational by an unsettled radical a ConstraintViolation, as for
+    the Scalars."""
+
+    def __init__(self, branch):
+        ctx = branch.ctx
+        self.nv = ctx.nvars
+        names = branch.family_params
+        self.domains = [ctx.domains[n] for n in names]
+        self.slots = [ctx.params.index(n) for n in names]
+        self.forms, keys = [], {}
+
+        def compiled(rf):
+            """(numerator, denominator) indices in self.forms of a rational
+            function (num, den)."""
+            pair = []
+            for form in _p_int_forms(rf, self.nv):
+                key = tuple(form)
+                if key not in keys:
+                    keys[key] = len(self.forms)
+                    self.forms.append(form)
+                pair.append(keys[key])
+            return tuple(pair)
+
+        def part(rf):
+            """A Scalar's rational or radical part; None where it is zero."""
+            return None if rf is None or not rf[0] else compiled(rf)
+
+        self.dim = len(branch.matrix)
+        # (index in M = c A^T read row by row, re, rad) per nonzero entry
+        self.entries = [(j * self.dim + i, part(x.re), part(x.rad))
+                        for i, row in enumerate(branch.matrix)
+                        for j, x in enumerate(row) if x]
+        self.constraints = [(part(x.re), part(x.rad))
+                            for x in branch.constraints]
+        self.radicand = None
+        q = ctx.radicand
+        if q is not None and all(
+                ctx.params[i] in names for m in q for i, a in enumerate(m) if a):
+            # a radicand of the family parameters alone settles at a member
+            self.radicand = compiled((q, _p_const(1, self.nv)))
+
+    def grid(self):
+        """The members at the ``ORBIT_GRID`` points the branch accepts, in
+        ``itertools.product`` order over the family parameters."""
+        den = math.lcm(*(v.denominator for v in ORBIT_GRID))
+        axes = [[v.numerator * (den // v.denominator)
+                 for v in ORBIT_GRID if dom.allows(v)] for dom in self.domains]
+        for ints in itertools.product(*axes):
+            member = self._member(ints, den)
+            if member is not None:
+                yield member
+
+    def samples(self, rng, count):
+        """Up to count members at random values of the family parameters,
+        each from at most SAMPLE_TRIES draws of ``Domain.sample``; a sample
+        whose domain cannot be sampled is skipped."""
+        for _ in range(count):
+            for _ in range(SAMPLE_TRIES):
+                try:
+                    values = [dom.sample(rng) for dom in self.domains]
+                except ConstraintViolation:
+                    break
+                member = self.at(values)
+                if member is not None:
+                    yield member
+                    break
+
+    def at(self, values):
+        """The member (M, c) at rational values of the family parameters,
+        in order, or None when the branch refuses them."""
+        values = [Fraction(v) for v in values]
+        if not all(dom.allows(v) for dom, v in zip(self.domains, values)):
+            return None
+        den = math.lcm(*(v.denominator for v in values))
+        return self._member([v.numerator * (den // v.denominator)
+                             for v in values], den)
+
+    def _member(self, ints, den):
+        """The member at the family parameters ints/den, or None."""
+        point = [0] * self.nv + [den]
+        for slot, n in zip(self.slots, ints):
+            point[slot] = n
+        values = [_p_int_value(form, point) for form in self.forms]
+        root = None
+        if self.radicand is not None:
+            q = Fraction(values[self.radicand[0]], values[self.radicand[1]])
+            if q < 0:
+                return None
+            root = exact_sqrt(q)
+        # every denominator is tested before any constraint, as bind maps
+        # every scalar before instantiate tests one
+        entries = [(pos, _scalar_at(values, root, re, rad))
+                   for pos, re, rad in self.entries]
+        if not all(num or irrational for num, _, irrational in
+                   [_scalar_at(values, root, re, rad)
+                    for re, rad in self.constraints]):
+            return None
+        if any(irrational for _, (_, _, irrational) in entries):
+            raise ConstraintViolation("a member of the automorphism family "
+                                      "is not rational")
+        c = math.lcm(*(den for _, (_, den, _) in entries))
+        flat = [0] * (self.dim * self.dim)
+        for pos, (num, den, _) in entries:
+            flat[pos] = num * (c // den)
+        g = math.gcd(c, *flat)
+        d = self.dim
+        return [[x // g for x in flat[r * d:(r + 1) * d]] for r in range(d)], c // g
+
+
+def _scalar_at(values, root, re, rad):
+    """(num, den, irrational) at the form values for a Scalar that
+    ``_BranchDraw`` compiled to the form indices of its parts re and rad:
+    its value is num/den, plus, when the radical stays unsettled (root
+    None), an irrational part that is nonzero exactly when irrational is."""
+    num, den = (0, 1) if re is None else (values[re[0]], values[re[1]])
+    r, s = (0, 1) if rad is None else (values[rad[0]], values[rad[1]])
+    if not (den and s):
+        raise DivisionByZero("zero denominator")
+    if not r:
+        return num, den, 0
+    if root is None:
+        return num, den, r
+    return (num * s * root.denominator + r * root.numerator * den,
+            den * s * root.denominator, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +756,7 @@ def classify_doubles(instance_specs):
     """
     instances = make_instances(instance_specs)
     for inst in instances:
-        if check_compatibility(inst.triple):
+        if check_jacobi(inst.double):  # the compatibility of inst.triple
             raise ConstraintViolation("instance %s fails compatibility" % inst.ident)
 
     n = len(instances)
@@ -740,9 +918,9 @@ def _symbolic_row_suite(target, table):
     for rid in cat.table_rows(table):
         entry = cat.triples[rid]
         t = entry.build()
-        compat = not check_compatibility(t)
-        m, n = t.superdim()
-        adinv = not check_ad_invariance(build_double(t), canonical_form(m, n))
+        D = build_double(t)
+        compat = not check_jacobi(D)  # the compatibility of t
+        adinv = not check_ad_invariance(D, canonical_form(*t.superdim()))
         passed = passed and compat and adinv
         lines.append("row id=%s compatibility=%s ad_invariance=%s label=%s"
                      % (rid, "pass" if compat else "fail",

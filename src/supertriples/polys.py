@@ -8,12 +8,14 @@ pseudo-remainder sequence) and ``_p_content_signed`` a fraction of two
 polynomials has one canonical form too: numerator and denominator without
 a common factor, the denominator integer-primitive with a positive leading
 (lex-largest) coefficient.  ``_p_compose`` is the one substitution.
+``_p_int_forms`` writes polynomials once with integer coefficients, so a
+point scaled to one denominator evaluates them on integers alone.
 
 This module imports nothing from the package.
 """
 
 from fractions import Fraction
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm as _ilcm
 
 
 def _p_const(c, nv):
@@ -254,6 +256,43 @@ def _p_compose(f, images, nv):
         elif key in out:
             del out[key]
     return out
+
+
+def _p_int_forms(polys, nv):
+    """The polynomials over nv variables as integer forms for evaluation at
+    rational points n/e, n integers over one positive integer e.  With deg
+    the largest total degree and scale the lcm of every coefficient
+    denominator, each form is a list of terms (k, factors), factors the
+    variables of the term with repetition, deg in all, variable nv standing
+    for e, so that at the point (n, e)
+
+        form(n, e) = sum k * n^m * e^(deg - |m|) = scale * e^deg * f(n/e).
+
+    Forms made together share scale and e^deg, so a quotient of two of them
+    is the quotient of their polynomials, and a form is 0 exactly where its
+    polynomial vanishes."""
+    deg = max((sum(m) for f in polys for m in f), default=0)
+    scale = _ilcm(*(c.denominator for f in polys for c in f.values()))
+    forms = []
+    for f in polys:
+        form = []
+        for m, c in f.items():
+            factors = [i for i, a in enumerate(m) for _ in range(a)]
+            factors += [nv] * (deg - sum(m))
+            form.append((c.numerator * (scale // c.denominator), tuple(factors)))
+        forms.append(form)
+    return forms
+
+
+def _p_int_value(form, point):
+    """The integer value of a ``_p_int_forms`` form at the integer point
+    (n, e), e last."""
+    total = 0
+    for k, factors in form:
+        for i in factors:
+            k *= point[i]
+        total += k
+    return total
 
 
 def _p_str(f, names):

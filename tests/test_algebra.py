@@ -345,8 +345,11 @@ def test_commutant_invariant_under_basis_change():
     fp = commutant_series(D)
     fam = get_catalog().algebras["C1_p"].automorphisms()
     for _ in range(5):
-        # the family matrix does not involve p, so its entries are numeric
-        ctx, A = fam.branches[0].sample(rng)
+        # the family matrix does not involve p, so its entries are numeric;
+        # b is free and c, d nonzero, so no sampled binding is refused
+        branch = fam.branches[0]
+        ctx, A = branch.instantiate({n: branch.ctx.domains[n].sample(rng)
+                                     for n in branch.family_params})
         lifted = [[D.ctx.const(x.as_fraction()) for x in row] for row in A]
         h = 3
         one, zero = D.ctx.one(), D.ctx.zero()

@@ -4,20 +4,26 @@ import os
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supertriples import algebra, classify, cli, iso, matrices
-from supertriples.algebra import AutoBranch, SuperAlgebra
-from supertriples.catalog import automorphisms, catalog, catalog_triple, get_catalog
-from supertriples.classify import (ORBIT_GRID, _members,
-                                   _unify_side, classify_doubles,
-                                   enumerate_duals, find_certificate,
-                                   make_instances, reduce_orbits, report)
+from supertriples.algebra import AutoBranch, SuperAlgebra, _integer_matrix
+from supertriples.catalog import (AlgebraEntry, automorphisms, catalog,
+                                  catalog_triple, get_catalog, list_algebras)
+from supertriples.classify import (ENUM_BUDGET, ENUM_GRID, ORBIT_GRID,
+                                   DualAnsatz, _members, _unify_side,
+                                   classify_doubles, enumerate_duals,
+                                   find_certificate, make_instances,
+                                   reduce_orbits, report)
 from supertriples.errors import (ConstraintViolation, DimensionMismatch,
-                                 UnknownName)
+                                 DivisionByZero, UnknownName)
 from supertriples.iso import verify_certificate
 from supertriples.matrices import inv
+from supertriples.parsing import parse_catalog
+from supertriples.polys import _p_add, _p_compose, _p_const, _p_mul, _p_var
 from supertriples.scalars import Domain, ParamContext, Scalar
 from supertriples.triples import build_double
 
@@ -462,8 +468,9 @@ def test_n12_eps_family_is_bound_at_the_seed(eps):
 
 def test_reduce_orbits_refuses_a_family_that_uses_unbound_parameters(monkeypatch):
     """N12_eps's family uses eps in its matrices: left unbound, it is refused
-    before any member is drawn.  C1_p's family carries p but never uses it,
-    so it needs no binding (``test_orbits_of_21_seeds`` pins its orbits)."""
+    before any branch is compiled or any member drawn.  C1_p's family
+    carries p but never uses it, so it needs no binding
+    (``test_orbits_of_21_seeds`` pins its orbits)."""
     seed = catalog("N12_eps", {"eps": 1})
     duals = [SuperAlgebra.from_brackets(seed.grading, seed.ctx, {},
                                         dual_role=True)]
@@ -472,7 +479,8 @@ def test_reduce_orbits_refuses_a_family_that_uses_unbound_parameters(monkeypatch
         raise AssertionError("a family member was drawn")
 
     monkeypatch.setattr(AutoBranch, "instantiate", draw)
-    monkeypatch.setattr(AutoBranch, "sample", draw)
+    monkeypatch.setattr(classify._BranchDraw, "__init__", draw)
+    monkeypatch.setattr(classify._BranchDraw, "_member", draw)
     with pytest.raises(ConstraintViolation) as err:
         reduce_orbits(duals, automorphisms("N12_eps"))
     assert str(err.value) == (
@@ -559,10 +567,7 @@ def test_join_full_test_matches_scalar_transport(name):
     members = list(itertools.islice(_members(automorphisms(name)), 6))
     rng = random.Random(8)
     for branch in automorphisms(name):
-        for _ in range(3):
-            mat = branch.sample(rng)[1]
-            members.append(classify._integer_matrix(
-                [[x.as_fraction() for x in col] for col in zip(*mat)]))
+        members += classify._BranchDraw(branch).samples(rng, 3)
     ctx = sols[0].ctx
     moves = 0
     for M, c in members:
@@ -582,13 +587,11 @@ def test_join_full_test_matches_scalar_transport(name):
 
 def test_reduce_orbits_refuses_a_singular_member(monkeypatch):
     """A member that is not invertible could join tensors in different
-    orbits, so it is refused, as inverting it would be."""
-    seed = catalog("A11")
-    sols = enumerate_duals(seed)
-    zero, one = seed.ctx.zero(), seed.ctx.one()
-    monkeypatch.setattr(AutoBranch, "instantiate",
-                        lambda self, bindings: (seed.ctx, [[one, zero],
-                                                           [one, zero]]))
+    orbits, so it is refused, as inverting it would be.  The draw is made
+    to give A = [[1, 0], [1, 0]], as M = c A^T with c = 1."""
+    sols = enumerate_duals(catalog("A11"))
+    monkeypatch.setattr(classify._BranchDraw, "_member",
+                        lambda self, ints, den: ([[1, 1], [0, 0]], 1))
     with pytest.raises(DimensionMismatch, match="singular member .* A11"):
         reduce_orbits(sols, automorphisms("A11"))
 
@@ -612,3 +615,171 @@ def test_reduce_orbits_refuses_a_family_with_no_branch(monkeypatch):
     monkeypatch.setattr(cli, "enumerate_duals", enumerate_refused)
     assert cli.main(["enumerate", "--seed", "N12_abg", "--bind", "alpha=1",
                      "--bind", "beta=0", "--bind", "gamma=1"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# integer draws and the integer grid filter against their Scalar and
+# Fraction references
+
+# the seed bindings under which a family that uses its algebra's parameters
+# is drawn; every other shipped family uses none
+FAMILY_BINDINGS = {"N12_eps": ({"eps": 1}, {"eps": -1})}
+
+# a family with a radical and a denominator, as the grammar allows: at b = 4
+# the radical settles to 2, at b = 2 it stays and the entry is irrational,
+# at b = 1 the denominator vanishes, at b < 0 the radicand is negative
+RADICAL_FAMILY = AlgebraEntry(parse_catalog("""
+algebra RX super_dim (1, 1)
+  brackets { }
+  automorphism {
+    params { a : free \\ {0}; b : (-inf, 4]; r : sqrt(b) }
+    matrix [[a, 0], [0, r + 1/(b - 1)]]
+    constraints { a; a*r - 1 }
+  }
+""")[0]).family
+
+
+def _draw_branches():
+    branches = [("RX", RADICAL_FAMILY.branches[0])]
+    for name in list_algebras():
+        family = automorphisms(name)
+        if any(b.unbound_params() for b in family):
+            families = [automorphisms(name, b) for b in FAMILY_BINDINGS[name]]
+        else:
+            families = [family]
+        branches += [(name, b) for fam in families for b in fam]
+    return branches
+
+
+DRAW_BRANCHES = _draw_branches()
+
+
+def _outcome(draw):
+    """draw()'s value, or the class of the SuperTriplesError it raises."""
+    try:
+        return draw()
+    except (ConstraintViolation, DivisionByZero) as exc:
+        return type(exc)
+
+
+def _scalar_member(branch, values):
+    """``instantiate`` then ``as_fraction``, as (M, c) with M = c A^T:
+    "refused" where instantiate raises a ConstraintViolation."""
+    try:
+        _, mat = branch.instantiate(dict(zip(branch.family_params, values)))
+    except ConstraintViolation:
+        return "refused"
+    return _integer_matrix([[x.as_fraction() for x in col]
+                            for col in zip(*mat)])
+
+
+def _integer_member(branch, values):
+    member = classify._BranchDraw(branch).at(values)
+    return "refused" if member is None else member
+
+
+RATIONALS = st.one_of(
+    st.sampled_from(ORBIT_GRID),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_draw_equals_scalar_instantiation(data):
+    """On every shipped family (N12_eps bound) and a radical one, at
+    ``ORBIT_GRID`` points and at random rationals, in or out of the domain:
+    the integer draw refuses exactly where ``instantiate`` does, and is
+    otherwise ``instantiate`` followed by ``as_fraction``, or raises the
+    same class of error (a zero denominator, an irrational member)."""
+    _, branch = data.draw(st.sampled_from(DRAW_BRANCHES))
+    values = [data.draw(RATIONALS) for _ in branch.family_params]
+    assert (_outcome(lambda: _integer_member(branch, values))
+            == _outcome(lambda: _scalar_member(branch, values)))
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (2, 4, ([[6, 0], [0, 7]], 3)),        # r = 2: A = diag(2, 2 + 1/3)
+    (2, 0, ([[2, 0], [0, -1]], 1)),       # r = 0
+    (2, 2, ConstraintViolation),          # r = sqrt(2) stays: not rational
+    (2, 1, DivisionByZero),
+    (2, -1, "refused"),                   # negative radicand
+    (2, 5, "refused"),                    # outside b's domain
+    (Fraction(1, 2), 4, "refused"),       # the constraint a*r - 1 vanishes
+])
+def test_integer_draw_of_a_radical_family(a, b, want):
+    """Each outcome the random draws may meet, met by both draws."""
+    branch = RADICAL_FAMILY.branches[0]
+    for draw in (_integer_member, _scalar_member):
+        assert _outcome(lambda: draw(branch, [Fraction(a), Fraction(b)])) == want
+
+
+def _fraction_filter(particular, null, higher, grid):
+    """The reference grid filter: each point built and each polynomial of
+    higher composed at it in Fractions."""
+    kept = []
+    for combo in itertools.product(grid, repeat=len(null)):
+        point = list(particular)
+        for s, vec in zip(combo, null):
+            point = [x + s * y for x, y in zip(point, vec)]
+        if not any(_p_compose(f, [(x, None) for x in point], 0) for f in higher):
+            kept.append(point)
+    return kept
+
+
+ENUM_SEED_BINDINGS = {"C1_p": {"p": 2}, "C2_p": {"p": Fraction(1, 2)},
+                      "C5_p": {"p": 1}, "N12_eps": {"eps": 1},
+                      "N12_abg": {"alpha": 1, "beta": 0, "gamma": 1}}
+
+
+def _enum_systems():
+    """(name, particular, null, higher) for every catalog seed whose
+    enumeration grid fits ENUM_BUDGET."""
+    out = []
+    for name in list_algebras():
+        seed = catalog(name, ENUM_SEED_BINDINGS.get(name))
+        system = classify._dual_system(seed, DualAnsatz(seed.grading))
+        if system and len(ENUM_GRID) ** len(system[1]) <= ENUM_BUDGET:
+            out.append((name,) + system)
+    return out
+
+
+ENUM_SYSTEMS = _enum_systems()
+
+
+def test_every_seed_but_a12_fits_the_enumeration_budget():
+    assert sorted(set(list_algebras()) - {s[0] for s in ENUM_SYSTEMS}) == ["A12"]
+
+
+@pytest.mark.parametrize("name, particular, null, higher",
+                         [pytest.param(*s, id=s[0]) for s in ENUM_SYSTEMS
+                          if len(s[2]) <= 3])
+def test_integer_grid_filter_on_enum_grid(name, particular, null, higher):
+    """On ``ENUM_GRID`` itself (seeds with up to 7^3 points), the integer
+    filter keeps exactly the Fraction filter's points, in its order."""
+    assert (list(classify._grid_solutions(particular, null, higher))
+            == _fraction_filter(particular, null, higher, ENUM_GRID))
+
+
+@given(st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
+                min_size=1, max_size=3, unique=True),
+       st.builds(Fraction, st.integers(1, 5), st.integers(1, 7)),
+       st.randoms(use_true_random=False))
+@settings(max_examples=12, deadline=None)
+def test_integer_grid_filter_on_random_grids(grid, scale, rng):
+    """For every seed whose grid fits ENUM_BUDGET, on a random grid of up
+    to three rationals (so the grid's denominator is no fixed number), with
+    the null vectors scaled by a random rational and every residual times
+    u_k - t, t the u_k of a random grid point (the residuals are quadratic
+    forms, the factor gives them terms of two degrees and keeps that point),
+    the integer filter keeps exactly the Fraction filter's points, in its
+    order."""
+    with mock.patch.object(classify, "ENUM_GRID", tuple(grid)):
+        for name, particular, null, higher in ENUM_SYSTEMS:
+            null = [[scale * y for y in vec] for vec in null]
+            nu = len(particular)
+            k = rng.randrange(nu)
+            t = particular[k] + sum(rng.choice(grid) * vec[k] for vec in null)
+            factor = _p_add(_p_var(k, nu), _p_const(-t, nu))
+            higher = [_p_mul(f, factor) for f in higher]
+            assert (list(classify._grid_solutions(particular, null, higher))
+                    == _fraction_filter(particular, null, higher, grid)), name
