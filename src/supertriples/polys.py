@@ -1,9 +1,10 @@
 """Dict polynomials over the rationals: the ring under the scalar tower.
 
 A polynomial is a dict mapping exponent tuples (one slot per variable, in a
-fixed order) to nonzero Fractions; zero is {}.  Products and sums come out
-expanded with no zero coefficient, so the dict is the polynomial's canonical
-form and equal polynomials are equal dicts.  With ``_p_gcd`` (a primitive
+fixed order) to nonzero Fractions, or ints; zero is {}.  Products and sums
+come out expanded with no zero coefficient, so the dict is the polynomial's
+canonical form and equal polynomials are equal dicts.  With ``_p_gcd`` (read
+off the exponents when one side is a monomial, else a primitive
 pseudo-remainder sequence) and ``_p_content_signed`` a fraction of two
 polynomials has one canonical form too: numerator and denominator without
 a common factor, the denominator integer-primitive with a positive leading
@@ -55,7 +56,8 @@ def _p_sub(f, g):
 
 
 def _p_scale(f, c):
-    c = Fraction(c)
+    """f times the rational c; an int c keeps integer coefficients
+    integers."""
     if not c:
         return {}
     return {m: c * k for m, k in f.items()}
@@ -170,11 +172,28 @@ def _p_primitive(f):
 
 
 def _p_gcd(f, g):
-    """Primitive multivariate gcd with positive leading coefficient."""
+    """Primitive multivariate gcd with positive leading coefficient.  When
+    one argument is a monomial c*x^a (a nonzero constant included) every
+    divisor of it is a unit times a monomial, so the gcd is x^b, b the
+    componentwise minimum of a and every exponent of the other argument;
+    the rest take ``_p_gcd_prs``."""
     if not f:
         return _p_primitive(g)
     if not g:
         return _p_primitive(f)
+    if len(g) == 1:
+        f, g = g, f
+    if len(f) == 1:
+        (b,) = f
+        for m in g:
+            b = tuple(map(min, b, m))
+        return {b: Fraction(1)}
+    return _p_gcd_prs(f, g)
+
+
+def _p_gcd_prs(f, g):
+    """``_p_gcd`` of two nonzero polynomials by a primitive pseudo-remainder
+    sequence (Brown 1971) in the top variable, after their contents."""
     f = _p_primitive(f)
     g = _p_primitive(g)
     if f == g:

@@ -19,8 +19,9 @@ negative q is a ConstraintViolation (the scalars are real).  Objects change
 context once, by ``substitute`` (one bind) or by ``map_scalars(ctx, mapper)``.
 
 ``clear_denominators`` writes a check's inputs once as integers or as Cleared
-numerators in Q[params][r]/(r^2 - q), so its residuals take no gcd, and
-``failing_on_branches`` alone decides which of them vanish on every sign branch.
+numerators in Q[params][r]/(r^2 - q) with integer coefficients, so its
+residuals take no gcd, and ``failing_on_branches`` alone decides which of them
+vanish on every sign branch.
 """
 
 from __future__ import annotations
@@ -722,8 +723,9 @@ def substitute(s, bindings):
 class Cleared:
     """Element a + b*r of Q[params][r]/(r^2 - q): the pair (a, b) of dict
     polynomials, with the radicand q (None without a radical).  Only ring
-    operations, so no gcd; ``clear_denominators`` makes them from Scalars,
-    and the contraction kernels take them like any other entry."""
+    operations, so no gcd; ``clear_denominators`` makes them from Scalars
+    with int coefficients, which products by ints keep, and the contraction
+    kernels take them like any other entry."""
 
     __slots__ = ("re", "rad", "q")
 
@@ -768,8 +770,11 @@ def clear_denominators(ctx, values):
     radical (the degree-0 case), else Cleared numerators over den, the
     product of the distinct denominators of the values' parts, each part's
     numerator multiplied by the other denominators, its cofactor, so no gcd
-    or division is taken.  A nonzero value from another context is a
-    ConstraintViolation, as in Scalar arithmetic."""
+    or division is taken.  Numerators and den are then multiplied by one
+    lcm of their coefficient denominators, so every coefficient is an int,
+    and so is every coefficient of a radicand with integer coefficients.  A
+    nonzero value from another context is a ConstraintViolation, as in
+    Scalar arithmetic."""
     for x in values:
         if x.ctx is not ctx and x.ctx != ctx and x:
             raise ConstraintViolation("scalar context mismatch")
@@ -799,9 +804,18 @@ def clear_denominators(ctx, values):
             return {}
         return _p_mul(rf[0], cofactor[frozenset(rf[1].items())])
 
+    parts = [(numerator(x.re), numerator(x.rad)) for x in values]
+    scale = lcm(*(c.denominator for p in [den, *(p for pair in parts for p in pair)]
+                  for c in p.values()))
+
+    def integral(p):
+        return {m: c.numerator * (scale // c.denominator) for m, c in p.items()}
+
     q = ctx.radicand
-    return ([Cleared(numerator(x.re), numerator(x.rad), q) for x in values],
-            Cleared(den, {}, q))
+    if q is not None and all(c.denominator == 1 for c in q.values()):
+        q = {m: c.numerator for m, c in q.items()}
+    return ([Cleared(integral(a), integral(b), q) for a, b in parts],
+            Cleared(integral(den), {}, q))
 
 
 def failing_on_branches(ctx, values, dens):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from supertriples.algebra import (SuperAlgebra, _integer_matrix,
-                                  commutant_series)
+from supertriples.algebra import (SuperAlgebra, _cleared_matrix,
+                                  _integer_matrix, commutant_series)
 from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
                                   catalog_triple, get_catalog, list_certificates)
 from supertriples.errors import (ConstraintViolation, DimensionMismatch,
@@ -751,6 +751,32 @@ def test_shipped_certificates_verify_without_a_polynomial_gcd(monkeypatch):
     monkeypatch.setattr(scalars, "_p_gcd", no_gcd)
     for cert in certs:
         assert verify_certificate(cert) == (True, []), cert
+
+
+def test_shipped_rows_and_certificates_clear_to_integer_coefficients():
+    """clear_denominators scales every numerator, and the den, by one lcm of
+    their coefficient denominators, so every coefficient that the checks of
+    the shipped rows and certificates multiply is an int, the radicands'
+    included: no Fraction product is left in a parametric check."""
+    cleared = []
+    for entry in get_catalog().triples.values():
+        t = entry.triple
+        for A in (t.S, t.S_dual, build_double(t)):
+            nz, den = A.cleared_tensor()
+            cleared += [v for (*_, v) in nz] + [den]
+    for cid in list_certificates():
+        cert = appendix_certificate(cid)
+        M, c = _cleared_matrix(cert.ctx, cert.matrix)
+        cleared += [x for row in M for x in row] + [c]
+        for A in (cert.source, cert.target):
+            nz, den = A.cleared_tensor()
+            cleared += [v for (*_, v) in nz] + [den]
+    parts = [part for v in cleared if isinstance(v, scalars.Cleared)
+             for part in (v.re, v.rad, v.q or {})]
+    assert sum(map(bool, parts)) > 1000
+    coefficients = [v for v in cleared if not isinstance(v, scalars.Cleared)]
+    coefficients += [x for part in parts for x in part.values()]
+    assert {type(x) for x in coefficients} == {int}
 
 
 def test_a_branch_with_a_negative_radicand_is_refused_by_the_decider():

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import supertriples
-from supertriples.catalog import appendix_certificate, catalog_triple
+from supertriples import polys
+from supertriples.catalog import (ENV_PATH, Catalog, _catalog_decls,
+                                  appendix_certificate, catalog_triple)
 from supertriples.errors import (ConstraintViolation, DivisionByZero,
                                  InconsistentRadical)
+from supertriples.polys import _p_divexact, _p_gcd, _p_gcd_prs, _p_mul
 from supertriples.scalars import (Domain, ParamContext, Scalar, arith,
                                   clear_denominators, failing_on_branches,
                                   is_zero, substitute)
@@ -228,6 +231,59 @@ def test_gcd_cancellation():
     assert t == p + 1
     u = (p ** 3 + p) / p
     assert u == p * p + 1
+
+
+@st.composite
+def monomial_and_polynomial(draw):
+    """(m, g) over 1-4 variables: m = c*x^a with c a nonzero Fraction of
+    either sign (a = 0 gives a constant), g a random nonzero polynomial or
+    a product m'*h, so that it often shares a monomial factor with m."""
+    nv = draw(st.integers(1, 4))
+    exponent = st.tuples(*[st.integers(0, 3)] * nv)
+    coefficient = st.fractions(-6, 6, max_denominator=5).filter(bool)
+    m = {draw(exponent): draw(coefficient)}
+    g = draw(st.dictionaries(exponent, coefficient, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        g = _p_mul({draw(exponent): draw(coefficient)}, g)
+    return m, g
+
+
+@given(monomial_and_polynomial())
+@settings(max_examples=200, deadline=None)
+def test_gcd_with_a_monomial_equals_the_prs_gcd(pair):
+    """With a monomial argument, in either order, _p_gcd reads the gcd off
+    the exponents and gives the pseudo-remainder sequence's result: the
+    primitive x^b, b the componentwise minimum, dividing both arguments."""
+    m, g = pair
+    expected = _p_gcd_prs(m, g)
+    for f, h in ((m, g), (g, m)):
+        got = _p_gcd(f, h)
+        assert got == expected
+        _p_divexact(f, got)
+        _p_divexact(h, got)
+
+
+# _p_gcd_prs calls made while building the shipped catalog, of its 141
+# _p_gcd calls, recursion included (959 when every gcd ran the sequence)
+CATALOG_PRS_GCDS = 15
+
+
+def test_building_the_catalog_takes_no_prs_gcd_with_a_monomial(monkeypatch):
+    """The shipped catalog builds with no pseudo-remainder sequence on a
+    monomial argument, and with a pinned number of them in all: counts
+    repeat exactly, so a lost fast path shows here, not only in time."""
+    calls = []
+    prs = polys._p_gcd_prs
+
+    def counted(f, g):
+        calls.append(len(f) == 1 or len(g) == 1)
+        return prs(f, g)
+
+    monkeypatch.delenv(ENV_PATH, raising=False)
+    monkeypatch.setattr(polys, "_p_gcd_prs", counted)
+    Catalog(_catalog_decls())
+    assert not any(calls)
+    assert len(calls) == CATALOG_PRS_GCDS
 
 
 def test_vanishes_on_branches():
