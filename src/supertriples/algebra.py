@@ -198,12 +198,6 @@ class SuperAlgebra:
                 bad.append((i, j, k))
         return bad
 
-    # -- axiom residuals ---------------------------------------------------
-
-    def jacobi_residuals(self):
-        """Graded Jacobi residuals, keyed ((x, y, z), k), for x <= y <= z."""
-        return _jacobi(self._nz, self.parity)
-
     # -- transformations -----------------------------------------------------
 
     def substitute(self, bindings):

@@ -14,8 +14,8 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import (SuperAlgebra, _echelon_add, _transport_residuals,
-                      check_jacobi, commutant_series)
+from .algebra import (SuperAlgebra, _echelon_add, _jacobi,
+                      _transport_residuals, check_jacobi, commutant_series)
 from .catalog import automorphisms, catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DimensionMismatch,
                      DivisionByZero, InconsistentRadical, UnknownId)
@@ -24,10 +24,10 @@ from .iso import (Exhausted, IsoCertificate, _evaluations, _projected_sides,
                   shear_certificate, verify_certificate)
 from .matrices import f_solve, s_identity
 from .memo import report_memo
-from .polys import _p_const, _p_int_forms, _p_int_value
-from .scalars import (Domain, ParamContext, _term_image, exact_sqrt,
+from .polys import _p_const, _p_int_forms, _p_int_value, _p_var
+from .scalars import (Cleared, ParamContext, _term_image, exact_sqrt,
                       finite_branches, not_a_parameter)
-from .triples import ManinTriple, build_double, check_compatibility, t_dual
+from .triples import ManinTriple, build_double, double_entries, t_dual
 
 __all__ = ["DualAnsatz", "enumerate_duals", "reduce_orbits", "classify_doubles",
            "ClassificationReport", "report", "REPORTS"]
@@ -89,34 +89,44 @@ class DualAnsatz:
     def unknown_count(self):
         return len(self.slots)
 
-    def context(self):
-        return ParamContext([("u%d" % i, Domain.free())
-                             for i in range(len(self.slots))])
+    def entries(self, values):
+        """{(i, j, k): value}: slot s set to values[s] and its transpose
+        filled by graded antisymmetry, [y,x] = -(-1)^{|x||y|}[x,y]; values
+        of any type with negation."""
+        par = self.grading.parities()
+        out = {}
+        for (i, j, k), v in zip(self.slots, values):
+            out[(i, j, k)] = v
+            if i != j:
+                out[(j, i, k)] = v if par[i] & par[j] else -v
+        return out
 
     def dual_algebra(self, ctx, values):
         """Dual tensor with slot s set to values[s] (Scalars of ctx)."""
-        brackets = {}
-        for (i, j, k), v in zip(self.slots, values):
-            if v.is_zero():
-                continue
-            brackets.setdefault((i, j), {})[k] = v
-        return SuperAlgebra.from_brackets(self.grading, ctx, brackets,
-                                          dual_role=True)
+        return SuperAlgebra(self.grading, ctx, self.entries(values),
+                            dual_role=True)
 
 
 def enumerate_duals(seed):
-    """All dual tensors compatible with the (numerically bound) seed.
+    """All dual tensors compatible with the (numerically bound) seed, in
+    ``tensor_key`` order.
 
-    Two tiers: the Jacobi residuals of the double that are linear in the
-    unknowns are solved exactly; the others, polynomials, are tested by
-    their numerators on the rational grid over the free directions of the
+    Two tiers (``_dual_system``): the Jacobi residuals of the double that
+    are linear in the unknowns are solved exactly; the others, polynomials,
+    are tested on the rational grid over the free directions of the
     solution space.  That test runs on integers (``_grid_solutions``): each
-    numerator is cleared once to integer coefficients and each grid point
+    polynomial is cleared once to integer coefficients and each grid point
     scaled to integers over one denominator, and only a point where every
-    numerator vanishes is made of Fractions and becomes a candidate dual.
-    Every returned dual re-passes the compatibility check.  Raises
-    BudgetExceeded when that grid has more than ENUM_BUDGET points (A12's
-    7^7 does).
+    polynomial vanishes is made of Fractions and becomes a dual.  Both tiers
+    are exact, so every returned dual is compatible with no re-check.  No
+    two are equal: ``f_solve`` gives each null vector a 1 in its own free
+    column, where the others and the particular solution are 0, so distinct
+    grid tuples give distinct slot vectors, and each slot is one independent
+    tensor entry, so distinct slot vectors give distinct tensors.  Sorting
+    the slot vectors sorts the tensors: the slots run in (i, j, k) order,
+    and every other entry is a transpose of a slot before it, so two
+    tensors first differ at a slot.  Raises BudgetExceeded when that grid
+    has more than ENUM_BUDGET points (A12's 7^7 does).
     """
     if seed.ctx.params:
         raise ConstraintViolation("enumerate_duals needs a numeric seed")
@@ -129,60 +139,42 @@ def enumerate_duals(seed):
     if free and len(ENUM_GRID) ** free > ENUM_BUDGET:
         raise BudgetExceeded("grid %d^%d exceeds budget %d"
                              % (len(ENUM_GRID), free, ENUM_BUDGET))
-
-    out = []
-    seen = set()
-    for point in _grid_solutions(particular, null, higher):
-        values = [seed.ctx.const(x) for x in point]
-        cand = ansatz.dual_algebra(seed.ctx, values)
-        key = cand.tensor_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        if check_compatibility(ManinTriple(seed, cand)):
-            continue  # soundness re-check; linear tier cannot misfire, grid can
-        out.append(cand)
-    out.sort(key=lambda a: a.tensor_key())
-    return out
+    return [ansatz.dual_algebra(seed.ctx, [seed.ctx.const(x) for x in point])
+            for point in sorted(_grid_solutions(particular, null, higher))]
 
 
 def _dual_system(seed, ansatz):
     """(particular, null, higher) for the compatible duals of a numeric
     seed: the unknowns solving the linear Jacobi residuals of the double are
     particular + a combination of the null vectors (Fractions), and higher
-    lists the numerators of the other residuals, dict polynomials in the
-    unknowns; None when the linear residuals have no solution."""
-    uctx = ansatz.context()
-    u = [uctx.param("u%d" % i) for i in range(ansatz.unknown_count)]
-    seed_l = seed.map_scalars(uctx, seed.ctx.bind_scalars(uctx, {}))
-    dual = ansatz.dual_algebra(uctx, u)
-    residuals = [r for (_, _, r) in
-                 build_double(ManinTriple(seed_l, dual)).jacobi_residuals()]
+    lists the other residuals, dict polynomials in the unknowns; None when
+    the linear residuals have no solution.
 
-    def degree(s):
-        num = s.re[0]
-        return max((sum(mn) for mn in num), default=0)
-
-    linear = [r for r in residuals if degree(r) <= 1]
-    higher = [r.re[0] for r in residuals if degree(r) > 1]
-
-    # exact linear solve over Q
+    The residuals come from the ``algebra._jacobi`` kernel run once on the
+    double (``triples.double_entries``) with polynomial entries, each a
+    ``scalars.Cleared`` with no radical part: a seed entry is a constant,
+    ansatz slot s the variable u_s, with its transpose by ``entries``."""
     nu = ansatz.unknown_count
-    rows, rhs = [], []
-    for r in linear:
+    seed_nz = [(i, j, k, Cleared(_p_const(c.as_fraction(), nu), {}, None))
+               for (i, j, k, c) in seed.nonzero()]
+    dual = ansatz.entries([Cleared(_p_var(s, nu), {}, None) for s in range(nu)])
+    parity = seed.parity + ansatz.grading.parities()
+    double = double_entries(seed_nz, [key + (c,) for key, c in dual.items()],
+                            seed.dim, parity)
+    # the linear residuals as rows of an exact solve over Q
+    rows, rhs, higher = [], [], []
+    for (_, _, r) in _jacobi([key + (c,) for key, c in sorted(double.items())],
+                             parity):
+        f = r.re
+        if max(map(sum, f)) > 1:
+            higher.append(f)
+            continue
         row = [Fraction(0)] * nu
-        const = Fraction(0)
-        num, den = r.re
-        scale = Fraction(1) / den[max(den)] if den else Fraction(1)
-        for mono, coeff in num.items():
-            t = sum(mono)
-            if t == 0:
-                const += coeff * scale
-            else:
-                var = mono.index(1)
-                row[var] += coeff * scale
+        for mono, coeff in f.items():
+            if sum(mono):
+                row[mono.index(1)] = coeff
         rows.append(row)
-        rhs.append(-const)
+        rhs.append(-f.get((0,) * nu, Fraction(0)))
     if not rows:
         return ([Fraction(0)] * nu,
                 [[Fraction(int(i == j)) for j in range(nu)] for i in range(nu)],

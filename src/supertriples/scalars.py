@@ -723,9 +723,11 @@ def substitute(s, bindings):
 class Cleared:
     """Element a + b*r of Q[params][r]/(r^2 - q): the pair (a, b) of dict
     polynomials, with the radicand q (None without a radical).  Only ring
-    operations, so no gcd; ``clear_denominators`` makes them from Scalars
-    with int coefficients, which products by ints keep, and the contraction
-    kernels take them like any other entry."""
+    operations, so no gcd; the kernels take them like any other entry.
+    ``clear_denominators`` makes them from Scalars with int coefficients,
+    which products by ints keep; ``classify._dual_system`` makes the
+    enumeration's polynomial entries, with no radical part and Fraction
+    coefficients where the seed has them."""
 
     __slots__ = ("re", "rad", "q")
 

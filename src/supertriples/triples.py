@@ -77,20 +77,27 @@ def build_double(triple):
     """Assemble the double tensor from the two subalgebra tensors."""
     S, Sd = triple.S, triple.S_dual
     m, n = S.superdim()
-    h = m + n
     parity = S.parity + Sd.parity
-    entries = S.entries()
-    entries.update(((h + i, h + j, h + k), c) for (i, j, k, c) in Sd.nonzero())
-    # mixed brackets [X_I, X~^J] per the double formula, each entry read off
-    # one nonzero entry of F~ or F; [X~^J, X_I] by graded antisymmetry
-    mixed = [((i, h + j, k), c) for (j, k, i, c) in Sd.nonzero()]
-    mixed += [((i, h + j, h + k), c) for (k, i, j, c) in S.nonzero()]
-    for (i, hj, k), c in mixed:
-        entries[(i, hj, k)] = c
-        entries[(hj, i, k)] = c if (parity[i] * parity[hj]) % 2 else -c
+    entries = double_entries(S.nonzero(), Sd.nonzero(), m + n, parity)
     names = S.grading.names(False) + S.grading.names(True)
     return DoubleAlgebra(Grading(2 * m, 2 * n), triple.ctx, entries, parity,
                          names, "DD(%s)" % (triple.id or "?"), triple)
+
+
+def double_entries(S_nz, Sd_nz, h, parity):
+    """{(i, j, k): value} of the double of the nonzero lists S_nz and Sd_nz
+    of two h-dimensional tensors, on the double's parities; the values are
+    any entries the kernels take."""
+    entries = {(i, j, k): c for (i, j, k, c) in S_nz}
+    entries.update(((h + i, h + j, h + k), c) for (i, j, k, c) in Sd_nz)
+    # mixed brackets [X_I, X~^J] per the double formula, each entry read off
+    # one nonzero entry of F~ or F; [X~^J, X_I] by graded antisymmetry
+    mixed = [((i, h + j, k), c) for (j, k, i, c) in Sd_nz]
+    mixed += [((i, h + j, h + k), c) for (k, i, j, c) in S_nz]
+    for (i, hj, k), c in mixed:
+        entries[(i, hj, k)] = c
+        entries[(hj, i, k)] = c if (parity[i] * parity[hj]) % 2 else -c
+    return entries
 
 
 def check_compatibility(triple):

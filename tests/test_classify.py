@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supertriples import algebra, classify, cli, iso, matrices
-from supertriples.algebra import AutoBranch, SuperAlgebra, _integer_matrix
+from supertriples.algebra import (AutoBranch, Grading, SuperAlgebra,
+                                  _integer_matrix, _jacobi)
 from supertriples.catalog import (AlgebraEntry, automorphisms, catalog,
                                   catalog_triple, get_catalog, list_algebras)
 from supertriples.classify import (ENUM_BUDGET, ENUM_GRID, ORBIT_GRID,
@@ -746,8 +747,70 @@ def _enum_systems():
 ENUM_SYSTEMS = _enum_systems()
 
 
+def _scalar_dual_system(seed, ansatz):
+    """The Scalar reference route to ``classify._dual_system``: the seed
+    mapped into a context with one free parameter u_s per ansatz slot, the
+    dual and the double built as Scalar algebras by ``from_brackets`` (the
+    double from [X_I, X~^J] = F~^{JK}_I X_K + F_{KI}^J X~^K alone, so it
+    shares no code with ``triples.double_entries``), and the Jacobi
+    residuals read off as Scalar numerators."""
+    nu = ansatz.unknown_count
+    uctx = ParamContext([("u%d" % s, Domain.free()) for s in range(nu)])
+    S = seed.map_scalars(uctx, seed.ctx.bind_scalars(uctx, {}))
+    slots = {}
+    for s, (i, j, k) in enumerate(ansatz.slots):
+        slots.setdefault((i, j), {})[k] = uctx.param("u%d" % s)
+    dual = SuperAlgebra.from_brackets(ansatz.grading, uctx, slots,
+                                      dual_role=True)
+    h = S.dim
+    brackets = {}
+    for (i, j, k, c) in S.nonzero():
+        brackets.setdefault((i, j), {})[k] = c
+    for (i, j, k, c) in dual.nonzero():
+        brackets.setdefault((h + i, h + j), {})[h + k] = c
+        brackets.setdefault((k, h + i), {})[j] = c
+    for (k, i, j, c) in S.nonzero():
+        brackets.setdefault((i, h + j), {})[h + k] = c
+    m, n = S.superdim()
+    double = SuperAlgebra.from_brackets(Grading(2 * m, 2 * n), uctx, brackets,
+                                        parity=S.parity + dual.parity)
+    residuals = [r.re for (_, _, r) in _jacobi(double.nonzero(),
+                                                double.parity)]
+    linear = [(num, den) for (num, den) in residuals
+              if max(map(sum, num)) <= 1]
+    higher = [num for (num, _) in residuals if max(map(sum, num)) > 1]
+    rows, rhs = [], []
+    for num, den in linear:
+        row = [Fraction(0)] * nu
+        const = Fraction(0)
+        scale = Fraction(1) / den[max(den)]
+        for mono, coeff in num.items():
+            if sum(mono):
+                row[mono.index(1)] += coeff * scale
+            else:
+                const += coeff * scale
+        rows.append(row)
+        rhs.append(-const)
+    if not rows:
+        return ([Fraction(0)] * nu,
+                [[Fraction(int(i == j)) for j in range(nu)] for i in range(nu)],
+                higher)
+    solved = matrices.f_solve(rows, rhs)
+    return None if solved is None else solved + (higher,)
+
+
 def test_every_seed_but_a12_fits_the_enumeration_budget():
     assert sorted(set(list_algebras()) - {s[0] for s in ENUM_SYSTEMS}) == ["A12"]
+
+
+def test_dual_system_equals_the_scalar_route():
+    """For every catalog seed, A12 included, the polynomial kernel run
+    returns exactly the Scalar route's (particular, null, higher)."""
+    for name in list_algebras():
+        seed = catalog(name, ENUM_SEED_BINDINGS.get(name))
+        ansatz = DualAnsatz(seed.grading)
+        assert (classify._dual_system(seed, ansatz)
+                == _scalar_dual_system(seed, ansatz)), name
 
 
 @pytest.mark.parametrize("name, particular, null, higher",

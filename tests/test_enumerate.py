@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from supertriples.algebra import Grading, SuperAlgebra, check_jacobi
+from supertriples.algebra import (Grading, SuperAlgebra, check_antisymmetry,
+                                  check_jacobi)
 from supertriples.catalog import catalog
 from supertriples.classify import DualAnsatz, enumerate_duals, match_22
 from supertriples.errors import BudgetExceeded, ConstraintViolation
 from supertriples.iso import verify_certificate
 from supertriples.triples import ManinTriple, check_compatibility
+from test_classify import ENUM_SEED_BINDINGS, ENUM_SYSTEMS
 
 
 def test_ansatz_slot_count():
@@ -23,11 +25,19 @@ def test_enumerate_requires_numeric_seed():
 
 
 def test_enumerate_soundness():
-    for name in ("A11", "N11", "S11"):
-        seed = catalog(name)
-        for dual in enumerate_duals(seed):
-            assert check_compatibility(ManinTriple(seed, dual)) == []
-            assert check_jacobi(dual) == []
+    """The oracle for ``enumerate_duals``, which re-checks nothing: for
+    every seed whose grid fits the budget, each dual is compatible and a
+    graded antisymmetric Lie superalgebra, and the duals come in strictly
+    increasing ``tensor_key`` order, so no two are equal."""
+    for name, *_ in ENUM_SYSTEMS:
+        seed = catalog(name, ENUM_SEED_BINDINGS.get(name))
+        duals = enumerate_duals(seed)
+        for dual in duals:
+            assert check_compatibility(ManinTriple(seed, dual)) == [], name
+            assert check_jacobi(dual) == [], name
+            assert check_antisymmetry(dual) == [], name
+        keys = [dual.tensor_key() for dual in duals]
+        assert all(a < b for a, b in zip(keys, keys[1:])), name
 
 
 def test_abelian_seed_gets_every_self_consistent_dual():
