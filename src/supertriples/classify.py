@@ -25,8 +25,9 @@ from .iso import (Exhausted, IsoCertificate, _evaluations, _projected_sides,
 from .matrices import f_solve, s_identity
 from .memo import report_memo
 from .polys import _p_const, _p_int_forms, _p_int_value, _p_var
-from .scalars import (Cleared, ParamContext, _term_image, exact_sqrt,
-                      finite_branches, not_a_parameter)
+from .scalars import (Cleared, ParamContext, _term_image,
+                      clear_denominators, exact_sqrt, finite_branches,
+                      not_a_parameter)
 from .triples import ManinTriple, build_double, double_entries, t_dual
 
 __all__ = ["DualAnsatz", "enumerate_duals", "reduce_orbits", "classify_doubles",
@@ -234,8 +235,9 @@ def reduce_orbits(solutions, family):
     No member is inverted and no tensor moved: the solutions are scaled once
     to integer tensors N_i over one denominator, and each member, drawn one
     at a time, is evaluated on integers as M = c A^T (``_members``: each
-    branch is compiled once per call into integer forms of its entries and
-    constraints, so a draw binds no context and makes no Scalar).  Pulling
+    branch's entries and constraints are cleared over one denominator and
+    compiled to integer forms once per call, so a draw binds no context and
+    makes no Scalar).  Pulling
     back along A^T undoes the pullback along (A^T)^{-1}, so for an
     invertible A solution i moves onto solution j exactly when
     pull(N_j, M) = c push(N_i, M), condition (ii) of ``iso._conditions``
@@ -296,9 +298,10 @@ def _members(family):
     """The members A of ``reduce_orbits`` in order, one at a time, as (M, c)
     with M = c A^T an integer matrix; a singular one is a DimensionMismatch.
 
-    Each branch is compiled once per call (``_BranchDraw``) and every member
-    is evaluated on integers: first the ``ORBIT_GRID`` points the branch
-    accepts, then random samples.  Nothing compiled outlives the call."""
+    Each branch is cleared over one common denominator and compiled once
+    per call (``_BranchDraw``), and every member is evaluated on integers:
+    first the ``ORBIT_GRID`` points the branch accepts, then random
+    samples.  Nothing compiled outlives the call."""
     rng = random.Random(0)
     per_branch = ORBIT_SAMPLES // max(1, len(family.branches))
     for branch in family:
@@ -317,17 +320,20 @@ def _members(family):
 class _BranchDraw:
     """An ``AutoBranch`` compiled for drawing members on integers.
 
-    Each part (rational or radical) of a matrix entry or constraint, and
-    the radicand, becomes a numerator and a denominator form
-    (``polys._p_int_forms``) over the branch's parameters, each distinct
-    form kept once.  A member at rational values of
-    the family parameters is evaluated at the integers they make over one
-    common denominator, with no context bound and no Scalar made; it is
-    what ``instantiate`` followed by ``as_fraction`` gives, as M = c A^T
-    over the lcm c of the entries' denominators (``_integer_matrix``).
-    Refused, so None, are exactly the values ``instantiate`` refuses: one
-    outside its parameter's domain, a negative radicand, a vanishing
-    constraint.  A vanishing denominator is a DivisionByZero and an entry
+    The branch's nonzero matrix entries and its constraints are cleared
+    over one common denominator D (``clear_denominators``): each is
+    (a + b r)/D, with a, b and D polynomials over the branch's parameters
+    and r its radical.  D, every a and b, and the radicand when the family
+    parameters alone settle it are compiled together
+    (``polys._p_int_forms``).  A member at rational values of the family
+    parameters is evaluated at the integers they make over one common
+    denominator, with no context bound and no Scalar made: at a settled
+    root rn/rd each entry is (a rd + b rn)/(D rd), so M = c A^T
+    (``_integer_matrix``) is those numerators over c = |D rd|, reduced by
+    one gcd.  That is what ``instantiate`` followed by ``as_fraction``
+    gives.  Refused, so None, are exactly the values ``instantiate``
+    refuses: one outside its parameter's domain, a negative radicand, a
+    vanishing constraint.  A vanishing D is a DivisionByZero and an entry
     left irrational by an unsettled radical a ConstraintViolation, as for
     the Scalars."""
 
@@ -337,37 +343,23 @@ class _BranchDraw:
         names = branch.family_params
         self.domains = [ctx.domains[n] for n in names]
         self.slots = [ctx.params.index(n) for n in names]
-        self.forms, keys = [], {}
-
-        def compiled(rf):
-            """(numerator, denominator) indices in self.forms of a rational
-            function (num, den)."""
-            pair = []
-            for form in _p_int_forms(rf, self.nv):
-                key = tuple(form)
-                if key not in keys:
-                    keys[key] = len(self.forms)
-                    self.forms.append(form)
-                pair.append(keys[key])
-            return tuple(pair)
-
-        def part(rf):
-            """A Scalar's rational or radical part; None where it is zero."""
-            return None if rf is None or not rf[0] else compiled(rf)
-
         self.dim = len(branch.matrix)
-        # (index in M = c A^T read row by row, re, rad) per nonzero entry
-        self.entries = [(j * self.dim + i, part(x.re), part(x.rad))
-                        for i, row in enumerate(branch.matrix)
-                        for j, x in enumerate(row) if x]
-        self.constraints = [(part(x.re), part(x.rad))
-                            for x in branch.constraints]
-        self.radicand = None
+        # (index in M = c A^T read row by row, entry) per nonzero entry
+        entries = [(j * self.dim + i, x) for i, row in enumerate(branch.matrix)
+                   for j, x in enumerate(row) if x]
+        self.positions = [pos for pos, _ in entries]
+        nums, den = clear_denominators(
+            ctx, [x for _, x in entries] + list(branch.constraints))
+        if not isinstance(den, Cleared):  # no parameter and no radical: ints
+            den, *nums = [Cleared(_p_const(n, 0), {}, None) for n in [den, *nums]]
+        polys = [den.re] + [p for x in nums for p in (x.re, x.rad)]
         q = ctx.radicand
-        if q is not None and all(
-                ctx.params[i] in names for m in q for i, a in enumerate(m) if a):
-            # a radicand of the family parameters alone settles at a member
-            self.radicand = compiled((q, _p_const(1, self.nv)))
+        # a radicand of the family parameters alone settles at a member
+        self.settles = q is not None and all(
+            ctx.params[i] in names for m in q for i, a in enumerate(m) if a)
+        if self.settles:
+            polys += [q, _p_const(1, self.nv)]
+        self.forms = _p_int_forms(polys, self.nv)
 
     def grid(self):
         """The members at the ``ORBIT_GRID`` points the branch accepts, in
@@ -412,46 +404,34 @@ class _BranchDraw:
             point[slot] = n
         values = [_p_int_value(form, point) for form in self.forms]
         root = None
-        if self.radicand is not None:
-            q = Fraction(values[self.radicand[0]], values[self.radicand[1]])
+        if self.settles:
+            # the radicand over the forms' common factor, which is positive
+            q, scale = values.pop(-2), values.pop()
             if q < 0:
                 return None
-            root = exact_sqrt(q)
+            root = exact_sqrt(Fraction(q, scale))
+        D = values[0]
         # every denominator is tested before any constraint, as bind maps
         # every scalar before instantiate tests one
-        entries = [(pos, _scalar_at(values, root, re, rad))
-                   for pos, re, rad in self.entries]
-        if not all(num or irrational for num, _, irrational in
-                   [_scalar_at(values, root, re, rad)
-                    for re, rad in self.constraints]):
+        if not D:
+            raise DivisionByZero("zero denominator")
+        rn, rd = (0, 1) if root is None else (root.numerator, root.denominator)
+        # (numerator over D rd, nonzero irrational part) per value
+        parts = [(a * rd + b * rn, root is None and b)
+                 for a, b in zip(values[1::2], values[2::2])]
+        k = len(self.positions)
+        if not all(num or irrational for num, irrational in parts[k:]):
             return None
-        if any(irrational for _, (_, _, irrational) in entries):
+        if any(irrational for _, irrational in parts[:k]):
             raise ConstraintViolation("a member of the automorphism family "
                                       "is not rational")
-        c = math.lcm(*(den for _, (_, den, _) in entries))
+        c = D * rd
         flat = [0] * (self.dim * self.dim)
-        for pos, (num, den, _) in entries:
-            flat[pos] = num * (c // den)
-        g = math.gcd(c, *flat)
+        for pos, (num, _) in zip(self.positions, parts):
+            flat[pos] = num
+        g = math.gcd(c, *flat) if c > 0 else -math.gcd(c, *flat)
         d = self.dim
         return [[x // g for x in flat[r * d:(r + 1) * d]] for r in range(d)], c // g
-
-
-def _scalar_at(values, root, re, rad):
-    """(num, den, irrational) at the form values for a Scalar that
-    ``_BranchDraw`` compiled to the form indices of its parts re and rad:
-    its value is num/den, plus, when the radical stays unsettled (root
-    None), an irrational part that is nonzero exactly when irrational is."""
-    num, den = (0, 1) if re is None else (values[re[0]], values[re[1]])
-    r, s = (0, 1) if rad is None else (values[rad[0]], values[rad[1]])
-    if not (den and s):
-        raise DivisionByZero("zero denominator")
-    if not r:
-        return num, den, 0
-    if root is None:
-        return num, den, r
-    return (num * s * root.denominator + r * root.numerator * den,
-            den * s * root.denominator, 0)
 
 
 # ---------------------------------------------------------------------------

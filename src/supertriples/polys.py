@@ -85,7 +85,8 @@ def _p_mul(f, g):
 
 
 def _p_is_const(f):
-    return all(all(e == 0 for e in m) for m in f)
+    # only one key can be the all-zero exponent tuple
+    return not f or (len(f) == 1 and not any(next(iter(f))))
 
 
 def _p_const_value(f):

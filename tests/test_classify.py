@@ -626,10 +626,15 @@ def test_reduce_orbits_refuses_a_family_with_no_branch(monkeypatch):
 # is drawn; every other shipped family uses none
 FAMILY_BINDINGS = {"N12_eps": ({"eps": 1}, {"eps": -1})}
 
+
+def _family(text):
+    return AlgebraEntry(parse_catalog(text)[0]).family
+
+
 # a family with a radical and a denominator, as the grammar allows: at b = 4
 # the radical settles to 2, at b = 2 it stays and the entry is irrational,
 # at b = 1 the denominator vanishes, at b < 0 the radicand is negative
-RADICAL_FAMILY = AlgebraEntry(parse_catalog("""
+RADICAL_FAMILY = _family("""
 algebra RX super_dim (1, 1)
   brackets { }
   automorphism {
@@ -637,11 +642,38 @@ algebra RX super_dim (1, 1)
     matrix [[a, 0], [0, r + 1/(b - 1)]]
     constraints { a; a*r - 1 }
   }
-""")[0]).family
+""")
+# families only user catalogs reach: no family parameter (the draw clears
+# its entries to ints), a denominator in a constraint alone, and an entry
+# whose rational and radical parts have different denominators
+FIXED_FAMILY = _family("""
+algebra RF super_dim (1, 1)
+  brackets { }
+  automorphism { matrix [[-1, 0], [0, 1/2]] }
+""")
+CONSTRAINT_DEN_FAMILY = _family("""
+algebra RC super_dim (1, 1)
+  brackets { }
+  automorphism {
+    params { a : free \\ {0} }
+    matrix [[a, 0], [0, 1]]
+    constraints { a - 1; 1/(a - 1) }
+  }
+""")
+MIXED_DEN_FAMILY = _family("""
+algebra RM super_dim (1, 1)
+  brackets { }
+  automorphism {
+    params { b : [0, inf); r : sqrt(b) }
+    matrix [[1, 0], [0, 1/(b - 1) + r/(b - 4)]]
+  }
+""")
+USER_FAMILIES = {"RX": RADICAL_FAMILY, "RF": FIXED_FAMILY,
+                 "RC": CONSTRAINT_DEN_FAMILY, "RM": MIXED_DEN_FAMILY}
 
 
 def _draw_branches():
-    branches = [("RX", RADICAL_FAMILY.branches[0])]
+    branches = [(name, fam.branches[0]) for name, fam in USER_FAMILIES.items()]
     for name in list_algebras():
         family = automorphisms(name)
         if any(b.unbound_params() for b in family):
@@ -687,7 +719,7 @@ RATIONALS = st.one_of(
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_integer_draw_equals_scalar_instantiation(data):
-    """On every shipped family (N12_eps bound) and a radical one, at
+    """On every shipped family (N12_eps bound) and the four user ones, at
     ``ORBIT_GRID`` points and at random rationals, in or out of the domain:
     the integer draw refuses exactly where ``instantiate`` does, and is
     otherwise ``instantiate`` followed by ``as_fraction``, or raises the
@@ -712,6 +744,28 @@ def test_integer_draw_of_a_radical_family(a, b, want):
     branch = RADICAL_FAMILY.branches[0]
     for draw in (_integer_member, _scalar_member):
         assert _outcome(lambda: draw(branch, [Fraction(a), Fraction(b)])) == want
+
+
+@pytest.mark.parametrize("name, values, want", [
+    ("RF", [], ([[-2, 0], [0, 1]], 2)),            # A = diag(-1, 1/2)
+    ("RC", [2], ([[2, 0], [0, 1]], 1)),
+    ("RC", [Fraction(-1, 2)], ([[-1, 0], [0, 2]], 2)),
+    ("RC", [1], DivisionByZero),                   # before a - 1 refuses
+    ("RC", [0], "refused"),                        # outside a's domain
+    ("RM", [9], ([[40, 0], [0, 29]], 40)),         # 1/8 + 3/5
+    ("RM", [Fraction(9, 4)], ([[35, 0], [0, -2]], 35)),  # D < 0: 4/5 - 6/7
+    ("RM", [Fraction(1, 4)], ([[15, 0], [0, -22]], 15)),  # -4/3 - 2/15
+    ("RM", [2], ConstraintViolation),              # sqrt(2) stays
+    ("RM", [1], DivisionByZero),                   # the rational part's
+    ("RM", [4], DivisionByZero),                   # the radical part's
+    ("RM", [-1], "refused"),                       # outside b's domain
+])
+def test_integer_draw_of_user_families(name, values, want):
+    """Each outcome of the draw paths only user catalogs reach, met by
+    both draws."""
+    branch = USER_FAMILIES[name].branches[0]
+    for draw in (_integer_member, _scalar_member):
+        assert _outcome(lambda: draw(branch, [Fraction(v) for v in values])) == want
 
 
 def _fraction_filter(particular, null, higher, grid):

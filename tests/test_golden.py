@@ -47,6 +47,8 @@ def test_golden_table7():
 @pytest.mark.parametrize("seed, binds", [
     ("A11", []), ("N11", []), ("S11", []), ("N21", []), ("S21", []),
     ("F", []), ("C1_p", ["--bind", "p=2"]), ("C2_1", []), ("C4", []),
+    ("A21", []), ("C2_m1", []), ("C2_p", ["--bind", "p=1/2"]), ("C3", []),
+    ("C5_0", []), ("C5_p", ["--bind", "p=1"]),
 ])
 def test_golden_enumerate(seed, binds):
     out = io.StringIO()

@@ -263,6 +263,16 @@ def test_gcd_with_a_monomial_equals_the_prs_gcd(pair):
         _p_divexact(h, got)
 
 
+@given(st.integers(0, 4).flatmap(lambda nv: st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * nv),
+    st.fractions(-3, 3, max_denominator=3).filter(bool), max_size=4)))
+def test_p_is_const_equals_the_all_zero_exponents_test(f):
+    """_p_is_const reads at most one key, and agrees with the definition:
+    every monomial's exponents are zero (so zero is constant), over any
+    number of variables, none included."""
+    assert polys._p_is_const(f) == all(all(e == 0 for e in m) for m in f)
+
+
 # _p_gcd_prs calls made while building the shipped catalog, of its 141
 # _p_gcd calls, recursion included (959 when every gcd ran the sequence)
 CATALOG_PRS_GCDS = 15
