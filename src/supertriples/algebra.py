@@ -18,9 +18,9 @@ a matrix carries one tensor onto another, which is an automorphism's, a
 certificate's condition (ii) and the orbit join's, is stated once, by
 ``_transport_residuals``.  ``SuperAlgebra.integer_tensor`` and
 ``_integer_matrix`` clear Fraction denominators once, so numeric work runs
-on integers.  The commutant spans are kept by ``_echelon_add``, a
-fraction-free echelon of sparse integer rows.  Every check runs its kernel
-on inputs cleared once by ``scalars.clear_denominators``, and
+on integers.  The commutant spans and an automorphism's rank come from
+``matrices.echelon_add``, the one elimination loop.  Every check runs its
+kernel on inputs cleared once by ``scalars.clear_denominators``, and
 ``scalars.failing_on_branches`` alone decides it (``_failures``).
 """
 
@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 
 from .errors import ConstraintViolation, DimensionMismatch
-from .matrices import inv, transpose
+from .matrices import echelon, echelon_add, inv, sparse, transpose
 from .scalars import clear_denominators, failing_on_branches
 
 __all__ = [
@@ -191,13 +191,6 @@ class SuperAlgebra:
     def brackets_dict(self):
         return {key: dict(row) for key, row in self._row_index().items()}
 
-    def grading_violations(self):
-        bad = []
-        for (i, j, k, c) in self._nz:
-            if (self.parity[i] + self.parity[j]) % 2 != self.parity[k]:
-                bad.append((i, j, k))
-        return bad
-
     # -- transformations -----------------------------------------------------
 
     def substitute(self, bindings):
@@ -300,13 +293,10 @@ def check_jacobi(algebra):
 
 
 def is_automorphism(A, algebra):
-    """A invertible and A_I^P A_J^Q F_PQ^R == F_IJ^K A_K^R identically
-    (branch-aware)."""
-    try:
-        inv(A)
-    except DimensionMismatch:
-        return False
-    return not automorphism_residuals(A, algebra)
+    """A of full echelon rank and A_I^P A_J^Q F_PQ^R == F_IJ^K A_K^R
+    identically (branch-aware)."""
+    basis, _ = echelon([sparse(row) for row in A], len(A))
+    return len(basis) == len(A) and not automorphism_residuals(A, algebra)
 
 
 def automorphism_residuals(A, algebra):
@@ -553,30 +543,9 @@ def commutant_series(algebra, bindings=None):
                 vectors.setdefault((a, b), {})[r] = x
         even, odd = {}, {}
         for (a, b), v in vectors.items():
-            _echelon_add(odd if (par[a] + par[b]) % 2 else even, v)
+            echelon_add(odd if (par[a] + par[b]) % 2 else even, v)
         dims.append((len(even), len(odd)))
         rows = list(even.values()) + list(odd.values())
         par = (0,) * len(even) + (1,) * len(odd)
     return CommutantFingerprint(dims)
 
-
-def _echelon_add(basis, v):
-    """Add the sparse integer vector v ({col: int} without zero entries;
-    empty is zero) to the echelon basis {pivot: row} of primitive integer
-    rows, each keyed by its lowest column.  v is reduced fraction-free,
-    v <- y v - x row, against the pivots in increasing order: a row's other
-    columns lie above its pivot, so a column once cleared stays clear.  What
-    survives is divided by its gcd and kept under its lowest column, which
-    no pivot shares."""
-    for p in sorted(basis):
-        x = v.get(p)
-        if x:
-            row = basis[p]
-            y = row[p]
-            out = {c: y * w for c, w in v.items()}
-            for c, w in row.items():
-                out[c] = out.get(c, 0) - x * w
-            v = {c: w for c, w in out.items() if w}
-    if v:
-        g = math.gcd(*v.values())
-        basis[min(v)] = {c: w // g for c, w in v.items()}

@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import (SuperAlgebra, _echelon_add, _jacobi,
+from .algebra import (SuperAlgebra, _jacobi,
                       _transport_residuals, check_jacobi, commutant_series)
 from .catalog import automorphisms, catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DimensionMismatch,
@@ -22,7 +22,7 @@ from .errors import (BudgetExceeded, ConstraintViolation, DimensionMismatch,
 from .iso import (Exhausted, IsoCertificate, _evaluations, _projected_sides,
                   _projections, dual_g_blocks, from_automorphism, search_iso,
                   shear_certificate, verify_certificate)
-from .matrices import f_solve, s_identity
+from .matrices import echelon_add, f_solve, s_identity
 from .memo import report_memo
 from .polys import _p_const, _p_int_forms, _p_int_value, _p_var
 from .scalars import (Cleared, ParamContext, _term_image,
@@ -310,7 +310,7 @@ def _members(family):
                                     draw.samples(rng, per_branch // 2)):
             basis = {}
             for row in M:
-                _echelon_add(basis, {p: x for p, x in enumerate(row) if x})
+                echelon_add(basis, {p: x for p, x in enumerate(row) if x})
             if len(basis) < len(M):
                 raise DimensionMismatch("singular member of the automorphism "
                                         "family of %s" % family.algebra_name)

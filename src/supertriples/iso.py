@@ -22,7 +22,8 @@ failure, make the report.
 Certificates are built from T-duality (``t_dual_certificate``), from
 automorphisms (``from_automorphism``) and from exact shears I + E
 (``shear_matrix``, the one constructor, behind both the planner's
-``shear_certificate`` and the catalog's ``shear`` certificates), or found
+``shear_certificate`` and the catalog's ``shear`` certificates, whose
+R-system ``solve_shear`` solves by ``matrices.echelon``), or found
 by ``search_iso``: a bounded search between numerically bound doubles
 over five finite candidate stages, ``basic``, ``duality``, ``shear``,
 ``shear_up`` and ``composed``.  The candidates depend only on the doubles'
@@ -43,8 +44,8 @@ from .algebra import (SuperAlgebra, _cleared_matrix, _columns, _difference,
                       automorphism_residuals, commutant_series)
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from .forms import canonical_form
-from .matrices import (dual_blockdiag, f_matmul, rref, s_identity, s_matmul,
-                       transpose)
+from .matrices import (back_substitute, dual_blockdiag, echelon, f_matmul,
+                       s_identity, s_matmul, sparse, transpose)
 from .memo import memoized
 from .triples import ManinTriple, build_double
 
@@ -359,10 +360,12 @@ def _monic(s):
 def solve_r(H, G):
     """Exact symmetric solution of R^{jl} H_l^k + R^{kl} H_l^j = G^{jk}.
 
-    Free components of underdetermined systems are pinned to zero; pivot
-    columns are scanned in reversed unknown order.  That order fixes the
-    particular solution, and so the matrix of every ``shear`` certificate
-    in the catalog, which ``shear_matrix`` derives from it.
+    The unknowns are scanned in reversed order and free components pinned
+    to zero.  That fixes the solution, the reduced row-echelon one of that
+    column order, and so the matrix of every ``shear`` certificate in the
+    catalog, which ``shear_matrix`` derives from it.  With no solution the
+    witness is the first equation that reduces to its G side alone, made
+    monic.
     """
     res = solve_shear([H], [G])
     if isinstance(res, NoSolution):
@@ -376,35 +379,28 @@ def solve_shear(H_list, G_list):
     n = len(H_list[0])
     zero = H_list[0][0][0].ctx.zero()
     unknowns = [(j, k) for j in range(n) for k in range(j, n)]
-    pos = {jk: idx for idx, jk in enumerate(unknowns)}
+    u = len(unknowns)
+    # the unknowns' columns in reversed order, then the right-hand side's
+    col = {jk: u - 1 - idx for idx, jk in enumerate(unknowns)}
 
     rows = []
     for H, G in zip(H_list, G_list):
         for j in range(n):
             for k in range(j, n):
-                coeff = [zero] * (len(unknowns) + 1)
+                coeff = [zero] * (u + 1)
                 # sum_l R^{jl} H_l^k + R^{kl} H_l^j, then the right-hand side
                 for l in range(n):
-                    a, b = min(j, l), max(j, l)
-                    coeff[pos[(a, b)]] = coeff[pos[(a, b)]] + H[l][k]
-                    a, b = min(k, l), max(k, l)
-                    coeff[pos[(a, b)]] = coeff[pos[(a, b)]] + H[l][j]
-                coeff[-1] = G[j][k]
-                rows.append(coeff)
+                    coeff[col[min(j, l), max(j, l)]] += H[l][k]
+                    coeff[col[min(k, l), max(k, l)]] += H[l][j]
+                coeff[u] = G[j][k]
+                rows.append(sparse(coeff))
 
-    rows, pivots = rref(rows, reversed(range(len(unknowns))))
-    for row in rows[len(pivots):]:
-        if row[-1]:
-            return NoSolution(_monic(row[-1]))
-
-    values = [zero] * len(unknowns)
-    for row, c in zip(rows, pivots):
-        values[c] = row[-1]
-    R = [[zero for _ in range(n)] for _ in range(n)]
-    for (j, k), idx in pos.items():
-        R[j][k] = values[idx]
-        R[k][j] = values[idx]
-    return R
+    basis, bad = echelon(rows, u)
+    if bad is not None:
+        return NoSolution(_monic(bad[u]))
+    values = back_substitute(basis, [u])[0]
+    return [[values.get(col[min(j, k), max(j, k)], zero) for k in range(n)]
+            for j in range(n)]
 
 
 def odd_action_matrices(S):

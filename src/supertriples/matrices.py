@@ -1,85 +1,111 @@
-"""Small exact linear algebra over Fractions and over Scalars.
+"""Small exact linear algebra over int, Fraction and Scalar entries.
 
-Matrices are lists of rows.  ``rref``, ``inv``, ``transpose`` and
-``dual_blockdiag`` serve both entry types: zero tests go by truthiness and
-each pivot costs one reciprocal ``1 / pivot`` (a single ``Scalar.inv`` for
-Scalars).  ``rref`` is the one elimination loop; ``inv``, ``f_solve`` and
-the shear solver run through it.  ``inv`` serves ``SuperAlgebra.transport``
-and ``transport_dual``, ``dual_blockdiag`` and the automorphism check; no
-certificate is inverted here (``IsoCertificate.invert`` reads its inverse
-off the canonical form).  The tensor contractions, and the fraction-free
-ranks of the commutant spans and of the orbit members, are in ``algebra``.
-``f_solve`` and the ``s_`` routines take one entry type.  ``f_matmul`` is
-entry-generic for int and Fraction entries (an entry no product reaches
-stays the int 0); it composes the integer candidate matrices of the search.
+Matrices are lists of rows.  ``echelon_add`` is the one elimination loop:
+a fraction-free echelon of sparse rows ({col: entry}) that reduces
+v <- y v - x row and divides only an int survivor by its gcd (cf. Bareiss).
+It keeps the commutant spans and gives every rank.  ``f_solve``, ``inv``
+(behind ``dual_blockdiag``, ``SuperAlgebra.transport`` and
+``transport_dual``) and ``iso.solve_shear`` solve through ``echelon``, the
+unknowns first in scan order and the right-hand sides last, and one
+``back_substitute`` with the free unknowns 0: the reduced row-echelon
+solution, which the scan order alone fixes.  Zero tests go by truthiness.
+No certificate is inverted here (``IsoCertificate.invert`` reads its
+inverse off the canonical form).  ``f_matmul`` is entry-generic for int and
+Fraction entries (an entry no product reaches stays the int 0); it composes
+the integer candidate matrices of the search.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .scalars import Scalar
-
-
-def _zero_one(x):
-    """The zero and the one of the entry type of x."""
-    if isinstance(x, Scalar):
-        return x.ctx.zero(), x.ctx.one()
-    return Fraction(0), Fraction(1)
 
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def rref(rows, cols=None):
-    """Gauss-Jordan elimination over the columns in `cols` (all columns, left
-    to right, by default), taken in that order.
+def sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
 
-    Returns (all reduced rows, pivot columns); row i < len(pivots) carries the
-    pivot of column pivots[i], and the rows after them vanish on every scanned
-    column.
-    """
-    rows = [list(r) for r in rows]
-    if cols is None:
-        cols = range(len(rows[0]) if rows else 0)
-    pivots = []
-    r = 0
-    for c in cols:
-        if r == len(rows):
-            break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = 1 / rows[r][c]
-        rows[r] = [x * scale for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+
+def echelon_add(basis, v):
+    """Add the sparse vector v ({col: entry} without zero entries; empty is
+    zero) to the echelon basis {pivot: row}, each row keyed by its lowest
+    column, and return the pivot of what survives (None for nothing).  v is
+    reduced fraction-free, v <- y v - x row, against the pivots in
+    increasing order: a row's other columns lie above its pivot, so a
+    column once cleared stays clear.  A survivor of ints is divided by its
+    gcd, so integer rows stay primitive."""
+    for p in sorted(basis):
+        x = v.get(p)
+        if x:
+            row = basis[p]
+            y = row[p]
+            out = {c: y * w for c, w in v.items()}
+            for c, w in row.items():
+                out[c] = out.get(c, 0) - x * w
+            v = {c: w for c, w in out.items() if w}
+    if not v:
+        return None
+    if all(type(w) is int for w in v.values()):
+        g = math.gcd(*v.values())
+        v = {c: w // g for c, w in v.items()}
+    p = min(v)
+    basis[p] = v
+    return p
+
+
+def echelon(rows, n):
+    """(basis, bad): the echelon basis of the sparse rows of a system
+    [A | B] whose columns below n are the unknowns, in scan order, and the
+    others its right-hand sides; bad is the first row that reduces to
+    right-hand sides alone, where the elimination stops, or None when
+    A X = B is solvable."""
+    basis = {}
+    for row in rows:
+        p = echelon_add(basis, row)
+        if p is not None and p >= n:
+            return basis, basis[p]
+    return basis, None
+
+
+def back_substitute(basis, cols):
+    """For each column col of cols, the solution x ({pivot: nonzero value})
+    of the basis rows with col as right-hand side and every column not in x
+    0, solved from the highest pivot down."""
+    xs = [{} for _ in cols]
+    for p in sorted(basis, reverse=True):
+        row = basis[p]
+        y = Fraction(row[p]) if type(row[p]) is int else row[p]
+        for x, col in zip(xs, cols):
+            s = row.get(col, 0)
+            for c, w in row.items():
+                if c in x:
+                    s = s - w * x[c]
+            if s:
+                x[p] = s / y
+    return xs
 
 
 def inv(a):
-    """Inverse by rref of [A | I]; DimensionMismatch when A is singular."""
+    """The inverse from [A | I]; DimensionMismatch when A is singular."""
     d = len(a)
-    zero, one = _zero_one(a[0][0])
-    rows, pivots = rref([list(a[i]) + [one if i == j else zero for j in range(d)]
-                         for i in range(d)], range(d))
-    if len(pivots) < d:
+    basis, bad = echelon([{**sparse(row), d + i: 1} for i, row in enumerate(a)], d)
+    if bad is not None:
         raise DimensionMismatch("singular matrix")
-    return [row[d:] for row in rows]
+    zero = a[0][0] * 0
+    cols = back_substitute(basis, range(d, 2 * d))
+    return [[x.get(i, zero) for x in cols] for i in range(d)]
 
 
 def dual_blockdiag(a):
     """blockdiag(A, (A^{-1})^T): A on one half of a double, extended so that
     the canonical pairing is preserved.  DimensionMismatch when A is singular."""
     h = len(a)
-    zero, _ = _zero_one(a[0][0])
+    zero = a[0][0] * 0
     ait = transpose(inv(a))
     return ([list(a[i]) + [zero] * h for i in range(h)]
             + [[zero] * h + ait[i] for i in range(h)])
@@ -110,26 +136,19 @@ def f_matmul(a, b):
 
 def f_solve(a, b):
     """Solve a x = b exactly; returns (particular solution, nullspace basis)
-    or None when inconsistent.  a: list of rows, b: list of Fractions."""
-    n = len(a)
+    or None when inconsistent.  a: list of rows, b: a list, of ints or
+    Fractions; the solution's entries are Fractions.  Each null vector is 1
+    in its own free column, where the others and the particular solution
+    are 0."""
     m = len(a[0]) if a else 0
-    rows, pivots = rref([list(a[i]) + [b[i]] for i in range(n)])
-    rows = rows[:len(pivots)]
-    if m in pivots:
+    basis, bad = echelon([sparse(list(row) + [x]) for row, x in zip(a, b)], m)
+    if bad is not None:
         return None
-    sol = [Fraction(0)] * m
-    for row, c in zip(rows, pivots):
-        sol[c] = row[m]
-    null = []
-    for fc in range(m):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * m
-        vec[fc] = Fraction(1)
-        for row, c in zip(rows, pivots):
-            vec[c] = -row[fc]
-        null.append(vec)
-    return sol, null
+    free = [c for c in range(m) if c not in basis]
+    sol, *solved = back_substitute(basis, [m] + free)
+    null = [[Fraction(c == fc) - x.get(c, 0) for c in range(m)]
+            for fc, x in zip(free, solved)]
+    return [Fraction(sol.get(c, 0)) for c in range(m)], null
 
 
 # ---------------------------------------------------------------------------

@@ -415,10 +415,14 @@ def _parse_domain(tz):
     close_tok = tz.next()
     if close_tok.kind not in (")", "]"):
         raise ParseError("expected ) or ]", close_tok.line, close_tok.col)
-    return Domain.interval(lo, hi,
-                           lo_open=(open_tok.kind == "(" or lo is None),
-                           hi_open=(close_tok.kind == ")" or hi is None),
-                           excluded=_parse_exclusions(tz))
+    lo_open = open_tok.kind == "(" or lo is None
+    hi_open = close_tok.kind == ")" or hi is None
+    excluded = _parse_exclusions(tz)
+    if lo is not None and hi is not None and (
+            lo > hi or lo == hi and (lo_open or hi_open or lo in excluded)):
+        raise ParseError("empty domain", open_tok.line, open_tok.col)
+    return Domain.interval(lo, hi, lo_open=lo_open, hi_open=hi_open,
+                           excluded=excluded)
 
 
 def _parse_params_block(tz):
@@ -448,7 +452,10 @@ def _parse_params_block(tz):
 
 def build_context(params, radicals):
     """Assemble a ParamContext; a radical's radicand AST may name only the
-    declared parameters, else it is a ParseError at the radical's name."""
+    declared parameters, and a constant radicand must be a rational that is
+    neither negative (the scalars are real) nor a square (sqrt(4) is the
+    number 2, which the radical's zero test could not see), else it is a
+    ParseError at the radical's name."""
     base = ParamContext(params)
     if not radicals:
         return base
@@ -458,6 +465,12 @@ def build_context(params, radicals):
     except UnknownName as exc:
         raise ParseError("radicand of %s: %s" % (tok.value, exc),
                          tok.line, tok.col) from None
+    if radicand.is_constant():
+        q = radicand.as_fraction()
+        if q < 0 or exact_sqrt(q) is not None:
+            raise ParseError("radicand of %s is %s, %s" % (
+                tok.value, q, "negative" if q < 0 else "a rational square"),
+                tok.line, tok.col)
     return ParamContext(params, [(tok.value, radicand)])
 
 

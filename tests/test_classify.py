@@ -131,12 +131,13 @@ def test_each_merge_is_verified_once(monkeypatch, target, merges):
         assert fh.read() == rendered + "\n"
 
 
-@pytest.mark.parametrize("target, inversions", [("thm2", 8), ("thm3", 250)])
+@pytest.mark.parametrize("target, inversions", [("thm2", 7), ("thm3", 142)])
 def test_scalar_inversions_per_report(monkeypatch, target, inversions):
     """Exact Scalar.inv calls of one report, the catalog parsed beforehand.
     Certificates are inverted by their signed transpose and shear base
-    points built without a transport, so every inversion left is a pivot or
-    a normalisation of iso.solve_shear's elimination."""
+    points built without a transport, so every inversion left is the
+    reciprocal of a pivot in iso.solve_shear's back-substitution or the
+    normalisation of a NoSolution witness."""
     get_catalog()
     calls = [0]
     real = Scalar.inv
@@ -155,22 +156,22 @@ def test_scalar_inversions_per_report(monkeypatch, target, inversions):
     ("table2", 0), ("table4", 0), ("table5", 0), ("table7", 0), ("thm1", 2),
     ("thm2", 7), ("thm3", 89)])
 def test_eliminations_per_report(monkeypatch, target, eliminations):
-    """Exact matrices.rref calls of one report, the catalog parsed beforehand.
-    The commutant spans run on the integer echelon of algebra, so every
-    elimination left is an inv, an f_solve or iso.solve_shear's."""
+    """Exact solves of one report (``matrices.echelon`` calls), the catalog
+    parsed beforehand.  The commutant spans take ``echelon_add`` directly,
+    so every solve is an inv, an f_solve or iso.solve_shear's."""
     get_catalog()
     calls = [0]
-    real = matrices.rref
+    real = matrices.echelon
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(matrices, "rref", counted)
-    monkeypatch.setattr(iso, "rref", counted)
+    monkeypatch.setattr(matrices, "echelon", counted)
+    monkeypatch.setattr(iso, "echelon", counted)
     assert report(target).passed
     assert calls[0] == eliminations
-    assert not hasattr(algebra, "rref")
+    assert not hasattr(matrices, "rref")
 
 
 @pytest.mark.parametrize("target", ["table2", "table4", "table5", "table7",

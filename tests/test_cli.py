@@ -461,10 +461,20 @@ def test_an_oversized_product_is_a_parse_error_through_both_routes(tmp_path):
      "line 2, col 35: at most one radical per context"),
     ("p : free; r : sqrt(q)", "line 2, col 22: radicand of r: q is not a "
      "parameter here (parameters: p)"),
-], ids=["duplicate", "second-radical", "undeclared-radicand"])
+    ("p : free; r : sqrt(-1)", "line 2, col 22: radicand of r is -1, negative"),
+    ("p : free; r : sqrt(4)",
+     "line 2, col 22: radicand of r is 4, a rational square"),
+    ("p : (0, 0)", "line 2, col 16: empty domain"),
+    ("p : (1, 0)", "line 2, col 16: empty domain"),
+    ("p : [1, 1] \\ {1}", "line 2, col 16: empty domain"),
+], ids=["duplicate", "second-radical", "undeclared-radicand",
+        "negative-radicand", "square-radicand", "empty-open-interval",
+        "empty-reversed-interval", "empty-excluded-point"])
 def test_params_block_errors_are_parse_errors(tmp_path, params, message):
     """A faulty params block is a parse error at its position naming the
-    file, on the catalog search path and in check --file alike."""
+    file, on the catalog search path and in check --file alike.  A constant
+    radicand may be neither negative nor a rational square, and a domain
+    may not be empty."""
     path = tmp_path / "pb.cat"
     path.write_text("algebra PB super_dim (1, 1)\n  params { %s }\n"
                     "  brackets { [b1, f1] = p*f1 }\n" % params)
@@ -472,6 +482,33 @@ def test_params_block_errors_are_parse_errors(tmp_path, params, message):
               run("check", "--file", str(path))):
         _one_line_error(r, 2)
         assert r.stderr == "parse error: %s: %s\n" % (path, message)
+
+
+@pytest.mark.parametrize("params, brackets", [
+    ("", "[f1, f1] = b1; [b1, f1] = (sqrt(4) - 2)*f1"),
+    ("r : sqrt(2)", "[f1, f1] = b1; [b1, f1] = (r*r - 2)*f1"),
+], ids=["square-literal", "non-square-radicand"])
+def test_check_file_keeps_sound_radicals(tmp_path, params, brackets):
+    """What the radicand refusals leave: the literal sqrt(4) is the number
+    2, so (sqrt(4) - 2)*f1 is 0 and the Jacobi identity holds, as it does
+    for (r*r - 2)*f1 with r^2 = 2.  A radical r : sqrt(4) would have failed
+    the same algebra, and r : sqrt(-1) passed (r*r + 1)*f1."""
+    path = tmp_path / "rad.cat"
+    path.write_text("algebra RC super_dim (1, 1)\n  params { %s }\n"
+                    "  brackets { %s }\n" % (params, brackets))
+    r = run("check", "--file", str(path))
+    assert r.returncode == 0, r.stderr
+    assert "algebra RC: PASS" in r.stdout
+
+
+def test_check_file_grading_violation(tmp_path):
+    """A bracket of two generators whose parities do not sum to the
+    result's is refused when the algebra is built: exit 2."""
+    path = tmp_path / "grading.cat"
+    path.write_text("algebra GV super_dim (1, 1)\n  brackets { [b1, f1] = b1 }\n")
+    r = run("check", "--file", str(path))
+    _one_line_error(r, 2)
+    assert "violates the grading" in r.stderr
 
 
 def _readme_cli_commands():

@@ -1,6 +1,10 @@
 """Golden machine-readable outputs for the cheap symbolic targets and for
 ``enumerate`` on the faster numeric seeds.
 
+The ``solve_r.txt`` golden pins ``solve-r`` on every seed the command
+accepts, symbolic and numeric, with each request's exit status: the R of
+every solvable system and the witness of every unsolvable one.
+
 The classification targets (table5, thm1, thm2, thm3) are golden-checked
 inside the acceptance suite where they already run once.  The enumerate
 goldens pin the orbit representatives, the member counts and the
@@ -56,3 +60,30 @@ def test_golden_enumerate(seed, binds):
         code = main(["--format", "machine", "enumerate", "--seed", seed] + binds)
     assert code == 0
     _compare("enumerate_%s.txt" % seed, out.getvalue())
+
+
+# the (1,1) and (1,2) seeds without odd-odd brackets: every seed solve-r takes
+SOLVE_R_SEEDS = ("A11", "S11", "A12", "C2_1", "C2_m1", "C2_p", "C3", "C4",
+                 "C5_0", "C5_p")
+
+
+def _solve_r_requests():
+    for seed in SOLVE_R_SEEDS:
+        yield ["--algebra", seed]
+        yield ["--algebra", seed, "--g", "1" if seed.endswith("11") else "1,-2,3"]
+    for seed in ("C2_p", "C5_p"):
+        for p in ("0", "1/2", "-1/3", "1/5"):
+            yield ["--algebra", seed, "--bind", "p=" + p]
+            yield ["--algebra", seed, "--bind", "p=" + p, "--g", "1,-2,3"]
+
+
+def test_golden_solve_r():
+    rendered = []
+    for args in _solve_r_requests():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--format", "machine", "solve-r"] + args)
+        rendered.append("# %s exit=%d\n%s" % (" ".join(args), code,
+                                              out.getvalue()))
+    _compare("solve_r.txt", "".join(rendered))
