@@ -23,11 +23,10 @@ from .iso import (Exhausted, IsoCertificate, _evaluations, _projected_sides,
                   _projections, dual_g_blocks, from_automorphism, search_iso,
                   shear_certificate, verify_certificate)
 from .matrices import echelon_add, f_solve, s_identity
-from .memo import report_memo
-from .polys import _p_const, _p_int_forms, _p_int_value, _p_var
+from .memo import memoized, report_memo
+from .polys import _p_const, _p_int_forms, _p_int_value, _p_var, exact_sqrt
 from .scalars import (Cleared, ParamContext, _term_image,
-                      clear_denominators, exact_sqrt, finite_branches,
-                      not_a_parameter)
+                      clear_denominators, finite_branches, not_a_parameter)
 from .triples import ManinTriple, build_double, double_entries, t_dual
 
 __all__ = ["DualAnsatz", "enumerate_duals", "reduce_orbits", "classify_doubles",
@@ -466,7 +465,8 @@ class Instance:
 def make_instances(specs):
     """specs: iterable of (row_id, bindings) with continuous parameters bound;
     finite-domain parameters are expanded into all branches.  Each instance
-    is listed once, at its first occurrence."""
+    is listed once, at its first occurrence, and built once per report memo:
+    a later call gets the same ``Instance``, route nodes included."""
     cat = get_catalog()
     out = {}
     for row_id, bindings in specs:
@@ -481,7 +481,8 @@ def make_instances(specs):
             full.update(extra)
             ident = _instance_ident(row_id, full)
             if ident not in out:
-                out[ident] = Instance(row_id, full, entry)
+                out[ident] = memoized((Instance, ident), lambda: Instance(
+                    row_id, full, entry))
     return list(out.values())
 
 
@@ -549,22 +550,6 @@ class _Node:
         if built.tensor_equal(triple):
             self.rows[row_id] = candidate
         return self.rows[row_id]
-
-
-def _identity_cert(src_double, tgt_double):
-    ctx = src_double.ctx
-    return IsoCertificate(ctx, s_identity(ctx, src_double.dim), src_double,
-                          tgt_double, note="id")
-
-
-def _compose(second, first):
-    """second o first with context alignment (at most one radical around):
-    the certificate outside the other's context is mapped into it by name."""
-    ctx = second.ctx if second.ctx.radical_name is not None else first.ctx
-    second, first = (c if c.ctx == ctx
-                     else c.map_scalars(ctx, c.ctx.bind_scalars(ctx, {}))
-                     for c in (second, first))
-    return second.compose(first)
 
 
 def _expand(inst):
@@ -647,14 +632,16 @@ def find_certificate(inst_a, inst_b):
     for nx in _expand(inst_a):
         for ny in _expand(inst_b):
             if nx.double.triple.tensor_equal(ny.double.triple):
-                middles = [_identity_cert(nx.double, ny.double)]
+                ctx = nx.double.ctx
+                middles = [IsoCertificate(ctx, s_identity(ctx, nx.double.dim),
+                                          nx.double, ny.double, note="id")]
             else:
                 middles = _certs_between(nx, ny)
             for cert in middles:
                 if nx.chain is not None:
-                    cert = _compose(cert, nx.chain)
+                    cert = cert.compose(nx.chain)
                 if ny.chain is not None:
-                    cert = _compose(ny.chain.invert(), cert)
+                    cert = ny.chain.invert().compose(cert)
                 ok, _ = verify_certificate(cert)
                 if ok:
                     return cert
@@ -1037,16 +1024,13 @@ def _report_thm3(bindings):
         "V_0": ("MT24_30", {}), "VIII": ("MT24_31", {"kappa": 0}),
         "IX": ("MT24_3", {"eps": 1}), "X": ("MT24_2", {}), "I": ("MT24_1", {}),
     }
-    base_insts = {}   # one instance per label, so its route memo is reused
     for fam_id, fam_fixed in families:
         for (a, b, c) in THM3_SAMPLES:
             fam_bnd = dict(fam_fixed)
             fam_bnd.update({"alpha": a, "beta": b, "gamma": c})
             inst = make_instances([(fam_id, fam_bnd)])[0]
             label = _thm3_expected(inst)
-            if label not in base_insts:
-                base_insts[label] = make_instances([base_of_label[label]])[0]
-            base_inst = base_insts[label]
+            base_inst = make_instances([base_of_label[label]])[0]
             if inst.fingerprint != base_inst.fingerprint:
                 passed = False
                 lines.append("member family=%s sample=%s,%s,%s expected=%s "

@@ -18,8 +18,9 @@ from .algebra import check_antisymmetry, check_jacobi, commutant_series
 from .catalog import (Catalog, appendix_certificate, automorphisms, catalog,
                       catalog_triple, get_catalog, list_algebras,
                       list_certificates, parse_catalog_file, table_rows)
-from .classify import (REPORTS, _check_family, _value_of, classify_doubles,
-                       enumerate_duals, match_22, reduce_orbits, report)
+from .classify import (REPORTS, _check_family, _fp_str, _value_of,
+                       classify_doubles, enumerate_duals, match_22,
+                       reduce_orbits, report)
 from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, ParseError, SuperTriplesError,
                      UnknownId, UnknownName)
@@ -146,7 +147,7 @@ def cmd_invariants(args):
                           _single_bindings(_parse_bindings(args.bind)))
     if args.format == "machine":
         print("fingerprint triple=%s dims=%s totals=%s"
-              % (args.triple, ";".join("%d,%d" % mn for mn in fp.dims),
+              % (args.triple, _fp_str(fp),
                  ",".join(str(x) for x in fp.totals())))
     else:
         print("commutant superdimensions: %s  (totals %s)"

@@ -19,6 +19,10 @@ cleared of denominators once and leaves the verdict to
 ``scalars.failing_on_branches``; Scalar residuals, computed only after a
 failure, make the report.
 
+Certificates multiply only in ``IsoCertificate.compose``: of the two
+contexts at most one has a radical, the product lives in that one (else in
+the first factor's), and the other certificate is mapped into it by name.
+
 Certificates are built from T-duality (``t_dual_certificate``), from
 automorphisms (``from_automorphism``) and from exact shears I + E
 (``shear_matrix``, the one constructor, behind both the planner's
@@ -45,7 +49,7 @@ from .algebra import (SuperAlgebra, _cleared_matrix, _columns, _difference,
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from .forms import canonical_form
 from .matrices import (back_substitute, dual_blockdiag, echelon, f_matmul,
-                       s_identity, s_matmul, sparse, transpose)
+                       s_identity, s_matmul, sparse)
 from .memo import memoized
 from .triples import ManinTriple, build_double
 
@@ -90,12 +94,18 @@ class IsoCertificate:
         return ok
 
     def compose(self, first):
-        """self o first: first maps D->D', self maps D'->D''."""
+        """self o first: first maps D->D', self maps D'->D''.  It lives in
+        the one context with a radical, else in first's, and the other
+        certificate is mapped into that context by parameter name."""
         if first.target.dim != self.source.dim:
             raise DimensionMismatch("composition dimension mismatch")
-        return IsoCertificate(self.ctx, s_matmul(self.matrix, first.matrix),
-                              first.source, self.target,
-                              note=_join_notes(self.note, first.note))
+        ctx = self.ctx if self.ctx.radical_name is not None else first.ctx
+        second, first = (c if c.ctx == ctx
+                         else c.map_scalars(ctx, c.ctx.bind_scalars(ctx, {}))
+                         for c in (self, first))
+        return IsoCertificate(ctx, s_matmul(second.matrix, first.matrix),
+                              first.source, second.target,
+                              note=_join_notes(second.note, first.note))
 
     def invert(self):
         """The certificate target -> source with the signed transpose
@@ -297,17 +307,12 @@ def from_automorphism(A_inst, triple):
     if bad:
         raise NotAutomorphism("matrix does not preserve the structure tensor: %s"
                               % bad[:3])
-    C = dual_blockdiag(A_inst)
-    # transport_dual(A) without a second inversion: (A^{-1})^T is C's
-    # lower-right block
-    h = len(A_inst)
-    new_dual = triple.S_dual._transport([row[h:] for row in C[h:]],
-                                        transpose(A_inst))
-    target = ManinTriple(triple.S, new_dual,
+    target = ManinTriple(triple.S, triple.S_dual.transport_dual(A_inst),
                          ident=None if triple.id is None else triple.id + "'",
                          label=triple.label)
-    return IsoCertificate(triple.ctx, C, build_double(triple),
-                          build_double(target), note="auto")
+    return IsoCertificate(triple.ctx, dual_blockdiag(A_inst),
+                          build_double(triple), build_double(target),
+                          note="auto")
 
 
 # ---------------------------------------------------------------------------

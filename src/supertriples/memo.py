@@ -1,10 +1,11 @@
 """The report memo: what one ``report`` or ``classify_doubles`` call would
 otherwise build more than once, kept until the outermost such call returns.
 
-It has two users: ``catalog`` keeps each catalog triple and certificate
-built at bindings, and ``iso`` keeps the search's candidate table of each
-double shape.  Nothing else is kept: ``SuperAlgebra.integer_tensor``, for
-one, converts anew on each call.
+It has three users: ``catalog`` keeps each catalog triple and certificate
+built at bindings, ``classify.make_instances`` keeps each ``Instance`` by its
+ident, with the route nodes it expands, and ``iso`` keeps the search's
+candidate table of each double shape.  Nothing else is kept:
+``SuperAlgebra.integer_tensor``, for one, converts anew on each call.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ def report_memo():
     planner, ``Instance`` and the reports only read built triples and
     certificates or derive new objects (``build_double``, ``tensor_equal``,
     ``invert``, ``compose``, ``map_scalars``), the row index
-    ``SuperAlgebra`` fills on first use depends on the tensor alone, and a
-    candidate table only grows by rows that do not depend on the caller."""
+    ``SuperAlgebra`` fills on first use depends on the tensor alone, and an
+    instance's route nodes and a candidate table only grow by entries that
+    do not depend on the caller."""
     if _MEMO.get() is not None:
         yield
         return

@@ -25,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, UnknownName
-from .polys import _p_str
-from .scalars import Domain, ParamContext, exact_sqrt
+from .polys import _p_const_value, _p_is_const, _p_sqrt, _p_str, exact_sqrt
+from .scalars import Domain, ParamContext
 
 __all__ = ["parse_scalar", "parse_catalog", "Tokenizer"]
 
@@ -452,10 +452,10 @@ def _parse_params_block(tz):
 
 def build_context(params, radicals):
     """Assemble a ParamContext; a radical's radicand AST may name only the
-    declared parameters, and a constant radicand must be a rational that is
-    neither negative (the scalars are real) nor a square (sqrt(4) is the
-    number 2, which the radical's zero test could not see), else it is a
-    ParseError at the radical's name."""
+    declared parameters, and the radicand may be neither a negative constant
+    (the scalars are real) nor the square of a polynomial over Q (sqrt(4) is
+    the number 2 and sqrt(p^2) is |p|, which the radical's zero test could
+    not see), else it is a ParseError at the radical's name."""
     base = ParamContext(params)
     if not radicals:
         return base
@@ -465,13 +465,14 @@ def build_context(params, radicals):
     except UnknownName as exc:
         raise ParseError("radicand of %s: %s" % (tok.value, exc),
                          tok.line, tok.col) from None
-    if radicand.is_constant():
-        q = radicand.as_fraction()
-        if q < 0 or exact_sqrt(q) is not None:
-            raise ParseError("radicand of %s is %s, %s" % (
-                tok.value, q, "negative" if q < 0 else "a rational square"),
-                tok.line, tok.col)
-    return ParamContext(params, [(tok.value, radicand)])
+    ctx = ParamContext(params, [(tok.value, radicand)])
+    q, root = ctx.radicand, _p_sqrt(ctx.radicand)
+    if root is None and not (_p_is_const(q) and _p_const_value(q) < 0):
+        return ctx
+    raise ParseError("radicand of %s is %s, %s" % (
+        tok.value, _p_str(q, ctx.params), "negative" if root is None
+        else "a rational square" if _p_is_const(q)
+        else "the square of %s" % _p_str(root, ctx.params)), tok.line, tok.col)
 
 
 # ---------------------------------------------------------------------------

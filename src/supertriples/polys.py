@@ -11,12 +11,13 @@ a common factor, the denominator integer-primitive with a positive leading
 (lex-largest) coefficient.  ``_p_compose`` is the one substitution.
 ``_p_int_forms`` writes polynomials once with integer coefficients, so a
 point scaled to one denominator evaluates them on integers alone.
+``exact_sqrt`` and ``_p_sqrt`` take exact square roots in Q and in Q[x].
 
 This module imports nothing from the package.
 """
 
 from fractions import Fraction
-from math import gcd as _igcd, lcm as _ilcm
+from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
 
 
 def _p_const(c, nv):
@@ -164,6 +165,47 @@ def _p_divexact(f, g):
         q[m] = c
         r = _p_sub(r, _p_mul({m: c}, g))
     return q
+
+
+def exact_sqrt(q):
+    """The nonnegative rational square root of q, or None when q is negative
+    or not the square of a rational."""
+    q = Fraction(q)
+    if q < 0:
+        return None
+    rn, rd = _isqrt(q.numerator), _isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
+        return None
+    return Fraction(rn, rd)
+
+
+def _p_sqrt(f):
+    """The g with g*g == f and a positive leading coefficient, or None when
+    f is not the square of a polynomial over Q.  Term by term from the top,
+    as in long division: with g the top terms of the root found so far, the
+    leading term of f - g*g is 2*lead(g)*t for the next term t, which comes
+    after every term found and has at most half of f's degree in each
+    variable.  So the loop ends, and a root it returns is exact."""
+    if not f:
+        return {}
+    lead = _p_lead(f)
+    top = exact_sqrt(f[lead])
+    if top is None or any(e % 2 for e in lead):
+        return None
+    half = tuple(e // 2 for e in lead)
+    bound = [max(m[v] for m in f) // 2 for v in range(len(lead))]
+    g = {half: top}
+    last = half
+    while True:
+        r = _p_sub(f, _p_mul(g, g))
+        if not r:
+            return g
+        lr = _p_lead(r)
+        t = tuple(a - b for a, b in zip(lr, half))
+        if t >= last or any(e < 0 or e > b for e, b in zip(t, bound)):
+            return None
+        g[t] = r[lr] / (2 * top)
+        last = t
 
 
 def _p_primitive(f):

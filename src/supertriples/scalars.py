@@ -27,12 +27,12 @@ vanish on every sign branch.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
 from .errors import ConstraintViolation, DivisionByZero, InconsistentRadical, UnknownName
 from .polys import (_p_add, _p_compose, _p_const, _p_const_value, _p_content_signed,
                     _p_divexact, _p_gcd, _p_is_const, _p_mul, _p_neg, _p_scale,
-                    _p_str, _p_var)
+                    _p_str, _p_var, exact_sqrt)
 
 __all__ = ["Domain", "ParamContext", "Scalar", "arith", "is_zero", "substitute"]
 
@@ -694,18 +694,6 @@ def finite_branches(ctx, names):
         branches = [dict(b, **{name: v}) for b in branches
                     for v in ctx.domains[name].values]
     return branches
-
-
-def exact_sqrt(q):
-    """The nonnegative rational square root of q, or None when q is negative
-    or not the square of a rational."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
 
 
 def is_zero(s):

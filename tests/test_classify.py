@@ -15,7 +15,7 @@ from supertriples.algebra import (AutoBranch, Grading, SuperAlgebra,
 from supertriples.catalog import (AlgebraEntry, automorphisms, catalog,
                                   catalog_triple, get_catalog, list_algebras)
 from supertriples.classify import (ENUM_BUDGET, ENUM_GRID, ORBIT_GRID,
-                                   DualAnsatz, _members, _unify_side,
+                                   DualAnsatz, Instance, _members, _unify_side,
                                    classify_doubles, enumerate_duals,
                                    find_certificate, make_instances,
                                    reduce_orbits, report)
@@ -111,6 +111,23 @@ def test_report_table5_drops_repeated_bindings():
     assert len(idents) == len(set(idents))
 
 
+def test_thm3_builds_each_instance_once(monkeypatch):
+    """Within one thm3 report each ident's Instance is constructed once:
+    the family spot checks route against the grouping's own instances
+    (make_instances keeps them in the report memo), route nodes included."""
+    built = []
+    init = Instance.__init__
+
+    def counted(self, row_id, bindings, entry):
+        init(self, row_id, bindings, entry)
+        built.append(self.ident)
+
+    monkeypatch.setattr(Instance, "__init__", counted)
+    assert report("thm3").passed
+    assert "MT24_9" in built
+    assert len(built) == len(set(built))
+
+
 @pytest.mark.parametrize("target, merges", [("thm1", 2), ("thm2", 14)])
 def test_each_merge_is_verified_once(monkeypatch, target, merges):
     """The route planner verifies each planned route's composite once: one
@@ -131,7 +148,7 @@ def test_each_merge_is_verified_once(monkeypatch, target, merges):
         assert fh.read() == rendered + "\n"
 
 
-@pytest.mark.parametrize("target, inversions", [("thm2", 7), ("thm3", 142)])
+@pytest.mark.parametrize("target, inversions", [("thm2", 7), ("thm3", 140)])
 def test_scalar_inversions_per_report(monkeypatch, target, inversions):
     """Exact Scalar.inv calls of one report, the catalog parsed beforehand.
     Certificates are inverted by their signed transpose and shear base
@@ -154,7 +171,7 @@ def test_scalar_inversions_per_report(monkeypatch, target, inversions):
 
 @pytest.mark.parametrize("target, eliminations", [
     ("table2", 0), ("table4", 0), ("table5", 0), ("table7", 0), ("thm1", 2),
-    ("thm2", 7), ("thm3", 89)])
+    ("thm2", 7), ("thm3", 87)])
 def test_eliminations_per_report(monkeypatch, target, eliminations):
     """Exact solves of one report (``matrices.echelon`` calls), the catalog
     parsed beforehand.  The commutant spans take ``echelon_add`` directly,

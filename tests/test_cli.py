@@ -138,6 +138,23 @@ def test_classify_command():
     assert "edge from=" in r.stdout
 
 
+@pytest.mark.parametrize("rows, edge", [
+    ("MT24_20,FAM24_A_G", "edge from=MT24_20 to=FAM24_A_G[alpha=1,beta=1,"
+     "gamma=-1] via=DD24_III_2.inv(shear)"),
+    ("FAM24_A_G,MT24_20", "edge from=FAM24_A_G[alpha=1,beta=1,gamma=-1] "
+     "to=MT24_20 via=inv(inv(shear)).inv(DD24_III_2)"),
+], ids=["forward", "reverse"])
+def test_classify_composes_certificates_across_contexts(rows, edge):
+    """At alpha = beta = 1, gamma = -1 the catalog certificate DD24_III_2
+    keeps its radical rho = sqrt(2), irrational, while the shear it is
+    composed with has no radical: IsoCertificate.compose maps the shear
+    into rho's context, in either order of the rows."""
+    r = run("--format", "machine", "classify", "--rows", rows,
+            "--bind", "alpha=1", "--bind", "beta=1", "--bind", "gamma=-1")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[1:] == [edge]
+
+
 @pytest.mark.parametrize("args, message", [
     (("report", "--target", "thm2", "--bind", "kapa=2"),
      "kapa is not a parameter here (parameters: p, kappa)"),
@@ -464,17 +481,22 @@ def test_an_oversized_product_is_a_parse_error_through_both_routes(tmp_path):
     ("p : free; r : sqrt(-1)", "line 2, col 22: radicand of r is -1, negative"),
     ("p : free; r : sqrt(4)",
      "line 2, col 22: radicand of r is 4, a rational square"),
+    ("p : (0, inf); r : sqrt(p^2)",
+     "line 2, col 26: radicand of r is p^2, the square of p"),
+    ("p : (0, inf); r : sqrt(4*p^2 + 4*p + 1)",
+     "line 2, col 26: radicand of r is 4*p^2 + 4*p + 1, the square of 2*p + 1"),
     ("p : (0, 0)", "line 2, col 16: empty domain"),
     ("p : (1, 0)", "line 2, col 16: empty domain"),
     ("p : [1, 1] \\ {1}", "line 2, col 16: empty domain"),
 ], ids=["duplicate", "second-radical", "undeclared-radicand",
-        "negative-radicand", "square-radicand", "empty-open-interval",
+        "negative-radicand", "square-radicand", "square-monomial-radicand",
+        "square-polynomial-radicand", "empty-open-interval",
         "empty-reversed-interval", "empty-excluded-point"])
 def test_params_block_errors_are_parse_errors(tmp_path, params, message):
     """A faulty params block is a parse error at its position naming the
-    file, on the catalog search path and in check --file alike.  A constant
-    radicand may be neither negative nor a rational square, and a domain
-    may not be empty."""
+    file, on the catalog search path and in check --file alike.  A radicand
+    may be neither a negative constant nor the square of a polynomial, and
+    a domain may not be empty."""
     path = tmp_path / "pb.cat"
     path.write_text("algebra PB super_dim (1, 1)\n  params { %s }\n"
                     "  brackets { [b1, f1] = p*f1 }\n" % params)
@@ -487,12 +509,15 @@ def test_params_block_errors_are_parse_errors(tmp_path, params, message):
 @pytest.mark.parametrize("params, brackets", [
     ("", "[f1, f1] = b1; [b1, f1] = (sqrt(4) - 2)*f1"),
     ("r : sqrt(2)", "[f1, f1] = b1; [b1, f1] = (r*r - 2)*f1"),
-], ids=["square-literal", "non-square-radicand"])
+    ("p : (0, inf); r : sqrt(2*p^2)",
+     "[f1, f1] = b1; [b1, f1] = (r*r - 2*p^2)*f1"),
+], ids=["square-literal", "non-square-radicand", "non-square-polynomial"])
 def test_check_file_keeps_sound_radicals(tmp_path, params, brackets):
     """What the radicand refusals leave: the literal sqrt(4) is the number
     2, so (sqrt(4) - 2)*f1 is 0 and the Jacobi identity holds, as it does
-    for (r*r - 2)*f1 with r^2 = 2.  A radical r : sqrt(4) would have failed
-    the same algebra, and r : sqrt(-1) passed (r*r + 1)*f1."""
+    for (r*r - 2)*f1 with r^2 = 2 and for (r*r - 2*p^2)*f1 with r^2 = 2p^2,
+    which is no square over Q.  A radical r : sqrt(4) would have failed the
+    same algebra, and r : sqrt(-1) passed (r*r + 1)*f1."""
     path = tmp_path / "rad.cat"
     path.write_text("algebra RC super_dim (1, 1)\n  params { %s }\n"
                     "  brackets { %s }\n" % (params, brackets))

@@ -11,6 +11,7 @@ from supertriples.parsing import (MAX_DIGITS, MAX_EXPONENT, MAX_PAREN_DEPTH,
                                   eval_generator_combo, parse_catalog, parse_expr, parse_scalar,
                                   render_brackets, render_combo,
                                   render_params)
+from supertriples.polys import _p_sqrt, _p_str
 from supertriples.scalars import Domain, ParamContext
 from test_scalars import random_scalar
 
@@ -82,6 +83,21 @@ def test_bracket_combos():
     assert brackets[(0, 1)] == {1: (1 - a * a) / a, 2: -1 / a}
     assert (0, 2) not in brackets      # 3*f2 - 3*f2 + 0*f1 vanishes
     assert brackets[(1, 2)] == {0: a / 2}
+
+
+def test_shipped_radicands_are_no_polynomial_squares():
+    """The four radicands of the shipped catalog (its certificates) are
+    kept by the radicand refusals: none is a negative constant or the
+    square of a polynomial, so the catalog parses."""
+    radicands = {(e.ctx.params, _p_str(e.ctx.radicand, e.ctx.params))
+                 for e in get_catalog().certs.values() if e.ctx.radical_name}
+    assert sorted(r for _, r in radicands) == [
+        "-gamma", "-lambda*gamma + kappa^2", "alpha*eps + gamma*eps", "gamma"]
+    for params, radicand in radicands:
+        text = "algebra X super_dim (1, 0) params { %s; r : sqrt(%s) }" % (
+            "; ".join("%s : free" % name for name in params), radicand)
+        (decl,) = parse_catalog(text)
+        assert _p_sqrt(decl.ctx.radicand) is None
 
 
 def test_shipped_catalogs_roundtrip():

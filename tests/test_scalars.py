@@ -12,7 +12,7 @@ from supertriples.catalog import (ENV_PATH, Catalog, _catalog_decls,
                                   appendix_certificate, catalog_triple)
 from supertriples.errors import (ConstraintViolation, DivisionByZero,
                                  InconsistentRadical)
-from supertriples.polys import _p_divexact, _p_gcd, _p_gcd_prs, _p_mul
+from supertriples.polys import _p_add, _p_divexact, _p_gcd, _p_gcd_prs, _p_mul
 from supertriples.scalars import (Domain, ParamContext, Scalar, arith,
                                   clear_denominators, failing_on_branches,
                                   is_zero, substitute)
@@ -271,6 +271,35 @@ def test_p_is_const_equals_the_all_zero_exponents_test(f):
     every monomial's exponents are zero (so zero is constant), over any
     number of variables, none included."""
     assert polys._p_is_const(f) == all(all(e == 0 for e in m) for m in f)
+
+
+@st.composite
+def polynomial_pair(draw):
+    """(g, h) over one number (0-3) of variables, with small rational
+    coefficients: g has at most four terms, h at most two; either may be
+    zero."""
+    nv = draw(st.integers(0, 3))
+    exponent = st.tuples(*[st.integers(0, 2)] * nv)
+    coefficient = st.fractions(-4, 4, max_denominator=4).filter(bool)
+    return tuple(draw(st.dictionaries(exponent, coefficient, max_size=size))
+                 for size in (4, 2))
+
+
+@given(polynomial_pair())
+@settings(max_examples=300, deadline=None)
+def test_p_sqrt_returns_exact_roots(pair):
+    """_p_sqrt(g*g) is g up to sign, so it squares back to g*g; and a root
+    it returns always squares to its input, for the random g and for g*g
+    disturbed by h (nearly never a square)."""
+    g, h = pair
+    square = _p_mul(g, g)
+    root = polys._p_sqrt(square)
+    assert root is not None and _p_mul(root, root) == square
+    assert root in (g, polys._p_neg(g))
+    for f in (g, _p_add(square, h)):
+        root = polys._p_sqrt(f)
+        if root is not None:
+            assert _p_mul(root, root) == f
 
 
 # _p_gcd_prs calls made while building the shipped catalog, of its 154
