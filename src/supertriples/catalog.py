@@ -11,6 +11,7 @@ the shipped ones by id.
 
 from __future__ import annotations
 
+import functools
 import os
 from fractions import Fraction
 
@@ -31,15 +32,14 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 ENV_PATH = "SUPERTRIPLES_CATALOG_PATH"
 
 
-def _build(entry, value, bindings):
-    """The entry's value at parameter bindings ({name: rational}), its own
-    without them: ``value.substitute(bindings)``, or inside a
-    ``report_memo()`` block the object (or the failure) that gave for the
-    same entry and bindings."""
-    if not bindings:
-        return value
-    key = (entry, tuple(sorted((n, Fraction(v)) for n, v in bindings.items())))
-    return memoized(key, lambda: value.substitute(bindings))
+def _build(entry, value, bindings, method="substitute"):
+    """``value.substitute(bindings)``, or the value's method of that name,
+    at parameter bindings ({name: rational}); inside a ``report_memo()``
+    block the object (or the failure) that gave for the same entry, method
+    and bindings."""
+    key = (entry, method,
+           tuple(sorted((n, Fraction(v)) for n, v in bindings.items())))
+    return memoized(key, lambda: getattr(value, method)(bindings))
 
 
 def _eval_bindings(ref, ref_ctx, exprs, ctx):
@@ -133,7 +133,14 @@ class TripleEntry:
                                           names=names, dual_role=dual)
 
     def build(self, bindings=None):
-        return _build(self, self.triple, bindings)
+        """The row at parameter bindings, its own triple without them."""
+        return _build(self, self.triple, bindings) if bindings else self.triple
+
+    @functools.cached_property
+    def signature(self):
+        """``ManinTriple.signature`` of the row's own triple, which every
+        build of the row at bindings keeps to."""
+        return self.triple.signature()
 
     def lift_triple(self, target_ctx, bindings):
         return self.triple.map_scalars(
@@ -170,7 +177,14 @@ class CertEntry:
         radical whose radicand they make a rational square is bound to its
         nonnegative root, and a negative one is refused
         (``ParamContext.bind``)."""
-        return _build(self, self.certificate, bindings)
+        cert = self.certificate
+        return _build(self, cert, bindings) if bindings else cert
+
+    def matrix_at(self, bindings):
+        """(context, matrix) of ``build(bindings)`` without its endpoint
+        doubles (``IsoCertificate.matrix_at``), kept as ``build`` keeps the
+        whole certificate."""
+        return _build(self, self.certificate, bindings, "matrix_at")
 
 
 class Catalog:

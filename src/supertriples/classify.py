@@ -19,15 +19,17 @@ from .algebra import (SuperAlgebra, _jacobi,
 from .catalog import automorphisms, catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DimensionMismatch,
                      DivisionByZero, InconsistentRadical, UnknownId)
-from .iso import (Exhausted, IsoCertificate, _evaluations, _projected_sides,
-                  _projections, dual_g_blocks, from_automorphism, search_iso,
-                  shear_certificate, verify_certificate)
+from .iso import (Exhausted, IsoCertificate, _evaluations, _in_context,
+                  _projected_sides, _projections, dual_g_blocks,
+                  from_automorphism, search_iso, shear_certificate,
+                  verify_certificate)
 from .matrices import echelon_add, f_solve, s_identity
 from .memo import memoized, report_memo
 from .polys import _p_const, _p_int_forms, _p_int_value, _p_var, exact_sqrt
 from .scalars import (Cleared, ParamContext, _term_image,
                       clear_denominators, finite_branches, not_a_parameter)
-from .triples import ManinTriple, build_double, double_entries, t_dual
+from .triples import (ManinTriple, _signature_admits, build_double,
+                      double_entries, t_dual)
 
 __all__ = ["DualAnsatz", "enumerate_duals", "reduce_orbits", "classify_doubles",
            "ClassificationReport", "report", "REPORTS"]
@@ -499,7 +501,7 @@ class _Node:
     """A double the route planner reaches from an instance, with the
     catalog rows that certificate endpoints have asked about so far, and
     every certificate orientation whose first endpoint it matches."""
-    __slots__ = ("double", "chain", "pool", "rows", "_starts")
+    __slots__ = ("double", "chain", "pool", "signature", "rows", "_starts")
 
     def __init__(self, double, chain, bindings, rows):
         self.double = double
@@ -507,6 +509,7 @@ class _Node:
         # alpha/beta/gamma are read off the dual, the rest off the instance
         self.pool = dict(bindings, **dict(zip(("alpha", "beta", "gamma"),
                                               _dual_g(double.triple) or ())))
+        self.signature = double.triple.signature()
         self.rows = rows    # {row id: bindings, or None where no match}
         self._starts = None
 
@@ -533,19 +536,22 @@ class _Node:
     def match(self, row_id):
         """Bindings at which catalog row row_id, built from the pool, has
         this node's tensor, else None; computed once per row.  Rows are
-        kept by total dimension, and tensor_equal compares no parity."""
+        kept by total dimension, and tensor_equal compares no parity.  A
+        row the signatures rule out (``_signature_admits``) is never built,
+        and a row undefined at the pool's bindings matches nothing."""
         if row_id in self.rows:
             return self.rows[row_id]
         self.rows[row_id] = None
         entry = get_catalog().triples[row_id]
         triple = self.double.triple
         if (entry.grading.dim != triple.grading.dim
-                or any(p not in self.pool for p in entry.ctx.params)):
+                or any(p not in self.pool for p in entry.ctx.params)
+                or not _signature_admits(entry.signature, self.signature)):
             return None
         candidate = {p: self.pool[p] for p in entry.ctx.params}
         try:
             built = entry.build(candidate)
-        except (ConstraintViolation, InconsistentRadical):
+        except (ConstraintViolation, InconsistentRadical, DivisionByZero):
             return None
         if built.tensor_equal(triple):
             self.rows[row_id] = candidate
@@ -601,7 +607,12 @@ def _certs_between(nx, ny):
     """Certificates nx.double -> ny.double, one catalog entry (or its
     inverse) each, in the order of ``nx.starts()``: only the second
     endpoint is unified here, against ny's match of its row; built, not
-    verified."""
+    verified.
+
+    Unified, each endpoint row at the certificate's bindings is the row
+    its node matched, with the node's tensor.  So only the matrix is bound
+    (``CertEntry.matrix_at``), and the nodes' own doubles are its
+    endpoints, mapped into the matrix's context where that differs."""
     cat = get_catalog()
     for entry, inverted, first, (b_id, b_vals) in nx.starts():
         assignment = dict(first)
@@ -613,11 +624,15 @@ def _certs_between(nx, ny):
         missing = [p for p in entry.ctx.params if p not in assignment]
         if any(not entry.ctx.domains[p].is_finite for p in missing):
             continue
+        ends = (ny.double, nx.double) if inverted else (nx.double, ny.double)
         for fill in finite_branches(entry.ctx, missing):
             full = dict(assignment)
             full.update(fill)
             try:
-                cert = entry.build(full)
+                ctx, matrix = entry.matrix_at(full)
+                cert = IsoCertificate(ctx, matrix,
+                                      *(_in_context(d, ctx) for d in ends),
+                                      note=entry.id)
             except (ConstraintViolation, InconsistentRadical,
                     DivisionByZero):
                 continue

@@ -21,7 +21,8 @@ failure, make the report.
 
 Certificates multiply only in ``IsoCertificate.compose``: of the two
 contexts at most one has a radical, the product lives in that one (else in
-the first factor's), and the other certificate is mapped into it by name.
+the first factor's), and the other certificate is mapped into it by name
+(``_in_context``).
 
 Certificates are built from T-duality (``t_dual_certificate``), from
 automorphisms (``from_automorphism``) and from exact shears I + E
@@ -100,9 +101,7 @@ class IsoCertificate:
         if first.target.dim != self.source.dim:
             raise DimensionMismatch("composition dimension mismatch")
         ctx = self.ctx if self.ctx.radical_name is not None else first.ctx
-        second, first = (c if c.ctx == ctx
-                         else c.map_scalars(ctx, c.ctx.bind_scalars(ctx, {}))
-                         for c in (self, first))
+        second, first = (_in_context(c, ctx) for c in (self, first))
         return IsoCertificate(ctx, s_matmul(second.matrix, first.matrix),
                               first.source, second.target,
                               note=_join_notes(second.note, first.note))
@@ -131,6 +130,12 @@ class IsoCertificate:
     def substitute(self, bindings):
         return self.map_scalars(*self.ctx.bind(bindings))
 
+    def matrix_at(self, bindings):
+        """(context, matrix) of ``substitute(bindings)``, with neither
+        double built: the matrix alone through the one ``ParamContext.bind``."""
+        ctx, fn = self.ctx.bind(bindings)
+        return ctx, [[fn(x) for x in row] for row in self.matrix]
+
     def map_scalars(self, new_ctx, fn):
         """The matrix and both doubles with every scalar sent through fn
         into new_ctx."""
@@ -144,6 +149,14 @@ class IsoCertificate:
         return "IsoCertificate(%s -> %s%s)" % (
             self.source.name, self.target.name,
             "" if not self.note else ", " + self.note)
+
+
+def _in_context(obj, ctx):
+    """obj, a certificate or an algebra, when it lives in ctx, else obj
+    mapped into ctx by parameter name (``ParamContext.bind_scalars``)."""
+    if obj.ctx == ctx:
+        return obj
+    return obj.map_scalars(ctx, obj.ctx.bind_scalars(ctx, {}))
 
 
 def _join_notes(a, b):
@@ -180,12 +193,13 @@ def _conditions(M, form, source, target, c=1, s=1, t=1):
                _transport_residuals(M, source, target, t, s * c)])
 
 
+@functools.lru_cache(maxsize=None)
 def _form_tensor(m, n):
     """The canonical form B as a tensor with one trivial upper index: the
-    nonzero list (p, q, 0, B_pq), with int entries."""
-    return [(p, q, 0, int(x))
-            for p, row in enumerate(canonical_form(m, n).matrix)
-            for q, x in enumerate(row) if x]
+    nonzero list (p, q, 0, B_pq), with int entries, built once per shape."""
+    return tuple((p, q, 0, int(x))
+                 for p, row in enumerate(canonical_form(m, n).matrix)
+                 for q, x in enumerate(row) if x)
 
 
 def _form_residuals(M, form, c2):

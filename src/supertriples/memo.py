@@ -2,10 +2,14 @@
 otherwise build more than once, kept until the outermost such call returns.
 
 It has three users: ``catalog`` keeps each catalog triple and certificate
-built at bindings, ``classify.make_instances`` keeps each ``Instance`` by its
-ident, with the route nodes it expands, and ``iso`` keeps the search's
-candidate table of each double shape.  Nothing else is kept:
-``SuperAlgebra.integer_tensor``, for one, converts anew on each call.
+built at bindings, and each certificate matrix bound at bindings alone
+(``CertEntry.matrix_at``, all the route planner asks of a certificate, as
+it takes the endpoints from its own nodes), ``classify.make_instances``
+keeps each ``Instance`` by its ident, with the route nodes it expands, and
+``iso`` keeps the search's candidate table of each double shape.  Nothing
+else is kept: ``SuperAlgebra.integer_tensor``, for one, converts anew on
+each call, and a row's signature (``TripleEntry.signature``) belongs to the
+catalog entry, not to a report.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ def report_memo():
     so nothing kept survives it.  Usable as a decorator.
 
     Sharing is safe because no caller mutates what it gets: the route
-    planner, ``Instance`` and the reports only read built triples and
-    certificates or derive new objects (``build_double``, ``tensor_equal``,
-    ``invert``, ``compose``, ``map_scalars``), the row index
+    planner, ``Instance`` and the reports only read built triples,
+    certificates and matrices or derive new objects (``build_double``,
+    ``tensor_equal``, ``invert``, ``compose``, ``map_scalars``), the row index
     ``SuperAlgebra`` fills on first use depends on the tensor alone, and an
     instance's route nodes and a candidate table only grow by entries that
     do not depend on the caller."""

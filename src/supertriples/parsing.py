@@ -452,10 +452,11 @@ def _parse_params_block(tz):
 
 def build_context(params, radicals):
     """Assemble a ParamContext; a radical's radicand AST may name only the
-    declared parameters, and the radicand may be neither a negative constant
-    (the scalars are real) nor the square of a polynomial over Q (sqrt(4) is
-    the number 2 and sqrt(p^2) is |p|, which the radical's zero test could
-    not see), else it is a ParseError at the radical's name."""
+    declared parameters, and the radicand must be a polynomial that is
+    neither a negative constant (the scalars are real) nor the square of a
+    polynomial over Q (sqrt(4) is the number 2 and sqrt(p^2) is |p|, which
+    the radical's zero test could not see), else it is a ParseError at the
+    radical's name."""
     base = ParamContext(params)
     if not radicals:
         return base
@@ -465,6 +466,9 @@ def build_context(params, radicals):
     except UnknownName as exc:
         raise ParseError("radicand of %s: %s" % (tok.value, exc),
                          tok.line, tok.col) from None
+    if not _p_is_const(radicand.re[1]):
+        raise ParseError("radicand of %s is %s, not a polynomial"
+                         % (tok.value, radicand), tok.line, tok.col)
     ctx = ParamContext(params, [(tok.value, radicand)])
     q, root = ctx.radicand, _p_sqrt(ctx.radicand)
     if root is None and not (_p_is_const(q) and _p_const_value(q) < 0):

@@ -50,10 +50,32 @@ class ManinTriple:
         return (self.S.tensor_equal(other.S)
                 and self.S_dual.tensor_equal(other.S_dual))
 
+    def signature(self):
+        """(support, fixed) for S and for S_dual: the positions (i, j, k)
+        of the nonzero entries, and {position: Fraction} over the constant
+        ones.  Binding parameters maps zero to zero and a constant to
+        itself, so the triple built at any bindings has its nonzero entries
+        inside the support and these constants at their positions."""
+        return tuple((frozenset(e[:3] for e in side.nonzero()),
+                      {e[:3]: e[3].as_fraction() for e in side.nonzero()
+                       if e[3].is_constant()})
+                     for side in (self.S, self.S_dual))
+
     def __repr__(self):
         return "ManinTriple(%s: %s | %s)" % (self.id or "?",
                                              self.S.describe_brackets(),
                                              self.S_dual.describe_brackets())
+
+
+def _signature_admits(row, other):
+    """False when the signature row shows that the triple it was read off
+    builds at no bindings into a triple with signature other
+    (``ManinTriple.signature``; ``tensor_equal``): a nonzero entry of other
+    lies off the row's support, or other differs from a constant entry of
+    the row."""
+    return all(o_support <= r_support
+               and all(o_fixed.get(key) == x for key, x in r_fixed.items())
+               for (r_support, r_fixed), (o_support, o_fixed) in zip(row, other))
 
 
 class DoubleAlgebra(SuperAlgebra):

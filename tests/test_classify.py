@@ -20,13 +20,14 @@ from supertriples.classify import (ENUM_BUDGET, ENUM_GRID, ORBIT_GRID,
                                    find_certificate, make_instances,
                                    reduce_orbits, report)
 from supertriples.errors import (ConstraintViolation, DimensionMismatch,
-                                 DivisionByZero, UnknownName)
+                                 DivisionByZero, InconsistentRadical,
+                                 UnknownName)
 from supertriples.iso import verify_certificate
 from supertriples.matrices import inv
 from supertriples.parsing import parse_catalog
 from supertriples.polys import _p_add, _p_compose, _p_const, _p_mul, _p_var
 from supertriples.scalars import Domain, ParamContext, Scalar
-from supertriples.triples import build_double
+from supertriples.triples import _signature_admits, build_double
 
 
 def test_thm1_grouping():
@@ -254,7 +255,10 @@ def test_base_certificates_check_sees_a_wrong_shear(monkeypatch):
 
 
 def _snapshot(obj):
-    """What a reader of a built triple or certificate sees."""
+    """What a reader of a built triple, certificate or certificate matrix
+    sees."""
+    if isinstance(obj, tuple):  # (context, matrix) of matrix_at
+        return [list(row) for row in obj[1]]
     if hasattr(obj, "matrix"):
         return (obj.note, [list(row) for row in obj.matrix],
                 _snapshot(obj.source.triple), _snapshot(obj.target.triple))
@@ -262,29 +266,33 @@ def _snapshot(obj):
 
 
 def _count_constructions(monkeypatch):
-    """({"triples": n, "certs": m}, built): the calls of ManinTriple.substitute
-    and IsoCertificate.substitute, which only catalog builds make, each a
-    miss of the build memo; built holds (object, ``_snapshot``) for each."""
+    """({"triples": n, "certs": m, "matrices": k}, built): the calls of
+    ManinTriple.substitute, IsoCertificate.substitute and
+    IsoCertificate.matrix_at, which only catalog builds make, each a miss of
+    the build memo; built holds (object, ``_snapshot``) for each."""
     from supertriples.iso import IsoCertificate
     from supertriples.triples import ManinTriple
-    counts = {"triples": 0, "certs": 0}
+    counts = {"triples": 0, "certs": 0, "matrices": 0}
     built = []
-    for cls, key in ((ManinTriple, "triples"), (IsoCertificate, "certs")):
-        def substitute(obj, bindings, plain=cls.substitute, key=key):
+    for cls, name, key in ((ManinTriple, "substitute", "triples"),
+                           (IsoCertificate, "substitute", "certs"),
+                           (IsoCertificate, "matrix_at", "matrices")):
+        def construct(obj, bindings, plain=getattr(cls, name), key=key):
             counts[key] += 1
             out = plain(obj, bindings)
             built.append((out, _snapshot(out)))
             return out
-        monkeypatch.setattr(cls, "substitute", substitute)
+        monkeypatch.setattr(cls, name, construct)
     return counts, built
 
 
 def test_aliases_build_only_rows_a_certificate_names(monkeypatch):
     """The route planner builds a catalog row at bindings only when a
-    certificate endpoint names that row; the thm2 and thm3 reports are
-    unchanged, and the constructions with bindings (instances and failed
-    builds included) are pinned: one per (entry, bindings) in a report,
-    however many nodes ask."""
+    certificate endpoint names that row and the row's signature admits the
+    node; the thm2 and thm3 reports are unchanged, and the constructions
+    with bindings (instances and failed builds included) are pinned: one
+    per (entry, bindings) in a report, however many nodes ask.  A catalog
+    certificate is never substituted whole: only its matrix is bound."""
     from supertriples.catalog import TripleEntry
     cat = get_catalog()
     named = {rid for c in cat.certs.values()
@@ -302,7 +310,7 @@ def test_aliases_build_only_rows_a_certificate_names(monkeypatch):
     counts, _ = _count_constructions(monkeypatch)
     made = {}
     for target in ("thm2", "thm3"):
-        counts.update(triples=0, certs=0)
+        counts.update(triples=0, certs=0, matrices=0)
         path = os.path.join(os.path.dirname(__file__), "golden",
                             "report_%s.txt" % target)
         with open(path) as fh:
@@ -310,8 +318,93 @@ def test_aliases_build_only_rows_a_certificate_names(monkeypatch):
         made[target] = dict(counts)
     assert matched
     assert set(matched) <= named, sorted(set(matched) - named)
-    assert made == {"thm2": {"triples": 21, "certs": 10},
-                    "thm3": {"triples": 284, "certs": 81}}
+    assert made == {"thm2": {"triples": 19, "certs": 0, "matrices": 14},
+                    "thm3": {"triples": 167, "certs": 0, "matrices": 82}}
+
+
+def test_a_signature_rejection_is_never_a_match(monkeypatch):
+    """For every route node of thm3 and of thm2 at p = 1/2, kappa = 1, and
+    every catalog row the node could be matched to, a row the signatures
+    rule out (``triples._signature_admits``) does not build into the node's
+    tensors at the node's bindings.  Among the rows they admit, some match
+    with a support strictly larger than the node's, and some do not match:
+    the test needs the support to be a subset, not equal, and it leaves
+    work to the build."""
+    from supertriples.memo import report_memo
+    nodes = {}
+    plain = classify._expand
+
+    def expand(inst):
+        out = plain(inst)
+        nodes.update((id(node), node) for node in out)
+        return out
+
+    monkeypatch.setattr(classify, "_expand", expand)
+    report("thm3")
+    report("thm2", {"p": Fraction(1, 2), "kappa": Fraction(1)})
+    cat = get_catalog()
+    tally = {"rejected": 0, "admitted": 0, "wider_match": 0}
+    with report_memo():
+        for node in nodes.values():
+            triple = node.double.triple
+            for entry in cat.triples.values():
+                if (entry.grading.dim != triple.grading.dim
+                        or any(p not in node.pool for p in entry.ctx.params)):
+                    continue
+                try:
+                    built = entry.build({p: node.pool[p]
+                                         for p in entry.ctx.params})
+                    equal = built.tensor_equal(triple)
+                except (ConstraintViolation, DivisionByZero,
+                        InconsistentRadical):
+                    equal = False
+                if not _signature_admits(entry.signature, node.signature):
+                    assert not equal, (entry.id, node.pool)
+                    tally["rejected"] += 1
+                    continue
+                tally["admitted"] += 1
+                wider = any(n_support < r_support for (r_support, _), (
+                    n_support, _) in zip(entry.signature, node.signature))
+                tally["wider_match"] += equal and wider
+    assert len(nodes) > 100
+    assert tally["rejected"] > tally["admitted"] > tally["wider_match"] > 0
+
+
+def test_catalog_certificates_run_between_the_instances_own_doubles():
+    """A catalog certificate found by the planner has the route nodes'
+    doubles as source and target, not doubles rebuilt from its endpoint
+    rows: the (4,2) instances MT42_6[p=+-1/2] are joined through the
+    matrix of DD24_IIp_2, declared between (2,4) rows (ROADMAP item 11),
+    and it verifies between their own (4,2) doubles."""
+    a, b = make_instances([("MT42_6", {"p": Fraction(1, 2)}),
+                           ("MT42_6", {"p": Fraction(-1, 2)})])
+    cert = find_certificate(a, b)
+    assert cert.note == "DD24_IIp_2"
+    assert cert.source is a.double and cert.target is b.double
+    assert cert.source.superdim() == (4, 2)
+    assert verify_certificate(cert)[0]
+
+
+def test_a_row_undefined_at_the_pool_matches_nothing(monkeypatch):
+    """A row whose denominator vanishes inside its domain is undefined at
+    p = 0: a node whose pool binds p = 0 matches nothing there, with no
+    DivisionByZero escaping, while at p = 1 the row builds and matches."""
+    from supertriples.catalog import TripleEntry
+    cat = get_catalog()
+    (decl,) = parse_catalog("triple ZD_1 super_dim (1, 1)\n"
+                            "  params { p : free }\n  left = S11()\n"
+                            "  right { [ft1, ft1] = (1/p)*bt1 }\n")
+    monkeypatch.setitem(cat.triples, "ZD_1", TripleEntry(decl, cat.algebras))
+    with pytest.raises(DivisionByZero):
+        catalog_triple("ZD_1", {"p": 0})
+    for row, bindings, p, want in (("MT22_3", {}, 0, None),
+                                   ("MT22_4", {"eps": 1}, 0, None),
+                                   ("MT22_4", {"eps": 1}, 1, {"p": 1})):
+        inst = make_instances([(row, bindings)])[0]
+        node = classify._Node(inst.double, None, {"p": Fraction(p)}, {})
+        assert _signature_admits(cat.triples["ZD_1"].signature,
+                                 node.signature)
+        assert node.match("ZD_1") == want
 
 
 def test_build_memo_lives_for_one_report(monkeypatch):
@@ -324,7 +417,7 @@ def test_build_memo_lives_for_one_report(monkeypatch):
     report("thm3")
     first, made = dict(counts), len(built)
     assert _MEMO.get() is None
-    counts.update(triples=0, certs=0)
+    counts.update(triples=0, certs=0, matrices=0)
     report("thm3")
     assert counts == first and len(built) == 2 * made
     assert _MEMO.get() is None

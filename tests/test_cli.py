@@ -485,18 +485,21 @@ def test_an_oversized_product_is_a_parse_error_through_both_routes(tmp_path):
      "line 2, col 26: radicand of r is p^2, the square of p"),
     ("p : (0, inf); r : sqrt(4*p^2 + 4*p + 1)",
      "line 2, col 26: radicand of r is 4*p^2 + 4*p + 1, the square of 2*p + 1"),
+    ("p : (0, inf); r : sqrt(1/p)",
+     "line 2, col 26: radicand of r is (1)/(p), not a polynomial"),
     ("p : (0, 0)", "line 2, col 16: empty domain"),
     ("p : (1, 0)", "line 2, col 16: empty domain"),
     ("p : [1, 1] \\ {1}", "line 2, col 16: empty domain"),
 ], ids=["duplicate", "second-radical", "undeclared-radicand",
         "negative-radicand", "square-radicand", "square-monomial-radicand",
-        "square-polynomial-radicand", "empty-open-interval",
+        "square-polynomial-radicand", "non-polynomial-radicand",
+        "empty-open-interval",
         "empty-reversed-interval", "empty-excluded-point"])
 def test_params_block_errors_are_parse_errors(tmp_path, params, message):
     """A faulty params block is a parse error at its position naming the
     file, on the catalog search path and in check --file alike.  A radicand
-    may be neither a negative constant nor the square of a polynomial, and
-    a domain may not be empty."""
+    must be a polynomial, neither a negative constant nor the square of a
+    polynomial, and a domain may not be empty."""
     path = tmp_path / "pb.cat"
     path.write_text("algebra PB super_dim (1, 1)\n  params { %s }\n"
                     "  brackets { [b1, f1] = p*f1 }\n" % params)
