@@ -21,7 +21,10 @@ certificate's condition (ii) and the orbit join's, is stated once, by
 on integers.  The commutant spans and an automorphism's rank come from
 ``matrices.echelon_add``, the one elimination loop.  Every check runs its
 kernel on inputs cleared once by ``scalars.clear_denominators``, and
-``scalars.failing_on_branches`` alone decides it (``_failures``).
+``scalars.failing_on_branches`` alone decides it (``_failures``).  A tensor
+is cleared once per algebra: an algebra does not change, so
+``cleared_tensor`` and ``integer_tensor`` keep their first result, as
+tuples, for every later check, certificate and fingerprint.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ class SuperAlgebra:
     The tensor is stored once, as its nonzero entries (i, j, k, F_{IJ}^K)
     sorted by (i, j, k): ``nonzero()`` returns that list, ``bracket(i, j)``
     reads a row index built from it, and ``integer_tensor()`` and
-    ``cleared_tensor()`` clear it of denominators.
+    ``cleared_tensor()`` clear it of denominators, each once, keeping the
+    result.
 
     dual_role marks tensors whose indices are conceptually raised
     (F~^{IJ}_K of a dual subalgebra); the axioms take the identical form,
@@ -87,7 +91,7 @@ class SuperAlgebra:
     """
 
     __slots__ = ("grading", "parity", "names", "ctx", "name", "dual_role",
-                 "_nz", "_rows")
+                 "_nz", "_rows", "_integer", "_cleared")
 
     def __init__(self, grading, ctx, entries, parity=None, names=None,
                  name=None, dual_role=False):
@@ -103,7 +107,7 @@ class SuperAlgebra:
             raise DimensionMismatch("tensor index outside the basis")
         self._nz = [(i, j, k, c) for (i, j, k), c in sorted(entries.items())
                     if not c.is_zero()]
-        self._rows = None
+        self._rows = self._integer = self._cleared = None
 
     # -- construction ---------------------------------------------------
 
@@ -149,20 +153,32 @@ class SuperAlgebra:
         return {(i, j, k): c for (i, j, k, c) in self._nz}
 
     def integer_tensor(self):
-        """(N, den): the nonzero entries as integers N = den F, in order,
-        with den the lcm of their denominators; ConstraintViolation on an
-        entry that is not rational.  Not kept: the seven reports convert 448
-        algebras 550 times, so a cache would save a hundred conversions."""
-        nz = [(i, j, k, c.as_fraction()) for (i, j, k, c) in self._nz]
-        den = math.lcm(*(c.denominator for (_, _, _, c) in nz))
-        return [(i, j, k, c.numerator * (den // c.denominator))
-                for (i, j, k, c) in nz], den
+        """(N, den): the nonzero entries as integers N = den F, a tuple in
+        order, with den the lcm of their denominators; ConstraintViolation on
+        an entry that is not rational.  Converted on the first call and kept,
+        as the algebra does not change and N is a tuple of int tuples."""
+        if self._integer is None:
+            nz = [(i, j, k, c.as_fraction()) for (i, j, k, c) in self._nz]
+            den = math.lcm(*(c.denominator for (_, _, _, c) in nz))
+            self._integer = (tuple((i, j, k, c.numerator * (den // c.denominator))
+                                   for (i, j, k, c) in nz), den)
+        return self._integer
 
     def cleared_tensor(self):
-        """(N, den): the nonzero entries as N = den F, in order, by
-        ``scalars.clear_denominators``."""
-        values, den = clear_denominators(self.ctx, [c for (_, _, _, c) in self._nz])
-        return [(i, j, k, v) for (i, j, k, _), v in zip(self._nz, values)], den
+        """(N, den): the nonzero entries as N = den F, a tuple in order, by
+        ``scalars.clear_denominators``.  Cleared on the first call and kept
+        for every later check; the kernels only read the entries.  With no
+        parameter and no radical this is ``integer_tensor()`` itself, the
+        integers that clear_denominators would compute again."""
+        if self._cleared is None:
+            if not self.ctx.params and self.ctx.radicand is None:
+                self._cleared = self.integer_tensor()
+            else:
+                values, den = clear_denominators(
+                    self.ctx, [c for (_, _, _, c) in self._nz])
+                self._cleared = (tuple((i, j, k, v) for (i, j, k, _), v
+                                       in zip(self._nz, values)), den)
+        return self._cleared
 
     @property
     def F(self):

@@ -7,9 +7,10 @@ built at bindings, and each certificate matrix bound at bindings alone
 it takes the endpoints from its own nodes), ``classify.make_instances``
 keeps each ``Instance`` by its ident, with the route nodes it expands, and
 ``iso`` keeps the search's candidate table of each double shape.  Nothing
-else is kept: ``SuperAlgebra.integer_tensor``, for one, converts anew on
-each call, and a row's signature (``TripleEntry.signature``) belongs to the
-catalog entry, not to a report.
+else is kept here: a cleared tensor (``SuperAlgebra.cleared_tensor`` and
+``integer_tensor``) belongs to its algebra, which dies with the memo when a
+report built it, and a row's signature (``TripleEntry.signature``) belongs
+to the catalog entry, not to a report.
 """
 
 from __future__ import annotations

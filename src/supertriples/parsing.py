@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, UnknownName
-from .polys import _p_const_value, _p_is_const, _p_sqrt, _p_str, exact_sqrt
+from .polys import _p_is_const, _p_sqrt, _p_str, exact_sqrt
 from .scalars import Domain, ParamContext
 
 __all__ = ["parse_scalar", "parse_catalog", "Tokenizer"]
@@ -450,13 +450,22 @@ def _parse_params_block(tz):
     return params, radicals
 
 
+def _negative_everywhere(q):
+    """Whether the polynomial q is negative at every real point, by a sound
+    test: -q has a positive constant term, and every monomial of -q has a
+    positive coefficient and only even exponents, so -q is at least that
+    constant.  A negative constant is the case with no other monomial."""
+    return (any(not any(m) for m in q)
+            and all(c < 0 and not any(e % 2 for e in m) for m, c in q.items()))
+
+
 def build_context(params, radicals):
     """Assemble a ParamContext; a radical's radicand AST may name only the
     declared parameters, and the radicand must be a polynomial that is
-    neither a negative constant (the scalars are real) nor the square of a
-    polynomial over Q (sqrt(4) is the number 2 and sqrt(p^2) is |p|, which
-    the radical's zero test could not see), else it is a ParseError at the
-    radical's name."""
+    neither negative at every real point (``_negative_everywhere``; the
+    scalars are real) nor the square of a polynomial over Q (sqrt(4) is the
+    number 2 and sqrt(p^2) is |p|, which the radical's zero test could not
+    see), else it is a ParseError at the radical's name."""
     base = ParamContext(params)
     if not radicals:
         return base
@@ -471,7 +480,7 @@ def build_context(params, radicals):
                          % (tok.value, radicand), tok.line, tok.col)
     ctx = ParamContext(params, [(tok.value, radicand)])
     q, root = ctx.radicand, _p_sqrt(ctx.radicand)
-    if root is None and not (_p_is_const(q) and _p_const_value(q) < 0):
+    if root is None and not _negative_everywhere(q):
         return ctx
     raise ParseError("radicand of %s is %s, %s" % (
         tok.value, _p_str(q, ctx.params), "negative" if root is None

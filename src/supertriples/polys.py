@@ -21,8 +21,9 @@ from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
 
 
 def _p_const(c, nv):
-    c = Fraction(c)
-    if c == 0:
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    if not c:
         return {}
     return {(0,) * nv: c}
 

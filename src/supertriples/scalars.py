@@ -18,6 +18,11 @@ rational q, a square q binds the radical to its nonnegative root and a
 negative q is a ConstraintViolation (the scalars are real).  Objects change
 context once, by ``substitute`` (one bind) or by ``map_scalars(ctx, mapper)``.
 
+Over no parameter a rational function is a constant: ``_rf_make``,
+``_rf_add`` and ``_rf_mul`` then divide two Fractions and take no gcd
+(``_rf_const``), and ``Scalar.as_fraction`` reads a constant straight off
+its canonical form.
+
 ``clear_denominators`` writes a check's inputs once as integers or as Cleared
 numerators in Q[params][r]/(r^2 - q) with integer coefficients, so its
 residuals take no gcd, and ``failing_on_branches`` alone decides which of them
@@ -40,11 +45,16 @@ __all__ = ["Domain", "ParamContext", "Scalar", "arith", "is_zero", "substitute"]
 # ---------------------------------------------------------------------------
 # rational functions: pairs (num, den) in canonical form
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _rf_make(num, den, nv):
     if not den:
         raise DivisionByZero("zero denominator")
     if not num:
         return ({}, _p_const(1, nv))
+    if not nv:
+        return _rf_const(_rf_value((num, den)))
     if not _p_is_const(den):
         g = _p_gcd(num, den)
         if g and not (_p_is_const(g) and _p_const_value(g) == 1):
@@ -57,12 +67,33 @@ def _rf_make(num, den, nv):
     return (num, den)
 
 
+def _rf_const(q):
+    """The canonical form of the rational q over no parameter, with no gcd
+    taken: ({(): q}, {(): 1}) with q a Fraction, or ({}, {(): 1}) for zero."""
+    if not q:
+        return ({}, {(): _ONE})
+    return ({(): q if type(q) is Fraction else Fraction(q)}, {(): _ONE})
+
+
+def _rf_value(rf):
+    """The value n / d of a rational function whose numerator is zero or a
+    constant n and whose denominator is a constant d; an int n is made a
+    Fraction before the division, so none gives a float."""
+    num, den = rf
+    if not num:
+        return _ZERO
+    (n,), (d,) = num.values(), den.values()
+    return n if d == 1 else Fraction(n) / d
+
+
 def _rf_is_one_den(rf):
     num, den = rf
     return _p_is_const(den) and _p_const_value(den) == 1
 
 
 def _rf_add(a, b, nv):
+    if not nv:
+        return _rf_const(_rf_value(a) + _rf_value(b))
     an, ad = a
     bn, bd = b
     if ad == bd:
@@ -75,6 +106,8 @@ def _rf_neg(a):
 
 
 def _rf_mul(a, b, nv):
+    if not nv:
+        return _rf_const(_rf_value(a) * _rf_value(b))
     an, ad = a
     bn, bd = b
     if not an or not bn:
@@ -608,10 +641,13 @@ class Scalar:
         return bits, max(sum(m) for f in polys for m in f)
 
     def as_fraction(self):
-        if not self.is_constant():
-            raise ConstraintViolation("scalar %s is not numeric" % self)
-        num, den = map(_p_const_value, self.re)
-        return num if den == 1 else num / den
+        """The value of a constant, read off its canonical form: no radical,
+        a constant denominator and a numerator that is empty or one constant
+        term; ConstraintViolation for any other scalar."""
+        num, den = self.re
+        if self.rad is None and _p_is_const(num) and _p_is_const(den):
+            return _rf_value(self.re)
+        raise ConstraintViolation("scalar %s is not numeric" % self)
 
     # -- substitution -------------------------------------------------------
 

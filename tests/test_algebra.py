@@ -141,6 +141,75 @@ def test_catalog_axiom_suite():
         assert check_jacobi(A) == [], name
 
 
+def _fresh_tensors(A):
+    """(cleared, integer) tensors of A computed anew, with each Cleared
+    entry and den as its (re, rad, q) parts; integer is the ConstraintViolation
+    type when A has an entry that is not rational."""
+    values, den = scalars.clear_denominators(A.ctx, [c for (*_, c) in A.nonzero()])
+    cleared = ([(i, j, k, _parts(v)) for (i, j, k, _), v in zip(A.nonzero(), values)],
+               _parts(den))
+    try:
+        fracs = [(i, j, k, c.as_fraction()) for (i, j, k, c) in A.nonzero()]
+    except ConstraintViolation:
+        return cleared, ConstraintViolation
+    den = math.lcm(*(c.denominator for (*_, c) in fracs))
+    return cleared, ([(i, j, k, c.numerator * den // c.denominator)
+                      for (i, j, k, c) in fracs], den)
+
+
+def _parts(v):
+    return (v.re, v.rad, v.q) if isinstance(v, scalars.Cleared) else v
+
+
+def _kept_tensors(A):
+    """A's kept cleared_tensor() and integer_tensor(), in _fresh_tensors'
+    form, after trying to change each in place."""
+    kept = []
+    for read in (A.cleared_tensor, A.integer_tensor):
+        try:
+            N, den = read()
+        except ConstraintViolation:
+            kept.append(ConstraintViolation)
+            continue
+        assert type(N) is tuple and all(type(e) is tuple for e in N)
+        changes = [lambda: N.append(None)]
+        if N:
+            changes += [lambda: N.__setitem__(0, None),
+                        lambda: N[0].__setitem__(3, 0)]
+        for change in changes:
+            with pytest.raises((TypeError, AttributeError)):
+                change()
+        N2, den2 = read()
+        assert N2 is N and den2 is den
+        kept.append(([(i, j, k, _parts(v)) for (i, j, k, v) in N], _parts(den)))
+    return tuple(kept)
+
+
+def test_each_algebra_keeps_its_cleared_tensors(monkeypatch):
+    """cleared_tensor() and integer_tensor() are computed once per algebra
+    and kept as tuples: on every catalog algebra and every double that
+    report thm3 fingerprints, what they return equals a fresh computation,
+    before and after a caller tries to change it in place."""
+    doubles = []
+    real = classify.make_instances
+
+    def recorded(specs):
+        out = real(specs)
+        doubles.extend(inst.double for inst in out)
+        return out
+
+    monkeypatch.setattr(classify, "make_instances", recorded)
+    assert classify.report("thm3").passed
+    algebras = [catalog(name) for name in sorted(get_catalog().algebras)]
+    assert len(doubles) > 100 and len(algebras) == 19
+    numeric = 0
+    for A in algebras + doubles:
+        fresh = _fresh_tensors(A)
+        assert _kept_tensors(A) == fresh == _kept_tensors(A), A.name
+        numeric += fresh[1] is not ConstraintViolation
+    assert numeric > len(doubles)
+
+
 def _rescaled(A):
     """A with every structure constant divided by x^2 + 1, x its first
     parameter; A itself when it has none.  A rescaling keeps the graded

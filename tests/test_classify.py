@@ -192,6 +192,25 @@ def test_eliminations_per_report(monkeypatch, target, eliminations):
     assert not hasattr(matrices, "rref")
 
 
+def test_clearings_per_report(monkeypatch):
+    """``scalars.clear_denominators`` calls of report thm3, the catalog
+    parsed beforehand: each algebra clears its tensor once
+    (``SuperAlgebra.cleared_tensor`` keeps it), a numeric one as its
+    ``integer_tensor``, and each certificate matrix is cleared on its own."""
+    get_catalog()
+    calls = [0]
+    real = algebra.clear_denominators
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "clear_denominators", counted)
+    monkeypatch.setattr(classify, "clear_denominators", counted)
+    assert report("thm3").passed
+    assert calls[0] == 92
+
+
 @pytest.mark.parametrize("target", ["table2", "table4", "table5", "table7",
                                     "thm1", "thm2", "thm3"])
 def test_no_transport_per_report(monkeypatch, target):

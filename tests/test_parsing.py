@@ -10,8 +10,8 @@ from supertriples.parsing import (MAX_DIGITS, MAX_EXPONENT, MAX_PAREN_DEPTH,
                                   Tokenizer,
                                   eval_generator_combo, parse_catalog, parse_expr, parse_scalar,
                                   render_brackets, render_combo,
-                                  render_params)
-from supertriples.polys import _p_sqrt, _p_str
+                                  render_params, _negative_everywhere)
+from supertriples.polys import _p_compose, _p_const_value, _p_sqrt, _p_str
 from supertriples.scalars import Domain, ParamContext
 from test_scalars import random_scalar
 
@@ -85,10 +85,39 @@ def test_bracket_combos():
     assert brackets[(1, 2)] == {0: a / 2}
 
 
+@given(st.integers(1, 3).flatmap(lambda nv: st.tuples(
+    st.dictionaries(st.tuples(*[st.sampled_from([0, 1, 2, 4])] * nv),
+                    st.fractions(-3, 3, max_denominator=3).filter(bool),
+                    min_size=1, max_size=4),
+    st.lists(st.fractions(-4, 4, max_denominator=5), min_size=nv, max_size=nv))))
+@settings(max_examples=300, deadline=None)
+def test_negative_everywhere_is_sound(drawn):
+    """A radicand refused as negative at every real point is negative at
+    every sampled rational point, whatever its monomials."""
+    q, point = drawn
+    if _negative_everywhere(q):
+        value = _p_compose(q, [(x, None) for x in point], 0)
+        assert value and _p_const_value(value) < 0
+
+
+def test_negative_everywhere_examples():
+    """-p^2 - 1 and -1 are refused; -p^2 (zero at 0), -p - 1 (an odd
+    exponent), p^2 - 1 and -gamma (a shipped radicand on (-inf, 0)) are
+    kept."""
+    ctx = ParamContext([("p", Domain.free())])
+    for text, refused in (("-p^2 - 1", True), ("-1", True),
+                          ("-p^4 - 3*p^2 - 1/2", True), ("-p^2", False),
+                          ("-p - 1", False), ("p^2 - 1", False),
+                          ("-p^2 + 1", False)):
+        assert _negative_everywhere(parse_scalar(ctx, text).re[0]) is refused, text
+    gamma = ParamContext([("gamma", Domain.interval(None, 0, True, True))])
+    assert not _negative_everywhere(parse_scalar(gamma, "-gamma").re[0])
+
+
 def test_shipped_radicands_are_no_polynomial_squares():
     """The four radicands of the shipped catalog (its certificates) are
-    kept by the radicand refusals: none is a negative constant or the
-    square of a polynomial, so the catalog parses."""
+    kept by the radicand refusals: none is negative at every real point or
+    the square of a polynomial, so the catalog parses, -gamma included."""
     radicands = {(e.ctx.params, _p_str(e.ctx.radicand, e.ctx.params))
                  for e in get_catalog().certs.values() if e.ctx.radical_name}
     assert sorted(r for _, r in radicands) == [

@@ -13,7 +13,8 @@ from supertriples.catalog import (ENV_PATH, Catalog, _catalog_decls,
 from supertriples.errors import (ConstraintViolation, DivisionByZero,
                                  InconsistentRadical)
 from supertriples.polys import _p_add, _p_divexact, _p_gcd, _p_gcd_prs, _p_mul
-from supertriples.scalars import (Domain, ParamContext, Scalar, arith,
+from supertriples.scalars import (Domain, ParamContext, Scalar, _rf_add,
+                                  _rf_make, _rf_mul, arith,
                                   clear_denominators, failing_on_branches,
                                   is_zero, substitute)
 
@@ -647,3 +648,79 @@ def test_cleared_vanishing_settles_rational_radicands_and_zero_dens():
         else:
             assert failing_on_branches(ctx2, [cleared], (den,)) == expected
             assert scalar_branch_failures([(w,)]) == [(w,)] * len(expected)
+
+
+def _as_fraction_through_is_constant(s):
+    """The value of a constant Scalar read through ``is_constant`` and
+    ``polys._p_const_value``, the reference for ``Scalar.as_fraction``."""
+    if not s.is_constant():
+        raise ConstraintViolation("scalar %s is not numeric" % s)
+    num, den = map(polys._p_const_value, s.re)
+    return num if den == 1 else Fraction(num) / den
+
+
+AS_FRACTION_CONTEXTS = {
+    "numeric": lambda: ParamContext(),
+    "parameter": ctx_p,
+    "radical": lambda: ParamContext(radicals=[("r", 2)]),
+    "both": ctx_rho,
+}
+
+
+@given(small_fraction, small_fraction.filter(bool),
+       st.sampled_from(sorted(AS_FRACTION_CONTEXTS)))
+@settings(max_examples=150, deadline=None)
+def test_as_fraction_reads_the_canonical_constant(x, y, which):
+    """as_fraction reads a constant off its canonical form: a Fraction equal
+    to the value read through is_constant, for constants built directly and
+    by arithmetic that cancels every parameter and the radical.  A
+    parameter, a radical or a quotient that is no constant raises the
+    reference's ConstraintViolation, message and all."""
+    ctx = AS_FRACTION_CONTEXTS[which]()
+    gens = [ctx.param(name) for name in ctx.params]
+    if ctx.radical_name:
+        gens.append(ctx.radical())
+    constants = [ctx.const(x), ctx.const(x) / y, ctx.zero()]
+    for g in gens:
+        constants += [(g + x) - g, (g * x) / g, (x * g + y) / g - y / g]
+    for s in constants:
+        value = s.as_fraction()
+        assert type(value) is Fraction
+        assert value == _as_fraction_through_is_constant(s)
+    assert constants[0].as_fraction() == x and constants[1].as_fraction() == x / y
+    others = [g + x for g in gens] + [g * y for g in gens]
+    others += [ctx.const(y) / (g * g + 1) for g in gens if g.rad is None]
+    for s in others:
+        with pytest.raises(ConstraintViolation) as reference:
+            _as_fraction_through_is_constant(s)
+        with pytest.raises(ConstraintViolation) as read:
+            s.as_fraction()
+        assert str(read.value) == str(reference.value)
+
+
+rational_or_int = st.one_of(small_fraction, st.integers(-9, 9))
+constant_rf = st.tuples(rational_or_int,
+                        rational_or_int.filter(bool)).map(
+    lambda nd: ({(): nd[0]} if nd[0] else {}, {(): nd[1]}))
+
+
+@given(constant_rf, constant_rf)
+@settings(max_examples=300, deadline=None)
+def test_constant_rational_functions_skip_the_gcd(a, b):
+    """Over no parameter, _rf_make, _rf_add and _rf_mul divide two
+    constants and take no gcd.  Their results are dict-equal to those of the
+    general path, run on the same constants as polynomials in one
+    variable, and every value is a Fraction, even for int coefficients."""
+    def lift(rf):
+        return tuple({(0,): c for c in p.values()} for p in rf)
+
+    def drop(rf):
+        return tuple({(): c for c in p.values()} for p in rf)
+
+    for fast, general in (
+            (_rf_make(*a, 0), _rf_make(*lift(a), 1)),
+            (_rf_add(a, b, 0), _rf_add(lift(a), lift(b), 1)),
+            (_rf_mul(a, b, 0), _rf_mul(lift(a), lift(b), 1))):
+        assert fast == drop(general)
+        assert fast[1] == {(): 1}
+        assert all(type(c) is Fraction for p in fast for c in p.values())
