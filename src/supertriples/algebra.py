@@ -7,7 +7,9 @@ layout (b, f, b~, f~); only the parity tuple matters to the checks.
 
 A tensor is stored once, inside SuperAlgebra, as its sorted nonzero entries
 (i, j, k, F_{IJ}^K); the package's other modules read it through nonzero(),
-entries() and bracket(i, j), never through a dense array.
+entries() and bracket(i, j), never through a dense array; a row [X_i, X_j]
+is the run of one (i, j) in that list.  ``_graded_transposes`` alone fills
+in the transposes that graded antisymmetry gives.
 
 The graded Jacobi identity runs through one kernel, ``_jacobi``, and every
 contraction of a tensor with a matrix (basis change, the automorphism and
@@ -29,6 +31,7 @@ tuples, for every later check, certificate and fingerprint.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -80,8 +83,9 @@ class SuperAlgebra:
     """Structure-constant tensor F_{IJ}^K over a parameter context.
 
     The tensor is stored once, as its nonzero entries (i, j, k, F_{IJ}^K)
-    sorted by (i, j, k): ``nonzero()`` returns that list, ``bracket(i, j)``
-    reads a row index built from it, and ``integer_tensor()`` and
+    sorted by (i, j, k): ``nonzero()`` returns that list, whose runs of one
+    (i, j) are the rows that ``bracket``, ``brackets_dict``, ``F`` and
+    ``describe_brackets`` read, and ``integer_tensor()`` and
     ``cleared_tensor()`` clear it of denominators, each once, keeping the
     result.
 
@@ -91,7 +95,7 @@ class SuperAlgebra:
     """
 
     __slots__ = ("grading", "parity", "names", "ctx", "name", "dual_role",
-                 "_nz", "_rows", "_integer", "_cleared")
+                 "_nz", "_integer", "_cleared")
 
     def __init__(self, grading, ctx, entries, parity=None, names=None,
                  name=None, dual_role=False):
@@ -107,7 +111,7 @@ class SuperAlgebra:
             raise DimensionMismatch("tensor index outside the basis")
         self._nz = [(i, j, k, c) for (i, j, k), c in sorted(entries.items())
                     if not c.is_zero()]
-        self._rows = self._integer = self._cleared = None
+        self._integer = self._cleared = None
 
     # -- construction ---------------------------------------------------
 
@@ -115,7 +119,7 @@ class SuperAlgebra:
     def from_brackets(cls, grading, ctx, brackets, name=None, dual_role=False,
                       parity=None, names=None):
         """brackets: {(i, j): {k: Scalar}}; missing transposes are filled by
-        graded antisymmetry."""
+        graded antisymmetry (``_graded_transposes``)."""
         par = tuple(parity) if parity is not None else grading.parities()
         entries = {}
         for (i, j), comps in brackets.items():
@@ -124,13 +128,7 @@ class SuperAlgebra:
                     raise ConstraintViolation(
                         "bracket [%d,%d] -> %d violates the grading" % (i, j, k))
                 entries[(i, j, k)] = c
-        for (i, j), comps in brackets.items():
-            if i == j or (j, i) in brackets:
-                continue
-            # [y,x] = -(-1)^{|x||y|}[x,y]
-            odd = (par[i] * par[j]) % 2
-            for k, c in comps.items():
-                entries[(j, i, k)] = c if odd else -c
+        _graded_transposes(entries, brackets.keys(), par)
         return cls(grading, ctx, entries, parity=par, names=names, name=name,
                    dual_role=dual_role)
 
@@ -187,25 +185,20 @@ class SuperAlgebra:
         this."""
         d = self.dim
         zero = self.ctx.zero()
-        rows = self._row_index()
+        rows = self.brackets_dict()
         return tuple(tuple(tuple(rows.get((i, j), {}).get(k, zero)
                                  for k in range(d)) for j in range(d))
                      for i in range(d))
 
-    def _row_index(self):
-        """{(i, j): {k: F_{IJ}^K}}, each row in increasing k."""
-        if self._rows is None:
-            rows = {}
-            for (i, j, k, c) in self._nz:
-                rows.setdefault((i, j), {})[k] = c
-            self._rows = rows
-        return self._rows
-
     def bracket(self, i, j):
-        return dict(self._row_index().get((i, j), {}))
+        """{k: F_{IJ}^K} over the nonzero entries of the row (i, j)."""
+        return {k: c for (a, b, k, c) in self._nz if (a, b) == (i, j)}
 
     def brackets_dict(self):
-        return {key: dict(row) for key, row in self._row_index().items()}
+        """{(i, j): {k: F_{IJ}^K}} over the nonzero rows, in (i, j) order,
+        each row in increasing k: the runs of ``nonzero()``."""
+        return {key: {k: c for (_, _, k, c) in row}
+                for key, row in itertools.groupby(self._nz, lambda e: e[:2])}
 
     # -- transformations -----------------------------------------------------
 
@@ -243,7 +236,7 @@ class SuperAlgebra:
         and the total dimension, so (4,2) can match (2,4): ROADMAP item 11,
         pinned by the `report thm2 --bind p=1/2` digests in queries.json."""
         return (self.dim == other.dim and len(self._nz) == len(other._nz)
-                and (self.ctx is other.ctx or self.ctx == other.ctx)
+                and self.ctx == other.ctx
                 and all(a[:3] == b[:3] and a[3].re == b[3].re and a[3].rad == b[3].rad
                         for a, b in zip(self._nz, other._nz)))
 
@@ -261,7 +254,7 @@ class SuperAlgebra:
         from .parsing import render_combo
         items = []
         seen = set()
-        for (i, j), row in self._row_index().items():
+        for (i, j), row in self.brackets_dict().items():
             if (j, i) in seen:
                 continue
             seen.add((i, j))
@@ -273,6 +266,17 @@ class SuperAlgebra:
         m, n = self.superdim()
         return "SuperAlgebra(%s, (%d,%d), %s)" % (self.name or "?", m, n,
                                                   self.describe_brackets())
+
+
+def _graded_transposes(entries, given, par):
+    """Fill into entries {(i, j, k): value} the transpose of each entry of a
+    listed pair (i, j) by graded antisymmetry, [y, x] = -(-1)^{|x||y|}[x, y];
+    values of any type with negation.  given is the set of bracket pairs the
+    caller lists, zero ones included: a pair listed both ways, or i == j,
+    keeps what was listed, so the antisymmetry check sees it."""
+    for (i, j, k), c in list(entries.items()):
+        if i != j and (i, j) in given and (j, i) not in given:
+            entries[(j, i, k)] = c if par[i] & par[j] else -c
 
 
 # ---------------------------------------------------------------------------

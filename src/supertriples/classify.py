@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import (SuperAlgebra, _jacobi,
+from .algebra import (SuperAlgebra, _graded_transposes, _jacobi,
                       _transport_residuals, check_jacobi, commutant_series)
 from .catalog import automorphisms, catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DimensionMismatch,
@@ -93,14 +93,11 @@ class DualAnsatz:
 
     def entries(self, values):
         """{(i, j, k): value}: slot s set to values[s] and its transpose
-        filled by graded antisymmetry, [y,x] = -(-1)^{|x||y|}[x,y]; values
-        of any type with negation."""
-        par = self.grading.parities()
-        out = {}
-        for (i, j, k), v in zip(self.slots, values):
-            out[(i, j, k)] = v
-            if i != j:
-                out[(j, i, k)] = v if par[i] & par[j] else -v
+        filled by graded antisymmetry (``algebra._graded_transposes``);
+        values of any type with negation."""
+        out = dict(zip(self.slots, values))
+        _graded_transposes(out, {(i, j) for (i, j, _) in self.slots},
+                           self.grading.parities())
         return out
 
     def dual_algebra(self, ctx, values):

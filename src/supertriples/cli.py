@@ -142,9 +142,9 @@ def cmd_double(args):
 
 
 def cmd_invariants(args):
-    t = catalog_triple(args.triple)
-    fp = commutant_series(build_double(t),
-                          _single_bindings(_parse_bindings(args.bind)))
+    t = catalog_triple(args.triple)  # an unknown triple before a bad --bind
+    bindings = _single_bindings(_parse_bindings(args.bind))
+    fp = commutant_series(build_double(t.substitute(bindings) if bindings else t))
     if args.format == "machine":
         print("fingerprint triple=%s dims=%s totals=%s"
               % (args.triple, _fp_str(fp),

@@ -4,14 +4,18 @@ The canonical form pairs b_i with b~^i symmetrically and f_a with f~^a
 antisymmetrically:
 
     B = [[0, 0, 1_m, 0], [0, 0, 0, 1_n], [1_m, 0, 0, 0], [0, -1_n, 0, 0]]
+
+B is the signed permutation ``_pairing``, from which ``canonical_form``
+fills its matrix and ``iso`` reads condition (i) and a certificate's inverse.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from .algebra import _difference, _failures, _integer_matrix, _push
-from .errors import ConstraintViolation, DimensionMismatch
+from .algebra import Grading, _difference, _failures, _integer_matrix, _push
+from .errors import DimensionMismatch
 from .matrices import transpose
 
 __all__ = ["BilinearForm", "canonical_form", "check_ad_invariance",
@@ -48,20 +52,22 @@ class BilinearForm:
         return "BilinearForm(%dx%d)" % (self.dim, self.dim)
 
 
+@functools.lru_cache(maxsize=None)
+def _pairing(m, n):
+    """((p(i), s(i)) for each row i): the one nonzero entry B_{i p(i)} = s(i)
+    of the canonical form of superdimension (2m, 2n)."""
+    h = m + n
+    return (tuple((h + i, 1) for i in range(h))
+            + tuple((i, 1) for i in range(m))
+            + tuple((m + a, -1) for a in range(n)))
+
+
 def canonical_form(m, n):
     """The block form B of the dual homogeneous basis; superdimension (2m, 2n)."""
-    if m < 0 or n < 0 or m + n < 1:
-        raise ConstraintViolation("bad superdimension (%s, %s)" % (m, n))
-    d = 2 * (m + n)
-    parity = (0,) * m + (1,) * n + (0,) * m + (1,) * n
-    mat = [[Fraction(0)] * d for _ in range(d)]
-    off = m + n
-    for i in range(m):
-        mat[i][off + i] = Fraction(1)      # <b_i, b~^i>
-        mat[off + i][i] = Fraction(1)      # <b~^i, b_i>
-    for a in range(n):
-        mat[m + a][off + m + a] = Fraction(1)    # <f_a, f~^a>
-        mat[off + m + a][m + a] = Fraction(-1)   # <f~^a, f_a>
+    parity = Grading(m, n).parities() * 2
+    mat = [[Fraction(0)] * len(parity) for _ in parity]
+    for row, (p, s) in zip(mat, _pairing(m, n)):
+        row[p] = Fraction(s)
     return BilinearForm(m, n, parity, mat)
 
 

@@ -8,9 +8,10 @@ branches split),
     (ii)  C_a^p C_b^q F_pq^r = F'_ab^c C_c^r
 
 with F the source tensor, F' the target tensor and B the canonical form.
-B is a signed permutation, so (i) makes C^-1 = B C^T B^T a signed transpose
-of C: ``IsoCertificate.invert`` reads it off ``canonical_form`` without an
-elimination.
+B is a signed permutation, ``forms._pairing``, so (i) makes
+C^-1 = B C^T B^T a signed transpose of C: ``IsoCertificate.invert`` reads it
+off that pairing without an elimination, and (i) contracts C with the
+pairing's nonzero list (``_form_tensor``).
 
 (i) is computed by ``_form_residuals`` and (ii) by
 ``algebra._transport_residuals`` alone, on any entries.
@@ -48,7 +49,7 @@ from .algebra import (SuperAlgebra, _cleared_matrix, _columns, _difference,
                       _failures, _pull, _transport_residuals,
                       automorphism_residuals, commutant_series)
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
-from .forms import canonical_form
+from . import forms
 from .matrices import (back_substitute, dual_blockdiag, echelon, f_matmul,
                        s_identity, s_matmul, sparse)
 from .memo import memoized
@@ -109,7 +110,7 @@ class IsoCertificate:
     def invert(self):
         """The certificate target -> source with the signed transpose
         B C^T B^T of C, no division: (C^-1)_ij = s(i) s(j) C_{p(j) p(i)},
-        where B_{i p(i)} = s(i) is the canonical form (``_pairing``).
+        where B_{i p(i)} = s(i) is the canonical form (``forms._pairing``).
 
         Condition (i) reads C B C^T = B, and B^-1 = B^T for the signed
         permutation B, so the result is C^-1 at every point of the
@@ -120,7 +121,7 @@ class IsoCertificate:
         every composite it merges on both conditions, so a wrong inverse
         can only make a composite fail to verify, never a false merge."""
         C = self.matrix
-        pairing = _pairing(*_half(self.source))
+        pairing = forms._pairing(*_half(self.source))
         return IsoCertificate(
             self.ctx, [[C[q][p] if s == t else -C[q][p] for (q, t) in pairing]
                        for (p, s) in pairing],
@@ -196,10 +197,9 @@ def _conditions(M, form, source, target, c=1, s=1, t=1):
 @functools.lru_cache(maxsize=None)
 def _form_tensor(m, n):
     """The canonical form B as a tensor with one trivial upper index: the
-    nonzero list (p, q, 0, B_pq), with int entries, built once per shape."""
-    return tuple((p, q, 0, int(x))
-                 for p, row in enumerate(canonical_form(m, n).matrix)
-                 for q, x in enumerate(row) if x)
+    nonzero list (p, q, 0, B_pq), with int entries, read off
+    ``forms._pairing`` once per shape."""
+    return tuple((p, q, 0, s) for p, (q, s) in enumerate(forms._pairing(m, n)))
 
 
 def _form_residuals(M, form, c2):
@@ -293,14 +293,6 @@ def _half(double):
     return m // 2, n // 2
 
 
-@functools.lru_cache(maxsize=None)
-def _pairing(m, n):
-    """((p(i), s(i)) for each i): the one nonzero entry B_{i p(i)} = s(i) of
-    each row of the signed permutation ``canonical_form(m, n)``."""
-    return tuple(next((q, int(x)) for q, x in enumerate(row) if x)
-                 for row in canonical_form(m, n).matrix)
-
-
 def t_dual_certificate(triple):
     """The T-duality certificate C = B from the double of t to the double of
     its dual (S~|S)."""
@@ -308,7 +300,7 @@ def t_dual_certificate(triple):
     src = build_double(triple)
     tgt = build_double(t_dual(triple))
     m, n = triple.superdim()
-    B = canonical_form(m, n)
+    B = forms.canonical_form(m, n)
     ctx = triple.ctx
     matrix = [[ctx.const(x) for x in row] for row in B.matrix]
     return IsoCertificate(ctx, matrix, src, tgt, note="T")
@@ -602,7 +594,7 @@ def _stages(m, n):
     finite."""
     h = m + n
     d = 2 * h
-    Bmat = [[int(x) for x in row] for row in canonical_form(m, n).matrix]
+    Bmat = [[int(x) for x in row] for row in forms.canonical_form(m, n).matrix]
     yield "basic", iter([(_identity(d), 1), (Bmat, 1)])
     yield "duality", _partial_dualities(m, n, h, d)
     yield "shear", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True)

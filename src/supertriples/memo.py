@@ -34,8 +34,7 @@ def report_memo():
     Sharing is safe because no caller mutates what it gets: the route
     planner, ``Instance`` and the reports only read built triples,
     certificates and matrices or derive new objects (``build_double``,
-    ``tensor_equal``, ``invert``, ``compose``, ``map_scalars``), the row index
-    ``SuperAlgebra`` fills on first use depends on the tensor alone, and an
+    ``tensor_equal``, ``invert``, ``compose``, ``map_scalars``), and an
     instance's route nodes and a candidate table only grow by entries that
     do not depend on the caller."""
     if _MEMO.get() is not None:

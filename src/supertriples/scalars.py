@@ -133,103 +133,96 @@ def _term_image(v):
 
 
 class Domain:
-    """Allowed rational values of one parameter."""
+    """Allowed rational values of one parameter: the finite set ``values``,
+    else the interval from lo to hi less ``excluded``; an infinite bound
+    (None) is open, and ``free`` is the unbounded interval."""
 
-    __slots__ = ("kind", "values", "lo", "hi", "lo_open", "hi_open", "excluded")
+    __slots__ = ("values", "lo", "hi", "lo_open", "hi_open", "excluded")
 
-    def __init__(self, kind, values=None, lo=None, hi=None, lo_open=False,
+    def __init__(self, values=None, lo=None, hi=None, lo_open=False,
                  hi_open=False, excluded=()):
-        self.kind = kind  # 'free' | 'finite' | 'interval'
         self.values = tuple(values) if values is not None else None
         self.lo = lo
         self.hi = hi
-        self.lo_open = lo_open
-        self.hi_open = hi_open
+        self.lo_open = lo_open or lo is None
+        self.hi_open = hi_open or hi is None
         self.excluded = frozenset(Fraction(x) for x in excluded)
 
     @classmethod
     def free(cls, excluded=()):
-        return cls("free", excluded=excluded)
+        return cls(excluded=excluded)
 
     @classmethod
     def sign(cls):
-        return cls("finite", values=(Fraction(1), Fraction(-1)))
+        return cls(values=(Fraction(1), Fraction(-1)))
 
     @classmethod
     def finite(cls, values):
-        return cls("finite", values=tuple(Fraction(v) for v in values))
+        return cls(values=tuple(Fraction(v) for v in values))
 
     @classmethod
     def interval(cls, lo, hi, lo_open=False, hi_open=False, excluded=()):
-        return cls("interval", lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open,
+        return cls(lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open,
                    excluded=excluded)
 
     @property
     def is_finite(self):
-        return self.kind == "finite"
+        return self.values is not None
 
     @property
     def is_sign(self):
-        return self.kind == "finite" and set(self.values) == {1, -1}
+        return self.is_finite and set(self.values) == {1, -1}
 
     def allows(self, value):
         value = Fraction(value)
-        if self.kind == "finite":
+        if self.values is not None:
             return value in self.values
-        if value in self.excluded:
-            return False
-        if self.kind == "interval":
-            if self.lo is not None:
-                if value < self.lo or (self.lo_open and value == self.lo):
-                    return False
-            if self.hi is not None:
-                if value > self.hi or (self.hi_open and value == self.hi):
-                    return False
-        return True
+        lo, hi = self.lo, self.hi
+        return (value not in self.excluded
+                and (lo is None or value > lo or value == lo and not self.lo_open)
+                and (hi is None or value < hi or value == hi and not self.hi_open))
 
     def sample(self, rng):
-        if self.kind == "finite":
+        """A member of a finite set, else the first allowed n/d, n in
+        [-12, 12] and d in [1, 6], folded into an interval shorter than 26."""
+        if self.values is not None:
             return rng.choice(self.values)
+        lo = -13 if self.lo is None else self.lo
+        hi = 13 if self.hi is None else self.hi
+        span = hi - lo
         for _ in range(1000):
-            num = rng.randint(-12, 12)
-            den = rng.randint(1, 6)
-            v = Fraction(num, den)
-            if self.kind == "interval":
-                lo = self.lo if self.lo is not None else Fraction(-13)
-                hi = self.hi if self.hi is not None else Fraction(13)
-                span = hi - lo
-                v = lo + abs(v) % 1 * span if span < 26 else v
+            v = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+            if span < 26:
+                v = lo + abs(v) % 1 * span
             if self.allows(v):
                 return v
         raise ConstraintViolation("could not sample domain")
 
     def describe(self):
-        if self.kind == "finite":
+        if self.is_finite:
             if self.is_sign:
                 return "sign"
             return "{%s}" % ", ".join(str(v) for v in self.values)
-        if self.kind == "free":
+        if self.lo is None and self.hi is None:
             base = "free"
         else:
             lo = "-inf" if self.lo is None else str(self.lo)
             hi = "inf" if self.hi is None else str(self.hi)
-            base = "%s%s, %s%s" % ("(" if (self.lo_open or self.lo is None) else "[",
-                                   lo, hi,
-                                   ")" if (self.hi_open or self.hi is None) else "]")
+            base = "%s%s, %s%s" % ("(" if self.lo_open else "[", lo, hi,
+                                   ")" if self.hi_open else "]")
         if self.excluded:
             base += " \\ {%s}" % ", ".join(str(v) for v in sorted(self.excluded))
         return base
 
+    def _key(self):
+        return (self.values, self.lo, self.hi, self.lo_open, self.hi_open,
+                self.excluded)
+
     def __eq__(self, other):
-        return (isinstance(other, Domain)
-                and (self.kind, self.values, self.lo, self.hi, self.lo_open,
-                     self.hi_open, self.excluded)
-                == (other.kind, other.values, other.lo, other.hi, other.lo_open,
-                    other.hi_open, other.excluded))
+        return isinstance(other, Domain) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.kind, self.values, self.lo, self.hi, self.lo_open,
-                     self.hi_open, self.excluded))
+        return hash(self._key())
 
     def __repr__(self):
         return "Domain(%s)" % self.describe()
@@ -273,7 +266,7 @@ class ParamContext:
         if isinstance(radicand, Scalar):
             if radicand.ctx.params != self.params:
                 raise ConstraintViolation("radicand context mismatch")
-            if not radicand._rad_is_zero() or not _rf_is_one_den(radicand.re):
+            if radicand.rad is not None or not _rf_is_one_den(radicand.re):
                 raise ConstraintViolation("radicand must be a polynomial in the parameters")
             return radicand.re[0]
         if isinstance(radicand, dict):
@@ -322,6 +315,9 @@ class ParamContext:
     # -- structure ----------------------------------------------------------
 
     def __eq__(self, other):
+        """The one test of context sameness: the same object or equal parts."""
+        if other is self:
+            return True
         return (isinstance(other, ParamContext)
                 and self.params == other.params
                 and all(self.domains[k] == other.domains[k] for k in self.params)
@@ -414,7 +410,7 @@ class ParamContext:
             if not isinstance(v, Scalar):
                 terms.append((Fraction(v), None))
                 continue
-            if v.ctx is not target_ctx and v.ctx != target_ctx:
+            if v.ctx != target_ctx:
                 raise ConstraintViolation("binding scalar from foreign context")
             term = _term_image(v)
             if isinstance(term, Scalar):
@@ -463,7 +459,7 @@ class ParamContext:
                 raise InconsistentRadical("%s does not square to radicand" % whose)
 
         def mapper(s):
-            if s.ctx is not self and s.ctx != self:
+            if s.ctx != self:
                 raise ConstraintViolation("scalar from foreign context")
             out = image(s.re)
             if s.rad is None:
@@ -475,7 +471,9 @@ class ParamContext:
 
 class Scalar:
     """Element a + b*r of the fraction field (b = 0 when the context has no
-    radical in play); r^2 equals the context radicand."""
+    radical in play); r^2 equals the context radicand.  ``rad`` is b, or
+    None when b = 0: the constructor stores a zero b as None, so
+    ``rad is None`` is the one test of a zero radical part."""
 
     __slots__ = ("ctx", "re", "rad")
 
@@ -490,15 +488,18 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.ctx is self.ctx or other.ctx == self.ctx:
+            if other.ctx == self.ctx:
                 return other
             raise ConstraintViolation("scalar context mismatch")
         if isinstance(other, (int, Fraction)):
             return self.ctx.const(other)
         return NotImplemented
 
-    def _rad_is_zero(self):
-        return self.rad is None or not self.rad[0]
+    def _polys(self):
+        """Both parts' polynomials, and the radicand with a radical part."""
+        if self.rad is None:
+            return list(self.re)
+        return [*self.re, *self.rad, self.ctx.radicand]
 
     def _rad_rf(self):
         if self.rad is not None:
@@ -513,7 +514,7 @@ class Scalar:
             return NotImplemented
         nv = self.ctx.nvars
         re = _rf_add(self.re, other.re, nv)
-        if self._rad_is_zero() and other._rad_is_zero():
+        if self.rad is None and other.rad is None:
             return Scalar(self.ctx, re, None)
         rad = _rf_add(self._rad_rf(), other._rad_rf(), nv)
         return Scalar(self.ctx, re, rad)
@@ -538,7 +539,7 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         nv = self.ctx.nvars
-        if self._rad_is_zero() and other._rad_is_zero():
+        if self.rad is None and other.rad is None:
             return Scalar(self.ctx, _rf_mul(self.re, other.re, nv), None)
         a, b = self.re, self._rad_rf()
         c, d = other.re, other._rad_rf()
@@ -564,7 +565,7 @@ class Scalar:
         nv = self.ctx.nvars
         if self.is_zero():
             raise DivisionByZero("inverse of zero scalar")
-        if self._rad_is_zero():
+        if self.rad is None:
             num, den = self.re
             return Scalar(self.ctx, _rf_make(den, num, nv), None)
         a, b = self.re, self._rad_rf()
@@ -588,18 +589,18 @@ class Scalar:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return not self.re[0] and self._rad_is_zero()
+        return not self.re[0] and self.rad is None
 
     def is_one(self):
-        return self._rad_is_zero() and self.re == self.ctx.one().re
+        return self.rad is None and self.re == self.ctx.one().re
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ctx.const(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return ((self.ctx is other.ctx or self.ctx == other.ctx)
-                and self.re == other.re and self.rad == other.rad)
+        return (self.ctx == other.ctx and self.re == other.re
+                and self.rad == other.rad)
 
     def __hash__(self):
         # a constant equals its Fraction value (__eq__), so it hashes as one
@@ -615,16 +616,12 @@ class Scalar:
 
     def is_constant(self):
         ok = _p_is_const(self.re[0]) and _p_is_const(self.re[1])
-        return ok and self._rad_is_zero()
+        return ok and self.rad is None
 
     def used_params(self):
         """Names of the parameters this scalar depends on; a nonzero radical
         part depends on the radicand's parameters too."""
-        polys = list(self.re)
-        if not self._rad_is_zero():
-            polys.extend(self.rad)
-            polys.append(self.ctx.radicand)
-        return {self.ctx.params[i] for f in polys for m in f
+        return {self.ctx.params[i] for f in self._polys() for m in f
                 for i, e in enumerate(m) if e}
 
     def size(self):
@@ -632,10 +629,7 @@ class Scalar:
         numerator or denominator and the largest total degree over this
         scalar's polynomials, the radicand's too when the radical part is
         nonzero.  A power s ** k has at most about k times each."""
-        polys = list(self.re)
-        if not self._rad_is_zero():
-            polys.extend(self.rad)
-            polys.append(self.ctx.radicand)
+        polys = self._polys()
         bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
                    for f in polys for c in f.values())
         return bits, max(sum(m) for f in polys for m in f)
@@ -666,7 +660,7 @@ class Scalar:
             if not _rf_is_one_den(self.re):
                 s = "(%s)/(%s)" % (s, _p_str(den, names))
             bits.append(s)
-        if not self._rad_is_zero():
+        if self.rad is not None:
             rnum, rden = self.rad
             rs = _p_str(rnum, names)
             if not _rf_is_one_den(self.rad):
@@ -802,7 +796,7 @@ def clear_denominators(ctx, values):
     nonzero value from another context is a ConstraintViolation, as in
     Scalar arithmetic."""
     for x in values:
-        if x.ctx is not ctx and x.ctx != ctx and x:
+        if x.ctx != ctx and x:
             raise ConstraintViolation("scalar context mismatch")
     if not ctx.params and ctx.radicand is None:
         fracs = [x.as_fraction() for x in values]

@@ -9,7 +9,7 @@ from them, never entered by hand:
 
 from __future__ import annotations
 
-from .algebra import Grading, SuperAlgebra, check_jacobi
+from .algebra import Grading, SuperAlgebra, _graded_transposes, check_jacobi
 from .errors import DimensionMismatch
 
 __all__ = ["ManinTriple", "DoubleAlgebra", "build_double",
@@ -22,7 +22,7 @@ class ManinTriple:
     def __init__(self, S, S_dual, ident=None, label=None):
         if S.superdim() != S_dual.superdim():
             raise DimensionMismatch("subalgebra superdimensions differ")
-        if S.ctx is not S_dual.ctx and S.ctx != S_dual.ctx:
+        if S.ctx != S_dual.ctx:
             raise DimensionMismatch("subalgebras must share a context")
         self.S = S
         self.S_dual = S_dual
@@ -114,11 +114,10 @@ def double_entries(S_nz, Sd_nz, h, parity):
     entries.update(((h + i, h + j, h + k), c) for (i, j, k, c) in Sd_nz)
     # mixed brackets [X_I, X~^J] per the double formula, each entry read off
     # one nonzero entry of F~ or F; [X~^J, X_I] by graded antisymmetry
-    mixed = [((i, h + j, k), c) for (j, k, i, c) in Sd_nz]
-    mixed += [((i, h + j, h + k), c) for (k, i, j, c) in S_nz]
-    for (i, hj, k), c in mixed:
-        entries[(i, hj, k)] = c
-        entries[(hj, i, k)] = c if (parity[i] * parity[hj]) % 2 else -c
+    mixed = {(i, h + j, k): c for (j, k, i, c) in Sd_nz}
+    mixed.update(((i, h + j, h + k), c) for (k, i, j, c) in S_nz)
+    _graded_transposes(mixed, {key[:2] for key in mixed}, parity)
+    entries.update(mixed)
     return entries
 
 

@@ -18,6 +18,7 @@ from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
 from supertriples.errors import ConstraintViolation, DivisionByZero, UnknownName
 from supertriples.forms import canonical_form, check_ad_invariance
 from supertriples.matrices import echelon_add
+from supertriples.parsing import render_combo
 from supertriples.scalars import Domain, ParamContext
 from supertriples.triples import build_double, t_dual
 from test_matrices import rref
@@ -185,11 +186,9 @@ def _kept_tensors(A):
     return tuple(kept)
 
 
-def test_each_algebra_keeps_its_cleared_tensors(monkeypatch):
-    """cleared_tensor() and integer_tensor() are computed once per algebra
-    and kept as tuples: on every catalog algebra and every double that
-    report thm3 fingerprints, what they return equals a fresh computation,
-    before and after a caller tries to change it in place."""
+def _thm3_doubles(monkeypatch):
+    """The doubles that report thm3 fingerprints, in the order it builds
+    them."""
     doubles = []
     real = classify.make_instances
 
@@ -200,6 +199,15 @@ def test_each_algebra_keeps_its_cleared_tensors(monkeypatch):
 
     monkeypatch.setattr(classify, "make_instances", recorded)
     assert classify.report("thm3").passed
+    return doubles
+
+
+def test_each_algebra_keeps_its_cleared_tensors(monkeypatch):
+    """cleared_tensor() and integer_tensor() are computed once per algebra
+    and kept as tuples: on every catalog algebra and every double that
+    report thm3 fingerprints, what they return equals a fresh computation,
+    before and after a caller tries to change it in place."""
+    doubles = _thm3_doubles(monkeypatch)
     algebras = [catalog(name) for name in sorted(get_catalog().algebras)]
     assert len(doubles) > 100 and len(algebras) == 19
     numeric = 0
@@ -208,6 +216,49 @@ def test_each_algebra_keeps_its_cleared_tensors(monkeypatch):
         assert _kept_tensors(A) == fresh == _kept_tensors(A), A.name
         numeric += fresh[1] is not ConstraintViolation
     assert numeric > len(doubles)
+
+
+def _row_index_views(A):
+    """(rows, F, describe): the row index {(i, j): {k: F_ij^k}} built from
+    nonzero() as SuperAlgebra once kept it, and the dense view and the
+    description read off that index."""
+    rows = {}
+    for (i, j, k, c) in A.nonzero():
+        rows.setdefault((i, j), {})[k] = c
+    d, zero = A.dim, A.ctx.zero()
+    F = tuple(tuple(tuple(rows.get((i, j), {}).get(k, zero) for k in range(d))
+                    for j in range(d)) for i in range(d))
+    items, seen = [], set()
+    for (i, j), row in rows.items():
+        if (j, i) in seen:
+            continue
+        seen.add((i, j))
+        items.append("[%s,%s] = %s" % (A.names[i], A.names[j],
+                                       render_combo(A.names, row)))
+    return rows, F, "; ".join(items) if items else "(abelian)"
+
+
+def test_rows_are_read_off_the_sorted_entries(monkeypatch):
+    """bracket, brackets_dict, F and describe_brackets, read off the sorted
+    nonzero entries, equal a row index built from them, in order, on every
+    catalog algebra and every double report thm3 fingerprints; each call
+    returns fresh dicts."""
+    algebras = [catalog(name) for name in sorted(get_catalog().algebras)]
+    doubles = _thm3_doubles(monkeypatch)
+    assert len(doubles) > 100
+    for A in algebras + doubles:
+        rows, F, describe = _row_index_views(A)
+        got = A.brackets_dict()
+        assert [(key, list(row.items())) for key, row in got.items()] == \
+            [(key, list(row.items())) for key, row in rows.items()], A.name
+        for i in range(A.dim):
+            for j in range(A.dim):
+                row = A.bracket(i, j)
+                assert list(row.items()) == list(rows.get((i, j), {}).items())
+                row[0] = None
+        got.clear()
+        assert A.brackets_dict() == rows and A.F == F
+        assert A.describe_brackets() == describe, A.name
 
 
 def _rescaled(A):

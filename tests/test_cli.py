@@ -543,6 +543,21 @@ def test_check_file_grading_violation(tmp_path):
     assert "violates the grading" in r.stderr
 
 
+@pytest.mark.parametrize("brackets", [
+    "[b1, f1] = 0; [f1, b1] = f1",
+    "[f1, b1] = f1; [b1, f1] = 0",
+])
+def test_check_file_keeps_a_zero_bracket_listed_both_ways(tmp_path, brackets):
+    """A pair listed both ways keeps both values, a zero one included: no
+    transpose is filled over [b1, f1] = 0, so [f1, b1] = f1 breaks graded
+    antisymmetry and the algebra fails its check, exit 1."""
+    path = tmp_path / "zero.cat"
+    path.write_text("algebra ZB super_dim (1, 1)\n  brackets { %s }\n" % brackets)
+    r = run("check", "--file", str(path))
+    assert r.returncode == 1, r.stderr
+    assert r.stdout.splitlines() == ["algebra ZB: FAIL", "parsed 1 declarations"]
+
+
 def _readme_cli_commands():
     """The commands of the README's CLI block, as argument lists."""
     with open(README, encoding="utf-8") as fh:

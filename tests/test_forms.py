@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from supertriples.catalog import catalog_triple, get_catalog
 from supertriples.errors import ConstraintViolation, DimensionMismatch
-from supertriples.algebra import SuperAlgebra
-from supertriples.forms import (canonical_form, check_ad_invariance,
+from supertriples.algebra import Grading, SuperAlgebra
+from supertriples.forms import (_pairing, canonical_form, check_ad_invariance,
                                 check_graded_symmetry, check_isotropic)
 from supertriples.triples import ManinTriple, build_double
 from test_scalars import perturbations, scalar_branch_failures, scalar_verdict
@@ -35,8 +35,41 @@ def test_canonical_form_purely_even():
 
 
 def test_bad_superdimension():
-    with pytest.raises(ConstraintViolation):
-        canonical_form(0, 0)
+    """canonical_form refuses what Grading refuses, with its message."""
+    for m, n in ((0, 0), (-1, 2), (2, -1)):
+        for make in (canonical_form, Grading):
+            with pytest.raises(ConstraintViolation,
+                               match=r"bad superdimension \(%d, %d\)" % (m, n)):
+                make(m, n)
+
+
+def _block_form(m, n):
+    """The dense B = [[0, 0, 1_m, 0], [0, 0, 0, 1_n], [1_m, 0, 0, 0],
+    [0, -1_n, 0, 0]], block by block."""
+    h = m + n
+    mat = [[0] * (2 * h) for _ in range(2 * h)]
+    for i in range(m):
+        mat[i][h + i] = mat[h + i][i] = 1
+    for a in range(n):
+        mat[m + a][h + m + a] = 1
+        mat[h + m + a][m + a] = -1
+    return mat
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(4) for n in range(4)
+                                  if (m, n) != (0, 0)])
+def test_canonical_form_is_its_pairing(m, n):
+    """Each row i of canonical_form(m, n) has its one nonzero entry, a
+    Fraction s(i), in column p(i) of ``_pairing``; the matrix is the block
+    form and the parities are Grading's, twice."""
+    B, pairing = canonical_form(m, n), _pairing(m, n)
+    assert len(pairing) == B.dim == 2 * (m + n)
+    for row, (p, s) in zip(B.matrix, pairing):
+        assert [(q, x) for q, x in enumerate(row) if x] == [(p, s)]
+        assert type(row[p]) is Fraction
+    assert B.matrix == _block_form(m, n)
+    assert B.parity == Grading(m, n).parities() * 2
+    assert check_graded_symmetry(B) == []
 
 
 def test_b_squared_identity():

@@ -5,6 +5,10 @@ The ``solve_r.txt`` golden pins ``solve-r`` on every seed the command
 accepts, symbolic and numeric, with each request's exit status: the R of
 every solvable system and the witness of every unsolvable one.
 
+The ``verify_iso.txt`` golden pins ``verify-iso`` on every catalog
+certificate, and ``double.txt`` pins ``double`` on every catalog triple in
+both formats, each output under a ``# <id> <format>`` header.
+
 The classification targets (table5, thm1, thm2, thm3) are golden-checked
 inside the acceptance suite where they already run once.  The enumerate
 goldens pin the orbit representatives, the member counts and the
@@ -17,6 +21,7 @@ import os
 
 import pytest
 
+from supertriples.catalog import get_catalog, list_certificates
 from supertriples.classify import report
 from supertriples.cli import main
 
@@ -87,3 +92,23 @@ def test_golden_solve_r():
         rendered.append("# %s exit=%d\n%s" % (" ".join(args), code,
                                               out.getvalue()))
     _compare("solve_r.txt", "".join(rendered))
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, argv
+    return out.getvalue()
+
+
+def test_golden_verify_iso():
+    _compare("verify_iso.txt", "".join(
+        _run(["--format", "machine", "verify-iso", "--cert", cid])
+        for cid in list_certificates()))
+
+
+def test_golden_double():
+    _compare("double.txt", "".join(
+        "# %s %s\n%s" % (tid, fmt, _run(["--format", fmt, "double", "--triple", tid]))
+        for tid in sorted(get_catalog().triples) for fmt in ("machine", "text")))

@@ -67,6 +67,21 @@ def test_domain_forms():
     assert ctx.domains["t"].allows(Fraction(1, 4))
 
 
+def test_unbounded_interval_is_free():
+    """(-inf, inf) is the domain free: equal, and printed as free, with its
+    exclusions too."""
+    text = """
+    algebra T super_dim (1, 1)
+      params { a : free; b : (-inf, inf); c : free \\ {0}; d : (-inf, inf) \\ {0};
+               e : [0, inf) }
+      brackets { }
+    """
+    dom = parse_catalog(text)[0].ctx.domains
+    assert dom["a"] == dom["b"] and dom["c"] == dom["d"] and dom["a"] != dom["c"]
+    assert [dom[n].describe() for n in "abcde"] == [
+        "free", "free", "free \\ {0}", "free \\ {0}", "[0, inf)"]
+
+
 def _algebra(brackets):
     return AlgebraEntry(parse_catalog(
         "algebra X super_dim (1, 2) params { a : free } brackets { %s }"

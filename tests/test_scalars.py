@@ -366,6 +366,63 @@ def test_domain_checking():
     assert half.allows(3) and not half.allows(0) and not half.allows(-1)
 
 
+def _kind_sample(kind, dom, rng):
+    """Domain.sample as it read when a domain stored its kind ('free',
+    'finite' or 'interval'): the reference for the kind-free sampler."""
+    if kind == "finite":
+        return rng.choice(dom.values)
+    for _ in range(1000):
+        num = rng.randint(-12, 12)
+        den = rng.randint(1, 6)
+        v = Fraction(num, den)
+        if kind == "interval":
+            lo = dom.lo if dom.lo is not None else Fraction(-13)
+            hi = dom.hi if dom.hi is not None else Fraction(13)
+            span = hi - lo
+            v = lo + abs(v) % 1 * span if span < 26 else v
+        if dom.allows(v):
+            return v
+    raise ConstraintViolation("could not sample domain")
+
+
+SAMPLED_DOMAINS = [
+    ("free", Domain.free()),
+    ("free", Domain.free(excluded=(0, 1))),
+    ("finite", Domain.sign()),
+    ("finite", Domain.finite([0, 1, Fraction(-2, 3)])),
+    ("interval", Domain.interval(0, None, lo_open=True)),
+    ("interval", Domain.interval(None, 0, True, True)),
+    ("interval", Domain.interval(-1, 1, excluded=(0,))),
+    ("interval", Domain.interval(Fraction(1, 3), 2, True, False)),
+    ("interval", Domain.interval(-20, 20)),
+    ("interval", Domain.interval(None, None, True, True, excluded=(2,))),
+]
+
+
+@pytest.mark.parametrize("kind, dom", SAMPLED_DOMAINS,
+                         ids=[d.describe() for _, d in SAMPLED_DOMAINS])
+def test_domain_sample_draws_as_the_kind_based_sampler(kind, dom):
+    """Without a stored kind, sample draws the same values from the same
+    rng, and leaves it in the same state, as the kind-based sampler did,
+    so orbit draws do not move."""
+    for seed in range(200):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert dom.sample(ours) == _kind_sample(kind, dom, ref), seed
+        assert ours.getstate() == ref.getstate()
+
+
+def test_an_infinite_bound_is_open():
+    """A missing bound is open, so the unbounded interval is free: equal,
+    hashed alike and described as free."""
+    assert Domain.interval(None, None) == Domain.free()
+    assert hash(Domain.interval(None, None)) == hash(Domain.free())
+    assert Domain.interval(None, None, excluded=(0,)).describe() == "free \\ {0}"
+    assert Domain.interval(0, None, lo_open=True) == Domain.interval(0, None, True, True)
+    assert Domain.interval(0, None).describe() == "[0, inf)"
+    assert Domain.interval(0, 1) != Domain.interval(0, 1, hi_open=True)
+
+
 # -- field axioms and substitution homomorphism -----------------------------
 
 small_fraction = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -724,3 +781,34 @@ def test_constant_rational_functions_skip_the_gcd(a, b):
         assert fast == drop(general)
         assert fast[1] == {(): 1}
         assert all(type(c) is Fraction for p in fast for c in p.values())
+
+
+RADICAL_CONTEXTS = {
+    "constant": lambda: ParamContext(radicals=[("r", 2)]),
+    "parameter": lambda: ParamContext(
+        [("p", Domain.free())], radicals=[("r", ctx_p().param("p").re[0])]),
+    "both": ctx_rho,
+}
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(RADICAL_CONTEXTS)))
+@settings(max_examples=80, deadline=None)
+def test_a_zero_radical_part_is_stored_as_none(seed, which):
+    """A radical part that cancels is stored as None, never as a zero
+    rational function, so ``rad is None`` is the one test of it: for every
+    arithmetic result on random a + b*r, and for r*r - q and
+    (a + b*r) - b*r in particular."""
+    rng = random.Random(seed)
+    ctx = RADICAL_CONTEXTS[which]()
+    r = ctx.radical()
+    q = Scalar(ctx, (ctx.radicand, ctx.one().re[1]), None)
+    a, b, c = (random_scalar(ctx, rng) for _ in range(3))
+    x = a + b * r
+    results = [r * r - q, x - b * r, (a + b * r) - (b * r + a), x * c - x * c,
+               r * b - b * r, x + c, x - c, x * c, -x, x * x, r * x - x * r]
+    if x:
+        results += [x.inv(), c / x, x / x, x * x.inv()]
+    for s in results:
+        assert s.rad is None or s.rad[0], s
+    for s in results[:5]:
+        assert s.rad is None, s
