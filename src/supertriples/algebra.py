@@ -13,20 +13,21 @@ in the transposes that graded antisymmetry gives.
 
 The graded Jacobi identity runs through one kernel, ``_jacobi``, and every
 contraction of a tensor with a matrix (basis change, the automorphism and
-certificate conditions, the orbit join, the commutant series and
-ad-invariance in ``forms``) through ``_pull`` and ``_push``, for int,
-Fraction, Scalar and ``scalars.Cleared`` entries alike.  The condition that
-a matrix carries one tensor onto another, which is an automorphism's, a
+certificate conditions, the orbit join and the commutant series) through
+``_pull`` and ``_push``, for int, Fraction, Scalar and ``scalars.Cleared``
+entries alike; ad-invariance in ``forms`` needs no contraction, since the
+canonical form is a signed permutation.  The condition that a matrix
+carries one tensor onto another, which is an automorphism's, a
 certificate's condition (ii) and the orbit join's, is stated once, by
-``_transport_residuals``.  ``SuperAlgebra.integer_tensor`` and
-``_integer_matrix`` clear Fraction denominators once, so numeric work runs
-on integers.  The commutant spans and an automorphism's rank come from
-``matrices.echelon_add``, the one elimination loop.  Every check runs its
-kernel on inputs cleared once by ``scalars.clear_denominators``, and
-``scalars.failing_on_branches`` alone decides it (``_failures``).  A tensor
-is cleared once per algebra: an algebra does not change, so
-``cleared_tensor`` and ``integer_tensor`` keep their first result, as
-tuples, for every later check, certificate and fingerprint.
+``_transport_residuals``.  ``SuperAlgebra.integer_tensor`` clears Fraction
+denominators once, so numeric work runs on integers.  The commutant spans
+and an automorphism's rank come from ``matrices.echelon_add``, the one
+elimination loop.  Every check runs its kernel on inputs cleared once by
+``scalars.clear_denominators``, and ``scalars.failing_on_branches`` alone
+decides it (``_failures``).  A tensor is cleared once per algebra: an
+algebra does not change, so ``cleared_tensor`` and ``integer_tensor`` keep
+their first result, as tuples, for every later check, certificate and
+fingerprint.
 """
 
 from __future__ import annotations
@@ -420,13 +421,6 @@ def _cleared_matrix(ctx, A):
     d = len(A)
     flat, c = clear_denominators(ctx, [x for row in A for x in row])
     return [flat[a:a + d] for a in range(0, d * d, d)], c
-
-
-def _integer_matrix(M):
-    """(integer matrix, a): the Fraction matrix M times a, the lcm of the
-    denominators of its entries."""
-    a = math.lcm(*(x.denominator for row in M for x in row))
-    return [[x.numerator * (a // x.denominator) for x in row] for row in M], a
 
 
 def _difference(lhs, rhs):

@@ -326,10 +326,10 @@ class _BranchDraw:
     (``polys._p_int_forms``).  A member at rational values of the family
     parameters is evaluated at the integers they make over one common
     denominator, with no context bound and no Scalar made: at a settled
-    root rn/rd each entry is (a rd + b rn)/(D rd), so M = c A^T
-    (``_integer_matrix``) is those numerators over c = |D rd|, reduced by
-    one gcd.  That is what ``instantiate`` followed by ``as_fraction``
-    gives.  Refused, so None, are exactly the values ``instantiate``
+    root rn/rd each entry is (a rd + b rn)/(D rd), so the integer matrix
+    M = c A^T is those numerators over c = |D rd|, reduced by one gcd.
+    That is what ``instantiate`` followed by ``as_fraction`` gives, cleared
+    by the lcm of its denominators.  Refused, so None, are exactly the values ``instantiate``
     refuses: one outside its parameter's domain, a negative radicand, a
     vanishing constraint.  A vanishing D is a DivisionByZero and an entry
     left irrational by an unsettled radical a ConstraintViolation, as for

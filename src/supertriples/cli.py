@@ -204,10 +204,10 @@ def cmd_solve_r(args):
             print("NoSolution: requires %s = 0" % res.witness)
         return EXIT_CHECK_FAILED
     if args.format == "machine":
-        flat = ";".join(str(x).replace(" ", "") for row in res.R for x in row)
+        flat = ";".join(str(x).replace(" ", "") for row in res for x in row)
         print("solve_r algebra=%s status=ok R=%s" % (args.algebra, flat))
     else:
-        for row in res.R:
+        for row in res:
             print("  [ %s ]" % ", ".join(str(x) for x in row))
     return EXIT_OK
 
@@ -286,9 +286,10 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="axioms of an algebra / compatibility of a triple")
-    p.add_argument("--algebra")
-    p.add_argument("--triple")
-    p.add_argument("--file")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--algebra")
+    target.add_argument("--triple")
+    target.add_argument("--file")
     p.add_argument("--bind", action="append")
     p.set_defaults(func=cmd_check)
 

@@ -55,7 +55,7 @@ from .matrices import (back_substitute, dual_blockdiag, echelon, f_matmul,
 from .memo import memoized
 from .triples import ManinTriple, build_double
 
-__all__ = ["IsoCertificate", "RSolution", "NoSolution", "Exhausted",
+__all__ = ["IsoCertificate", "NoSolution", "Exhausted",
            "verify_certificate", "from_automorphism", "solve_r",
            "solve_shear", "shear_matrix", "search_iso", "t_dual_certificate"]
 
@@ -299,11 +299,20 @@ def t_dual_certificate(triple):
     from .triples import t_dual
     src = build_double(triple)
     tgt = build_double(t_dual(triple))
-    m, n = triple.superdim()
-    B = forms.canonical_form(m, n)
     ctx = triple.ctx
-    matrix = [[ctx.const(x) for x in row] for row in B.matrix]
+    matrix = [[ctx.const(x) for x in row]
+              for row in _t_dual_matrix(*triple.superdim())]
     return IsoCertificate(ctx, matrix, src, tgt, note="T")
+
+
+def _t_dual_matrix(m, n):
+    """The T-duality matrix C = B as ints, filled from ``forms._pairing``;
+    superdimension (2m, 2n)."""
+    pairing = forms._pairing(m, n)
+    C = [[0] * len(pairing) for _ in pairing]
+    for row, (p, s) in zip(C, pairing):
+        row[p] = s
+    return C
 
 
 def from_automorphism(A_inst, triple):
@@ -323,29 +332,6 @@ def from_automorphism(A_inst, triple):
 
 # ---------------------------------------------------------------------------
 # shears: f~ -> f~ + R f
-
-
-class RSolution:
-    """Symmetric R with R H + (R H)^T = G."""
-
-    __slots__ = ("H", "G", "R")
-
-    def __init__(self, H, G, R):
-        self.H = H
-        self.G = G
-        self.R = R
-
-    def check(self):
-        RH = s_matmul(self.R, self.H)
-        n = len(self.R)
-        for j in range(n):
-            for k in range(n):
-                if RH[j][k] + RH[k][j] != self.G[j][k]:
-                    return False
-        return True
-
-    def __repr__(self):
-        return "RSolution(%s)" % (self.R,)
 
 
 class NoSolution:
@@ -376,12 +362,9 @@ def solve_r(H, G):
     column order, and so the matrix of every ``shear`` certificate in the
     catalog, which ``shear_matrix`` derives from it.  With no solution the
     witness is the first equation that reduces to its G side alone, made
-    monic.
+    monic.  Returns R or NoSolution, as ``solve_shear([H], [G])``.
     """
-    res = solve_shear([H], [G])
-    if isinstance(res, NoSolution):
-        return res
-    return RSolution(H, G, res)
+    return solve_shear([H], [G])
 
 
 def solve_shear(H_list, G_list):
@@ -594,8 +577,7 @@ def _stages(m, n):
     finite."""
     h = m + n
     d = 2 * h
-    Bmat = [[int(x) for x in row] for row in forms.canonical_form(m, n).matrix]
-    yield "basic", iter([(_identity(d), 1), (Bmat, 1)])
+    yield "basic", iter([(_identity(d), 1), (_t_dual_matrix(m, n), 1)])
     yield "duality", _partial_dualities(m, n, h, d)
     yield "shear", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True)
     yield "shear_up", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=False)

@@ -308,10 +308,6 @@ class ParamContext:
         return Scalar(self, ({}, _p_const(1, nv)),
                       (_p_const(1, nv), _p_const(1, nv)))
 
-    def parse(self, text):
-        from .parsing import parse_scalar
-        return parse_scalar(self, text)
-
     # -- structure ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -590,9 +586,6 @@ class Scalar:
 
     def is_zero(self):
         return not self.re[0] and self.rad is None
-
-    def is_one(self):
-        return self.rad is None and self.re == self.ctx.one().re
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supertriples import algebra, classify, cli, iso, matrices
-from supertriples.algebra import (AutoBranch, Grading, SuperAlgebra,
-                                  _integer_matrix, _jacobi)
+from supertriples.algebra import AutoBranch, Grading, SuperAlgebra, _jacobi
 from supertriples.catalog import (AlgebraEntry, automorphisms, catalog,
                                   catalog_triple, get_catalog, list_algebras)
 from supertriples.classify import (ENUM_BUDGET, ENUM_GRID, ORBIT_GRID,
@@ -825,6 +824,13 @@ def _outcome(draw):
         return type(exc)
 
 
+def integer_matrix(M):
+    """(integer matrix, a): the Fraction matrix M times a, the lcm of the
+    denominators of its entries."""
+    a = math.lcm(*(x.denominator for row in M for x in row))
+    return [[x.numerator * (a // x.denominator) for x in row] for row in M], a
+
+
 def _scalar_member(branch, values):
     """``instantiate`` then ``as_fraction``, as (M, c) with M = c A^T:
     "refused" where instantiate raises a ConstraintViolation."""
@@ -832,8 +838,8 @@ def _scalar_member(branch, values):
         _, mat = branch.instantiate(dict(zip(branch.family_params, values)))
     except ConstraintViolation:
         return "refused"
-    return _integer_matrix([[x.as_fraction() for x in col]
-                            for col in zip(*mat)])
+    return integer_matrix([[x.as_fraction() for x in col]
+                           for col in zip(*mat)])
 
 
 def _integer_member(branch, values):

@@ -39,6 +39,23 @@ def test_check_triple():
     assert "compatibility: PASS" in r.stdout
 
 
+@pytest.mark.parametrize("first, second", [
+    (["--algebra", "A11"], ["--triple", "MT22_1"]),
+    (["--algebra", "A11"], ["--file", "x.cat"]),
+    (["--triple", "MT22_1"], ["--file", "x.cat"]),
+], ids=["algebra-triple", "algebra-file", "triple-file"])
+def test_check_takes_one_target(first, second):
+    """Two of --algebra, --triple and --file are a usage error, exit 2, with
+    nothing checked; none of them is a constraint violation, exit 3."""
+    r = run("check", *first, *second)
+    assert r.returncode == 2 and r.stdout == ""
+    assert "not allowed with argument" in r.stderr
+    r = run("check")
+    assert r.returncode == 3
+    assert r.stderr == ("constraint violation: check needs --algebra, "
+                        "--triple or --file\n")
+
+
 def test_verify_iso_output():
     r = run("verify-iso", "--cert", "DD42_V")
     assert r.returncode == 0

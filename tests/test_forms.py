@@ -1,5 +1,4 @@
 import functools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,31 +6,35 @@ from hypothesis import given, settings, strategies as st
 from supertriples.catalog import catalog_triple, get_catalog
 from supertriples.errors import ConstraintViolation, DimensionMismatch
 from supertriples.algebra import Grading, SuperAlgebra
-from supertriples.forms import (_pairing, canonical_form, check_ad_invariance,
-                                check_graded_symmetry, check_isotropic)
+from supertriples.forms import _pairing, canonical_form, check_ad_invariance
 from supertriples.triples import ManinTriple, build_double
 from test_scalars import perturbations, scalar_branch_failures, scalar_verdict
 
 
+def _graded_symmetry_failures(m, n):
+    """(a, b) pairs violating B_ab = (-1)^{|a||b|} B_ba, with B the dense
+    matrix of ``_pairing(m, n)``."""
+    B, par = _dense(m, n), Grading(m, n).parities() * 2
+    return [(a, b) for a in range(len(B)) for b in range(a, len(B))
+            if B[a][b] != (-1) ** (par[a] * par[b]) * B[b][a]]
+
+
 def test_canonical_form_11():
-    B = canonical_form(1, 1)
-    assert B.dim == 4
-    assert B[0, 2] == 1 and B[2, 0] == 1       # <b, b~> symmetric
-    assert B[1, 3] == 1 and B[3, 1] == -1      # <f, f~> antisymmetric
-    assert check_graded_symmetry(B) == []
+    assert canonical_form(1, 1).dim == 4
+    B = _dense(1, 1)
+    assert B[0][2] == 1 and B[2][0] == 1       # <b, b~> symmetric
+    assert B[1][3] == 1 and B[3][1] == -1      # <f, f~> antisymmetric
 
 
 def test_canonical_form_21():
-    B = canonical_form(2, 1)
-    assert B.dim == 6
-    assert B[0, 3] == 1 and B[1, 4] == 1
-    assert B[2, 5] == 1 and B[5, 2] == -1
-    assert check_graded_symmetry(B) == []
+    assert canonical_form(2, 1).dim == 6
+    B = _dense(2, 1)
+    assert B[0][3] == 1 and B[1][4] == 1
+    assert B[2][5] == 1 and B[5][2] == -1
 
 
 def test_canonical_form_purely_even():
-    B = canonical_form(1, 0)
-    assert B.matrix == [[0, 1], [1, 0]]
+    assert _dense(1, 0) == [[0, 1], [1, 0]]
 
 
 def test_bad_superdimension():
@@ -56,32 +59,40 @@ def _block_form(m, n):
     return mat
 
 
+def _dense(m, n):
+    """The dense matrix of ``_pairing(m, n)``: s(i) at (i, p(i)), else 0."""
+    pairing = _pairing(m, n)
+    mat = [[0] * len(pairing) for _ in pairing]
+    for row, (p, s) in zip(mat, pairing):
+        row[p] = s
+    return mat
+
+
 @pytest.mark.parametrize("m, n", [(m, n) for m in range(4) for n in range(4)
                                   if (m, n) != (0, 0)])
 def test_canonical_form_is_its_pairing(m, n):
-    """Each row i of canonical_form(m, n) has its one nonzero entry, a
-    Fraction s(i), in column p(i) of ``_pairing``; the matrix is the block
-    form and the parities are Grading's, twice."""
+    """``_pairing(m, n)`` is the block form, an involution p with int signs,
+    and graded symmetric; canonical_form(m, n) has its dimension and
+    Grading's parities, twice."""
     B, pairing = canonical_form(m, n), _pairing(m, n)
     assert len(pairing) == B.dim == 2 * (m + n)
-    for row, (p, s) in zip(B.matrix, pairing):
-        assert [(q, x) for q, x in enumerate(row) if x] == [(p, s)]
-        assert type(row[p]) is Fraction
-    assert B.matrix == _block_form(m, n)
+    assert _dense(m, n) == _block_form(m, n)
+    for i, (p, s) in enumerate(pairing):
+        assert pairing[p][0] == i and type(s) is int
     assert B.parity == Grading(m, n).parities() * 2
-    assert check_graded_symmetry(B) == []
+    assert _graded_symmetry_failures(m, n) == []
 
 
 def test_b_squared_identity():
     """B^2 = +1 on even and -1 on odd diagonal."""
     for m, n in ((1, 1), (2, 1), (1, 2)):
-        B = canonical_form(m, n)
-        d = B.dim
-        sq = [[sum(B.matrix[i][k] * B.matrix[k][j] for k in range(d))
+        B, par = _dense(m, n), canonical_form(m, n).parity
+        d = len(B)
+        sq = [[sum(B[i][k] * B[k][j] for k in range(d))
                for j in range(d)] for i in range(d)]
         for i in range(d):
             for j in range(d):
-                want = 0 if i != j else (1 if B.parity[i] == 0 else -1)
+                want = 0 if i != j else (1 if par[i] == 0 else -1)
                 assert sq[i][j] == want
 
 
@@ -113,14 +124,6 @@ def test_ad_invariance_dimension_mismatch():
         check_ad_invariance(build_double(t), canonical_form(2, 1))
 
 
-def test_isotropy():
-    B = canonical_form(1, 1)
-    assert check_isotropic(B, [0, 1])      # span {b, f}
-    assert check_isotropic(B, [2, 3])      # span {b~, f~}
-    assert not check_isotropic(B, [0, 2])  # <b, b~> = 1
-    assert not check_isotropic(B, [0])     # not maximal
-
-
 def test_compatibility_implies_ad_invariance_cross_module():
     for rid in ("MT22_4", "MT42_8", "MT42_13", "MT24_8", "MT24_26"):
         t = catalog_triple(rid)
@@ -130,29 +133,31 @@ def test_compatibility_implies_ad_invariance_cross_module():
 
 @functools.lru_cache(maxsize=None)
 def _symbolic_doubles():
-    """(double, canonical form) of every catalog triple over parameters."""
+    """(double, superdimension of its halves) of every catalog triple over
+    parameters."""
     out = []
     for rid in sorted(get_catalog().triples):
         t = catalog_triple(rid)
         if t.ctx.params:
-            out.append((build_double(t), canonical_form(*t.superdim())))
+            out.append((build_double(t), t.superdim()))
     return out
 
 
 def _scalar_ad_residuals(A, B):
     """((x, y, z), <[x,y],z> + (-1)^{|x||y|} <y,[x,z]>) for each nonzero
-    one, in key order, summed in Scalar arithmetic term by term."""
+    one, in key order, summed in Scalar arithmetic term by term, with B the
+    dense form matrix."""
     par, zero = A.parity, A.ctx.zero()
     out = {}
     for (x, y, k, c) in A.nonzero():
         for z in range(A.dim):
-            if B[k, z]:
-                out[x, y, z] = out.get((x, y, z), zero) + c * B[k, z]
+            if B[k][z]:
+                out[x, y, z] = out.get((x, y, z), zero) + c * B[k][z]
     for (x, z, k, c) in A.nonzero():
         for y in range(A.dim):
-            if B[y, k]:
+            if B[y][k]:
                 sign = -1 if par[x] * par[y] else 1
-                out[x, y, z] = out.get((x, y, z), zero) + sign * c * B[y, k]
+                out[x, y, z] = out.get((x, y, z), zero) + sign * c * B[y][k]
     return [(key, out[key]) for key in sorted(out) if out[key]]
 
 
@@ -162,7 +167,7 @@ def test_ad_invariance_decider_agrees_with_scalar_residuals(data):
     """On a symbolic catalog double with one or two entries moved by a
     perturbation, check_ad_invariance fails at exactly the residuals, and
     refuses with exactly the exception, of the Scalar reference."""
-    D, B = data.draw(st.sampled_from(_symbolic_doubles()))
+    D, (m, n) = data.draw(st.sampled_from(_symbolic_doubles()))
     ctx, par, d = D.ctx, D.parity, D.dim
     keys = [(i, j, k) for i in range(d) for j in range(d) for k in range(d)
             if (par[i] + par[j]) % 2 == par[k]]
@@ -172,5 +177,6 @@ def test_ad_invariance_decider_agrees_with_scalar_residuals(data):
         entries[key] = entries.get(key, ctx.zero()) + data.draw(perturbations(ctx))
     P = SuperAlgebra(D.grading, ctx, entries, parity=par, names=D.names)
     expected = scalar_verdict(
-        lambda: scalar_branch_failures(_scalar_ad_residuals(P, B)))
-    assert scalar_verdict(lambda: check_ad_invariance(P, B)) == expected
+        lambda: scalar_branch_failures(_scalar_ad_residuals(P, _block_form(m, n))))
+    assert scalar_verdict(
+        lambda: check_ad_invariance(P, canonical_form(m, n))) == expected

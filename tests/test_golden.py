@@ -6,8 +6,9 @@ accepts, symbolic and numeric, with each request's exit status: the R of
 every solvable system and the witness of every unsolvable one.
 
 The ``verify_iso.txt`` golden pins ``verify-iso`` on every catalog
-certificate, and ``double.txt`` pins ``double`` on every catalog triple in
-both formats, each output under a ``# <id> <format>`` header.
+certificate; ``double.txt`` pins ``double`` and ``check_triple.txt`` pins
+``check --triple`` on every catalog triple in both formats, each output
+under a ``# <id> <format>`` header.
 
 The classification targets (table5, thm1, thm2, thm3) are golden-checked
 inside the acceptance suite where they already run once.  The enumerate
@@ -108,7 +109,15 @@ def test_golden_verify_iso():
         for cid in list_certificates()))
 
 
+def _per_triple(command):
+    return "".join(
+        "# %s %s\n%s" % (tid, fmt, _run(["--format", fmt, command, "--triple", tid]))
+        for tid in sorted(get_catalog().triples) for fmt in ("machine", "text"))
+
+
 def test_golden_double():
-    _compare("double.txt", "".join(
-        "# %s %s\n%s" % (tid, fmt, _run(["--format", fmt, "double", "--triple", tid]))
-        for tid in sorted(get_catalog().triples) for fmt in ("machine", "text")))
+    _compare("double.txt", _per_triple("double"))
+
+
+def test_golden_check_triple():
+    _compare("check_triple.txt", _per_triple("check"))

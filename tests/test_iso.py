@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from supertriples.algebra import (SuperAlgebra, _cleared_matrix,
-                                  _integer_matrix, commutant_series)
+from supertriples.algebra import SuperAlgebra, _cleared_matrix, commutant_series
 from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
                                   catalog_triple, get_catalog, list_certificates)
 from supertriples.errors import (ConstraintViolation, DimensionMismatch,
@@ -15,7 +14,6 @@ from supertriples.errors import (ConstraintViolation, DimensionMismatch,
                                  NotAutomorphism, SuperTriplesError)
 from supertriples import iso, polys, scalars
 from supertriples.classify import report
-from supertriples.forms import canonical_form
 from supertriples.iso import (Exhausted, IsoCertificate, _form_tensor, _half,
                               _holds, _stages, _weights,
                               from_automorphism,
@@ -24,6 +22,8 @@ from supertriples.iso import (Exhausted, IsoCertificate, _form_tensor, _half,
 from supertriples.matrices import inv, s_identity, s_matmul
 from supertriples.memo import _MEMO, report_memo
 from supertriples.triples import ManinTriple, build_double, t_dual
+from test_classify import integer_matrix
+from test_forms import _block_form
 from test_scalars import scalar_branch_failures
 
 
@@ -416,7 +416,7 @@ def _fraction_route(C, src, tgt):
     C_a^p C_b^q F_pq^r = F'_ab^k C_k^r, contracted one index at a time."""
     d = len(C)
     m, n = src.superdim()
-    B = canonical_form(m // 2, n // 2).matrix
+    B = _block_form(m // 2, n // 2)
     F, F2 = _dense(src), _dense(tgt)
     idx = range(d)
     for a in idx:
@@ -516,7 +516,7 @@ def test_shipped_certificates_pass_the_integer_test(seed):
         cert = _numeric_certificate(cid, rng)
         src, tgt = cert.source, cert.target
         C = _fractions(cert)
-        M, c = _integer_matrix(C)
+        M, c = integer_matrix(C)
         inputs = _integer_inputs(src, tgt)
         assert _holds(M, c, *inputs), cid
         M[0][0] += c

@@ -208,7 +208,7 @@ def test_shipped_catalogs_roundtrip():
         cert = entry.certificate
         for row in cert.matrix:
             for x in row:
-                assert cert.ctx.parse(str(x)) == x, cid
+                assert parse_scalar(cert.ctx, str(x)) == x, cid
 
 
 def test_comments_and_strings():

@@ -15,9 +15,10 @@ from supertriples import iso
 from supertriples.catalog import (Catalog, _catalog_decls, appendix_certificate,
                                   catalog, catalog_triple, get_catalog)
 from supertriples.errors import ConstraintViolation
-from supertriples.iso import (NoSolution, RSolution, odd_action_matrices,
+from supertriples.iso import (NoSolution, odd_action_matrices,
                               shear_certificate, shear_matrix, solve_r,
                               solve_shear, verify_certificate)
+from supertriples.matrices import s_matmul
 from supertriples.parsing import (CertDecl, eval_ast, parse_catalog,
                                   parse_scalar)
 from supertriples.scalars import Domain, ParamContext
@@ -142,6 +143,13 @@ def _literal(ctx, rows):
     return [[parse_scalar(ctx, x) for x in row] for row in rows]
 
 
+def _solves(R, H, G):
+    """Whether R H + (R H)^T = G, entry by entry."""
+    RH = s_matmul(R, H)
+    return all(RH[j][k] + RH[k][j] == G[j][k]
+               for j in range(len(R)) for k in range(len(R)))
+
+
 def _eq_matrix(A, B):
     return (len(A) == len(B)
             and all((x - y).is_zero() for ra, rb in zip(A, B)
@@ -151,18 +159,18 @@ def _eq_matrix(A, B):
 def test_block_II_p():
     ctx, _, H, G = _symbolic_setup("C2_p", ("p",))
     r = solve_r(H, G)
-    assert isinstance(r, RSolution) and r.check()
-    assert _eq_matrix(r.R, _literal(ctx, [["alpha/2", "beta/(p + 1)"],
+    assert not isinstance(r, NoSolution) and _solves(r, H, G)
+    assert _eq_matrix(r, _literal(ctx, [["alpha/2", "beta/(p + 1)"],
                                           ["beta/(p + 1)", "gamma/(2*p)"]]))
 
 
 def test_block_II_1():
     ctx, _, H, G = _symbolic_setup("C2_1")
     r = solve_r(H, G)
-    assert _eq_matrix(r.R, _literal(ctx, [["alpha/2", "beta/2"],
+    assert _eq_matrix(r, _literal(ctx, [["alpha/2", "beta/2"],
                                           ["beta/2", "gamma/2"]]))
     # H = identity: the equation degenerates to 2R = G
-    two_r = [[x * 2 for x in row] for row in r.R]
+    two_r = [[x * 2 for x in row] for row in r]
     assert _eq_matrix(two_r, G)
 
 
@@ -170,21 +178,21 @@ def test_block_II_0():
     ctx, _, H, G = _symbolic_setup("C2_p", seed_bind={"p": 0})
     G0 = [[G[0][0], G[0][1]], [G[1][0], ctx.zero()]]
     r = solve_r(H, G0)
-    assert _eq_matrix(r.R, _literal(ctx, [["alpha/2", "beta"], ["beta", "0"]]))
+    assert _eq_matrix(r, _literal(ctx, [["alpha/2", "beta"], ["beta", "0"]]))
 
 
 def test_block_III():
     ctx, _, H, G = _symbolic_setup("C3")
     G0 = [[G[0][0], G[0][1]], [G[1][0], ctx.zero()]]
     r = solve_r(H, G0)
-    assert _eq_matrix(r.R, _literal(ctx, [["0", "alpha/2"],
+    assert _eq_matrix(r, _literal(ctx, [["0", "alpha/2"],
                                           ["alpha/2", "beta"]]))
 
 
 def test_block_IV():
     ctx, _, H, G = _symbolic_setup("C4")
     r = solve_r(H, G)
-    assert _eq_matrix(r.R, _literal(
+    assert _eq_matrix(r, _literal(
         ctx, [["alpha/2 - beta/2 + gamma/4", "beta/2 - gamma/4"],
               ["beta/2 - gamma/4", "gamma/2"]]))
 
@@ -193,7 +201,7 @@ def test_block_V_p():
     ctx, _, H, G = _symbolic_setup("C5_p", ("p",))
     r = solve_r(H, G)
     off = "(alpha + 2*p*beta - gamma)/(4*p^2 + 4)"
-    assert _eq_matrix(r.R, _literal(
+    assert _eq_matrix(r, _literal(
         ctx, [["(2*alpha*p^2 - 2*beta*p + alpha + gamma)/(4*(p^3 + p))", off],
               [off, "(2*gamma*p^2 + 2*beta*p + alpha + gamma)/(4*(p^3 + p))"]]))
 
@@ -202,7 +210,7 @@ def test_block_V_0():
     ctx, _, H, G = _symbolic_setup("C5_0")
     G0 = [[G[0][0], G[0][1]], [G[1][0], -G[0][0]]]
     r = solve_r(H, G0)
-    assert _eq_matrix(r.R, _literal(ctx, [["0", "alpha/2"],
+    assert _eq_matrix(r, _literal(ctx, [["0", "alpha/2"],
                                           ["alpha/2", "beta"]]))
 
 
@@ -272,7 +280,7 @@ def test_moving_r_breaks_the_derived_shears(monkeypatch):
         cid: cid == "DD24_III_1" for cid in SHEAR_IDS}
     ctx, _, H, _ = _symbolic_setup("C3")
     one, zero = ctx.one(), ctx.zero()
-    assert RSolution(H, [[zero] * 2] * 2, [[one, zero], [zero, zero]]).check()
+    assert _solves([[one, zero], [zero, zero]], H, [[zero] * 2] * 2)
     assert not _verdicts_with_r_moved(monkeypatch, 1)["DD24_III_1"]
 
 
@@ -304,7 +312,7 @@ def test_numeric_exceptional_example():
          [ctx.param("beta"), ctx.one()]]
     res = solve_r(H, G)
     assert isinstance(res, NoSolution)
-    assert res.witness.is_one()
+    assert res.witness == 1
 
 
 def test_shear_matrix_zero_is_identity():
