@@ -2,7 +2,9 @@
 (1,2) with their automorphism families, the triple lists of superdimension
 (2,2), (4,2) and (2,4), and the certificate library.  A certificate lists
 its matrix, or is a ``shear`` whose matrix ``iso.shear_matrix`` derives
-from its two endpoint triples.
+from its two endpoint triples.  An entry that names another (a triple's
+side, a certificate's endpoints) takes it into its own context at the
+bindings it gives, by ``iso._in_context``.
 
 Extra catalog directories can be supplied through the environment variable
 SUPERTRIPLES_CATALOG_PATH (colon separated); their files extend or override
@@ -18,7 +20,7 @@ from fractions import Fraction
 from .algebra import AutoBranch, AutomorphismFamily, Grading, SuperAlgebra
 from .errors import (ConstraintViolation, ParseError, SuperTriplesError,
                      UnknownId, UnknownName)
-from .iso import IsoCertificate, shear_matrix
+from .iso import IsoCertificate, _in_context, shear_matrix
 from .memo import memoized
 from .parsing import (AlgebraDecl, CertDecl, TripleDecl, build_context,
                       eval_ast, eval_generator_combo, parse_catalog)
@@ -92,11 +94,6 @@ class AlgebraEntry:
     def automorphisms(self):
         return self.family
 
-    def lift_algebra(self, target_ctx, bindings):
-        """Algebra tensor mapped into target_ctx under param bindings."""
-        mapper = self.ctx.bind_scalars(target_ctx, bindings)
-        return self.algebra.map_scalars(target_ctx, mapper)
-
 
 class TripleEntry:
     def __init__(self, decl, algebras):
@@ -124,7 +121,7 @@ class TripleEntry:
             bindings = _eval_bindings(aname, entry.ctx, bexprs, self.ctx)
             if not dual:
                 self.seed_name, self.seed_bindings = aname, bindings
-            alg = entry.lift_algebra(self.ctx, bindings)
+            alg = _in_context(entry.algebra, self.ctx, bindings)
             return SuperAlgebra(self.grading, self.ctx, alg.entries(),
                                 names=names, name=aname, dual_role=dual)
         brackets = _eval_brackets(side[1], self.ctx, names,
@@ -142,10 +139,6 @@ class TripleEntry:
         build of the row at bindings keeps to."""
         return self.triple.signature()
 
-    def lift_triple(self, target_ctx, bindings):
-        return self.triple.map_scalars(
-            target_ctx, self.ctx.bind_scalars(target_ctx, bindings))
-
 
 class CertEntry:
     def __init__(self, decl, triples):
@@ -162,8 +155,8 @@ class CertEntry:
                                             src_exprs, self.ctx)
         self.target_values = _eval_bindings(self.target_id, tgt.ctx,
                                             tgt_exprs, self.ctx)
-        source = src.lift_triple(self.ctx, self.source_values)
-        target = tgt.lift_triple(self.ctx, self.target_values)
+        source = _in_context(src.triple, self.ctx, self.source_values)
+        target = _in_context(tgt.triple, self.ctx, self.target_values)
         if decl.matrix is None:
             matrix = shear_matrix(source, target)
         else:

@@ -20,10 +20,10 @@ from .catalog import automorphisms, catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DimensionMismatch,
                      DivisionByZero, InconsistentRadical, UnknownId)
 from .iso import (Exhausted, IsoCertificate, _evaluations, _in_context,
-                  _projected_sides, _projections, dual_g_blocks,
+                  _projected_sides, _projections, dual_g,
                   from_automorphism, search_iso, shear_certificate,
                   verify_certificate)
-from .matrices import echelon_add, f_solve, s_identity
+from .matrices import echelon_add, f_solve, identity
 from .memo import memoized, report_memo
 from .polys import _p_const, _p_int_forms, _p_int_value, _p_var, exact_sqrt
 from .scalars import (Cleared, ParamContext, _term_image,
@@ -175,9 +175,7 @@ def _dual_system(seed, ansatz):
         rows.append(row)
         rhs.append(-f.get((0,) * nu, Fraction(0)))
     if not rows:
-        return ([Fraction(0)] * nu,
-                [[Fraction(int(i == j)) for j in range(nu)] for i in range(nu)],
-                higher)
+        return [Fraction(0)] * nu, identity(nu, Fraction(1), Fraction(0)), higher
     solved = f_solve(rows, rhs)
     return None if solved is None else solved + (higher,)
 
@@ -485,15 +483,6 @@ def make_instances(specs):
     return list(out.values())
 
 
-def _dual_g(triple):
-    """(G11, G12, G22, ...) of an N-type dual over one boson, or None."""
-    G = dual_g_blocks(triple.S_dual)
-    if G is None or len(G) != 1:
-        return None
-    n = len(G[0])
-    return tuple(G[0][a][b].as_fraction() for a in range(n) for b in range(a, n))
-
-
 class _Node:
     """A double the route planner reaches from an instance, with the
     catalog rows that certificate endpoints have asked about so far, and
@@ -503,9 +492,8 @@ class _Node:
     def __init__(self, double, chain, bindings, rows):
         self.double = double
         self.chain = chain  # certificate instance.double -> self.double, or None
-        # alpha/beta/gamma are read off the dual, the rest off the instance
-        self.pool = dict(bindings, **dict(zip(("alpha", "beta", "gamma"),
-                                              _dual_g(double.triple) or ())))
+        # the G block's names are read off the dual, the rest off the instance
+        self.pool = dict(bindings, **(dual_g(double.triple) or {}))
         self.signature = double.triple.signature()
         self.rows = rows    # {row id: bindings, or None where no match}
         self._starts = None
@@ -640,12 +628,16 @@ def find_certificate(inst_a, inst_b):
     """Route planner: identity, shear normalization, one catalog certificate
     and their compositions.  Only each route's composite, the certificate
     that is merged and printed, is verified; the first that passes is
-    returned, None when none does."""
+    returned, None when none does, and at once for two doubles of different
+    superdimension, which no certificate joins."""
+    if inst_a.double.parity != inst_b.double.parity:
+        return None
     for nx in _expand(inst_a):
         for ny in _expand(inst_b):
             if nx.double.triple.tensor_equal(ny.double.triple):
                 ctx = nx.double.ctx
-                middles = [IsoCertificate(ctx, s_identity(ctx, nx.double.dim),
+                middles = [IsoCertificate(ctx, identity(nx.double.dim, ctx.one(),
+                                                        ctx.zero()),
                                           nx.double, ny.double, note="id")]
             else:
                 middles = _certs_between(nx, ny)
@@ -721,9 +713,12 @@ def classify_doubles(instance_specs):
     """Group instances into double-isomorphism classes with evidence.
 
     instance_specs: list of (row_id, bindings).  All instances must pass
-    compatibility.  Within a fingerprint bucket the route planner provides
-    merge certificates; leftover class pairs get a ``search_iso`` at its
-    default budget, whose Exhausted record becomes the separation evidence.
+    compatibility.  Instances are bucketed by the superdimension and the
+    fingerprint of their doubles.  Within a bucket the route planner
+    provides merge certificates; leftover class pairs get a ``search_iso``
+    at its default budget, whose Exhausted record becomes the separation
+    evidence.  Class representatives of two buckets are separated by their
+    superdimensions when these differ, else by their fingerprints.
     """
     instances = make_instances(instance_specs)
     for inst in instances:
@@ -736,7 +731,8 @@ def classify_doubles(instance_specs):
 
     buckets = {}
     for i, inst in enumerate(instances):
-        buckets.setdefault(inst.fingerprint.dims, []).append(i)
+        buckets.setdefault((inst.double.superdim(), inst.fingerprint.dims),
+                           []).append(i)
 
     edges = []
     for key in sorted(buckets):
@@ -765,15 +761,19 @@ def classify_doubles(instance_specs):
                 else:
                     union(i, j)
                     edges.append((i, j, res))
-    # cross-bucket separations between class representatives
+    # separations between the class representatives of two buckets
     keys = sorted(buckets)
     for a_pos in range(len(keys)):
         for b_pos in range(a_pos + 1, len(keys)):
             i = min(find(x) for x in buckets[keys[a_pos]])
             j = min(find(x) for x in buckets[keys[b_pos]])
-            separations.append((i, j, "fingerprint", "%s_vs_%s"
-                                % (_fp_str(instances[i].fingerprint),
-                                   _fp_str(instances[j].fingerprint))))
+            if keys[a_pos][0] != keys[b_pos][0]:
+                separations.append((i, j, "superdimension", "%d,%d_vs_%d,%d"
+                                    % (keys[a_pos][0] + keys[b_pos][0])))
+            else:
+                separations.append((i, j, "fingerprint", "%s_vs_%s"
+                                    % (_fp_str(instances[i].fingerprint),
+                                       _fp_str(instances[j].fingerprint))))
 
     groups = {}
     for i in range(n):
@@ -854,7 +854,8 @@ def _thm2_expected(inst):
 def _thm3_expected(inst):
     """Theorem 3's class of a (2,4) instance, row or family member, from its
     seed algebra, the seed's p and G = (G11, G12, G22) of the dual."""
-    a, b, c = (_dual_g(inst.triple) or (0, 0, 0))[:3]
+    g = dual_g(inst.triple)
+    a, b, c = g.values() if g else (0, 0, 0)
     seed = inst.seed_name
     if seed == "A12":
         det = a * c - b * b
@@ -1153,15 +1154,15 @@ def match_22(seed_name, dual):
         SuperAlgebra(seed.grading, ctx, seed.entries(), names=seed.names,
                      name=seed_name),
         dual)
-    sq_ctx = ParamContext([], radicals=[("sq", d_squared)])
+    sq_ctx = ParamContext([], radicals=[("sq", _p_const(d_squared, 0))])
     lift_ctx, lift = sq_ctx.bind({})
     branch = automorphisms(seed_name).branches[0]
     member = branch.ctx.bind_scalars(lift_ctx,
                                      dict(values, d=lift(sq_ctx.radical())))
     cert = from_automorphism(
         [[member(x) for x in row] for row in branch.matrix],
-        triple.map_scalars(lift_ctx, ctx.bind_scalars(lift_ctx, {})))
-    lifted = target.map_scalars(lift_ctx, target.ctx.bind_scalars(lift_ctx, {}))
+        _in_context(triple, lift_ctx))
+    lifted = _in_context(target, lift_ctx)
     if not cert.target.triple.tensor_equal(lifted):
         return None
     ok, _ = verify_certificate(cert)

@@ -25,7 +25,8 @@ from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, ParseError, SuperTriplesError,
                      UnknownId, UnknownName)
 from .forms import canonical_form, check_ad_invariance
-from .iso import NoSolution, odd_action_matrices, solve_r, verify_certificate
+from .iso import (G_NAMES, NoSolution, odd_action_matrices, solve_r,
+                  verify_certificate)
 from .parsing import MAX_DIGITS, AlgebraDecl, TripleDecl
 from .scalars import not_a_parameter
 from .triples import build_double, check_compatibility
@@ -36,11 +37,6 @@ EXIT_PARSE = 2
 EXIT_CONSTRAINT = 3
 EXIT_BUDGET = 4
 EXIT_PIPE_CLOSED = 1  # stdout closed early, as Python's own exit on EPIPE
-
-# solve-r's G entries per odd dimension of the seed: the symmetric G's upper
-# triangle, row by row
-G_NAMES = {1: ("alpha",), 2: ("alpha", "beta", "gamma")}
-
 
 def _rational(flag, text):
     """The Fraction of an option value, its digits and any decimal exponent
@@ -178,7 +174,8 @@ def cmd_solve_r(args):
     m, n = seed.superdim()
     if m != 1 or n not in G_NAMES:
         raise ConstraintViolation("solve-r needs a (1,1) or (1,2) seed algebra")
-    names = G_NAMES[n]
+    # G's names, each once: its upper triangle, row by row
+    names = tuple(dict.fromkeys(name for row in G_NAMES[n] for name in row))
     H = odd_action_matrices(seed)[0]
     ctx = seed.ctx
     if args.g:
@@ -186,15 +183,15 @@ def cmd_solve_r(args):
         if len(vals) != len(names):
             raise ConstraintViolation("--g expects %s for a (1,%d) seed"
                                       % (",".join(names), n))
-        g = [ctx.const(v) for v in vals]
+        g = {name: ctx.const(v) for name, v in zip(names, vals)}
     else:
         from .scalars import Domain, ParamContext
         gctx = ParamContext([(name, Domain.free()) for name in
                              tuple(ctx.params) + names])
         mapper = ctx.bind_scalars(gctx, {})
         H = [[mapper(x) for x in row] for row in H]
-        g = [gctx.param(name) for name in names]
-    G = [[g[0]]] if n == 1 else [[g[0], g[1]], [g[1], g[2]]]
+        g = {name: gctx.param(name) for name in names}
+    G = [[g[name] for name in row] for row in G_NAMES[n]]
     res = solve_r(H, G)
     if isinstance(res, NoSolution):
         if args.format == "machine":

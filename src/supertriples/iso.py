@@ -20,10 +20,14 @@ cleared of denominators once and leaves the verdict to
 ``scalars.failing_on_branches``; Scalar residuals, computed only after a
 failure, make the report.
 
-Certificates multiply only in ``IsoCertificate.compose``: of the two
-contexts at most one has a radical, the product lives in that one (else in
-the first factor's), and the other certificate is mapped into it by name
-(``_in_context``).
+A certificate runs between two doubles of one superdimension: equal
+parity tuples, or ``IsoCertificate`` refuses it, since an even matrix
+between them would pair even with odd basis vectors.  Certificates multiply
+only in ``IsoCertificate.compose``, through ``matrices.f_matmul``: of the
+two contexts at most one has a radical, the product lives in that one (else
+in the first factor's), and the other certificate is mapped into it by name
+(``_in_context``).  ``_in_context`` is the one move of a certificate, an
+algebra or a triple into another context, at bindings or by name.
 
 Certificates are built from T-duality (``t_dual_certificate``), from
 automorphisms (``from_automorphism``) and from exact shears I + E
@@ -51,7 +55,7 @@ from .algebra import (SuperAlgebra, _cleared_matrix, _columns, _difference,
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from . import forms
 from .matrices import (back_substitute, dual_blockdiag, echelon, f_matmul,
-                       s_identity, s_matmul, sparse)
+                       identity, sparse)
 from .memo import memoized
 from .triples import ManinTriple, build_double
 
@@ -81,6 +85,10 @@ class IsoCertificate:
         if target.dim != d or len(matrix) != d or any(len(r) != d for r in matrix):
             raise DimensionMismatch("certificate shape mismatch")
         par = source.parity
+        if target.parity != par:
+            raise ConstraintViolation(
+                "certificate endpoints of superdimensions %d,%d and %d,%d"
+                % (source.superdim() + target.superdim()))
         for a in range(d):
             for b in range(d):
                 if (par[a] + par[b]) % 2 and not matrix[a][b].is_zero():
@@ -103,7 +111,7 @@ class IsoCertificate:
             raise DimensionMismatch("composition dimension mismatch")
         ctx = self.ctx if self.ctx.radical_name is not None else first.ctx
         second, first = (_in_context(c, ctx) for c in (self, first))
-        return IsoCertificate(ctx, s_matmul(second.matrix, first.matrix),
+        return IsoCertificate(ctx, f_matmul(second.matrix, first.matrix),
                               first.source, second.target,
                               note=_join_notes(second.note, first.note))
 
@@ -152,12 +160,14 @@ class IsoCertificate:
             "" if not self.note else ", " + self.note)
 
 
-def _in_context(obj, ctx):
-    """obj, a certificate or an algebra, when it lives in ctx, else obj
-    mapped into ctx by parameter name (``ParamContext.bind_scalars``)."""
-    if obj.ctx == ctx:
+def _in_context(obj, ctx, bindings=None):
+    """obj, a certificate, an algebra or a triple, mapped into ctx with its
+    parameters at bindings (rationals or Scalars of ctx) and the rest by
+    name (``ParamContext.bind_scalars``); obj itself when no binding is
+    given and it lives in ctx."""
+    if not bindings and obj.ctx == ctx:
         return obj
-    return obj.map_scalars(ctx, obj.ctx.bind_scalars(ctx, {}))
+    return obj.map_scalars(ctx, obj.ctx.bind_scalars(ctx, bindings or {}))
 
 
 def _join_notes(a, b):
@@ -410,6 +420,12 @@ def odd_action_matrices(S):
     return out
 
 
+# the G block of a one-boson N-type dual (``dual_g``) by the names of its
+# entries, per odd dimension: a symmetric matrix, whose upper triangle, row
+# by row, lists each name once
+G_NAMES = {1: (("alpha",),), 2: (("alpha", "beta"), ("beta", "gamma"))}
+
+
 def dual_g_blocks(S_dual):
     """G_i per boson from an N-type dual: [f~^j, f~^k] = G_i^{jk} b~^i.
     None when the dual has brackets outside that shape."""
@@ -421,6 +437,17 @@ def dual_g_blocks(S_dual):
             return None
         out[k][i - m][j - m] = c
     return out
+
+
+def dual_g(triple):
+    """{name: Fraction} of the G block of the triple's dual, named by
+    G_NAMES, when that dual is N-type over one boson (``dual_g_blocks``),
+    else None; the block's entries must be numeric (``Scalar.as_fraction``)."""
+    G = dual_g_blocks(triple.S_dual)
+    if G is None or len(G) != 1 or len(G[0]) not in G_NAMES:
+        return None
+    return {name: x.as_fraction() for names, row in zip(G_NAMES[len(G[0])], G[0])
+            for name, x in zip(names, row)}
 
 
 def shear_certificate(triple, double):
@@ -465,7 +492,7 @@ def shear_matrix(source, target):
                                   % R.witness)
     m, n = S.superdim()
     h = m + n
-    C = s_identity(source.ctx, 2 * h)
+    C = identity(2 * h, source.ctx.one(), source.ctx.zero())
     for a in range(n):
         for b in range(n):
             C[h + m + a][m + b] = R[a][b]
@@ -495,10 +522,6 @@ class Exhausted:
 # integer matrix and c a positive integer.
 
 
-def _identity(d, c=1):
-    return [[c if i == j else 0 for j in range(d)] for i in range(d)]
-
-
 def _shear_matrices(m, n, h, d, grid, lower=True):
     """Unit shears with off-diagonal values from grid, integers over
     GRID_DEN."""
@@ -510,7 +533,7 @@ def _shear_matrices(m, n, h, d, grid, lower=True):
     for combo in itertools.product(grid, repeat=nslots):
         if all(x == 0 for x in combo):
             continue
-        C = _identity(d, GRID_DEN)
+        C = identity(d, GRID_DEN, 0)
         vals = list(combo)
         for (i, j), v in zip(bos_slots, vals[:len(bos_slots)]):
             if lower:
@@ -563,7 +586,7 @@ def _composed(m, n, h, d):
     first), in both orders."""
     # dualities are integer matrices (c = 1)
     duals = [D for D, _ in _partial_dualities(m, n, h, d)]
-    shears = [(_identity(d), 1)] + list(
+    shears = [(identity(d, 1, 0), 1)] + list(
         _shear_matrices(m, n, h, d, (2, -2, 1, -1, 0), lower=True))
     for Dm in duals:
         for S, c in shears:
@@ -577,7 +600,7 @@ def _stages(m, n):
     finite."""
     h = m + n
     d = 2 * h
-    yield "basic", iter([(_identity(d), 1), (_t_dual_matrix(m, n), 1)])
+    yield "basic", iter([(identity(d, 1, 0), 1), (_t_dual_matrix(m, n), 1)])
     yield "duality", _partial_dualities(m, n, h, d)
     yield "shear", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=True)
     yield "shear_up", _shear_matrices(m, n, h, d, SEARCH_GRID, lower=False)

@@ -10,9 +10,13 @@ unknowns first in scan order and the right-hand sides last, and one
 ``back_substitute`` with the free unknowns 0: the reduced row-echelon
 solution, which the scan order alone fixes.  Zero tests go by truthiness.
 No certificate is inverted here (``IsoCertificate.invert`` reads its
-inverse off the canonical form).  ``f_matmul`` is entry-generic for int and
-Fraction entries (an entry no product reaches stays the int 0); it composes
-the integer candidate matrices of the search.
+inverse off the canonical form).
+
+``f_matmul`` is the one matrix product and ``identity`` the one identity,
+for int, Fraction and Scalar entries alike: the search composes its integer
+candidates with them, and ``IsoCertificate.compose`` its Scalar
+certificates.  The product keeps the name ``f_matmul`` of the Fraction
+product it grew from, because the benchmark counts its calls by that name.
 """
 
 from __future__ import annotations
@@ -111,27 +115,31 @@ def dual_blockdiag(a):
             + [[zero] * h + ait[i] for i in range(h)])
 
 
-# ---------------------------------------------------------------------------
-# int and Fraction matrices
+def identity(d, one, zero):
+    return [[one if i == j else zero for j in range(d)] for i in range(d)]
 
 
 def f_matmul(a, b):
+    """The product of two matrices of int, Fraction or Scalar entries.  Each
+    sum starts at its first nonzero term, so a Scalar product makes one
+    multiplication per pair of nonzero factors and one addition per further
+    term; an entry no product reaches is the zero of the entries: the
+    context's zero Scalar, else the int 0."""
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
         raise DimensionMismatch("matmul %dx%d by %dx%d" % (n, len(a[0]), k, m))
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
+    out = [[None] * m for _ in range(n)]
+    for ai, oi in zip(a, out):
+        for c, bt in zip(ai, b):
             if not c:
                 continue
-            bt = b[t]
-            for j in range(m):
-                if bt[j]:
-                    oi[j] += c * bt[j]
-    return out
+            for j, y in enumerate(bt):
+                if y:
+                    x = c * y
+                    oi[j] = x if oi[j] is None else oi[j] + x
+    ctx = getattr(a[0][0], "ctx", None)
+    zero = 0 if ctx is None else ctx.zero()
+    return [[zero if x is None else x for x in row] for row in out]
 
 
 def f_solve(a, b):
@@ -149,33 +157,3 @@ def f_solve(a, b):
     null = [[Fraction(c == fc) - x.get(c, 0) for c in range(m)]
             for fc, x in zip(free, solved)]
     return [Fraction(sol.get(c, 0)) for c in range(m)], null
-
-
-# ---------------------------------------------------------------------------
-# Scalar matrices
-
-
-def s_identity(ctx, d):
-    one, zero = ctx.one(), ctx.zero()
-    return [[one if i == j else zero for j in range(d)] for i in range(d)]
-
-
-def s_matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise DimensionMismatch("matmul %dx%d by %dx%d" % (n, len(a[0]), k, m))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                x = a[i][t]
-                y = b[t][j]
-                if x.is_zero() or y.is_zero():
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else a[0][0].ctx.zero())
-        out.append(row)
-    return out

@@ -478,7 +478,7 @@ def build_context(params, radicals):
     if not _p_is_const(radicand.re[1]):
         raise ParseError("radicand of %s is %s, not a polynomial"
                          % (tok.value, radicand), tok.line, tok.col)
-    ctx = ParamContext(params, [(tok.value, radicand)])
+    ctx = ParamContext(params, [(tok.value, radicand.re[0])])
     q, root = ctx.radicand, _p_sqrt(ctx.radicand)
     if root is None and not _negative_everywhere(q):
         return ctx

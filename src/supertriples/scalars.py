@@ -230,7 +230,8 @@ class Domain:
 
 class ParamContext:
     """Named parameters with domains, plus at most one radical generator
-    r with a defining relation r^2 = q, q a polynomial in the parameters."""
+    r with a defining relation r^2 = q, q a polynomial in the parameters,
+    given as a ``polys`` dict over them: radicals=[(name, q)]."""
 
     __slots__ = ("params", "domains", "radical_name", "radicand", "_index",
                  "_zero", "_one")
@@ -253,25 +254,13 @@ class ParamContext:
             rname, radicand = radicals[0]
             if rname in domains:
                 raise ConstraintViolation("radical name %r clashes with parameter" % rname)
-            poly = self._coerce_radicand(radicand)
             self.radical_name = rname
-            self.radicand = poly
+            self.radicand = radicand
         else:
             self.radical_name = None
             self.radicand = None
         self._zero = None
         self._one = None
-
-    def _coerce_radicand(self, radicand):
-        if isinstance(radicand, Scalar):
-            if radicand.ctx.params != self.params:
-                raise ConstraintViolation("radicand context mismatch")
-            if radicand.rad is not None or not _rf_is_one_den(radicand.re):
-                raise ConstraintViolation("radicand must be a polynomial in the parameters")
-            return radicand.re[0]
-        if isinstance(radicand, dict):
-            return radicand
-        return _p_const(Fraction(radicand), len(self.params))
 
     # -- scalar constructors ------------------------------------------------
 

@@ -17,6 +17,7 @@ from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
                                   catalog_triple, get_catalog)
 from supertriples.errors import ConstraintViolation, DivisionByZero, UnknownName
 from supertriples.forms import canonical_form, check_ad_invariance
+from supertriples.iso import _in_context
 from supertriples.matrices import echelon_add
 from supertriples.parsing import render_combo
 from supertriples.scalars import Domain, ParamContext
@@ -327,7 +328,7 @@ def test_automorphism_families_symbolic():
             continue
         fam = entry.automorphisms()
         for branch in fam:
-            lifted = entry.lift_algebra(branch.ctx, {})
+            lifted = _in_context(entry.algebra, branch.ctx, {})
             assert is_automorphism(branch.matrix, lifted), name
 
 
@@ -369,7 +370,7 @@ def test_automorphism_decider_agrees_with_scalar_residuals(data):
     branch = entry.automorphisms().branches[index]
     if data.draw(st.booleans()):
         ctx, matrix = branch.ctx, branch.matrix
-        algebra = entry.lift_algebra(ctx, {})
+        algebra = _in_context(entry.algebra, ctx, {})
     else:
         rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
         try:
@@ -378,8 +379,8 @@ def test_automorphism_decider_agrees_with_scalar_residuals(data):
             ctx, matrix = branch.instantiate(bindings)
         except ConstraintViolation:
             assume(False)
-        algebra = entry.lift_algebra(ctx, {n: bindings[n]
-                                           for n in entry.ctx.params})
+        algebra = _in_context(entry.algebra, ctx, {n: bindings[n]
+                                                     for n in entry.ctx.params})
     par = algebra.parity
     a, b = data.draw(st.sampled_from([(a, b) for a in range(algebra.dim)
                                       for b in range(algebra.dim)
@@ -408,8 +409,8 @@ def test_automorphism_sampled_instantiations():
                     ctx, mat = branch.instantiate(bindings)
                 except ConstraintViolation:
                     continue
-                alg = entry.lift_algebra(ctx, {n_: bindings[n_]
-                                               for n_ in entry.ctx.params})
+                alg = _in_context(entry.algebra, ctx, {n_: bindings[n_]
+                                                         for n_ in entry.ctx.params})
                 assert is_automorphism(mat, alg), name
                 count += 1
         assert count >= 20, name

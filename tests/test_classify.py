@@ -21,7 +21,7 @@ from supertriples.classify import (ENUM_BUDGET, ENUM_GRID, ORBIT_GRID,
 from supertriples.errors import (ConstraintViolation, DimensionMismatch,
                                  DivisionByZero, InconsistentRadical,
                                  UnknownName)
-from supertriples.iso import verify_certificate
+from supertriples.iso import _in_context, verify_certificate
 from supertriples.matrices import inv
 from supertriples.parsing import parse_catalog
 from supertriples.polys import _p_add, _p_compose, _p_const, _p_mul, _p_var
@@ -58,7 +58,7 @@ def test_classify_table5_equality_claim():
     identity certificate discharges the table's '=' claim."""
     a = catalog_triple("MT42_6", {"p": 0})
     entry = get_catalog().triples["MT42_10"]
-    b = entry.lift_triple(a.ctx, {"kappa": 0})  # kappa = 0 is outside the domain
+    b = _in_context(entry.triple, a.ctx, {"kappa": 0})  # kappa = 0 is outside the domain
     assert a.S.tensor_equal(b.S) and a.S_dual.tensor_equal(b.S_dual)
 
 
@@ -72,6 +72,16 @@ def test_find_certificate_across_seeds():
     b = make_instances([("MT24_9", {})])[0]
     cert = find_certificate(a, b)
     assert cert is not None and cert.verify()
+
+
+def test_find_certificate_refuses_different_superdimensions():
+    """The abelian doubles of MT42_1 and MT24_1 have equal tensors but
+    superdimensions (4,2) and (2,4): no route joins them, and neither
+    instance is expanded into route nodes to find that out."""
+    a, b = make_instances([("MT42_1", {}), ("MT24_1", {})])
+    assert a.double.triple.tensor_equal(b.double.triple)
+    assert find_certificate(a, b) is None
+    assert a._nodes is None and b._nodes is None
 
 
 def test_find_certificate_radical_route():

@@ -240,6 +240,24 @@ def test_classify_lists_a_repeated_row_once():
     assert r.stdout == "class index=0 fingerprint=0,0;0,0;0,0 members=MT22_1\n"
 
 
+@pytest.mark.parametrize("rows, expected", [
+    ("MT42_1,MT24_1",
+     "class index=0 fingerprint=0,0;0,0;0,0 members=MT24_1\n"
+     "class index=1 fingerprint=0,0;0,0;0,0 members=MT42_1\n"
+     "separation a=MT24_1 b=MT42_1 kind=superdimension detail=2,4_vs_4,2\n"),
+    ("MT22_1,MT42_1",
+     "class index=0 fingerprint=0,0;0,0;0,0 members=MT22_1\n"
+     "class index=1 fingerprint=0,0;0,0;0,0 members=MT42_1\n"
+     "separation a=MT22_1 b=MT42_1 kind=superdimension detail=2,2_vs_4,2\n"),
+], ids=["MT42_1,MT24_1", "MT22_1,MT42_1"])
+def test_classify_separates_superdimensions(rows, expected):
+    """Abelian doubles share the empty tensor and a fingerprint; of
+    different superdimensions they are two classes, separated by their
+    superdimensions, never merged and never searched."""
+    r = run("--format", "machine", "classify", "--rows", rows)
+    assert (r.returncode, r.stdout, r.stderr) == (0, expected, "")
+
+
 def test_classify_has_no_strategy_option():
     r = run("classify", "--rows", "MT22_3,MT22_4", "--strategy", "auto")
     assert r.returncode == 2

@@ -10,6 +10,10 @@ certificate; ``double.txt`` pins ``double`` and ``check_triple.txt`` pins
 ``check --triple`` on every catalog triple in both formats, each output
 under a ``# <id> <format>`` header.
 
+The ``classify_mixed.txt`` golden pins ``classify`` over one row of each
+superdimension, (2,2), (4,2) and (2,4): three classes, separated by their
+superdimensions.
+
 The classification targets (table5, thm1, thm2, thm3) are golden-checked
 inside the acceptance suite where they already run once.  The enumerate
 goldens pin the orbit representatives, the member counts and the
@@ -121,3 +125,8 @@ def test_golden_double():
 
 def test_golden_check_triple():
     _compare("check_triple.txt", _per_triple("check"))
+
+
+def test_golden_classify_mixed():
+    _compare("classify_mixed.txt", _run(["--format", "machine", "classify",
+                                         "--rows", "MT22_1,MT42_1,MT24_1"]))

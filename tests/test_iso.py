@@ -15,12 +15,13 @@ from supertriples.errors import (ConstraintViolation, DimensionMismatch,
 from supertriples import iso, polys, scalars
 from supertriples.classify import report
 from supertriples.iso import (Exhausted, IsoCertificate, _form_tensor, _half,
-                              _holds, _stages, _weights,
+                              _holds, _in_context, _stages, _weights,
                               from_automorphism,
                               search_iso, t_dual_certificate,
                               verify_certificate)
-from supertriples.matrices import inv, s_identity, s_matmul
+from supertriples.matrices import f_matmul, identity, inv
 from supertriples.memo import _MEMO, report_memo
+from supertriples.scalars import Scalar
 from supertriples.triples import ManinTriple, build_double, t_dual
 from test_classify import integer_matrix
 from test_forms import _block_form
@@ -30,9 +31,64 @@ from test_scalars import scalar_branch_failures
 def test_identity_certificate():
     D = build_double(catalog_triple("MT42_3"))
     ctx = D.ctx
-    cert = IsoCertificate(ctx, s_identity(ctx, 6), D, D)
+    cert = IsoCertificate(ctx, identity(6, ctx.one(), ctx.zero()), D, D)
     ok, rep = verify_certificate(cert)
     assert ok and rep == []
+
+
+def test_certificate_refuses_endpoints_of_different_superdimension():
+    """The doubles of MT42_1 and MT24_1 are both abelian and 6-dimensional,
+    with equal (empty) tensors, but of superdimensions (4,2) and (2,4): the
+    identity between them is refused, as it would pair even basis vectors
+    with odd ones."""
+    src = build_double(catalog_triple("MT42_1"))
+    tgt = build_double(catalog_triple("MT24_1"))
+    assert src.tensor_equal(tgt)
+    ctx = src.ctx
+    with pytest.raises(ConstraintViolation, match="superdimensions 4,2 and 2,4"):
+        IsoCertificate(ctx, identity(6, ctx.one(), ctx.zero()), src, tgt)
+
+
+def _map_by_name(obj, ctx, bindings):
+    """The reference move into ctx: every scalar through the one map
+    ``ParamContext.bind_scalars``."""
+    return obj.map_scalars(ctx, obj.ctx.bind_scalars(ctx, bindings))
+
+
+def _algebra_key(A):
+    return (A.ctx, A.parity, A.names, A.name, A.dual_role, A.nonzero())
+
+
+def _triple_key(t):
+    return (t.id, t.label, _algebra_key(t.S), _algebra_key(t.S_dual))
+
+
+def test_in_context_equals_the_map_by_name():
+    """``_in_context`` on every catalog algebra and row, into its own
+    context and into each context the catalog moves it into, at the
+    bindings the catalog gives: a seed into the rows that name it, a row
+    into the certificates that name it as an endpoint.  Its result equals
+    the map by name, and into its own context with no binding it is the
+    object itself."""
+    cat = get_catalog()
+    moves = [(e.algebra, e.algebra.ctx, {}, _algebra_key)
+             for e in cat.algebras.values()]
+    moves += [(e.triple, e.ctx, {}, _triple_key) for e in cat.triples.values()]
+    for obj, _, _, _ in moves:
+        assert _in_context(obj, obj.ctx) is obj
+    moves += [(cat.algebras[row.seed_name].algebra, row.ctx, row.seed_bindings,
+               _algebra_key)
+              for row in cat.triples.values() if row.seed_name is not None]
+    moves += [(cat.triples[rid].triple, cert.ctx, values, _triple_key)
+              for cert in cat.certs.values()
+              for rid, values in ((cert.source_id, cert.source_values),
+                                  (cert.target_id, cert.target_values))]
+    mapped = 0
+    for obj, ctx, bindings, key in moves:
+        moved = _in_context(obj, ctx, bindings)
+        assert key(moved) == key(_map_by_name(obj, ctx, bindings))
+        mapped += moved is not obj
+    assert mapped > 0
 
 
 def test_tfn11_both_branches():
@@ -207,7 +263,7 @@ def test_shear_transport_inverts_by_i_minus_e(rid, data):
             R[a][b] = R[b][a] = t.ctx.const(data.draw(entry))
     dual = {}
     for i, H in enumerate(iso.odd_action_matrices(t.S)):
-        RH = s_matmul(R, H)
+        RH = f_matmul(R, H)
         for j in range(n):
             for k in range(n):
                 g = RH[j][k] + RH[k][j]
@@ -230,7 +286,7 @@ def test_shear_transport_inverts_by_i_minus_e(rid, data):
 def test_certificate_evenness_enforced():
     D = build_double(catalog_triple("MT22_1"))
     ctx = D.ctx
-    C = s_identity(ctx, 4)
+    C = identity(4, ctx.one(), ctx.zero())
     C = [list(r) for r in C]
     C[0][1] = ctx.one()  # b row picks up an f column
     with pytest.raises(ConstraintViolation):
@@ -248,7 +304,7 @@ def test_t_duality_certificate_all_rows():
 
 def test_from_automorphism_identity():
     t = catalog_triple("MT42_3")
-    cert = from_automorphism(s_identity(t.ctx, 3), t)
+    cert = from_automorphism(identity(3, t.ctx.one(), t.ctx.zero()), t)
     assert cert.verify()
     assert cert.target.triple.S_dual.tensor_equal(t.S_dual)
 
@@ -276,7 +332,7 @@ def test_from_automorphism_form_condition_symbolic():
     for name, rid in (("S21", "MT42_3"), ("C3", "MT24_18")):
         entry = get_catalog().algebras[name]
         branch = entry.automorphisms().branches[0]
-        triple = get_catalog().triples[rid].lift_triple(branch.ctx, {})
+        triple = _in_context(get_catalog().triples[rid].triple, branch.ctx, {})
         cert = from_automorphism(branch.matrix, triple)
         _, residuals = verify_certificate(cert)
         assert not [r for r in residuals if r[0] == "form"]
@@ -645,30 +701,31 @@ def test_budget_boundary_on_a_short_stream():
 
 def test_candidate_table_lives_for_one_report(monkeypatch):
     """thm3's 17 searches share one (2,4) table per report: its 752
-    ``composed`` rows are the report's only ``f_matmul`` products, in the
-    second report of the process as in the first, and the memo is unset
-    after each.  A search outside a report builds a table of its own and
-    leaves nothing behind."""
-    calls = [0]
+    ``composed`` rows are the report's only integer ``f_matmul`` products,
+    in the second report of the process as in the first, and the memo is
+    unset after each.  The report's other 11 products are certificate
+    compositions (``IsoCertificate.compose``) of Scalar matrices.  A search
+    outside a report builds a table of its own and leaves nothing behind."""
+    calls = {int: 0, Scalar: 0}
     plain = iso.f_matmul
 
     def counting(A, B):
-        calls[0] += 1
+        calls[type(A[0][0])] += 1
         return plain(A, B)
 
     monkeypatch.setattr(iso, "f_matmul", counting)
     for _ in range(2):
-        calls[0] = 0
+        calls.update({int: 0, Scalar: 0})
         report("thm3")
-        assert calls[0] == 752
+        assert calls == {int: 752, Scalar: 11}
         assert _MEMO.get() is None
     src = build_double(catalog_triple("MT24_4", {"p": Fraction(1, 2)}))
     tgt = build_double(catalog_triple("MT24_9"))
     for _ in range(2):
-        calls[0] = 0
+        calls.update({int: 0, Scalar: 0})
         assert _outcome(search_iso(src, tgt)) == (
             Exhausted, 1500, 1500, "budget exhausted")
-        assert calls[0] == 752
+        assert calls == {int: 752, Scalar: 0}
         assert _MEMO.get() is None
 
 

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from supertriples.errors import DimensionMismatch, DivisionByZero
 from supertriples.iso import NoSolution, solve_r, solve_shear
-from supertriples.matrices import (dual_blockdiag, f_matmul, f_solve, inv,
-                                   s_identity, s_matmul, transpose)
-from supertriples.scalars import Domain, ParamContext
+from supertriples.matrices import (dual_blockdiag, f_matmul, f_solve,
+                                   identity, inv, transpose)
+from supertriples.scalars import Domain, ParamContext, Scalar
 from test_forms import _block_form
 
 F = Fraction
@@ -45,6 +45,28 @@ def rref(rows, cols=None):
     return rows, pivots
 
 
+def s_matmul(a, b):
+    """The reference product of Scalar matrices: each entry's sum starts at
+    its first nonzero term, and an entry that no product reaches is the
+    context's zero."""
+    n, k, m = len(a), len(b), len(b[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = None
+            for t in range(k):
+                x = a[i][t]
+                y = b[t][j]
+                if x.is_zero() or y.is_zero():
+                    continue
+                term = x * y
+                acc = term if acc is None else acc + term
+            row.append(acc if acc is not None else a[0][0].ctx.zero())
+        out.append(row)
+    return out
+
+
 def ctx_p():
     return ParamContext([("p", Domain.free())])
 
@@ -80,7 +102,7 @@ def test_inv_fraction_round_trip():
 
 def _assert_identity(M, ctx):
     d = len(M)
-    I = s_identity(ctx, d)
+    I = identity(d, ctx.one(), ctx.zero())
     assert all((M[i][j] - I[i][j]).is_zero() for i in range(d) for j in range(d))
 
 
@@ -89,8 +111,8 @@ def test_inv_parametric_round_trip():
     p, one, zero = ctx.param("p"), ctx.one(), ctx.zero()
     # det = 1 + p^2, nonzero for every rational p
     A = [[p, one, zero], [-one, p, zero], [zero, p * p, one]]
-    _assert_identity(s_matmul(inv(A), A), ctx)
-    _assert_identity(s_matmul(A, inv(A)), ctx)
+    _assert_identity(f_matmul(inv(A), A), ctx)
+    _assert_identity(f_matmul(A, inv(A)), ctx)
 
 
 def test_inv_radical_round_trip():
@@ -98,9 +120,54 @@ def test_inv_radical_round_trip():
     rho, k, one = ctx.param("rho"), ctx.param("kappa"), ctx.one()
     # det = rho^2 - k^2 = lam, generically nonzero
     A = [[rho, k], [k, rho]]
-    _assert_identity(s_matmul(inv(A), A), ctx)
+    _assert_identity(f_matmul(inv(A), A), ctx)
     B = [[rho + one, k], [one, rho]]
-    _assert_identity(s_matmul(B, inv(B)), ctx)
+    _assert_identity(f_matmul(B, inv(B)), ctx)
+
+
+MATMUL_CONTEXTS = {"numeric": ParamContext, "parametric": ctx_p,
+                   "radical": ctx_rho}
+
+
+@given(st.sampled_from(sorted(MATMUL_CONTEXTS)), st.integers(1, 4),
+       st.integers(1, 4), st.integers(1, 4), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_f_matmul_equals_the_scalar_reference(name, n, k, m, rng):
+    """On Scalar matrices, half of whose entries are zero, in a context with
+    no parameter, with one, and with parameters and a radical, f_matmul is
+    the reference product; every entry, one that no product reaches
+    included, is a Scalar of the context."""
+    ctx = MATMUL_CONTEXTS[name]()
+    gens = [ctx.one()] + [ctx.param(x) for x in ctx.params]
+    if ctx.radical_name is not None:
+        gens.append(ctx.radical())
+
+    def entry():
+        if rng.random() < 0.5:
+            return ctx.zero()
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return c * rng.choice(gens) + rng.choice([ctx.zero()] + gens)
+
+    A = [[entry() for _ in range(k)] for _ in range(n)]
+    B = [[entry() for _ in range(m)] for _ in range(k)]
+    out = f_matmul(A, B)
+    assert out == s_matmul(A, B)
+    assert all(type(x) is Scalar and x.ctx == ctx for row in out for x in row)
+
+
+def test_f_matmul_unreached_entries_are_the_entries_zero():
+    """An entry that no product reaches is the int 0 for int and Fraction
+    matrices, as before Scalar entries were taken, and the context's zero
+    Scalar for Scalar ones."""
+    out = f_matmul([[F(1, 2), 0], [0, 3]], [[4, 0], [0, F(1, 3)]])
+    assert out == [[2, 0], [0, 1]]
+    assert type(out[0][1]) is int and type(out[1][0]) is int
+    ctx = ctx_rho()
+    rho, zero = ctx.radical(), ctx.zero()
+    out = f_matmul([[rho, zero], [zero, rho]], [[rho, zero], [zero, rho]])
+    assert all(type(x) is Scalar for row in out for x in row)
+    assert out[0][1] == zero and out[1][0] == zero
+    assert out[0][0] == out[1][1] == ctx.param("kappa") ** 2 + ctx.param("lam")
 
 
 def test_scalar_reciprocal_is_one_inverse():

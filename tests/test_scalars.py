@@ -720,7 +720,7 @@ def _as_fraction_through_is_constant(s):
 AS_FRACTION_CONTEXTS = {
     "numeric": lambda: ParamContext(),
     "parameter": ctx_p,
-    "radical": lambda: ParamContext(radicals=[("r", 2)]),
+    "radical": lambda: ParamContext(radicals=[("r", polys._p_const(2, 0))]),
     "both": ctx_rho,
 }
 
@@ -785,7 +785,7 @@ def test_constant_rational_functions_skip_the_gcd(a, b):
 
 
 RADICAL_CONTEXTS = {
-    "constant": lambda: ParamContext(radicals=[("r", 2)]),
+    "constant": lambda: ParamContext(radicals=[("r", polys._p_const(2, 0))]),
     "parameter": lambda: ParamContext(
         [("p", Domain.free())], radicals=[("r", ctx_p().param("p").re[0])]),
     "both": ctx_rho,

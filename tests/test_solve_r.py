@@ -15,10 +15,10 @@ from supertriples import iso
 from supertriples.catalog import (Catalog, _catalog_decls, appendix_certificate,
                                   catalog, catalog_triple, get_catalog)
 from supertriples.errors import ConstraintViolation
-from supertriples.iso import (NoSolution, odd_action_matrices,
+from supertriples.iso import (NoSolution, _in_context, odd_action_matrices,
                               shear_certificate, shear_matrix, solve_r,
                               solve_shear, verify_certificate)
-from supertriples.matrices import s_matmul
+from supertriples.matrices import f_matmul
 from supertriples.parsing import (CertDecl, eval_ast, parse_catalog,
                                   parse_scalar)
 from supertriples.scalars import Domain, ParamContext
@@ -132,7 +132,8 @@ def _symbolic_setup(seed_name, seed_params=(), seed_bind=None):
     params = [(n, Domain.free()) for n in seed_params]
     params += [(n, Domain.free()) for n in ("alpha", "beta", "gamma")]
     ctx = ParamContext(params)
-    seed = get_catalog().algebras[seed_name].lift_algebra(ctx, seed_bind or {})
+    seed = _in_context(get_catalog().algebras[seed_name].algebra, ctx,
+                       seed_bind or {})
     H = odd_action_matrices(seed)[0]
     a, b, g = (ctx.param(n) for n in ("alpha", "beta", "gamma"))
     return ctx, seed, H, [[a, b], [b, g]]
@@ -145,7 +146,7 @@ def _literal(ctx, rows):
 
 def _solves(R, H, G):
     """Whether R H + (R H)^T = G, entry by entry."""
-    RH = s_matmul(R, H)
+    RH = f_matmul(R, H)
     return all(RH[j][k] + RH[k][j] == G[j][k]
                for j in range(len(R)) for k in range(len(R)))
 
@@ -224,7 +225,7 @@ def test_block_one_odd_generator(seed_name, seed_params, expected):
     first boson's G is eps, any other boson's is 0."""
     ctx = ParamContext([(n, Domain.free()) for n in seed_params]
                        + [("eps", Domain.sign())])
-    seed = get_catalog().algebras[seed_name].lift_algebra(ctx, {})
+    seed = _in_context(get_catalog().algebras[seed_name].algebra, ctx, {})
     Hs = odd_action_matrices(seed)
     Gs = [[[ctx.param("eps") if i == 0 else ctx.zero()]]
           for i in range(len(Hs))]
@@ -332,7 +333,7 @@ def test_solve_then_certify_satisfies_cpodm():
              ("C5_p", ("p",), "FAM24_C5p_G"), ("C2_1", (), "FAM24_C21_G"))
     for name, ps, rid in seeds:
         ctx, _, _, _ = _symbolic_setup(name, ps)
-        t = get_catalog().triples[rid].lift_triple(ctx, {})
+        t = _in_context(get_catalog().triples[rid].triple, ctx, {})
         cert = shear_certificate(t, build_double(t))
         ok, rep = verify_certificate(cert)
         assert ok, (name, rep[:2])
