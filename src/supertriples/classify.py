@@ -19,6 +19,7 @@ from .algebra import (SuperAlgebra, _graded_transposes, _jacobi,
 from .catalog import automorphisms, catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DimensionMismatch,
                      DivisionByZero, InconsistentRadical, UnknownId)
+from .forms import canonical_form, check_ad_invariance
 from .iso import (Exhausted, IsoCertificate, _evaluations, _in_context,
                   _projected_sides, _projections, dual_g,
                   from_automorphism, search_iso, shear_certificate,
@@ -883,7 +884,6 @@ def _thm3_expected(inst):
 
 
 def _symbolic_row_suite(target, table):
-    from .forms import canonical_form, check_ad_invariance
     cat = get_catalog()
     lines = []
     passed = True
@@ -1150,10 +1150,7 @@ def match_22(seed_name, dual):
         return None
     label, target, values, d_squared = found
     seed = get_catalog().algebras[seed_name].algebra
-    triple = ManinTriple(
-        SuperAlgebra(seed.grading, ctx, seed.entries(), names=seed.names,
-                     name=seed_name),
-        dual)
+    triple = ManinTriple(_in_context(seed, ctx), dual)
     sq_ctx = ParamContext([], radicals=[("sq", _p_const(d_squared, 0))])
     lift_ctx, lift = sq_ctx.bind({})
     branch = automorphisms(seed_name).branches[0]

@@ -25,10 +25,10 @@ from .errors import (BudgetExceeded, ConstraintViolation, DivisionByZero,
                      InconsistentRadical, ParseError, SuperTriplesError,
                      UnknownId, UnknownName)
 from .forms import canonical_form, check_ad_invariance
-from .iso import (G_NAMES, NoSolution, odd_action_matrices, solve_r,
-                  verify_certificate)
+from .iso import (G_NAMES, NoSolution, _in_context, odd_action_matrices,
+                  solve_r, verify_certificate)
 from .parsing import MAX_DIGITS, AlgebraDecl, TripleDecl
-from .scalars import not_a_parameter
+from .scalars import Domain, ParamContext, not_a_parameter
 from .triples import build_double, check_compatibility
 
 EXIT_OK = 0
@@ -176,7 +176,6 @@ def cmd_solve_r(args):
         raise ConstraintViolation("solve-r needs a (1,1) or (1,2) seed algebra")
     # G's names, each once: its upper triangle, row by row
     names = tuple(dict.fromkeys(name for row in G_NAMES[n] for name in row))
-    H = odd_action_matrices(seed)[0]
     ctx = seed.ctx
     if args.g:
         vals = [_rational("--g", x) for x in args.g.split(",")]
@@ -185,14 +184,13 @@ def cmd_solve_r(args):
                                       % (",".join(names), n))
         g = {name: ctx.const(v) for name, v in zip(names, vals)}
     else:
-        from .scalars import Domain, ParamContext
+        # G symbolic: the seed lifted into a context with G's names as well
         gctx = ParamContext([(name, Domain.free()) for name in
                              tuple(ctx.params) + names])
-        mapper = ctx.bind_scalars(gctx, {})
-        H = [[mapper(x) for x in row] for row in H]
+        seed = _in_context(seed, gctx)
         g = {name: gctx.param(name) for name in names}
     G = [[g[name] for name in row] for row in G_NAMES[n]]
-    res = solve_r(H, G)
+    res = solve_r(odd_action_matrices(seed)[0], G)
     if isinstance(res, NoSolution):
         if args.format == "machine":
             print("solve_r algebra=%s status=nosolution witness=%s"

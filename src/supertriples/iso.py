@@ -55,9 +55,9 @@ from .algebra import (SuperAlgebra, _cleared_matrix, _columns, _difference,
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from . import forms
 from .matrices import (back_substitute, dual_blockdiag, echelon, f_matmul,
-                       identity, sparse)
+                       identity, sparse, transpose)
 from .memo import memoized
-from .triples import ManinTriple, build_double
+from .triples import ManinTriple, build_double, t_dual
 
 __all__ = ["IsoCertificate", "NoSolution", "Exhausted",
            "verify_certificate", "from_automorphism", "solve_r",
@@ -183,9 +183,9 @@ def verify_certificate(cert):
     form = _form_tensor(*_half(cert.source))
     M, c = _cleared_matrix(ctx, cert.matrix)
     (N, s), (N2, t) = cert.source.cleared_tensor(), cert.target.cleared_tensor()
-    # Scalar form entries, so that every Scalar residual is a Scalar
-    scalar = (cert.matrix, [(p, q, r, ctx.const(x)) for (p, q, r, x) in form],
-              cert.source.nonzero(), cert.target.nonzero())
+    # c = 1 as a Scalar, so that every residual of the int form is a Scalar
+    scalar = (cert.matrix, form, cert.source.nonzero(), cert.target.nonzero(),
+              ctx.one())
     failing = _failures(ctx, _conditions, (M, form, N, N2, c, s, t), scalar,
                         (c, s, t))
     return not failing, failing
@@ -290,14 +290,6 @@ def _evaluations(P, c, sides):
             c * sum(w * P[r] for (r, w) in W))
 
 
-def _holds(M, c, form, source, target):
-    """Whether (i) and (ii) hold for C = M / c, with M an integer matrix and
-    c a nonzero integer, on the integer-scaled tensors source (N, s) and
-    target (N', t) (``_conditions``)."""
-    (N, s), (N2, t) = source, target
-    return not _conditions(M, form, N, N2, c, s, t)
-
-
 def _half(double):
     m, n = double.superdim()
     return m // 2, n // 2
@@ -306,7 +298,6 @@ def _half(double):
 def t_dual_certificate(triple):
     """The T-duality certificate C = B from the double of t to the double of
     its dual (S~|S)."""
-    from .triples import t_dual
     src = build_double(triple)
     tgt = build_double(t_dual(triple))
     ctx = triple.ctx
@@ -327,17 +318,23 @@ def _t_dual_matrix(m, n):
 
 def from_automorphism(A_inst, triple):
     """blockdiag(A, (A^{-1})^T) from the triple's double to the double of the
-    triple with transported dual tensor."""
+    triple with transported dual tensor.  A is inverted once, in
+    ``dual_blockdiag``: the dual is transported in the basis (A^{-1})^T,
+    read off the lower-right block, whose inverse is A^T (as
+    ``SuperAlgebra.transport_dual``)."""
     bad = automorphism_residuals(A_inst, triple.S)
     if bad:
         raise NotAutomorphism("matrix does not preserve the structure tensor: %s"
                               % bad[:3])
-    target = ManinTriple(triple.S, triple.S_dual.transport_dual(A_inst),
+    C = dual_blockdiag(A_inst)
+    h = len(A_inst)
+    dual = triple.S_dual._transport([row[h:] for row in C[h:]],
+                                    transpose(A_inst))
+    target = ManinTriple(triple.S, dual,
                          ident=None if triple.id is None else triple.id + "'",
                          label=triple.label)
-    return IsoCertificate(triple.ctx, dual_blockdiag(A_inst),
-                          build_double(triple), build_double(target),
-                          note="auto")
+    return IsoCertificate(triple.ctx, C, build_double(triple),
+                          build_double(target), note="auto")
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +651,9 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
     sides (``_projected_sides``) are computed once per search.  Against the
     row's projections of M, one comparison of the projected sides of (ii)
     rejects a failing candidate without building either side.  A candidate
-    whose projections agree goes through ``_holds``, which tests (i) and
-    (ii) in full, and only one that passes is rebuilt as the Fraction matrix
-    M / c, wrapped and put through ``verify_certificate``.
+    whose projections agree is rebuilt as the matrix M / c, wrapped and put
+    through ``verify_certificate``, which tests (i) and (ii) in full on the
+    same integers (``_conditions``).
     """
     if budget < 0:
         raise ConstraintViolation("budget must be at least 0, got %d" % budget)
@@ -672,10 +669,7 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
         return Exhausted(budget, 0, "fingerprint mismatch %s vs %s" % (fp_src, fp_tgt))
 
     d = src.dim
-    form = _form_tensor(m, n)
-    source = src.integer_tensor()
-    target = tgt.integer_tensor()
-    sides = _projected_sides(source, target, d)
+    sides = _projected_sides(src.integer_tensor(), tgt.integer_tensor(), d)
     ctx = src.ctx
 
     # the report's table inside a ``report_memo()`` block, else a new one
@@ -687,15 +681,14 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
         pulled, pushed = _evaluations(P, c, sides)
         if pulled != pushed:
             continue
-        M = [flat[a:a + d] for a in range(0, d * d, d)]
-        if _holds(M, c, form, source, target):
-            matrix = [[ctx.const(Fraction(x, c)) for x in row] for row in M]
-            try:
-                cert = IsoCertificate(ctx, matrix, src, tgt, note="search")
-            except ConstraintViolation:
-                continue
-            ok, _ = verify_certificate(cert)
-            if ok:
-                cert.note = "search:" + name
-                return cert
+        matrix = [[ctx.const(Fraction(x, c)) for x in flat[a:a + d]]
+                  for a in range(0, d * d, d)]
+        try:
+            cert = IsoCertificate(ctx, matrix, src, tgt, note="search")
+        except ConstraintViolation:
+            continue
+        ok, _ = verify_certificate(cert)
+        if ok:
+            cert.note = "search:" + name
+            return cert
     return Exhausted(budget, len(rows), "candidates exhausted")

@@ -1,21 +1,23 @@
 import functools
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from supertriples.algebra import SuperAlgebra, _cleared_matrix, commutant_series
+from supertriples.algebra import (SuperAlgebra, _cleared_matrix, _failures,
+                                  commutant_series)
 from supertriples.catalog import (appendix_certificate, automorphisms, catalog,
                                   catalog_triple, get_catalog, list_certificates)
 from supertriples.errors import (ConstraintViolation, DimensionMismatch,
                                  DivisionByZero,
                                  NotAutomorphism, SuperTriplesError)
-from supertriples import iso, polys, scalars
-from supertriples.classify import report
+from supertriples import iso, matrices, polys, scalars
+from supertriples.classify import enumerate_duals, match_22, reduce_orbits, report
 from supertriples.iso import (Exhausted, IsoCertificate, _form_tensor, _half,
-                              _holds, _in_context, _stages, _weights,
+                              _in_context, _stages, _weights,
                               from_automorphism,
                               search_iso, t_dual_certificate,
                               verify_certificate)
@@ -318,6 +320,57 @@ def test_from_automorphism_s21_example():
     assert cert.verify()
 
 
+def _count_inversions(monkeypatch):
+    """Wrap ``matrices.inv`` at every binding of it in the package, as the
+    benchmark's spans wrap functions; the list it returns gets one entry
+    per call."""
+    calls = []
+    original = matrices.inv
+
+    def counted(a):
+        calls.append(len(a))
+        return original(a)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "supertriples"
+                and getattr(module, "inv", None) is original):
+            monkeypatch.setattr(module, "inv", counted)
+    return calls
+
+
+def test_from_automorphism_inverts_once(monkeypatch):
+    """One inversion per automorphism certificate: the dual is transported
+    along the (A^{-1})^T block that ``dual_blockdiag`` computed, not through
+    ``transport_dual``, which would invert A again.  The target's dual is
+    still the one ``transport_dual`` gives, numeric and symbolic."""
+    t = catalog_triple("MT42_3")
+    _, A = automorphisms("S21").branches[0].instantiate({"b": 0, "c": 2, "d": 1})
+    lifted = [[t.ctx.const(x.as_fraction()) for x in row] for row in A]
+    branch = get_catalog().algebras["C3"].automorphisms().branches[0]
+    symbolic = _in_context(get_catalog().triples["MT24_18"].triple, branch.ctx, {})
+    for matrix, triple in ((lifted, t), (branch.matrix, symbolic)):
+        expected = triple.S_dual.transport_dual(matrix)
+        calls = _count_inversions(monkeypatch)
+        cert = from_automorphism(matrix, triple)
+        assert calls == [len(matrix)]
+        monkeypatch.undo()
+        assert cert.target.triple.S_dual.tensor_equal(expected)
+        assert cert.verify()
+
+
+def test_match_22_inverts_once_per_orbit_representative(monkeypatch):
+    """``match_22`` on the S11 orbit representatives builds one automorphism
+    certificate each, so it makes one inversion each."""
+    seed = catalog("S11")
+    reps = [rep for rep, _ in reduce_orbits(enumerate_duals(seed),
+                                            automorphisms("S11"))]
+    assert len(reps) == 5
+    calls = _count_inversions(monkeypatch)
+    matched = [match_22("S11", rep) for rep in reps]
+    assert all(matched)
+    assert len(calls) == len(reps)
+
+
 def test_from_automorphism_rejects_non_automorphism():
     t = catalog_triple("MT42_3")
     ctx = t.ctx
@@ -455,6 +508,15 @@ def _integer_inputs(src, tgt):
     m, n = src.superdim()
     return (_form_tensor(m // 2, n // 2), src.integer_tensor(),
             tgt.integer_tensor())
+
+
+def _holds(M, c, form, source, target):
+    """Whether (i) and (ii) hold for C = M / c, with M an integer matrix and
+    c a nonzero integer, on the integer-scaled tensors source (N, s) and
+    target (N', t): ``iso._conditions``, the kernel that both
+    ``verify_certificate`` and a search survivor's verdict run."""
+    (N, s), (N2, t) = source, target
+    return not iso._conditions(M, form, N, N2, c, s, t)
 
 
 def _dense(algebra):
@@ -742,11 +804,16 @@ def _scalar_failures(cert):
     """The Scalar reference for verify_certificate: the residuals of (i) and
     (ii) computed on C, F and F' themselves, kept where they fail on some
     sign branch (``scalar_branch_failures``)."""
+    return scalar_branch_failures(iso._conditions(*_scalar_inputs(cert)))
+
+
+def _scalar_inputs(cert):
+    """C, B, F and F' for ``iso._conditions`` with every entry a Scalar: the
+    form's entries made Scalars by ``ctx.const``."""
     ctx = cert.ctx
     form = [(p, q, r, ctx.const(x))
             for (p, q, r, x) in _form_tensor(*_half(cert.source))]
-    return scalar_branch_failures(iso._conditions(
-        cert.matrix, form, cert.source.nonzero(), cert.target.nonzero()))
+    return cert.matrix, form, cert.source.nonzero(), cert.target.nonzero()
 
 
 def _both_verdicts(cert):
@@ -834,6 +901,78 @@ def test_shipped_rows_and_certificates_clear_to_integer_coefficients():
     coefficients = [v for v in cleared if not isinstance(v, scalars.Cleared)]
     coefficients += [x for part in parts for x in part.values()]
     assert {type(x) for x in coefficients} == {int}
+
+
+def _scalar_form_failures(cert):
+    """verify_certificate's failing residuals by the route it used before
+    its Scalar run took the int form with c = 1 as a Scalar: the same
+    cleared verdict, with ``_scalar_inputs`` for the Scalar run."""
+    ctx = cert.ctx
+    M, c = _cleared_matrix(ctx, cert.matrix)
+    (N, s), (N2, t) = cert.source.cleared_tensor(), cert.target.cleared_tensor()
+    cleared = (M, _form_tensor(*_half(cert.source)), N, N2, c, s, t)
+    return _failures(ctx, iso._conditions, cleared, _scalar_inputs(cert),
+                     (c, s, t))
+
+
+@pytest.mark.parametrize("cid", ["DD42_V", "DD24_II0", "DD24_VI_1"])
+def test_failing_residuals_equal_the_scalar_form_route(cid):
+    """A corrupted certificate, numeric (DD42_V), parametric (DD24_II0) and
+    radical (DD24_VI_1), fails with the same residuals, keys and Scalar
+    values, as the Scalar-form route: C[0][0] + 1 breaks (i), and C[0][0]
+    times 2 breaks (ii) on these rows as well."""
+    cert = appendix_certificate(cid)
+    ctx = cert.ctx
+    assert bool(ctx.params) == (cid != "DD42_V")
+    assert (ctx.radical_name is not None) == (cid == "DD24_VI_1")
+    kinds = set()
+    for corrupt in (lambda x: x + 1, lambda x: x * 2):
+        matrix = [list(row) for row in cert.matrix]
+        matrix[0][0] = corrupt(matrix[0][0])
+        bad = IsoCertificate(ctx, matrix, cert.source, cert.target)
+        ok, failing = verify_certificate(bad)
+        assert not ok and failing == _scalar_form_failures(bad)
+        assert all(isinstance(value, Scalar) and value.ctx == ctx
+                   for (_, _, value) in failing)
+        kinds.update(kind for (kind, _, _) in failing)
+    assert kinds == {"form", "bracket"}
+
+
+# the grid of the parametric certificate sweep, and its points per
+# certificate and seed
+SWEEP_GRID = [Fraction(x) for x in (0, 1, -1, 2, -2, 3, -3)] + [
+    Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3)]
+SWEEP_POINTS = 12
+SWEEP_SEED = 32
+# undefined at points of their declared domains (ROADMAP item 29)
+UNDEFINED_ON_DOMAIN = ("DD24_VIII", "DD24_III_2")
+
+
+@pytest.mark.parametrize("cid", [
+    pytest.param(cid, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 29: a zero denominator or a "
+        "negative radicand at points of the declared domain"))
+    if cid in UNDEFINED_ON_DOMAIN else cid
+    for cid in list_certificates() if appendix_certificate(cid).ctx.params])
+def test_parametric_certificates_verify_on_their_declared_domains(cid):
+    """Seeded points of SWEEP_GRID that the certificate's declared domains
+    allow: each must bind and verify.  DD24_VIII and DD24_III_2 fail at some
+    (Finding 2 of ROADMAP.md) until item 29 lands, which flips their strict
+    xfail."""
+    ctx = appendix_certificate(cid).ctx
+    rng = random.Random("%s:%d" % (cid, SWEEP_SEED))
+    allowed = {name: [v for v in SWEEP_GRID if ctx.domains[name].allows(v)]
+               for name in ctx.params}
+    failed = []
+    for _ in range(SWEEP_POINTS):
+        point = {name: rng.choice(values) for name, values in allowed.items()}
+        try:
+            ok = verify_certificate(appendix_certificate(cid, point))[0]
+        except SuperTriplesError as exc:
+            ok = exc
+        if ok is not True:
+            failed.append((point, ok))
+    assert not failed, failed
 
 
 def test_a_branch_with_a_negative_radicand_is_refused_by_the_decider():
