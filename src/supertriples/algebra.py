@@ -96,7 +96,7 @@ class SuperAlgebra:
     """
 
     __slots__ = ("grading", "parity", "names", "ctx", "name", "dual_role",
-                 "_nz", "_integer", "_cleared")
+                 "_nz", "_integer", "_cleared", "_fingerprint")
 
     def __init__(self, grading, ctx, entries, parity=None, names=None,
                  name=None, dual_role=False):
@@ -112,7 +112,7 @@ class SuperAlgebra:
             raise DimensionMismatch("tensor index outside the basis")
         self._nz = [(i, j, k, c) for (i, j, k), c in sorted(entries.items())
                     if not c.is_zero()]
-        self._integer = self._cleared = None
+        self._integer = self._cleared = self._fingerprint = None
 
     # -- construction ---------------------------------------------------
 
@@ -178,6 +178,14 @@ class SuperAlgebra:
                 self._cleared = (tuple((i, j, k, v) for (i, j, k, _), v
                                        in zip(self._nz, values)), den)
         return self._cleared
+
+    def fingerprint(self):
+        """``commutant_series(self)``, computed on the first call and kept,
+        as ``integer_tensor`` is: the search's fingerprint filter and the
+        classification's instances read one fingerprint per algebra."""
+        if self._fingerprint is None:
+            self._fingerprint = commutant_series(self)
+        return self._fingerprint
 
     @property
     def F(self):

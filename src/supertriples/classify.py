@@ -15,13 +15,13 @@ import random
 from fractions import Fraction
 
 from .algebra import (SuperAlgebra, _graded_transposes, _jacobi,
-                      _transport_residuals, check_jacobi, commutant_series)
+                      _transport_residuals, check_jacobi)
 from .catalog import automorphisms, catalog_triple, get_catalog
 from .errors import (BudgetExceeded, ConstraintViolation, DimensionMismatch,
                      DivisionByZero, InconsistentRadical, UnknownId)
 from .forms import canonical_form, check_ad_invariance
-from .iso import (Exhausted, IsoCertificate, _evaluations, _in_context,
-                  _projected_sides, _projections, dual_g,
+from .iso import (Exhausted, IsoCertificate, _in_context, _projected_halves,
+                  _projections, _pull_value, _push_value, _weights, dual_g,
                   from_automorphism, search_iso, shear_certificate,
                   verify_certificate)
 from .matrices import echelon_add, f_solve, identity
@@ -239,11 +239,13 @@ def reduce_orbits(solutions, family):
     invertible A solution i moves onto solution j exactly when
     pull(N_j, M) = c push(N_i, M), condition (ii) of ``iso._conditions``
     with s = t = 1 (``_transport_residuals``); a singular A is refused.
-    Equal tensors project equally (``iso._evaluations``), so a pair is
-    tested in full only when the projection of pull(N_j, M) lands in the
-    bucket of c push(N_i, M), and only when i and j are in different sets:
-    a union inside one set changes nothing, so the partition is the
-    all-pairs one.
+    Equal tensors project equally, so a pair is tested in full only when
+    i and j are in different sets (a union inside one set changes nothing,
+    so the partition is the all-pairs one) and the two sides project
+    equally on both weight triples of ``iso._weights``: on the first, each
+    tensor is evaluated once per member and pull(N_j, M) looked up in the
+    buckets of c push(N_i, M); the second, independent one is evaluated
+    only for a pair that passes the first.
     The family must have a branch and must not use the seed's parameters:
     bind them with ``automorphisms(name, bindings)``.
     """
@@ -255,18 +257,30 @@ def reduce_orbits(solutions, family):
     den = math.lcm(*(t for _, t in scaled))
     tensors = [[(i, j, k, n * (den // t)) for (i, j, k, n) in nz]
                for nz, t in scaled]
-    sides = [_projected_sides((N, 1), (N, 1), d) for N in tensors]
+    first, second = _weights(d)
+    halves = [_projected_halves(N, first) for N in tensors]
+    # each solution's halves on the second triple, made when first needed
+    halves2 = {}
     sets = _UnionFind(len(solutions))
     for M, c in _members(family):
-        P = _projections(M)
-        values = [_evaluations(P, c, s) for s in sides]
+        P = _projections(M, first)
         buckets = {}
-        for i, (_, pushed) in enumerate(values):
-            buckets.setdefault(pushed, []).append(i)
-        for j, (pulled, _) in enumerate(values):
-            for i in buckets.get(pulled, ()):
-                if (sets.find(i) != sets.find(j) and not _transport_residuals(
-                        M, tensors[j], tensors[i], 1, c)):
+        for i, (_, W) in enumerate(halves):
+            buckets.setdefault(c * _push_value(P, W), []).append(i)
+        P2 = None
+        for j, (terms, _) in enumerate(halves):
+            for i in buckets.get(_pull_value(P, terms), ()):
+                if sets.find(i) == sets.find(j):
+                    continue
+                if P2 is None:
+                    P2 = _projections(M, second)
+                for k in (i, j):
+                    if k not in halves2:
+                        halves2[k] = _projected_halves(tensors[k], second)
+                if (_pull_value(P2, halves2[j][0])
+                        == c * _push_value(P2, halves2[i][1])
+                        and not _transport_residuals(
+                            M, tensors[j], tensors[i], 1, c)):
                     sets.union(i, j)
 
     orbits = {}
@@ -455,7 +469,7 @@ class Instance:
         if self.triple.ctx.params:
             raise ConstraintViolation("instance %s is not fully bound" % self.ident)
         self.double = build_double(self.triple)
-        self.fingerprint = commutant_series(self.double)
+        self.fingerprint = self.double.fingerprint()
         self.seed_name = entry.seed_name
         self._nodes = None
 

@@ -38,9 +38,11 @@ by ``search_iso``: a bounded search between numerically bound doubles
 over five finite candidate stages, ``basic``, ``duality``, ``shear``,
 ``shear_up`` and ``composed``.  The candidates depend only on the doubles'
 superdimension; a ``_CandidateTable`` holds them with their integer
-projections, and one ``report`` or ``classify_doubles`` call keeps one
-table per superdimension in its report memo (``memo.report_memo``), so its
-searches walk that table instead of generating the stages again.
+projections and, per tensor, its projected values as a source and as a
+target, and one ``report`` or ``classify_doubles`` call keeps one table per
+superdimension in its report memo (``memo.report_memo``), so its searches
+walk that table instead of generating the stages again, and evaluate each
+tensor once per role instead of once per pair.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from fractions import Fraction
 
 from .algebra import (SuperAlgebra, _cleared_matrix, _columns, _difference,
                       _failures, _pull, _transport_residuals,
-                      automorphism_residuals, commutant_series)
+                      automorphism_residuals)
 from .errors import (ConstraintViolation, DimensionMismatch, NotAutomorphism)
 from . import forms
 from .matrices import (back_substitute, dual_blockdiag, echelon, f_matmul,
@@ -222,25 +224,28 @@ def _form_residuals(M, form, c2):
 
 @functools.lru_cache(maxsize=None)
 def _weights(d):
-    """The weight vectors (u, v, z) of the projection of (ii) for dimension
-    d: the first 3d primes, in three consecutive runs of d.  u and v must
-    differ, since the even-even brackets are antisymmetric and cancel under
-    u = v."""
+    """The two weight triples (u, v, z) of the projected test of (ii) for
+    dimension d: the first 6d primes, in six consecutive runs of d.  The
+    search and the first test of ``classify.reduce_orbits`` use the first
+    triple; a pair of duals that passes it is projected again on the
+    second, independent one before the full test.  u and v must differ,
+    since the even-even brackets are antisymmetric and cancel under u = v."""
     primes = []
     k = 2
-    while len(primes) < 3 * d:
+    while len(primes) < 6 * d:
         if all(k % p for p in primes):
             primes.append(k)
         k += 1
-    return tuple(primes[:d]), tuple(primes[d:2 * d]), tuple(primes[2 * d:])
+    runs = [tuple(primes[i:i + d]) for i in range(0, 6 * d, d)]
+    return tuple(runs[:3]), tuple(runs[3:])
 
 
-def _projections(M):
-    """P = uM + vM + Mz: the weight vectors (u, v, z) of
-    ``_weights(len(M))`` moved through the integer matrix M, concatenated
-    into one tuple of 3d integers."""
+def _projections(M, weights):
+    """P = uM + vM + Mz: the weight triple (u, v, z) of ``_weights``
+    moved through the integer matrix M, concatenated into one tuple of 3d
+    integers."""
     d = len(M)
-    u, v, z = _weights(d)
+    u, v, z = weights
     uM, vM, Mz = [0] * d, [0] * d, [0] * d
     for a, row in enumerate(M):
         ua, va = u[a], v[a]
@@ -252,42 +257,46 @@ def _projections(M):
     return tuple(uM + vM + Mz)
 
 
-def _projected_sides(source, target, d):
-    """(terms, W): the tensor halves of the projected test of (ii) in
-    dimension d, with source (N, s) and target (N', t), indexed into
-    ``_projections``' P.  terms lists (p, d + q, k), k = t sum over r of
-    N_pq^r z_r; W lists (2d + r, w), w = s sum over a, b of
-    N'_ab^r u_a v_b; zeros are dropped.
+def _projected_halves(N, weights):
+    """(terms, W): the integer tensor N's halves of the projected test of
+    (ii) on the weight triple (u, v, z), indexed into ``_projections``' P.
+    terms lists (p, d + q, k), k = sum over r of N_pq^r z_r, for N pulled
+    back as a source; W lists (2d + r, w), w = sum over a, b of
+    N_ab^r u_a v_b, for N pushed forward as a target; zeros are dropped.
 
-    Cleared of denominators, (ii) for C = M / c reads
-    t pull(N, M) = s c push(N', M) (``_conditions``).  Evaluating a tensor
-    T_ab^r on the fixed weights (u, v, z) of ``_weights`` is a linear map to
-    the integers, so where (ii) holds its two sides evaluate equally.  The
-    evaluations are read off P and the sides, without building either side
-    of (ii):
+    Cleared of denominators, (ii) for C = M / c, F = N / s and F' = N' / t
+    reads t pull(N, M) = s c push(N', M) (``_conditions``).  Evaluating a
+    tensor T_ab^r on the fixed weights is a linear map to the integers, so
+    where (ii) holds its two sides evaluate equally.  The evaluations are
+    read off P and each tensor's own half, without building either side of
+    (ii) and without s, t or c, which the caller applies:
 
-        t  sum over N  of x (uM)_p (vM)_q z_r      (x = N_pq^r)
-        sc sum over N' of x u_a v_b (Mz)_r         (x = N'_ab^r)
+        pull(N, M)  ->  sum over N  of x (uM)_p (vM)_q z_r   (``_pull_value``)
+        push(N', M) ->  sum over N' of x u_a v_b (Mz)_r      (``_push_value``)
 
-    (``_evaluations``).  Unequal evaluations prove that (ii) fails; equal
+    Unequal evaluations t pull and s c push prove that (ii) fails; equal
     ones prove nothing."""
-    (N, s), (N2, t) = source, target
-    u, v, z = _weights(d)
+    u, v, z = weights
+    d = len(u)
     terms, W = {}, {}
     for (p, q, r, x) in N:
-        terms[p, d + q] = terms.get((p, d + q), 0) + t * x * z[r]
-    for (a, b, r, x) in N2:
-        W[2 * d + r] = W.get(2 * d + r, 0) + s * x * u[a] * v[b]
+        terms[p, d + q] = terms.get((p, d + q), 0) + x * z[r]
+        W[2 * d + r] = W.get(2 * d + r, 0) + x * u[p] * v[q]
     return ([(p, q, k) for (p, q), k in terms.items() if k],
             [(r, w) for r, w in W.items() if w])
 
 
-def _evaluations(P, c, sides):
-    """The evaluations of t pull(N, M) and s c push(N', M), for C = M / c
-    with ``_projections`` P and ``_projected_sides`` sides."""
-    terms, W = sides
-    return (sum(k * P[p] * P[q] for (p, q, k) in terms),
-            c * sum(w * P[r] for (r, w) in W))
+def _pull_value(P, terms):
+    """The evaluation of pull(N, M), with ``_projections`` P of M and the
+    terms of N's ``_projected_halves``."""
+    return sum(k * P[p] * P[q] for (p, q, k) in terms)
+
+
+def _push_value(P, W):
+    """The evaluation of push(N, M), with ``_projections`` P of M and the
+    W of N's ``_projected_halves``; for C = M / c the pushforward side of
+    (ii) is c times it."""
+    return sum(w * P[r] for (r, w) in W)
 
 
 def _half(double):
@@ -604,26 +613,59 @@ def _stages(m, n):
     yield "composed", _composed(m, n, h, d)
 
 
+# the roles of a tensor in the search: the indices of its
+# ``_projected_halves`` and of ``_CandidateTable.ROLES``
+_PULL, _PUSH = 0, 1
+
+
 class _CandidateTable:
     """The candidates of ``_stages(m, n)`` as flat rows (stage name, M, c,
     P): M is the integer matrix as one tuple, row after row, and P its
-    ``_projections``.  Rows are made lazily, the first time a search
-    reaches them, and kept for the next search on the same shape."""
+    ``_projections`` on the first weight triple of ``_weights``.  Rows are
+    made lazily, the first time a search reaches them, and kept for the next
+    search on the same shape.
 
-    __slots__ = ("rows", "_stream")
+    Beside the rows the table keeps, per integer tensor and role, the
+    tensor's projected values over the rows (``values``): pulled back as a
+    search's source (``_pull_value``) or pushed forward as its target
+    (``_push_value``).  A column is computed the first time a search asks
+    for it and extended when a later search asks for a longer prefix, so
+    the searches of a report evaluate each tensor once per role, however
+    many pairs it takes part in."""
+
+    __slots__ = ("rows", "weights", "_stream", "_values")
+
+    # the evaluation of each role, _PULL and _PUSH
+    ROLES = (_pull_value, _push_value)
 
     def __init__(self, m, n):
         self.rows = []
+        self.weights = _weights(2 * (m + n))[0]
         self._stream = ((name, M, c) for name, gen in _stages(m, n)
                         for M, c in gen)
+        self._values = {}
 
     def prefix(self, k):
         """The first k rows, or all of them when there are fewer."""
         rows = self.rows
         for name, M, c in itertools.islice(self._stream, max(0, k - len(rows))):
             rows.append((name, tuple(itertools.chain.from_iterable(M)), c,
-                         _projections(M)))
+                         _projections(M, self.weights)))
         return rows[:k]
+
+    def values(self, role, N, k):
+        """The values of the integer tensor N in role _PULL or _PUSH on the
+        first k rows (``prefix``), one per row."""
+        rows = self.prefix(k)
+        kept = self._values.get((role, N))
+        if kept is None:
+            kept = self._values[role, N] = (
+                _projected_halves(N, self.weights)[role], [])
+        half, values = kept
+        if len(values) < len(rows):
+            evaluate = self.ROLES[role]
+            values.extend(evaluate(P, half) for (_, _, _, P) in rows[len(values):])
+        return values[:k]
 
 
 def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
@@ -631,12 +673,13 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
 
     Returns a verified IsoCertificate or an Exhausted record; Exhausted is
     evidence, not proof, of nonisomorphism.  After the fingerprint filter
-    the candidates come from five finite stages, in this order: ``basic``
-    (the identity and the T-duality B), ``duality`` (partial dualities),
-    ``shear`` and ``shear_up`` (lower and upper unit shears over
-    SEARCH_GRID), then ``composed`` (each partial duality times each coarse
-    lower shear, in both orders).  The record's reason is "candidates
-    exhausted" when all of them fail within the budget.
+    (``SuperAlgebra.fingerprint``, kept on each double) the candidates come
+    from five finite stages, in this order: ``basic`` (the identity and the
+    T-duality B), ``duality`` (partial dualities), ``shear`` and
+    ``shear_up`` (lower and upper unit shears over SEARCH_GRID), then
+    ``composed`` (each partial duality times each coarse lower shear, in
+    both orders).  The record's reason is "candidates exhausted" when all
+    of them fail within the budget.
 
     The candidates depend only on the shape of the doubles, so they are
     read from the shape's ``_CandidateTable``, which one ``report`` or
@@ -646,14 +689,15 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
 
     The candidate loop runs on integers.  Each candidate is a pair (M, c)
     standing for C = M / c, with M an integer matrix and c a positive
-    integer; both tensors are scaled once to integers over their
-    denominators (``SuperAlgebra.integer_tensor``), and their projected
-    sides (``_projected_sides``) are computed once per search.  Against the
-    row's projections of M, one comparison of the projected sides of (ii)
-    rejects a failing candidate without building either side.  A candidate
-    whose projections agree is rebuilt as the matrix M / c, wrapped and put
-    through ``verify_certificate``, which tests (i) and (ii) in full on the
-    same integers (``_conditions``).
+    integer; both tensors are scaled once to integers N / s and N' / t over
+    their denominators (``SuperAlgebra.integer_tensor``).  The table holds
+    each tensor's projected values per row, the source's pulled and the
+    target's pushed (``_CandidateTable.values``), so that one comparison,
+    t pull_src[k] against s c_k push_tgt[k], rejects a failing candidate
+    without building either side of (ii).  A candidate whose projections
+    agree is rebuilt as the matrix M / c, wrapped and put through
+    ``verify_certificate``, which tests (i) and (ii) in full on the same
+    integers (``_conditions``).
     """
     if budget < 0:
         raise ConstraintViolation("budget must be at least 0, got %d" % budget)
@@ -663,23 +707,25 @@ def search_iso(src, tgt, budget=DEFAULT_SEARCH_BUDGET):
         raise ConstraintViolation("search needs numeric parameter bindings")
     m, n = _half(src)
 
-    fp_src = commutant_series(src)
-    fp_tgt = commutant_series(tgt)
+    fp_src = src.fingerprint()
+    fp_tgt = tgt.fingerprint()
     if fp_src != fp_tgt:
         return Exhausted(budget, 0, "fingerprint mismatch %s vs %s" % (fp_src, fp_tgt))
 
     d = src.dim
-    sides = _projected_sides(src.integer_tensor(), tgt.integer_tensor(), d)
+    (N, s), (N2, t) = src.integer_tensor(), tgt.integer_tensor()
     ctx = src.ctx
 
     # the report's table inside a ``report_memo()`` block, else a new one
     table = memoized((_CandidateTable, m, n), lambda: _CandidateTable(m, n))
     rows = table.prefix(budget + 1)
-    for tried, (name, flat, c, P) in enumerate(rows):
+    pulls = table.values(_PULL, N, budget + 1)
+    pushes = table.values(_PUSH, N2, budget + 1)
+    for tried, ((name, flat, c, _), pulled, pushed) in enumerate(
+            zip(rows, pulls, pushes)):
         if tried == budget:
             return Exhausted(budget, tried, "budget exhausted")
-        pulled, pushed = _evaluations(P, c, sides)
-        if pulled != pushed:
+        if t * pulled != s * c * pushed:
             continue
         matrix = [[ctx.const(Fraction(x, c)) for x in flat[a:a + d]]
                   for a in range(0, d * d, d)]

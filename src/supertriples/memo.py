@@ -6,10 +6,11 @@ built at bindings, and each certificate matrix bound at bindings alone
 (``CertEntry.matrix_at``, all the route planner asks of a certificate, as
 it takes the endpoints from its own nodes), ``classify.make_instances``
 keeps each ``Instance`` by its ident, with the route nodes it expands, and
-``iso`` keeps the search's candidate table of each double shape.  Nothing
+``iso`` keeps the search's candidate table of each double shape, with each
+searched tensor's projected values over its rows.  Nothing
 else is kept here: a cleared tensor (``SuperAlgebra.cleared_tensor`` and
-``integer_tensor``) belongs to its algebra, which dies with the memo when a
-report built it, and a row's signature (``TripleEntry.signature``) belongs
+``integer_tensor``) and a fingerprint (``SuperAlgebra.fingerprint``) belong
+to their algebra, which dies with the memo when a report built it, and a row's signature (``TripleEntry.signature``) belongs
 to the catalog entry, not to a report.
 """
 
@@ -35,8 +36,8 @@ def report_memo():
     planner, ``Instance`` and the reports only read built triples,
     certificates and matrices or derive new objects (``build_double``,
     ``tensor_equal``, ``invert``, ``compose``, ``map_scalars``), and an
-    instance's route nodes and a candidate table only grow by entries that
-    do not depend on the caller."""
+    instance's route nodes and a candidate table's rows and value columns
+    only grow by entries that do not depend on the caller."""
     if _MEMO.get() is not None:
         yield
         return

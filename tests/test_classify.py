@@ -698,12 +698,14 @@ def test_join_full_test_matches_scalar_transport(name):
     """For members of the family (grid ones from ``_members`` and random
     samples), the join's full test says solution i moves onto solution j
     exactly when Scalar ``transport_dual`` takes sol_i to sol_j, and then
-    the projected lookup finds j in i's bucket."""
+    both projected tests pass: on each weight triple the pulled value of
+    sol_j equals c times the pushed value of sol_i."""
     sols = enumerate_duals(catalog(name))
     scaled = [sol.integer_tensor() for sol in sols]
     den = math.lcm(*(t for _, t in scaled))
     tensors = [[e[:3] + (e[3] * (den // t),) for e in nz] for nz, t in scaled]
-    sides = [iso._projected_sides((N, 1), (N, 1), sols[0].dim) for N in tensors]
+    triples = iso._weights(sols[0].dim)
+    halves = [[iso._projected_halves(N, w) for N in tensors] for w in triples]
     members = list(itertools.islice(_members(automorphisms(name)), 6))
     rng = random.Random(8)
     for branch in automorphisms(name):
@@ -712,17 +714,71 @@ def test_join_full_test_matches_scalar_transport(name):
     moves = 0
     for M, c in members:
         A = [[ctx.const(Fraction(x, c)) for x in col] for col in zip(*M)]
-        P = iso._projections(M)
+        projections = [iso._projections(M, w) for w in triples]
         for i, sol in enumerate(sols):
             moved = sol.transport_dual(A)
             for j, target in enumerate(sols):
                 joined = not algebra._transport_residuals(
                     M, tensors[j], tensors[i], 1, c)
                 assert joined == moved.tensor_equal(target), (M, c, i, j)
-                assert not joined or (iso._evaluations(P, c, sides[j])[0]
-                                      == iso._evaluations(P, c, sides[i])[1])
+                assert not joined or all(
+                    iso._pull_value(P, h[j][0]) == c * iso._push_value(P, h[i][1])
+                    for P, h in zip(projections, halves))
                 moves += joined and i != j
     assert moves
+
+
+def _count_full_tests(monkeypatch):
+    """The calls ``reduce_orbits`` makes from now on to its full test."""
+    calls = []
+    plain = classify._transport_residuals
+
+    def counting(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(classify, "_transport_residuals", counting)
+    return calls
+
+
+def test_second_projection_rejects_before_the_full_test(monkeypatch):
+    """Three "duals" of the (1,1) shape under the identity member alone: N,
+    a copy of N, and N plus two entries that cancel under the first weight
+    triple but not under the second.  The copy passes both projections and
+    the full test joins it; the third passes the first projection against
+    N and its copy, and the second rejects it with no full test."""
+    seed = catalog("A11")
+    ctx = seed.ctx
+    first, second = iso._weights(2)
+    (u, v, z), (u2, v2, z2) = first, second
+    N = {(0, 1, 1): 1, (1, 0, 1): -1}
+    extra = {(0, 0, 0): u[1] * v[1] * z[1], (1, 1, 1): -u[0] * v[0] * z[0]}
+    assert sum(x * u[a] * v[b] * z[r] for (a, b, r), x in extra.items()) == 0
+    assert sum(x * u2[a] * v2[b] * z2[r] for (a, b, r), x in extra.items()) != 0
+
+    def dual(entries):
+        return SuperAlgebra(seed.grading, ctx, {key: ctx.const(x)
+                                                for key, x in entries.items()},
+                            dual_role=True)
+
+    sols = [dual(N), dual(N), dual({**N, **extra})]
+    monkeypatch.setattr(classify, "_members",
+                        lambda family: iter([([[1, 0], [0, 1]], 1)]))
+    calls = _count_full_tests(monkeypatch)
+    orbits = reduce_orbits(sols, automorphisms("A11"))
+    assert len(calls) == 1
+    assert sorted(len(members) for _, members in orbits) == [1, 2]
+
+
+def test_full_tests_on_c2_1(monkeypatch):
+    """On C2_1's 343 duals (91 orbits) the full test runs 252 times, on the
+    pairs in different sets whose projections agree on both weight
+    triples; with the first projection alone it ran 4 810 times."""
+    calls = _count_full_tests(monkeypatch)
+    orbits = reduce_orbits(enumerate_duals(catalog("C2_1")),
+                           automorphisms("C2_1"))
+    assert len(orbits) == 91
+    assert len(calls) == 252
 
 
 def test_reduce_orbits_refuses_a_singular_member(monkeypatch):

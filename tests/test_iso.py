@@ -651,7 +651,7 @@ def test_holds_runs_the_full_test_when_the_projection_agrees():
     """A target that differs from the source only by two entries that cancel
     under the weights: the projected sides of (ii) agree, so the rejection
     comes from the full test."""
-    u, v, z = _weights(4)
+    u, v, z = _weights(4)[0]
     N = [(0, 1, 1, 1), (1, 0, 1, -1)]
     extra = [(0, 1, 2, u[2] * v[3] * z[0]), (2, 3, 0, -u[0] * v[1] * z[2])]
     N2 = sorted(N + extra)
@@ -761,13 +761,33 @@ def test_budget_boundary_on_a_short_stream():
                     for b in order} == expected
 
 
+def _count_evaluations(monkeypatch):
+    """{_PULL: n, _PUSH: n}: the per-row evaluations the candidate tables
+    make from now on, by role."""
+    evaluations = {iso._PULL: 0, iso._PUSH: 0}
+
+    def counting(role, evaluate):
+        def wrapped(P, half):
+            evaluations[role] += 1
+            return evaluate(P, half)
+        return wrapped
+
+    monkeypatch.setattr(iso._CandidateTable, "ROLES", tuple(
+        counting(role, f) for role, f in enumerate(iso._CandidateTable.ROLES)))
+    return evaluations
+
+
 def test_candidate_table_lives_for_one_report(monkeypatch):
     """thm3's 17 searches share one (2,4) table per report: its 752
     ``composed`` rows are the report's only integer ``f_matmul`` products,
     in the second report of the process as in the first, and the memo is
     unset after each.  The report's other 11 products are certificate
-    compositions (``IsoCertificate.compose``) of Scalar matrices.  A search
-    outside a report builds a table of its own and leaves nothing behind."""
+    compositions (``IsoCertificate.compose``) of Scalar matrices.  The
+    searches pair 7 distinct source tensors with 7 distinct target tensors,
+    and each is evaluated once on the 1 501 rows the searches read: 7
+    pulled and 7 pushed columns per report.  A search outside a report
+    builds a table of its own, with one column of each role, and leaves
+    nothing behind."""
     calls = {int: 0, Scalar: 0}
     plain = iso.f_matmul
 
@@ -776,19 +796,44 @@ def test_candidate_table_lives_for_one_report(monkeypatch):
         return plain(A, B)
 
     monkeypatch.setattr(iso, "f_matmul", counting)
+    evaluations = _count_evaluations(monkeypatch)
     for _ in range(2):
         calls.update({int: 0, Scalar: 0})
+        evaluations.update({iso._PULL: 0, iso._PUSH: 0})
         report("thm3")
         assert calls == {int: 752, Scalar: 11}
+        assert evaluations == {iso._PULL: 7 * 1501, iso._PUSH: 7 * 1501}
         assert _MEMO.get() is None
     src = build_double(catalog_triple("MT24_4", {"p": Fraction(1, 2)}))
     tgt = build_double(catalog_triple("MT24_9"))
     for _ in range(2):
         calls.update({int: 0, Scalar: 0})
+        evaluations.update({iso._PULL: 0, iso._PUSH: 0})
         assert _outcome(search_iso(src, tgt)) == (
             Exhausted, 1500, 1500, "budget exhausted")
         assert calls == {int: 752, Scalar: 0}
+        assert evaluations == {iso._PULL: 1501, iso._PUSH: 1501}
         assert _MEMO.get() is None
+
+
+def test_candidate_table_extends_each_column_in_its_role(monkeypatch):
+    """In one report memo a search on a short prefix, then searches on the
+    whole (2,2) table in both directions between two isomorphic doubles:
+    each returns what a search with a throwaway table returns, a column
+    made for the short prefix is extended by the missing rows alone, and a
+    tensor's pulled column is never read as its pushed one."""
+    src = build_double(catalog_triple("MT22_3"))
+    tgt = build_double(catalog_triple("MT22_4", {"eps": 1}))
+    calls = [(src, tgt, 10), (src, tgt, 3000), (tgt, src, 3000)]
+    expected = [_outcome(search_iso(*call)) for call in calls]
+    assert expected[0] == (Exhausted, 10, 10, "budget exhausted")
+    assert expected[1][:2] == expected[2][:2] == (IsoCertificate, "search:shear")
+    evaluations = _count_evaluations(monkeypatch)
+    with report_memo():
+        assert [_outcome(search_iso(*call)) for call in calls] == expected
+    # 179 rows: src's pulled and tgt's pushed columns grow from 11 rows,
+    # then tgt's pulled and src's pushed ones are new
+    assert evaluations == {iso._PULL: 179 + 179, iso._PUSH: 179 + 179}
 
 
 # ---------------------------------------------------------------------------
